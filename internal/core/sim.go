@@ -875,17 +875,39 @@ func (s *Sim) Result() *Result {
 }
 
 // RunToCompletion advances through internal events until every transaction
-// has executed. It fails if events run out first (some transaction was
-// never scheduled) or if a violation occurs.
-func (s *Sim) RunToCompletion() error {
+// has executed, except the abandoned ones: a degraded run's transactions
+// that were given up on, which must never execute. It fails if events run
+// out first (some transaction was never scheduled) or if a violation
+// occurs. With nothing abandoned it stops at the last commit; otherwise it
+// drains every event before checking.
+func (s *Sim) RunToCompletion(abandoned ...TxID) error {
 	for !s.AllExecuted() {
 		next, ok := s.NextInternalEvent()
 		if !ok {
-			return fmt.Errorf("core: simulation stuck at t=%d with %d/%d transactions executed (undecided transactions?)",
-				s.now, s.doneCount, s.totalTxns())
+			break
 		}
 		if err := s.AdvanceTo(next); err != nil {
 			return err
+		}
+	}
+	if len(abandoned) == 0 {
+		if !s.AllExecuted() {
+			return fmt.Errorf("core: simulation stuck at t=%d with %d/%d transactions executed (undecided transactions?)",
+				s.now, s.doneCount, s.totalTxns())
+		}
+		return nil
+	}
+	skip := make(map[TxID]bool, len(abandoned))
+	for _, tx := range abandoned {
+		skip[tx] = true
+	}
+	for _, tx := range s.in.Txns {
+		_, done := s.Executed(tx.ID)
+		if skip[tx.ID] && done {
+			return fmt.Errorf("core: transaction %d marked abandoned but executed", tx.ID)
+		}
+		if !skip[tx.ID] && !done {
+			return fmt.Errorf("core: transaction %d neither executed nor abandoned", tx.ID)
 		}
 	}
 	return nil
@@ -925,30 +947,17 @@ func applyDecisions(s *Sim, decisions []Decision) error {
 // Replay validates a full decision list against the model and returns the
 // run's Result. Decisions must be sorted by At (ties allowed).
 func Replay(in *Instance, decisions []Decision, opts SimOptions) (*Result, error) {
-	s, err := NewSim(in, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := applyDecisions(s, decisions); err != nil {
-		return s.Result(), err
-	}
-	if err := s.RunToCompletion(); err != nil {
-		return s.Result(), err
-	}
-	return s.Result(), nil
+	return ReplayAbandoned(in, decisions, nil, opts)
 }
 
 // ReplayAbandoned validates the decision list of a degraded run: one that
 // explicitly gave up on the listed transactions (e.g. the distributed
 // protocol under an injected fault plan). The decisions are applied as in
-// Replay, the engine drains its remaining events, and the result is valid
-// iff every transaction either executed or is in the abandoned list —
-// and no abandoned transaction executed. With an empty abandoned list it
-// is exactly Replay.
+// Replay, and the result is valid iff every transaction either executed
+// or is in the abandoned list — and no abandoned transaction executed
+// (see RunToCompletion). With an empty abandoned list it is exactly
+// Replay.
 func ReplayAbandoned(in *Instance, decisions []Decision, abandoned []TxID, opts SimOptions) (*Result, error) {
-	if len(abandoned) == 0 {
-		return Replay(in, decisions, opts)
-	}
 	s, err := NewSim(in, opts)
 	if err != nil {
 		return nil, err
@@ -956,27 +965,8 @@ func ReplayAbandoned(in *Instance, decisions []Decision, abandoned []TxID, opts 
 	if err := applyDecisions(s, decisions); err != nil {
 		return s.Result(), err
 	}
-	for {
-		next, ok := s.NextInternalEvent()
-		if !ok {
-			break
-		}
-		if err := s.AdvanceTo(next); err != nil {
-			return s.Result(), err
-		}
-	}
-	skip := make(map[TxID]bool, len(abandoned))
-	for _, tx := range abandoned {
-		skip[tx] = true
-	}
-	for _, tx := range in.Txns {
-		_, done := s.Executed(tx.ID)
-		if skip[tx.ID] && done {
-			return s.Result(), fmt.Errorf("core: ReplayAbandoned: transaction %d marked abandoned but executed", tx.ID)
-		}
-		if !skip[tx.ID] && !done {
-			return s.Result(), fmt.Errorf("core: ReplayAbandoned: transaction %d neither executed nor abandoned", tx.ID)
-		}
+	if err := s.RunToCompletion(abandoned...); err != nil {
+		return s.Result(), err
 	}
 	return s.Result(), nil
 }

@@ -190,3 +190,34 @@ func TestRatiosComputed(t *testing.T) {
 		t.Errorf("max ratio = %v, want positive", res.MaxRatio)
 	}
 }
+
+// The protocol runs the network through the step of the last commit and
+// no further: every event at or before that step is handled, none after.
+func TestNetworkStopsAtLastCommit(t *testing.T) {
+	g, _ := graph.Grid(4, 4)
+	for seed := int64(1); seed <= 8; seed++ {
+		in, err := workload.Generate(g, workload.Config{
+			K: 2, NumObjects: 5, Rounds: 3,
+			Arrival: workload.ArrivalPoisson, Period: 4, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Batch: batch.Tour{}, Seed: seed}
+		opts.Sim.SlowFactor = 2
+		p, err := newProtocol(in, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := sched.Run(in, p, opts.Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if now := p.net.Now(); now > rr.Makespan {
+			t.Errorf("seed %d: network ran to t=%d, past the last commit at t=%d", seed, now, rr.Makespan)
+		}
+		if next, ok := p.net.NextEvent(); ok && next <= rr.Makespan {
+			t.Errorf("seed %d: network event at t=%d left pending by the last commit at t=%d", seed, next, rr.Makespan)
+		}
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"dtm/internal/cover"
 	"dtm/internal/distnet"
 	"dtm/internal/graph"
-	"dtm/internal/obs"
 	"dtm/internal/sched"
 )
 
@@ -81,29 +80,49 @@ type Result struct {
 // Run executes Algorithm 3 on the instance: the network protocol computes
 // every scheduling decision with real message latencies while the core
 // engine enforces object physics at the configured slow factor, in
-// lockstep.
+// lockstep. The protocol runs as a sched.Scheduler under sched.Run, so it
+// shares the central drivers' event loop, completion check and result.
 func Run(in *core.Instance, opts Options) (*Result, error) {
 	if opts.Batch == nil {
 		opts.Batch = batch.Tour{}
 	}
+	if opts.Sim.SlowFactor == 0 {
+		opts.Sim.SlowFactor = 2
+	}
+	p, err := newProtocol(in, opts)
+	if err != nil {
+		return nil, err
+	}
+	rr, err := sched.Run(in, p, opts.Options)
+	if rr == nil {
+		return nil, err
+	}
+	res := &Result{
+		RunResult:   rr,
+		Audit:       Audit{LayerCounts: make(map[int]int)},
+		Messages:    p.net.MessagesSent(),
+		MsgDistance: p.net.MessageDistance(),
+		CoverLayers: p.cfg.hier.NumLayers(),
+		SubLayers:   p.cfg.hier.MaxSubLayers(),
+		Abandoned:   p.abandoned(),
+	}
+	for _, nd := range p.nodes {
+		res.Audit.merge(nd.audit)
+	}
+	if err == nil {
+		res.Lemma6Pairs, res.Lemma6Violations = lemma6Audit(in, p.sim, p.nodes)
+	}
+	return res, err
+}
+
+// newProtocol builds a run's sparse cover, nodes and network.
+func newProtocol(in *core.Instance, opts Options) (*protocol, error) {
 	plan := opts.Faults.Plan
 	if plan.Enabled() && plan.Seed == 0 {
 		plan.Seed = opts.Seed
 	}
-	faulty := plan.Enabled()
-	simOpts := opts.Sim
-	if simOpts.SlowFactor == 0 {
-		simOpts.SlowFactor = 2
-	}
-	if simOpts.Obs == nil {
-		simOpts.Obs = opts.Obs
-	}
-	slow := simOpts.SlowFactor
+	slow := opts.Sim.SlowFactor
 	hier, err := cover.Build(in.G, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := core.NewSim(in, simOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -124,169 +143,127 @@ func Run(in *core.Instance, opts Options) (*Result, error) {
 		maxLevel:    maxLevel,
 		met:         newProtoMetrics(opts.Obs),
 		obs:         opts.Obs,
-		faulty:      faulty,
+		faulty:      plan.Enabled(),
 		maxJitter:   plan.MaxJitter,
 		slack:       defaultTime(opts.Faults.RetrySlack, 2),
 		backoffCap:  defaultTime(opts.Faults.BackoffCap, 64),
 		maxAttempts: defaultInt(opts.Faults.MaxAttempts, 30),
 	}
-	nodes := make([]*node, in.G.N())
+	p := &protocol{name: fmt.Sprintf("distbucket(%s)", opts.Batch.Name()), cfg: cfg, plan: plan,
+		nodes: make([]*node, in.G.N())}
 	handlers := make([]distnet.Handler, in.G.N())
-	for i := range nodes {
-		nodes[i] = newNode(cfg, graph.NodeID(i))
-		handlers[i] = nodes[i]
+	for i := range p.nodes {
+		p.nodes[i] = newNode(cfg, graph.NodeID(i))
+		handlers[i] = p.nodes[i]
 	}
-	net, err := distnet.New(in.G, handlers, distnet.Options{Parallel: opts.Parallel, Faults: plan, Obs: opts.Obs})
-	if err != nil {
-		return nil, err
+	p.net, err = distnet.New(in.G, handlers, distnet.Options{Parallel: opts.Parallel, Faults: plan, Obs: opts.Obs})
+	return p, err
+}
+
+// protocol adapts the message network to sched.Scheduler. Arrivals are
+// injected at their origins; every callback runs the network up to the
+// driver's clock and applies the decisions the nodes announced, in node
+// order. Nodes never read the sim, so the driver need not stop at its
+// internal events.
+type protocol struct {
+	name  string
+	cfg   *config
+	plan  distnet.FaultPlan
+	net   *distnet.Engine
+	nodes []*node
+	sim   *core.Sim
+	// crashed records arrivals at crashed origins, which the driver gives
+	// up on itself; node handlers record their own abandoned transactions.
+	crashed []AbandonedTx
+}
+
+func (p *protocol) Name() string { return p.name }
+
+func (p *protocol) Start(env *sched.Env) error {
+	p.sim = env.Sim
+	return nil
+}
+
+func (p *protocol) OnArrive(txns []*core.Transaction) error {
+	now := p.sim.Now()
+	for _, tx := range txns {
+		if p.plan.CrashedAt(tx.Node, now) {
+			// The origin is down when its transaction arrives: with no
+			// process to start discovery, the transaction is reported
+			// abandoned rather than silently lost.
+			p.crashed = append(p.crashed, AbandonedTx{
+				Tx:     tx.ID,
+				Reason: fmt.Sprintf("origin node %d crashed at arrival t=%d", tx.Node, now),
+			})
+			p.cfg.met.abandoned.Inc()
+			continue
+		}
+		if err := p.net.InjectAt(now, tx.Node, arrivalMsg{Tx: tx.ID}); err != nil {
+			return err
+		}
 	}
+	return p.OnWake()
+}
 
-	arrivals := in.ArrivalTimes()
-	snapEvery := opts.SnapshotEvery
-	if snapEvery == 0 {
-		snapEvery = 1
+// NextWake is the network's next event while a transaction is still to
+// execute. The step of the last commit still runs the network: the
+// protocol stops once every transaction executed before the current step.
+func (p *protocol) NextWake() (core.Time, bool) {
+	if _, last, _, _ := p.sim.CommitStats(); p.sim.AllExecuted() && last < p.sim.Now() {
+		return 0, false
 	}
-	metArrivals := opts.Obs.Counter(obs.NameSchedArrivals)
-	metSnaps := opts.Obs.Counter(obs.NameSchedSnapshots)
-	var snaps []sched.Snapshot
+	return p.net.NextEvent()
+}
 
-	// driverAbandoned records transactions the driver itself gave up on
-	// (arrivals at crashed origins); node handlers record their own.
-	var driverAbandoned []AbandonedTx
-
-	// collectAbandoned merges the driver's and every node's abandoned
-	// transactions, drops any that were scheduled after all (a lost ack can
-	// make an origin give up on a transaction its leader still scheduled),
-	// dedups, and sorts by ID for determinism.
-	collectAbandoned := func() ([]AbandonedTx, map[core.TxID]bool) {
-		seen := make(map[core.TxID]bool)
-		var ab []AbandonedTx
-		add := func(a AbandonedTx) {
-			if _, ok := sim.Scheduled(a.Tx); ok {
-				return
-			}
-			if !seen[a.Tx] {
-				seen[a.Tx] = true
-				ab = append(ab, a)
+func (p *protocol) OnWake() error {
+	if err := p.net.RunUntil(p.sim.Now()); err != nil {
+		return err
+	}
+	for _, nd := range p.nodes {
+		for _, d := range nd.decisions {
+			if err := p.sim.Decide(d.tx, d.exec); err != nil {
+				return fmt.Errorf("distbucket: applying decision for tx %d: %w", d.tx, err)
 			}
 		}
-		for _, a := range driverAbandoned {
+		nd.decisions = nd.decisions[:0]
+	}
+	return nil
+}
+
+// Abandoned lists the IDs of the transactions the protocol gave up on, for
+// the driver's completion check and RunResult.Abandoned.
+func (p *protocol) Abandoned() []core.TxID {
+	var ids []core.TxID
+	for _, a := range p.abandoned() {
+		ids = append(ids, a.Tx)
+	}
+	return ids
+}
+
+// abandoned merges the crashed-origin arrivals and every node's abandoned
+// transactions, drops any that were scheduled after all (a lost ack can
+// make an origin give up on a transaction its leader still scheduled),
+// dedups, and sorts by ID for determinism.
+func (p *protocol) abandoned() []AbandonedTx {
+	seen := make(map[core.TxID]bool)
+	var ab []AbandonedTx
+	add := func(a AbandonedTx) {
+		if _, ok := p.sim.Scheduled(a.Tx); ok || seen[a.Tx] {
+			return
+		}
+		seen[a.Tx] = true
+		ab = append(ab, a)
+	}
+	for _, a := range p.crashed {
+		add(a)
+	}
+	for _, nd := range p.nodes {
+		for _, a := range nd.abandoned {
 			add(a)
 		}
-		for _, nd := range nodes {
-			for _, a := range nd.abandoned {
-				add(a)
-			}
-		}
-		sort.Slice(ab, func(i, j int) bool { return ab[i].Tx < ab[j].Tx })
-		return ab, seen
 	}
-
-	// buildResult assembles the full Result from whatever has happened so
-	// far; fail marks it with the driver error, consistently with the
-	// central drivers.
-	buildResult := func() *Result {
-		res := &Result{
-			RunResult:   sched.BuildResult(sim, fmt.Sprintf("distbucket(%s)", opts.Batch.Name()), snaps, opts.Obs),
-			Audit:       Audit{LayerCounts: make(map[int]int)},
-			Messages:    net.MessagesSent(),
-			MsgDistance: net.MessageDistance(),
-			CoverLayers: hier.NumLayers(),
-			SubLayers:   hier.MaxSubLayers(),
-		}
-		res.Abandoned, _ = collectAbandoned()
-		for _, a := range res.Abandoned {
-			res.RunResult.Abandoned = append(res.RunResult.Abandoned, a.Tx)
-		}
-		for _, nd := range nodes {
-			res.Audit.merge(nd.audit)
-		}
-		return res
-	}
-	fail := func(err error) (*Result, error) {
-		res := buildResult()
-		res.Failed = true
-		res.Err = err
-		return res, err
-	}
-
-	ai := 0
-	for !sim.AllExecuted() {
-		// Next event across the three clocks.
-		t := core.Time(-1)
-		take := func(x core.Time) {
-			if t < 0 || x < t {
-				t = x
-			}
-		}
-		if ai < len(arrivals) {
-			take(arrivals[ai])
-		}
-		if nt, ok := net.NextEvent(); ok {
-			take(nt)
-		}
-		if st, ok := sim.NextInternalEvent(); ok {
-			take(st)
-		}
-		if t < 0 {
-			// No events anywhere. Either the protocol abandoned the rest
-			// (graceful degradation, decided below) or it genuinely stalled.
-			break
-		}
-		if err := sim.AdvanceTo(t); err != nil {
-			return fail(err)
-		}
-		if ai < len(arrivals) && arrivals[ai] == t {
-			if snapEvery > 0 && ai%snapEvery == 0 {
-				snaps = append(snaps, sched.TakeSnapshot(sim, t))
-				metSnaps.Inc()
-			}
-			txns := in.TxnsArriving(t)
-			metArrivals.Add(int64(len(txns)))
-			for _, tx := range txns {
-				if faulty && plan.CrashedAt(tx.Node, t) {
-					// The origin is down when its transaction arrives: with
-					// no process to start discovery, the transaction is
-					// reported abandoned rather than silently lost.
-					driverAbandoned = append(driverAbandoned, AbandonedTx{
-						Tx:     tx.ID,
-						Reason: fmt.Sprintf("origin node %d crashed at arrival t=%d", tx.Node, t),
-					})
-					cfg.met.abandoned.Inc()
-					continue
-				}
-				if err := net.InjectAt(t, tx.Node, arrivalMsg{Tx: tx.ID}); err != nil {
-					return fail(err)
-				}
-			}
-			ai++
-		}
-		if err := net.RunUntil(t); err != nil {
-			return fail(err)
-		}
-		// Apply freshly announced decisions to the physics.
-		for _, nd := range nodes {
-			for _, d := range nd.decisions {
-				if err := sim.Decide(d.tx, d.exec); err != nil {
-					return fail(fmt.Errorf("distbucket: applying decision for tx %d: %w", d.tx, err))
-				}
-			}
-			nd.decisions = nd.decisions[:0]
-		}
-	}
-	if !sim.AllExecuted() {
-		// The event queues drained early: acceptable only if every
-		// unexecuted transaction was explicitly abandoned.
-		_, abandoned := collectAbandoned()
-		for _, tx := range in.Txns {
-			if _, done := sim.Executed(tx.ID); !done && !abandoned[tx.ID] {
-				return fail(fmt.Errorf("distbucket: protocol stalled at t=%d with unexecuted transaction %d", sim.Now(), tx.ID))
-			}
-		}
-	}
-	res := buildResult()
-	res.Lemma6Pairs, res.Lemma6Violations = lemma6Audit(in, sim, nodes)
-	return res, nil
+	sort.Slice(ab, func(i, j int) bool { return ab[i].Tx < ab[j].Tx })
+	return ab
 }
 
 func defaultTime(v, def core.Time) core.Time {

@@ -5,9 +5,7 @@ import (
 	"sort"
 
 	"dtm/internal/core"
-	"dtm/internal/depgraph"
 	"dtm/internal/graph"
-	"dtm/internal/par"
 )
 
 // ClosedLoopConfig describes the paper's exact transaction issuing process
@@ -38,7 +36,6 @@ type clWaiter struct {
 // node exists only once its previous transaction commits (one step
 // later), so the drive loop also advances to internal sim events.
 type closedLoopStream struct {
-	sim    *core.Sim
 	gen    func(node graph.NodeID, round int) []core.ObjID
 	rounds int
 	round  []int      // next round to issue per node
@@ -91,11 +88,11 @@ func (c *closedLoopStream) pop(id core.TxID) (*core.Transaction, error) {
 // observe scans the in-flight transactions in issue order: a node whose
 // transaction executed issues its next one one step later (clamped to
 // now, since the commit may be discovered late).
-func (c *closedLoopStream) observe() error {
-	now := c.sim.Now()
+func (c *closedLoopStream) observe(sim *core.Sim) error {
+	now := sim.Now()
 	still := c.wait[:0]
 	for _, w := range c.wait {
-		if e, ok := c.sim.Executed(w.id); ok {
+		if e, ok := sim.Executed(w.id); ok {
 			if c.round[w.node] < c.rounds {
 				at := e + 1
 				if at < now {
@@ -145,24 +142,7 @@ func RunClosedLoop(g *graph.Graph, cfg ClosedLoopConfig, s Scheduler, opts Optio
 			Objects: cfg.Gen(graph.NodeID(v), 0),
 		})
 	}
-	simOpts := opts.Sim
-	if simOpts.Obs == nil {
-		simOpts.Obs = opts.Obs
-	}
-	sim, err := core.NewSim(in, simOpts)
-	if err != nil {
-		return nil, nil, err
-	}
-	dm := newDriverMetrics(opts.Obs)
-	env := &Env{Sim: sim, G: g, Obs: opts.Obs, Scratch: depgraph.GetScratch(),
-		Par: par.FromOption(simOpts.Parallel)}
-	defer env.Scratch.Release()
-	if err := s.Start(env); err != nil {
-		return nil, nil, fmt.Errorf("sched: %s start: %w", s.Name(), err)
-	}
-
 	stream := &closedLoopStream{
-		sim:       sim,
 		gen:       cfg.Gen,
 		rounds:    cfg.Rounds,
 		round:     make([]int, nodes),
@@ -173,13 +153,9 @@ func RunClosedLoop(g *graph.Graph, cfg ClosedLoopConfig, s Scheduler, opts Optio
 		stream.round[v] = 1
 		stream.wait = append(stream.wait, clWaiter{id: core.TxID(v), node: graph.NodeID(v)})
 	}
-
-	snaps, err := drive(sim, in, s, stream, dm, driveOpts{snapEvery: opts.SnapshotEvery, obs: opts.Obs})
-	rr := BuildResult(sim, s.Name()+"/closed-loop", snaps, opts.Obs)
-	if err != nil {
-		rr.Failed = true
-		rr.Err = err
-		return rr, in, err
+	rr, err := run(in, s, stream, opts, "/closed-loop")
+	if rr == nil {
+		return nil, nil, err
 	}
-	return rr, in, nil
+	return rr, in, err
 }
