@@ -304,13 +304,13 @@ func runScaleBench(path string, quick bool) error {
 			mk   func(rebuild bool) sched.Scheduler
 		}{
 			{"greedy-clique", greedyIn, func(r bool) sched.Scheduler {
-				return engine.NewGreedy(greedy.Options{RebuildOracle: r})
+				return engine.NewGreedy(greedy.Options{EngineOptions: sched.EngineOptions{RebuildOracle: r}})
 			}},
 			{"bucket-tour-line", bucketIn, func(r bool) sched.Scheduler {
-				return engine.NewBucket(bucket.Options{Batch: batch.Tour{}, RebuildOracle: r})
+				return engine.NewBucket(bucket.Options{Batch: batch.Tour{}, EngineOptions: sched.EngineOptions{RebuildOracle: r}})
 			}},
 			{"bucket-coloring-line", bucketIn, func(r bool) sched.Scheduler {
-				return engine.NewBucket(bucket.Options{Batch: batch.Coloring{}, RebuildOracle: r})
+				return engine.NewBucket(bucket.Options{Batch: batch.Coloring{}, EngineOptions: sched.EngineOptions{RebuildOracle: r}})
 			}},
 		}
 		for _, c := range cells {

@@ -41,27 +41,15 @@ type Options struct {
 	// core.SimOptions.SlowFactor); the batch problems must plan with the
 	// same speed. Zero means 1.
 	Slow int
-	// RebuildOracle rebuilds the batch problem (object availability map and
-	// candidate slice) from scratch for every level probe, as the original
-	// implementation did, instead of driving the persistent per-level batch
-	// sessions. Both paths produce identical placements — a session's
-	// Cost/Assign is pinned byte-identical to the one-shot Schedule on the
-	// same candidate set — and the root differential test pins that.
-	//
-	// Deprecated: set the embedded EngineOptions.RebuildOracle instead.
-	// This field remains a forward so existing keyed literals compile;
-	// either spelling (or both) selects the oracle.
-	RebuildOracle bool
 	// EngineOptions is the shared engine-selection knob (see
-	// sched.EngineOptions); it supersedes the deprecated per-package
-	// RebuildOracle field above.
+	// sched.EngineOptions): RebuildOracle rebuilds the batch problem
+	// (object availability map and candidate slice) from scratch for
+	// every level probe, as the original implementation did, instead of
+	// driving the persistent per-level batch sessions. Both paths produce
+	// identical placements — a session's Cost/Assign is pinned
+	// byte-identical to the one-shot Schedule on the same candidate set —
+	// and the root differential test pins that.
 	sched.EngineOptions
-}
-
-// rebuild reports whether the from-scratch oracle engine is selected,
-// honoring both the deprecated field and the embedded shared knob.
-func (o Options) rebuild() bool {
-	return o.RebuildOracle || o.EngineOptions.RebuildOracle
 }
 
 func (o Options) slow() int {
@@ -165,7 +153,7 @@ func (b *Bucket) Start(env *sched.Env) error {
 	b.levels = make([][]pending, max+1)
 	b.audit.LevelCounts = make([]int, max+1)
 	b.resolve = b.resolveAvail
-	if !b.opts.rebuild() {
+	if !b.opts.RebuildOracle {
 		b.avail = make(map[core.ObjID]batch.Avail)
 		b.prob = batch.Problem{G: env.G, Avail: b.avail, Slow: graph.Weight(b.opts.slow())}
 		b.tours = batch.NewTourCache(env.G, env.Obs)
@@ -260,7 +248,7 @@ func (b *Bucket) LiveStats() (pending, sessionHeld int) {
 // are extended lazily and stay valid across every probe of the arrival.
 func (b *Bucket) OnArrive(txns []*core.Transaction) error {
 	now := b.env.Sim.Now()
-	if b.opts.rebuild() {
+	if b.opts.RebuildOracle {
 		return b.arriveRebuild(txns, now)
 	}
 	b.refreshProblem(now)
@@ -393,7 +381,7 @@ func (b *Bucket) activate(level int, now core.Time) error {
 	b.metActivations.Inc()
 	var asgn batch.Assignment
 	var err error
-	if b.opts.rebuild() {
+	if b.opts.RebuildOracle {
 		txns := make([]*core.Transaction, len(pds))
 		for i, pd := range pds {
 			txns[i] = pd.tx

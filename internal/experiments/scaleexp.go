@@ -54,7 +54,7 @@ func table12Scale(cfg Config) (*stats.Table, error) {
 				if err != nil {
 					return runner.Outcome{}, err
 				}
-				orc, err := sched.Run(in, engine.NewGreedy(greedy.Options{RebuildOracle: true}),
+				orc, err := sched.Run(in, engine.NewGreedy(greedy.Options{EngineOptions: sched.EngineOptions{RebuildOracle: true}}),
 					sched.Options{SnapshotEvery: -1})
 				if err != nil {
 					return runner.Outcome{}, err

@@ -48,25 +48,13 @@ type Options struct {
 	// objects that queue at saturated links, trading nominal latency for
 	// fewer congestion stalls (experiment F13). Zero means 1 (no padding).
 	Pad int
-	// RebuildOracle selects the original per-arrival rebuild of H'_t
-	// instead of the incremental depgraph index. Both engines produce
-	// byte-identical schedules (the root differential test pins this);
-	// the oracle is kept as the reference implementation.
-	//
-	// Deprecated: set the embedded EngineOptions.RebuildOracle instead.
-	// This field remains a forward so existing keyed literals compile;
-	// either spelling (or both) selects the oracle.
-	RebuildOracle bool
 	// EngineOptions is the shared engine-selection knob (see
-	// sched.EngineOptions); it supersedes the deprecated per-package
-	// RebuildOracle field above.
+	// sched.EngineOptions): RebuildOracle selects the original
+	// per-arrival rebuild of H'_t instead of the incremental depgraph
+	// index. Both engines produce byte-identical schedules (the root
+	// differential test pins this); the oracle is kept as the reference
+	// implementation.
 	sched.EngineOptions
-}
-
-// rebuild reports whether the from-scratch oracle engine is selected,
-// honoring both the deprecated field and the embedded shared knob.
-func (o Options) rebuild() bool {
-	return o.RebuildOracle || o.EngineOptions.RebuildOracle
 }
 
 func (o Options) pad() graph.Weight {
@@ -139,7 +127,7 @@ func (g *Greedy) Start(env *sched.Env) error {
 	g.metScheduled = env.Obs.Counter(obs.NameGreedyColorsAssigned)
 	g.metWithin = env.Obs.Counter(obs.NameGreedyWithinBound)
 	g.metColor = env.Obs.Histogram(obs.NameGreedyColor, obs.PowersOfTwo(16))
-	if !g.opts.rebuild() {
+	if !g.opts.RebuildOracle {
 		g.idx = depgraph.NewIndex(env.Sim)
 		g.idx.RegisterMetrics(env.Obs)
 		g.scratch = env.Scratch
@@ -208,7 +196,7 @@ func (g *Greedy) schedule(txns []*core.Transaction) error {
 		return nil
 	}
 	now := g.env.Sim.Now()
-	if g.opts.rebuild() {
+	if g.opts.RebuildOracle {
 		return g.scheduleRebuild(txns, now)
 	}
 	return g.scheduleIncremental(txns, now)
