@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"dtm/internal/core"
@@ -237,4 +239,100 @@ func TestEnvString(t *testing.T) {
 		t.Errorf("scheduler name = %q", rr.Scheduler)
 	}
 	_ = fmt.Sprint(rr.MaxRatio)
+}
+
+// pastWaker schedules serially and, on its first arrival after t=0, asks
+// once for a wake one step in the past.
+type pastWaker struct {
+	serialScheduler
+	wake         core.Time
+	armed, fired bool
+}
+
+func (s *pastWaker) Name() string { return "past-waker" }
+func (s *pastWaker) OnArrive(txns []*core.Transaction) error {
+	if now := s.env.Sim.Now(); now > 0 && !s.fired {
+		s.wake, s.armed, s.fired = now-1, true, true
+	}
+	return s.serialScheduler.OnArrive(txns)
+}
+func (s *pastWaker) NextWake() (core.Time, bool) { return s.wake, s.armed }
+func (s *pastWaker) OnWake() error               { s.armed = false; return nil }
+
+var errRefused = errors.New("refused")
+
+// failing schedules serially but fails its first OnArrive, or with
+// onWake set, the wake it requests one step after its first arrival.
+type failing struct {
+	serialScheduler
+	onWake bool
+	wake   core.Time
+	armed  bool
+}
+
+func (s *failing) Name() string { return "failing" }
+func (s *failing) OnArrive(txns []*core.Transaction) error {
+	if !s.onWake {
+		return errRefused
+	}
+	if !s.armed {
+		s.wake, s.armed = s.env.Sim.Now()+1, true
+	}
+	return s.serialScheduler.OnArrive(txns)
+}
+func (s *failing) NextWake() (core.Time, bool) { return s.wake, s.armed }
+func (s *failing) OnWake() error               { return errRefused }
+
+// TestDriversRejectMisbehavingSchedulers pins the drive core's shared
+// rules on every driver: a wake requested in the past is an error, and a
+// scheduler's errors come back wrapped with its name and the time.
+func TestDriversRejectMisbehavingSchedulers(t *testing.T) {
+	g, err := graph.Clique(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objects := make([]*core.Object, 6)
+	for i := range objects {
+		objects[i] = &core.Object{ID: core.ObjID(i), Origin: graph.NodeID(i)}
+	}
+	loop := ClosedLoopConfig{Objects: objects, Rounds: 3, Gen: func(node graph.NodeID, round int) []core.ObjID {
+		return []core.ObjID{core.ObjID((int(node) + round) % len(objects))}
+	}}
+	drivers := map[string]func(Scheduler) error{
+		"Run": func(s Scheduler) error {
+			_, err := Run(testInstance(t, 6), s, Options{})
+			return err
+		},
+		"RunStream": func(s Scheduler) error {
+			in := testInstance(t, 6)
+			_, err := RunStream(in.G, in.Objects, workload.NewInstanceSource(in), s, StreamOptions{})
+			return err
+		},
+		"RunClosedLoop": func(s Scheduler) error {
+			_, _, err := RunClosedLoop(g, loop, s, Options{})
+			return err
+		},
+	}
+	cases := []struct {
+		name string
+		mk   func() Scheduler
+		want string
+	}{
+		{"past wake", func() Scheduler { return &pastWaker{} }, "sched: past-waker requested wake at t="},
+		{"OnArrive error", func() Scheduler { return &failing{} }, "sched: failing OnArrive(t="},
+		{"OnWake error", func() Scheduler { return &failing{onWake: true} }, "sched: failing OnWake(t="},
+	}
+	for dn, drive := range drivers {
+		for _, c := range cases {
+			err := drive(c.mk())
+			switch {
+			case err == nil:
+				t.Errorf("%s/%s: want error, got nil", dn, c.name)
+			case !strings.Contains(err.Error(), c.want):
+				t.Errorf("%s/%s: error %q does not contain %q", dn, c.name, err, c.want)
+			case c.name != "past wake" && !errors.Is(err, errRefused):
+				t.Errorf("%s/%s: error %q does not wrap the scheduler's", dn, c.name, err)
+			}
+		}
+	}
 }
