@@ -51,7 +51,7 @@ func table15Window(cfg Config) (*stats.Table, error) {
 	}
 	type contender struct {
 		name string
-		mk   func() sched.Scheduler // nil: Algorithm 3 under its own driver
+		mk   func() sched.Scheduler // nil: Algorithm 3 through distbucket.Run
 	}
 	contenders := []contender{
 		{"greedy (Alg 1)", newGreedy},
