@@ -11,8 +11,8 @@ test: build
 	$(GO) test ./...
 
 # check is the CI gate: static checks (vet, gofmt, the dtmlint analyzer
-# suite) plus the race detector over the concurrent engines (parallel
-# distnet + the distributed protocol) and the sweep runner's worker pool.
+# suite) plus the race detector over the concurrent code (the tree
+# warm-up and the sweep runner's worker pool) and the full test suite.
 check: vet fmt lint race test
 
 vet:
@@ -34,12 +34,12 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# race covers every package with a parallel compute phase: the two-phase
-# core.Sim step engine and its sched drivers, the shared internal/par
-# phase-runner, the parallel distnet/distbucket engines, the sweep
-# runner's worker pool, and the concurrently-read graph/depgraph
-# structures. The root run drives the parallel-vs-sequential identity
-# tests with the detector on.
+# race covers the concurrent code and everything it touches: the tree
+# warm-up in core.NewSim (internal/par fanning graph tree builds out over
+# the per-source build locks) and the sched drivers that run it, the
+# sweep runner's worker pool, and the engines and network packages whose
+# identity tests run with the warm-up on. The root run drives the
+# parallel-vs-sequential identity tests with the detector on.
 race:
 	$(GO) test -race ./internal/core/... ./internal/sched/... \
 		./internal/par/... ./internal/distnet/... ./internal/distbucket/... \
@@ -70,9 +70,10 @@ bench-scale: build
 	$(GO) run ./cmd/dtmbench -quick -scalejson BENCH_scale.json
 
 # bench-par times one large run (n=4096 quick; -quick off adds n=16384)
-# sequentially and under the two-phase step engine at P in {2,4,8},
-# asserts byte-identical decision logs, and writes min-of-runs wall-clock
-# and speedups per engine/topology row to BENCH_par.json.
+# on a fresh graph, sequentially and with the concurrent tree warm-up at
+# P in {2,4,8}, asserts byte-identical decision logs, and writes
+# min-of-runs wall-clock and speedups per engine/topology row to
+# BENCH_par.json.
 bench-par: build
 	$(GO) run ./cmd/dtmbench -quick -parjson BENCH_par.json
 

@@ -209,8 +209,7 @@ func BenchmarkBatchSchedulersCPU(b *testing.B) {
 	}
 }
 
-// BenchmarkDistributedProtocolCPU measures a full Algorithm 3 run,
-// sequential vs goroutine-per-node engines.
+// BenchmarkDistributedProtocolCPU measures a full Algorithm 3 run.
 func BenchmarkDistributedProtocolCPU(b *testing.B) {
 	g, err := graph.Grid(5, 5)
 	if err != nil {
@@ -223,20 +222,12 @@ func BenchmarkDistributedProtocolCPU(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, par := range []bool{false, true} {
-		name := "sequential"
-		if par {
-			name = "parallel"
+	for i := 0; i < b.N; i++ {
+		if _, err := RunDistributed(in, DistributedOptions{
+			Options: RunOptions{SnapshotEvery: -1},
+			Batch:   batch.Tour{}, Seed: 7,
+		}); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := RunDistributed(in, DistributedOptions{
-					Options: RunOptions{SnapshotEvery: -1},
-					Batch:   batch.Tour{}, Seed: 7, Parallel: par,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -10,7 +10,7 @@
 //	dtmbench -exp t11              # fault-injection sweep (IDs are case-insensitive)
 //	dtmbench -quick -faultjson BENCH_faults.json  # T11 rows as a JSON artifact
 //	dtmbench -quick -streamjson BENCH_stream.json # T14 stability frontier as a JSON artifact
-//	dtmbench -quick -parjson BENCH_par.json       # two-phase step engine: seq vs P in {2,4,8}
+//	dtmbench -quick -parjson BENCH_par.json       # tree warm-up: seq vs P in {2,4,8}
 //
 // Trials within each experiment run on the internal/runner worker pool.
 // -parallel selects the pool size: 0 (default) uses GOMAXPROCS, 1 runs
@@ -56,7 +56,7 @@ func main() {
 		faultjson  = flag.String("faultjson", "", "run the T11 fault sweep and write its rows as JSON to FILE")
 		streamjson = flag.String("streamjson", "", "run the T14 stability frontier and write its rows as JSON to FILE")
 		scalejson  = flag.String("scalejson", "", "benchmark incremental vs rebuild engines per arrival, write JSON to FILE")
-		parjson    = flag.String("parjson", "", "benchmark sequential vs two-phase parallel step engine, write JSON to FILE")
+		parjson    = flag.String("parjson", "", "benchmark sequential runs vs the concurrent tree warm-up, write JSON to FILE")
 	)
 	flag.Parse()
 	switch {
@@ -366,8 +366,8 @@ type parVariant struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// parRow compares the sequential engine against the two-phase parallel
-// step engine on one (engine, topology, n) cell.
+// parRow compares a sequential run against runs with the concurrent tree
+// warm-up on one (engine, topology, n) cell.
 type parRow struct {
 	Engine     string       `json:"engine"`
 	Topology   string       `json:"topology"`
@@ -379,16 +379,17 @@ type parRow struct {
 }
 
 // runParBench times large single runs (n=4096 quick; -quick off adds
-// n=16384) under the sequential engine and under the two-phase step
-// engine at P in {2,4,8}, asserts the externalized outputs (decision log
-// + final Result) are byte-identical across all widths, and writes
-// min-of-runs wall-clock plus speedups to path.
+// n=16384) sequentially and with SimOptions.Parallel at P in {2,4,8},
+// where core.NewSim first builds every shortest-path tree concurrently
+// (the tree warm-up) and the run itself stays sequential. It asserts the
+// externalized outputs (decision log + final Result) are byte-identical
+// across all widths, and writes min-of-runs wall-clock plus speedups to
+// path.
 //
-// Every timed iteration builds a fresh graph: the shortest-path tree
-// caches are where most of the parallel win lives (concurrent per-source
-// builds under the read/write build locks), so letting trees persist
-// across iterations would time only the residue. Workload generation is
-// deterministic per seed, so each iteration replays the same instance.
+// Every timed iteration builds a fresh graph: building the trees is the
+// work the warm-up parallelizes, so letting them persist across
+// iterations would time only the sequential residue. Workload generation
+// is deterministic per seed, so each iteration replays the same instance.
 func runParBench(path string, quick bool) error {
 	type rowDef struct {
 		engine, topology string
@@ -484,7 +485,7 @@ func runParBench(path string, quick bool) error {
 			data, err := json.Marshal(out)
 			return data, d, err
 		}
-		// Min-of-runs: one warm-up (pools, heap growth — trees are rebuilt
+		// Min-of-runs: one untimed run (pools, heap growth — trees are rebuilt
 		// cold every iteration regardless), then keep the fastest of a
 		// small fixed budget per width.
 		measure := func(parallel int) ([]byte, time.Duration, error) {
@@ -556,7 +557,7 @@ func runParBench(path string, quick bool) error {
 	report := struct {
 		// Procs and Note lead the artifact so a single-core run is
 		// self-describing: speedup columns from a GOMAXPROCS=1 container
-		// measure only the two-phase engine's overhead, never its win.
+		// measure only the warm-up's overhead, never its win.
 		Procs int      `json:"procs"`
 		Note  string   `json:"note,omitempty"`
 		Quick bool     `json:"quick"`
@@ -573,7 +574,7 @@ func runParBench(path string, quick bool) error {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "dtmbench: %d parallel-engine rows written to %s\n", len(rows), path)
+	fmt.Fprintf(os.Stderr, "dtmbench: %d tree warm-up rows written to %s\n", len(rows), path)
 	return nil
 }
 

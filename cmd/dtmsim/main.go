@@ -304,7 +304,7 @@ func run(p params) error {
 	if d, ok := dtm.EngineByID(p.sched); ok && d.Caps.Distributed {
 		res, err := dtm.RunDistributed(in, dtm.DistributedOptions{
 			Options: dtm.RunOptions{Obs: m},
-			Batch:   batch.Tour{}, Seed: p.seed, Parallel: true,
+			Batch:   batch.Tour{}, Seed: p.seed,
 			Faults: dtm.FaultOptions{Plan: plan},
 		})
 		if err != nil {

@@ -17,7 +17,7 @@
 //     the clique, O(k log n) on hypercube-like graphs);
 //   - the offline batch substrate and the online bucket conversion of
 //     Algorithm 2 (Theorem 4: O(b_A log³(nD))-competitive);
-//   - the decentralized machinery of Section V: a goroutine-per-node
+//   - the decentralized machinery of Section V: a synchronous
 //     message-passing runtime, a hierarchical sparse cover, and the
 //     distributed bucket protocol of Algorithm 3, plus the Section III-E
 //     hub coordinator;
@@ -141,7 +141,7 @@ type (
 // byte-identical to the failure-free model.
 type (
 	// FaultPlan describes the injected network faults; resolved from a
-	// seeded RNG per message so sequential and parallel engines agree.
+	// seeded RNG per message so runs with the same plan agree.
 	FaultPlan = distnet.FaultPlan
 	// FaultOptions bundles a FaultPlan with the recovery layer's retry
 	// knobs (RetrySlack, BackoffCap, MaxAttempts).
@@ -329,10 +329,10 @@ func Run(in *Instance, s Scheduler, opts RunOptions) (*RunResult, error) {
 }
 
 // RunDistributed executes the Algorithm 3 distributed bucket protocol:
-// decisions are computed by per-node goroutine handlers exchanging
-// messages with real latencies, while objects move at half speed. The
-// protocol runs on the same driver as Run, so the shared result surface
-// and the sched.* driver metrics read the same. With a fault plan in
+// decisions are computed by per-node handlers exchanging messages with
+// real latencies, while objects move at half speed. The protocol runs on
+// the same driver as Run, so the shared result surface and the sched.*
+// driver metrics read the same. With a fault plan in
 // opts.Faults the network becomes unreliable and the protocol recovers by
 // retrying; transactions it cannot save are listed in
 // DistributedResult.Abandoned (and, as bare IDs, RunResult.Abandoned)

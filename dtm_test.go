@@ -73,7 +73,7 @@ func TestFacadeDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunDistributed(in, DistributedOptions{Batch: TourBatch(), Seed: 2, Parallel: true})
+	res, err := RunDistributed(in, DistributedOptions{Batch: TourBatch(), Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

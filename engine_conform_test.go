@@ -8,7 +8,7 @@ package dtm
 //   - determinism: two fresh-engine runs over the same instance are
 //     byte-identical (decisions, results, metric snapshots, events);
 //   - parallel identity: SimOptions.Parallel ∈ {2, 4} reproduces the
-//     sequential run bytewise (DESIGN.md §12 compute/merge contract);
+//     sequential run bytewise (DESIGN.md §12 tree warm-up);
 //   - replay round-trip: the decision log re-executes under the
 //     execution model with the same makespan — i.e. the schedule is
 //     valid, not just internally consistent;

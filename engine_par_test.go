@@ -1,13 +1,12 @@
 package dtm
 
-// Identity test for the two-phase parallel step engine: a run with
-// SimOptions.Parallel set must be byte-identical to the sequential run —
-// decision logs, results, merged metric snapshots, and the emitted event
-// stream — for every scheduler, topology, and seed. The engine computes
-// each step's independent work (execution checks, dispatch routes,
-// scheduler gathers) on a worker pool but applies every mutation in the
-// sequential engine's canonical order (DESIGN.md §12), so any divergence
-// is a bug in the phase split, not tolerable jitter.
+// Identity test for SimOptions.Parallel: a run with it set must be
+// byte-identical to the sequential run — decision logs, results, merged
+// metric snapshots, and the emitted event stream — for every scheduler,
+// topology, and seed. Parallel only builds the graph's shortest-path
+// trees concurrently before the run; every step then runs sequentially
+// (DESIGN.md §12), so any divergence is a bug in the warm-up, not
+// tolerable jitter.
 //
 // Snapshots are disabled (SnapshotEvery: -1) because sched.snapshot_ns
 // measures wall-clock time; every other instrument in the registry is

@@ -1,5 +1,5 @@
 // Distributed: Algorithm 3 end to end — the fully decentralized bucket
-// scheduler running over a goroutine-per-node message-passing network on a
+// scheduler running over a synchronous message-passing network on a
 // 2D grid (a network-on-chip-like fabric). No central authority exists:
 // transactions discover their objects through home directories, report to
 // sparse-cover cluster leaders, and leaders coordinate through reservations
@@ -33,9 +33,8 @@ func main() {
 	}
 
 	res, err := dtm.RunDistributed(in, dtm.DistributedOptions{
-		Batch:    batch.Tour{},
-		Seed:     3,
-		Parallel: true, // goroutine per active node each step
+		Batch: batch.Tour{},
+		Seed:  3,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -141,11 +141,11 @@ func checkMapRangeBody(pass *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt) {
 	})
 }
 
-// isParRunnerMap reports whether fn is (*par.Runner).Map — the parallel
-// compute fan-out of the two-phase step engine. It is its own sink kind:
-// the merge phase that follows a Map consumes per-index results in index
-// order, so handing Map an index space derived from a map iteration
-// bakes the randomized order into the phase boundary.
+// isParRunnerMap reports whether fn is (*par.Runner).Map — the
+// concurrent fan-out behind the tree warm-up. It is its own sink kind:
+// the caller consumes per-index results in index order once Map returns,
+// so handing Map an index space derived from a map iteration bakes the
+// randomized order into the results.
 func isParRunnerMap(fn *types.Func) bool {
 	if fn.Name() != "Map" {
 		return false

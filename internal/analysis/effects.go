@@ -10,10 +10,8 @@ package analysis
 // the writing?
 //
 //	clFresh    allocated by this frame (composite literals, make/new,
-//	           calls proven to return only fresh memory, worker scratch
-//	           content) — writes are invisible outside the frame
-//	clScratch  a []*depgraph.Scratch obtained from GetScratchN; indexing
-//	           it with a parameter yields the worker's own arena (fresh)
+//	           calls proven to return only fresh memory, a scratch set
+//	           from GetScratch) — writes are invisible outside the frame
 //	clRecv     reached through the method receiver
 //	clParam    reached through parameter k
 //	clCaptured reached through a variable of an enclosing function
@@ -48,7 +46,6 @@ type classKind int
 const (
 	clShared classKind = iota
 	clFresh
-	clScratch
 	clRecv
 	clParam
 	clCaptured
@@ -69,8 +66,6 @@ func (c class) String() string {
 		return "shared"
 	case clFresh:
 		return "fresh"
-	case clScratch:
-		return "scratch"
 	case clRecv:
 		return "receiver"
 	case clParam:
@@ -634,11 +629,7 @@ func (st *purityState) classify(fr *frame, e ast.Expr) class {
 				return st.classify(fr, x.X) // generic instantiation
 			}
 		}
-		base := st.classify(fr, x.X)
-		if base.kind == clScratch && st.isParamIdent(fr, x.Index) >= 0 {
-			return class{kind: clFresh} // a worker's own scratch arena
-		}
-		return base
+		return st.classify(fr, x.X)
 	case *ast.IndexListExpr:
 		return st.classify(fr, x.X)
 	case *ast.StarExpr:
@@ -689,12 +680,6 @@ func (st *purityState) classifyObj(fr *frame, obj types.Object) class {
 		if f.owns(obj) {
 			if f == fr {
 				return fr.valueClass(obj)
-			}
-			// A variable of an enclosing function; scratch flows through so
-			// that a closure indexing captured scratch by its worker
-			// parameter still classifies as fresh.
-			if c := f.valueClass(obj); c.kind == clScratch {
-				return c
 			}
 			return class{kind: clCaptured, obj: obj}
 		}
@@ -769,13 +754,8 @@ func (st *purityState) classifyCall(fr *frame, call *ast.CallExpr) class {
 		}
 	}
 	if fn := st.staticCallee(info, call); fn != nil {
-		if fn.Pkg() != nil && fn.Pkg().Path() == "dtm/internal/depgraph" {
-			switch fn.Name() {
-			case "GetScratchN":
-				return class{kind: clScratch}
-			case "GetScratch":
-				return class{kind: clFresh} // one arena, acquired by this frame
-			}
+		if fn.Pkg() != nil && fn.Pkg().Path() == "dtm/internal/depgraph" && fn.Name() == "GetScratch" {
+			return class{kind: clFresh} // one arena, acquired by this frame
 		}
 		if n, ok := st.funcs[origin(fn)]; ok && n.retFresh {
 			return class{kind: clFresh}
@@ -840,7 +820,7 @@ func recvExprOf(call *ast.CallExpr) ast.Expr {
 // record files one direct effect against n, dropping writes into fresh
 // memory and consuming //par:owned blessings.
 func (st *purityState) record(n *funcNode, e effect, pos token.Pos, cands []string, what string) {
-	if (e.kind == effWrite || e.kind == effSlot) && (e.target.kind == clFresh || e.target.kind == clScratch) {
+	if (e.kind == effWrite || e.kind == effSlot) && e.target.kind == clFresh {
 		return
 	}
 	// Slot writes are sanctioned where they happen, so they never consume
@@ -1220,7 +1200,7 @@ func (st *purityState) syncCall(n *funcNode, call *ast.CallExpr, fn *types.Func,
 func (st *purityState) propagate(e effect, ca *callAtom, caller *funcNode) (effect, bool) {
 	mapc := func(c class) class {
 		switch c.kind {
-		case clFresh, clScratch:
+		case clFresh:
 			return class{kind: clFresh}
 		case clRecv:
 			return ca.recv

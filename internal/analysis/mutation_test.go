@@ -10,11 +10,11 @@ import (
 )
 
 // TestMutationProbe is the lint gate's own regression test: inject a
-// shared-map write two call levels below the greedy compute closure into
-// a scratch copy of the module and assert parpurity flags it at the call
-// site, tracing the witness back to the probe. If this test starts
-// passing without the finding, the analyzer has gone blind and `make
-// lint` no longer proves the compute/merge contract.
+// shared-map write two call levels below the tree warm-up closure in
+// core.NewSim into a scratch copy of the module and assert parpurity
+// flags it at the call site, tracing the witness back to the probe. If
+// this test starts passing without the finding, the analyzer has gone
+// blind and `make lint` no longer proves the par.Runner.Map contract.
 func TestMutationProbe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("copies and re-type-checks the module; skipped in -short")
@@ -25,45 +25,45 @@ func TestMutationProbe(t *testing.T) {
 
 	// Clean copy first: the probe finding must be attributable to the
 	// mutation, not to pre-existing noise.
-	if diags := runParpurity(t, tmp, "dtm/internal/greedy"); len(diags) != 0 {
-		t.Fatalf("unmutated module already has %d parpurity finding(s) in greedy: %v", len(diags), diags[0].Message)
+	if diags := runParpurity(t, tmp, "dtm/internal/core"); len(diags) != 0 {
+		t.Fatalf("unmutated module already has %d parpurity finding(s) in core: %v", len(diags), diags[0].Message)
 	}
 
 	// The probe: a method that forwards to a second method that writes a
 	// package-level map. Two call levels between the closure and the
 	// violation, exactly the depth the acceptance criteria demand.
-	probe := `package greedy
+	probe := `package core
 
 var lintProbeSeen = map[int]int{}
 
-func (g *Greedy) lintProbe(i int) { g.lintProbeDeep(i) }
+func (s *Sim) lintProbe(i int) { s.lintProbeDeep(i) }
 
-func (g *Greedy) lintProbeDeep(i int) { lintProbeSeen[i]++ }
+func (s *Sim) lintProbeDeep(i int) { lintProbeSeen[i]++ }
 `
-	if err := os.WriteFile(filepath.Join(tmp, "internal/greedy/zz_probe.go"), []byte(probe), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(tmp, "internal/core/zz_probe.go"), []byte(probe), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	gpath := filepath.Join(tmp, "internal/greedy/greedy.go")
-	src, err := os.ReadFile(gpath)
+	spath := filepath.Join(tmp, "internal/core/sim.go")
+	src, err := os.ReadFile(spath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const anchor = "\t\tgs[i] = gr\n"
+	const anchor = "\t\t\tg.Dist(v, v)\n"
 	if !strings.Contains(string(src), anchor) {
-		t.Fatalf("mutation anchor %q not found in greedy.go; update the probe site", strings.TrimSpace(anchor))
+		t.Fatalf("mutation anchor %q not found in sim.go; update the probe site", strings.TrimSpace(anchor))
 	}
-	mutated := strings.Replace(string(src), anchor, "\t\tg.lintProbe(i)\n"+anchor, 1)
-	if err := os.WriteFile(gpath, []byte(mutated), 0o644); err != nil {
+	mutated := strings.Replace(string(src), anchor, "\t\t\ts.lintProbe(i)\n"+anchor, 1)
+	if err := os.WriteFile(spath, []byte(mutated), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	diags := runParpurity(t, tmp, "dtm/internal/greedy")
+	diags := runParpurity(t, tmp, "dtm/internal/core")
 	if len(diags) == 0 {
-		t.Fatal("parpurity missed the injected shared-map write behind g.lintProbe; the lint gate is blind")
+		t.Fatal("parpurity missed the injected shared-map write behind s.lintProbe; the lint gate is blind")
 	}
 	found := false
 	for _, d := range diags {
-		if strings.Contains(d.Message, "g.lintProbe") && strings.Contains(d.Message, "lintProbeSeen") {
+		if strings.Contains(d.Message, "s.lintProbe") && strings.Contains(d.Message, "lintProbeSeen") {
 			found = true
 		}
 	}

@@ -1,13 +1,11 @@
 package analysis
 
-// parpurity proves the compute/merge contract of internal/par at lint
-// time: every closure handed to par.Runner.Map runs concurrently with its
-// siblings, so it must treat shared state as read-only and stage its
-// results into per-index slots or per-worker scratch; the single-threaded
-// merge phase owns every cross-slot write. Until now that contract lived
-// in a doc comment and the -race identity tests — this analyzer makes it
-// structural, interprocedurally: a write two call levels below the
-// closure is charged to the closure.
+// parpurity proves the contract of internal/par at lint time: every
+// closure handed to par.Runner.Map runs concurrently with its siblings, so
+// it must treat shared state as read-only and stage its results into
+// per-index slots; the caller owns every cross-slot write once Map
+// returns. The check is interprocedural: a write two call levels below
+// the closure is charged to the closure.
 
 import (
 	"fmt"
@@ -21,7 +19,7 @@ import (
 // Parpurity checks that par.Runner.Map compute functions are write-pure.
 var Parpurity = &Analyzer{
 	Name: "parpurity",
-	Doc:  "par.Runner.Map compute closures must stage writes into worker-owned memory (slots, scratch) — no shared-state writes, channel sends, metric emission, or rand draws in a compute phase",
+	Doc:  "par.Runner.Map compute closures must stage writes into worker-owned memory (per-index slots) — no shared-state writes, channel sends, metric emission, or rand draws in a compute phase",
 	AppliesTo: func(pkgPath string) bool {
 		return pkgPath == "dtm" || strings.HasPrefix(pkgPath, "dtm/internal/") ||
 			strings.HasPrefix(pkgPath, "dtm/cmd/")
@@ -165,7 +163,7 @@ func reportableInCompute(e effect) bool {
 	if e.kind == effSlot {
 		return false // per-slot staging is the sanctioned write pattern
 	}
-	if e.target.kind == clFresh || e.target.kind == clScratch {
+	if e.target.kind == clFresh {
 		return false
 	}
 	return true
@@ -187,7 +185,7 @@ func (st *purityState) describe(e effect, via string) string {
 	case effPool:
 		msg = fmt.Sprintf("sync.Pool traffic (%s) in a compute phase; acquire scratch before the fan-out", e.wit.what)
 	default:
-		msg = fmt.Sprintf("write to %s (%s) is not worker-owned; compute closures may only write locals, param-indexed slots, or worker scratch", e.wit.what, e.target)
+		msg = fmt.Sprintf("write to %s (%s) is not worker-owned; compute closures may only write locals or param-indexed slots", e.wit.what, e.target)
 	}
 	if via != "" {
 		msg = fmt.Sprintf("call to %s reaches a compute-phase violation: %s (at %s)", via, msg, st.fset.Position(e.wit.pos))

@@ -157,9 +157,6 @@ func acquireCall(pass *Pass, e ast.Expr) (string, bool) {
 	if sig.Recv() == nil && fn.Name() == "GetScratch" {
 		return "GetScratch()", true
 	}
-	if sig.Recv() == nil && fn.Name() == "GetScratchN" {
-		return "GetScratchN()", true
-	}
 	if sig.Recv() != nil && fn.Name() == "Get" && isSyncPoolRecv(sig.Recv().Type()) {
 		return "sync.Pool Get", true
 	}
@@ -247,14 +244,13 @@ func checkAcquisition(pass *Pass, body *ast.BlockStmt, acq acquisition) {
 }
 
 // isReleaseCall reports whether call releases the tracked acquisition:
-// x.Release() / x.F.Release() on the tracked binding, pool.Put(x), or
-// depgraph.ReleaseAll(x) for a per-worker scratch set from GetScratchN.
+// x.Release() / x.F.Release() on the tracked binding, or pool.Put(x).
 func isReleaseCall(pass *Pass, call *ast.CallExpr, acq acquisition) bool {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if sel.Sel.Name == "Release" && refersTo(pass, sel.X, acq) {
 			return true
 		}
-		if sel.Sel.Name == "Put" || sel.Sel.Name == "ReleaseAll" {
+		if sel.Sel.Name == "Put" {
 			for _, arg := range call.Args {
 				if refersTo(pass, arg, acq) {
 					return true

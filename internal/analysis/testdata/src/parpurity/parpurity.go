@@ -1,14 +1,12 @@
 // Fixture for the parpurity analyzer: compute closures handed to
-// par.Runner.Map may write locals, param-indexed slots, and worker
-// scratch; everything else — captured state, globals, channel sends,
-// metric emission, rand draws — is a finding, including writes buried
-// behind a call chain.
+// par.Runner.Map may write locals and param-indexed slots; everything
+// else — captured state, globals, channel sends, metric emission, rand
+// draws — is a finding, including writes buried behind a call chain.
 package parpurity
 
 import (
 	"math/rand"
 
-	"dtm/internal/depgraph"
 	"dtm/internal/obs"
 	"dtm/internal/par"
 )
@@ -40,20 +38,6 @@ func (e *engine) chainedWrite(items []int) {
 	e.r.Map(len(items), func(i, w int) {
 		e.tally(items[i]) // want `call to e\.tally reaches a compute-phase violation: write to e\.total`
 	})
-}
-
-// gather is the sanctioned staging pattern: per-worker scratch from
-// GetScratchN plus per-index slots. Nothing here is a finding.
-func (e *engine) gather(items []int) []int {
-	ss := depgraph.GetScratchN(e.r.Workers())
-	defer depgraph.ReleaseAll(ss)
-	out := make([]int, len(items))
-	e.r.Map(len(items), func(i, w int) {
-		sc := ss[w]
-		sc.Ints = append(sc.Ints[:0], items[i])
-		out[i] = sc.Ints[0]
-	})
-	return out
 }
 
 // notify communicates from inside the compute phase: forbidden

@@ -21,7 +21,6 @@ import (
 	"dtm/internal/core"
 	"dtm/internal/graph"
 	"dtm/internal/obs"
-	"dtm/internal/par"
 	"dtm/internal/sched"
 )
 
@@ -95,15 +94,6 @@ type Bucket struct {
 	availAt  core.Time       // time the availability entries resolve against
 	resolve  batch.AvailFunc // bound method value, allocated once
 
-	// par, when non-nil, prewarms the shortest-path trees the probes and
-	// activations are about to query (see prewarmTrees); the probes
-	// themselves stay sequential, because their costs fold each Push into
-	// shared session and tour-cache state whose metrics the byte-identity
-	// contract covers. warmMark/warmNodes are its reusable dedup scratch.
-	par       *par.Runner
-	warmMark  []bool
-	warmNodes []graph.NodeID
-
 	// Instrument handles; nil (free) when observability is disabled.
 	metInserted    *obs.Counter   // bucket.insertions
 	metOverflow    *obs.Counter   // bucket.overflows
@@ -161,53 +151,8 @@ func (b *Bucket) Start(env *sched.Env) error {
 		for i := range b.sessions {
 			b.sessions[i] = batch.NewSession(b.opts.Batch, &b.prob, batch.SessionOptions{Obs: env.Obs, Tours: b.tours})
 		}
-		b.par = env.Par
 	}
 	return nil
-}
-
-// prewarmTrees builds, in parallel, the shortest-path trees that the
-// coming level probes or activation will query: one per transaction node
-// and per availability node of the involved objects. Dist(v, v) is zero
-// for every v and builds v's tree as a side effect, so the warm-up is
-// behaviorally invisible — no metric, tour state, or decision changes;
-// the trees just exist before the sequential probe loop asks for them.
-func (b *Bucket) prewarmTrees(txns []*core.Transaction) {
-	if b.par == nil {
-		return
-	}
-	if b.warmMark == nil {
-		b.warmMark = make([]bool, b.env.G.N())
-	}
-	nodes := b.warmNodes[:0]
-	addTx := func(tx *core.Transaction) {
-		if !b.warmMark[tx.Node] {
-			b.warmMark[tx.Node] = true
-			nodes = append(nodes, tx.Node)
-		}
-		for _, o := range tx.Objects {
-			if v := b.resolveAvail(o).Node; !b.warmMark[v] {
-				b.warmMark[v] = true
-				nodes = append(nodes, v)
-			}
-		}
-	}
-	for _, tx := range txns {
-		addTx(tx)
-	}
-	for i := range b.levels {
-		for _, pd := range b.levels[i] {
-			addTx(pd.tx)
-		}
-	}
-	g := b.env.G
-	b.par.Map(len(nodes), func(i, _ int) {
-		g.Dist(nodes[i], nodes[i])
-	})
-	for _, v := range nodes {
-		b.warmMark[v] = false
-	}
-	b.warmNodes = nodes[:0]
 }
 
 // refreshProblem points the shared live problem (and the availability
@@ -252,7 +197,6 @@ func (b *Bucket) OnArrive(txns []*core.Transaction) error {
 		return b.arriveRebuild(txns, now)
 	}
 	b.refreshProblem(now)
-	b.prewarmTrees(txns)
 	top := len(b.levels) - 1
 	for _, tx := range txns {
 		if b.opts.ForceTopLevel {
@@ -391,11 +335,6 @@ func (b *Bucket) activate(level int, now core.Time) error {
 		// Fresh availability window: lower levels activated in the same
 		// wake have already decided, moving objects.
 		b.refreshProblem(now)
-		txns := make([]*core.Transaction, len(pds))
-		for i, pd := range pds {
-			txns[i] = pd.tx
-		}
-		b.prewarmTrees(txns)
 		for _, pd := range pds {
 			batch.ExtendAvailTx(b.avail, pd.tx, b.resolve)
 		}

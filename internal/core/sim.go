@@ -35,14 +35,12 @@ type SimOptions struct {
 	// events to its sink. Nil disables instrumentation at the cost of one
 	// nil-check per event site.
 	Obs *obs.Metrics
-	// Parallel bounds the worker count of the two-phase step engine: each
-	// step's independent read-only work (execution-feasibility checks,
-	// dispatch route planning) fans out over the workers, and every state
-	// mutation — pending-queue edits, edge acquisition, obs emission — is
-	// applied afterwards on the calling goroutine in canonical event
-	// order, so a parallel run is byte-identical to a sequential one.
-	// 0 and 1 mean sequential (the default), negative means GOMAXPROCS.
-	// See DESIGN.md §12 for the phase contract.
+	// Parallel bounds the worker count of the tree warm-up: NewSim builds
+	// the shortest-path tree of every node of the graph concurrently
+	// before the run starts, and every step after that runs sequentially
+	// on the calling goroutine, so a parallel run is byte-identical to a
+	// sequential one. 0 and 1 mean no warm-up (trees build lazily on first
+	// use, the default), negative means GOMAXPROCS. See DESIGN.md §12.
 	Parallel int
 }
 
@@ -197,15 +195,7 @@ type Sim struct {
 	dirty  map[ObjID]bool
 	failed error
 
-	// Two-phase step engine (SimOptions.Parallel). par is nil when
-	// sequential; the scratch slices below are reused across steps: the
-	// timestamp's batched exec events with their computed verdicts, and
-	// the dirty-object IDs with their dispatch plans.
-	par       *par.Runner
-	execBatch []TxID
-	verdicts  []execVerdict
-	dispIDs   []ObjID
-	plans     []dispatchPlan
+	dispIDs []ObjID // dispatchDirty's reused sort buffer
 
 	obs *obs.Metrics
 	met simMetrics
@@ -238,7 +228,6 @@ func NewSim(in *Instance, opts SimOptions) (*Sim, error) {
 		due:       make(map[TxID]bool),
 		obs:       opts.Obs,
 		met:       newSimMetrics(opts.Obs),
-		par:       par.FromOption(opts.Parallel),
 	}
 	for i := range s.exec {
 		s.exec[i] = -1
@@ -247,6 +236,18 @@ func NewSim(in *Instance, opts SimOptions) (*Sim, error) {
 	for _, o := range in.Objects {
 		s.objs[o.ID].at = o.Origin
 		s.push(event{at: o.Created, prio: prioReady, id: int(o.ID)})
+	}
+	// Tree warm-up: objects travel along shortest paths and schedulers
+	// weigh conflicts by distance, so a run reads the trees of most nodes.
+	// Build them all now, concurrently. Dist(v, v) is 0 and builds v's
+	// tree as a side effect; the warm-up changes when trees are built,
+	// never what a query returns.
+	if r := par.FromOption(opts.Parallel); r != nil {
+		g := in.G
+		r.Map(g.N(), func(i, _ int) {
+			v := graph.NodeID(i)
+			g.Dist(v, v)
+		})
 	}
 	return s, nil
 }
@@ -433,15 +434,12 @@ func (s *Sim) AdvanceTo(t Time) error {
 				s.releaseEdge(os.curEdge)
 			case prioExec:
 				// Exec events sort after every receive at this timestamp,
-				// so the whole batch sees the step's final object
-				// positions; collect it and run the two-phase check once
-				// the drain finishes.
-				s.execBatch = append(s.execBatch, TxID(e.id))
+				// so each check sees the step's final object positions.
+				if err := s.executeTx(TxID(e.id)); err != nil {
+					s.failed = err
+					return err
+				}
 			}
-		}
-		if err := s.execPhase(); err != nil {
-			s.failed = err
-			return err
 		}
 		s.attemptDue()
 		s.dispatchDirty()
@@ -450,67 +448,34 @@ func (s *Sim) AdvanceTo(t Time) error {
 	return nil
 }
 
-// execVerdict is the read-only outcome of checking one transaction at
-// its execution step: either every object is present (ok) or the first
-// missing one with its violation detail. Verdicts within a batch are
-// independent — commits mutate pending queues and done flags, never the
-// position fields the check reads — so the compute phase may evaluate
-// them in any order.
-type execVerdict struct {
-	ok     bool
-	obj    ObjID
-	detail string
-}
-
-func (s *Sim) checkTx(tx TxID) execVerdict {
+// executeTx runs tx at its execution step: it commits if every object is
+// present, waits for stragglers under ElasticExec, and otherwise fails
+// with the first missing object.
+func (s *Sim) executeTx(tx TxID) error {
 	t := s.txn(tx)
 	for _, o := range t.Objects {
 		os := &s.objs[o]
+		var detail string
 		switch {
 		case !os.exists:
-			return execVerdict{obj: o, detail: "object not created yet"}
+			detail = "object not created yet"
 		case os.inTransit:
-			return execVerdict{obj: o, detail: fmt.Sprintf("object in transit to node %d (arrives t=%d)", os.next, os.arrive)}
+			detail = fmt.Sprintf("object in transit to node %d (arrives t=%d)", os.next, os.arrive)
 		case os.at != t.Node:
-			return execVerdict{obj: o, detail: fmt.Sprintf("object at node %d, transaction at node %d", os.at, t.Node)}
-		}
-	}
-	return execVerdict{ok: true}
-}
-
-// execPhase runs the timestamp's batched exec events through the
-// two-phase engine: verdicts computed in parallel (read-only), then
-// applied in event order — commit, elastic deferral, or the step's
-// first violation.
-func (s *Sim) execPhase() error {
-	n := len(s.execBatch)
-	if n == 0 {
-		return nil
-	}
-	if cap(s.verdicts) < n {
-		s.verdicts = make([]execVerdict, n)
-	}
-	verdicts := s.verdicts[:n]
-	batch := s.execBatch
-	s.par.Map(n, func(i, _ int) {
-		verdicts[i] = s.checkTx(batch[i])
-	})
-	defer func() { s.execBatch = s.execBatch[:0] }()
-	for i, tx := range batch {
-		v := verdicts[i]
-		if v.ok {
-			s.commitTx(tx)
+			detail = fmt.Sprintf("object at node %d, transaction at node %d", os.at, t.Node)
+		default:
 			continue
 		}
 		if s.opts.ElasticExec {
 			// Wait for the stragglers; attemptDue retries as objects land.
 			s.due[tx] = true
 			s.met.elastic.Inc()
-			continue
+			return nil
 		}
 		s.met.violations.Inc()
-		return &ViolationError{Tx: tx, Obj: v.obj, At: s.now, Detail: v.detail}
+		return &ViolationError{Tx: tx, Obj: o, At: s.now, Detail: detail}
 	}
+	s.commitTx(tx)
 	return nil
 }
 
@@ -583,9 +548,7 @@ func (s *Sim) allPresent(tx TxID) bool {
 
 // dispatchDirty performs the "forward objects" action for every object
 // whose situation changed at the current step, in object-ID order (the
-// order matters once links have bounded capacity). Route planning —
-// head-user lookup, NextHop, edge weight — is read-only per object and
-// fans out over the workers; the applies run afterwards in ID order.
+// order matters once links have bounded capacity).
 func (s *Sim) dispatchDirty() {
 	if len(s.dirty) == 0 {
 		return
@@ -597,78 +560,43 @@ func (s *Sim) dispatchDirty() {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, o := range ids {
 		delete(s.dirty, o)
-	}
-	if cap(s.plans) < len(ids) {
-		s.plans = make([]dispatchPlan, len(ids))
-	}
-	plans := s.plans[:len(ids)]
-	s.par.Map(len(ids), func(i, _ int) {
-		plans[i] = s.planDispatch(ids[i])
-	})
-	for i := range plans {
-		s.applyDispatch(plans[i])
+		s.dispatch(o)
 	}
 	s.dispIDs = ids[:0]
 }
 
-// dispatchPlan is the read-only route computation for one dirty object:
-// whether it should move, and if so along which edge at what weight. A
-// plan never reads link occupancy — the capacity check belongs to the
-// apply phase, because earlier applies in the same batch change it. A
-// plan stays valid at apply time: applies mutate only their own object's
-// state and the edge maps, never another object's position or pending
-// queue.
-type dispatchPlan struct {
-	obj  ObjID
-	move bool
-	hop  graph.NodeID
-	key  edgeKey
-	w    graph.Weight
-}
-
-func (s *Sim) planDispatch(o ObjID) dispatchPlan {
-	p := dispatchPlan{obj: o}
+func (s *Sim) dispatch(o ObjID) {
 	os := &s.objs[o]
 	if !os.exists || os.inTransit || os.queued || len(os.pending) == 0 {
-		return p
+		return
 	}
 	target := s.txn(os.pending[0]).Node
 	if os.at == target {
-		return p // wait at the requester until it executes
+		return // wait at the requester until it executes
 	}
-	p.move = true
-	p.hop = s.in.G.NextHop(os.at, target)
-	p.key = mkEdgeKey(os.at, p.hop)
-	p.w, _ = s.in.G.EdgeWeight(os.at, p.hop)
-	return p
-}
-
-func (s *Sim) applyDispatch(p dispatchPlan) {
-	if !p.move {
-		return
-	}
-	o := p.obj
-	os := &s.objs[o]
-	if cap := s.opts.LinkCapacity; cap > 0 && s.edgeBusy[p.key] >= cap {
+	hop := s.in.G.NextHop(os.at, target)
+	key := mkEdgeKey(os.at, hop)
+	if cap := s.opts.LinkCapacity; cap > 0 && s.edgeBusy[key] >= cap {
 		// The link is saturated: queue in deterministic (FIFO) order and
 		// re-dispatch when a traverser arrives.
 		os.queued = true
-		os.queuedOn = p.key
-		s.edgeQueue[p.key] = append(s.edgeQueue[p.key], o)
+		os.queuedOn = key
+		s.edgeQueue[key] = append(s.edgeQueue[key], o)
 		s.met.linkQueued.Inc()
 		return
 	}
-	s.edgeBusy[p.key]++
+	w, _ := s.in.G.EdgeWeight(os.at, hop)
+	s.edgeBusy[key]++
 	os.inTransit = true
-	os.next = p.hop
-	os.curEdge = p.key
-	os.arrive = s.now + Time(p.w*s.opts.slow())
-	os.traveled += p.w
+	os.next = hop
+	os.curEdge = key
+	os.arrive = s.now + Time(w*s.opts.slow())
+	os.traveled += w
 	s.met.moves.Inc()
-	s.met.travel.Add(int64(p.w))
-	s.met.hops.Observe(int64(p.w))
+	s.met.travel.Add(int64(w))
+	s.met.hops.Observe(int64(w))
 	if s.obs != nil {
-		s.obs.Emit(obs.Event{At: int64(s.now), Kind: "move", Obj: int(o), Node: int(p.hop), Value: int64(p.w)})
+		s.obs.Emit(obs.Event{At: int64(s.now), Kind: "move", Obj: int(o), Node: int(hop), Value: int64(w)})
 	}
 	s.push(event{at: os.arrive, prio: prioArrive, id: int(o)})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -445,5 +446,47 @@ func TestSerializedScheduleAlwaysFeasible(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTreeWarmupMatchesLazyTrees pins the tree warm-up, the engine's only
+// concurrent writer: two sims built at once with Parallel set race to
+// build every tree of one fresh graph, and every distance and next hop
+// must then match a graph whose trees were built one at a time by the
+// queries themselves. `make race` runs it under the detector.
+func TestTreeWarmupMatchesLazyTrees(t *testing.T) {
+	mk := func() *graph.Graph {
+		g, err := graph.RandomConnected(96, 160, 4, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	warm, lazy := mk(), mk()
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			in := &Instance{G: warm, Objects: []*Object{{ID: 0, Origin: 0}}}
+			_, errs[i] = NewSim(in, SimOptions{Parallel: 2})
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for u := graph.NodeID(0); int(u) < lazy.N(); u++ {
+		for v := graph.NodeID(0); int(v) < lazy.N(); v++ {
+			if got, want := warm.Dist(u, v), lazy.Dist(u, v); got != want {
+				t.Fatalf("Dist(%d, %d) = %d on warmed trees, %d on lazy trees", u, v, got, want)
+			}
+			if got, want := warm.NextHop(u, v), lazy.NextHop(u, v); got != want {
+				t.Fatalf("NextHop(%d, %d) = %d on warmed trees, %d on lazy trees", u, v, got, want)
+			}
+		}
 	}
 }

@@ -233,38 +233,6 @@ func (ix *Index) AppendNeighbors(s Slot, buf []Neighbor) []Neighbor {
 	return buf
 }
 
-// AppendNeighborsInto is the concurrent-read variant of AppendNeighbors:
-// identical output for the same index state, but the generation-stamped
-// dedup lives in the caller-owned scratch (Scratch.Seen/Gen) instead of
-// the index, so parallel workers holding distinct scratches may gather
-// neighborhoods concurrently without writing any shared state. The
-// caller must not mutate the index (Insert/SetDecided/Refresh) while
-// gathers are in flight — the sched drivers' compute phases run entirely
-// between mutations. The depgraph.edges_reused counter is still
-// credited; counter adds commute, so the merged total equals the
-// sequential engine's.
-func (ix *Index) AppendNeighborsInto(sc *Scratch, s Slot, buf []Neighbor) []Neighbor {
-	if n := len(ix.slots); len(sc.Seen) < n {
-		sc.Seen = append(sc.Seen, make([]uint64, n-len(sc.Seen))...)
-	}
-	sc.Gen++
-	gen := sc.Gen
-	sc.Seen[s] = gen
-	for _, o := range ix.slots[s].tx.Objects {
-		for _, e := range ix.posts[o] {
-			if sc.Seen[e.slot] == gen {
-				continue
-			}
-			sc.Seen[e.slot] = gen
-			rec := &ix.slots[e.slot]
-			buf = append(buf, Neighbor{Tx: rec.tx.ID, Node: rec.tx.Node, Exec: rec.exec})
-		}
-	}
-	//par:owned ix.metReused commutative atomic counter: the final sum is schedule-independent, and reads happen only after the merge barrier
-	ix.metReused.Add(int64(len(buf)))
-	return buf
-}
-
 // Live returns the number of tracked (inserted, not yet pruned)
 // transactions.
 func (ix *Index) Live() int { return ix.live }
@@ -320,13 +288,6 @@ type Scratch struct {
 	Nbrs  []Neighbor
 	Txns  []*core.Transaction
 	Slots []Slot
-	Ints  []int
-	// Seen/Gen are the caller-owned generation-stamp state for
-	// AppendNeighborsInto, so concurrent gather workers dedup without
-	// touching the index. Gen only ever grows (stale Seen entries from a
-	// previous run are strictly smaller), so Release keeps both.
-	Seen []uint64
-	Gen  uint64
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return &Scratch{} }}
@@ -334,28 +295,6 @@ var scratchPool = sync.Pool{New: func() interface{} { return &Scratch{} }}
 // GetScratch borrows a scratch-buffer set from the shared pool.
 func GetScratch() *Scratch {
 	return scratchPool.Get().(*Scratch)
-}
-
-// GetScratchN borrows n scratch sets in one call — one per worker of a
-// parallel compute phase. Return them with ReleaseAll; the poolreturn
-// analyzer tracks this pair like GetScratch/Release.
-func GetScratchN(n int) []*Scratch {
-	out := make([]*Scratch, n)
-	for i := range out {
-		out[i] = GetScratch()
-	}
-	return out
-}
-
-// ReleaseAll returns every scratch in ss to the pool and nils the
-// entries so a retained slice cannot reach released scratch.
-func ReleaseAll(ss []*Scratch) {
-	for i, s := range ss {
-		if s != nil {
-			s.Release()
-			ss[i] = nil
-		}
-	}
 }
 
 // Release returns the scratch to the pool, dropping transaction
@@ -368,6 +307,5 @@ func (s *Scratch) Release() {
 	s.Forb = s.Forb[:0]
 	s.Nbrs = s.Nbrs[:0]
 	s.Slots = s.Slots[:0]
-	s.Ints = s.Ints[:0]
 	scratchPool.Put(s)
 }

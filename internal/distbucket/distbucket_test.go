@@ -1,6 +1,8 @@
 package distbucket
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"dtm/internal/batch"
@@ -20,6 +22,28 @@ func run(t *testing.T, in *core.Instance, opts Options) *Result {
 		t.Fatalf("distbucket run failed: %v", err)
 	}
 	return res
+}
+
+// resultBytes renders everything a run reports — decisions, the result,
+// the ratio trace, protocol counters, audits and abandoned set — for
+// byte-for-byte comparison.
+func resultBytes(t *testing.T, res *Result) []byte {
+	t.Helper()
+	data, err := json.Marshal(struct {
+		Decisions                     []core.Decision
+		Result                        *core.Result
+		Ratios                        []sched.RatioPoint
+		Messages                      int
+		MsgDistance                   graph.Weight
+		Abandoned                     []AbandonedTx
+		Audit                         Audit
+		Lemma6Pairs, Lemma6Violations int
+	}{res.Decisions, res.Result, res.Ratios, res.Messages, res.MsgDistance, res.Abandoned, res.Audit,
+		res.Lemma6Pairs, res.Lemma6Violations})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 func TestNilBatchDefaultsToTour(t *testing.T) {
@@ -102,28 +126,25 @@ func TestTopologiesAndWorkloads(t *testing.T) {
 	}
 }
 
+// The network engine is sequential, so a run whose sim warms every tree
+// concurrently up front (Sim.Parallel) matches a run that builds them
+// lazily, byte for byte. Each run gets a fresh graph.
 func TestParallelEngineMatchesSequential(t *testing.T) {
-	g, _ := graph.Grid(4, 4)
-	in, err := workload.Generate(g, workload.Config{
-		K: 2, NumObjects: 5, Rounds: 2,
-		Arrival: workload.ArrivalPeriodic, Period: 30, Seed: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := run(t, in, Options{Seed: 8, Parallel: false})
-	par := run(t, in, Options{Seed: 8, Parallel: true})
-	if seq.Makespan != par.Makespan {
-		t.Errorf("makespan differs: seq %d par %d", seq.Makespan, par.Makespan)
-	}
-	if seq.Messages != par.Messages || seq.MsgDistance != par.MsgDistance {
-		t.Errorf("message counters differ: seq %d/%d par %d/%d",
-			seq.Messages, seq.MsgDistance, par.Messages, par.MsgDistance)
-	}
-	for i := range seq.Latency {
-		if seq.Latency[i] != par.Latency[i] {
-			t.Fatalf("latency of tx %d differs: %d vs %d", i, seq.Latency[i], par.Latency[i])
+	mk := func(parallel int) []byte {
+		g, _ := graph.Grid(4, 4)
+		in, err := workload.Generate(g, workload.Config{
+			K: 2, NumObjects: 5, Rounds: 2,
+			Arrival: workload.ArrivalPeriodic, Period: 30, Seed: 6,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		opts := Options{Seed: 8}
+		opts.Sim.Parallel = parallel
+		return resultBytes(t, run(t, in, opts))
+	}
+	if seq, par := mk(1), mk(2); !bytes.Equal(seq, par) {
+		t.Errorf("runs differ\nlazy:   %s\nwarmed: %s", seq, par)
 	}
 }
 

@@ -1,6 +1,7 @@
 package distbucket
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 	"time"
@@ -50,40 +51,23 @@ func runWatched(t *testing.T, in *core.Instance, opts Options) (*Result, error) 
 	}
 }
 
-// The tentpole determinism contract at the protocol level: with the same
-// fault plan, the sequential and parallel engines produce identical
-// schedules, message counts, and abandoned sets.
+// With the same fault plan, a run on trees built by the sim's concurrent
+// warm-up (Sim.Parallel) matches the lazy run byte for byte: schedules,
+// message counts, and abandoned sets. Each run gets a fresh graph.
 func TestFaultySequentialMatchesParallel(t *testing.T) {
-	_, in := faultWorkload(t, 6)
 	plan := distnet.FaultPlan{Seed: 11, Drop: 0.05, Duplicate: 0.03, MaxJitter: 2}
-	mk := func(parallel bool) *Result {
-		res, err := runWatched(t, in, Options{Seed: 8, Parallel: parallel, Faults: FaultOptions{Plan: plan}})
+	mk := func(parallel int) []byte {
+		_, in := faultWorkload(t, 6)
+		opts := Options{Seed: 8, Faults: FaultOptions{Plan: plan}}
+		opts.Sim.Parallel = parallel
+		res, err := runWatched(t, in, opts)
 		if err != nil {
-			t.Fatalf("parallel=%v: %v", parallel, err)
+			t.Fatalf("P=%d: %v", parallel, err)
 		}
-		return res
+		return resultBytes(t, res)
 	}
-	seq := mk(false)
-	par := mk(true)
-	if seq.Makespan != par.Makespan {
-		t.Errorf("makespan differs: seq %d par %d", seq.Makespan, par.Makespan)
-	}
-	if seq.Messages != par.Messages || seq.MsgDistance != par.MsgDistance {
-		t.Errorf("message counters differ: seq %d/%d par %d/%d",
-			seq.Messages, seq.MsgDistance, par.Messages, par.MsgDistance)
-	}
-	for i := range seq.Latency {
-		if seq.Latency[i] != par.Latency[i] {
-			t.Fatalf("latency of tx %d differs: %d vs %d", i, seq.Latency[i], par.Latency[i])
-		}
-	}
-	if len(seq.Abandoned) != len(par.Abandoned) {
-		t.Fatalf("abandoned sets differ: seq %v par %v", seq.Abandoned, par.Abandoned)
-	}
-	for i := range seq.Abandoned {
-		if seq.Abandoned[i] != par.Abandoned[i] {
-			t.Errorf("abandoned[%d] differs: %+v vs %+v", i, seq.Abandoned[i], par.Abandoned[i])
-		}
+	if seq, par := mk(1), mk(2); !bytes.Equal(seq, par) {
+		t.Errorf("faulted runs differ\nlazy:   %s\nwarmed: %s", seq, par)
 	}
 }
 

@@ -140,8 +140,7 @@ type decision struct {
 }
 
 // protoMetrics holds the protocol's instrument handles, shared by all node
-// handlers; the counters are atomic, so the parallel engine's concurrent
-// handlers update them race-free. All nil (and free) when disabled.
+// handlers. All nil (and free) when disabled.
 type protoMetrics struct {
 	discoveries *obs.Counter   // distbucket.discoveries: discovery rounds started
 	reports     *obs.Counter   // distbucket.reports: reports received by leaders

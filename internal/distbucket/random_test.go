@@ -26,7 +26,7 @@ func TestRandomTopologies(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, a := range []batch.Scheduler{batch.Tour{}, batch.List{}} {
-			res, err := Run(in, Options{Batch: a, Seed: seed, Parallel: seed%2 == 0})
+			res, err := Run(in, Options{Batch: a, Seed: seed})
 			if err != nil {
 				t.Fatalf("seed %d, %s: %v", seed, a.Name(), err)
 			}
@@ -53,7 +53,7 @@ func TestBurstyArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(in, Options{Batch: batch.List{}, Seed: 5, Parallel: true})
+	res, err := Run(in, Options{Batch: batch.List{}, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

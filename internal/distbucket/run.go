@@ -25,8 +25,6 @@ type Options struct {
 	// Seed drives the randomized sparse cover construction, and doubles as
 	// the fault plan's RNG seed when Faults.Plan.Seed is left 0.
 	Seed int64
-	// Parallel runs the network engine with goroutine-per-node steps.
-	Parallel bool
 	// MaxLevel caps bucket levels; 0 means the Lemma 3 bound.
 	MaxLevel int
 	// Faults injects deterministic network faults and configures the
@@ -156,7 +154,7 @@ func newProtocol(in *core.Instance, opts Options) (*protocol, error) {
 		p.nodes[i] = newNode(cfg, graph.NodeID(i))
 		handlers[i] = p.nodes[i]
 	}
-	p.net, err = distnet.New(in.G, handlers, distnet.Options{Parallel: opts.Parallel, Faults: plan, Obs: opts.Obs})
+	p.net, err = distnet.New(in.G, handlers, distnet.Options{Faults: plan, Obs: opts.Obs})
 	return p, err
 }
 

@@ -4,17 +4,11 @@
 // messages between nodes are delivered after exactly their shortest-path
 // distance in time steps (the paper's synchronous model, Section II).
 //
-// Two execution engines share one semantics:
-//
-//   - the sequential reference engine processes each step's nodes in ID
-//     order on one goroutine;
-//   - the parallel engine runs each step's active nodes as concurrent
-//     goroutines (one per node with pending events), then merges their
-//     outboxes in deterministic node order behind a barrier.
-//
-// Handlers own their node's state exclusively and receive a per-invocation
-// Ctx, so the two engines produce byte-identical traces; the test suite
-// asserts this equivalence.
+// The engine processes each step's active nodes in ID order on one
+// goroutine. Handlers own their node's state exclusively and act only
+// through a per-invocation Ctx, whose outbox the engine merges into the
+// event queue in node order, so a run is a deterministic function of its
+// inputs and fault plan.
 package distnet
 
 import (
@@ -25,7 +19,6 @@ import (
 	"dtm/internal/core"
 	"dtm/internal/graph"
 	"dtm/internal/obs"
-	"dtm/internal/par"
 )
 
 // EventKind discriminates handler events.
@@ -149,14 +142,12 @@ func (q *eventQueue) Pop() interface{} {
 
 // Options configure an Engine.
 type Options struct {
-	// Parallel runs each step's active nodes as concurrent goroutines.
-	Parallel bool
 	// Faults injects deterministic message loss, duplication, delay jitter,
 	// node crashes, and link outages (see FaultPlan). The zero value keeps
 	// the engine on the exact failure-free code path.
 	Faults FaultPlan
 	// Obs, when set, collects message and queue metrics. All accounting
-	// happens in the engine's single-threaded merge phase, so handlers pay
+	// happens when the engine merges a node's outbox, so handlers pay
 	// nothing.
 	Obs *obs.Metrics
 }
@@ -214,11 +205,6 @@ type Engine struct {
 	met    engineMetrics
 	byType map[reflect.Type]*obs.Counter // distnet.msg.<type> cache
 	bySize map[reflect.Type]int64        // shallow payload size cache
-
-	// par is the compute-phase runner behind Options.Parallel (nil =
-	// sequential): the engine that first used the compute/merge pattern
-	// now runs it through the shared internal/par phase-runner.
-	par *par.Runner
 }
 
 // New builds an engine over g with one handler per node.
@@ -240,9 +226,6 @@ func New(g *graph.Graph, handlers []Handler, opts Options) (*Engine, error) {
 		sendSeq: make([]int64, g.N()),
 		met:     newEngineMetrics(opts.Obs),
 	}
-	if opts.Parallel {
-		e.par = par.New(0)
-	}
 	if opts.Obs != nil {
 		e.byType = make(map[reflect.Type]*obs.Counter)
 		e.bySize = make(map[reflect.Type]int64)
@@ -252,7 +235,7 @@ func New(g *graph.Graph, handlers []Handler, opts Options) (*Engine, error) {
 
 // accountMessage attributes one sent message to its payload type: a
 // distnet.msg.<type> counter and a shallow byte estimate. Only called when
-// observability is enabled, from the single-threaded merge phase.
+// observability is enabled, from the outbox merge.
 func (e *Engine) accountMessage(payload interface{}) {
 	t := reflect.TypeOf(payload)
 	c, ok := e.byType[t]
@@ -347,48 +330,37 @@ func (e *Engine) RunUntil(t core.Time) error {
 	return nil
 }
 
-// stepOnce pops one batch of events at time `at`, groups them per node, and
-// invokes handlers — sequentially or as parallel goroutines — then merges
-// the outboxes deterministically.
+// stepOnce pops one batch of events at time `at`, groups them per node,
+// and invokes each node's handler in node order, merging its outbox into
+// the queue before the next node runs.
 func (e *Engine) stepOnce(at core.Time) error {
 	type nodeBatch struct {
 		node graph.NodeID
 		evs  []Event
 	}
+	// The heap pops in (node, seq) order at equal times, so each node's
+	// events arrive contiguously and in seq order.
 	var batches []nodeBatch
-	index := make(map[graph.NodeID]int)
 	for len(e.queue) > 0 && e.queue[0].at == at {
 		qe := heap.Pop(&e.queue).(queuedEvent)
-		i, ok := index[qe.node]
-		if !ok {
-			i = len(batches)
-			index[qe.node] = i
+		if n := len(batches); n == 0 || batches[n-1].node != qe.node {
 			batches = append(batches, nodeBatch{node: qe.node})
 		}
-		batches[i].evs = append(batches[i].evs, qe.ev)
+		b := &batches[len(batches)-1]
+		b.evs = append(b.evs, qe.ev)
 	}
-	// The heap pops in (node, seq) order at equal times, so batches are
-	// already sorted by node and events per node by seq.
-	ctxs := make([]*Ctx, len(batches))
-	run := func(i int) {
-		b := batches[i]
+	for _, b := range batches {
 		ctx := &Ctx{g: e.g, node: b.node, now: at, seqBase: e.sendSeq[b.node]}
 		for _, ev := range b.evs {
-			//par:owned e.handlers handler state is partitioned per node and batches are disjoint by node, so each handler is touched by exactly one worker per step
 			e.handlers[b.node].HandleEvent(ctx, ev)
 		}
-		ctxs[i] = ctx
-	}
-	e.par.Map(len(batches), func(i, _ int) { run(i) })
-	// Deterministic merge: outboxes in node order, preserving each node's
-	// send order. Fault decisions also resolve here — single-threaded, and
-	// keyed only on (step, src, dst, srcSeq), so both engines agree.
-	for i, ctx := range ctxs {
+		// Merge the outbox in send order. Fault decisions resolve here,
+		// keyed only on (step, src, dst, srcSeq).
 		e.msgsSent += ctx.msgs
 		e.msgDistance += ctx.dist
 		e.sendSeq[ctx.node] += int64(ctx.msgs)
 		if e.opts.Obs != nil {
-			e.met.nodeQueue.Observe(int64(len(batches[i].evs)))
+			e.met.nodeQueue.Observe(int64(len(b.evs)))
 			e.met.messages.Add(int64(ctx.msgs))
 			e.met.msgDist.Add(int64(ctx.dist))
 			for _, qe := range ctx.out {

@@ -3,25 +3,22 @@ package distnet
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
 	"dtm/internal/core"
 	"dtm/internal/graph"
+	"dtm/internal/par"
 )
 
 // traceHandler logs every event it receives and optionally reacts.
 type traceHandler struct {
-	mu     sync.Mutex
 	events []string
 	react  func(ctx *Ctx, ev Event)
 }
 
 func (h *traceHandler) HandleEvent(ctx *Ctx, ev Event) {
-	h.mu.Lock()
 	h.events = append(h.events, fmt.Sprintf("t=%d node=%d %v from=%d payload=%v",
 		ctx.Now(), ctx.Node(), ev.Kind, ev.From, ev.Payload))
-	h.mu.Unlock()
 	if h.react != nil {
 		h.react(ctx, ev)
 	}
@@ -187,14 +184,11 @@ func TestInjectValidation(t *testing.T) {
 type floodProtocol struct {
 	seen  map[string]bool
 	trace *[]string
-	mu    *sync.Mutex
 }
 
 func (f *floodProtocol) HandleEvent(ctx *Ctx, ev Event) {
 	key := fmt.Sprint(ev.Payload)
-	f.mu.Lock()
 	*f.trace = append(*f.trace, fmt.Sprintf("t=%d n=%d k=%v p=%s from=%d", ctx.Now(), ctx.Node(), ev.Kind, key, ev.From))
-	f.mu.Unlock()
 	if f.seen[key] {
 		return
 	}
@@ -204,19 +198,37 @@ func (f *floodProtocol) HandleEvent(ctx *Ctx, ev Event) {
 	}
 }
 
-func runFlood(t *testing.T, parallel bool) []string {
+// floodGraph returns a fresh hypercube. With warm set, every shortest-path
+// tree is built before the run by a concurrent warm-up, as core.NewSim
+// does under SimOptions.Parallel; otherwise the run builds them lazily.
+func floodGraph(t *testing.T, dim int, warm bool) *graph.Graph {
 	t.Helper()
-	g, err := graph.Hypercube(4)
+	g, err := graph.Hypercube(dim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var trace []string
-	var mu sync.Mutex
-	hs := make([]Handler, g.N())
-	for i := range hs {
-		hs[i] = &floodProtocol{seen: map[string]bool{}, trace: &trace, mu: &mu}
+	if warm {
+		par.New(2).Map(g.N(), func(i, _ int) {
+			v := graph.NodeID(i)
+			g.Dist(v, v)
+		})
 	}
-	e, err := New(g, hs, Options{Parallel: parallel})
+	return g
+}
+
+func floodHandlers(n int, trace *[]string) []Handler {
+	hs := make([]Handler, n)
+	for i := range hs {
+		hs[i] = &floodProtocol{seen: map[string]bool{}, trace: trace}
+	}
+	return hs
+}
+
+func runFlood(t *testing.T, warm bool) []string {
+	t.Helper()
+	g := floodGraph(t, 4, warm)
+	var trace []string
+	e, err := New(g, floodHandlers(g.N(), &trace), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,32 +244,18 @@ func runFlood(t *testing.T, parallel bool) []string {
 	return trace
 }
 
-// The parallel engine must produce a trace identical to the sequential
-// reference up to within-step handler interleaving; we canonicalize by
-// sorting each step's entries... but entries already embed time and node,
-// and the engine invokes nodes in deterministic batch order sequentially.
-// For the parallel engine, per-step interleaving of the shared trace slice
-// is nondeterministic, so compare as multisets.
+// The engine runs each step's handlers in node order on one goroutine, so
+// a run on trees built by the concurrent warm-up matches a run that builds
+// them lazily entry for entry, in order.
 func TestParallelMatchesSequential(t *testing.T) {
 	seq := runFlood(t, false)
 	par := runFlood(t, true)
-	if len(seq) != len(par) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(seq), len(par))
-	}
-	count := func(tr []string) map[string]int {
-		m := map[string]int{}
-		for _, s := range tr {
-			m[s]++
-		}
-		return m
-	}
-	if !reflect.DeepEqual(count(seq), count(par)) {
-		t.Error("parallel trace differs from sequential reference")
+	if !reflect.DeepEqual(seq, par) {
+		t.Errorf("trace on warmed trees differs from the lazy run (%d vs %d entries)", len(par), len(seq))
 	}
 }
 
-// Determinism: two sequential runs give identical ordered traces, and the
-// message counters agree across engines.
+// Determinism: two runs give identical ordered traces.
 func TestDeterministicAndCountersAgree(t *testing.T) {
 	a := runFlood(t, false)
 	b := runFlood(t, false)
@@ -266,21 +264,18 @@ func TestDeterministicAndCountersAgree(t *testing.T) {
 	}
 }
 
+// The message counters agree exactly between a lazy and a warmed run.
 func TestCountersAgreeAcrossEngines(t *testing.T) {
-	g, _ := graph.Hypercube(3)
-	mk := func(parallel bool) *Engine {
-		hs := make([]Handler, g.N())
-		for i := range hs {
-			hs[i] = &floodProtocol{seen: map[string]bool{}, trace: new([]string), mu: &sync.Mutex{}}
-		}
-		e, _ := New(g, hs, Options{Parallel: parallel})
+	mk := func(warm bool) *Engine {
+		g := floodGraph(t, 3, warm)
+		e, _ := New(g, floodHandlers(g.N(), new([]string)), Options{})
 		_ = e.InjectAt(0, 0, "x")
 		_ = e.RunUntil(50)
 		return e
 	}
 	s, p := mk(false), mk(true)
 	if s.MessagesSent() != p.MessagesSent() || s.MessageDistance() != p.MessageDistance() {
-		t.Errorf("counters differ: seq %d/%d par %d/%d",
+		t.Errorf("counters differ: lazy %d/%d warmed %d/%d",
 			s.MessagesSent(), s.MessageDistance(), p.MessagesSent(), p.MessageDistance())
 	}
 }

@@ -3,9 +3,8 @@ package distnet
 // Fault injection for the synchronous network. A FaultPlan describes an
 // unreliable network deterministically: every per-message decision (drop,
 // duplicate, extra delay) is resolved from a stateless hash RNG keyed on
-// (send step, src, dst, per-source sequence number), so the sequential and
-// parallel engines — and any two runs with the same plan — produce
-// byte-identical traces. Node crashes and link outages are static windows
+// (send step, src, dst, per-source sequence number), so any two runs with
+// the same plan produce byte-identical traces. Node crashes and link outages are static windows
 // declared up front, also deterministic.
 //
 // Semantics (the recovery contract internal/distbucket is written against):

@@ -2,7 +2,6 @@ package distnet
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"dtm/internal/core"
@@ -12,19 +11,12 @@ import (
 
 // runFloodPlan drives the flood protocol of distnet_test.go under a fault
 // plan and returns the event trace plus the engine for counter checks.
-func runFloodPlan(t *testing.T, parallel bool, plan FaultPlan) ([]string, *Engine) {
+// warm selects trees built by the concurrent warm-up (see floodGraph).
+func runFloodPlan(t *testing.T, warm bool, plan FaultPlan) ([]string, *Engine) {
 	t.Helper()
-	g, err := graph.Hypercube(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := floodGraph(t, 4, warm)
 	var trace []string
-	var mu sync.Mutex
-	hs := make([]Handler, g.N())
-	for i := range hs {
-		hs[i] = &floodProtocol{seen: map[string]bool{}, trace: &trace, mu: &mu}
-	}
-	e, err := New(g, hs, Options{Parallel: parallel, Faults: plan})
+	e, err := New(g, floodHandlers(g.N(), &trace), Options{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +73,9 @@ func TestFaultDeterminism(t *testing.T) {
 	}
 }
 
-// The tentpole determinism contract: sequential and parallel engines make
-// identical per-message fault decisions (traces equal as multisets, since
-// within-step logging interleaves; counters equal exactly).
+// Fault decisions are keyed on (step, src, dst, srcSeq) alone, so a
+// faulted run on trees built by the concurrent warm-up matches the lazy
+// run exactly: the same ordered trace and the same counters.
 func TestParallelMatchesSequentialUnderFaults(t *testing.T) {
 	plan := FaultPlan{
 		Seed: 7, Drop: 0.08, Duplicate: 0.05, MaxJitter: 2,
@@ -92,22 +84,12 @@ func TestParallelMatchesSequentialUnderFaults(t *testing.T) {
 	}
 	seq, es := runFloodPlan(t, false, plan)
 	par, ep := runFloodPlan(t, true, plan)
-	if len(seq) != len(par) {
-		t.Fatalf("trace lengths differ under faults: %d vs %d", len(seq), len(par))
-	}
-	count := func(tr []string) map[string]int {
-		m := map[string]int{}
-		for _, s := range tr {
-			m[s]++
-		}
-		return m
-	}
-	if !reflect.DeepEqual(count(seq), count(par)) {
-		t.Error("parallel faulted trace differs from sequential reference")
+	if !reflect.DeepEqual(seq, par) {
+		t.Errorf("faulted trace on warmed trees differs from the lazy run (%d vs %d entries)", len(par), len(seq))
 	}
 	if es.Dropped() != ep.Dropped() || es.Duplicated() != ep.Duplicated() || es.Delayed() != ep.Delayed() ||
 		es.MessagesSent() != ep.MessagesSent() {
-		t.Errorf("counters differ: seq %d/%d/%d/%d par %d/%d/%d/%d",
+		t.Errorf("counters differ: lazy %d/%d/%d/%d warmed %d/%d/%d/%d",
 			es.MessagesSent(), es.Dropped(), es.Duplicated(), es.Delayed(),
 			ep.MessagesSent(), ep.Dropped(), ep.Duplicated(), ep.Delayed())
 	}

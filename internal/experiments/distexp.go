@@ -26,7 +26,7 @@ func distCell(g *graph.Graph, slow int) runner.CellFunc {
 		}
 		res, err := distbucket.Run(in, distbucket.Options{
 			Options: sched.Options{Sim: core.SimOptions{SlowFactor: slow}, Obs: m},
-			Batch:   batch.Tour{}, Seed: seed, Parallel: true,
+			Batch:   batch.Tour{}, Seed: seed,
 		})
 		if err != nil {
 			return runner.Outcome{}, err

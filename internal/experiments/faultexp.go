@@ -31,7 +31,7 @@ func faultCell(g *graph.Graph, drop float64) runner.CellFunc {
 		}
 		res, err := distbucket.Run(in, distbucket.Options{
 			Options: sched.Options{Obs: reg},
-			Batch:   batch.Tour{}, Seed: seed, Parallel: true,
+			Batch:   batch.Tour{}, Seed: seed,
 			Faults: distbucket.FaultOptions{Plan: distnet.FaultPlan{Seed: seed, Drop: drop}},
 		})
 		if err != nil {

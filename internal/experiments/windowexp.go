@@ -79,7 +79,7 @@ func table15Window(cfg Config) (*stats.Table, error) {
 					}
 					res, err := distbucket.Run(in, distbucket.Options{
 						Options: sched.Options{Obs: m},
-						Batch:   batch.Tour{}, Seed: seed, Parallel: true,
+						Batch:   batch.Tour{}, Seed: seed,
 					})
 					if err != nil {
 						return runner.Outcome{}, err

@@ -6,8 +6,8 @@
 //
 // All query methods are safe for concurrent use; shortest-path trees are
 // computed lazily per source and cached, and trees for distinct sources
-// build concurrently (per-source build locks), so the parallel engines'
-// compute phases can warm a topology's tree set with near-linear scaling.
+// build concurrently (per-source build locks), so core.NewSim's tree
+// warm-up can build a topology's tree set with near-linear scaling.
 // AddEdge must not race with queries: construct first, then query.
 package graph
 
@@ -157,8 +157,8 @@ func (g *Graph) EdgeWeight(u, v NodeID) (Weight, bool) {
 // on the hot path of every simulation step, and even an uncontended RLock
 // showed up in profiles — so concurrent sweep cells sharing one topology
 // answer queries without synchronizing. A cache miss takes only the
-// per-source build lock (re-checking under it), so the parallel compute
-// phases build trees for distinct sources concurrently; the graph-wide
+// per-source build lock (re-checking under it), so the tree warm-up
+// builds trees for distinct sources concurrently; the graph-wide
 // RLock held across the build and the store keeps an AddEdge from
 // interleaving between a build and its publication.
 func (g *Graph) tree(src NodeID) *spTree {
@@ -173,7 +173,7 @@ func (g *Graph) tree(src NodeID) *spTree {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	t := g.dijkstra(src)
-	//par:owned g.trees per-source build locks serialize each slot and the atomic publication is idempotent: concurrent compute phases read either nil (and build the identical tree) or the finished tree
+	//par:owned g.trees per-source build locks serialize each slot and the atomic publication is idempotent: concurrent warm-up workers read either nil (and build the identical tree) or the finished tree
 	g.trees[src].Store(t)
 	return t
 }

@@ -25,7 +25,6 @@ import (
 	"dtm/internal/depgraph"
 	"dtm/internal/graph"
 	"dtm/internal/obs"
-	"dtm/internal/par"
 	"dtm/internal/sched"
 )
 
@@ -82,11 +81,6 @@ type Greedy struct {
 	// Incremental engine (default): the persistent conflict index.
 	idx     *depgraph.Index
 	scratch *depgraph.Scratch
-	// par, when non-nil, fans the per-transaction gather (forbidden
-	// intervals, bound terms) of large batches out over the run's
-	// phase-runner; every Decide/metric/audit mutation stays in the
-	// ID-ordered merge, so schedules are byte-identical to sequential.
-	par *par.Runner
 
 	// Rebuild oracle: per-arrival live tracking.
 	live     []core.TxID                // scheduled and possibly still live
@@ -134,7 +128,6 @@ func (g *Greedy) Start(env *sched.Env) error {
 		if g.scratch == nil {
 			g.scratch = depgraph.GetScratch()
 		}
-		g.par = env.Par
 	}
 	g.beta = g.opts.Beta
 	if g.opts.Uniform {
@@ -221,20 +214,6 @@ func (g *Greedy) scheduleIncremental(txns []*core.Transaction, now core.Time) er
 	}
 
 	var err error
-	if g.par != nil && len(sorted) >= parGatherMin {
-		err = g.colorBatchParallel(sorted, slots, now, sc)
-	} else {
-		err = g.colorBatchSeq(sorted, slots, now, sc)
-	}
-	sc.Slots = slots[:0]
-	sc.Txns = sorted[:0]
-	return err
-}
-
-// colorBatchSeq colors an inserted batch in ID order, gathering each
-// transaction's forbidden intervals right before its decision.
-func (g *Greedy) colorBatchSeq(sorted []*core.Transaction, slots []depgraph.Slot, now core.Time, sc *depgraph.Scratch) error {
-	var err error
 	for i, tx := range sorted {
 		// Gather the forbidden intervals and the Δ/Γ bound terms from the
 		// edges incident to tx in H'_t. Weight-0 edges impose no
@@ -295,119 +274,8 @@ func (g *Greedy) colorBatchSeq(sorted []*core.Transaction, slots []depgraph.Slot
 		}
 		g.idx.SetDecided(slots[i], now+core.Time(c))
 	}
-	return err
-}
-
-// parGatherMin is the batch size below which the parallel gather is not
-// worth borrowing per-worker scratches.
-const parGatherMin = 4
-
-// gathered is one transaction's compute-phase output: spans into its
-// worker's scratch arenas — the forbidden intervals known before any of
-// the batch is decided (Forb), and the same-batch smaller-ID neighbors
-// whose intervals only exist after the merge decides them (Ints, as
-// (txID, weight) pairs) — plus the Δ/Γ bound terms, which are complete
-// at compute time because undecided neighbors count toward them too.
-type gathered struct {
-	worker  int
-	forbOff int
-	forbLen int
-	pendOff int // in (txID, weight) pairs
-	pendLen int
-	deg     int
-	wdeg    graph.Weight
-}
-
-// colorBatchParallel is colorBatchSeq split on the DESIGN.md §12 phase
-// boundary: the per-transaction gathers (graph distances, Z edges,
-// conflict-index neighborhoods) are read-only once the whole batch is
-// inserted, so they fan out over the phase-runner into per-worker
-// arenas; the merge then walks the batch in ID order, resolves the
-// pending same-batch intervals from the decisions it has just made, and
-// performs the exact audit/Decide/SetDecided sequence of the sequential
-// engine. The coloring sweeps sort their interval set internally, so
-// appending the pending intervals last cannot change any color.
-func (g *Greedy) colorBatchParallel(sorted []*core.Transaction, slots []depgraph.Slot, now core.Time, sc *depgraph.Scratch) error {
-	ss := depgraph.GetScratchN(g.par.Workers())
-	defer depgraph.ReleaseAll(ss)
-	gs := make([]gathered, len(sorted))
-	g.par.Map(len(sorted), func(i, w int) {
-		tx := sorted[i]
-		wsc := ss[w]
-		gr := gathered{worker: w, forbOff: len(wsc.Forb), pendOff: len(wsc.Ints) / 2}
-		forb := wsc.Forb
-		if g.opts.Hub != nil {
-			hw := g.env.G.Dist(*g.opts.Hub, tx.Node)
-			if g.opts.Uniform && hw%g.beta != 0 {
-				hw = (hw/g.beta + 1) * g.beta
-			}
-			if hw > 0 {
-				gr.deg++
-				gr.wdeg += hw
-				forb = append(forb, coloring.Forbid(0, hw))
-			}
-		}
-		for _, o := range tx.Objects {
-			if zw := g.zWeight(o, tx.Node, now); zw > 0 {
-				gr.deg++
-				gr.wdeg += zw
-				forb = append(forb, coloring.Forbid(0, zw))
-			}
-		}
-		nbrs := g.idx.AppendNeighborsInto(wsc, slots[i], wsc.Nbrs[:0])
-		for _, nb := range nbrs {
-			cw := g.conflictWeight(tx.Node, nb.Node)
-			if cw == 0 {
-				continue
-			}
-			gr.deg++
-			gr.wdeg += cw
-			switch {
-			case nb.Exec != depgraph.Undecided:
-				forb = append(forb, coloring.Forbid(coloring.Color(nb.Exec-now), cw))
-			case nb.Tx < tx.ID:
-				// Undecided now, but the merge decides it before reaching
-				// tx; defer the interval to then.
-				wsc.Ints = append(wsc.Ints, int(nb.Tx), int(cw))
-			}
-		}
-		wsc.Nbrs = nbrs[:0]
-		wsc.Forb = forb
-		gr.forbLen = len(forb) - gr.forbOff
-		gr.pendLen = len(wsc.Ints)/2 - gr.pendOff
-		gs[i] = gr
-	})
-
-	var err error
-	for i, tx := range sorted {
-		gr := gs[i]
-		wsc := ss[gr.worker]
-		forb := append(sc.Forb[:0], wsc.Forb[gr.forbOff:gr.forbOff+gr.forbLen]...)
-		for p := 0; p < gr.pendLen; p++ {
-			nbTx := core.TxID(wsc.Ints[(gr.pendOff+p)*2])
-			cw := graph.Weight(wsc.Ints[(gr.pendOff+p)*2+1])
-			if exec, ok := g.env.Sim.Scheduled(nbTx); ok {
-				forb = append(forb, coloring.Forbid(coloring.Color(exec-now), cw))
-			}
-		}
-		var c, bound coloring.Color
-		if g.opts.Uniform {
-			c = coloring.SmallestValidMultiple(forb, g.beta)
-			bound = coloring.Color(gr.wdeg) + coloring.Color(g.beta)
-		} else {
-			c = coloring.SmallestValid(forb)
-			bound = 2*coloring.Color(gr.wdeg) - coloring.Color(gr.deg)
-			if bound < 0 {
-				bound = 0
-			}
-		}
-		sc.Forb = forb[:0]
-		g.recordAudit(c, bound)
-		if err = g.env.Sim.Decide(tx.ID, now+core.Time(c)); err != nil {
-			break
-		}
-		g.idx.SetDecided(slots[i], now+core.Time(c))
-	}
+	sc.Slots = slots[:0]
+	sc.Txns = sorted[:0]
 	return err
 }
 

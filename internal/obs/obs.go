@@ -9,9 +9,9 @@
 //     nil handles, so an uninstrumented run pays exactly one predictable
 //     nil-check per event site. The overhead guard in the root package
 //     asserts this stays below 5% of a scheduler run.
-//  2. Safe under the parallel distnet engine. All handle updates are
-//     atomic, so goroutine-per-node handlers may share handles; the race
-//     suite (`make race`) covers this.
+//  2. Safe for concurrent use. All handle updates are atomic, so the
+//     concurrent trials of a sweep may share one registry; the race suite
+//     (`make race`) covers this.
 //  3. Deterministic output. Snapshot renders maps through encoding/json
 //     (sorted keys) and the CSV exporter sorts names, so golden tests can
 //     assert byte-exact reports.

@@ -1,33 +1,29 @@
-// Package par is the shared phase-runner behind every parallel execution
-// path in the engine: the two-phase core.Sim step loop, the sched drivers'
-// parallel arrival evaluation, and the distnet goroutine-per-node engine.
+// Package par is the runner behind the engine's one parallel site: the
+// tree warm-up in core.NewSim, which builds every shortest-path tree of
+// the topology concurrently when SimOptions.Parallel asks for workers.
+// Every simulation step after that runs sequentially.
 //
-// The pattern all of them follow is compute/merge: a step's independent,
-// read-only work fans out across a bounded worker set, and every state
-// mutation happens afterwards on the caller's goroutine in canonical
-// order. The runner owns only the fan-out half; it makes no ordering
-// promises about when f(i) runs relative to f(j), so any work handed to
-// Map must be order-free and side-effect-free on shared state (each
-// worker may write to its own per-worker arena, addressed by the worker
-// index Map passes in). See DESIGN.md §12 for the full phase contract.
+// The runner makes no ordering promises about when f(i) runs relative to
+// f(j), so any work handed to Map must be order-free and must not write
+// shared state: what it writes belongs in per-index slots, or in
+// per-worker arenas addressed by the worker index Map passes in. See
+// DESIGN.md §12.
 //
 // That contract is not left to convention: the parpurity analyzer
 // (internal/analysis, run by `make lint`) traces every closure reachable
 // from a Map call site through the module call graph and reports any
-// write it cannot prove worker-owned — locals, param-indexed slice
-// slots, or depgraph.GetScratchN worker scratch — along with channel
-// sends, metric emission, and rand draws in a compute phase. A write
-// that is safe for a structural reason the analyzer cannot see takes a
-// //par:owned <expr> <reason> directive at the write; see DESIGN.md §15.
+// write it cannot prove worker-owned — locals or param-indexed slice
+// slots — along with channel sends, metric emission, and rand draws. A
+// write that is safe for a structural reason the analyzer cannot see
+// takes a //par:owned <expr> <reason> directive at the write; see
+// DESIGN.md §15.
 //
 // The runner is deliberately tiny: no persistent goroutine pool, no
 // channels, no metrics. Workers are spawned per Map call and claim fixed
-// chunks of the index space from an atomic cursor, so a call costs a
-// handful of goroutine launches and one atomic per chunk — cheap enough
-// for per-simulation-step use — and an idle runner costs nothing. It
-// also keeps the runner observability-free by construction: a Map call
-// cannot perturb a run's metric state, which the byte-identity contract
-// between sequential and parallel runs depends on.
+// chunks of the index space from an atomic cursor, and an idle runner
+// costs nothing. It also keeps the runner observability-free by
+// construction: a Map call cannot perturb a run's metric state, which the
+// byte-identity contract between sequential and parallel runs depends on.
 package par
 
 import (

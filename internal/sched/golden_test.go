@@ -245,8 +245,8 @@ func goldenStream(t *testing.T, got goldenTable) {
 }
 
 // goldenDistributed covers the Algorithm 3 driver without faults, under a
-// lossy network, under heavy loss and with crashed origins, on the
-// sequential and the parallel network engine. The driver instruments the
+// lossy network, under heavy loss and with crashed origins, at P=1 and
+// P=2 (lazy trees and the sim's tree warm-up). The driver instruments the
 // central drivers emit are left out of its metrics.
 func goldenDistributed(t *testing.T, got goldenTable) {
 	plans := map[string]distbucket.FaultOptions{
@@ -263,16 +263,16 @@ func goldenDistributed(t *testing.T, got goldenTable) {
 		for pn, plan := range plans {
 			for seed := int64(1); seed <= 3; seed++ {
 				in := goldenInstance(t, g, 2, seed)
-				for _, parallel := range []bool{false, true} {
+				for _, p := range []int{1, 2} {
 					name := fmt.Sprintf("distributed/%s/%s/seed%d", topo, pn, seed)
 					rec := newRecorder()
 					res, err := distbucket.Run(in, distbucket.Options{
-						Options: sched.Options{SnapshotEvery: 1, Obs: rec.m},
-						Batch:   batch.Tour{}, Seed: seed, Parallel: parallel,
+						Options: sched.Options{Sim: core.SimOptions{Parallel: p}, SnapshotEvery: 1, Obs: rec.m},
+						Batch:   batch.Tour{}, Seed: seed,
 						Faults: plan,
 					})
 					if err != nil {
-						t.Fatalf("%s parallel=%v: %v", name, parallel, err)
+						t.Fatalf("%s P=%d: %v", name, p, err)
 					}
 					rr := res.RunResult
 					got.put(t, name, digest(t, rr.Scheduler, rr.Decisions, rr.Result, rr.Ratios, rr.MaxRatio,

@@ -18,7 +18,6 @@ import (
 	"dtm/internal/graph"
 	"dtm/internal/lowerbound"
 	"dtm/internal/obs"
-	"dtm/internal/par"
 	"dtm/internal/stats"
 )
 
@@ -34,14 +33,6 @@ type Env struct {
 	// not retain it past the run. May be nil under custom drivers;
 	// schedulers fall back to fetching their own.
 	Scratch *depgraph.Scratch
-	// Par is the run's phase-runner, shared with the Sim's two-phase step
-	// engine (nil = sequential, the default). A scheduler may fan its own
-	// per-arrival read-only work out over it — gather phases against the
-	// conflict index, distance prewarms — provided every Sim/obs mutation
-	// still happens on the driver goroutine in the sequential engine's
-	// order (DESIGN.md §12). Schedulers whose decisions depend on
-	// mid-batch mutation order must ignore it.
-	Par *par.Runner
 }
 
 // Scheduler is an online transaction scheduling algorithm. Implementations

@@ -18,7 +18,6 @@ import (
 	"dtm/internal/depgraph"
 	"dtm/internal/graph"
 	"dtm/internal/obs"
-	"dtm/internal/par"
 	"dtm/internal/workload"
 )
 
@@ -81,8 +80,7 @@ func drive(in *core.Instance, s Scheduler, stream arrivalStream, opts Options,
 		return nil, nil, err
 	}
 	dm := newDriverMetrics(opts.Obs)
-	env := &Env{Sim: sim, G: in.G, Obs: opts.Obs, Scratch: depgraph.GetScratch(),
-		Par: par.FromOption(simOpts.Parallel)}
+	env := &Env{Sim: sim, G: in.G, Obs: opts.Obs, Scratch: depgraph.GetScratch()}
 	defer env.Scratch.Release()
 	if err := s.Start(env); err != nil {
 		return nil, nil, fmt.Errorf("sched: %s start: %w", s.Name(), err)

@@ -23,11 +23,7 @@
 // degree).
 //
 // Contention is resolved against the same persistent conflict index
-// (internal/depgraph) as the greedy engine, and the parallel path follows
-// the DESIGN.md §12 compute/merge contract: per-round gathers fan out over
-// the run's phase-runner into per-worker arenas, while every priority
-// draw, Decide, and metric mutation stays on the driver goroutine in the
-// sequential engine's order — schedules are byte-identical to sequential.
+// (internal/depgraph) as the greedy engine.
 package window
 
 import (
@@ -40,7 +36,6 @@ import (
 	"dtm/internal/depgraph"
 	"dtm/internal/graph"
 	"dtm/internal/obs"
-	"dtm/internal/par"
 	"dtm/internal/sched"
 )
 
@@ -100,10 +95,6 @@ type Window struct {
 
 	idx     *depgraph.Index
 	scratch *depgraph.Scratch
-	// par, when non-nil, fans the per-round gather of large batches out
-	// over the run's phase-runner; draws, decisions, and metrics stay in
-	// the merge, so schedules are byte-identical to sequential.
-	par *par.Runner
 
 	cands []cand
 	order []int
@@ -145,7 +136,6 @@ func (w *Window) Start(env *sched.Env) error {
 	if w.scratch == nil {
 		w.scratch = depgraph.GetScratch()
 	}
-	w.par = env.Par
 	seed := w.opts.Seed
 	if seed == 0 {
 		seed = DefaultSeed
@@ -215,8 +205,7 @@ func (w *Window) schedule(txns []*core.Transaction) error {
 				len(cands), now, rounds-1, cands[0].win)
 			break
 		}
-		// Fresh seeded priorities, drawn in ID order on the driver
-		// goroutine (never inside a parallel phase).
+		// Fresh seeded priorities, drawn in ID order.
 		for i := range cands {
 			cands[i].prio = w.rng.Uint64()
 		}
@@ -231,11 +220,7 @@ func (w *Window) schedule(txns []*core.Transaction) error {
 			}
 			return ca.tx.ID < cb.tx.ID
 		})
-		if w.par != nil && len(cands) >= parGatherMin {
-			err = w.roundParallel(cands, order, now)
-		} else {
-			err = w.roundSeq(cands, order, now)
-		}
+		err = w.round(cands, order, now)
 		w.order = order[:0]
 
 		keep := cands[:0]
@@ -253,9 +238,9 @@ func (w *Window) schedule(txns []*core.Transaction) error {
 	return err
 }
 
-// roundSeq colors one round in priority order, gathering each candidate's
+// round colors one round in priority order, gathering each candidate's
 // forbidden intervals right before its accept-or-double decision.
-func (w *Window) roundSeq(cands []cand, order []int, now core.Time) error {
+func (w *Window) round(cands []cand, order []int, now core.Time) error {
 	sc := w.scratch
 	for _, ci := range order {
 		c := &cands[ci]
@@ -277,89 +262,6 @@ func (w *Window) roundSeq(cands []cand, order []int, now core.Time) error {
 			}
 		}
 		sc.Nbrs = nbrs[:0]
-		col := coloring.SmallestValid(forb)
-		sc.Forb = forb[:0]
-		if err := w.resolve(c, col, now); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// parGatherMin is the round size below which the parallel gather is not
-// worth borrowing per-worker scratches.
-const parGatherMin = 4
-
-// gathered is one candidate's compute-phase output: spans into its
-// worker's scratch arenas — the forbidden intervals known before the round
-// decides anything (Forb), and the same-batch undecided neighbors whose
-// intervals only exist if the merge accepts them earlier in priority order
-// (Ints, as (txID, weight) pairs).
-type gathered struct {
-	worker  int
-	forbOff int
-	forbLen int
-	pendOff int // in (txID, weight) pairs
-	pendLen int
-}
-
-// roundParallel is roundSeq split on the DESIGN.md §12 phase boundary: the
-// per-candidate gathers (Z edges, conflict-index neighborhoods, graph
-// distances) are read-only for the whole round, so they fan out over the
-// phase-runner into per-worker arenas; the merge then walks the round in
-// priority order, resolves the pending same-batch intervals from the
-// acceptances it has just made, and performs the exact accept-or-double
-// sequence of the sequential engine. The coloring sweep sorts its interval
-// set internally, so appending the pending intervals last cannot change
-// any color.
-func (w *Window) roundParallel(cands []cand, order []int, now core.Time) error {
-	ss := depgraph.GetScratchN(w.par.Workers())
-	defer depgraph.ReleaseAll(ss)
-	gs := make([]gathered, len(cands))
-	w.par.Map(len(cands), func(i, wk int) {
-		c := &cands[i]
-		wsc := ss[wk]
-		gr := gathered{worker: wk, forbOff: len(wsc.Forb), pendOff: len(wsc.Ints) / 2}
-		forb := wsc.Forb
-		for _, o := range c.tx.Objects {
-			if zw := w.zWeight(o, c.tx.Node, now); zw > 0 {
-				forb = append(forb, coloring.Forbid(0, zw))
-			}
-		}
-		nbrs := w.idx.AppendNeighborsInto(wsc, c.slot, wsc.Nbrs[:0])
-		for _, nb := range nbrs {
-			cw := w.env.G.Dist(c.tx.Node, nb.Node)
-			if cw == 0 {
-				continue
-			}
-			if nb.Exec != depgraph.Undecided {
-				forb = append(forb, coloring.Forbid(coloring.Color(nb.Exec-now), cw))
-			} else {
-				// Undecided now; if the merge accepts it before reaching
-				// this candidate, the interval materializes then.
-				wsc.Ints = append(wsc.Ints, int(nb.Tx), int(cw))
-			}
-		}
-		wsc.Nbrs = nbrs[:0]
-		wsc.Forb = forb
-		gr.forbLen = len(forb) - gr.forbOff
-		gr.pendLen = len(wsc.Ints)/2 - gr.pendOff
-		gs[i] = gr
-	})
-
-	sc := w.scratch
-	for _, ci := range order {
-		c := &cands[ci]
-		gr := gs[ci]
-		wsc := ss[gr.worker]
-		forb := append(sc.Forb[:0], wsc.Forb[gr.forbOff:gr.forbOff+gr.forbLen]...)
-		for p := 0; p < gr.pendLen; p++ {
-			nbTx := core.TxID(wsc.Ints[(gr.pendOff+p)*2])
-			cw := graph.Weight(wsc.Ints[(gr.pendOff+p)*2+1])
-			if exec, ok := w.env.Sim.Scheduled(nbTx); ok {
-				forb = append(forb, coloring.Forbid(coloring.Color(exec-now), cw))
-			}
-		}
 		col := coloring.SmallestValid(forb)
 		sc.Forb = forb[:0]
 		if err := w.resolve(c, col, now); err != nil {

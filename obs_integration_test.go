@@ -128,7 +128,7 @@ func TestMetricsDistributedCrossChecks(t *testing.T) {
 	m := NewMetrics()
 	res, err := RunDistributed(in, DistributedOptions{
 		Options: RunOptions{Obs: m},
-		Batch:   TourBatch(), Seed: 3, Parallel: true,
+		Batch:   TourBatch(), Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -74,7 +74,7 @@ func TestScaleDistributedGrid64(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunDistributed(in, DistributedOptions{Options: RunOptions{SnapshotEvery: 4}, Batch: TourBatch(), Seed: 5, Parallel: true})
+	res, err := RunDistributed(in, DistributedOptions{Options: RunOptions{SnapshotEvery: 4}, Batch: TourBatch(), Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,9 @@
 # so CI injects one known violation per analyzer family into a scratch
 # copy of the module and asserts dtmlint rejects each:
 #
-#   1. parpurity: a shared-map write two call levels below the greedy
-#      compute closure (the contract the analyzer exists to prove);
+#   1. parpurity: a shared-map write two call levels below the tree
+#      warm-up closure in core.NewSim (the contract the analyzer exists
+#      to prove);
 #   2. detclock:  a wall-clock time.Now read in an engine package;
 #   3. obsnames:  an unregistered metric name one typo away from a real one.
 #
@@ -48,18 +49,18 @@ expect_caught() {
 
 # --- 1. parpurity: shared write two call levels below a compute closure.
 reset_copy
-cat >"$COPY/internal/greedy/zz_probe.go" <<'EOF'
-package greedy
+cat >"$COPY/internal/core/zz_probe.go" <<'EOF'
+package core
 
 var lintProbeSeen = map[int]int{}
 
-func (g *Greedy) lintProbe(i int) { g.lintProbeDeep(i) }
+func (s *Sim) lintProbe(i int) { s.lintProbeDeep(i) }
 
-func (g *Greedy) lintProbeDeep(i int) { lintProbeSeen[i]++ }
+func (s *Sim) lintProbeDeep(i int) { lintProbeSeen[i]++ }
 EOF
-sed -i '0,/gs\[i\] = gr/s//g.lintProbe(i)\n\t\tgs[i] = gr/' "$COPY/internal/greedy/greedy.go"
-grep -q 'g.lintProbe(i)' "$COPY/internal/greedy/greedy.go" || {
-	echo "FAIL: probe call not injected; greedy.go anchor moved" >&2
+sed -i '0,/g\.Dist(v, v)/s//s.lintProbe(i)\n\t\t\tg.Dist(v, v)/' "$COPY/internal/core/sim.go"
+grep -q 's.lintProbe(i)' "$COPY/internal/core/sim.go" || {
+	echo "FAIL: probe call not injected; sim.go anchor moved" >&2
 	exit 1
 }
 expect_caught parpurity "shared-map write behind a two-level call chain"
