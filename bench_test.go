@@ -112,8 +112,8 @@ func BenchmarkSweepWorkers(b *testing.B) {
 // engineVariants names the two scheduling engines every CPU benchmark
 // runs under: the incremental conflict-index engine (default) and the
 // per-arrival rebuild oracle. -benchmem shows the ns and alloc gap
-// between them; `dtmbench -scalejson` extends the same comparison to
-// n=1024 as a per-arrival JSON artifact.
+// between them; `dtmbench -perfjson` extends the same comparison to
+// n=1024 as per-arrival rows of BENCH_perf.json.
 var engineVariants = []struct {
 	name    string
 	rebuild bool

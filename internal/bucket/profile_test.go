@@ -10,9 +10,9 @@ import (
 	"dtm/internal/workload"
 )
 
-// BenchmarkBucketTourLine1024 is the dtmbench bucket-tour-line n=1024
-// scale workload as a plain Go benchmark, so the sessionized probe path
-// can be profiled directly (`go test -bench BucketTourLine1024
+// BenchmarkBucketTourLine1024 is the bucket-tour-line n=1024 case of
+// `dtmbench -perfjson` as a plain Go benchmark, so the sessionized probe
+// path can be profiled directly (`go test -bench BucketTourLine1024
 // -cpuprofile ...`) without going through the bench harness.
 func BenchmarkBucketTourLine1024(b *testing.B) {
 	const n = 1024

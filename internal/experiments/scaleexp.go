@@ -6,8 +6,8 @@ package experiments
 // workload (peak live vertices, posting edges served). Wall-clock
 // comparisons live outside the experiment tables (they would break the
 // runner's byte-identical parallel/sequential contract): `dtmbench
-// -scalejson` and `make bench-scale` measure ns/arrival and allocs/arrival
-// for the same workloads.
+// -perfjson` (`make bench-quick`) measures ns/arrival and allocs/arrival
+// for the same workloads in BENCH_perf.json.
 
 import (
 	"fmt"
