@@ -223,10 +223,8 @@ func BenchmarkDistributedProtocolCPU(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := RunDistributed(in, DistributedOptions{
-			Options: RunOptions{SnapshotEvery: -1},
-			Batch:   batch.Tour{}, Seed: 7,
-		}); err != nil {
+		if _, err := Run(in, NewDistributed(DistributedOptions{Batch: batch.Tour{}, Seed: 7}),
+			RunOptions{SnapshotEvery: -1}); err != nil {
 			b.Fatal(err)
 		}
 	}

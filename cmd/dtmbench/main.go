@@ -125,9 +125,6 @@ func printList(w io.Writer) {
 			alias = " (alias " + strings.Join(d.Aliases, ", ") + ")"
 		}
 		var caps []string
-		if d.Caps.Distributed {
-			caps = append(caps, "distributed")
-		}
 		if d.Caps.Oracle {
 			caps = append(caps, "oracle")
 		}

@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"dtm"
-	"dtm/internal/batch"
 	"dtm/internal/stats"
 )
 
@@ -173,17 +172,22 @@ func arrivalKind(s string) (dtm.WorkloadConfig, error) {
 	return cfg, nil
 }
 
-// buildScheduler resolves one of the centralized schedulers from the
-// engine registry (the distributed protocol has its own entry point and
-// is handled separately). Only the coordinator takes a CLI parameter
-// (-hub), so it routes through the concrete constructor; every other
-// engine is the registry default.
-func buildScheduler(p params) (dtm.Scheduler, error) {
+// buildScheduler resolves -sched through the engine registry. The
+// coordinator takes -hub and the distributed protocol takes -seed and the
+// fault plan, so those two route through their concrete constructors;
+// every other engine is the registry default. A fault plan needs the
+// protocol.
+func buildScheduler(p params, plan dtm.FaultPlan) (dtm.Scheduler, error) {
 	d, ok := dtm.EngineByID(p.sched)
 	if !ok {
 		return nil, fmt.Errorf("unknown scheduler %q (run -sched list for the registry)", p.sched)
 	}
-	if d.ID == "coordinator" && p.hub != 0 {
+	switch {
+	case d.ID == "distributed":
+		return dtm.NewDistributed(dtm.DistributedOptions{Seed: p.seed, Faults: dtm.FaultOptions{Plan: plan}}), nil
+	case plan.Enabled():
+		return nil, fmt.Errorf("fault injection (-drop/-dup/-jitter/-crash) requires -sched distributed")
+	case d.ID == "coordinator" && p.hub != 0:
 		return dtm.NewCoordinator(dtm.NodeID(p.hub), dtm.GreedyOptions{}), nil
 	}
 	return dtm.NewEngine(d.ID)
@@ -192,9 +196,6 @@ func buildScheduler(p params) (dtm.Scheduler, error) {
 // capsString renders an engine's capability flags for -sched list.
 func capsString(c dtm.EngineCaps) string {
 	var flags []string
-	if c.Distributed {
-		flags = append(flags, "distributed")
-	}
 	if c.Oracle {
 		flags = append(flags, "oracle")
 	}
@@ -254,6 +255,9 @@ func run(p params) error {
 	if p.stream != "" {
 		return runStream(p, g)
 	}
+	if p.traceOut != "" && p.capacity > 0 {
+		return fmt.Errorf("-trace is only supported with unbounded links (traces replay in the paper's model)")
+	}
 	cfg, err := arrivalKind(p.arrival)
 	if err != nil {
 		return err
@@ -283,8 +287,7 @@ func run(p params) error {
 		return t.Render(os.Stdout)
 	}
 
-	// One registry covers whichever driver runs below; -events implies
-	// collection so the sink has something to stream.
+	// -events implies collection so the sink has something to stream.
 	m, closeSink, err := openMetrics(p)
 	if err != nil {
 		return err
@@ -301,36 +304,7 @@ func run(p params) error {
 	if err != nil {
 		return err
 	}
-	if d, ok := dtm.EngineByID(p.sched); ok && d.Caps.Distributed {
-		res, err := dtm.RunDistributed(in, dtm.DistributedOptions{
-			Options: dtm.RunOptions{Obs: m},
-			Batch:   batch.Tour{}, Seed: p.seed,
-			Faults: dtm.FaultOptions{Plan: plan},
-		})
-		if err != nil {
-			return err
-		}
-		t.AddRow(res.Scheduler, fmt.Sprint(res.Makespan), fmt.Sprint(res.MaxLat),
-			fmt.Sprintf("%.1f", res.MeanLat()), fmt.Sprint(res.TotalComm),
-			fmt.Sprintf("%.2f", res.MaxRatio), fmt.Sprintf("%.2f", res.MeanRatio()))
-		if err := emit(); err != nil {
-			return err
-		}
-		fmt.Printf("protocol: %d messages, %d message-distance, %d cover layers, %d sub-layers, audit %+v\n",
-			res.Messages, res.MsgDistance, res.CoverLayers, res.SubLayers, res.Audit)
-		if plan.Enabled() {
-			fmt.Printf("faults: completion %.3f, %d abandoned\n", res.CompletionRate(), len(res.Abandoned))
-			for _, a := range res.Abandoned {
-				fmt.Printf("  abandoned tx %d: %s\n", a.Tx, a.Reason)
-			}
-		}
-		return report(res.Metrics)
-	}
-	if plan.Enabled() {
-		return fmt.Errorf("fault injection (-drop/-dup/-jitter/-crash) requires -sched distributed")
-	}
-
-	s, err := buildScheduler(p)
+	s, err := buildScheduler(p, plan)
 	if err != nil {
 		return err
 	}
@@ -348,16 +322,24 @@ func run(p params) error {
 	if err := emit(); err != nil {
 		return err
 	}
-	if p.traceOut != "" {
-		if p.capacity > 0 {
-			return fmt.Errorf("-trace is only supported with unbounded links (traces replay in the paper's model)")
+	if proto, ok := s.(interface{ Report() dtm.DistributedReport }); ok {
+		rep := proto.Report()
+		fmt.Printf("protocol: %d messages, %d message-distance, %d cover layers, %d sub-layers, audit %+v\n",
+			rep.Messages, rep.MsgDistance, rep.CoverLayers, rep.SubLayers, rep.Audit)
+		if plan.Enabled() {
+			fmt.Printf("faults: completion %.3f, %d abandoned\n", rr.CompletionRate(), len(rep.Abandoned))
+			for _, a := range rep.Abandoned {
+				fmt.Printf("  abandoned tx %d: %s\n", a.Tx, a.Reason)
+			}
 		}
+	}
+	if p.traceOut != "" {
 		f, err := os.Create(p.traceOut)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		tr := dtm.CaptureTrace(in, rr, 1)
+		tr := dtm.CaptureTrace(in, rr)
 		if err := tr.Validate(); err != nil {
 			return err
 		}
@@ -410,11 +392,18 @@ func assertFlat(res *dtm.StreamResult) error {
 // runStream drives the open-system mode: a generative arrival source
 // pulled lazily by the bounded-memory streaming driver.
 func runStream(p params, g *dtm.Graph) error {
-	if d, ok := dtm.EngineByID(p.sched); ok && d.Caps.Distributed {
-		return fmt.Errorf("-stream supports the centralized schedulers only")
+	if d, ok := dtm.EngineByID(p.sched); ok && !d.Caps.Stream {
+		return fmt.Errorf("-stream needs an engine with the stream cap, which %s lacks (see -sched list)", d.ID)
 	}
 	if p.capacity > 0 || p.traceOut != "" {
 		return fmt.Errorf("-capacity and -trace are not supported with -stream")
+	}
+	plan, err := faultPlan(p)
+	if err != nil {
+		return err
+	}
+	if plan.Enabled() {
+		return fmt.Errorf("fault injection (-drop/-dup/-jitter/-crash) is not supported with -stream")
 	}
 	numObjects := p.objects
 	if numObjects == 0 {
@@ -422,7 +411,6 @@ func runStream(p params, g *dtm.Graph) error {
 	}
 	cfg := dtm.StreamConfig{K: p.k, NumObjects: numObjects, Rate: p.rate, Burst: p.burst, Seed: p.seed}
 	var src dtm.Source
-	var err error
 	switch p.stream {
 	case "poisson":
 		src, err = dtm.NewPoissonSource(g, cfg)
@@ -437,7 +425,7 @@ func runStream(p params, g *dtm.Graph) error {
 	if p.progress > 0 {
 		src = &progressSource{src: src, every: p.progress}
 	}
-	s, err := buildScheduler(p)
+	s, err := buildScheduler(p, plan)
 	if err != nil {
 		return err
 	}

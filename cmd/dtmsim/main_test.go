@@ -1,8 +1,12 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"dtm/internal/trace"
 )
 
 func TestBuildGraphAllTopologies(t *testing.T) {
@@ -79,5 +83,96 @@ func TestRunWithTraceAndCapacity(t *testing.T) {
 	p.csv = true
 	if err := run(p); err != nil {
 		t.Errorf("csv run: %v", err)
+	}
+}
+
+// clusterParams is the cluster(3,4,4) workload of the CLI examples.
+func clusterParams(sched string) params {
+	return params{
+		topology: "cluster", alpha: 3, beta: 4, gamma: 4,
+		sched: sched, k: 2, rounds: 3,
+		arrival: "periodic", seed: 1,
+	}
+}
+
+// The protocol runs on the one run path, so -capacity and -trace apply to
+// it; its trace records half-speed objects and validates, with faults too.
+func TestDistributedCapacityAndTrace(t *testing.T) {
+	for _, c := range []int{1, 2} {
+		for seed := int64(1); seed <= 5; seed++ {
+			p := clusterParams("distributed")
+			p.capacity, p.seed = c, seed
+			if err := run(p); err != nil {
+				t.Errorf("capacity %d seed %d: %v", c, seed, err)
+			}
+		}
+	}
+	dir := t.TempDir()
+	for name, faulty := range map[string]bool{"clean": false, "faulty": true} {
+		p := clusterParams("distributed")
+		p.traceOut = filepath.Join(dir, name+".json")
+		if faulty {
+			p.drop, p.crash = 0.05, "1:0:50"
+		}
+		if err := run(p); err != nil {
+			t.Fatalf("%s trace run: %v", name, err)
+		}
+		f, err := os.Open(p.traceOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := trace.Read(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.SlowObj != 2 {
+			t.Errorf("%s trace records slowObjects %d, want 2", name, r.SlowObj)
+		}
+		if err := r.Validate(); err != nil {
+			t.Errorf("%s trace: %v", name, err)
+		}
+		if faulty && len(r.Abandoned) == 0 {
+			t.Errorf("%s trace records no abandoned transactions", name)
+		}
+	}
+}
+
+// Flag combinations a run cannot honour are refused, not ignored.
+func TestRefusedFlagCombinations(t *testing.T) {
+	dir := t.TempDir()
+	cases := map[string]struct {
+		p    func() params
+		want string
+	}{
+		"trace with capacity, distributed": {func() params {
+			p := clusterParams("distributed")
+			p.traceOut, p.capacity = filepath.Join(dir, "d.json"), 2
+			return p
+		}, "-trace"},
+		"faults with a central engine": {func() params {
+			p := clusterParams("greedy")
+			p.drop = 0.5
+			return p
+		}, "requires -sched distributed"},
+		"faults with -stream": {func() params {
+			p := clusterParams("greedy")
+			p.stream, p.arrivals, p.rate, p.drop, p.crash = "poisson", 2000, 1, 0.5, "1:0:100"
+			return p
+		}, "not supported with -stream"},
+		"-stream without the stream cap": {func() params {
+			p := clusterParams("distributed")
+			p.stream, p.arrivals, p.rate = "poisson", 2000, 1
+			return p
+		}, "stream cap"},
+	}
+	for name, c := range cases {
+		err := run(c.p())
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one mentioning %q", name, err, c.want)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "d.json")); err == nil {
+		t.Error("refused run wrote a trace")
 	}
 }

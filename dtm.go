@@ -115,14 +115,13 @@ type (
 	BatchSession = batch.Session
 	// BatchSessionOptions configure a BatchSession.
 	BatchSessionOptions = batch.SessionOptions
-	// DistributedOptions configure the Algorithm 3 protocol run,
-	// including the injected fault plan (Faults field).
+	// DistributedOptions configure the Algorithm 3 protocol: the batch
+	// algorithm, the cover seed, and the injected fault plan (Faults).
 	DistributedOptions = distbucket.Options
-	// DistributedResult is the Algorithm 3 run outcome. It embeds a
-	// RunResult, so the shared surface (Makespan, Latency, Decisions,
-	// Abandoned, CompletionRate, Failed/Err, Metrics) reads the same as
-	// the central drivers'.
-	DistributedResult = distbucket.Result
+	// DistributedReport is what an Algorithm 3 run adds to its RunResult
+	// (audit, message counts, cover shape, abandoned reasons, the Lemma 6
+	// audit), read from the protocol's Report method after Run.
+	DistributedReport = distbucket.Report
 	// WorkloadConfig parameterizes Generate.
 	WorkloadConfig = workload.Config
 	// TraceRun is a serialized, re-validatable record of a run.
@@ -137,8 +136,8 @@ type (
 // drop, duplication, bounded delay jitter, node crash windows, and link
 // outages; the Algorithm 3 protocol recovers with acknowledged, retried
 // requests and reports anything it had to give up on in
-// DistributedResult.Abandoned rather than hanging. The zero plan is
-// byte-identical to the failure-free model.
+// RunResult.Abandoned (with reasons in DistributedReport.Abandoned) rather
+// than hanging. The zero plan is byte-identical to the failure-free model.
 type (
 	// FaultPlan describes the injected network faults; resolved from a
 	// seeded RNG per message so runs with the same plan agree.
@@ -160,10 +159,10 @@ type (
 // Crashes field.
 func ParseCrashWindows(s string) ([]CrashWindow, error) { return distnet.ParseCrashes(s) }
 
-// Observability types. A Metrics registry passed via RunOptions.Obs (or
-// DistributedOptions.Obs) collects counters, gauges, and histograms across
-// the driver, the engine, and the scheduler; the result carries the final
-// MetricsSnapshot. A Sink additionally streams per-event records.
+// Observability types. A Metrics registry passed via RunOptions.Obs
+// collects counters, gauges, and histograms across the driver, the engine,
+// and the scheduler; the result carries the final MetricsSnapshot. A Sink
+// additionally streams per-event records.
 type (
 	// Metrics is the run-wide observability registry; nil disables
 	// collection at the cost of one nil-check per instrument site.
@@ -177,7 +176,7 @@ type (
 )
 
 // NewMetrics returns an empty observability registry to pass in
-// RunOptions.Obs or DistributedOptions.Obs.
+// RunOptions.Obs.
 func NewMetrics() *Metrics { return obs.New() }
 
 // NewJSONLSink returns a Sink writing each event as one JSON line.
@@ -245,8 +244,8 @@ func SingleObjectChain(g *Graph, origin NodeID) (*Instance, error) {
 type (
 	// EngineDesc describes one registered engine.
 	EngineDesc = engine.Desc
-	// EngineCaps are an engine's capability flags (distributed,
-	// supports-oracle, supports-stream).
+	// EngineCaps are an engine's capability flags (supports-oracle,
+	// supports-stream).
 	EngineCaps = engine.Caps
 )
 
@@ -260,8 +259,7 @@ func EngineByID(id string) (EngineDesc, bool) { return engine.ByID(id) }
 func EngineIDs() []string { return engine.IDs() }
 
 // NewEngine constructs the engine registered under id with default
-// options; it errors on unknown IDs and on distributed engines (run those
-// through RunDistributed).
+// options; it errors on unknown IDs.
 func NewEngine(id string) (Scheduler, error) { return engine.Default(id) }
 
 // NewGreedy returns the Algorithm 1 online greedy scheduler.
@@ -280,6 +278,16 @@ func NewBucket(opts BucketOptions) *bucket.Bucket { return engine.NewBucket(opts
 // scheduler (Sharma, Estrade & Busch): seeded per-round priorities,
 // exponential window growth on abort.
 func NewWindow(opts WindowOptions) *window.Window { return engine.NewWindow(opts) }
+
+// NewDistributed returns the Algorithm 3 distributed bucket protocol:
+// decisions are computed by per-node handlers exchanging messages with
+// real latencies, while objects move at half speed unless
+// RunOptions.Sim.SlowFactor sets another speed. Run it like any other
+// scheduler and read its DistributedReport from Report afterwards. With a
+// fault plan in opts.Faults the network becomes unreliable and the
+// protocol recovers by retrying; transactions it cannot save are listed
+// in RunResult.Abandoned instead of hanging the run.
+func NewDistributed(opts DistributedOptions) *distbucket.Protocol { return engine.NewDistributed(opts) }
 
 // NewBatchSession begins an incremental session of s over the live
 // problem p (p.Txns is ignored; the pushed set takes its place).
@@ -326,19 +334,6 @@ func WithRetry(inner BatchScheduler, accept func(makespan Time, p *BatchProblem)
 // empirical competitive ratio of Definition 1.
 func Run(in *Instance, s Scheduler, opts RunOptions) (*RunResult, error) {
 	return sched.Run(in, s, opts)
-}
-
-// RunDistributed executes the Algorithm 3 distributed bucket protocol:
-// decisions are computed by per-node handlers exchanging messages with
-// real latencies, while objects move at half speed. The protocol runs on
-// the same driver as Run, so the shared result surface and the sched.*
-// driver metrics read the same. With a fault plan in
-// opts.Faults the network becomes unreliable and the protocol recovers by
-// retrying; transactions it cannot save are listed in
-// DistributedResult.Abandoned (and, as bare IDs, RunResult.Abandoned)
-// instead of hanging the run.
-func RunDistributed(in *Instance, opts DistributedOptions) (*DistributedResult, error) {
-	return distbucket.Run(in, opts)
 }
 
 // Replay validates a decision log against the execution model.
@@ -414,9 +409,9 @@ func RunStream(g *Graph, objects []*Object, src Source, s Scheduler, opts Stream
 }
 
 // CaptureTrace records a finished run as a serializable, re-validatable
-// trace.
-func CaptureTrace(in *Instance, rr *RunResult, slowFactor int) *TraceRun {
-	return trace.Capture(in, rr, slowFactor)
+// trace, at the object speed the run used (RunResult.SlowFactor).
+func CaptureTrace(in *Instance, rr *RunResult) *TraceRun {
+	return trace.Capture(in, rr)
 }
 
 // BuildCover constructs and verifies the Section V sparse cover hierarchy.

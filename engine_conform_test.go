@@ -1,7 +1,7 @@
 package dtm
 
 // Generic engine-conformance suite, driven by the engine registry: every
-// centrally-driven engine (Caps.Distributed == false) must satisfy the
+// registered engine, the Algorithm 3 protocol included, must satisfy the
 // contracts the drivers rely on, with no per-engine test code. Adding a
 // Desc to internal/engine automatically subjects the new engine to:
 //
@@ -10,8 +10,9 @@ package dtm
 //   - parallel identity: SimOptions.Parallel ∈ {2, 4} reproduces the
 //     sequential run bytewise (DESIGN.md §12 tree warm-up);
 //   - replay round-trip: the decision log re-executes under the
-//     execution model with the same makespan — i.e. the schedule is
-//     valid, not just internally consistent;
+//     execution model, at the object speed the run used, with the same
+//     makespan — i.e. the schedule is valid, not just internally
+//     consistent;
 //   - stream leak guard (Caps.Stream only): under the open-system
 //     driver with retirement enabled, live state plateaus instead of
 //     growing with the arrival count.
@@ -49,9 +50,6 @@ func TestEngineConformance(t *testing.T) {
 	in := conformInstance(t)
 	ran := 0
 	for _, d := range Engines() {
-		if d.Caps.Distributed {
-			continue
-		}
 		d := d
 		ran++
 		t.Run(d.ID, func(t *testing.T) {
@@ -71,7 +69,7 @@ func TestEngineConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := Replay(in, rr.Decisions, SimOptions{})
+				res, err := Replay(in, rr.Decisions, SimOptions{SlowFactor: rr.SlowFactor})
 				if err != nil {
 					t.Fatalf("decision log does not replay: %v", err)
 				}
@@ -86,8 +84,8 @@ func TestEngineConformance(t *testing.T) {
 			}
 		})
 	}
-	if ran < 7 {
-		t.Fatalf("conformance covered only %d central engines, want the seven variants", ran)
+	if ran < 8 {
+		t.Fatalf("conformance covered only %d engines, want the eight variants", ran)
 	}
 }
 

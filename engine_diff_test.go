@@ -77,7 +77,7 @@ func TestIncrementalMatchesRebuildOracle(t *testing.T) {
 			return NewBucket(BucketOptions{Batch: WithSuffixProperty(RandomizedBatch(42, 3)), EngineOptions: EngineOptions{RebuildOracle: r}})
 		}, RunOptions{}},
 		diffCase{"bucket-tour-slow", func(r bool) Scheduler {
-			return NewBucket(BucketOptions{Batch: TourBatch(), Slow: 2, EngineOptions: EngineOptions{RebuildOracle: r}})
+			return NewBucket(BucketOptions{Batch: TourBatch(), EngineOptions: EngineOptions{RebuildOracle: r}})
 		}, RunOptions{Sim: SimOptions{ElasticExec: true, SlowFactor: 2}}},
 		// Code that set the removed per-package field by selector, as in
 		// o.RebuildOracle = r, now reaches the promoted EngineOptions

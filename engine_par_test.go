@@ -94,21 +94,18 @@ func TestParallelMatchesSequential(t *testing.T) {
 		mk   func() Scheduler
 		opts RunOptions
 	}
-	// Base cases come from the registry: every centrally-driven engine
-	// (window included) is constructed through its Desc, so a new engine
-	// joins the parallel identity check with no edit here.
+	// Base cases come from the registry: every engine (window and the
+	// distributed protocol included) is constructed through its Desc, so a
+	// new engine joins the parallel identity check with no edit here.
 	var cases []parCase
 	for _, d := range Engines() {
-		if d.Caps.Distributed {
-			continue
-		}
 		d := d
 		cases = append(cases, parCase{d.ID, func() Scheduler {
 			return d.New(EngineOptions{})
 		}, RunOptions{}})
 	}
-	if len(cases) < 7 {
-		t.Fatalf("registry lists only %d central engines, want the seven variants", len(cases))
+	if len(cases) < 8 {
+		t.Fatalf("registry lists only %d engines, want the eight variants", len(cases))
 	}
 	// Feature-knob extras the registry defaults cannot spell. Elastic
 	// execution at half speed exercises the due-set retries; bounded links
@@ -120,7 +117,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			RunOptions{Sim: SimOptions{ElasticExec: true, SlowFactor: 2}}},
 		parCase{"greedy-linkcap", func() Scheduler { return NewGreedy(GreedyOptions{Pad: 2}) },
 			RunOptions{Sim: SimOptions{ElasticExec: true, LinkCapacity: 1}}},
-		parCase{"bucket-tour-slow", func() Scheduler { return NewBucket(BucketOptions{Batch: TourBatch(), Slow: 2}) },
+		parCase{"bucket-tour-slow", func() Scheduler { return NewBucket(BucketOptions{Batch: TourBatch()}) },
 			RunOptions{Sim: SimOptions{ElasticExec: true, SlowFactor: 2}}},
 	)
 	for topoName, g := range diffTopologies(t) {

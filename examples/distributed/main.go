@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"dtm"
-	"dtm/internal/batch"
 )
 
 func main() {
@@ -32,24 +31,23 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := dtm.RunDistributed(in, dtm.DistributedOptions{
-		Batch: batch.Tour{},
-		Seed:  3,
-	})
+	proto := dtm.NewDistributed(dtm.DistributedOptions{Batch: dtm.TourBatch(), Seed: 3})
+	res, err := dtm.Run(in, proto, dtm.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	rep := proto.Report()
 
 	fmt.Printf("grid 6x6 (diameter %d), %d transactions, %d objects\n\n", g.Diameter(), len(in.Txns), len(in.Objects))
 	fmt.Printf("scheduler:         %s\n", res.Scheduler)
 	fmt.Printf("makespan:          %d steps (objects at half speed)\n", res.Makespan)
 	fmt.Printf("max latency:       %d steps\n", res.MaxLat)
 	fmt.Printf("competitive:       max %.2f / mean %.2f\n", res.MaxRatio, res.MeanRatio())
-	fmt.Printf("protocol messages: %d (total distance %d)\n", res.Messages, res.MsgDistance)
-	fmt.Printf("sparse cover:      %d layers, <= %d sub-layers per layer\n", res.CoverLayers, res.SubLayers)
+	fmt.Printf("protocol messages: %d (total distance %d)\n", rep.Messages, rep.MsgDistance)
+	fmt.Printf("sparse cover:      %d layers, <= %d sub-layers per layer\n", rep.CoverLayers, rep.SubLayers)
 	fmt.Printf("bucket audit:      %d reports, %d insertions, %d activations, max level %d\n",
-		res.Audit.Reports, res.Audit.Inserted, res.Audit.Activations, res.Audit.MaxLevelUsed)
-	fmt.Printf("layer choices:     %v\n", res.Audit.LayerCounts)
+		rep.Audit.Reports, rep.Audit.Inserted, rep.Audit.Activations, rep.Audit.MaxLevelUsed)
+	fmt.Printf("layer choices:     %v\n", rep.Audit.LayerCounts)
 
 	if res.Err != nil {
 		log.Fatalf("schedule violated the model: %v", res.Err)

@@ -6,8 +6,8 @@ import (
 )
 
 // Enginereg reports direct engine constructions outside the registry.
-// Every scheduling engine (greedy, bucket, window, and any distributed
-// protocol constructor) must be built through dtm/internal/engine, whose
+// Every scheduling engine (greedy, bucket, window, and the distributed
+// protocol) must be built through dtm/internal/engine, whose
 // Desc table is the single source of truth for engine IDs, aliases, and
 // capability flags: the diff/par/stream test matrices, the dtmsim
 // `-sched list` output, and the README engine table are all derived from
@@ -17,9 +17,9 @@ import (
 // The engine's own package is exempt (it constructs itself), and so is
 // dtm/internal/engine (the registry is the one place allowed to call the
 // concrete constructors). Feature-knob option structs (greedy.Options,
-// bucket.Options) stay legal everywhere — only the constructor calls are
-// pinned. A deliberate bypass needs a //lint:ignore enginereg
-// justification.
+// bucket.Options, distbucket.Options) stay legal everywhere — only the
+// constructor calls are pinned. A deliberate bypass needs a
+// //lint:ignore enginereg justification.
 var Enginereg = &Analyzer{
 	Name: "enginereg",
 	Doc: "forbid direct engine constructor calls (greedy.New, greedy.NewCoordinator, " +
@@ -33,8 +33,7 @@ var Enginereg = &Analyzer{
 }
 
 // engineConstructorPkgs are the packages whose exported constructors are
-// pinned to the registry. distbucket currently exposes only its Run
-// driver, but a future New there is pinned ahead of time.
+// pinned to the registry.
 var engineConstructorPkgs = map[string]bool{
 	"dtm/internal/greedy":     true,
 	"dtm/internal/bucket":     true,
@@ -43,8 +42,7 @@ var engineConstructorPkgs = map[string]bool{
 }
 
 // engineConstructorNames are the constructor spellings across the engine
-// packages. Run (the distbucket driver) and option/type references are
-// deliberately not constructors.
+// packages. Option and type references are deliberately not constructors.
 var engineConstructorNames = map[string]bool{
 	"New": true, "NewCoordinator": true,
 }

@@ -6,6 +6,7 @@ package enginereg
 
 import (
 	"dtm/internal/bucket"
+	"dtm/internal/distbucket"
 	"dtm/internal/engine"
 	"dtm/internal/greedy"
 	"dtm/internal/sched"
@@ -17,6 +18,7 @@ func direct() {
 	greedy.NewCoordinator(0, greedy.Options{})   // want `direct engine construction greedy\.NewCoordinator`
 	bucket.New(bucket.Options{})                 // want `direct engine construction bucket\.New`
 	window.New(window.Options{InitialWindow: 4}) // want `direct engine construction window\.New`
+	distbucket.New(distbucket.Options{Seed: 3})  // want `direct engine construction distbucket\.New`
 }
 
 // viaRegistry builds engines the sanctioned way; none of these are
@@ -26,6 +28,7 @@ func viaRegistry() {
 	engine.NewGreedy(greedy.Options{})
 	engine.NewBucket(bucket.Options{})
 	engine.NewWindow(window.Options{})
+	engine.NewDistributed(distbucket.Options{})
 	if d, ok := engine.ByID("window"); ok {
 		_ = d.New(sched.EngineOptions{})
 	}

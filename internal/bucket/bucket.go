@@ -36,10 +36,6 @@ type Options struct {
 	// the benefit the paper attributes to buckets — transactions with few
 	// dependencies progressing through frequently activated low levels.
 	ForceTopLevel bool
-	// Slow is the object speed divisor the simulation runs with (see
-	// core.SimOptions.SlowFactor); the batch problems must plan with the
-	// same speed. Zero means 1.
-	Slow int
 	// EngineOptions is the shared engine-selection knob (see
 	// sched.EngineOptions): RebuildOracle rebuilds the batch problem
 	// (object availability map and candidate slice) from scratch for
@@ -49,13 +45,6 @@ type Options struct {
 	// byte-identical to the one-shot Schedule on the same candidate set —
 	// and the root differential test pins that.
 	sched.EngineOptions
-}
-
-func (o Options) slow() int {
-	if o.Slow <= 0 {
-		return 1
-	}
-	return o.Slow
 }
 
 // Audit accumulates the Lemma 3/4 bookkeeping of a run.
@@ -80,6 +69,7 @@ type pending struct {
 type Bucket struct {
 	opts   Options
 	env    *sched.Env
+	slow   graph.Weight // the sim's object speed divisor; batch problems plan with it
 	levels [][]pending
 	audit  Audit
 
@@ -127,6 +117,7 @@ func (b *Bucket) Start(env *sched.Env) error {
 		return fmt.Errorf("bucket: no batch scheduler configured")
 	}
 	b.env = env
+	b.slow = graph.Weight(env.Sim.SlowFactor())
 	b.metInserted = env.Obs.Counter(obs.NameBucketInsertions)
 	b.metOverflow = env.Obs.Counter(obs.NameBucketOverflows)
 	b.metActivations = env.Obs.Counter(obs.NameBucketActivations)
@@ -134,7 +125,7 @@ func (b *Bucket) Start(env *sched.Env) error {
 	b.metLevel = env.Obs.Histogram(obs.NameBucketLevel, obs.PowersOfTwo(6))
 	max := b.opts.MaxLevel
 	if max <= 0 {
-		nd := uint64(env.G.N()) * uint64(env.G.Diameter()) * uint64(b.opts.slow())
+		nd := uint64(env.G.N()) * uint64(env.G.Diameter()) * uint64(b.slow)
 		if nd < 2 {
 			nd = 2
 		}
@@ -145,7 +136,7 @@ func (b *Bucket) Start(env *sched.Env) error {
 	b.resolve = b.resolveAvail
 	if !b.opts.RebuildOracle {
 		b.avail = make(map[core.ObjID]batch.Avail)
-		b.prob = batch.Problem{G: env.G, Avail: b.avail, Slow: graph.Weight(b.opts.slow())}
+		b.prob = batch.Problem{G: env.G, Avail: b.avail, Slow: b.slow}
 		b.tours = batch.NewTourCache(env.G, env.Obs)
 		b.sessions = make([]batch.Session, max+1)
 		for i := range b.sessions {
@@ -375,7 +366,7 @@ func (b *Bucket) problem(txns []*core.Transaction, now core.Time) *batch.Problem
 	b.availAt = now
 	avail := make(map[core.ObjID]batch.Avail)
 	batch.ExtendAvail(avail, txns, b.resolve)
-	return &batch.Problem{G: b.env.G, Now: now, Txns: txns, Avail: avail, Slow: graph.Weight(b.opts.slow())}
+	return &batch.Problem{G: b.env.G, Now: now, Txns: txns, Avail: avail, Slow: b.slow}
 }
 
 // resolveAvail computes one object's availability (node, free-time) at

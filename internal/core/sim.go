@@ -15,7 +15,8 @@ type SimOptions struct {
 	// SlowFactor multiplies object travel time per edge. The distributed
 	// bucket protocol (Section V) halves object speed (SlowFactor 2) so
 	// that discovery messages, which travel at full speed, always catch
-	// moving objects. Zero means 1 (full speed).
+	// moving objects. Zero means 1 (full speed); the sched drivers first
+	// fill a zero from the scheduler's own SlowFactor method, if it has one.
 	SlowFactor int
 	// LinkCapacity bounds how many objects may traverse one edge
 	// simultaneously (0 = unbounded, the paper's model). The paper's
@@ -283,6 +284,10 @@ func (s *Sim) Txn(tx TxID) *Transaction {
 
 // Now returns the current simulation time.
 func (s *Sim) Now() Time { return s.now }
+
+// SlowFactor returns the object speed divisor the run uses:
+// SimOptions.SlowFactor, with 0 (and below) read as 1.
+func (s *Sim) SlowFactor() int { return int(s.opts.slow()) }
 
 // AddTransaction appends a transaction generated during the run — the
 // paper's closed-loop process (Section III-C), where a node issues its

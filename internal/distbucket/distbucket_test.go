@@ -12,12 +12,23 @@ import (
 	"dtm/internal/workload"
 )
 
-func run(t *testing.T, in *core.Instance, opts Options) *Result {
+// outcome is one protocol run: the driver's result and the protocol's
+// report. Both carry an Abandoned field, so those reads name the part.
+type outcome struct {
+	*sched.RunResult
+	Report
+}
+
+// runOpts runs New(opts) through sched.Run with the driver options sopts.
+func runOpts(in *core.Instance, opts Options, sopts sched.Options) (outcome, error) {
+	p := New(opts)
+	rr, err := sched.Run(in, p, sopts)
+	return outcome{rr, p.Report()}, err
+}
+
+func run(t *testing.T, in *core.Instance, opts Options) outcome {
 	t.Helper()
-	if opts.Batch == nil {
-		opts.Batch = batch.Tour{}
-	}
-	res, err := Run(in, opts)
+	res, err := runOpts(in, opts, sched.Options{})
 	if err != nil {
 		t.Fatalf("distbucket run failed: %v", err)
 	}
@@ -27,7 +38,7 @@ func run(t *testing.T, in *core.Instance, opts Options) *Result {
 // resultBytes renders everything a run reports — decisions, the result,
 // the ratio trace, protocol counters, audits and abandoned set — for
 // byte-for-byte comparison.
-func resultBytes(t *testing.T, res *Result) []byte {
+func resultBytes(t *testing.T, res outcome) []byte {
 	t.Helper()
 	data, err := json.Marshal(struct {
 		Decisions                     []core.Decision
@@ -38,7 +49,7 @@ func resultBytes(t *testing.T, res *Result) []byte {
 		Abandoned                     []AbandonedTx
 		Audit                         Audit
 		Lemma6Pairs, Lemma6Violations int
-	}{res.Decisions, res.Result, res.Ratios, res.Messages, res.MsgDistance, res.Abandoned, res.Audit,
+	}{res.Decisions, res.Result, res.Ratios, res.Messages, res.MsgDistance, res.Report.Abandoned, res.Audit,
 		res.Lemma6Pairs, res.Lemma6Violations})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +60,7 @@ func resultBytes(t *testing.T, res *Result) []byte {
 func TestNilBatchDefaultsToTour(t *testing.T) {
 	g, _ := graph.Line(4)
 	in, _ := workload.SingleObjectChain(g, 0)
-	res, err := Run(in, Options{})
+	res, err := sched.Run(in, New(Options{}), sched.Options{})
 	if err != nil {
 		t.Fatalf("nil batch scheduler should default to Tour: %v", err)
 	}
@@ -139,9 +150,11 @@ func TestParallelEngineMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := Options{Seed: 8}
-		opts.Sim.Parallel = parallel
-		return resultBytes(t, run(t, in, opts))
+		res, err := runOpts(in, Options{Seed: 8}, sched.Options{Sim: core.SimOptions{Parallel: parallel}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resultBytes(t, res)
 	}
 	if seq, par := mk(1), mk(2); !bytes.Equal(seq, par) {
 		t.Errorf("runs differ\nlazy:   %s\nwarmed: %s", seq, par)
@@ -159,10 +172,16 @@ func TestFullSpeedObjectsAlsoFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	half := run(t, in, Options{Options: sched.Options{Sim: core.SimOptions{SlowFactor: 2}}, Seed: 5})
-	full := run(t, in, Options{Options: sched.Options{Sim: core.SimOptions{SlowFactor: 1}}, Seed: 5})
+	half := run(t, in, Options{Seed: 5})
+	full, err := runOpts(in, Options{Seed: 5}, sched.Options{Sim: core.SimOptions{SlowFactor: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if full.Err != nil || half.Err != nil {
 		t.Fatalf("violations: full=%v half=%v", full.Err, half.Err)
+	}
+	if full.SlowFactor != 1 || half.SlowFactor != 2 {
+		t.Fatalf("object speeds: full=%d half=%d, want 1 and the protocol's own 2", full.SlowFactor, half.SlowFactor)
 	}
 	if full.Makespan > half.Makespan {
 		t.Errorf("full-speed makespan %d exceeds half-speed %d", full.Makespan, half.Makespan)
@@ -224,13 +243,8 @@ func TestNetworkStopsAtLastCommit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := Options{Batch: batch.Tour{}, Seed: seed}
-		opts.Sim.SlowFactor = 2
-		p, err := newProtocol(in, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rr, err := sched.Run(in, p, opts.Options)
+		p := New(Options{Seed: seed})
+		rr, err := sched.Run(in, p, sched.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,5 +254,31 @@ func TestNetworkStopsAtLastCommit(t *testing.T) {
 		if next, ok := p.net.NextEvent(); ok && next <= rr.Makespan {
 			t.Errorf("seed %d: network event at t=%d left pending by the last commit at t=%d", seed, next, rr.Makespan)
 		}
+	}
+}
+
+// Nodes look transactions up through Sim.Txn, so the protocol survives
+// RunStream's window retirement, which shifts the sim's transaction slice
+// under it.
+func TestStreamSurvivesRetirement(t *testing.T) {
+	g, err := graph.Clique(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const arrivals = 6000
+	src, err := workload.NewPoissonSource(g, workload.StreamConfig{K: 2, NumObjects: 8, Rate: 0.05, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sched.RunStream(g, workload.UniformObjects(g, 8, 1), src, New(Options{Seed: 1}),
+		sched.StreamOptions{MaxArrivals: arrivals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != arrivals {
+		t.Errorf("committed %d of %d arrivals", res.Completed, arrivals)
+	}
+	if res.Retired == 0 {
+		t.Error("retirement never fired")
 	}
 }

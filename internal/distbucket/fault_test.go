@@ -10,6 +10,7 @@ import (
 	"dtm/internal/distnet"
 	"dtm/internal/graph"
 	"dtm/internal/obs"
+	"dtm/internal/sched"
 	"dtm/internal/workload"
 )
 
@@ -31,15 +32,15 @@ func faultWorkload(t *testing.T, seed int64) (*graph.Graph, *core.Instance) {
 
 // runWatched runs distbucket under a watchdog: a hang is itself a test
 // failure (the never-hang guarantee), reported instead of a suite timeout.
-func runWatched(t *testing.T, in *core.Instance, opts Options) (*Result, error) {
+func runWatched(t *testing.T, in *core.Instance, opts Options, sopts sched.Options) (outcome, error) {
 	t.Helper()
 	type out struct {
-		res *Result
+		res outcome
 		err error
 	}
 	ch := make(chan out, 1)
 	go func() {
-		res, err := Run(in, opts)
+		res, err := runOpts(in, opts, sopts)
 		ch <- out{res, err}
 	}()
 	select {
@@ -47,7 +48,7 @@ func runWatched(t *testing.T, in *core.Instance, opts Options) (*Result, error) 
 		return o.res, o.err
 	case <-time.After(60 * time.Second):
 		t.Fatal("distbucket run hung under faults")
-		return nil, nil
+		return outcome{}, nil
 	}
 }
 
@@ -58,9 +59,8 @@ func TestFaultySequentialMatchesParallel(t *testing.T) {
 	plan := distnet.FaultPlan{Seed: 11, Drop: 0.05, Duplicate: 0.03, MaxJitter: 2}
 	mk := func(parallel int) []byte {
 		_, in := faultWorkload(t, 6)
-		opts := Options{Seed: 8, Faults: FaultOptions{Plan: plan}}
-		opts.Sim.Parallel = parallel
-		res, err := runWatched(t, in, opts)
+		res, err := runWatched(t, in, Options{Seed: 8, Faults: FaultOptions{Plan: plan}},
+			sched.Options{Sim: core.SimOptions{Parallel: parallel}})
 		if err != nil {
 			t.Fatalf("P=%d: %v", parallel, err)
 		}
@@ -76,14 +76,13 @@ func TestFaultySequentialMatchesParallel(t *testing.T) {
 func TestDropRecoveryCompletes(t *testing.T) {
 	_, in := faultWorkload(t, 3)
 	m := obs.New()
-	opts := Options{Seed: 5, Faults: FaultOptions{Plan: distnet.FaultPlan{Seed: 21, Drop: 0.05}}}
-	opts.Obs = m
-	res, err := runWatched(t, in, opts)
+	res, err := runWatched(t, in, Options{Seed: 5, Faults: FaultOptions{Plan: distnet.FaultPlan{Seed: 21, Drop: 0.05}}},
+		sched.Options{Obs: m})
 	if err != nil {
 		t.Fatalf("5%% drop should be survivable: %v", err)
 	}
-	if len(res.Abandoned) != 0 {
-		t.Errorf("abandoned %d transactions at 5%% drop: %+v", len(res.Abandoned), res.Abandoned)
+	if len(res.Report.Abandoned) != 0 {
+		t.Errorf("abandoned %d transactions at 5%% drop: %+v", len(res.Report.Abandoned), res.Report.Abandoned)
 	}
 	if res.CompletionRate() != 1 {
 		t.Errorf("completion rate = %v, want 1", res.CompletionRate())
@@ -113,14 +112,14 @@ func TestCrashedOriginAbandons(t *testing.T) {
 		},
 	}
 	plan := distnet.FaultPlan{Crashes: []distnet.CrashWindow{{Node: 6, From: 0, To: 1 << 30}}}
-	res, err := runWatched(t, in, Options{Seed: 2, Faults: FaultOptions{Plan: plan}})
+	res, err := runWatched(t, in, Options{Seed: 2, Faults: FaultOptions{Plan: plan}}, sched.Options{})
 	if err != nil {
 		t.Fatalf("crashed origin must degrade, not fail: %v", err)
 	}
-	if len(res.Abandoned) != 1 || res.Abandoned[0].Tx != 1 {
-		t.Fatalf("abandoned = %+v, want exactly tx 1", res.Abandoned)
+	if len(res.Report.Abandoned) != 1 || res.Report.Abandoned[0].Tx != 1 {
+		t.Fatalf("abandoned = %+v, want exactly tx 1", res.Report.Abandoned)
 	}
-	if res.Abandoned[0].Reason == "" {
+	if res.Report.Abandoned[0].Reason == "" {
 		t.Error("abandoned transaction missing a reason")
 	}
 	if len(res.RunResult.Abandoned) != 1 || res.RunResult.Abandoned[0] != 1 {
@@ -154,16 +153,16 @@ func TestNeverHangsProperty(t *testing.T) {
 		}
 		done := make(chan bool, 1)
 		go func() {
-			res, err := Run(in, Options{Seed: 7, Faults: FaultOptions{Plan: plan}})
-			if err != nil || res == nil {
+			res, err := runOpts(in, Options{Seed: 7, Faults: FaultOptions{Plan: plan}}, sched.Options{})
+			if err != nil || res.RunResult == nil {
 				t.Logf("plan %+v: run failed: %v", plan, err)
 				done <- false
 				return
 			}
 			// Completed or explicitly degraded: every transaction is either
 			// executed (latency recorded via a decision) or abandoned.
-			abandoned := make(map[core.TxID]bool, len(res.Abandoned))
-			for _, a := range res.Abandoned {
+			abandoned := make(map[core.TxID]bool, len(res.Report.Abandoned))
+			for _, a := range res.Report.Abandoned {
 				abandoned[a.Tx] = true
 			}
 			decided := make(map[core.TxID]bool, len(res.Decisions))

@@ -6,6 +6,7 @@ import (
 	"dtm/internal/batch"
 	"dtm/internal/core"
 	"dtm/internal/graph"
+	"dtm/internal/sched"
 	"dtm/internal/workload"
 )
 
@@ -18,7 +19,7 @@ func TestLemma6AuditReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(in, Options{Batch: batch.Tour{}, Seed: 4})
+	res, err := runOpts(in, Options{Batch: batch.Tour{}, Seed: 4}, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestSequentialArrivalsSatisfyLemma6(t *testing.T) {
 			Objects: []core.ObjID{0},
 		})
 	}
-	res, err := Run(in, Options{Batch: batch.Tour{}, Seed: 9})
+	res, err := runOpts(in, Options{Batch: batch.Tour{}, Seed: 9}, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,6 +179,7 @@ func newProtoMetrics(m *obs.Metrics) protoMetrics {
 // config is shared, read-only state for all node handlers.
 type config struct {
 	in       *core.Instance
+	sim      *core.Sim // transaction lookups only (Sim.Txn); nodes never read its state
 	g        *graph.Graph
 	hier     *cover.Hierarchy
 	batch    batch.Scheduler
@@ -240,7 +241,7 @@ type session struct {
 }
 
 // Audit captures protocol statistics for the experiments. Each node
-// accumulates its own (handlers run concurrently); the driver merges them.
+// accumulates its own; Report merges them.
 type Audit struct {
 	Reports      int
 	Inserted     int
@@ -395,7 +396,7 @@ func (n *node) HandleEvent(ctx *distnet.Ctx, ev distnet.Event) {
 // onArrival starts discovery for a locally generated transaction
 // (Algorithm 3, lines 2-3).
 func (n *node) onArrival(ctx *distnet.Ctx, m arrivalMsg) {
-	tx := n.cfg.in.Txns[m.Tx]
+	tx := n.cfg.sim.Txn(m.Tx)
 	d := &discovery{tx: tx, waiting: len(tx.Objects)}
 	if n.cfg.faulty {
 		d.have = make(map[core.ObjID]bool)
@@ -519,7 +520,7 @@ func (n *node) onReport(ctx *distnet.Ctx, m reportMsg) {
 	for _, os := range m.Objs {
 		n.learn(os)
 	}
-	tx := n.cfg.in.Txns[m.Tx]
+	tx := n.cfg.sim.Txn(m.Tx)
 	// Probe through the persistent per-bucket sessions: the availability
 	// window (n.known merged via learn above) is frozen for the whole
 	// report, so entries are extended lazily and shared across levels.

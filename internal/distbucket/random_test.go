@@ -5,6 +5,7 @@ import (
 
 	"dtm/internal/batch"
 	"dtm/internal/graph"
+	"dtm/internal/sched"
 	"dtm/internal/workload"
 )
 
@@ -26,7 +27,7 @@ func TestRandomTopologies(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, a := range []batch.Scheduler{batch.Tour{}, batch.List{}} {
-			res, err := Run(in, Options{Batch: a, Seed: seed})
+			res, err := runOpts(in, Options{Batch: a, Seed: seed}, sched.Options{})
 			if err != nil {
 				t.Fatalf("seed %d, %s: %v", seed, a.Name(), err)
 			}
@@ -53,7 +54,7 @@ func TestBurstyArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(in, Options{Batch: batch.List{}, Seed: 5})
+	res, err := runOpts(in, Options{Batch: batch.List{}, Seed: 5}, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,9 @@ import (
 	"dtm/internal/sched"
 )
 
-// Options configure a distributed bucket run. The embedded sched.Options
-// carries the driver knobs shared with the central drivers — Sim (whose
-// SlowFactor here defaults to the paper's Section V value 2: control
-// messages at full speed, objects at half), SnapshotEvery, and Obs.
+// Options configure the Algorithm 3 protocol. Driver knobs (object speed,
+// snapshots, metrics) go to sched.Run, as for every other engine.
 type Options struct {
-	sched.Options
 	// Batch is the offline algorithm A to convert. Nil means batch.Tour,
 	// the paper's TSP-tour batch scheduler.
 	Batch batch.Scheduler
@@ -50,12 +47,9 @@ type FaultOptions struct {
 	MaxAttempts int
 }
 
-// Result bundles the run metrics with protocol statistics. The embedded
-// sched.RunResult carries the shared result surface (Metrics, Failed, Err,
-// Decisions, Abandoned, CompletionRate) so callers consume one shape across
-// the central and distributed drivers.
-type Result struct {
-	*sched.RunResult
+// Report holds the protocol statistics of a run, beyond the shared
+// sched.RunResult.
+type Report struct {
 	Audit       Audit
 	Messages    int
 	MsgDistance graph.Weight
@@ -63,7 +57,7 @@ type Result struct {
 	SubLayers   int
 	// Abandoned details the transactions the run gave up on under faults
 	// (sorted by ID), with per-transaction reasons; the bare IDs are also
-	// mirrored into RunResult.Abandoned. Empty on fault-free runs.
+	// in RunResult.Abandoned. Empty on fault-free runs.
 	Abandoned []AbandonedTx
 	// Lemma 6 audit: pairs of concurrently-live conflicting transactions
 	// that reported into the same sub-layer, and how many of those landed
@@ -75,96 +69,15 @@ type Result struct {
 	Lemma6Violations int
 }
 
-// Run executes Algorithm 3 on the instance: the network protocol computes
-// every scheduling decision with real message latencies while the core
-// engine enforces object physics at the configured slow factor, in
-// lockstep. The protocol runs as a sched.Scheduler under sched.Run, so it
-// shares the central drivers' event loop, completion check and result.
-func Run(in *core.Instance, opts Options) (*Result, error) {
-	if opts.Batch == nil {
-		opts.Batch = batch.Tour{}
-	}
-	if opts.Sim.SlowFactor == 0 {
-		opts.Sim.SlowFactor = 2
-	}
-	p, err := newProtocol(in, opts)
-	if err != nil {
-		return nil, err
-	}
-	rr, err := sched.Run(in, p, opts.Options)
-	if rr == nil {
-		return nil, err
-	}
-	res := &Result{
-		RunResult:   rr,
-		Audit:       Audit{LayerCounts: make(map[int]int)},
-		Messages:    p.net.MessagesSent(),
-		MsgDistance: p.net.MessageDistance(),
-		CoverLayers: p.cfg.hier.NumLayers(),
-		SubLayers:   p.cfg.hier.MaxSubLayers(),
-		Abandoned:   p.abandoned(),
-	}
-	for _, nd := range p.nodes {
-		res.Audit.merge(nd.audit)
-	}
-	if err == nil {
-		res.Lemma6Pairs, res.Lemma6Violations = lemma6Audit(in, p.sim, p.nodes)
-	}
-	return res, err
-}
-
-// newProtocol builds a run's sparse cover, nodes and network.
-func newProtocol(in *core.Instance, opts Options) (*protocol, error) {
-	plan := opts.Faults.Plan
-	if plan.Enabled() && plan.Seed == 0 {
-		plan.Seed = opts.Seed
-	}
-	slow := opts.Sim.SlowFactor
-	hier, err := cover.Build(in.G, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	maxLevel := opts.MaxLevel
-	if maxLevel <= 0 {
-		nd := uint64(in.G.N()) * uint64(in.G.Diameter()) * uint64(slow)
-		if nd < 2 {
-			nd = 2
-		}
-		maxLevel = bits.Len64(nd-1) + 1
-	}
-	cfg := &config{
-		in:          in,
-		g:           in.G,
-		hier:        hier,
-		batch:       opts.Batch,
-		slow:        graph.Weight(slow),
-		maxLevel:    maxLevel,
-		met:         newProtoMetrics(opts.Obs),
-		obs:         opts.Obs,
-		faulty:      plan.Enabled(),
-		maxJitter:   plan.MaxJitter,
-		slack:       defaultTime(opts.Faults.RetrySlack, 2),
-		backoffCap:  defaultTime(opts.Faults.BackoffCap, 64),
-		maxAttempts: defaultInt(opts.Faults.MaxAttempts, 30),
-	}
-	p := &protocol{name: fmt.Sprintf("distbucket(%s)", opts.Batch.Name()), cfg: cfg, plan: plan,
-		nodes: make([]*node, in.G.N())}
-	handlers := make([]distnet.Handler, in.G.N())
-	for i := range p.nodes {
-		p.nodes[i] = newNode(cfg, graph.NodeID(i))
-		handlers[i] = p.nodes[i]
-	}
-	p.net, err = distnet.New(in.G, handlers, distnet.Options{Faults: plan, Obs: opts.Obs})
-	return p, err
-}
-
-// protocol adapts the message network to sched.Scheduler. Arrivals are
-// injected at their origins; every callback runs the network up to the
-// driver's clock and applies the decisions the nodes announced, in node
-// order. Nodes never read the sim, so the driver need not stop at its
-// internal events.
-type protocol struct {
-	name  string
+// Protocol runs Algorithm 3 as a sched.Scheduler: the network protocol
+// computes every scheduling decision with real message latencies while the
+// sim enforces object physics, in lockstep. Arrivals are injected at their
+// origins; every callback runs the network up to the driver's clock and
+// applies the decisions the nodes announced, in node order. Nodes never
+// read the sim's state, so the driver need not stop at its internal
+// events.
+type Protocol struct {
+	opts  Options
 	cfg   *config
 	plan  distnet.FaultPlan
 	net   *distnet.Engine
@@ -175,14 +88,70 @@ type protocol struct {
 	crashed []AbandonedTx
 }
 
-func (p *protocol) Name() string { return p.name }
-
-func (p *protocol) Start(env *sched.Env) error {
-	p.sim = env.Sim
-	return nil
+// New returns the Algorithm 3 protocol. It builds nothing until Start,
+// which derives the sparse cover, the nodes and the network from the run.
+func New(opts Options) *Protocol {
+	if opts.Batch == nil {
+		opts.Batch = batch.Tour{}
+	}
+	return &Protocol{opts: opts}
 }
 
-func (p *protocol) OnArrive(txns []*core.Transaction) error {
+func (p *Protocol) Name() string { return fmt.Sprintf("distbucket(%s)", p.opts.Batch.Name()) }
+
+// SlowFactor is the object speed the protocol runs at unless the driver's
+// core.SimOptions.SlowFactor says otherwise: half speed, the Section V
+// device that lets full-speed control messages outrun objects.
+func (p *Protocol) SlowFactor() int { return 2 }
+
+// Start builds the run's sparse cover, nodes and network.
+func (p *Protocol) Start(env *sched.Env) error {
+	in := env.Sim.Instance()
+	plan := p.opts.Faults.Plan
+	if plan.Enabled() && plan.Seed == 0 {
+		plan.Seed = p.opts.Seed
+	}
+	hier, err := cover.Build(in.G, p.opts.Seed)
+	if err != nil {
+		return err
+	}
+	slow := env.Sim.SlowFactor()
+	maxLevel := p.opts.MaxLevel
+	if maxLevel <= 0 {
+		nd := uint64(in.G.N()) * uint64(in.G.Diameter()) * uint64(slow)
+		if nd < 2 {
+			nd = 2
+		}
+		maxLevel = bits.Len64(nd-1) + 1
+	}
+	cfg := &config{
+		in:          in,
+		sim:         env.Sim,
+		g:           in.G,
+		hier:        hier,
+		batch:       p.opts.Batch,
+		slow:        graph.Weight(slow),
+		maxLevel:    maxLevel,
+		met:         newProtoMetrics(env.Obs),
+		obs:         env.Obs,
+		faulty:      plan.Enabled(),
+		maxJitter:   plan.MaxJitter,
+		slack:       defaultTime(p.opts.Faults.RetrySlack, 2),
+		backoffCap:  defaultTime(p.opts.Faults.BackoffCap, 64),
+		maxAttempts: defaultInt(p.opts.Faults.MaxAttempts, 30),
+	}
+	p.cfg, p.plan, p.sim, p.crashed = cfg, plan, env.Sim, nil
+	p.nodes = make([]*node, in.G.N())
+	handlers := make([]distnet.Handler, in.G.N())
+	for i := range p.nodes {
+		p.nodes[i] = newNode(cfg, graph.NodeID(i))
+		handlers[i] = p.nodes[i]
+	}
+	p.net, err = distnet.New(in.G, handlers, distnet.Options{Faults: plan, Obs: env.Obs})
+	return err
+}
+
+func (p *Protocol) OnArrive(txns []*core.Transaction) error {
 	now := p.sim.Now()
 	for _, tx := range txns {
 		if p.plan.CrashedAt(tx.Node, now) {
@@ -206,14 +175,14 @@ func (p *protocol) OnArrive(txns []*core.Transaction) error {
 // NextWake is the network's next event while a transaction is still to
 // execute. The step of the last commit still runs the network: the
 // protocol stops once every transaction executed before the current step.
-func (p *protocol) NextWake() (core.Time, bool) {
+func (p *Protocol) NextWake() (core.Time, bool) {
 	if _, last, _, _ := p.sim.CommitStats(); p.sim.AllExecuted() && last < p.sim.Now() {
 		return 0, false
 	}
 	return p.net.NextEvent()
 }
 
-func (p *protocol) OnWake() error {
+func (p *Protocol) OnWake() error {
 	if err := p.net.RunUntil(p.sim.Now()); err != nil {
 		return err
 	}
@@ -230,7 +199,7 @@ func (p *protocol) OnWake() error {
 
 // Abandoned lists the IDs of the transactions the protocol gave up on, for
 // the driver's completion check and RunResult.Abandoned.
-func (p *protocol) Abandoned() []core.TxID {
+func (p *Protocol) Abandoned() []core.TxID {
 	var ids []core.TxID
 	for _, a := range p.abandoned() {
 		ids = append(ids, a.Tx)
@@ -238,11 +207,32 @@ func (p *protocol) Abandoned() []core.TxID {
 	return ids
 }
 
+// Report returns the statistics of the run the protocol last started;
+// read it after the driver returns. The zero Report before any run.
+func (p *Protocol) Report() Report {
+	if p.net == nil {
+		return Report{}
+	}
+	r := Report{
+		Audit:       Audit{LayerCounts: make(map[int]int)},
+		Messages:    p.net.MessagesSent(),
+		MsgDistance: p.net.MessageDistance(),
+		CoverLayers: p.cfg.hier.NumLayers(),
+		SubLayers:   p.cfg.hier.MaxSubLayers(),
+		Abandoned:   p.abandoned(),
+	}
+	for _, nd := range p.nodes {
+		r.Audit.merge(nd.audit)
+	}
+	r.Lemma6Pairs, r.Lemma6Violations = lemma6Audit(p.sim, p.nodes)
+	return r
+}
+
 // abandoned merges the crashed-origin arrivals and every node's abandoned
 // transactions, drops any that were scheduled after all (a lost ack can
 // make an origin give up on a transaction its leader still scheduled),
 // dedups, and sorts by ID for determinism.
-func (p *protocol) abandoned() []AbandonedTx {
+func (p *Protocol) abandoned() []AbandonedTx {
 	seen := make(map[core.TxID]bool)
 	var ab []AbandonedTx
 	add := func(a AbandonedTx) {
@@ -280,7 +270,7 @@ func defaultInt(v, def int) int {
 
 // lemma6Audit counts concurrently-live conflicting transaction pairs that
 // chose the same sub-layer, and how many of those chose different clusters.
-func lemma6Audit(in *core.Instance, sim *core.Sim, nodes []*node) (pairs, violations int) {
+func lemma6Audit(sim *core.Sim, nodes []*node) (pairs, violations int) {
 	refs := make(map[core.TxID]clusterRef)
 	for _, nd := range nodes {
 		for tx, ref := range nd.reported {
@@ -292,18 +282,19 @@ func lemma6Audit(in *core.Instance, sim *core.Sim, nodes []*node) (pairs, violat
 		e, _ := sim.Executed(tx.ID)
 		return span{a: tx.Arrival, b: e}
 	}
-	for i := 0; i < len(in.Txns); i++ {
-		ri, ok := refs[in.Txns[i].ID]
+	txns := sim.Instance().Txns
+	for i := 0; i < len(txns); i++ {
+		ri, ok := refs[txns[i].ID]
 		if !ok {
 			continue
 		}
-		si := live(in.Txns[i])
-		for j := i + 1; j < len(in.Txns); j++ {
-			rj, ok := refs[in.Txns[j].ID]
-			if !ok || !in.Txns[i].Conflicts(in.Txns[j]) {
+		si := live(txns[i])
+		for j := i + 1; j < len(txns); j++ {
+			rj, ok := refs[txns[j].ID]
+			if !ok || !txns[i].Conflicts(txns[j]) {
 				continue
 			}
-			sj := live(in.Txns[j])
+			sj := live(txns[j])
 			if si.b < sj.a || sj.b < si.a {
 				continue // never live together
 			}

@@ -7,10 +7,11 @@
 // every harness picks it up; the dtmlint enginereg analyzer rejects direct
 // constructor calls anywhere else.
 //
-// Option-variant construction (a padded greedy, a slow bucket, a custom
-// window seed) goes through the concrete constructors NewGreedy,
-// NewCoordinator, NewBucket, and NewWindow — still this package, so the
-// lint boundary holds without every feature knob needing a registry ID.
+// Option-variant construction (a padded greedy, a custom window seed, a
+// faulty network for the protocol) goes through the concrete constructors
+// NewGreedy, NewCoordinator, NewBucket, NewWindow, and NewDistributed —
+// still this package, so the lint boundary holds without every feature
+// knob needing a registry ID.
 package engine
 
 import (
@@ -20,6 +21,7 @@ import (
 
 	"dtm/internal/batch"
 	"dtm/internal/bucket"
+	"dtm/internal/distbucket"
 	"dtm/internal/graph"
 	"dtm/internal/greedy"
 	"dtm/internal/sched"
@@ -29,11 +31,6 @@ import (
 // Caps are an engine's capability flags; harnesses filter engine.All on
 // them instead of hand-maintaining per-suite engine lists.
 type Caps struct {
-	// Distributed marks the Section V message-passing protocol: it runs
-	// through its own entry point (distbucket.Run, which wraps the network
-	// as a scheduler for sched.Run), so its Desc carries no New
-	// constructor.
-	Distributed bool
 	// Oracle marks engines that keep a from-scratch RebuildOracle
 	// reference implementation pinned byte-identical to the incremental
 	// default (sched.EngineOptions.RebuildOracle selects it).
@@ -53,9 +50,8 @@ type Desc struct {
 	// Doc is a one-line description for -sched list.
 	Doc string
 	// New constructs the engine with default options plus the shared
-	// engine-selection knob. Nil for distributed engines, which run
-	// through distbucket.Run; check Caps.Distributed first. Engines
-	// without an oracle (Caps.Oracle false) ignore opts.RebuildOracle.
+	// engine-selection knob. Engines without an oracle (Caps.Oracle
+	// false) ignore opts.RebuildOracle.
 	New func(opts sched.EngineOptions) sched.Scheduler
 	// Caps are the engine's capability flags.
 	Caps Caps
@@ -120,8 +116,8 @@ var registry = []Desc{
 	{
 		ID:      "distributed",
 		Aliases: []string{"distbucket"},
-		Doc:     "Algorithm 3: decentralized bucket protocol over the sparse cover (own entry point, Theorem 5)",
-		Caps:    Caps{Distributed: true},
+		Doc:     "Algorithm 3: decentralized bucket protocol over the sparse cover, objects at half speed (Theorem 5)",
+		New:     func(sched.EngineOptions) sched.Scheduler { return distbucket.New(distbucket.Options{}) },
 	},
 }
 
@@ -168,22 +164,18 @@ func Names() []string {
 }
 
 // Default constructs the engine registered under id with default options,
-// erroring on unknown IDs and on distributed engines (which have no
-// sched.Scheduler constructor — run them through distbucket.Run).
+// erroring on unknown IDs.
 func Default(id string) (sched.Scheduler, error) {
 	d, ok := ByID(id)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown engine %q (have %s)", id, strings.Join(Names(), ", "))
-	}
-	if d.New == nil {
-		return nil, fmt.Errorf("engine: %q runs under the distributed driver, not sched.Run", d.ID)
 	}
 	return d.New(sched.EngineOptions{}), nil
 }
 
 // Concrete full-option constructors. These are the only construction sites
 // outside the engines' own packages the enginereg analyzer accepts; option
-// structs stay the engines' own, so feature knobs (padding, slow factors,
+// structs stay the engines' own, so feature knobs (padding, fault plans,
 // custom seeds, oracle selection) need no registry mirror.
 
 // NewGreedy returns the Algorithm 1 online greedy scheduler.
@@ -200,3 +192,6 @@ func NewBucket(opts bucket.Options) *bucket.Bucket { return bucket.New(opts) }
 
 // NewWindow returns the Algorithm W randomized window scheduler.
 func NewWindow(opts window.Options) *window.Window { return window.New(opts) }
+
+// NewDistributed returns the Algorithm 3 distributed bucket protocol.
+func NewDistributed(opts distbucket.Options) *distbucket.Protocol { return distbucket.New(opts) }

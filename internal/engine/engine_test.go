@@ -9,8 +9,7 @@ import (
 )
 
 // TestRegistryShape pins the registry's structural invariants: unique
-// spellings, a constructor iff the engine is centrally driven, and a doc
-// line on every entry.
+// spellings, and a constructor and a doc line on every entry.
 func TestRegistryShape(t *testing.T) {
 	if len(registry) < 8 {
 		t.Fatalf("registry lists %d engines, want at least the eight variants", len(registry))
@@ -27,11 +26,8 @@ func TestRegistryShape(t *testing.T) {
 			}
 			seen[key] = true
 		}
-		if d.Caps.Distributed == (d.New != nil) {
-			t.Errorf("engine %q: want New constructor iff not distributed", d.ID)
-		}
-		if d.Caps.Distributed && (d.Caps.Oracle || d.Caps.Stream) {
-			t.Errorf("engine %q: the distributed protocol takes no central-driver caps", d.ID)
+		if d.New == nil {
+			t.Errorf("engine %q: no New constructor", d.ID)
 		}
 	}
 }
@@ -53,18 +49,19 @@ func TestByIDResolvesAliasesCaseInsensitively(t *testing.T) {
 func TestDefault(t *testing.T) {
 	for _, d := range All() {
 		s, err := Default(d.ID)
-		if d.Caps.Distributed {
-			if err == nil {
-				t.Errorf("Default(%q) should refuse the distributed protocol", d.ID)
-			}
-			continue
-		}
 		if err != nil {
 			t.Fatalf("Default(%q): %v", d.ID, err)
 		}
 		if s == nil || s.Name() == "" {
 			t.Errorf("Default(%q) returned an unnamed scheduler", d.ID)
 		}
+	}
+	s, err := Default("distributed")
+	if err != nil {
+		t.Fatalf("Default(distributed): %v", err)
+	}
+	if got, want := s.Name(), "distbucket(tour-batch)"; got != want {
+		t.Errorf("Default(distributed) = %s, want the protocol over the tour batch scheduler, %s", got, want)
 	}
 	if _, err := Default("bogus"); err == nil || !strings.Contains(err.Error(), "unknown engine") {
 		t.Errorf("Default(bogus) error = %v, want unknown-engine hint", err)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"dtm/internal/batch"
 	"dtm/internal/core"
 	"dtm/internal/distbucket"
 	"dtm/internal/engine"
@@ -17,25 +16,25 @@ import (
 )
 
 // distCell runs the Algorithm 3 protocol as a sweep cell at the given
-// slow factor, surfacing the protocol statistics through Extra.
+// slow factor (0: the protocol's own half speed), surfacing the protocol
+// statistics through Extra.
 func distCell(g *graph.Graph, slow int) runner.CellFunc {
 	return func(seed int64, m *obs.Metrics) (runner.Outcome, error) {
 		in, err := genDistWorkload(g, seed)
 		if err != nil {
 			return runner.Outcome{}, err
 		}
-		res, err := distbucket.Run(in, distbucket.Options{
-			Options: sched.Options{Sim: core.SimOptions{SlowFactor: slow}, Obs: m},
-			Batch:   batch.Tour{}, Seed: seed,
-		})
+		p := engine.NewDistributed(distbucket.Options{Seed: seed})
+		rr, err := sched.Run(in, p, sched.Options{Sim: core.SimOptions{SlowFactor: slow}, Obs: m})
 		if err != nil {
 			return runner.Outcome{}, err
 		}
-		out := runner.FromRunResult(res.RunResult)
+		rep := p.Report()
+		out := runner.FromRunResult(rr)
 		out.Extra = map[string]float64{
-			"messages":    float64(res.Messages),
-			"coverLayers": float64(res.CoverLayers),
-			"subLayers":   float64(res.SubLayers),
+			"messages":    float64(rep.Messages),
+			"coverLayers": float64(rep.CoverLayers),
+			"subLayers":   float64(rep.SubLayers),
 		}
 		return out, nil
 	}
@@ -74,18 +73,11 @@ func table4Distributed(cfg Config) (*stats.Table, error) {
 				// The centralized bucket runs with the same half-speed
 				// objects so the comparison isolates the coordination
 				// overhead.
-				{Name: "central", Run: func(seed int64, m *obs.Metrics) (runner.Outcome, error) {
-					in, err := genDistWorkload(g, seed)
-					if err != nil {
-						return runner.Outcome{}, err
-					}
-					rr, err := sched.Run(in, newBucketTourSlow(2),
-						sched.Options{Sim: core.SimOptions{SlowFactor: 2}, Obs: m})
-					if err != nil {
-						return runner.Outcome{}, err
-					}
-					return runner.FromRunResult(rr), nil
-				}},
+				{Name: "central", Run: runner.SchedOpts(sched.Options{Sim: core.SimOptions{SlowFactor: 2}},
+					func(seed int64) (*core.Instance, sched.Scheduler, error) {
+						in, err := genDistWorkload(g, seed)
+						return in, newBucketTour(), err
+					})},
 				{Name: "distrib", Run: distCell(g, 0)},
 			},
 			Row: func(cs []runner.Agg) ([]string, error) {

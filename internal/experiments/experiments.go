@@ -20,6 +20,7 @@ import (
 	"dtm/internal/batch"
 	"dtm/internal/bucket"
 	"dtm/internal/core"
+	"dtm/internal/distbucket"
 	"dtm/internal/engine"
 	"dtm/internal/graph"
 	"dtm/internal/greedy"
@@ -154,11 +155,11 @@ func newBucketTour() sched.Scheduler    { return engine.NewBucket(bucket.Options
 func newBucketColoring() sched.Scheduler {
 	return engine.NewBucket(bucket.Options{Batch: batch.Coloring{}})
 }
-func newBucketTourSlow(slow int) sched.Scheduler {
-	return engine.NewBucket(bucket.Options{Batch: batch.Tour{}, Slow: slow})
-}
 func newBucketList() sched.Scheduler { return engine.NewBucket(bucket.Options{Batch: batch.List{}}) }
 func newWindow() sched.Scheduler     { return engine.NewWindow(window.Options{}) }
+func newDistributed(seed int64) sched.Scheduler {
+	return engine.NewDistributed(distbucket.Options{Seed: seed})
+}
 
 func f2(x float64) string { return fmt.Sprintf("%.2f", x) }
 func f1(x float64) string { return fmt.Sprintf("%.1f", x) }

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"dtm/internal/batch"
 	"dtm/internal/distbucket"
 	"dtm/internal/distnet"
+	"dtm/internal/engine"
 	"dtm/internal/graph"
 	"dtm/internal/obs"
 	"dtm/internal/runner"
@@ -29,20 +29,20 @@ func faultCell(g *graph.Graph, drop float64) runner.CellFunc {
 			// trial needs one even when the sweep collects no metrics.
 			reg = obs.New()
 		}
-		res, err := distbucket.Run(in, distbucket.Options{
-			Options: sched.Options{Obs: reg},
-			Batch:   batch.Tour{}, Seed: seed,
+		p := engine.NewDistributed(distbucket.Options{
+			Seed:   seed,
 			Faults: distbucket.FaultOptions{Plan: distnet.FaultPlan{Seed: seed, Drop: drop}},
 		})
+		rr, err := sched.Run(in, p, sched.Options{Obs: reg})
 		if err != nil {
 			return runner.Outcome{}, fmt.Errorf("drop %.0f%%: %w", drop*100, err)
 		}
 		snap := reg.Snapshot()
-		out := runner.FromRunResult(res.RunResult)
+		out := runner.FromRunResult(rr)
 		out.Extra = map[string]float64{
-			"messages":   float64(res.Messages),
-			"completion": res.CompletionRate(),
-			"abandoned":  float64(len(res.Abandoned)),
+			"messages":   float64(p.Report().Messages),
+			"completion": rr.CompletionRate(),
+			"abandoned":  float64(len(rr.Abandoned)),
 			"dropped":    float64(snap.Counters["distnet.dropped"]),
 			"retries":    float64(snap.Counters["distbucket.retries"]),
 		}

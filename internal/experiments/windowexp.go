@@ -7,9 +7,9 @@ package experiments
 // O(b_A·log^3(nD)). This table makes the comparison empirical: the same
 // canonical workloads on the line, cluster, and star, one row per
 // algorithm, competitive ratios against the shared lower-bound estimate.
-// The distributed protocol (Algorithm 3) runs under its own
-// message-passing driver with half-speed objects, so its ratio carries
-// the decentralization overhead that Table 4 isolates.
+// The distributed protocol (Algorithm 3) computes its decisions by
+// message passing with half-speed objects, so its ratio carries the
+// decentralization overhead that Table 4 isolates.
 //
 // The final rows ask T14's open-system question of the new engine: the
 // bisected stability frontier λ* for window on T14's graphs, directly
@@ -20,9 +20,7 @@ package experiments
 import (
 	"fmt"
 
-	"dtm/internal/batch"
 	"dtm/internal/core"
-	"dtm/internal/distbucket"
 	"dtm/internal/graph"
 	"dtm/internal/obs"
 	"dtm/internal/runner"
@@ -51,13 +49,13 @@ func table15Window(cfg Config) (*stats.Table, error) {
 	}
 	type contender struct {
 		name string
-		mk   func() sched.Scheduler // nil: Algorithm 3 through distbucket.Run
+		mk   func(seed int64) sched.Scheduler
 	}
 	contenders := []contender{
-		{"greedy (Alg 1)", newGreedy},
-		{"bucket-tour (Alg 2)", newBucketTour},
-		{"distributed (Alg 3)", nil},
-		{"window (Alg W)", newWindow},
+		{"greedy (Alg 1)", func(int64) sched.Scheduler { return newGreedy() }},
+		{"bucket-tour (Alg 2)", func(int64) sched.Scheduler { return newBucketTour() }},
+		{"distributed (Alg 3)", newDistributed},
+		{"window (Alg W)", func(int64) sched.Scheduler { return newWindow() }},
 	}
 	var points []runner.Point
 	for _, mg := range ratioGraphs {
@@ -70,28 +68,10 @@ func table15Window(cfg Config) (*stats.Table, error) {
 		}
 		for _, c := range contenders {
 			c := c
-			var run runner.CellFunc
-			if c.mk == nil {
-				run = func(seed int64, m *obs.Metrics) (runner.Outcome, error) {
-					in, err := mkIn(seed)
-					if err != nil {
-						return runner.Outcome{}, err
-					}
-					res, err := distbucket.Run(in, distbucket.Options{
-						Options: sched.Options{Obs: m},
-						Batch:   batch.Tour{}, Seed: seed,
-					})
-					if err != nil {
-						return runner.Outcome{}, err
-					}
-					return runner.FromRunResult(res.RunResult), nil
-				}
-			} else {
-				run = runner.Sched(func(seed int64) (*core.Instance, sched.Scheduler, error) {
-					in, err := mkIn(seed)
-					return in, c.mk(), err
-				})
-			}
+			run := runner.Sched(func(seed int64) (*core.Instance, sched.Scheduler, error) {
+				in, err := mkIn(seed)
+				return in, c.mk(seed), err
+			})
 			points = append(points, runner.Point{
 				Cells: []runner.Cell{{Name: fmt.Sprintf("%s/%s", g.Name(), c.name), Run: run}},
 				Row: func(cs []runner.Agg) ([]string, error) {

@@ -28,7 +28,8 @@ const (
 	NameCoreElasticWaits  = "core.elastic_waits"
 	NameCoreTxnsAdded     = "core.txns_added"
 
-	// sched driver instruments (shared by the distributed driver).
+	// sched driver instruments (shared by every engine, the distributed
+	// protocol included).
 	NameSchedArrivals     = "sched.arrivals"
 	NameSchedWakeups      = "sched.wakeups"
 	NameSchedSnapshots    = "sched.snapshots"

@@ -109,14 +109,11 @@ type goldenEngine struct {
 	sim  core.SimOptions
 }
 
-// runEngines are every registry engine sched.Run drives, plus the
-// feature-knob extras of the root engine_diff suite.
+// runEngines are every registry engine, plus the feature-knob extras of
+// the root engine_diff suite.
 func runEngines() []goldenEngine {
 	var es []goldenEngine
 	for _, d := range engine.All() {
-		if d.Caps.Distributed {
-			continue
-		}
 		d := d
 		es = append(es, goldenEngine{d.ID, func() sched.Scheduler { return d.New(sched.EngineOptions{}) }, core.SimOptions{}})
 	}
@@ -128,7 +125,7 @@ func runEngines() []goldenEngine {
 			return engine.NewBucket(bucket.Options{Batch: batch.WithSuffixProperty(batch.Randomized{Seed: 42, Tries: 3})})
 		}, core.SimOptions{}},
 		goldenEngine{"bucket-tour-slow", func() sched.Scheduler {
-			return engine.NewBucket(bucket.Options{Batch: batch.Tour{}, Slow: 2})
+			return engine.NewBucket(bucket.Options{Batch: batch.Tour{}})
 		}, elastic},
 	)
 }
@@ -244,10 +241,10 @@ func goldenStream(t *testing.T, got goldenTable) {
 	}
 }
 
-// goldenDistributed covers the Algorithm 3 driver without faults, under a
-// lossy network, under heavy loss and with crashed origins, at P=1 and
-// P=2 (lazy trees and the sim's tree warm-up). The driver instruments the
-// central drivers emit are left out of its metrics.
+// goldenDistributed covers the Algorithm 3 protocol and its Report
+// without faults, under a lossy network, under heavy loss and with crashed
+// origins, at P=1 and P=2 (lazy trees and the sim's tree warm-up). The
+// driver instruments the central engines emit are left out of its metrics.
 func goldenDistributed(t *testing.T, got goldenTable) {
 	plans := map[string]distbucket.FaultOptions{
 		"none":  {},
@@ -266,15 +263,12 @@ func goldenDistributed(t *testing.T, got goldenTable) {
 				for _, p := range []int{1, 2} {
 					name := fmt.Sprintf("distributed/%s/%s/seed%d", topo, pn, seed)
 					rec := newRecorder()
-					res, err := distbucket.Run(in, distbucket.Options{
-						Options: sched.Options{Sim: core.SimOptions{Parallel: p}, SnapshotEvery: 1, Obs: rec.m},
-						Batch:   batch.Tour{}, Seed: seed,
-						Faults: plan,
-					})
+					proto := engine.NewDistributed(distbucket.Options{Seed: seed, Faults: plan})
+					rr, err := sched.Run(in, proto, sched.Options{Sim: core.SimOptions{Parallel: p}, SnapshotEvery: 1, Obs: rec.m})
 					if err != nil {
 						t.Fatalf("%s P=%d: %v", name, p, err)
 					}
-					rr := res.RunResult
+					res := proto.Report()
 					got.put(t, name, digest(t, rr.Scheduler, rr.Decisions, rr.Result, rr.Ratios, rr.MaxRatio,
 						rr.Abandoned, rr.Failed, res.Abandoned, res.Audit, res.Messages, res.MsgDistance,
 						res.CoverLayers, res.SubLayers, res.Lemma6Pairs, res.Lemma6Violations,
@@ -460,6 +454,9 @@ var driverGoldens = map[string]string{
 	"run/clique/coordinator/seed1":                  "c80cf54d43e1b180",
 	"run/clique/coordinator/seed2":                  "2150e00bb9752a85",
 	"run/clique/coordinator/seed3":                  "1264ae768c8779a3",
+	"run/clique/distributed/seed1":                  "1fec248dc8227235",
+	"run/clique/distributed/seed2":                  "0639407265810ee1",
+	"run/clique/distributed/seed3":                  "8a4ec6ea9e37d95a",
 	"run/clique/greedy-elastic-slow/seed1":          "31d4d7c41b25758c",
 	"run/clique/greedy-elastic-slow/seed2":          "4bce44e36370b90a",
 	"run/clique/greedy-elastic-slow/seed3":          "d9712979c9435c3e",
@@ -493,6 +490,9 @@ var driverGoldens = map[string]string{
 	"run/cluster/coordinator/seed1":                 "1d047a37695366d5",
 	"run/cluster/coordinator/seed2":                 "c613efaf90ced00c",
 	"run/cluster/coordinator/seed3":                 "149abe7245f741b9",
+	"run/cluster/distributed/seed1":                 "fe3d36d7825f5c5c",
+	"run/cluster/distributed/seed2":                 "488971ec3b4feca1",
+	"run/cluster/distributed/seed3":                 "34bd9733d2f11c1b",
 	"run/cluster/greedy-elastic-slow/seed1":         "d31b25bb942b1c1d",
 	"run/cluster/greedy-elastic-slow/seed2":         "81c22b4be2fbd86a",
 	"run/cluster/greedy-elastic-slow/seed3":         "4d4d313f24bb1ab4",
@@ -526,6 +526,9 @@ var driverGoldens = map[string]string{
 	"run/grid/coordinator/seed1":                    "fb1fc6044b40e85d",
 	"run/grid/coordinator/seed2":                    "55a5eca2413ec9bf",
 	"run/grid/coordinator/seed3":                    "9a90d82a3eb46821",
+	"run/grid/distributed/seed1":                    "6703e2b7e8fb5323",
+	"run/grid/distributed/seed2":                    "b8341ee96fb6954f",
+	"run/grid/distributed/seed3":                    "c912cbf1df96b809",
 	"run/grid/greedy-elastic-slow/seed1":            "3180c4019abf47db",
 	"run/grid/greedy-elastic-slow/seed2":            "25708ec258f803eb",
 	"run/grid/greedy-elastic-slow/seed3":            "b05216706bbb1b7f",
@@ -559,6 +562,9 @@ var driverGoldens = map[string]string{
 	"run/line/coordinator/seed1":                    "e7e34576f30dffa2",
 	"run/line/coordinator/seed2":                    "afde8a34055330aa",
 	"run/line/coordinator/seed3":                    "3d4926109e01191a",
+	"run/line/distributed/seed1":                    "64043bff43d20e83",
+	"run/line/distributed/seed2":                    "4781da4068109c34",
+	"run/line/distributed/seed3":                    "7602952e0dfb33d8",
 	"run/line/greedy-elastic-slow/seed1":            "9962900cd2a65aca",
 	"run/line/greedy-elastic-slow/seed2":            "c93a346974db437a",
 	"run/line/greedy-elastic-slow/seed3":            "ca3447905556de83",

@@ -40,7 +40,10 @@ type Env struct {
 // in OnArrive (greedy) or later from OnWake (bucket activations, epoch
 // boundaries). A scheduler that may give up on transactions instead of
 // scheduling them also has an Abandoned() []core.TxID method listing them
-// by ID; the drivers then accept those transactions never executing.
+// by ID; the drivers then accept those transactions never executing. A
+// scheduler built for a particular object speed also has a SlowFactor()
+// int method; the drivers run the sim at that speed unless
+// core.SimOptions.SlowFactor sets one.
 type Scheduler interface {
 	Name() string
 	// Start binds the scheduler to a run; called once before any arrivals.
@@ -78,6 +81,9 @@ type RunResult struct {
 	Scheduler string
 	Ratios    []RatioPoint
 	MaxRatio  float64
+	// SlowFactor is the object speed divisor the run used (1 = full
+	// speed), the one to replay Decisions at.
+	SlowFactor int
 	// Decisions is the full decision log (sorted by decision time), enough
 	// to replay and re-validate the run with core.Replay.
 	Decisions []core.Decision
@@ -169,8 +175,9 @@ func run(in *core.Instance, s Scheduler, stream arrivalStream, opts Options, suf
 	if sim == nil {
 		return nil, err
 	}
-	rr := &RunResult{Result: sim.Result(), Scheduler: s.Name() + suffix, Failed: err != nil, Err: err,
-		Metrics: opts.Obs.Snapshot(), Decisions: harvestDecisions(sim), Abandoned: abandoned(s)}
+	rr := &RunResult{Result: sim.Result(), Scheduler: s.Name() + suffix, SlowFactor: sim.SlowFactor(),
+		Failed: err != nil, Err: err, Metrics: opts.Obs.Snapshot(), Decisions: harvestDecisions(sim),
+		Abandoned: abandoned(s)}
 	// Ratios are computed post hoc, once every execution time is known.
 	for _, sn := range snaps {
 		var maxRem core.Time

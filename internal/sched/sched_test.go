@@ -42,6 +42,7 @@ func (s *serialScheduler) OnArrive(txns []*core.Transaction) error {
 }
 func (s *serialScheduler) NextWake() (core.Time, bool) { return 0, false }
 func (s *serialScheduler) OnWake() error               { return nil }
+func (s *serialScheduler) speed() int                  { return s.env.Sim.SlowFactor() }
 
 // wakeSpinner requests a wake at the current time forever.
 type wakeSpinner struct{ env *Env }
@@ -88,6 +89,48 @@ func TestDriverRunsSerialScheduler(t *testing.T) {
 	// The decision log must replay cleanly.
 	if _, err := core.Replay(in, rr.Decisions, core.SimOptions{}); err != nil {
 		t.Fatalf("decision log does not replay: %v", err)
+	}
+}
+
+// slowSerial is a serialScheduler built for half-speed objects.
+type slowSerial struct{ serialScheduler }
+
+func (*slowSerial) SlowFactor() int { return 2 }
+
+// TestDriveSlowFactor pins where a run's object speed comes from: the
+// scheduler's SlowFactor method when SimOptions.SlowFactor is 0, else the
+// option. The result records it, and the decision log replays at it.
+func TestDriveSlowFactor(t *testing.T) {
+	cases := []struct {
+		name      string
+		s         func() Scheduler
+		opt, want int
+	}{
+		{"neither", func() Scheduler { return &serialScheduler{gap: 40} }, 0, 1},
+		{"option", func() Scheduler { return &serialScheduler{gap: 40} }, 3, 3},
+		{"scheduler", func() Scheduler { return &slowSerial{serialScheduler{gap: 40}} }, 0, 2},
+		{"option wins", func() Scheduler { return &slowSerial{serialScheduler{gap: 40}} }, 1, 1},
+	}
+	for _, c := range cases {
+		in := testInstance(t, 10)
+		rr, err := Run(in, c.s(), Options{Sim: core.SimOptions{SlowFactor: c.opt}})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if rr.SlowFactor != c.want {
+			t.Errorf("%s: RunResult.SlowFactor = %d, want %d", c.name, rr.SlowFactor, c.want)
+		}
+		if _, err := core.Replay(in, rr.Decisions, core.SimOptions{SlowFactor: rr.SlowFactor}); err != nil {
+			t.Errorf("%s: decision log does not replay at speed %d: %v", c.name, rr.SlowFactor, err)
+		}
+		s := c.s()
+		if _, err := RunStream(in.G, in.Objects, workload.NewInstanceSource(in), s,
+			StreamOptions{Sim: core.SimOptions{SlowFactor: c.opt}}); err != nil {
+			t.Fatalf("%s stream: %v", c.name, err)
+		}
+		if got := s.(interface{ speed() int }).speed(); got != c.want {
+			t.Errorf("%s: RunStream ran at speed %d, want %d", c.name, got, c.want)
+		}
 	}
 }
 

@@ -3,9 +3,9 @@ package sched
 // The drive core: the one event loop behind every driver. A run is one
 // synchronous process — serve wakes, advance to the next arrival or wake,
 // deliver the arrival batch — and the drivers differ only in where
-// arrivals come from: the finite instance alone (Run, and the distributed
-// protocol's adapter), a lazily-pulled workload.Source (RunStream), or a
-// feedback stream whose next arrival is gated on commits (RunClosedLoop).
+// arrivals come from: the finite instance alone (Run), a lazily-pulled
+// workload.Source (RunStream), or a feedback stream whose next arrival is
+// gated on commits (RunClosedLoop).
 // The loop holds no per-transaction history of its own, so with Sim
 // retirement enabled (RunStream's default) a run's live state is bounded
 // by the in-flight window no matter how many arrivals stream through.
@@ -61,8 +61,19 @@ func abandoned(s Scheduler) []core.TxID {
 	return nil
 }
 
+// slowFactor returns the object speed s runs at through the optional
+// SlowFactor method (see Scheduler); 0, full speed, for schedulers
+// without one.
+func slowFactor(s Scheduler) int {
+	if sf, ok := s.(interface{ SlowFactor() int }); ok {
+		return sf.SlowFactor()
+	}
+	return 0
+}
+
 // drive is the shared start path and loop. It threads opts.Obs into the
-// sim options (unless Sim.Obs is set), builds the sim and starts s, then
+// sim options (unless Sim.Obs is set) and s's object speed into them
+// (unless Sim.SlowFactor is set), builds the sim and starts s, then
 // pumps instance arrivals and the stream into the scheduler in time order
 // until both are exhausted and no wake is pending. Finally it checks that
 // every transaction was scheduled or abandoned and drains the sim. onBatch,
@@ -74,6 +85,9 @@ func drive(in *core.Instance, s Scheduler, stream arrivalStream, opts Options,
 	simOpts := opts.Sim
 	if simOpts.Obs == nil {
 		simOpts.Obs = opts.Obs
+	}
+	if simOpts.SlowFactor == 0 {
+		simOpts.SlowFactor = slowFactor(s)
 	}
 	sim, err := core.NewSim(in, simOpts)
 	if err != nil {

@@ -54,13 +54,14 @@ type Run struct {
 	MaxRatio  float64      `json:"maxRatio"`
 }
 
-// Capture builds a Run record from an instance and its finished result.
-func Capture(in *core.Instance, rr *sched.RunResult, slowFactor int) *Run {
+// Capture builds a Run record from an instance and its finished result,
+// at the object speed the run used.
+func Capture(in *core.Instance, rr *sched.RunResult) *Run {
 	r := &Run{
 		Topology:  in.G.Name(),
 		Nodes:     in.G.N(),
 		Scheduler: rr.Scheduler,
-		SlowObj:   slowFactor,
+		SlowObj:   rr.SlowFactor,
 		Decisions: rr.Decisions,
 		Abandoned: rr.Abandoned,
 		Makespan:  rr.Makespan,

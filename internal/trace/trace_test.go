@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dtm/internal/core"
+	"dtm/internal/distbucket"
 	"dtm/internal/engine"
 	"dtm/internal/graph"
 	"dtm/internal/greedy"
@@ -29,7 +30,7 @@ func captureRun(t *testing.T) (*core.Instance, *Run) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return in, Capture(in, rr, 1)
+	return in, Capture(in, rr)
 }
 
 func TestCaptureAndValidate(t *testing.T) {
@@ -39,6 +40,30 @@ func TestCaptureAndValidate(t *testing.T) {
 	}
 	if len(r.Decisions) != len(r.Txns) {
 		t.Errorf("decisions %d != txns %d", len(r.Decisions), len(r.Txns))
+	}
+}
+
+// A trace records the object speed its run used, without the caller
+// naming it: the protocol's own half speed by default, full speed when
+// the run sets it, and the central engines' full speed.
+func TestCaptureRecordsRunSpeed(t *testing.T) {
+	in, central := captureRun(t)
+	if central.SlowObj != 1 {
+		t.Errorf("central trace records slowObjects %d, want 1", central.SlowObj)
+	}
+	for _, c := range []struct{ opt, want int }{{0, 2}, {1, 1}} {
+		rr, err := sched.Run(in, engine.NewDistributed(distbucket.Options{}),
+			sched.Options{Sim: core.SimOptions{SlowFactor: c.opt}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := Capture(in, rr)
+		if r.SlowObj != c.want {
+			t.Errorf("SlowFactor %d: trace records slowObjects %d, want %d", c.opt, r.SlowObj, c.want)
+		}
+		if err := r.Validate(); err != nil {
+			t.Errorf("SlowFactor %d: %v", c.opt, err)
+		}
 	}
 }
 

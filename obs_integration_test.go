@@ -126,15 +126,14 @@ func TestMetricsDistributedCrossChecks(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMetrics()
-	res, err := RunDistributed(in, DistributedOptions{
-		Options: RunOptions{Obs: m},
-		Batch:   TourBatch(), Seed: 3,
-	})
+	proto := NewDistributed(DistributedOptions{Batch: TourBatch(), Seed: 3})
+	rr, err := Run(in, proto, RunOptions{Obs: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := res.Metrics.Counters
-	// The engine's counters must agree with the result's own accounting.
+	res := proto.Report()
+	c := rr.Metrics.Counters
+	// The engine's counters must agree with the protocol's own accounting.
 	if c["distnet.messages"] != int64(res.Messages) {
 		t.Errorf("distnet.messages = %d, result says %d", c["distnet.messages"], res.Messages)
 	}

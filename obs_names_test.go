@@ -80,10 +80,7 @@ func exerciseAllEngines(t *testing.T) map[string]bool {
 		t.Fatal(err)
 	}
 	dm := NewMetrics()
-	res, err := RunDistributed(din, DistributedOptions{
-		Options: RunOptions{Obs: dm},
-		Batch:   TourBatch(), Seed: 3,
-	})
+	res, err := Run(din, NewDistributed(DistributedOptions{Batch: TourBatch(), Seed: 3}), RunOptions{Obs: dm})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,10 +74,11 @@ func TestScaleDistributedGrid64(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunDistributed(in, DistributedOptions{Options: RunOptions{SnapshotEvery: 4}, Batch: TourBatch(), Seed: 5})
+	proto := NewDistributed(DistributedOptions{Batch: TourBatch(), Seed: 5})
+	res, err := Run(in, proto, RunOptions{SnapshotEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("grid8x8 distributed: %d txns, makespan %d, %d messages, ratio %.2f",
-		len(in.Txns), res.Makespan, res.Messages, res.MaxRatio)
+		len(in.Txns), res.Makespan, proto.Report().Messages, res.MaxRatio)
 }
