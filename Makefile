@@ -18,15 +18,16 @@ check: vet fmt lint race test
 vet:
 	$(GO) vet ./...
 
-# lint runs the dtmlint multichecker: the determinism, metric-name,
-# pool-hygiene, and phase-purity analyzers in internal/analysis
-# (parpurity proves every par.Runner.Map compute closure writes only
-# worker-owned memory — see DESIGN.md §15). Zero findings is the gate;
-# justified exceptions use //lint:ignore <analyzer> <reason>, or
-# //par:owned <expr> <reason> at a blessed write. A directive that
-# suppresses nothing is itself a finding, so exceptions cannot rot.
-# CI asserts the whole run fits a 60s wall-clock budget and that the
-# gate still fires on injected violations (scripts/lint_mutate.sh).
+# lint runs the dtmlint multichecker: the determinism, engine-registry,
+# goroutine-site, metric-name and pool-hygiene analyzers in
+# internal/analysis (gosites allows go statements only in
+# graph.WarmTrees and runner.Sweep.Run — see DESIGN.md §15). Zero
+# findings is the gate; justified exceptions use
+# //lint:ignore <analyzer> <reason>. A directive that suppresses nothing
+# is itself a finding, so exceptions cannot rot. CI asserts the whole run
+# fits a 60s wall-clock budget and that the gates still fire on injected
+# violations (scripts/lint_mutate.sh, which also probes the race test
+# below the tree warm-up).
 lint: build
 	$(GO) run ./cmd/dtmlint ./...
 
@@ -35,14 +36,14 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # race covers the concurrent code and everything it touches: the tree
-# warm-up in core.NewSim (internal/par fanning graph tree builds out over
-# the per-source build locks) and the sched drivers that run it, the
-# sweep runner's worker pool, and the engines and network packages whose
-# identity tests run with the warm-up on. The root run drives the
-# parallel-vs-sequential identity tests with the detector on.
+# warm-up (graph.WarmTrees, called by core.NewSim) and the sched drivers
+# that run it, the sweep runner's worker pool, and the engines and
+# network packages whose identity tests run with the warm-up on. The root
+# run drives the parallel-vs-sequential identity tests with the detector
+# on.
 race:
 	$(GO) test -race ./internal/core/... ./internal/sched/... \
-		./internal/par/... ./internal/distnet/... ./internal/distbucket/... \
+		./internal/distnet/... ./internal/distbucket/... \
 		./internal/runner/... ./internal/graph/... \
 		./internal/depgraph/... ./internal/pq/... \
 		./internal/window/... ./internal/engine/...

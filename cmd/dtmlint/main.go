@@ -1,18 +1,18 @@
 // Command dtmlint is the engine's multichecker: it loads the module,
-// type-checks every package, and runs the determinism/metrics/pooling/
-// phase-purity analyzer suite (detclock, detrange, enginereg, obsnames,
-// parpurity, poolreturn) from internal/analysis. Findings print as
-// file:line:col: analyzer: message and make the process exit 1, so
-// `make lint` (and through it `make check` and CI) gates on a clean run.
+// type-checks every package, and runs the determinism/registry/
+// goroutine-site/metrics/pooling analyzer suite (detclock, detrange,
+// enginereg, gosites, obsnames, poolreturn) from internal/analysis.
+// Findings print as file:line:col: analyzer: message and make the process
+// exit 1, so `make lint` (and through it `make check` and CI) gates on a
+// clean run.
 //
 // Suppress an individual, justified finding with a directive on the same
 // or the preceding line:
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// (parpurity findings can alternatively be blessed at the offending
-// write with //par:owned <expr> <reason>.) A directive that suppresses
-// nothing is itself reported as stale, so exceptions cannot rot.
+// A directive that suppresses nothing is itself reported as stale, so
+// exceptions cannot rot.
 //
 // Usage:
 //
@@ -78,7 +78,6 @@ func run(jsonOut bool) error {
 	if err != nil {
 		return err
 	}
-	mod := analysis.NewModule(pkgs)
 	fset := loader.Fset
 	var results []analysis.Result
 	for _, pkg := range pkgs {
@@ -88,7 +87,7 @@ func run(jsonOut bool) error {
 			if a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
 				continue
 			}
-			ds, err := analysis.RunAnalyzerRaw(a, pkg, mod)
+			ds, err := analysis.RunAnalyzerRaw(a, pkg)
 			if err != nil {
 				return err
 			}

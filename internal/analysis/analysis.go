@@ -14,6 +14,10 @@
 //     in engine packages (schedule determinism);
 //   - detclock: no wall-clock or global math/rand in engine packages
 //     (simulation time and explicitly seeded sources only);
+//   - enginereg: engines are constructed through the internal/engine
+//     registry only;
+//   - gosites: goroutines start only at the allowlisted sites (the tree
+//     warm-up and the sweep runner's pool);
 //   - obsnames: every obs metric name resolves to the string-constant
 //     registry in internal/obs/names.go (no typo-class drift);
 //   - poolreturn: pooled scratch acquired from a sync.Pool is released on
@@ -59,47 +63,8 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	// Mod is the module the package belongs to. Interprocedural analyzers
-	// (parpurity) reach through it for the other packages and for shared,
-	// module-wide computed state; it is never nil when running through
-	// RunAnalyzer / RunAnalyzerRaw.
-	Mod *Module
 
 	diags []Diagnostic
-}
-
-// Module is the package set one dtmlint invocation covers, plus a cache
-// for module-wide state (call graphs, effect summaries) that analyzers
-// build once per process rather than once per package.
-type Module struct {
-	Pkgs []*Package
-
-	state map[string]stateEntry
-}
-
-type stateEntry struct {
-	v   any
-	err error
-}
-
-// NewModule wraps an already-loaded package set.
-func NewModule(pkgs []*Package) *Module {
-	return &Module{Pkgs: pkgs, state: make(map[string]stateEntry)}
-}
-
-// State returns the module-wide value cached under key, invoking build on
-// first use. A build error is cached too, so a broken module-wide
-// computation reports once instead of once per package.
-func (m *Module) State(key string, build func() (any, error)) (any, error) {
-	if m.state == nil {
-		m.state = make(map[string]stateEntry)
-	}
-	if e, ok := m.state[key]; ok {
-		return e.v, e.err
-	}
-	v, err := build()
-	m.state[key] = stateEntry{v: v, err: err}
-	return v, err
 }
 
 // Diagnostic is one finding, positioned at Pos.
@@ -201,8 +166,8 @@ func Filter(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagno
 }
 
 // RunAnalyzer runs a on pkg and returns its unsuppressed findings.
-func RunAnalyzer(a *Analyzer, pkg *Package, mod *Module) ([]Diagnostic, error) {
-	diags, err := RunAnalyzerRaw(a, pkg, mod)
+func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
+	diags, err := RunAnalyzerRaw(a, pkg)
 	if err != nil {
 		return nil, err
 	}
@@ -213,17 +178,13 @@ func RunAnalyzer(a *Analyzer, pkg *Package, mod *Module) ([]Diagnostic, error) {
 // suppression to the caller (drivers use Apply so suppressed findings
 // stay visible to machine-readable output and stale directives are
 // caught; Filter remains the one-shot path).
-func RunAnalyzerRaw(a *Analyzer, pkg *Package, mod *Module) ([]Diagnostic, error) {
-	if mod == nil {
-		mod = NewModule([]*Package{pkg})
-	}
+func RunAnalyzerRaw(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 	pass := &Pass{
 		Analyzer: a,
 		Fset:     pkg.Fset,
 		Files:    pkg.Files,
 		Pkg:      pkg.Types,
 		Info:     pkg.Info,
-		Mod:      mod,
 	}
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)

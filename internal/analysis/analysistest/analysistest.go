@@ -50,10 +50,7 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	// The module spans the fixture plus whatever module packages it pulled
-	// in, so interprocedural analyzers see a closed world.
-	mod := analysis.NewModule(append(loader.Packages(), pkg))
-	diags, err := analysis.RunAnalyzer(a, pkg, mod)
+	diags, err := analysis.RunAnalyzer(a, pkg)
 	if err != nil {
 		t.Fatal(err)
 	}

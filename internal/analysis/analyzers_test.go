@@ -27,8 +27,8 @@ func TestPoolreturn(t *testing.T) {
 	analysistest.Run(t, analysis.Poolreturn, "testdata/src/poolreturn")
 }
 
-func TestParpurity(t *testing.T) {
-	analysistest.Run(t, analysis.Parpurity, "testdata/src/parpurity")
+func TestGosites(t *testing.T) {
+	analysistest.Run(t, analysis.Gosites, "testdata/src/gosites")
 }
 
 // TestSuiteShape pins the driver-facing contract: every suite analyzer is

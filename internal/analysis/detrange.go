@@ -13,7 +13,6 @@ import (
 var engineBases = map[string]bool{
 	"greedy": true, "bucket": true, "coloring": true, "depgraph": true,
 	"sched": true, "core": true, "distbucket": true, "batch": true,
-	"par": true,
 }
 
 // Detrange reports map iterations in engine packages whose bodies feed an
@@ -125,11 +124,6 @@ func checkMapRangeBody(pass *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt) {
 			if !ok || sig.Recv() == nil {
 				return true
 			}
-			if isParRunnerMap(fn) {
-				pass.Reportf(stmt.Pos(),
-					"par.Runner.Map launched inside map iteration: the compute fan-out receives a different item order every run and the single-threaded merge cannot restore it; collect into a sorted slice first")
-				return true
-			}
 			if !orderSinkMethods[fn.Name()] {
 				return true
 			}
@@ -139,28 +133,6 @@ func checkMapRangeBody(pass *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt) {
 		}
 		return true
 	})
-}
-
-// isParRunnerMap reports whether fn is (*par.Runner).Map — the
-// concurrent fan-out behind the tree warm-up. It is its own sink kind:
-// the caller consumes per-index results in index order once Map returns,
-// so handing Map an index space derived from a map iteration bakes the
-// randomized order into the results.
-func isParRunnerMap(fn *types.Func) bool {
-	if fn.Name() != "Map" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Runner" && named.Obj().Pkg() != nil &&
-		strings.HasSuffix(named.Obj().Pkg().Path(), "internal/par")
 }
 
 // isBuiltinAppend reports whether call invokes the append builtin.

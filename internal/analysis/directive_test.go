@@ -167,19 +167,19 @@ func TestApplyStaleUndecidableWhenAnalyzerSkipped(t *testing.T) {
 	src := `package p
 
 func f() {
-	//lint:ignore detclock,parpurity spans an analyzer the driver skipped
+	//lint:ignore detclock,gosites spans an analyzer the driver skipped
 	_ = 1
 }
 `
 	fset, f := parseTestFile(t, src)
-	// parpurity did not run on this package: the directive might suppress
+	// gosites did not run on this package: the directive might suppress
 	// one of its findings, so staleness is undecidable and stays quiet.
 	if got := Apply(fset, []*ast.File{f}, nil, []string{"detclock"}); len(got) != 0 {
 		t.Fatalf("Apply reported %v for a directive naming a skipped analyzer", got)
 	}
 	// With both analyzers ran and nothing suppressed, it is decidably stale.
-	got := Apply(fset, []*ast.File{f}, nil, []string{"detclock", "parpurity"})
-	if len(got) != 1 || !strings.Contains(got[0].Diag.Message, "stale //lint:ignore detclock,parpurity") {
+	got := Apply(fset, []*ast.File{f}, nil, []string{"detclock", "gosites"})
+	if len(got) != 1 || !strings.Contains(got[0].Diag.Message, "stale //lint:ignore detclock,gosites") {
 		t.Fatalf("Apply = %v, want one stale report naming both analyzers", got)
 	}
 }
@@ -193,7 +193,7 @@ func f() {}
 	fset, f := parseTestFile(t, src)
 	// Unlike Filter (called once per analyzer), Apply sees the package's
 	// combined findings and reports each malformed directive exactly once.
-	got := Apply(fset, []*ast.File{f}, nil, []string{"detclock", "detrange", "parpurity"})
+	got := Apply(fset, []*ast.File{f}, nil, []string{"detclock", "detrange", "gosites"})
 	if len(got) != 1 {
 		t.Fatalf("Apply returned %d results, want exactly 1 malformed report: %v", len(got), got)
 	}

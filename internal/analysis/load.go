@@ -141,19 +141,6 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 	return out, nil
 }
 
-// Packages returns every package the loader has loaded so far (module
-// packages and fixture directories alike), sorted by import path. Test
-// harnesses use it to hand interprocedural analyzers a Module covering a
-// fixture plus the module packages it pulled in.
-func (l *Loader) Packages() []*Package {
-	out := make([]*Package, 0, len(l.pkgs))
-	for _, p := range l.pkgs {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}
-
 // LoadDir loads a single directory (e.g. an analysistest fixture) under a
 // synthetic import path, resolving its module imports normally.
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {

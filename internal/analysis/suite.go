@@ -5,7 +5,7 @@ var Suite = []*Analyzer{
 	Detclock,
 	Detrange,
 	Enginereg,
+	Gosites,
 	Obsnames,
-	Parpurity,
 	Poolreturn,
 }

@@ -6,7 +6,6 @@ import (
 
 	"dtm/internal/graph"
 	"dtm/internal/obs"
-	"dtm/internal/par"
 	"dtm/internal/pq"
 )
 
@@ -240,15 +239,10 @@ func NewSim(in *Instance, opts SimOptions) (*Sim, error) {
 	}
 	// Tree warm-up: objects travel along shortest paths and schedulers
 	// weigh conflicts by distance, so a run reads the trees of most nodes.
-	// Build them all now, concurrently. Dist(v, v) is 0 and builds v's
-	// tree as a side effect; the warm-up changes when trees are built,
-	// never what a query returns.
-	if r := par.FromOption(opts.Parallel); r != nil {
-		g := in.G
-		r.Map(g.N(), func(i, _ int) {
-			v := graph.NodeID(i)
-			g.Dist(v, v)
-		})
+	// Build them all now, concurrently; the warm-up changes when trees are
+	// built, never what a query returns.
+	if opts.Parallel != 0 && opts.Parallel != 1 {
+		in.G.WarmTrees(opts.Parallel)
 	}
 	return s, nil
 }

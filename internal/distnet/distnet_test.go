@@ -7,7 +7,6 @@ import (
 
 	"dtm/internal/core"
 	"dtm/internal/graph"
-	"dtm/internal/par"
 )
 
 // traceHandler logs every event it receives and optionally reacts.
@@ -208,10 +207,7 @@ func floodGraph(t *testing.T, dim int, warm bool) *graph.Graph {
 		t.Fatal(err)
 	}
 	if warm {
-		par.New(2).Map(g.N(), func(i, _ int) {
-			v := graph.NodeID(i)
-			g.Dist(v, v)
-		})
+		g.WarmTrees(2)
 	}
 	return g
 }

@@ -6,13 +6,15 @@
 //
 // All query methods are safe for concurrent use; shortest-path trees are
 // computed lazily per source and cached, and trees for distinct sources
-// build concurrently (per-source build locks), so core.NewSim's tree
-// warm-up can build a topology's tree set with near-linear scaling.
-// AddEdge must not race with queries: construct first, then query.
+// build concurrently (per-source build locks). WarmTrees builds every
+// tree up front over a bounded set of goroutines; it is one of the two
+// places in the module allowed to start goroutines (the gosites lint
+// rule). AddEdge must not race with queries: construct first, then query.
 package graph
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -90,8 +92,8 @@ func (g *Graph) N() int { return len(g.adj) }
 func (g *Graph) M() int { return g.m }
 
 // AddEdge inserts an undirected edge {u, v} of weight w. It is an error to
-// add a self-loop, an out-of-range endpoint, or a non-positive weight.
-// Parallel edges are coalesced, keeping the smaller weight.
+// add a self-loop, an out-of-range endpoint, or a weight outside
+// [1, Infinite). Parallel edges are coalesced, keeping the smaller weight.
 func (g *Graph) AddEdge(u, v NodeID, w Weight) error {
 	if u == v {
 		return fmt.Errorf("graph: self-loop at node %d", u)
@@ -101,6 +103,11 @@ func (g *Graph) AddEdge(u, v NodeID, w Weight) error {
 	}
 	if w <= 0 {
 		return fmt.Errorf("graph: edge {%d,%d} has non-positive weight %d", u, v, w)
+	}
+	// Dijkstra stores only distances below Infinite (2^62), so a stored
+	// distance plus an edge weight stays below 2^63 and cannot wrap.
+	if w >= Infinite {
+		return fmt.Errorf("graph: edge {%d,%d} has weight %d, not below %d", u, v, w, Infinite)
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -157,10 +164,10 @@ func (g *Graph) EdgeWeight(u, v NodeID) (Weight, bool) {
 // on the hot path of every simulation step, and even an uncontended RLock
 // showed up in profiles — so concurrent sweep cells sharing one topology
 // answer queries without synchronizing. A cache miss takes only the
-// per-source build lock (re-checking under it), so the tree warm-up
-// builds trees for distinct sources concurrently; the graph-wide
-// RLock held across the build and the store keeps an AddEdge from
-// interleaving between a build and its publication.
+// per-source build lock (re-checking under it), so WarmTrees builds
+// trees for distinct sources concurrently; the graph-wide RLock held
+// across the build and the store keeps an AddEdge from interleaving
+// between a build and its publication.
 func (g *Graph) tree(src NodeID) *spTree {
 	if t := g.trees[src].Load(); t != nil {
 		return t
@@ -173,9 +180,42 @@ func (g *Graph) tree(src NodeID) *spTree {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	t := g.dijkstra(src)
-	//par:owned g.trees per-source build locks serialize each slot and the atomic publication is idempotent: concurrent warm-up workers read either nil (and build the identical tree) or the finished tree
 	g.trees[src].Store(t)
 	return t
+}
+
+// WarmTrees builds the shortest-path tree of every node with up to
+// workers goroutines; workers <= 0 means GOMAXPROCS. Worker w builds
+// source w, then claims the remaining sources one at a time from a shared
+// cursor, so a worker the host slows down takes fewer. Each source's build
+// lock makes a tree that another caller is building or has built cost
+// only a wait or a load. Queries answer the same before and after: the
+// warm-up changes when trees are built, never what they hold.
+//
+// Every worker builds its first source before it touches the cursor, so
+// under the race detector that build is unordered against every other
+// worker's, whatever the interleaving. That is what lets `go test -race`
+// catch a shared write below this loop even at GOMAXPROCS=1, where one
+// worker may claim all the rest before another starts.
+func (g *Graph) WarmTrees(workers int) {
+	n := g.N()
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	var next atomic.Int64
+	next.Store(int64(workers))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(v int) {
+			defer wg.Done()
+			for ; v < n; v = int(next.Add(1) - 1) {
+				g.tree(NodeID(v))
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // dijkstra computes a deterministic shortest-path tree from src, breaking

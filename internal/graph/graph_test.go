@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -30,11 +31,13 @@ func TestAddEdgeValidation(t *testing.T) {
 		u, v NodeID
 		w    Weight
 	}{
-		{0, 0, 1},  // self loop
-		{0, 3, 1},  // out of range
-		{-1, 1, 1}, // negative node
-		{0, 1, 0},  // zero weight
-		{0, 1, -5}, // negative weight
+		{0, 0, 1},             // self loop
+		{0, 3, 1},             // out of range
+		{-1, 1, 1},            // negative node
+		{0, 1, 0},             // zero weight
+		{0, 1, -5},            // negative weight
+		{0, 1, Infinite},      // weight a distance sum could wrap
+		{0, 1, math.MaxInt64}, // weight a distance sum could wrap
 	}
 	for _, c := range cases {
 		if err := g.AddEdge(c.u, c.v, c.w); err == nil {
@@ -581,5 +584,47 @@ func TestConcurrentQueries(t *testing.T) {
 	close(errs)
 	if msg, ok := <-errs; ok {
 		t.Fatal(msg)
+	}
+}
+
+// TestWarmTrees runs the warm-up at every kind of worker bound (GOMAXPROCS,
+// one, two, more workers than nodes): afterwards every tree is built, and
+// every distance and next hop matches a twin whose trees the queries
+// built one at a time. A second call on the warm graph keeps every tree.
+func TestWarmTrees(t *testing.T) {
+	const n = 48
+	mk := func() *Graph {
+		g, err := RandomConnected(n, 80, 5, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	lazy := mk()
+	for _, workers := range []int{-1, 0, 1, 2, n + 5} {
+		g := mk()
+		g.WarmTrees(workers)
+		built := make([]*spTree, n)
+		for v := range g.trees {
+			if built[v] = g.trees[v].Load(); built[v] == nil {
+				t.Fatalf("workers=%d: tree %d not built", workers, v)
+			}
+		}
+		for u := NodeID(0); u < n; u++ {
+			for v := NodeID(0); v < n; v++ {
+				if got, want := g.Dist(u, v), lazy.Dist(u, v); got != want {
+					t.Fatalf("workers=%d: Dist(%d, %d) = %d, lazily %d", workers, u, v, got, want)
+				}
+				if got, want := g.NextHop(u, v), lazy.NextHop(u, v); got != want {
+					t.Fatalf("workers=%d: NextHop(%d, %d) = %d, lazily %d", workers, u, v, got, want)
+				}
+			}
+		}
+		g.WarmTrees(workers)
+		for v := range g.trees {
+			if g.trees[v].Load() != built[v] {
+				t.Fatalf("workers=%d: second warm-up replaced tree %d", workers, v)
+			}
+		}
 	}
 }

@@ -87,6 +87,12 @@ func Capture(in *core.Instance, rr *sched.RunResult) *Run {
 
 // Instance reconstructs the core instance the trace was captured from.
 func (r *Run) Instance() (*core.Instance, error) {
+	// A valid instance's graph is connected, so it has at least Nodes-1
+	// edges. Refusing a larger count before graph.New keeps a corrupt
+	// node count from reaching the allocation.
+	if r.Nodes > len(r.Edges)+1 {
+		return nil, fmt.Errorf("trace: %d nodes cannot be connected by %d edges", r.Nodes, len(r.Edges))
+	}
 	g, err := graph.New(r.Nodes)
 	if err != nil {
 		return nil, err

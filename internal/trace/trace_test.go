@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"dtm/internal/core"
@@ -159,6 +160,23 @@ func TestValidateRejectsSilentlyMissingTx(t *testing.T) {
 	r.Decisions = r.Decisions[:len(r.Decisions)-1]
 	if err := r.Validate(); err == nil {
 		t.Fatal("unexecuted undeclared transaction should fail validation")
+	}
+}
+
+// Validate refuses values that would break the replay instead of replaying
+// them: an edge weight whose distance sums wrap int64 (Dijkstra used to
+// loop on the wrapped parents), and a node count no edge list connects
+// (graph.New used to panic allocating it).
+func TestValidateRejectsOverflowingValues(t *testing.T) {
+	for name, corrupt := range map[string]func(*Run){
+		"weight": func(r *Run) { r.Edges[0].W = math.MaxInt64 },
+		"nodes":  func(r *Run) { r.Nodes = 1 << 62 },
+	} {
+		_, r := captureRun(t)
+		corrupt(r)
+		if err := r.Validate(); err == nil {
+			t.Errorf("%s: corrupt trace validates", name)
+		}
 	}
 }
 

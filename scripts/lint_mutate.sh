@@ -1,15 +1,16 @@
 #!/usr/bin/env sh
-# lint_mutate.sh — mutation smoke test for the dtmlint gate.
+# lint_mutate.sh — mutation smoke test for the concurrency and lint gates.
 #
-# A lint gate that never fires is indistinguishable from one that works,
-# so CI injects one known violation per analyzer family into a scratch
-# copy of the module and asserts dtmlint rejects each:
+# A gate that never fires is indistinguishable from one that works, so CI
+# injects one known violation per check into a temporary copy of the module
+# and asserts the check rejects each:
 #
-#   1. parpurity: a shared-map write two call levels below the tree
-#      warm-up closure in core.NewSim (the contract the analyzer exists
-#      to prove);
+#   1. race probe: a shared-map write two call levels below the worker
+#      loop of graph.WarmTrees must fail the race test the warm-up's
+#      contract rests on (go test -race, TestTreeWarmupMatchesLazyTrees);
 #   2. detclock:  a wall-clock time.Now read in an engine package;
-#   3. obsnames:  an unregistered metric name one typo away from a real one.
+#   3. obsnames:  an unregistered metric name one typo away from a real one;
+#   4. gosites:   a goroutine started outside the allowlisted sites.
 #
 # Exit 0 iff every injection is caught. Runs from any directory.
 set -eu
@@ -47,23 +48,34 @@ expect_caught() {
 	echo "ok: $desc caught by $analyzer"
 }
 
-# --- 1. parpurity: shared write two call levels below a compute closure.
+# --- 1. race probe: shared write two call levels below the warm-up.
 reset_copy
-cat >"$COPY/internal/core/zz_probe.go" <<'EOF'
-package core
+cat >"$COPY/internal/graph/zz_probe.go" <<'EOF'
+package graph
 
 var lintProbeSeen = map[int]int{}
 
-func (s *Sim) lintProbe(i int) { s.lintProbeDeep(i) }
+func (g *Graph) lintProbe(v int) { g.lintProbeDeep(v) }
 
-func (s *Sim) lintProbeDeep(i int) { lintProbeSeen[i]++ }
+func (g *Graph) lintProbeDeep(v int) { lintProbeSeen[v]++ }
 EOF
-sed -i '0,/g\.Dist(v, v)/s//s.lintProbe(i)\n\t\t\tg.Dist(v, v)/' "$COPY/internal/core/sim.go"
-grep -q 's.lintProbe(i)' "$COPY/internal/core/sim.go" || {
-	echo "FAIL: probe call not injected; sim.go anchor moved" >&2
+sed -i '0,/g\.tree(NodeID(v))/s//g.lintProbe(v)\n\t\t\t\tg.tree(NodeID(v))/' "$COPY/internal/graph/graph.go"
+grep -q 'g.lintProbe(v)' "$COPY/internal/graph/graph.go" || {
+	echo "FAIL: probe call not injected; graph.go anchor moved" >&2
 	exit 1
 }
-expect_caught parpurity "shared-map write behind a two-level call chain"
+out="$WORK/out.txt"
+if (cd "$COPY" && go test -race -count=1 -run TestTreeWarmupMatchesLazyTrees ./internal/core) >"$out" 2>&1; then
+	echo "FAIL: shared-map write below the warm-up — the race test passed; the race probe is blind" >&2
+	cat "$out" >&2
+	exit 1
+fi
+if ! grep -q 'DATA RACE' "$out" || ! grep -q 'lintProbeDeep' "$out"; then
+	echo "FAIL: shared-map write below the warm-up — the race test failed, but not on a race in the probe:" >&2
+	cat "$out" >&2
+	exit 1
+fi
+echo "ok: shared-map write below the tree warm-up caught by go test -race"
 
 # --- 2. detclock: wall-clock read in an engine package.
 reset_copy
@@ -87,4 +99,13 @@ func lintMutateMetric(m *obs.Metrics) { m.Counter("greedy.colorr").Inc() }
 EOF
 expect_caught obsnames "unregistered metric name"
 
-echo "lint_mutate: all 3 injections caught"
+# --- 4. gosites: a goroutine outside the allowlisted sites.
+reset_copy
+cat >"$COPY/internal/greedy/zz_go.go" <<'EOF'
+package greedy
+
+func lintMutateGo() { go func() {}() }
+EOF
+expect_caught gosites "go statement outside the allowlisted sites"
+
+echo "lint_mutate: all 4 injections caught"
