@@ -56,9 +56,9 @@ bench:
 # fault sweep and the T14 stability frontier at quick sizes
 # (BENCH_faults.json, BENCH_stream.json), and the timing table
 # (BENCH_perf.json: greedy and both bucket modes against the rebuild
-# oracle at n up to 1024, and the tree warm-up at P in {1,2,4,8} on
-# n=4096). Every
-# variant of a timing case must yield byte-identical decisions and
+# oracle at n up to 1024, the tree warm-up at P in {1,2,4,8} on n=4096,
+# and the window engine with a ratio snapshot at every arrival time).
+# Every variant of a timing case must yield byte-identical decisions and
 # results, or nothing is written. The timing table takes several
 # minutes.
 bench-quick: build
@@ -77,12 +77,14 @@ soak: build
 
 # fuzz-quick gives each native fuzzer a short budget: the coloring
 # interval sweeps (every color decision funnels through them), the
-# persistent conflict-index invariants, and the sessionized batch API's
-# differential against the one-shot schedulers. The seed corpora also run
-# as plain tests under `make test`.
+# persistent conflict-index invariants, the sessionized batch API's
+# differential against the one-shot schedulers, and the incremental
+# lower bound's differential against lowerbound.Estimate. The seed
+# corpora also run as plain tests under `make test`.
 fuzz-quick: build
 	$(GO) test -run '^$$' -fuzz 'FuzzSmallestValid$$' -fuzztime 30s ./internal/coloring/
 	$(GO) test -run '^$$' -fuzz 'FuzzSmallestValidMultiple$$' -fuzztime 30s ./internal/coloring/
 	$(GO) test -run '^$$' -fuzz 'FuzzIndexInvariants$$' -fuzztime 30s ./internal/depgraph/
 	$(GO) test -run '^$$' -fuzz 'FuzzBatchIncremental$$' -fuzztime 30s ./internal/batch/
 	$(GO) test -run '^$$' -fuzz 'FuzzWindowDraws$$' -fuzztime 30s ./internal/window/
+	$(GO) test -run '^$$' -fuzz 'FuzzTracker$$' -fuzztime 30s ./internal/lowerbound/

@@ -170,12 +170,19 @@ func writePerf(path string, cases []perfCase, log io.Writer) error {
 	return nil
 }
 
-// schedule returns a case runner for the registry engine id.
+// schedule returns a case runner for the registry engine id, with ratio
+// snapshots off.
 func schedule(id string) func(*core.Instance, perfVariant) ([]core.Decision, *core.Result, error) {
+	return scheduleSnapshots(id, -1)
+}
+
+// scheduleSnapshots returns a case runner for the registry engine id that
+// takes a ratio snapshot at every every-th arrival time (sched.Options).
+func scheduleSnapshots(id string, every int) func(*core.Instance, perfVariant) ([]core.Decision, *core.Result, error) {
 	d, _ := engine.ByID(id)
 	return func(in *core.Instance, v perfVariant) ([]core.Decision, *core.Result, error) {
 		rr, err := sched.Run(in, d.New(sched.EngineOptions{RebuildOracle: v.Oracle}), sched.Options{
-			SnapshotEvery: -1,
+			SnapshotEvery: every,
 			Sim:           core.SimOptions{Parallel: v.P},
 		})
 		if err != nil {
@@ -235,6 +242,12 @@ func perfCases() ([]perfCase, error) {
 	line := instance(func() (*graph.Graph, error) { return graph.Line(4096) }, workload.Config{
 		K: 2, NumObjects: 4096 / 2, Rounds: 1, Arrival: workload.ArrivalBatch, Seed: 1,
 	})
+	// The ratio case is the benchmark's ratio-window input at seed 1:
+	// Algorithm W with a ratio snapshot, and its OPT lower bound, at every
+	// arrival time. Every other case runs with snapshots off.
+	ratioWindow := instance(func() (*graph.Graph, error) { return graph.Grid(32, 32) }, workload.Config{
+		K: 2, NumObjects: 1024, Rounds: 16, Arrival: workload.ArrivalPoisson, Period: 8, Seed: 1,
+	})
 	// The replay case drives core.Replay, with no scheduler in the loop, on
 	// the decision log greedy makes for the grid instance.
 	gridIn, err := grid()
@@ -256,5 +269,7 @@ func perfCases() ([]perfCase, error) {
 			instance: line, cold: true, variants: warm, run: schedule("bucket-tour")},
 		perfCase{name: "warmup-replay-greedy", engine: "replay-greedy", topology: "grid(64,64)",
 			instance: grid, cold: true, variants: warm, run: replay},
+		perfCase{name: "ratio-window", engine: "window", topology: "grid(32,32)",
+			instance: ratioWindow, variants: []perfVariant{{P: 1}, {P: 2}}, run: scheduleSnapshots("window", 1)},
 	), nil
 }

@@ -109,6 +109,11 @@ type Index struct {
 	stamp  []uint64
 	gen    uint64
 	live   int
+	// Running census of the postings, so Snapshot and the arena gauge
+	// never walk them: entries, and capacity (postings only grow, and a
+	// removal keeps its list's capacity).
+	postings int
+	postCap  int64
 
 	// Instrument handles; nil (free) when observability is disabled.
 	metLive   *obs.Gauge   // depgraph.live_vertices
@@ -177,8 +182,11 @@ func (ix *Index) Insert(tx *core.Transaction) Slot {
 	for i, o := range tx.Objects {
 		p := ix.posts[o]
 		rec.pos = append(rec.pos, int32(len(p)))
-		ix.posts[o] = append(p, pref{slot: s, oi: int32(i)})
+		grown := append(p, pref{slot: s, oi: int32(i)})
+		ix.postCap += int64(cap(grown) - cap(p))
+		ix.posts[o] = grown
 	}
+	ix.postings += len(tx.Objects)
 	ix.live++
 	return s
 }
@@ -204,6 +212,7 @@ func (ix *Index) remove(s Slot) {
 		ix.slots[moved.slot].pos[moved.oi] = pos
 		ix.posts[o] = p[:last]
 	}
+	ix.postings -= len(rec.tx.Objects)
 	rec.tx = nil
 	rec.exec = Undecided
 	ix.free = append(ix.free, s)
@@ -248,33 +257,30 @@ func (ix *Index) Tracked(buf []core.TxID) []core.TxID {
 	return buf
 }
 
-// Snapshot reports the index bookkeeping counters.
+// Snapshot reports the index bookkeeping counters in O(1).
 func (ix *Index) Snapshot() Stats {
-	st := Stats{
-		LiveVertices: ix.live,
-		FreeSlots:    len(ix.free),
-		ArenaBytes:   ix.arenaBytes(),
+	return Stats{
+		LiveVertices:   ix.live,
+		FreeSlots:      len(ix.free),
+		PostingEntries: ix.postings,
+		ArenaBytes:     ix.arenaBytes(),
 	}
-	for _, p := range ix.posts {
-		st.PostingEntries += len(p)
-	}
-	return st
 }
+
+// Sizes arenaBytes counts per retained element.
+const (
+	slotBytes   = 40 // slotRec header
+	stampBytes  = 8
+	freeBytes   = 4
+	prefBytes   = 8
+	expiryBytes = 16
+)
 
 // arenaBytes estimates the retained capacity of the index's reusable
 // storage (slots, stamps, postings, expiry queue).
 func (ix *Index) arenaBytes() int64 {
-	const (
-		slotBytes   = 40 // slotRec header
-		prefBytes   = 8
-		expiryBytes = 16
-	)
-	b := int64(cap(ix.slots))*slotBytes + int64(cap(ix.stamp))*8 + int64(cap(ix.free))*4
-	for _, p := range ix.posts {
-		b += int64(cap(p)) * prefBytes
-	}
-	b += int64(ix.expire.Len()) * expiryBytes
-	return b
+	return int64(cap(ix.slots))*slotBytes + int64(cap(ix.stamp))*stampBytes + int64(cap(ix.free))*freeBytes +
+		ix.postCap*prefBytes + int64(ix.expire.Len())*expiryBytes
 }
 
 // Scratch is the reusable per-run buffer set shared by the schedulers:

@@ -154,6 +154,9 @@ func checkAgainstModel(t *testing.T, ix *Index, model map[core.TxID]*shadowTx) {
 	if st.FreeSlots < 0 || st.ArenaBytes < 0 {
 		t.Fatalf("negative bookkeeping: %+v", st)
 	}
+	if walked := walkArenaBytes(ix); st.ArenaBytes != walked {
+		t.Fatalf("ArenaBytes = %d from the running totals, %d from a walk of the postings", st.ArenaBytes, walked)
+	}
 
 	// Neighbor queries: for every live tx, the distinct conflicting live
 	// txs with their decided times, regardless of insertion order.
@@ -200,4 +203,14 @@ func conflicts(a, b *core.Transaction) bool {
 		}
 	}
 	return false
+}
+
+// walkArenaBytes is arenaBytes by a walk of every posting list, the
+// reference for the index's running capacity total.
+func walkArenaBytes(ix *Index) int64 {
+	b := int64(cap(ix.slots))*slotBytes + int64(cap(ix.stamp))*stampBytes + int64(cap(ix.free))*freeBytes
+	for _, p := range ix.posts {
+		b += int64(cap(p)) * prefBytes
+	}
+	return b + int64(ix.expire.Len())*expiryBytes
 }

@@ -21,6 +21,13 @@
 //     not all already co-located and free; in the degenerate all-ready
 //     case we still clamp to 1 to keep ratios finite (a schedule that
 //     executes everything instantly yields latency 0 and ratio 0 anyway).
+//
+// The assembly bound never decides the result: node(T) is one of the
+// points MST(o) spans, and the tree's path from pos(o) to node(T) is at
+// least dist(pos(o), node(T)), so every assembly term is at most its
+// object's traversal term. Estimate computes all three from scratch and
+// is the reference; Tracker keeps the traversal bound incrementally
+// across snapshots of a run and returns the same value.
 package lowerbound
 
 import (
@@ -91,32 +98,34 @@ func Estimate(in Input) core.Time {
 }
 
 // SnapshotAvail builds the Avail map for the given live transactions from a
-// running simulation using *physical* object positions only: the node the
-// object sits at (free now), the endpoint of its current edge if in transit
-// (mid-edge motion is a physical commitment even for OPT), or its origin and
-// creation time if it does not exist yet. Schedule-induced constraints are
-// deliberately excluded — the optimal scheduler in the competitive-ratio
-// denominator may route objects differently than ours did, so only physics
-// may constrain it.
+// running simulation, one AvailOf entry per requested object.
 func SnapshotAvail(s *core.Sim, txns []*core.Transaction) map[core.ObjID]Avail {
 	avail := make(map[core.ObjID]Avail)
 	for _, tx := range txns {
 		for _, o := range tx.Objects {
-			if _, ok := avail[o]; ok {
-				continue
-			}
-			obj := s.Instance().Objects[o]
-			if obj.Created > s.Now() {
-				avail[o] = Avail{Node: obj.Origin, Free: obj.Created}
-				continue
-			}
-			loc := s.ObjectLocation(o)
-			if loc.InTransit {
-				avail[o] = Avail{Node: loc.Next, Free: loc.Arrive}
-			} else {
-				avail[o] = Avail{Node: loc.Node, Free: s.Now()}
+			if _, ok := avail[o]; !ok {
+				avail[o] = AvailOf(s, o)
 			}
 		}
 	}
 	return avail
+}
+
+// AvailOf returns object o's availability in a running simulation using
+// *physical* positions only: the node the object sits at (free now), the
+// endpoint of its current edge if in transit (mid-edge motion is a
+// physical commitment even for OPT), or its origin and creation time if it
+// does not exist yet. Schedule-induced constraints are deliberately
+// excluded — the optimal scheduler in the competitive-ratio denominator
+// may route objects differently than ours did, so only physics may
+// constrain it.
+func AvailOf(s *core.Sim, o core.ObjID) Avail {
+	if obj := s.Instance().Objects[o]; obj.Created > s.Now() {
+		return Avail{Node: obj.Origin, Free: obj.Created}
+	}
+	loc := s.ObjectLocation(o)
+	if loc.InTransit {
+		return Avail{Node: loc.Next, Free: loc.Arrive}
+	}
+	return Avail{Node: loc.Node, Free: s.Now()}
 }

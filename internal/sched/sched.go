@@ -11,6 +11,7 @@
 package sched
 
 import (
+	"sort"
 	"time"
 
 	"dtm/internal/core"
@@ -61,7 +62,7 @@ type Scheduler interface {
 // computed post-hoc once every execution time is known.
 type snapshot struct {
 	At   core.Time
-	Live []core.TxID
+	Live int       // live-set size
 	LB   core.Time // lower bound on the optimal duration t* from At
 }
 
@@ -179,23 +180,14 @@ func run(in *core.Instance, s Scheduler, stream arrivalStream, opts Options, suf
 		Failed: err != nil, Err: err, Metrics: opts.Obs.Snapshot(), Decisions: harvestDecisions(sim),
 		Abandoned: abandoned(s)}
 	// Ratios are computed post hoc, once every execution time is known.
-	for _, sn := range snaps {
-		var maxRem core.Time
-		for _, id := range sn.Live {
-			exec, ok := sim.Scheduled(id)
-			if !ok {
-				continue // failed run or abandoned: unscheduled live transaction
-			}
-			if rem := exec - sn.At; rem > maxRem {
-				maxRem = rem
-			}
-		}
+	maxRem := maxRemaining(sim, snaps)
+	for i, sn := range snaps {
 		rp := RatioPoint{
 			At:       sn.At,
-			LiveTxns: len(sn.Live),
-			MaxRem:   maxRem,
+			LiveTxns: sn.Live,
+			MaxRem:   maxRem[i],
 			LB:       sn.LB,
-			Ratio:    float64(maxRem) / float64(sn.LB),
+			Ratio:    float64(maxRem[i]) / float64(sn.LB),
 		}
 		rr.Ratios = append(rr.Ratios, rp)
 		if rp.Ratio > rr.MaxRatio {
@@ -205,45 +197,88 @@ func run(in *core.Instance, s Scheduler, stream arrivalStream, opts Options, suf
 	return rr, err
 }
 
-// takeSnapshot records the live set and the OPT lower bound at time t,
-// and observes the live-set size and the snapshot's wall-clock cost. Live
-// means arrived but not yet executed (a transaction executing exactly at
-// t is included; its remaining duration is 0).
-func takeSnapshot(sim *core.Sim, t core.Time, m *obs.Metrics, dm driverMetrics) snapshot {
+// maxRemaining returns each snapshot's MaxRem: the latest decided
+// execution time among its live transactions less At, or 0 if none is
+// later. It reads the latest over every transaction arrived by At
+// instead, one prefix max over the snapshots. The two agree: a
+// transaction that left the live set executed before At, and its decided
+// time is no later than its execution. Unscheduled transactions (a failed
+// run, or abandoned ones) count for neither.
+func maxRemaining(sim *core.Sim, snaps []snapshot) []core.Time {
+	latest := make([]core.Time, len(snaps)) // indexed by the first snapshot at or after arrival
+	for _, tx := range sim.Instance().Txns {
+		exec, ok := sim.Scheduled(tx.ID)
+		if !ok {
+			continue
+		}
+		i := sort.Search(len(snaps), func(i int) bool { return snaps[i].At >= tx.Arrival })
+		if i < len(snaps) && exec > latest[i] {
+			latest[i] = exec
+		}
+	}
+	var hi core.Time
+	for i, sn := range snaps {
+		hi = max(hi, latest[i])
+		latest[i] = max(0, hi-sn.At)
+	}
+	return latest
+}
+
+// liveSet is the snapshots' running live set: every delivered transaction
+// not yet seen executed before a snapshot time, and the lower-bound
+// tracker over the same set. The drive core keeps one only while
+// snapshots are on.
+type liveSet struct {
+	txns []*core.Transaction
+	lb   *lowerbound.Tracker
+}
+
+func newLiveSet(g *graph.Graph) *liveSet {
+	return &liveSet{lb: lowerbound.NewTracker(g)}
+}
+
+// add puts a delivered batch in the live set.
+func (l *liveSet) add(txns []*core.Transaction) {
+	l.txns = append(l.txns, txns...)
+	for _, tx := range txns {
+		l.lb.Add(tx)
+	}
+}
+
+// takeSnapshot adds the batch delivered at t to the live set, drops every
+// transaction that executed before t, and records the live-set size and
+// the OPT lower bound; it observes the size and the snapshot's wall-clock
+// cost. Live means arrived but not yet executed (a transaction executing
+// exactly at t is included; its remaining duration is 0). Every
+// transaction arrived by t was delivered by t, so the set is the one a
+// scan of the instance would find.
+func takeSnapshot(sim *core.Sim, t core.Time, batch []*core.Transaction, live *liveSet, m *obs.Metrics, dm driverMetrics) snapshot {
 	var start time.Time
 	if m != nil {
 		//lint:ignore detclock sched.snapshot_ns measures the wall-clock cost of snapshotting; it never feeds a scheduling decision or the decision log
 		start = time.Now()
 	}
-	in := sim.Instance()
-	var live []*core.Transaction
-	for _, tx := range in.Txns {
-		if tx.Arrival > t {
-			continue
-		}
+	live.add(batch)
+	kept := live.txns[:0]
+	for _, tx := range live.txns {
 		if et, ok := sim.Executed(tx.ID); ok && et < t {
+			live.lb.Remove(tx)
 			continue
 		}
-		live = append(live, tx)
+		kept = append(kept, tx)
 	}
-	ids := make([]core.TxID, len(live))
-	for i, tx := range live {
-		ids[i] = tx.ID
-	}
-	lb := lowerbound.Estimate(lowerbound.Input{
-		G:     in.G,
-		Now:   t,
-		Txns:  live,
-		Avail: lowerbound.SnapshotAvail(sim, live),
-	})
+	clear(live.txns[len(kept):])
+	live.txns = kept
+	lb := live.lb.Estimate(t, func(o core.ObjID) lowerbound.Avail { return lowerbound.AvailOf(sim, o) })
+	n := len(kept)
 	if m != nil {
 		//lint:ignore detclock wall-clock observability companion to the time.Now above; decisions never read it
 		dm.snapNs.Observe(time.Since(start).Nanoseconds())
 		dm.snaps.Inc()
-		dm.snapLive.Observe(int64(len(ids)))
-		dm.live.Set(int64(len(ids)))
+		dm.snapLive.Observe(int64(n))
+		dm.live.Set(int64(n))
 	}
-	return snapshot{At: t, Live: ids, LB: lb}
+	return snapshot{At: t, Live: n, LB: lb}
 }
 
 // CompletionRate returns the fraction of transactions that executed:

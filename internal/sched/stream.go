@@ -6,9 +6,11 @@ package sched
 // arrivals come from: the finite instance alone (Run), a lazily-pulled
 // workload.Source (RunStream), or a feedback stream whose next arrival is
 // gated on commits (RunClosedLoop).
-// The loop holds no per-transaction history of its own, so with Sim
-// retirement enabled (RunStream's default) a run's live state is bounded
-// by the in-flight window no matter how many arrivals stream through.
+// The loop holds no per-transaction history of its own (with ratio
+// snapshots on, which RunStream never turns on, it holds the live
+// transactions), so with Sim retirement enabled (RunStream's default) a
+// run's live state is bounded by the in-flight window no matter how many
+// arrivals stream through.
 
 import (
 	"fmt"
@@ -105,10 +107,18 @@ func drive(in *core.Instance, s Scheduler, stream arrivalStream, opts Options,
 	if snapEvery == 0 {
 		snapEvery = 1
 	}
+	var live *liveSet
+	if snapEvery > 0 {
+		live = newLiveSet(in.G)
+	}
 	snapCount := 0
 	deliver := func(t core.Time, txns []*core.Transaction) error {
-		if snapEvery > 0 && snapCount%snapEvery == 0 {
-			snaps = append(snaps, takeSnapshot(sim, t, opts.Obs, dm))
+		if live != nil {
+			if snapCount%snapEvery == 0 {
+				snaps = append(snaps, takeSnapshot(sim, t, txns, live, opts.Obs, dm))
+			} else {
+				live.add(txns)
+			}
 		}
 		snapCount++
 		dm.arrivals.Add(int64(len(txns)))
