@@ -18,9 +18,9 @@ check: vet fmt lint race test
 vet:
 	$(GO) vet ./...
 
-# lint runs the dtmlint multichecker: the determinism, engine-registry,
-# goroutine-site, metric-name and pool-hygiene analyzers in
-# internal/analysis (gosites allows go statements only in
+# lint runs the dtmlint multichecker: the determinism (detclock,
+# detrange), goroutine-site (gosites) and metric-name (obsnames)
+# analyzers in internal/analysis (gosites allows go statements only in
 # graph.WarmTrees and runner.Sweep.Run — see DESIGN.md §15). Zero
 # findings is the gate; justified exceptions use
 # //lint:ignore <analyzer> <reason>. A directive that suppresses nothing

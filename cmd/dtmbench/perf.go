@@ -68,9 +68,9 @@ const (
 	perfBudget  = 2 * time.Second
 )
 
-// measure times c under v. One untimed run fills pooled scratch, grows
-// the heap and, unless c is cold, builds the trees the timed runs reuse;
-// its decisions and result come back as JSON for the identity check. The row keeps the
+// measure times c under v. One untimed run grows the heap and, unless c
+// is cold, builds the trees the timed runs reuse; its decisions and
+// result come back as JSON for the identity check. The row keeps the
 // fastest timed run, since noise only ever slows a run, and averages
 // allocations over the timed runs, counted around the timed call only.
 func measure(c perfCase, v perfVariant) (perfRow, []byte, error) {

@@ -1,7 +1,7 @@
 // Command dtmlint is the engine's multichecker: it loads the module,
-// type-checks every package, and runs the determinism/registry/
-// goroutine-site/metrics/pooling analyzer suite (detclock, detrange,
-// enginereg, gosites, obsnames, poolreturn) from internal/analysis.
+// type-checks every package, and runs the determinism/goroutine-site/
+// metrics analyzer suite (detclock, detrange, gosites, obsnames) from
+// internal/analysis.
 // Findings print as file:line:col: analyzer: message and make the process
 // exit 1, so `make lint` (and through it `make check` and CI) gates on a
 // clean run.

@@ -263,21 +263,21 @@ func EngineIDs() []string { return engine.IDs() }
 func NewEngine(id string) (Scheduler, error) { return engine.Default(id) }
 
 // NewGreedy returns the Algorithm 1 online greedy scheduler.
-func NewGreedy(opts GreedyOptions) *greedy.Greedy { return engine.NewGreedy(opts) }
+func NewGreedy(opts GreedyOptions) *greedy.Greedy { return greedy.New(opts) }
 
 // NewCoordinator returns the Section III-E hub coordinator scheduler.
 func NewCoordinator(hub NodeID, opts GreedyOptions) *greedy.Coordinator {
-	return engine.NewCoordinator(hub, opts)
+	return greedy.NewCoordinator(hub, opts)
 }
 
 // NewBucket returns the Algorithm 2 online bucket scheduler converting the
 // offline batch algorithm in opts.Batch.
-func NewBucket(opts BucketOptions) *bucket.Bucket { return engine.NewBucket(opts) }
+func NewBucket(opts BucketOptions) *bucket.Bucket { return bucket.New(opts) }
 
 // NewWindow returns the Algorithm W randomized window-based greedy
 // scheduler (Sharma, Estrade & Busch): seeded per-round priorities,
 // exponential window growth on abort.
-func NewWindow(opts WindowOptions) *window.Window { return engine.NewWindow(opts) }
+func NewWindow(opts WindowOptions) *window.Window { return window.New(opts) }
 
 // NewDistributed returns the Algorithm 3 distributed bucket protocol:
 // decisions are computed by per-node handlers exchanging messages with
@@ -287,7 +287,7 @@ func NewWindow(opts WindowOptions) *window.Window { return engine.NewWindow(opts
 // fault plan in opts.Faults the network becomes unreliable and the
 // protocol recovers by retrying; transactions it cannot save are listed
 // in RunResult.Abandoned instead of hanging the run.
-func NewDistributed(opts DistributedOptions) *distbucket.Protocol { return engine.NewDistributed(opts) }
+func NewDistributed(opts DistributedOptions) *distbucket.Protocol { return distbucket.New(opts) }
 
 // NewBatchSession begins an incremental session of s over the live
 // problem p (p.Txns is ignored; the pushed set takes its place).

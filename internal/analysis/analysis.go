@@ -11,17 +11,13 @@
 // invariants the reproduction's byte-identical decision logs rest on:
 //
 //   - detrange: no order-dependent sinks fed from unsorted map iteration
-//     in engine packages (schedule determinism);
+//     anywhere in the module (schedule determinism);
 //   - detclock: no wall-clock or global math/rand in engine packages
 //     (simulation time and explicitly seeded sources only);
-//   - enginereg: engines are constructed through the internal/engine
-//     registry only;
 //   - gosites: goroutines start only at the allowlisted sites (the tree
 //     warm-up and the sweep runner's pool);
 //   - obsnames: every obs metric name resolves to the string-constant
-//     registry in internal/obs/names.go (no typo-class drift);
-//   - poolreturn: pooled scratch acquired from a sync.Pool is released on
-//     every return path (no silent pool leaks).
+//     registry in internal/obs/names.go (no typo-class drift).
 //
 // A finding can be suppressed with a justified directive on the same or
 // the preceding line:

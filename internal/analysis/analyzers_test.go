@@ -15,16 +15,8 @@ func TestDetrange(t *testing.T) {
 	analysistest.Run(t, analysis.Detrange, "testdata/src/detrange")
 }
 
-func TestEnginereg(t *testing.T) {
-	analysistest.Run(t, analysis.Enginereg, "testdata/src/enginereg")
-}
-
 func TestObsnames(t *testing.T) {
 	analysistest.Run(t, analysis.Obsnames, "testdata/src/obsnames")
-}
-
-func TestPoolreturn(t *testing.T) {
-	analysistest.Run(t, analysis.Poolreturn, "testdata/src/poolreturn")
 }
 
 func TestGosites(t *testing.T) {
@@ -34,8 +26,8 @@ func TestGosites(t *testing.T) {
 // TestSuiteShape pins the driver-facing contract: every suite analyzer is
 // named, documented, and scoped.
 func TestSuiteShape(t *testing.T) {
-	if len(analysis.Suite) != 6 {
-		t.Fatalf("Suite has %d analyzers, want 6", len(analysis.Suite))
+	if len(analysis.Suite) != 4 {
+		t.Fatalf("Suite has %d analyzers, want 4", len(analysis.Suite))
 	}
 	seen := map[string]bool{}
 	for _, a := range analysis.Suite {
@@ -57,8 +49,5 @@ func TestSuiteShape(t *testing.T) {
 	}
 	if analysis.Obsnames.AppliesTo("dtm/internal/obs") {
 		t.Error("obsnames must exempt the obs package itself")
-	}
-	if analysis.Enginereg.AppliesTo("dtm/internal/engine") {
-		t.Error("enginereg must exempt the registry package itself")
 	}
 }

@@ -4,19 +4,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
-// engineBases are the package base names whose code assembles schedules
-// or decision/trace logs; they are the detrange scope and part of the
-// detclock scope.
-var engineBases = map[string]bool{
-	"greedy": true, "bucket": true, "coloring": true, "depgraph": true,
-	"sched": true, "core": true, "distbucket": true, "batch": true,
-}
-
-// Detrange reports map iterations in engine packages whose bodies feed an
-// order-dependent sink: appending to a slice declared outside the loop
+// Detrange reports map iterations anywhere in the module whose bodies feed
+// an order-dependent sink: appending to a slice declared outside the loop
 // (unless that slice is deterministically sorted afterwards in the same
 // function), committing a scheduling decision (Decide), or emitting an
 // observability/trace event (Emit/Event). Go randomizes map iteration
@@ -28,14 +19,9 @@ var engineBases = map[string]bool{
 var Detrange = &Analyzer{
 	Name: "detrange",
 	Doc: "forbid map iteration feeding order-dependent sinks (slice appends " +
-		"without a later sort, Decide, Emit/Event) in engine packages",
-	AppliesTo: func(pkgPath string) bool {
-		if !strings.HasPrefix(pkgPath, "dtm/internal/") {
-			return false
-		}
-		return engineBases[pkgPath[strings.LastIndex(pkgPath, "/")+1:]]
-	},
-	Run: runDetrange,
+		"without a later sort, Decide, Emit/Event)",
+	AppliesTo: func(string) bool { return true },
+	Run:       runDetrange,
 }
 
 // orderSinkMethods are method names whose call order is observable in the

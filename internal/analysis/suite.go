@@ -4,8 +4,6 @@ package analysis
 var Suite = []*Analyzer{
 	Detclock,
 	Detrange,
-	Enginereg,
 	Gosites,
 	Obsnames,
-	Poolreturn,
 }

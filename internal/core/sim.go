@@ -213,6 +213,9 @@ func NewSim(in *Instance, opts SimOptions) (*Sim, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkSlow(in.G, opts.slow()); err != nil {
+		return nil, err
+	}
 	s := &Sim{
 		in:        in,
 		opts:      opts,
@@ -245,6 +248,31 @@ func NewSim(in *Instance, opts SimOptions) (*Sim, error) {
 		in.G.WarmTrees(opts.Parallel)
 	}
 	return s, nil
+}
+
+// checkSlow refuses a slow factor under which travel times could wrap.
+// A shortest path has at most N−1 edges, so (N−1) × the largest edge
+// weight bounds every Dist; with that bound times the slow factor below
+// graph.Infinite, every Dist × slow the run computes stays below 2^62.
+func checkSlow(g *graph.Graph, slow graph.Weight) error {
+	if slow <= 1 {
+		return nil
+	}
+	span := satMul(graph.Weight(g.N()-1), g.MaxEdgeWeight())
+	if satMul(span, slow) >= graph.Infinite {
+		return fmt.Errorf("core: slow factor %d times the path bound %d ((N-1) × largest edge weight) reaches %d",
+			slow, span, graph.Infinite)
+	}
+	return nil
+}
+
+// satMul returns a × b for non-negative a and b, saturating at
+// graph.Infinite.
+func satMul(a, b graph.Weight) graph.Weight {
+	if b != 0 && a > graph.Infinite/b {
+		return graph.Infinite
+	}
+	return a * b
 }
 
 func (s *Sim) push(e event) {

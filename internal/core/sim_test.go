@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -334,6 +335,51 @@ func TestSlowFactorDoublesTravel(t *testing.T) {
 	}
 	if _, err := Replay(in, []Decision{{Tx: 0, Exec: 9, At: 0}}, SimOptions{SlowFactor: 2}); err == nil {
 		t.Fatal("exec=9 at half speed should violate")
+	}
+}
+
+// A slow factor whose product with the path bound (N−1) × the largest
+// edge weight reaches graph.Infinite would let travel times wrap negative,
+// so objects would arrive in the past. NewSim refuses it, from exactly
+// that boundary on, and names both values.
+func TestNewSimRefusesOverflowingSlowFactor(t *testing.T) {
+	// star has the given number of leaves on edges of weight w, and one
+	// transaction at a leaf for an object at the center.
+	star := func(leaves int, w graph.Weight) *Instance {
+		g, err := graph.New(leaves + 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 1; v <= leaves; v++ {
+			if err := g.AddEdge(0, graph.NodeID(v), w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return &Instance{G: g, Objects: []*Object{{ID: 0, Origin: 0}},
+			Txns: []*Transaction{{ID: 0, Node: 1, Objects: []ObjID{0}}}}
+	}
+	// Path bound 2 × 2^20 = 2^21; slow factor 2^41 puts the product at
+	// graph.Infinite = 2^62.
+	if _, err := NewSim(star(2, 1<<20), SimOptions{SlowFactor: 1<<41 - 1}); err != nil {
+		t.Errorf("product below Infinite: %v", err)
+	}
+	_, err := NewSim(star(2, 1<<20), SimOptions{SlowFactor: 1 << 41})
+	if err == nil {
+		t.Fatal("product at Infinite: NewSim accepted it")
+	}
+	for _, v := range []string{"2199023255552", "2097152"} {
+		if !strings.Contains(err.Error(), v) {
+			t.Errorf("error %q does not name %s", err, v)
+		}
+	}
+	// 8 × 2^60 wraps int64 to a negative bound; the bound saturates instead.
+	if _, err := NewSim(star(8, 1<<60), SimOptions{SlowFactor: 2}); err == nil {
+		t.Error("path bound past Infinite at slow factor 2: NewSim accepted it")
+	}
+	// At full speed there is nothing to bound: Dijkstra keeps every Dist
+	// below Infinite.
+	if _, err := NewSim(star(8, 1<<60), SimOptions{}); err != nil {
+		t.Errorf("slow factor 1: %v", err)
 	}
 }
 

@@ -20,10 +20,7 @@
 //     time t only touches transactions whose schedule has actually come
 //     due (elastic-execution stragglers are re-armed, not rescanned);
 //   - a generation-stamped seen set replacing the per-call map[pair]bool
-//     edge dedup: marking a neighbor visited is one array store;
-//   - reusable interval/neighbor arenas (Scratch) shared through a
-//     sync.Pool so the sweep runner's parallel trials do not contend on
-//     the allocator.
+//     edge dedup: marking a neighbor visited is one array store.
 //
 // The scheduler-facing contract is exact: the colors produced from an
 // Index walk equal those of the rebuild path for every input (the root
@@ -32,9 +29,7 @@ package depgraph
 
 import (
 	"sort"
-	"sync"
 
-	"dtm/internal/coloring"
 	"dtm/internal/core"
 	"dtm/internal/graph"
 	"dtm/internal/obs"
@@ -281,37 +276,4 @@ const (
 func (ix *Index) arenaBytes() int64 {
 	return int64(cap(ix.slots))*slotBytes + int64(cap(ix.stamp))*stampBytes + int64(cap(ix.free))*freeBytes +
 		ix.postCap*prefBytes + int64(ix.expire.Len())*expiryBytes
-}
-
-// Scratch is the reusable per-run buffer set shared by the schedulers:
-// forbidden-interval and neighbor arenas for the greedy coloring walk,
-// plus transaction buffers for ID-ordering and the bucket scheduler's
-// probe candidates. Obtain one with GetScratch (the sched driver does
-// this once per run and exposes it via Env.Scratch) and return it with
-// Release; after Release the scratch must not be used again.
-type Scratch struct {
-	Forb  []coloring.Interval
-	Nbrs  []Neighbor
-	Txns  []*core.Transaction
-	Slots []Slot
-}
-
-var scratchPool = sync.Pool{New: func() interface{} { return &Scratch{} }}
-
-// GetScratch borrows a scratch-buffer set from the shared pool.
-func GetScratch() *Scratch {
-	return scratchPool.Get().(*Scratch)
-}
-
-// Release returns the scratch to the pool, dropping transaction
-// references so runs cannot leak instances through it.
-func (s *Scratch) Release() {
-	for i := range s.Txns {
-		s.Txns[i] = nil
-	}
-	s.Txns = s.Txns[:0]
-	s.Forb = s.Forb[:0]
-	s.Nbrs = s.Nbrs[:0]
-	s.Slots = s.Slots[:0]
-	scratchPool.Put(s)
 }

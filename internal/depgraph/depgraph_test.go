@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"dtm/internal/coloring"
 	"dtm/internal/core"
 	"dtm/internal/graph"
 )
@@ -156,22 +155,5 @@ func TestSlotReuseKeepsPostingsConsistent(t *testing.T) {
 	}
 	if st := ix.Snapshot(); st.ArenaBytes <= 0 {
 		t.Fatalf("arena bytes = %d, want positive", st.ArenaBytes)
-	}
-}
-
-func TestScratchPoolRoundTrip(t *testing.T) {
-	sc := GetScratch()
-	sc.Txns = append(sc.Txns, tx(1, 0, 0))
-	sc.Forb = append(sc.Forb, coloring.Forbid(0, 1))
-	sc.Release()
-	sc2 := GetScratch()
-	defer sc2.Release()
-	if len(sc2.Txns) != 0 || len(sc2.Forb) != 0 {
-		t.Fatalf("pooled scratch not cleared: %d txns, %d intervals", len(sc2.Txns), len(sc2.Forb))
-	}
-	for _, p := range sc2.Txns[:cap(sc2.Txns)] {
-		if p != nil {
-			t.Fatal("released scratch retains transaction references")
-		}
 	}
 }

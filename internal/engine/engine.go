@@ -1,17 +1,15 @@
-// Package engine is the scheduler-engine registry: the single place where
-// the repo's scheduling algorithms are constructed. Every front end — the
+// Package engine is the scheduler-engine registry: one table of the repo's
+// scheduling algorithms with their default options. Every front end — the
 // dtm facade, cmd/dtmsim, cmd/dtmbench, the experiments, and the root
 // conformance/differential/parallel test suites — resolves engines here by
 // ID (engine.ByID) or enumerates them (engine.All, filtered by capability
 // flags), so adding an engine means adding one Desc to the table below and
-// every harness picks it up; the dtmlint enginereg analyzer rejects direct
-// constructor calls anywhere else.
+// every harness picks it up.
 //
 // Option-variant construction (a padded greedy, a custom window seed, a
-// faulty network for the protocol) goes through the concrete constructors
-// NewGreedy, NewCoordinator, NewBucket, NewWindow, and NewDistributed —
-// still this package, so the lint boundary holds without every feature
-// knob needing a registry ID.
+// faulty network for the protocol) calls the engine package's own
+// constructor (greedy.New, greedy.NewCoordinator, bucket.New, window.New,
+// distbucket.New), so feature knobs need no registry ID.
 package engine
 
 import (
@@ -22,7 +20,6 @@ import (
 	"dtm/internal/batch"
 	"dtm/internal/bucket"
 	"dtm/internal/distbucket"
-	"dtm/internal/graph"
 	"dtm/internal/greedy"
 	"dtm/internal/sched"
 	"dtm/internal/window"
@@ -172,26 +169,3 @@ func Default(id string) (sched.Scheduler, error) {
 	}
 	return d.New(sched.EngineOptions{}), nil
 }
-
-// Concrete full-option constructors. These are the only construction sites
-// outside the engines' own packages the enginereg analyzer accepts; option
-// structs stay the engines' own, so feature knobs (padding, fault plans,
-// custom seeds, oracle selection) need no registry mirror.
-
-// NewGreedy returns the Algorithm 1 online greedy scheduler.
-func NewGreedy(opts greedy.Options) *greedy.Greedy { return greedy.New(opts) }
-
-// NewCoordinator returns the Section III-E hub coordinator scheduler.
-func NewCoordinator(hub graph.NodeID, opts greedy.Options) *greedy.Coordinator {
-	return greedy.NewCoordinator(hub, opts)
-}
-
-// NewBucket returns the Algorithm 2 online bucket scheduler converting the
-// offline batch algorithm in opts.Batch.
-func NewBucket(opts bucket.Options) *bucket.Bucket { return bucket.New(opts) }
-
-// NewWindow returns the Algorithm W randomized window scheduler.
-func NewWindow(opts window.Options) *window.Window { return window.New(opts) }
-
-// NewDistributed returns the Algorithm 3 distributed bucket protocol.
-func NewDistributed(opts distbucket.Options) *distbucket.Protocol { return distbucket.New(opts) }

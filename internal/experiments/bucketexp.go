@@ -8,7 +8,6 @@ import (
 	"dtm/internal/batch"
 	"dtm/internal/bucket"
 	"dtm/internal/core"
-	"dtm/internal/engine"
 	"dtm/internal/graph"
 	"dtm/internal/obs"
 	"dtm/internal/runner"
@@ -179,7 +178,7 @@ func table3BucketLemmas(cfg Config) (*stats.Table, error) {
 			a := a
 			points = append(points, runner.Point{
 				Cells: []runner.Cell{{Name: a.Name(), Run: func(seed int64, m *obs.Metrics) (runner.Outcome, error) {
-					b := engine.NewBucket(bucket.Options{Batch: a})
+					b := bucket.New(bucket.Options{Batch: a})
 					in, err := genUniform(g, 2, g.N()/2, 3, core.Time(g.Diameter())*4, seed)
 					if err != nil {
 						return runner.Outcome{}, err
@@ -314,7 +313,7 @@ func table7BucketAblation(cfg Config) (*stats.Table, error) {
 		points = append(points, runner.Point{
 			Cells: []runner.Cell{{Name: variant.name, Run: func(seed int64, m *obs.Metrics) (runner.Outcome, error) {
 				in, local, far := build()
-				b := engine.NewBucket(bucket.Options{Batch: batch.Tour{}, ForceTopLevel: variant.force})
+				b := bucket.New(bucket.Options{Batch: batch.Tour{}, ForceTopLevel: variant.force})
 				rr, err := sched.Run(in, b, sched.Options{Obs: m})
 				if err != nil {
 					return runner.Outcome{}, err

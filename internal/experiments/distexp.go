@@ -5,7 +5,6 @@ import (
 
 	"dtm/internal/core"
 	"dtm/internal/distbucket"
-	"dtm/internal/engine"
 	"dtm/internal/graph"
 	"dtm/internal/greedy"
 	"dtm/internal/obs"
@@ -24,7 +23,7 @@ func distCell(g *graph.Graph, slow int) runner.CellFunc {
 		if err != nil {
 			return runner.Outcome{}, err
 		}
-		p := engine.NewDistributed(distbucket.Options{Seed: seed})
+		p := distbucket.New(distbucket.Options{Seed: seed})
 		rr, err := sched.Run(in, p, sched.Options{Sim: core.SimOptions{SlowFactor: slow}, Obs: m})
 		if err != nil {
 			return runner.Outcome{}, err
@@ -126,7 +125,7 @@ func table5Coordinator(cfg Config) (*stats.Table, error) {
 				})},
 				{Name: "coord", Run: runner.Sched(func(seed int64) (*core.Instance, sched.Scheduler, error) {
 					in, err := mkIn(seed)
-					return in, engine.NewCoordinator(0, greedy.Options{}), err
+					return in, greedy.NewCoordinator(0, greedy.Options{}), err
 				})},
 			},
 			Row: func(cs []runner.Agg) ([]string, error) {

@@ -21,7 +21,6 @@ import (
 	"dtm/internal/bucket"
 	"dtm/internal/core"
 	"dtm/internal/distbucket"
-	"dtm/internal/engine"
 	"dtm/internal/graph"
 	"dtm/internal/greedy"
 	"dtm/internal/obs"
@@ -149,16 +148,16 @@ func genUniform(g *graph.Graph, k, numObjects, rounds int, period core.Time, see
 	})
 }
 
-func newGreedy() sched.Scheduler        { return engine.NewGreedy(greedy.Options{}) }
-func newGreedyUniform() sched.Scheduler { return engine.NewGreedy(greedy.Options{Uniform: true}) }
-func newBucketTour() sched.Scheduler    { return engine.NewBucket(bucket.Options{Batch: batch.Tour{}}) }
+func newGreedy() sched.Scheduler        { return greedy.New(greedy.Options{}) }
+func newGreedyUniform() sched.Scheduler { return greedy.New(greedy.Options{Uniform: true}) }
+func newBucketTour() sched.Scheduler    { return bucket.New(bucket.Options{Batch: batch.Tour{}}) }
 func newBucketColoring() sched.Scheduler {
-	return engine.NewBucket(bucket.Options{Batch: batch.Coloring{}})
+	return bucket.New(bucket.Options{Batch: batch.Coloring{}})
 }
-func newBucketList() sched.Scheduler { return engine.NewBucket(bucket.Options{Batch: batch.List{}}) }
-func newWindow() sched.Scheduler     { return engine.NewWindow(window.Options{}) }
+func newBucketList() sched.Scheduler { return bucket.New(bucket.Options{Batch: batch.List{}}) }
+func newWindow() sched.Scheduler     { return window.New(window.Options{}) }
 func newDistributed(seed int64) sched.Scheduler {
-	return engine.NewDistributed(distbucket.Options{Seed: seed})
+	return distbucket.New(distbucket.Options{Seed: seed})
 }
 
 func f2(x float64) string { return fmt.Sprintf("%.2f", x) }

@@ -5,7 +5,6 @@ import (
 
 	"dtm/internal/distbucket"
 	"dtm/internal/distnet"
-	"dtm/internal/engine"
 	"dtm/internal/graph"
 	"dtm/internal/obs"
 	"dtm/internal/runner"
@@ -29,7 +28,7 @@ func faultCell(g *graph.Graph, drop float64) runner.CellFunc {
 			// trial needs one even when the sweep collects no metrics.
 			reg = obs.New()
 		}
-		p := engine.NewDistributed(distbucket.Options{
+		p := distbucket.New(distbucket.Options{
 			Seed:   seed,
 			Faults: distbucket.FaultOptions{Plan: distnet.FaultPlan{Seed: seed, Drop: drop}},
 		})

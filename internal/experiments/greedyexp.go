@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"dtm/internal/core"
-	"dtm/internal/engine"
 	"dtm/internal/graph"
 	"dtm/internal/greedy"
 	"dtm/internal/obs"
@@ -249,7 +248,7 @@ func table2GreedyBounds(cfg Config) (*stats.Table, error) {
 		uniform := c.uniform
 		points = append(points, runner.Point{
 			Cells: []runner.Cell{{Name: g.Name(), Run: func(seed int64, m *obs.Metrics) (runner.Outcome, error) {
-				gs := engine.NewGreedy(greedy.Options{Uniform: uniform})
+				gs := greedy.New(greedy.Options{Uniform: uniform})
 				in, err := genUniform(g, 3, g.N(), 3, core.Time(g.Diameter()), seed)
 				if err != nil {
 					return runner.Outcome{}, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dtm/internal/core"
-	"dtm/internal/engine"
 	"dtm/internal/graph"
 	"dtm/internal/greedy"
 	"dtm/internal/runner"
@@ -60,7 +59,7 @@ func table10HubPlacement(cfg Config) (*stats.Table, error) {
 			points = append(points, runner.Point{
 				Cells: []runner.Cell{{Name: pl.name, Run: runner.Sched(func(seed int64) (*core.Instance, sched.Scheduler, error) {
 					in, err := genUniform(g, 2, g.N()/2, 2, core.Time(g.Diameter())*2, seed)
-					return in, engine.NewCoordinator(hub, greedy.Options{}), err
+					return in, greedy.NewCoordinator(hub, greedy.Options{}), err
 				})}},
 				Row: func(cs []runner.Agg) ([]string, error) {
 					c := cs[0]

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dtm/internal/core"
-	"dtm/internal/engine"
 	"dtm/internal/graph"
 	"dtm/internal/greedy"
 	"dtm/internal/obs"
@@ -48,7 +47,7 @@ func figure13Padding(cfg Config) (*stats.Table, error) {
 				if err != nil {
 					return runner.Outcome{}, err
 				}
-				rr, err := sched.Run(in, engine.NewGreedy(greedy.Options{Pad: pad}), sched.Options{SnapshotEvery: -1, Obs: m})
+				rr, err := sched.Run(in, greedy.New(greedy.Options{Pad: pad}), sched.Options{SnapshotEvery: -1, Obs: m})
 				if err != nil {
 					return runner.Outcome{}, err
 				}

@@ -7,7 +7,6 @@ import (
 	"dtm/internal/batch"
 	"dtm/internal/bucket"
 	"dtm/internal/core"
-	"dtm/internal/engine"
 	"dtm/internal/graph"
 	"dtm/internal/greedy"
 	"dtm/internal/obs"
@@ -72,7 +71,7 @@ func table8BatchQuality(cfg Config) (*stats.Table, error) {
 					}},
 					{Name: "online", Run: runner.Sched(func(seed int64) (*core.Instance, sched.Scheduler, error) {
 						in, err := mkInstance(seed)
-						return in, engine.NewBucket(bucket.Options{Batch: a}), err
+						return in, bucket.New(bucket.Options{Batch: a}), err
 					})},
 				},
 				Row: func(cs []runner.Agg) ([]string, error) {
@@ -134,7 +133,7 @@ func table9ClosedLoop(cfg Config) (*stats.Table, error) {
 				}
 				rr, in, err := sched.RunClosedLoop(g, sched.ClosedLoopConfig{
 					Objects: objects, Rounds: rounds, Gen: gen,
-				}, engine.NewGreedy(greedy.Options{}), sched.Options{Obs: m})
+				}, greedy.New(greedy.Options{}), sched.Options{Obs: m})
 				if err != nil {
 					return runner.Outcome{}, err
 				}

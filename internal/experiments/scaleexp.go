@@ -12,7 +12,6 @@ package experiments
 import (
 	"fmt"
 
-	"dtm/internal/engine"
 	"dtm/internal/graph"
 	"dtm/internal/greedy"
 	"dtm/internal/obs"
@@ -49,12 +48,12 @@ func table12Scale(cfg Config) (*stats.Table, error) {
 				// Snapshots are disabled: the lower-bound estimates they
 				// take per arrival dominate the cost at n=1024 and play no
 				// role in the engine-equivalence claim.
-				inc, err := sched.Run(in, engine.NewGreedy(greedy.Options{}),
+				inc, err := sched.Run(in, greedy.New(greedy.Options{}),
 					sched.Options{Obs: reg, SnapshotEvery: -1})
 				if err != nil {
 					return runner.Outcome{}, err
 				}
-				orc, err := sched.Run(in, engine.NewGreedy(greedy.Options{EngineOptions: sched.EngineOptions{RebuildOracle: true}}),
+				orc, err := sched.Run(in, greedy.New(greedy.Options{EngineOptions: sched.EngineOptions{RebuildOracle: true}}),
 					sched.Options{SnapshotEvery: -1})
 				if err != nil {
 					return runner.Outcome{}, err

@@ -78,9 +78,13 @@ type Greedy struct {
 	env  *sched.Env
 	beta graph.Weight
 
-	// Incremental engine (default): the persistent conflict index.
-	idx     *depgraph.Index
-	scratch *depgraph.Scratch
+	// Incremental engine (default): the persistent conflict index and the
+	// buffers of its coloring walk, reused across calls.
+	idx   *depgraph.Index
+	txns  []*core.Transaction // the batch in ID order; cleared after each call
+	slots []depgraph.Slot
+	forb  []coloring.Interval
+	nbrs  []depgraph.Neighbor
 
 	// Rebuild oracle: per-arrival live tracking.
 	live     []core.TxID                // scheduled and possibly still live
@@ -124,10 +128,6 @@ func (g *Greedy) Start(env *sched.Env) error {
 	if !g.opts.RebuildOracle {
 		g.idx = depgraph.NewIndex(env.Sim)
 		g.idx.RegisterMetrics(env.Obs)
-		g.scratch = env.Scratch
-		if g.scratch == nil {
-			g.scratch = depgraph.GetScratch()
-		}
 	}
 	g.beta = g.opts.Beta
 	if g.opts.Uniform {
@@ -200,15 +200,14 @@ func (g *Greedy) schedule(txns []*core.Transaction) error {
 // from its posting neighborhood.
 func (g *Greedy) scheduleIncremental(txns []*core.Transaction, now core.Time) error {
 	g.idx.Refresh(now)
-	sc := g.scratch
 
 	// Insert every new transaction before coloring any, so same-batch
 	// conflicts are visible from both sides (the rebuild path wires
 	// new-new edges explicitly before its coloring loop). Color in ID
 	// order, exactly like the oracle.
-	sorted := append(sc.Txns[:0], txns...)
+	sorted := append(g.txns[:0], txns...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
-	slots := sc.Slots[:0]
+	slots := g.slots[:0]
 	for _, tx := range sorted {
 		slots = append(slots, g.idx.Insert(tx))
 	}
@@ -218,7 +217,7 @@ func (g *Greedy) scheduleIncremental(txns []*core.Transaction, now core.Time) er
 		// Gather the forbidden intervals and the Δ/Γ bound terms from the
 		// edges incident to tx in H'_t. Weight-0 edges impose no
 		// constraint and are dropped (as coloring.AddEdge drops them).
-		forb := sc.Forb[:0]
+		forb := g.forb[:0]
 		var deg int
 		var wdeg graph.Weight
 		if g.opts.Hub != nil {
@@ -240,7 +239,7 @@ func (g *Greedy) scheduleIncremental(txns []*core.Transaction, now core.Time) er
 				forb = append(forb, coloring.Forbid(0, w))
 			}
 		}
-		nbrs := g.idx.AppendNeighbors(slots[i], sc.Nbrs[:0])
+		nbrs := g.idx.AppendNeighbors(slots[i], g.nbrs[:0])
 		for _, nb := range nbrs {
 			w := g.conflictWeight(tx.Node, nb.Node)
 			if w == 0 {
@@ -254,7 +253,7 @@ func (g *Greedy) scheduleIncremental(txns []*core.Transaction, now core.Time) er
 				forb = append(forb, coloring.Forbid(coloring.Color(nb.Exec-now), w))
 			}
 		}
-		sc.Nbrs = nbrs[:0]
+		g.nbrs = nbrs[:0]
 
 		var c, bound coloring.Color
 		if g.opts.Uniform {
@@ -267,15 +266,16 @@ func (g *Greedy) scheduleIncremental(txns []*core.Transaction, now core.Time) er
 				bound = 0
 			}
 		}
-		sc.Forb = forb[:0]
+		g.forb = forb[:0]
 		g.recordAudit(c, bound)
 		if err = g.env.Sim.Decide(tx.ID, now+core.Time(c)); err != nil {
 			break
 		}
 		g.idx.SetDecided(slots[i], now+core.Time(c))
 	}
-	sc.Slots = slots[:0]
-	sc.Txns = sorted[:0]
+	g.slots = slots[:0]
+	clear(sorted) // no transaction outlives the call
+	g.txns = sorted[:0]
 	return err
 }
 

@@ -15,7 +15,8 @@ import (
 // against the simulation's ground truth: a transaction is live at time t
 // iff it has not executed strictly before t. Any excess means committed
 // transactions are being retained — the leak the O(1) posting removal and
-// prune must prevent over long-lived runs.
+// prune must prevent over long-lived runs. It also checks that the
+// scheduler's batch buffer holds no transaction once OnArrive returns.
 type leakProbe struct {
 	*Greedy
 	t       *testing.T
@@ -47,6 +48,11 @@ func (p *leakProbe) check() {
 	for _, id := range p.arrived {
 		if et, ok := p.env.Sim.Executed(id); !ok || et >= now {
 			truth++
+		}
+	}
+	for i, tx := range p.Greedy.txns[:cap(p.Greedy.txns)] {
+		if tx != nil {
+			p.t.Fatalf("t=%d: batch buffer slot %d retains transaction %d after OnArrive", now, i, tx.ID)
 		}
 	}
 	live, postings := p.Greedy.LiveStats()

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"dtm/internal/core"
-	"dtm/internal/engine"
 	"dtm/internal/graph"
 	"dtm/internal/greedy"
 	"dtm/internal/obs"
@@ -300,7 +299,7 @@ func TestSchedAdapter(t *testing.T) {
 				{ID: 1, Node: 1, Objects: []core.ObjID{0}, Arrival: 0},
 			},
 		}
-		return in, engine.NewGreedy(greedy.Options{}), nil
+		return in, greedy.New(greedy.Options{}), nil
 	})
 	m := obs.New()
 	out, err := cell(42, m)

@@ -119,13 +119,13 @@ func runEngines() []goldenEngine {
 	}
 	elastic := core.SimOptions{ElasticExec: true, SlowFactor: 2}
 	return append(es,
-		goldenEngine{"greedy-pad2", func() sched.Scheduler { return engine.NewGreedy(greedy.Options{Pad: 2}) }, core.SimOptions{}},
-		goldenEngine{"greedy-elastic-slow", func() sched.Scheduler { return engine.NewGreedy(greedy.Options{}) }, elastic},
+		goldenEngine{"greedy-pad2", func() sched.Scheduler { return greedy.New(greedy.Options{Pad: 2}) }, core.SimOptions{}},
+		goldenEngine{"greedy-elastic-slow", func() sched.Scheduler { return greedy.New(greedy.Options{}) }, elastic},
 		goldenEngine{"bucket-random-suffix", func() sched.Scheduler {
-			return engine.NewBucket(bucket.Options{Batch: batch.WithSuffixProperty(batch.Randomized{Seed: 42, Tries: 3})})
+			return bucket.New(bucket.Options{Batch: batch.WithSuffixProperty(batch.Randomized{Seed: 42, Tries: 3})})
 		}, core.SimOptions{}},
 		goldenEngine{"bucket-tour-slow", func() sched.Scheduler {
-			return engine.NewBucket(bucket.Options{Batch: batch.Tour{}})
+			return bucket.New(bucket.Options{Batch: batch.Tour{}})
 		}, elastic},
 	)
 }
@@ -171,17 +171,17 @@ func goldenRun(t *testing.T, got goldenTable) {
 // instance; with snapshots on the ratio trace too.
 func goldenClosedLoop(t *testing.T, got goldenTable) {
 	scheds := map[string]func() sched.Scheduler{
-		"greedy": func() sched.Scheduler { return engine.NewGreedy(greedy.Options{}) },
+		"greedy": func() sched.Scheduler { return greedy.New(greedy.Options{}) },
 		"greedy-rebuild": func() sched.Scheduler {
-			return engine.NewGreedy(greedy.Options{EngineOptions: sched.EngineOptions{RebuildOracle: true}})
+			return greedy.New(greedy.Options{EngineOptions: sched.EngineOptions{RebuildOracle: true}})
 		},
-		"bucket-tour": func() sched.Scheduler { return engine.NewBucket(bucket.Options{Batch: batch.Tour{}}) },
+		"bucket-tour": func() sched.Scheduler { return bucket.New(bucket.Options{Batch: batch.Tour{}}) },
 		"bucket-tour-rebuild": func() sched.Scheduler {
-			return engine.NewBucket(bucket.Options{Batch: batch.Tour{},
+			return bucket.New(bucket.Options{Batch: batch.Tour{},
 				EngineOptions: sched.EngineOptions{RebuildOracle: true}})
 		},
-		"bucket-coloring": func() sched.Scheduler { return engine.NewBucket(bucket.Options{Batch: batch.Coloring{}}) },
-		"coordinator":     func() sched.Scheduler { return engine.NewCoordinator(0, greedy.Options{}) },
+		"bucket-coloring": func() sched.Scheduler { return bucket.New(bucket.Options{Batch: batch.Coloring{}}) },
+		"coordinator":     func() sched.Scheduler { return greedy.NewCoordinator(0, greedy.Options{}) },
 	}
 	for topo, g := range diffTopologies(t) {
 		for sn, mk := range scheds {
@@ -263,7 +263,7 @@ func goldenDistributed(t *testing.T, got goldenTable) {
 				for _, p := range []int{1, 2} {
 					name := fmt.Sprintf("distributed/%s/%s/seed%d", topo, pn, seed)
 					rec := newRecorder()
-					proto := engine.NewDistributed(distbucket.Options{Seed: seed, Faults: plan})
+					proto := distbucket.New(distbucket.Options{Seed: seed, Faults: plan})
 					rr, err := sched.Run(in, proto, sched.Options{Sim: core.SimOptions{Parallel: p}, SnapshotEvery: 1, Obs: rec.m})
 					if err != nil {
 						t.Fatalf("%s P=%d: %v", name, p, err)

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"dtm/internal/core"
-	"dtm/internal/depgraph"
 	"dtm/internal/graph"
 	"dtm/internal/lowerbound"
 	"dtm/internal/obs"
@@ -29,11 +28,6 @@ type Env struct {
 	// Obs is the run's observability registry (nil when disabled);
 	// schedulers register their own instruments from Start.
 	Obs *obs.Metrics
-	// Scratch is the run's pooled scratch-buffer set. The drivers populate
-	// it and return it to the pool when the run ends, so schedulers must
-	// not retain it past the run. May be nil under custom drivers;
-	// schedulers fall back to fetching their own.
-	Scratch *depgraph.Scratch
 }
 
 // Scheduler is an online transaction scheduling algorithm. Implementations

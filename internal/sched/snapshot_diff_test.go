@@ -12,7 +12,6 @@ import (
 	"dtm/internal/core"
 	"dtm/internal/distbucket"
 	"dtm/internal/distnet"
-	"dtm/internal/engine"
 	"dtm/internal/lowerbound"
 	"dtm/internal/sched"
 )
@@ -112,7 +111,7 @@ func TestSnapshotsMatchFromScratch(t *testing.T) {
 		for seed := int64(1); seed <= 2; seed++ {
 			in := goldenInstance(t, g, 3, seed)
 			engines := append(runEngines(), goldenEngine{"distributed-crashed", func() sched.Scheduler {
-				return engine.NewDistributed(distbucket.Options{Seed: seed, Faults: crashed})
+				return distbucket.New(distbucket.Options{Seed: seed, Faults: crashed})
 			}, core.SimOptions{}})
 			for _, e := range engines {
 				for _, every := range []int{1, 3} {

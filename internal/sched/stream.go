@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"dtm/internal/core"
-	"dtm/internal/depgraph"
 	"dtm/internal/graph"
 	"dtm/internal/obs"
 	"dtm/internal/workload"
@@ -96,8 +95,7 @@ func drive(in *core.Instance, s Scheduler, stream arrivalStream, opts Options,
 		return nil, nil, err
 	}
 	dm := newDriverMetrics(opts.Obs)
-	env := &Env{Sim: sim, G: in.G, Obs: opts.Obs, Scratch: depgraph.GetScratch()}
-	defer env.Scratch.Release()
+	env := &Env{Sim: sim, G: in.G, Obs: opts.Obs}
 	if err := s.Start(env); err != nil {
 		return nil, nil, fmt.Errorf("sched: %s start: %w", s.Name(), err)
 	}

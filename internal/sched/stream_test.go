@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"dtm/internal/core"
-	"dtm/internal/engine"
 	"dtm/internal/graph"
 	"dtm/internal/greedy"
 	"dtm/internal/obs"
@@ -36,7 +35,7 @@ func TestStreamLeakGuard(t *testing.T) {
 	m := obs.New()
 	const arrivals = 6000
 	res, err := sched.RunStream(g, workload.UniformObjects(g, 32, 42), src,
-		engine.NewGreedy(greedy.Options{}), sched.StreamOptions{Obs: m, MaxArrivals: arrivals})
+		greedy.New(greedy.Options{}), sched.StreamOptions{Obs: m, MaxArrivals: arrivals})
 	if err != nil {
 		t.Fatalf("stream run: %v", err)
 	}
@@ -87,12 +86,12 @@ func TestStreamInstanceSourceMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := sched.Run(in, engine.NewGreedy(greedy.Options{}), sched.Options{SnapshotEvery: -1})
+	rr, err := sched.Run(in, greedy.New(greedy.Options{}), sched.Options{SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := sched.RunStream(g, in.Objects, workload.NewInstanceSource(in),
-		engine.NewGreedy(greedy.Options{}), sched.StreamOptions{CollectDecisions: true})
+		greedy.New(greedy.Options{}), sched.StreamOptions{CollectDecisions: true})
 	if err != nil {
 		t.Fatalf("stream run: %v", err)
 	}
@@ -137,7 +136,7 @@ func TestStreamRetireMatchesKeepHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := sched.RunStream(g, workload.UniformObjects(g, 12, 9), src,
-			engine.NewGreedy(greedy.Options{}),
+			greedy.New(greedy.Options{}),
 			sched.StreamOptions{MaxArrivals: 3000, KeepHistory: keep})
 		if err != nil {
 			t.Fatalf("keep=%v: %v", keep, err)
@@ -190,7 +189,7 @@ func TestStreamMonotonicityEnforced(t *testing.T) {
 		t.Fatal(err)
 	}
 	objs := []*core.Object{{ID: 0, Origin: 0}}
-	res, err := sched.RunStream(g, objs, &badSource{}, engine.NewGreedy(greedy.Options{}),
+	res, err := sched.RunStream(g, objs, &badSource{}, greedy.New(greedy.Options{}),
 		sched.StreamOptions{MaxArrivals: 10})
 	if err == nil {
 		t.Fatal("want monotonicity error, got nil")
@@ -206,7 +205,7 @@ func TestStreamValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sched.RunStream(g, nil, nil, engine.NewGreedy(greedy.Options{}),
+	if _, err := sched.RunStream(g, nil, nil, greedy.New(greedy.Options{}),
 		sched.StreamOptions{}); err == nil {
 		t.Error("nil source accepted")
 	}
@@ -215,7 +214,7 @@ func TestStreamValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := sched.RunStream(g, workload.UniformObjects(g, 2, 1), src,
-		engine.NewGreedy(greedy.Options{}), sched.StreamOptions{MaxArrivals: -1}); err == nil {
+		greedy.New(greedy.Options{}), sched.StreamOptions{MaxArrivals: -1}); err == nil {
 		t.Error("negative MaxArrivals accepted")
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"dtm/internal/core"
 	"dtm/internal/distbucket"
-	"dtm/internal/engine"
 	"dtm/internal/graph"
 	"dtm/internal/greedy"
 	"dtm/internal/sched"
@@ -27,7 +26,7 @@ func captureRun(t *testing.T) (*core.Instance, *Run) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := sched.Run(in, engine.NewGreedy(greedy.Options{}), sched.Options{})
+	rr, err := sched.Run(in, greedy.New(greedy.Options{}), sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func TestCaptureRecordsRunSpeed(t *testing.T) {
 		t.Errorf("central trace records slowObjects %d, want 1", central.SlowObj)
 	}
 	for _, c := range []struct{ opt, want int }{{0, 2}, {1, 1}} {
-		rr, err := sched.Run(in, engine.NewDistributed(distbucket.Options{}),
+		rr, err := sched.Run(in, distbucket.New(distbucket.Options{}),
 			sched.Options{Sim: core.SimOptions{SlowFactor: c.opt}})
 		if err != nil {
 			t.Fatal(err)
@@ -171,6 +170,13 @@ func TestValidateRejectsOverflowingValues(t *testing.T) {
 	for name, corrupt := range map[string]func(*Run){
 		"weight": func(r *Run) { r.Edges[0].W = math.MaxInt64 },
 		"nodes":  func(r *Run) { r.Nodes = 1 << 62 },
+		// 2^30 × 2^33 wraps int64, so objects would arrive in the past.
+		"slow": func(r *Run) {
+			for i := range r.Edges {
+				r.Edges[i].W = 1 << 30
+			}
+			r.SlowObj = 1 << 33
+		},
 	} {
 		_, r := captureRun(t)
 		corrupt(r)

@@ -93,11 +93,15 @@ type Window struct {
 	rng  *rand.Rand
 	w0   graph.Weight
 
-	idx     *depgraph.Index
-	scratch *depgraph.Scratch
-
+	// The conflict index and the buffers of the coloring rounds, reused
+	// across calls.
+	idx   *depgraph.Index
+	txns  []*core.Transaction // the batch in ID order; cleared after each call
+	forb  []coloring.Interval
+	nbrs  []depgraph.Neighbor
 	cands []cand
 	order []int
+
 	audit Audit
 
 	// Instrument handles; nil (free) when observability is disabled.
@@ -132,10 +136,6 @@ func (w *Window) Start(env *sched.Env) error {
 	w.metWin = env.Obs.Histogram(obs.NameWindowWin, obs.PowersOfTwo(16))
 	w.idx = depgraph.NewIndex(env.Sim)
 	w.idx.RegisterMetrics(env.Obs)
-	w.scratch = env.Scratch
-	if w.scratch == nil {
-		w.scratch = depgraph.GetScratch()
-	}
 	seed := w.opts.Seed
 	if seed == 0 {
 		seed = DefaultSeed
@@ -182,19 +182,20 @@ func (w *Window) schedule(txns []*core.Transaction) error {
 	}
 	now := w.env.Sim.Now()
 	w.idx.Refresh(now)
-	sc := w.scratch
 
 	// Insert every new transaction before coloring any, so same-batch
 	// conflicts are visible from both sides. cands stays ID-sorted across
 	// rounds: draws happen in ID order, the round processes in priority
 	// order, and compaction preserves ID order — all deterministic.
-	sorted := append(sc.Txns[:0], txns...)
+	sorted := append(w.txns[:0], txns...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
 	cands := w.cands[:0]
 	for _, tx := range sorted {
 		cands = append(cands, cand{tx: tx, slot: w.idx.Insert(tx), win: w.w0})
 	}
-	sc.Txns = sorted[:0]
+	all := cands
+	clear(sorted) // no transaction outlives the call
+	w.txns = sorted[:0]
 
 	rounds := 0
 	var err error
@@ -234,24 +235,24 @@ func (w *Window) schedule(txns []*core.Transaction) error {
 	if rounds > w.audit.MaxRounds {
 		w.audit.MaxRounds = rounds
 	}
-	w.cands = cands[:0]
+	clear(all) // candidates left behind by compaction still hold their transactions
+	w.cands = all[:0]
 	return err
 }
 
 // round colors one round in priority order, gathering each candidate's
 // forbidden intervals right before its accept-or-double decision.
 func (w *Window) round(cands []cand, order []int, now core.Time) error {
-	sc := w.scratch
 	for _, ci := range order {
 		c := &cands[ci]
-		forb := sc.Forb[:0]
+		forb := w.forb[:0]
 		for _, o := range c.tx.Objects {
 			// Current-transaction (Z) edge: a pure floor at pre-color 0.
 			if zw := w.zWeight(o, c.tx.Node, now); zw > 0 {
 				forb = append(forb, coloring.Forbid(0, zw))
 			}
 		}
-		nbrs := w.idx.AppendNeighbors(c.slot, sc.Nbrs[:0])
+		nbrs := w.idx.AppendNeighbors(c.slot, w.nbrs[:0])
 		for _, nb := range nbrs {
 			cw := w.env.G.Dist(c.tx.Node, nb.Node)
 			if cw == 0 {
@@ -261,9 +262,9 @@ func (w *Window) round(cands []cand, order []int, now core.Time) error {
 				forb = append(forb, coloring.Forbid(coloring.Color(nb.Exec-now), cw))
 			}
 		}
-		sc.Nbrs = nbrs[:0]
+		w.nbrs = nbrs[:0]
 		col := coloring.SmallestValid(forb)
-		sc.Forb = forb[:0]
+		w.forb = forb[:0]
 		if err := w.resolve(c, col, now); err != nil {
 			return err
 		}

@@ -94,6 +94,52 @@ func TestWindowRetriesUnderContention(t *testing.T) {
 	}
 }
 
+// batchProbe wraps a Window and checks, after every arrival batch, that
+// neither the ID-sorted batch buffer nor the candidate buffer holds a
+// transaction up to its capacity: no transaction outlives OnArrive.
+type batchProbe struct {
+	*Window
+	t      *testing.T
+	checks int
+}
+
+func (p *batchProbe) OnArrive(txns []*core.Transaction) error {
+	if err := p.Window.OnArrive(txns); err != nil {
+		return err
+	}
+	for i, tx := range p.txns[:cap(p.txns)] {
+		if tx != nil {
+			p.t.Fatalf("batch buffer slot %d retains transaction %d after OnArrive", i, tx.ID)
+		}
+	}
+	for i, c := range p.cands[:cap(p.cands)] {
+		if c.tx != nil {
+			p.t.Fatalf("candidate buffer slot %d retains transaction %d after OnArrive", i, c.tx.ID)
+		}
+	}
+	p.checks++
+	return nil
+}
+
+func TestWindowBuffersRetainNoTransaction(t *testing.T) {
+	g, err := graph.Clique(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := genWorkload(t, g, 3, 6, 11)
+	p := &batchProbe{Window: New(Options{}), t: t}
+	if _, err := sched.Run(in, p, sched.Options{}); err != nil {
+		t.Fatalf("run failed: %v", err)
+	}
+	if p.checks != len(in.ArrivalTimes()) {
+		t.Fatalf("%d checks for %d arrival times", p.checks, len(in.ArrivalTimes()))
+	}
+	if cap(p.txns) == 0 || p.Audit().Retries == 0 {
+		t.Fatalf("batch buffer capacity %d, %d retries: the probe saw no batch or no retry round",
+			cap(p.txns), p.Audit().Retries)
+	}
+}
+
 func decisionsString(ds []core.Decision) string {
 	return fmt.Sprintf("%+v", ds)
 }

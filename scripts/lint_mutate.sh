@@ -10,7 +10,8 @@
 #      contract rests on (go test -race, TestTreeWarmupMatchesLazyTrees);
 #   2. detclock:  a wall-clock time.Now read in an engine package;
 #   3. obsnames:  an unregistered metric name one typo away from a real one;
-#   4. gosites:   a goroutine started outside the allowlisted sites.
+#   4. gosites:   a goroutine started outside the allowlisted sites;
+#   5. detrange:  map keys appended in iteration order in the window engine.
 #
 # Exit 0 iff every injection is caught. Runs from any directory.
 set -eu
@@ -108,4 +109,19 @@ func lintMutateGo() { go func() {}() }
 EOF
 expect_caught gosites "go statement outside the allowlisted sites"
 
-echo "lint_mutate: all 4 injections caught"
+# --- 5. detrange: map-ordered append, unsorted, in the window engine.
+reset_copy
+cat >"$COPY/internal/window/zz_range.go" <<'EOF'
+package window
+
+func lintMutateRange(m map[int]int) []int {
+	var out []int
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
+}
+EOF
+expect_caught detrange "map-ordered append in the window engine"
+
+echo "lint_mutate: all 5 injections caught"
