@@ -19,15 +19,15 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the dtmlint multichecker: the determinism (detclock,
-# detrange), goroutine-site (gosites) and metric-name (obsnames)
-# analyzers in internal/analysis (gosites allows go statements only in
-# graph.WarmTrees and runner.Sweep.Run — see DESIGN.md §15). Zero
-# findings is the gate; justified exceptions use
-# //lint:ignore <analyzer> <reason>. A directive that suppresses nothing
-# is itself a finding, so exceptions cannot rot. CI asserts the whole run
-# fits a 60s wall-clock budget and that the gates still fire on injected
-# violations (scripts/lint_mutate.sh, which also probes the race test
-# below the tree warm-up).
+# detrange) and goroutine-site (gosites) analyzers in internal/analysis
+# (gosites allows go statements only in graph.WarmTrees and
+# runner.Sweep.Run — see DESIGN.md §15). Zero findings is the gate; an
+# exception is an entry in detclock's or gosites' function allowlist,
+# never a comment. Metric names need no analyzer: obs.Name keeps an
+# unregistered one from compiling. CI asserts the whole run fits a 60s
+# wall-clock budget and that the gates still fire on injected violations
+# (scripts/lint_mutate.sh, which also probes the race test below the tree
+# warm-up and the obs.Name type).
 lint: build
 	$(GO) run ./cmd/dtmlint ./...
 

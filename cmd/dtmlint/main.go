@@ -1,32 +1,21 @@
 // Command dtmlint is the engine's multichecker: it loads the module,
-// type-checks every package, and runs the determinism/goroutine-site/
-// metrics analyzer suite (detclock, detrange, gosites, obsnames) from
-// internal/analysis.
+// type-checks every package, and runs the determinism and goroutine-site
+// analyzer suite (detclock, detrange, gosites) from internal/analysis.
 // Findings print as file:line:col: analyzer: message and make the process
 // exit 1, so `make lint` (and through it `make check` and CI) gates on a
-// clean run.
-//
-// Suppress an individual, justified finding with a directive on the same
-// or the preceding line:
-//
-//	//lint:ignore <analyzer> <reason>
-//
-// A directive that suppresses nothing is itself reported as stale, so
-// exceptions cannot rot.
+// clean run. There is no suppression comment: detclock and gosites take
+// exceptions only from the function allowlists in their source.
 //
 // Usage:
 //
-//	dtmlint [-list] [-json] [packages]
+//	dtmlint [-list] [packages]
 //
-// -json emits every finding — including suppressed ones, marked — as one
-// JSON object per line, for machine consumers. The package patterns are
-// accepted for interface familiarity; the tool always analyzes the whole
-// module containing the working directory (scoping per analyzer is built
-// in via each analyzer's package set).
+// The package patterns are accepted for interface familiarity; the tool
+// always analyzes the whole module containing the working directory
+// (scoping per analyzer is built in via each analyzer's package set).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -37,7 +26,6 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit findings as JSON lines (includes suppressed findings)")
 	flag.Parse()
 	if *list {
 		for _, a := range analysis.Suite {
@@ -45,23 +33,13 @@ func main() {
 		}
 		return
 	}
-	if err := run(*jsonOut); err != nil {
+	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "dtmlint:", err)
 		os.Exit(2)
 	}
 }
 
-// jsonFinding is the machine-readable shape of one finding.
-type jsonFinding struct {
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Col        int    `json:"col"`
-	Analyzer   string `json:"analyzer"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed"`
-}
-
-func run(jsonOut bool) error {
+func run() error {
 	wd, err := os.Getwd()
 	if err != nil {
 		return err
@@ -78,60 +56,35 @@ func run(jsonOut bool) error {
 	if err != nil {
 		return err
 	}
-	fset := loader.Fset
-	var results []analysis.Result
+	var diags []analysis.Diagnostic
 	for _, pkg := range pkgs {
-		var diags []analysis.Diagnostic
-		var ran []string
 		for _, a := range analysis.Suite {
 			if a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
 				continue
 			}
-			ds, err := analysis.RunAnalyzerRaw(a, pkg)
+			ds, err := analysis.RunAnalyzer(a, pkg)
 			if err != nil {
 				return err
 			}
 			diags = append(diags, ds...)
-			ran = append(ran, a.Name)
 		}
-		results = append(results, analysis.Apply(fset, pkg.Files, diags, ran)...)
 	}
-	sort.SliceStable(results, func(i, j int) bool {
-		pi, pj := fset.Position(results[i].Diag.Pos), fset.Position(results[j].Diag.Pos)
+	fset := loader.Fset
+	sort.SliceStable(diags, func(i, j int) bool {
+		pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)
 		if pi.Filename != pj.Filename {
 			return pi.Filename < pj.Filename
 		}
 		if pi.Line != pj.Line {
 			return pi.Line < pj.Line
 		}
-		return results[i].Diag.Analyzer < results[j].Diag.Analyzer
+		return diags[i].Analyzer < diags[j].Analyzer
 	})
-	unsuppressed := 0
-	enc := json.NewEncoder(os.Stdout)
-	for _, r := range results {
-		pos := fset.Position(r.Diag.Pos)
-		if jsonOut {
-			if err := enc.Encode(jsonFinding{
-				File:       pos.Filename,
-				Line:       pos.Line,
-				Col:        pos.Column,
-				Analyzer:   r.Diag.Analyzer,
-				Message:    r.Diag.Message,
-				Suppressed: r.Suppressed,
-			}); err != nil {
-				return err
-			}
-		} else if !r.Suppressed {
-			fmt.Printf("%s: %s: %s\n", pos, r.Diag.Analyzer, r.Diag.Message)
-		}
-		if !r.Suppressed {
-			unsuppressed++
-		}
+	for _, d := range diags {
+		fmt.Printf("%s: %s: %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
 	}
-	if unsuppressed > 0 {
-		if !jsonOut {
-			fmt.Printf("dtmlint: %d finding(s)\n", unsuppressed)
-		}
+	if len(diags) > 0 {
+		fmt.Printf("dtmlint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
 	return nil

@@ -143,7 +143,7 @@ type (
 	// seeded RNG per message so runs with the same plan agree.
 	FaultPlan = distnet.FaultPlan
 	// FaultOptions bundles a FaultPlan with the recovery layer's retry
-	// knobs (RetrySlack, BackoffCap, MaxAttempts).
+	// budget (MaxAttempts).
 	FaultOptions = distbucket.FaultOptions
 	// CrashWindow takes one node offline over a closed time interval.
 	CrashWindow = distnet.CrashWindow

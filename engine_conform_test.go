@@ -124,7 +124,7 @@ func testEngineStreamLeakGuard(t *testing.T, d EngineDesc) {
 		t.Fatalf("queue grows: first-half peak %d, second-half peak %d",
 			res.QueuePeakFirstHalf, res.QueuePeakSecondHalf)
 	}
-	live := res.Metrics.Gauges[obs.NameStreamLiveState].Value
+	live := res.Metrics.Gauges[obs.NameStreamLiveState.String()].Value
 	if live > arrivals/4 {
 		t.Fatalf("final live state %d is not bounded (of %d arrivals)", live, arrivals)
 	}

@@ -4,14 +4,12 @@
 //
 // Each fixture file marks the lines that must produce a finding:
 //
-//	m.Gauge("depgraph.live_verts") // want `unregistered obs metric name`
+//	return time.Now() // want `wall-clock time\.Now in engine package`
 //
 // The quoted (or back-quoted) text is a regular expression matched
 // against the finding's message; several expectations may share a line.
 // Lines without a want comment must produce no finding — fixtures thus
-// carry the negative cases alongside the positive ones. Suppression
-// directives (//lint:ignore) are honored before matching, so a fixture
-// can also pin the suppression path.
+// carry the negative cases alongside the positive ones.
 package analysistest
 
 import (

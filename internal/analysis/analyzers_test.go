@@ -15,10 +15,6 @@ func TestDetrange(t *testing.T) {
 	analysistest.Run(t, analysis.Detrange, "testdata/src/detrange")
 }
 
-func TestObsnames(t *testing.T) {
-	analysistest.Run(t, analysis.Obsnames, "testdata/src/obsnames")
-}
-
 func TestGosites(t *testing.T) {
 	analysistest.Run(t, analysis.Gosites, "testdata/src/gosites")
 }
@@ -26,8 +22,8 @@ func TestGosites(t *testing.T) {
 // TestSuiteShape pins the driver-facing contract: every suite analyzer is
 // named, documented, and scoped.
 func TestSuiteShape(t *testing.T) {
-	if len(analysis.Suite) != 4 {
-		t.Fatalf("Suite has %d analyzers, want 4", len(analysis.Suite))
+	if len(analysis.Suite) != 3 {
+		t.Fatalf("Suite has %d analyzers, want 3", len(analysis.Suite))
 	}
 	seen := map[string]bool{}
 	for _, a := range analysis.Suite {
@@ -46,8 +42,5 @@ func TestSuiteShape(t *testing.T) {
 	}
 	if analysis.Detclock.AppliesTo("dtm/internal/runner") {
 		t.Error("detclock must exempt the wall-clock-timing runner package")
-	}
-	if analysis.Obsnames.AppliesTo("dtm/internal/obs") {
-		t.Error("obsnames must exempt the obs package itself")
 	}
 }

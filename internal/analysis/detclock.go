@@ -14,8 +14,8 @@ import (
 // log guarantee (and with it the Theorem 1/2/4 audits) is void.
 //
 // The runner and cmd/ front-ends legitimately time wall-clock spans and
-// are outside the analyzer's scope; an engine-side wall-clock metric
-// needs a //lint:ignore detclock justification.
+// are outside the analyzer's scope. Inside it, a function may read the
+// clock only from the clockSites allowlist.
 var Detclock = &Analyzer{
 	Name: "detclock",
 	Doc: "forbid time.Now/Since and unseeded global math/rand in engine packages; " +
@@ -31,6 +31,14 @@ var Detclock = &Analyzer{
 		return pkgPath != "dtm/internal/runner"
 	},
 	Run: runDetclock,
+}
+
+// clockSites are the engine-side functions allowed to read the wall
+// clock, by types.Func.FullName. takeSnapshot times itself into the
+// sched.snapshot_ns histogram; no decision reads it, and the golden
+// tests drop it from every compared snapshot.
+var clockSites = map[string]bool{
+	"dtm/internal/sched.takeSnapshot": true,
 }
 
 // forbiddenTimeFuncs are the wall-clock entry points of package time.
@@ -59,48 +67,65 @@ var forbiddenTimeMethods = map[string]bool{
 
 func runDetclock(pass *Pass) error {
 	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil {
-				return true
-			}
-			sig, ok := fn.Type().(*types.Signature)
-			if !ok {
-				return true
-			}
-			if sig.Recv() != nil {
-				// Methods on a seeded *rand.Rand are fine; re-arming
-				// time.Ticker/time.Timer is a wall-clock schedule.
-				if fn.Pkg().Path() == "time" && forbiddenTimeMethods[recvTypeName(sig)+"."+fn.Name()] {
-					pass.Reportf(sel.Pos(),
-						"wall-clock time.%s.%s in engine package %s: engine code runs on simulation time (core.Time); justify with //lint:ignore detclock or move to runner/cmd",
-						recvTypeName(sig), fn.Name(), pass.Pkg.Path())
-				}
-				return true
-			}
-			switch fn.Pkg().Path() {
-			case "time":
-				if forbiddenTimeFuncs[fn.Name()] {
-					pass.Reportf(sel.Pos(),
-						"wall-clock time.%s in engine package %s: engine code runs on simulation time (core.Time); justify with //lint:ignore detclock or move to runner/cmd",
-						fn.Name(), pass.Pkg.Path())
-				}
-			case "math/rand", "math/rand/v2":
-				if !allowedRandFuncs[fn.Name()] {
-					pass.Reportf(sel.Pos(),
-						"global math/rand source via rand.%s in engine package %s: use a seeded rand.New(rand.NewSource(seed)) so runs replay byte-identically",
-						fn.Name(), pass.Pkg.Path())
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				if fn, _ := pass.Info.Defs[fd.Name].(*types.Func); fn != nil && clockSites[fn.FullName()] {
+					continue
 				}
 			}
-			return true
-		})
+			ast.Inspect(decl, func(n ast.Node) bool {
+				checkClockUse(pass, n)
+				return true
+			})
+		}
 	}
 	return nil
 }
+
+// checkClockUse reports n if it selects a wall-clock function or method,
+// or a draw from the global math/rand source.
+func checkClockUse(pass *Pass, n ast.Node) {
+	sel, ok := n.(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok {
+		return
+	}
+	if sig.Recv() != nil {
+		// Methods on a seeded *rand.Rand are fine; re-arming
+		// time.Ticker/time.Timer is a wall-clock schedule.
+		if fn.Pkg().Path() == "time" && forbiddenTimeMethods[recvTypeName(sig)+"."+fn.Name()] {
+			pass.Reportf(sel.Pos(),
+				"wall-clock time.%s.%s in engine package %s: %s",
+				recvTypeName(sig), fn.Name(), pass.Pkg.Path(), clockAdvice)
+		}
+		return
+	}
+	switch fn.Pkg().Path() {
+	case "time":
+		if forbiddenTimeFuncs[fn.Name()] {
+			pass.Reportf(sel.Pos(),
+				"wall-clock time.%s in engine package %s: %s",
+				fn.Name(), pass.Pkg.Path(), clockAdvice)
+		}
+	case "math/rand", "math/rand/v2":
+		if !allowedRandFuncs[fn.Name()] {
+			pass.Reportf(sel.Pos(),
+				"global math/rand source via rand.%s in engine package %s: use a seeded rand.New(rand.NewSource(seed)) so runs replay byte-identically",
+				fn.Name(), pass.Pkg.Path())
+		}
+	}
+}
+
+// clockAdvice ends every wall-clock finding.
+const clockAdvice = "engine code runs on simulation time (core.Time); move the read to runner/cmd, " +
+	"or, if no decision reads it, add the function to detclock's allowlist"
 
 // recvTypeName names a method's receiver type, pointer stripped.
 func recvTypeName(sig *types.Signature) string {

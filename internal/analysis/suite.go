@@ -5,5 +5,4 @@ var Suite = []*Analyzer{
 	Detclock,
 	Detrange,
 	Gosites,
-	Obsnames,
 }

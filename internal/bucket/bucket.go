@@ -28,9 +28,6 @@ import (
 type Options struct {
 	// Batch is the offline algorithm A to convert. Required.
 	Batch batch.Scheduler
-	// MaxLevel caps the bucket levels; 0 means the Lemma 3 bound
-	// ceil(log2(n*D)) + 1.
-	MaxLevel int
 	// ForceTopLevel is an ablation switch: every transaction goes straight
 	// into the top bucket, disabling the leveled structure. It isolates
 	// the benefit the paper attributes to buckets — transactions with few
@@ -108,9 +105,6 @@ func (b *Bucket) Name() string {
 // Audit returns the run's bucket bookkeeping.
 func (b *Bucket) Audit() Audit { return b.audit }
 
-// MaxLevel returns the configured number of the top bucket level.
-func (b *Bucket) MaxLevel() int { return len(b.levels) - 1 }
-
 // Start implements sched.Scheduler.
 func (b *Bucket) Start(env *sched.Env) error {
 	if b.opts.Batch == nil {
@@ -123,14 +117,11 @@ func (b *Bucket) Start(env *sched.Env) error {
 	b.metActivations = env.Obs.Counter(obs.NameBucketActivations)
 	b.metScheduled = env.Obs.Counter(obs.NameBucketScheduled)
 	b.metLevel = env.Obs.Histogram(obs.NameBucketLevel, obs.PowersOfTwo(6))
-	max := b.opts.MaxLevel
-	if max <= 0 {
-		nd := uint64(env.G.N()) * uint64(env.G.Diameter()) * uint64(b.slow)
-		if nd < 2 {
-			nd = 2
-		}
-		max = bits.Len64(nd-1) + 1 // ceil(log2(nD)) + 1, Lemma 3
+	nd := uint64(env.G.N()) * uint64(env.G.Diameter()) * uint64(b.slow)
+	if nd < 2 {
+		nd = 2
 	}
+	max := bits.Len64(nd-1) + 1 // ceil(log2(nD)) + 1, Lemma 3
 	b.levels = make([][]pending, max+1)
 	b.audit.LevelCounts = make([]int, max+1)
 	b.resolve = b.resolveAvail

@@ -65,36 +65,6 @@ func (cg *ConflictGraph) Reset(n int) {
 	}
 }
 
-// AddVertex appends one uncolored, isolated vertex and returns its ID.
-func (cg *ConflictGraph) AddVertex() VertexID {
-	v := VertexID(len(cg.adj))
-	cg.adj = append(cg.adj, nil)
-	cg.colors = append(cg.colors, Uncolored)
-	return v
-}
-
-// RemoveVertex detaches v from the graph: every incident edge is removed
-// from both endpoints and v reverts to an uncolored, isolated vertex. The
-// vertex slot itself remains valid (IDs are stable) and can be rewired
-// with AddEdge later.
-func (cg *ConflictGraph) RemoveVertex(v VertexID) {
-	if v < 0 || int(v) >= cg.N() {
-		return
-	}
-	for _, e := range cg.adj[v] {
-		peer := cg.adj[e.To]
-		for i := range peer {
-			if peer[i].To == v {
-				peer[i] = peer[len(peer)-1]
-				cg.adj[e.To] = peer[:len(peer)-1]
-				break
-			}
-		}
-	}
-	cg.adj[v] = cg.adj[v][:0]
-	cg.colors[v] = Uncolored
-}
-
 // N returns the number of vertices.
 func (cg *ConflictGraph) N() int { return len(cg.adj) }
 

@@ -207,36 +207,6 @@ func TestResetBehavesLikeNew(t *testing.T) {
 	}
 }
 
-func TestAddRemoveVertex(t *testing.T) {
-	cg := New(2)
-	mustEdge(t, cg, 0, 1, 2)
-	v := cg.AddVertex()
-	if v != 2 || cg.N() != 3 {
-		t.Fatalf("AddVertex = %d, N = %d", v, cg.N())
-	}
-	mustEdge(t, cg, v, 0, 4)
-	mustEdge(t, cg, v, 1, 4)
-	if cg.Degree(v) != 2 || cg.Degree(0) != 2 {
-		t.Fatalf("degrees after wiring: v=%d 0=%d", cg.Degree(v), cg.Degree(0))
-	}
-	cg.RemoveVertex(v)
-	if cg.Degree(v) != 0 {
-		t.Errorf("removed vertex keeps %d edges", cg.Degree(v))
-	}
-	if cg.Degree(0) != 1 || cg.Degree(1) != 1 {
-		t.Errorf("peers keep stale back-edges: 0=%d 1=%d", cg.Degree(0), cg.Degree(1))
-	}
-	if cg.ColorOf(v) != Uncolored {
-		t.Errorf("removed vertex keeps color %d", cg.ColorOf(v))
-	}
-	// The slot is reusable.
-	mustEdge(t, cg, v, 0, 7)
-	cg.SetColor(0, 0)
-	if c := cg.GreedyColor(v); c != 7 {
-		t.Errorf("rewired vertex color = %d, want 7", c)
-	}
-}
-
 // referenceSmallest is the pre-refactor color search (fresh allocations,
 // map-free sweep), kept as an oracle: the scratch-buffer implementation
 // must agree on every input.

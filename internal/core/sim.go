@@ -16,6 +16,7 @@ type SimOptions struct {
 	// that discovery messages, which travel at full speed, always catch
 	// moving objects. Zero means 1 (full speed); the sched drivers first
 	// fill a zero from the scheduler's own SlowFactor method, if it has one.
+	// NewSim refuses a negative one.
 	SlowFactor int
 	// LinkCapacity bounds how many objects may traverse one edge
 	// simultaneously (0 = unbounded, the paper's model). The paper's
@@ -33,7 +34,9 @@ type SimOptions struct {
 	// Obs, when set, collects engine metrics (decisions, object moves and
 	// hop distances, commits, live-set size) and streams fine-grained
 	// events to its sink. Nil disables instrumentation at the cost of one
-	// nil-check per event site.
+	// nil-check per event site. It is for direct NewSim and Replay use:
+	// the sched drivers set it from their own Obs option and refuse a
+	// different one.
 	Obs *obs.Metrics
 	// Parallel bounds the worker count of the tree warm-up: NewSim builds
 	// the shortest-path tree of every node of the graph concurrently
@@ -81,7 +84,7 @@ func newSimMetrics(m *obs.Metrics) simMetrics {
 }
 
 func (o SimOptions) slow() graph.Weight {
-	if o.SlowFactor <= 0 {
+	if o.SlowFactor == 0 {
 		return 1
 	}
 	return graph.Weight(o.SlowFactor)
@@ -213,6 +216,9 @@ func NewSim(in *Instance, opts SimOptions) (*Sim, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
+	if opts.SlowFactor < 0 {
+		return nil, fmt.Errorf("core: negative slow factor %d", opts.SlowFactor)
+	}
 	if err := checkSlow(in.G, opts.slow()); err != nil {
 		return nil, err
 	}
@@ -308,7 +314,7 @@ func (s *Sim) Txn(tx TxID) *Transaction {
 func (s *Sim) Now() Time { return s.now }
 
 // SlowFactor returns the object speed divisor the run uses:
-// SimOptions.SlowFactor, with 0 (and below) read as 1.
+// SimOptions.SlowFactor, with 0 read as 1.
 func (s *Sim) SlowFactor() int { return int(s.opts.slow()) }
 
 // AddTransaction appends a transaction generated during the run — the
@@ -911,7 +917,8 @@ func Replay(in *Instance, decisions []Decision, opts SimOptions) (*Result, error
 // Replay, and the result is valid iff every transaction either executed
 // or is in the abandoned list — and no abandoned transaction executed
 // (see RunToCompletion). With an empty abandoned list it is exactly
-// Replay.
+// Replay. The result is nil only when NewSim refuses the instance or the
+// options; a schedule that fails replay returns the partial result.
 func ReplayAbandoned(in *Instance, decisions []Decision, abandoned []TxID, opts SimOptions) (*Result, error) {
 	s, err := NewSim(in, opts)
 	if err != nil {

@@ -381,6 +381,10 @@ func TestNewSimRefusesOverflowingSlowFactor(t *testing.T) {
 	if _, err := NewSim(star(8, 1<<60), SimOptions{}); err != nil {
 		t.Errorf("slow factor 1: %v", err)
 	}
+	// A negative factor is not a speed, full or otherwise.
+	if _, err := NewSim(star(2, 1), SimOptions{SlowFactor: -1}); err == nil {
+		t.Error("slow factor -1: NewSim accepted it")
+	}
 }
 
 func TestResultMetrics(t *testing.T) {

@@ -193,8 +193,6 @@ type config struct {
 	// and the protocol is byte-identical to the fault-free original.
 	faulty      bool
 	maxJitter   core.Time // the plan's per-message delay bound
-	slack       core.Time // base retry backoff step
-	backoffCap  core.Time // ceiling on exponential backoff
 	maxAttempts int       // consecutive unanswered attempts before giving up
 }
 

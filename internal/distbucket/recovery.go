@@ -52,6 +52,14 @@ type pending struct {
 	deadline core.Time
 }
 
+// retrySlack is the base backoff step added to a request's worst-case round
+// trip before the first retry; it doubles per consecutive unanswered
+// attempt, up to backoffCap.
+const (
+	retrySlack core.Time = 2
+	backoffCap core.Time = 64
+)
+
 // timeout returns how long to wait for an answer from dst after `attempt`
 // consecutive failures: a worst-case round trip (distance both ways plus
 // jitter both ways) plus capped exponential backoff.
@@ -61,10 +69,7 @@ func (n *node) timeout(dst graph.NodeID, attempt int) core.Time {
 	if shift > 16 {
 		shift = 16
 	}
-	backoff := n.cfg.slack << shift
-	if backoff > n.cfg.backoffCap {
-		backoff = n.cfg.backoffCap
-	}
+	backoff := min(retrySlack<<shift, backoffCap)
 	if to := rtt + backoff; to > 1 {
 		return to
 	}

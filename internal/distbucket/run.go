@@ -22,25 +22,17 @@ type Options struct {
 	// Seed drives the randomized sparse cover construction, and doubles as
 	// the fault plan's RNG seed when Faults.Plan.Seed is left 0.
 	Seed int64
-	// MaxLevel caps bucket levels; 0 means the Lemma 3 bound.
-	MaxLevel int
 	// Faults injects deterministic network faults and configures the
 	// recovery layer. The zero value is the paper's failure-free model.
 	Faults FaultOptions
 }
 
 // FaultOptions bundles the injected network fault plan with the recovery
-// layer's retry knobs.
+// layer's retry budget.
 type FaultOptions struct {
 	// Plan describes the unreliable network (see distnet.FaultPlan). A
 	// zero plan disables fault injection and the recovery layer entirely.
 	Plan distnet.FaultPlan
-	// RetrySlack is the base backoff step added to a request's worst-case
-	// round trip before the first retry; it doubles per consecutive
-	// unanswered attempt. 0 means 2 steps.
-	RetrySlack core.Time
-	// BackoffCap bounds the exponential backoff. 0 means 64 steps.
-	BackoffCap core.Time
 	// MaxAttempts is how many consecutive unanswered attempts a request
 	// survives before the protocol gives up on it (abandoning the
 	// transaction or session). 0 means 30.
@@ -116,14 +108,11 @@ func (p *Protocol) Start(env *sched.Env) error {
 		return err
 	}
 	slow := env.Sim.SlowFactor()
-	maxLevel := p.opts.MaxLevel
-	if maxLevel <= 0 {
-		nd := uint64(in.G.N()) * uint64(in.G.Diameter()) * uint64(slow)
-		if nd < 2 {
-			nd = 2
-		}
-		maxLevel = bits.Len64(nd-1) + 1
+	nd := uint64(in.G.N()) * uint64(in.G.Diameter()) * uint64(slow)
+	if nd < 2 {
+		nd = 2
 	}
+	maxLevel := bits.Len64(nd-1) + 1 // ceil(log2(nD)) + 1, Lemma 3
 	cfg := &config{
 		in:          in,
 		sim:         env.Sim,
@@ -136,8 +125,6 @@ func (p *Protocol) Start(env *sched.Env) error {
 		obs:         env.Obs,
 		faulty:      plan.Enabled(),
 		maxJitter:   plan.MaxJitter,
-		slack:       defaultTime(p.opts.Faults.RetrySlack, 2),
-		backoffCap:  defaultTime(p.opts.Faults.BackoffCap, 64),
 		maxAttempts: defaultInt(p.opts.Faults.MaxAttempts, 30),
 	}
 	p.cfg, p.plan, p.sim, p.crashed = cfg, plan, env.Sim, nil
@@ -252,13 +239,6 @@ func (p *Protocol) abandoned() []AbandonedTx {
 	}
 	sort.Slice(ab, func(i, j int) bool { return ab[i].Tx < ab[j].Tx })
 	return ab
-}
-
-func defaultTime(v, def core.Time) core.Time {
-	if v > 0 {
-		return v
-	}
-	return def
 }
 
 func defaultInt(v, def int) int {

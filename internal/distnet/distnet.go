@@ -244,7 +244,7 @@ func (e *Engine) accountMessage(payload interface{}) {
 		if t != nil {
 			name = t.String()
 		}
-		c = e.opts.Obs.Counter(obs.NamePrefixDistnetMsg + name)
+		c = e.opts.Obs.Counter(obs.NameDistnetMsg(name))
 		e.byType[t] = c
 		sz := int64(0)
 		if t != nil {

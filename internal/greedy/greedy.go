@@ -170,13 +170,6 @@ func (g *Greedy) OnWake() error {
 	return g.schedule(txns)
 }
 
-// ScheduleBatch schedules the given (arrived, undecided) transactions
-// immediately against the current extended dependency graph. Exposed for
-// the Section III-E Coordinator, which delays and floors decisions.
-func (g *Greedy) ScheduleBatch(txns []*core.Transaction) error {
-	return g.schedule(txns)
-}
-
 // schedule colors the new transactions against the extended dependency
 // graph H'_t and fixes their execution times. The incremental engine
 // (default) walks the persistent depgraph index; RebuildOracle keeps the

@@ -1,214 +1,130 @@
 package obs
 
-// This file is the single registry of engine metric names. Every counter,
-// gauge, and histogram an engine package registers must be spelled through
-// one of the Name* constants below (or extend a NamePrefix* constant for
-// dynamic families), and every constant must appear in registeredNames.
-//
-// The dtmlint obsnames analyzer machine-checks both directions: call sites
-// of (*Metrics).Counter/Gauge/Histogram must resolve to a registered
-// constant value, and near-miss spellings of a registered name (the
-// "depgraph.live_verts" typo class) are reported with a suggestion. The
-// registry test in the root package closes the loop at runtime: every
-// registered name is exercised by the golden workloads and every emitted
-// name is registered.
+// This file is the single registry of metric names. A Name can only be
+// built inside package obs, so a counter, gauge or histogram outside it
+// is spelled through one of the Name* values below, and a misspelt or
+// unregistered name does not compile. The root package's
+// obs_names_test.go checks the rest at runtime: every registered name is
+// exercised by the golden workloads, and every emitted name is
+// registered.
+
+// Name is a registered metric name. Only package obs builds one: the
+// static names below through register, and the one dynamic family
+// through NameDistnetMsg. Snapshots stay keyed by the name's string.
+type Name struct{ s string }
+
+// String returns the name as snapshots key it.
+func (n Name) String() string { return n.s }
+
+// registered lists every static name, in declaration order.
+var registered []string
+
+// register records a static name.
+func register(s string) Name {
+	registered = append(registered, s)
+	return Name{s}
+}
 
 // Counter, gauge, and histogram names, grouped by owning package.
-const (
+var (
 	// core.Sim engine counters and instruments.
-	NameCoreDecisions     = "core.decisions"
-	NameCoreCommits       = "core.commits"
-	NameCoreViolations    = "core.violations"
-	NameCoreObjectMoves   = "core.object_moves"
-	NameCoreTravelWeight  = "core.travel_weight"
-	NameCoreHopWeight     = "core.hop_weight"
-	NameCoreCommitLatency = "core.commit_latency"
-	NameCoreLiveTxns      = "core.live_txns"
-	NameCoreLinkQueued    = "core.link_queued"
-	NameCoreElasticWaits  = "core.elastic_waits"
-	NameCoreTxnsAdded     = "core.txns_added"
+	NameCoreDecisions     = register("core.decisions")
+	NameCoreCommits       = register("core.commits")
+	NameCoreViolations    = register("core.violations")
+	NameCoreObjectMoves   = register("core.object_moves")
+	NameCoreTravelWeight  = register("core.travel_weight")
+	NameCoreHopWeight     = register("core.hop_weight")
+	NameCoreCommitLatency = register("core.commit_latency")
+	NameCoreLiveTxns      = register("core.live_txns")
+	NameCoreLinkQueued    = register("core.link_queued")
+	NameCoreElasticWaits  = register("core.elastic_waits")
+	NameCoreTxnsAdded     = register("core.txns_added")
 
 	// sched driver instruments (shared by every engine, the distributed
 	// protocol included).
-	NameSchedArrivals     = "sched.arrivals"
-	NameSchedWakeups      = "sched.wakeups"
-	NameSchedSnapshots    = "sched.snapshots"
-	NameSchedSnapshotLive = "sched.snapshot_live"
-	NameSchedSnapshotNs   = "sched.snapshot_ns"
-	NameSchedLiveTxns     = "sched.live_txns"
+	NameSchedArrivals     = register("sched.arrivals")
+	NameSchedWakeups      = register("sched.wakeups")
+	NameSchedSnapshots    = register("sched.snapshots")
+	NameSchedSnapshotLive = register("sched.snapshot_live")
+	NameSchedSnapshotNs   = register("sched.snapshot_ns")
+	NameSchedLiveTxns     = register("sched.live_txns")
 
 	// streaming (open-system) driver instruments.
-	NameStreamQueueLen   = "stream.queue_len"   // gauge: undecided+unexecuted txns at each delivery
-	NameStreamWindowTxns = "stream.window_txns" // gauge: live window size after retirement
-	NameStreamRetired    = "stream.retired"     // counter: transactions retired from the window
-	NameStreamLiveState  = "stream.live_state"  // gauge: deterministic RSS proxy (window + scheduler live state)
+	NameStreamQueueLen   = register("stream.queue_len")   // gauge: undecided+unexecuted txns at each delivery
+	NameStreamWindowTxns = register("stream.window_txns") // gauge: live window size after retirement
+	NameStreamRetired    = register("stream.retired")     // counter: transactions retired from the window
+	NameStreamLiveState  = register("stream.live_state")  // gauge: deterministic RSS proxy (window + scheduler live state)
 
 	// greedy scheduler instruments.
-	NameGreedyColorsAssigned = "greedy.colors_assigned"
-	NameGreedyWithinBound    = "greedy.within_bound"
-	NameGreedyColor          = "greedy.color"
+	NameGreedyColorsAssigned = register("greedy.colors_assigned")
+	NameGreedyWithinBound    = register("greedy.within_bound")
+	NameGreedyColor          = register("greedy.color")
 
 	// window scheduler instruments (randomized window-based greedy).
-	NameWindowPlaced  = "window.placed"  // counter: acceptances inside the window
-	NameWindowRetries = "window.retries" // counter: window doublings (lost rounds)
-	NameWindowColor   = "window.color"   // histogram: accepted color = delay
-	NameWindowWin     = "window.win"     // histogram: window size at acceptance
+	NameWindowPlaced  = register("window.placed")  // counter: acceptances inside the window
+	NameWindowRetries = register("window.retries") // counter: window doublings (lost rounds)
+	NameWindowColor   = register("window.color")   // histogram: accepted color = delay
+	NameWindowWin     = register("window.win")     // histogram: window size at acceptance
 
 	// bucket scheduler instruments.
-	NameBucketInsertions  = "bucket.insertions"
-	NameBucketOverflows   = "bucket.overflows"
-	NameBucketActivations = "bucket.activations"
-	NameBucketScheduled   = "bucket.scheduled"
-	NameBucketLevel       = "bucket.level"
+	NameBucketInsertions  = register("bucket.insertions")
+	NameBucketOverflows   = register("bucket.overflows")
+	NameBucketActivations = register("bucket.activations")
+	NameBucketScheduled   = register("bucket.scheduled")
+	NameBucketLevel       = register("bucket.level")
 
 	// batch session instruments (sessionized batch substrate).
-	NameBatchSessions        = "batch.sessions"
-	NameBatchSessionPushes   = "batch.session_pushes"
-	NameBatchSessionCosts    = "batch.session_costs"
-	NameBatchSessionRebuilds = "batch.session_rebuilds"
-	NameBatchTourCacheHits   = "batch.tour_cache_hits"
-	NameBatchTourCacheMisses = "batch.tour_cache_misses"
+	NameBatchSessions        = register("batch.sessions")
+	NameBatchSessionPushes   = register("batch.session_pushes")
+	NameBatchSessionCosts    = register("batch.session_costs")
+	NameBatchSessionRebuilds = register("batch.session_rebuilds")
+	NameBatchTourCacheHits   = register("batch.tour_cache_hits")
+	NameBatchTourCacheMisses = register("batch.tour_cache_misses")
 
 	// depgraph conflict-index instruments.
-	NameDepgraphLiveVertices = "depgraph.live_vertices"
-	NameDepgraphArenaBytes   = "depgraph.arena_bytes"
-	NameDepgraphEdgesReused  = "depgraph.edges_reused"
+	NameDepgraphLiveVertices = register("depgraph.live_vertices")
+	NameDepgraphArenaBytes   = register("depgraph.arena_bytes")
+	NameDepgraphEdgesReused  = register("depgraph.edges_reused")
 
 	// distnet message-layer instruments.
-	NameDistnetMessages    = "distnet.messages"
-	NameDistnetMsgDistance = "distnet.msg_distance"
-	NameDistnetMsgBytes    = "distnet.msg_bytes"
-	NameDistnetInjects     = "distnet.injects"
-	NameDistnetWakes       = "distnet.wakes"
-	NameDistnetDropped     = "distnet.dropped"
-	NameDistnetDuplicated  = "distnet.duplicated"
-	NameDistnetDelayed     = "distnet.delayed"
-	NameDistnetNodeQueue   = "distnet.node_queue"
+	NameDistnetMessages    = register("distnet.messages")
+	NameDistnetMsgDistance = register("distnet.msg_distance")
+	NameDistnetMsgBytes    = register("distnet.msg_bytes")
+	NameDistnetInjects     = register("distnet.injects")
+	NameDistnetWakes       = register("distnet.wakes")
+	NameDistnetDropped     = register("distnet.dropped")
+	NameDistnetDuplicated  = register("distnet.duplicated")
+	NameDistnetDelayed     = register("distnet.delayed")
+	NameDistnetNodeQueue   = register("distnet.node_queue")
 
 	// distbucket protocol instruments.
-	NameDistbucketDiscoveries = "distbucket.discoveries"
-	NameDistbucketReports     = "distbucket.reports"
-	NameDistbucketInsertions  = "distbucket.insertions"
-	NameDistbucketOverflows   = "distbucket.overflows"
-	NameDistbucketActivations = "distbucket.activations"
-	NameDistbucketReserves    = "distbucket.reserves"
-	NameDistbucketGrants      = "distbucket.grants"
-	NameDistbucketReleases    = "distbucket.releases"
-	NameDistbucketRetries     = "distbucket.retries"
-	NameDistbucketTimeouts    = "distbucket.timeouts"
-	NameDistbucketAbandoned   = "distbucket.abandoned"
-	NameDistbucketBucketLevel = "distbucket.bucket_level"
+	NameDistbucketDiscoveries = register("distbucket.discoveries")
+	NameDistbucketReports     = register("distbucket.reports")
+	NameDistbucketInsertions  = register("distbucket.insertions")
+	NameDistbucketOverflows   = register("distbucket.overflows")
+	NameDistbucketActivations = register("distbucket.activations")
+	NameDistbucketReserves    = register("distbucket.reserves")
+	NameDistbucketGrants      = register("distbucket.grants")
+	NameDistbucketReleases    = register("distbucket.releases")
+	NameDistbucketRetries     = register("distbucket.retries")
+	NameDistbucketTimeouts    = register("distbucket.timeouts")
+	NameDistbucketAbandoned   = register("distbucket.abandoned")
+	NameDistbucketBucketLevel = register("distbucket.bucket_level")
 )
 
-// Dynamic name families: a registered prefix plus a runtime suffix. The
-// obsnames analyzer accepts `obs.NamePrefixX + expr` at call sites.
-const (
-	// NamePrefixDistnetMsg is the per-message-type counter family
-	// (distnet.msg.<type>), one counter per protocol message kind.
-	NamePrefixDistnetMsg = "distnet.msg."
-)
+// distnetMsgPrefix is the one dynamic name family: one distnet.msg.<type>
+// counter per protocol message kind.
+const distnetMsgPrefix = "distnet.msg."
 
-// registeredNames lists every static metric name. Keep in sync with the
-// constants above; TestRegistryWellFormed pins the correspondence.
-var registeredNames = []string{
-	NameCoreDecisions,
-	NameCoreCommits,
-	NameCoreViolations,
-	NameCoreObjectMoves,
-	NameCoreTravelWeight,
-	NameCoreHopWeight,
-	NameCoreCommitLatency,
-	NameCoreLiveTxns,
-	NameCoreLinkQueued,
-	NameCoreElasticWaits,
-	NameCoreTxnsAdded,
-	NameSchedArrivals,
-	NameSchedWakeups,
-	NameSchedSnapshots,
-	NameSchedSnapshotLive,
-	NameSchedSnapshotNs,
-	NameSchedLiveTxns,
-	NameStreamQueueLen,
-	NameStreamWindowTxns,
-	NameStreamRetired,
-	NameStreamLiveState,
-	NameGreedyColorsAssigned,
-	NameGreedyWithinBound,
-	NameGreedyColor,
-	NameWindowPlaced,
-	NameWindowRetries,
-	NameWindowColor,
-	NameWindowWin,
-	NameBucketInsertions,
-	NameBucketOverflows,
-	NameBucketActivations,
-	NameBucketScheduled,
-	NameBucketLevel,
-	NameBatchSessions,
-	NameBatchSessionPushes,
-	NameBatchSessionCosts,
-	NameBatchSessionRebuilds,
-	NameBatchTourCacheHits,
-	NameBatchTourCacheMisses,
-	NameDepgraphLiveVertices,
-	NameDepgraphArenaBytes,
-	NameDepgraphEdgesReused,
-	NameDistnetMessages,
-	NameDistnetMsgDistance,
-	NameDistnetMsgBytes,
-	NameDistnetInjects,
-	NameDistnetWakes,
-	NameDistnetDropped,
-	NameDistnetDuplicated,
-	NameDistnetDelayed,
-	NameDistnetNodeQueue,
-	NameDistbucketDiscoveries,
-	NameDistbucketReports,
-	NameDistbucketInsertions,
-	NameDistbucketOverflows,
-	NameDistbucketActivations,
-	NameDistbucketReserves,
-	NameDistbucketGrants,
-	NameDistbucketReleases,
-	NameDistbucketRetries,
-	NameDistbucketTimeouts,
-	NameDistbucketAbandoned,
-	NameDistbucketBucketLevel,
-}
-
-// registeredPrefixes lists the dynamic name families.
-var registeredPrefixes = []string{
-	NamePrefixDistnetMsg,
-}
-
-var registeredSet = func() map[string]bool {
-	s := make(map[string]bool, len(registeredNames))
-	for _, n := range registeredNames {
-		s[n] = true
-	}
-	return s
-}()
+// NameDistnetMsg names the counter of the protocol messages of one kind.
+func NameDistnetMsg(kind string) Name { return Name{distnetMsgPrefix + kind} }
 
 // RegisteredNames returns a copy of every static registered metric name.
 func RegisteredNames() []string {
-	return append([]string(nil), registeredNames...)
+	return append([]string(nil), registered...)
 }
 
-// RegisteredPrefixes returns a copy of the dynamic name-family prefixes.
+// RegisteredPrefixes returns the dynamic name-family prefixes.
 func RegisteredPrefixes() []string {
-	return append([]string(nil), registeredPrefixes...)
-}
-
-// IsRegisteredName reports whether name is registered, either exactly or
-// under a dynamic family prefix (with a non-empty suffix).
-func IsRegisteredName(name string) bool {
-	if registeredSet[name] {
-		return true
-	}
-	for _, p := range registeredPrefixes {
-		if len(name) > len(p) && name[:len(p)] == p {
-			return true
-		}
-	}
-	return false
+	return []string{distnetMsgPrefix}
 }

@@ -1,10 +1,6 @@
 package obs
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -13,8 +9,9 @@ import (
 // non-empty, dot-namespaced names; prefixes that end in a dot and shadow
 // no static name.
 func TestRegistryWellFormed(t *testing.T) {
+	names := RegisteredNames()
 	seen := make(map[string]bool)
-	for _, name := range registeredNames {
+	for _, name := range names {
 		if name == "" {
 			t.Error("empty registered name")
 			continue
@@ -31,91 +28,14 @@ func TestRegistryWellFormed(t *testing.T) {
 			t.Errorf("registered name %q is not lowercase snake-case", name)
 		}
 	}
-	for _, p := range registeredPrefixes {
+	for _, p := range RegisteredPrefixes() {
 		if !strings.HasSuffix(p, ".") {
 			t.Errorf("registered prefix %q must end with '.'", p)
 		}
-		for _, name := range registeredNames {
+		for _, name := range names {
 			if strings.HasPrefix(name, p) {
 				t.Errorf("static name %q is shadowed by dynamic prefix %q", name, p)
 			}
 		}
-	}
-}
-
-func TestIsRegisteredName(t *testing.T) {
-	cases := []struct {
-		name string
-		want bool
-	}{
-		{NameCoreCommits, true},
-		{NameDistbucketBucketLevel, true},
-		{NamePrefixDistnetMsg + "report", true},
-		{NamePrefixDistnetMsg, false}, // bare prefix: no metric without a suffix
-		{"core.commits_typo", false},
-		{"", false},
-	}
-	for _, c := range cases {
-		if got := IsRegisteredName(c.name); got != c.want {
-			t.Errorf("IsRegisteredName(%q) = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-// TestRegistrySliceMatchesConstants parses names.go and checks that every
-// Name* constant appears in registeredNames (and every NamePrefix* in
-// registeredPrefixes) — the correspondence the obsnames analyzer assumes
-// when it reads the registry from the package scope.
-func TestRegistrySliceMatchesConstants(t *testing.T) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "names.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := make(map[string]bool)
-	for _, n := range registeredNames {
-		names[n] = true
-	}
-	prefixes := make(map[string]bool)
-	for _, p := range registeredPrefixes {
-		prefixes[p] = true
-	}
-	constCount := 0
-	ast.Inspect(f, func(n ast.Node) bool {
-		decl, ok := n.(*ast.GenDecl)
-		if !ok || decl.Tok != token.CONST {
-			return true
-		}
-		for _, spec := range decl.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for i, id := range vs.Names {
-				if !strings.HasPrefix(id.Name, "Name") || i >= len(vs.Values) {
-					continue
-				}
-				lit, ok := vs.Values[i].(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING {
-					continue
-				}
-				val, err := strconv.Unquote(lit.Value)
-				if err != nil {
-					t.Fatalf("%s: %v", id.Name, err)
-				}
-				constCount++
-				if strings.HasPrefix(id.Name, "NamePrefix") {
-					if !prefixes[val] {
-						t.Errorf("constant %s = %q missing from registeredPrefixes", id.Name, val)
-					}
-				} else if !names[val] {
-					t.Errorf("constant %s = %q missing from registeredNames", id.Name, val)
-				}
-			}
-		}
-		return false
-	})
-	if want := len(registeredNames) + len(registeredPrefixes); constCount != want {
-		t.Errorf("names.go declares %d Name* constants, registry slices hold %d entries", constCount, want)
 	}
 }

@@ -198,8 +198,9 @@ type Event struct {
 	Value int64  `json:"value,omitempty"` // kind-specific payload (weight, time, ...)
 }
 
-// Sink receives the event stream. Implementations must tolerate calls
-// from concurrent goroutines when the parallel distnet engine is on.
+// Sink receives the event stream. A run calls it from the goroutine that
+// drives the run; a sink shared by concurrent runs must tolerate
+// concurrent calls, as SliceSink and JSONLSink do.
 type Sink interface {
 	Event(Event)
 }
@@ -277,7 +278,22 @@ func (m *Metrics) Enabled() bool { return m != nil }
 
 // Counter returns (registering if needed) the named counter, or nil when
 // the registry is disabled.
-func (m *Metrics) Counter(name string) *Counter {
+func (m *Metrics) Counter(name Name) *Counter { return m.counter(name.s) }
+
+// Gauge returns (registering if needed) the named gauge, or nil when
+// disabled.
+func (m *Metrics) Gauge(name Name) *Gauge { return m.gauge(name.s) }
+
+// Histogram returns (registering if needed) the named histogram, or nil
+// when disabled. Bounds are fixed at first registration; later calls
+// with different bounds return the existing instrument.
+func (m *Metrics) Histogram(name Name, bounds []int64) *Histogram {
+	return m.histogram(name.s, bounds)
+}
+
+// counter, gauge and histogram are the string-keyed lookups behind the
+// exported ones; Merge reads its names out of a snapshot.
+func (m *Metrics) counter(name string) *Counter {
 	if m == nil {
 		return nil
 	}
@@ -291,9 +307,7 @@ func (m *Metrics) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns (registering if needed) the named gauge, or nil when
-// disabled.
-func (m *Metrics) Gauge(name string) *Gauge {
+func (m *Metrics) gauge(name string) *Gauge {
 	if m == nil {
 		return nil
 	}
@@ -307,10 +321,7 @@ func (m *Metrics) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns (registering if needed) the named histogram, or nil
-// when disabled. Bounds are fixed at first registration; later calls
-// with different bounds return the existing instrument.
-func (m *Metrics) Histogram(name string, bounds []int64) *Histogram {
+func (m *Metrics) histogram(name string, bounds []int64) *Histogram {
 	if m == nil {
 		return nil
 	}
@@ -344,17 +355,17 @@ func (m *Metrics) Merge(s *Snapshot) {
 		return
 	}
 	for name, v := range s.Counters {
-		m.Counter(name).Add(v)
+		m.counter(name).Add(v)
 	}
 	for name, gv := range s.Gauges {
 		// Add to the value directly (not via Add, which would fold the
 		// order-dependent running sum into the max) and max the maxes.
-		g := m.Gauge(name)
+		g := m.gauge(name)
 		atomic.AddInt64(&g.v, gv.Value)
 		g.bumpMax(gv.Max)
 	}
 	for name, hv := range s.Histograms {
-		h := m.Histogram(name, hv.Bounds)
+		h := m.histogram(name, hv.Bounds)
 		h.merge(hv)
 	}
 }

@@ -11,9 +11,9 @@ func TestNilSafety(t *testing.T) {
 	if m.Enabled() {
 		t.Fatal("nil Metrics reports enabled")
 	}
-	c := m.Counter("x")
-	g := m.Gauge("y")
-	h := m.Histogram("z", PowersOfTwo(4))
+	c := m.Counter(Name{"x"})
+	g := m.Gauge(Name{"y"})
+	h := m.Histogram(Name{"z"}, PowersOfTwo(4))
 	if c != nil || g != nil || h != nil {
 		t.Fatal("nil Metrics handed out non-nil handles")
 	}
@@ -35,18 +35,18 @@ func TestNilSafety(t *testing.T) {
 
 func TestCounterGaugeHistogram(t *testing.T) {
 	m := New()
-	c := m.Counter("runs")
+	c := m.Counter(Name{"runs"})
 	c.Inc()
 	c.Add(4)
 	c.Add(-10) // ignored: counters only go up
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	if m.Counter("runs") != c {
+	if m.Counter(Name{"runs"}) != c {
 		t.Fatal("re-registering a counter returned a different handle")
 	}
 
-	g := m.Gauge("depth")
+	g := m.Gauge(Name{"depth"})
 	g.Add(3)
 	g.Add(4)
 	g.Add(-5)
@@ -58,7 +58,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Fatalf("gauge after Set = (%d, max %d), want (1, max 7)", g.Value(), g.Max())
 	}
 
-	h := m.Histogram("hops", []int64{1, 2, 4})
+	h := m.Histogram(Name{"hops"}, []int64{1, 2, 4})
 	for _, v := range []int64{1, 1, 2, 3, 4, 9} {
 		h.Observe(v)
 	}
@@ -86,9 +86,9 @@ func TestCounterGaugeHistogram(t *testing.T) {
 
 func TestConcurrentUpdates(t *testing.T) {
 	m := New()
-	c := m.Counter("c")
-	g := m.Gauge("g")
-	h := m.Histogram("h", PowersOfTwo(8))
+	c := m.Counter(Name{"c"})
+	g := m.Gauge(Name{"g"})
+	h := m.Histogram(Name{"h"}, PowersOfTwo(8))
 	var wg sync.WaitGroup
 	const workers, per = 8, 1000
 	for w := 0; w < workers; w++ {
@@ -137,9 +137,9 @@ func TestSinks(t *testing.T) {
 
 func TestExporters(t *testing.T) {
 	m := New()
-	m.Counter("a.runs").Add(2)
-	m.Gauge("a.depth").Set(3)
-	m.Histogram("a.lat", []int64{10}).Observe(4)
+	m.Counter(Name{"a.runs"}).Add(2)
+	m.Gauge(Name{"a.depth"}).Set(3)
+	m.Histogram(Name{"a.lat"}, []int64{10}).Observe(4)
 	s := m.Snapshot()
 
 	var j strings.Builder
@@ -169,16 +169,16 @@ func TestExporters(t *testing.T) {
 
 func TestMerge(t *testing.T) {
 	a := New()
-	a.Counter("runs").Add(3)
-	a.Gauge("depth").Set(5)
-	a.Histogram("lat", []int64{10, 100}).Observe(7)
-	a.Histogram("lat", []int64{10, 100}).Observe(50)
+	a.Counter(Name{"runs"}).Add(3)
+	a.Gauge(Name{"depth"}).Set(5)
+	a.Histogram(Name{"lat"}, []int64{10, 100}).Observe(7)
+	a.Histogram(Name{"lat"}, []int64{10, 100}).Observe(50)
 
 	b := New()
-	b.Counter("runs").Add(4)
-	b.Counter("only_b").Inc()
-	b.Gauge("depth").Set(2)
-	b.Histogram("lat", []int64{10, 100}).Observe(300)
+	b.Counter(Name{"runs"}).Add(4)
+	b.Counter(Name{"only_b"}).Inc()
+	b.Gauge(Name{"depth"}).Set(2)
+	b.Histogram(Name{"lat"}, []int64{10, 100}).Observe(300)
 
 	m := New()
 	m.Merge(a.Snapshot())
@@ -207,9 +207,9 @@ func TestMerge(t *testing.T) {
 func TestMergeCommutative(t *testing.T) {
 	mk := func(n int64) *Snapshot {
 		m := New()
-		m.Counter("c").Add(n)
-		m.Gauge("g").Set(n)
-		m.Histogram("h", PowersOfTwo(8)).Observe(n)
+		m.Counter(Name{"c"}).Add(n)
+		m.Gauge(Name{"g"}).Set(n)
+		m.Histogram(Name{"h"}, PowersOfTwo(8)).Observe(n)
 		return m.Snapshot()
 	}
 	snaps := []*Snapshot{mk(1), mk(16), mk(200)}
@@ -234,13 +234,13 @@ func TestMergeCommutative(t *testing.T) {
 // exact even when bucket layouts differ.
 func TestMergeMismatchedBounds(t *testing.T) {
 	src := New()
-	h := src.Histogram("lat", []int64{5, 50})
+	h := src.Histogram(Name{"lat"}, []int64{5, 50})
 	h.Observe(3)   // le_5
 	h.Observe(40)  // le_50
 	h.Observe(999) // +inf
 
 	dst := New()
-	dst.Histogram("lat", []int64{10}) // registered first with other bounds
+	dst.Histogram(Name{"lat"}, []int64{10}) // registered first with other bounds
 	dst.Merge(src.Snapshot())
 	got := dst.Snapshot().Histograms["lat"]
 	if got.Count != 3 || got.Sum != 1042 || got.Min != 3 || got.Max != 999 {
@@ -256,7 +256,7 @@ func TestMergeMismatchedBounds(t *testing.T) {
 	var nilM *Metrics
 	nilM.Merge(src.Snapshot())
 	empty := New()
-	empty.Histogram("lat", []int64{10})
+	empty.Histogram(Name{"lat"}, []int64{10})
 	dst.Merge(empty.Snapshot())
 	if again := dst.Snapshot().Histograms["lat"]; again.Count != 3 {
 		t.Fatalf("no-op merges changed state: %+v", again)

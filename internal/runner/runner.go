@@ -77,7 +77,8 @@ func Sched(mk func(seed int64) (*core.Instance, sched.Scheduler, error)) CellFun
 }
 
 // SchedOpts is Sched with explicit driver options; the runner overrides
-// opts.Obs with the trial's private registry.
+// opts.Obs with the trial's private registry, so opts.Sim.Obs must stay
+// nil (the driver refuses a second registry).
 func SchedOpts(opts sched.Options, mk func(seed int64) (*core.Instance, sched.Scheduler, error)) CellFunc {
 	return func(seed int64, m *obs.Metrics) (Outcome, error) {
 		in, s, err := mk(seed)
@@ -86,7 +87,6 @@ func SchedOpts(opts sched.Options, mk func(seed int64) (*core.Instance, sched.Sc
 		}
 		o := opts
 		o.Obs = m
-		o.Sim.Obs = nil // re-derived from o.Obs by the driver
 		rr, err := sched.Run(in, s, o)
 		if err != nil {
 			return Outcome{}, fmt.Errorf("%s: %w", s.Name(), err)

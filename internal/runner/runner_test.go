@@ -33,9 +33,11 @@ func testSweep(points, cells, trials, workers int, seed int64) (Sweep, *stats.Ta
 				Run: func(seed int64, m *obs.Metrics) (Outcome, error) {
 					rng := rand.New(rand.NewSource(seed + int64(p*100+c)))
 					if m != nil {
-						m.Counter("trials").Inc()
-						m.Gauge("last_seed").Set(seed)
-						m.Histogram("val", nil).Observe(int64(p + c))
+						// Any registered names do: one counts trials,
+						// one sums seeds, one records the cell.
+						m.Counter(obs.NameSchedArrivals).Inc()
+						m.Gauge(obs.NameSchedLiveTxns).Set(seed)
+						m.Histogram(obs.NameGreedyColor, nil).Observe(int64(p + c))
 					}
 					return Outcome{
 						Makespan: float64(rng.Intn(1000)),
@@ -227,13 +229,14 @@ func TestObsMergeDeterministic(t *testing.T) {
 		return s.Obs.Snapshot()
 	}
 	seq, par := snap(1), snap(4)
-	if seq.Counters["trials"] != 24 || par.Counters["trials"] != seq.Counters["trials"] {
-		t.Errorf("trials counter: seq=%d par=%d want 24", seq.Counters["trials"], par.Counters["trials"])
+	trials, lastSeed, val := obs.NameSchedArrivals.String(), obs.NameSchedLiveTxns.String(), obs.NameGreedyColor.String()
+	if seq.Counters[trials] != 24 || par.Counters[trials] != seq.Counters[trials] {
+		t.Errorf("trials counter: seq=%d par=%d want 24", seq.Counters[trials], par.Counters[trials])
 	}
-	if seq.Gauges["last_seed"].Value != par.Gauges["last_seed"].Value {
-		t.Errorf("gauge sum differs: seq=%v par=%v", seq.Gauges["last_seed"], par.Gauges["last_seed"])
+	if seq.Gauges[lastSeed].Value != par.Gauges[lastSeed].Value {
+		t.Errorf("gauge sum differs: seq=%v par=%v", seq.Gauges[lastSeed], par.Gauges[lastSeed])
 	}
-	sh, ph := seq.Histograms["val"], par.Histograms["val"]
+	sh, ph := seq.Histograms[val], par.Histograms[val]
 	if sh.Count != ph.Count || sh.Sum != ph.Sum || sh.Max != ph.Max {
 		t.Errorf("histogram differs: seq=%+v par=%+v", sh, ph)
 	}

@@ -54,7 +54,7 @@ func newRecorder() recorder {
 
 // metrics returns the deterministic part of a snapshot: drop names the
 // instruments left out (always the wall-clock sched.snapshot_ns).
-func (r recorder) metrics(s *obs.Snapshot, drop ...string) *obs.Snapshot {
+func (r recorder) metrics(s *obs.Snapshot, drop ...obs.Name) *obs.Snapshot {
 	out := &obs.Snapshot{Counters: map[string]int64{}, Gauges: map[string]obs.GaugeValue{},
 		Histograms: map[string]obs.HistogramValue{}}
 	for k, v := range s.Counters {
@@ -67,9 +67,9 @@ func (r recorder) metrics(s *obs.Snapshot, drop ...string) *obs.Snapshot {
 		out.Histograms[k] = v
 	}
 	for _, name := range append(drop, obs.NameSchedSnapshotNs) {
-		delete(out.Counters, name)
-		delete(out.Gauges, name)
-		delete(out.Histograms, name)
+		delete(out.Counters, name.String())
+		delete(out.Gauges, name.String())
+		delete(out.Histograms, name.String())
 	}
 	return out
 }

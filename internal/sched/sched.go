@@ -124,8 +124,8 @@ type Options struct {
 	SnapshotEvery int
 	// Obs, when set, collects metrics across the driver, the engine, and
 	// the scheduler, and is snapshotted into RunResult.Metrics. It is
-	// threaded into the Sim (unless Sim.Obs is already set) and exposed
-	// to schedulers via Env.Obs.
+	// threaded into the Sim and exposed to schedulers via Env.Obs. It is
+	// the run's one registry: a Sim.Obs other than it is refused.
 	Obs *obs.Metrics
 }
 
@@ -247,9 +247,11 @@ func (l *liveSet) add(txns []*core.Transaction) {
 // transaction arrived by t was delivered by t, so the set is the one a
 // scan of the instance would find.
 func takeSnapshot(sim *core.Sim, t core.Time, batch []*core.Transaction, live *liveSet, m *obs.Metrics, dm driverMetrics) snapshot {
+	// The wall-clock reads below time the snapshot into sched.snapshot_ns,
+	// which no scheduling decision or decision log reads; detclock's
+	// allowlist names this function for them.
 	var start time.Time
 	if m != nil {
-		//lint:ignore detclock sched.snapshot_ns measures the wall-clock cost of snapshotting; it never feeds a scheduling decision or the decision log
 		start = time.Now()
 	}
 	live.add(batch)
@@ -266,7 +268,6 @@ func takeSnapshot(sim *core.Sim, t core.Time, batch []*core.Transaction, live *l
 	lb := live.lb.Estimate(t, func(o core.ObjID) lowerbound.Avail { return lowerbound.AvailOf(sim, o) })
 	n := len(kept)
 	if m != nil {
-		//lint:ignore detclock wall-clock observability companion to the time.Now above; decisions never read it
 		dm.snapNs.Observe(time.Since(start).Nanoseconds())
 		dm.snaps.Inc()
 		dm.snapLive.Observe(int64(n))

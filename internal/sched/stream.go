@@ -72,21 +72,25 @@ func slowFactor(s Scheduler) int {
 	return 0
 }
 
-// drive is the shared start path and loop. It threads opts.Obs into the
-// sim options (unless Sim.Obs is set) and s's object speed into them
-// (unless Sim.SlowFactor is set), builds the sim and starts s, then
-// pumps instance arrivals and the stream into the scheduler in time order
-// until both are exhausted and no wake is pending. Finally it checks that
-// every transaction was scheduled or abandoned and drains the sim. onBatch,
-// when set, runs after each delivered batch with the number of
-// transactions issued so far. drive returns the sim (nil only if the run
-// never started) and the ratio snapshots; the callers build the results.
+// drive is the shared start path and loop. It refuses a Sim.Obs other
+// than opts.Obs, threads opts.Obs into the sim options and s's object
+// speed into them (unless Sim.SlowFactor is set), builds the sim and
+// starts s, then pumps instance arrivals and the stream into the
+// scheduler in time order until both are exhausted and no wake is
+// pending. Finally it checks that every transaction was scheduled or
+// abandoned and drains the sim. onBatch, when set, runs after each
+// delivered batch with the number of transactions issued so far. drive
+// returns the sim (nil only if the run never started) and the ratio
+// snapshots; the callers build the results.
 func drive(in *core.Instance, s Scheduler, stream arrivalStream, opts Options,
 	onBatch func(sim *core.Sim, issued int) error) (*core.Sim, []snapshot, error) {
 	simOpts := opts.Sim
-	if simOpts.Obs == nil {
-		simOpts.Obs = opts.Obs
+	if simOpts.Obs != nil && simOpts.Obs != opts.Obs {
+		// Two registries would split the run's metrics: the sim's
+		// instruments in one, the driver's and the engine's in the other.
+		return nil, nil, fmt.Errorf("sched: Sim.Obs is a second metrics registry; set Obs alone, the driver threads it into the sim")
 	}
+	simOpts.Obs = opts.Obs
 	if simOpts.SlowFactor == 0 {
 		simOpts.SlowFactor = slowFactor(s)
 	}
@@ -423,9 +427,10 @@ func (p *peakTrace) stats() (peak, firstHalf, secondHalf int64) {
 // StreamOptions configure an open-system streaming run.
 type StreamOptions struct {
 	Sim core.SimOptions
-	// Obs collects metrics as in Options.Obs. Streaming runs are always
-	// instrumented — the queue/window gauges and sojourn percentiles come
-	// out of the registry — so a private registry is created when nil.
+	// Obs collects metrics as in Options.Obs, and likewise a Sim.Obs
+	// other than it is refused. Streaming runs are always instrumented —
+	// the queue/window gauges and sojourn percentiles come out of the
+	// registry — so a private registry is created when nil.
 	Obs *obs.Metrics
 	// MaxArrivals caps how many arrivals are pulled from the source.
 	// Required (>0) for endless generative sources; 0 runs until the
@@ -551,7 +556,7 @@ func RunStream(g *graph.Graph, objects []*core.Object, src workload.Source, s Sc
 	res.QueuePeak, res.QueuePeakFirstHalf, res.QueuePeakSecondHalf = queueTrace.stats()
 	res.WindowPeak, res.WindowPeakFirstHalf, res.WindowPeakSecondHalf = windowTrace.stats()
 	res.Metrics = m.Snapshot()
-	if hv, ok := res.Metrics.Histograms[obs.NameCoreCommitLatency]; ok {
+	if hv, ok := res.Metrics.Histograms[obs.NameCoreCommitLatency.String()]; ok {
 		res.SojournP50 = hv.Quantile(0.50)
 		res.SojournP95 = hv.Quantile(0.95)
 		res.SojournP99 = hv.Quantile(0.99)

@@ -151,21 +151,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// AddRowf appends a row where each cell is formatted with fmt.Sprint for
-// arbitrary values.
-func (t *Table) AddRowf(cells ...interface{}) {
-	s := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			s[i] = fmt.Sprintf("%.2f", v)
-		default:
-			s[i] = fmt.Sprint(c)
-		}
-	}
-	t.AddRow(s...)
-}
-
 // Render writes the aligned text form to w.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Headers))

@@ -42,7 +42,7 @@ func TestSummarizeSingle(t *testing.T) {
 func TestTableRender(t *testing.T) {
 	tb := NewTable("demo", "name", "value")
 	tb.AddRow("alpha", "1")
-	tb.AddRowf("beta", 2.5)
+	tb.AddRow("beta", "2.50")
 	tb.AddRow("gamma") // missing cell
 	var b strings.Builder
 	if err := tb.Render(&b); err != nil {

@@ -116,12 +116,17 @@ func (r *Run) Instance() (*core.Instance, error) {
 // Validate replays the recorded decisions through the core engine and
 // checks that the recorded makespan matches. Runs with abandoned
 // transactions validate iff exactly the abandoned set went unexecuted.
+// A trace the engine cannot even start on (a negative slow factor, or one
+// whose travel times would wrap) is malformed, not infeasible.
 func (r *Run) Validate() error {
 	in, err := r.Instance()
 	if err != nil {
 		return err
 	}
 	res, err := core.ReplayAbandoned(in, r.Decisions, r.Abandoned, core.SimOptions{SlowFactor: r.SlowObj})
+	if res == nil {
+		return fmt.Errorf("trace: malformed run: %w", err)
+	}
 	if err != nil {
 		return fmt.Errorf("trace: recorded schedule is infeasible: %w", err)
 	}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"dtm/internal/core"
@@ -89,8 +90,12 @@ func TestValidateCatchesTampering(t *testing.T) {
 	_, r := captureRun(t)
 	// Move an execution earlier than physics allows.
 	r.Decisions[len(r.Decisions)-1].Exec = 0
-	if err := r.Validate(); err == nil {
+	err := r.Validate()
+	if err == nil {
 		t.Fatal("tampered trace should fail validation")
+	}
+	if !strings.Contains(err.Error(), "infeasible") {
+		t.Errorf("tampered trace: %v, want an infeasible schedule", err)
 	}
 }
 
@@ -164,8 +169,10 @@ func TestValidateRejectsSilentlyMissingTx(t *testing.T) {
 
 // Validate refuses values that would break the replay instead of replaying
 // them: an edge weight whose distance sums wrap int64 (Dijkstra used to
-// loop on the wrapped parents), and a node count no edge list connects
-// (graph.New used to panic allocating it).
+// loop on the wrapped parents), a node count no edge list connects
+// (graph.New used to panic allocating it), and a slow factor that is
+// negative or would wrap travel times. Each is malformed input, not an
+// infeasible schedule.
 func TestValidateRejectsOverflowingValues(t *testing.T) {
 	for name, corrupt := range map[string]func(*Run){
 		"weight": func(r *Run) { r.Edges[0].W = math.MaxInt64 },
@@ -177,11 +184,16 @@ func TestValidateRejectsOverflowingValues(t *testing.T) {
 			}
 			r.SlowObj = 1 << 33
 		},
+		// A negative speed is malformed, not full speed.
+		"negative slow": func(r *Run) { r.SlowObj = -7 },
 	} {
 		_, r := captureRun(t)
 		corrupt(r)
-		if err := r.Validate(); err == nil {
+		err := r.Validate()
+		if err == nil {
 			t.Errorf("%s: corrupt trace validates", name)
+		} else if strings.Contains(err.Error(), "infeasible") {
+			t.Errorf("%s: %v, want malformed input, not an infeasible schedule", name, err)
 		}
 	}
 }

@@ -43,11 +43,11 @@ import (
 // zero Options value is a fully deterministic scheduler.
 const DefaultSeed = 0x1002_4182 // the window paper's arXiv number
 
-// defaultMaxRounds bounds the retry rounds per arrival batch. The window
-// doubles every round a transaction loses, and the smallest valid color is
-// bounded by the total forbidden-interval mass of the batch, so the bound
-// can only trip on an engine bug, never on a legal instance.
-const defaultMaxRounds = 64
+// maxRounds bounds the retry rounds per arrival batch. The window doubles
+// every round a transaction loses, and the smallest valid color is bounded
+// by the total forbidden-interval mass of the batch, so the bound can only
+// trip on an engine bug, never on a legal instance.
+const maxRounds = 64
 
 // maxWindow caps the doubling so the window never overflows; any color a
 // legal instance can produce fits far below it.
@@ -59,13 +59,6 @@ type Options struct {
 	// Runs with equal seeds are byte-identical; different seeds explore
 	// different priority orders (the algorithm's only randomness).
 	Seed int64
-	// InitialWindow is W, the first acceptance window; zero selects the
-	// graph diameter (minimum 1), the natural frame length under which a
-	// decision can cross the graph.
-	InitialWindow graph.Weight
-	// MaxRounds caps the retry rounds per batch; zero selects 64. Only an
-	// engine bug can exhaust it (windows double each round).
-	MaxRounds int
 }
 
 // Audit accumulates the window-algorithm bookkeeping of a run.
@@ -142,13 +135,9 @@ func (w *Window) Start(env *sched.Env) error {
 	}
 	// Re-seeded per run so a reused scheduler value replays identically.
 	w.rng = rand.New(rand.NewSource(seed))
-	w.w0 = w.opts.InitialWindow
-	if w.w0 <= 0 {
-		w.w0 = env.G.Diameter()
-		if w.w0 < 1 {
-			w.w0 = 1
-		}
-	}
+	// The first acceptance window W is the graph diameter (at least 1),
+	// the natural frame length under which a decision can cross the graph.
+	w.w0 = max(env.G.Diameter(), 1)
 	return nil
 }
 
@@ -164,13 +153,6 @@ func (w *Window) NextWake() (core.Time, bool) { return 0, false }
 
 // OnWake implements sched.Scheduler.
 func (w *Window) OnWake() error { return nil }
-
-func (w *Window) maxRounds() int {
-	if w.opts.MaxRounds > 0 {
-		return w.opts.MaxRounds
-	}
-	return defaultMaxRounds
-}
 
 // schedule runs the window algorithm on one arrival batch: insert all new
 // transactions into the conflict index, then round after round draw fresh
@@ -201,7 +183,7 @@ func (w *Window) schedule(txns []*core.Transaction) error {
 	var err error
 	for len(cands) > 0 && err == nil {
 		rounds++
-		if rounds > w.maxRounds() {
+		if rounds > maxRounds {
 			err = fmt.Errorf("window: batch of %d at t=%d still unplaced after %d rounds (window %d)",
 				len(cands), now, rounds-1, cands[0].win)
 			break

@@ -1,9 +1,9 @@
 package dtm
 
 // Registry ↔ runtime cross-checks for the obs metric-name registry
-// (internal/obs/names.go). Together with the dtmlint obsnames analyzer
-// (which pins call sites to the registered constants at compile time),
-// these close the loop at runtime in both directions:
+// (internal/obs/names.go). The obs.Name type already keeps an
+// unregistered name from compiling; these tests close the loop at
+// runtime in both directions:
 //
 //   - every name the golden metrics tests pin by literal string is a
 //     registered name, so the registry cannot silently lag the tests;
@@ -14,19 +14,36 @@ package dtm
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"dtm/internal/obs"
 )
 
+// isRegistered reports whether name is registered, either exactly or
+// under a dynamic family prefix with a non-empty suffix.
+func isRegistered(name string) bool {
+	for _, n := range obs.RegisteredNames() {
+		if n == name {
+			return true
+		}
+	}
+	for _, p := range obs.RegisteredPrefixes() {
+		if len(name) > len(p) && strings.HasPrefix(name, p) {
+			return true
+		}
+	}
+	return false
+}
+
 func TestGoldenNamesRegistered(t *testing.T) {
 	for name := range goldenGreedyCounters {
-		if !obs.IsRegisteredName(name) {
+		if !isRegistered(name) {
 			t.Errorf("golden counter %q is not in the obs registry", name)
 		}
 	}
 	for _, name := range goldenPinnedInstruments {
-		if !obs.IsRegisteredName(name) {
+		if !isRegistered(name) {
 			t.Errorf("golden-pinned instrument %q is not in the obs registry", name)
 		}
 	}
@@ -102,7 +119,7 @@ func exerciseAllEngines(t *testing.T) map[string]bool {
 
 func TestEmittedNamesAreRegistered(t *testing.T) {
 	for name := range exerciseAllEngines(t) {
-		if !obs.IsRegisteredName(name) {
+		if !isRegistered(name) {
 			t.Errorf("engines emit unregistered metric name %q; add it to internal/obs/names.go", name)
 		}
 	}

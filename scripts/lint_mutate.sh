@@ -9,7 +9,8 @@
 #      loop of graph.WarmTrees must fail the race test the warm-up's
 #      contract rests on (go test -race, TestTreeWarmupMatchesLazyTrees);
 #   2. detclock:  a wall-clock time.Now read in an engine package;
-#   3. obsnames:  an unregistered metric name one typo away from a real one;
+#   3. obs.Name:  a metric name one typo away from a real one, passed as a
+#      string, must not compile;
 #   4. gosites:   a goroutine started outside the allowlisted sites;
 #   5. detrange:  map keys appended in iteration order in the window engine.
 #
@@ -89,7 +90,7 @@ func lintMutateClock() time.Time { return time.Now() }
 EOF
 expect_caught detclock "time.Now in an engine package"
 
-# --- 3. obsnames: metric name one typo off the registry.
+# --- 3. obs.Name: metric name one typo off the registry, as a string.
 reset_copy
 cat >"$COPY/internal/greedy/zz_metric.go" <<'EOF'
 package greedy
@@ -98,7 +99,17 @@ import "dtm/internal/obs"
 
 func lintMutateMetric(m *obs.Metrics) { m.Counter("greedy.colorr").Inc() }
 EOF
-expect_caught obsnames "unregistered metric name"
+out="$WORK/out.txt"
+if (cd "$COPY" && go build ./internal/greedy) >"$out" 2>&1; then
+	echo "FAIL: unregistered metric name — the package built; obs.Name accepts a string" >&2
+	exit 1
+fi
+if ! grep -q 'obs\.Name' "$out"; then
+	echo "FAIL: unregistered metric name — the build failed, but not on obs.Name:" >&2
+	cat "$out" >&2
+	exit 1
+fi
+echo "ok: unregistered metric name caught by the obs.Name type"
 
 # --- 4. gosites: a goroutine outside the allowlisted sites.
 reset_copy
