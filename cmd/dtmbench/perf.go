@@ -111,7 +111,8 @@ func measure(c perfCase, v perfVariant) (perfRow, []byte, error) {
 		mallocs += m1.Mallocs - m0.Mallocs
 		allocBytes += m1.TotalAlloc - m0.TotalAlloc
 	}
-	arrivals := len(in.ArrivalTimes())
+	times, _ := in.ArrivalGroups()
+	arrivals := len(times)
 	perRun := float64(runs) * float64(arrivals)
 	return perfRow{
 		Case: c.name, Engine: c.engine, Topology: c.topology,

@@ -109,9 +109,10 @@ type params struct {
 	crash                     string
 }
 
-// faultPlan builds the injected fault plan from the CLI flags; the zero
-// plan (no fault flags) keeps the paper's reliable synchronous model.
-func faultPlan(p params) (dtm.FaultPlan, error) {
+// faultPlan builds the injected fault plan from the CLI flags and checks
+// it against an n-node graph; the zero plan (no fault flags) keeps the
+// paper's reliable synchronous model.
+func faultPlan(p params, n int) (dtm.FaultPlan, error) {
 	plan := dtm.FaultPlan{
 		Seed:      p.faultseed,
 		Drop:      p.drop,
@@ -125,7 +126,7 @@ func faultPlan(p params) (dtm.FaultPlan, error) {
 		}
 		plan.Crashes = cw
 	}
-	return plan, nil
+	return plan, plan.Validate(n)
 }
 
 func buildGraph(p params) (*dtm.Graph, error) {
@@ -252,6 +253,9 @@ func run(p params) error {
 	if err != nil {
 		return err
 	}
+	if p.capacity < 0 {
+		return fmt.Errorf("-capacity %d is negative (0 means unbounded links)", p.capacity)
+	}
 	if p.stream != "" {
 		return runStream(p, g)
 	}
@@ -287,6 +291,15 @@ func run(p params) error {
 		return t.Render(os.Stdout)
 	}
 
+	plan, err := faultPlan(p, g.N())
+	if err != nil {
+		return err
+	}
+	s, err := buildScheduler(p, plan)
+	if err != nil {
+		return err
+	}
+
 	// -events implies collection so the sink has something to stream.
 	m, closeSink, err := openMetrics(p)
 	if err != nil {
@@ -300,14 +313,6 @@ func run(p params) error {
 		return snap.WriteJSON(os.Stdout)
 	}
 
-	plan, err := faultPlan(p)
-	if err != nil {
-		return err
-	}
-	s, err := buildScheduler(p, plan)
-	if err != nil {
-		return err
-	}
 	runOpts := dtm.RunOptions{Obs: m}
 	if p.capacity > 0 {
 		runOpts.Sim = dtm.SimOptions{LinkCapacity: p.capacity, ElasticExec: true}
@@ -398,7 +403,7 @@ func runStream(p params, g *dtm.Graph) error {
 	if p.capacity > 0 || p.traceOut != "" {
 		return fmt.Errorf("-capacity and -trace are not supported with -stream")
 	}
-	plan, err := faultPlan(p)
+	plan, err := faultPlan(p, g.N())
 	if err != nil {
 		return err
 	}

@@ -165,6 +165,26 @@ func TestRefusedFlagCombinations(t *testing.T) {
 			p.stream, p.arrivals, p.rate = "poisson", 2000, 1
 			return p
 		}, "stream cap"},
+		"negative capacity": {func() params {
+			p := clusterParams("greedy")
+			p.capacity = -3
+			return p
+		}, "-capacity -3"},
+		"negative drop rate": {func() params {
+			p := clusterParams("distributed")
+			p.drop = -0.5
+			return p
+		}, "drop rate -0.5"},
+		"drop rate above one": {func() params {
+			p := clusterParams("distributed")
+			p.drop = 1.5
+			return p
+		}, "drop rate 1.5"},
+		"duplicate rate above one": {func() params {
+			p := clusterParams("distributed")
+			p.dup = 3
+			return p
+		}, "duplicate rate 3"},
 	}
 	for name, c := range cases {
 		err := run(c.p())

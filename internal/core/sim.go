@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dtm/internal/graph"
 	"dtm/internal/obs"
-	"dtm/internal/pq"
 )
 
 // SimOptions configure a Sim.
@@ -24,7 +24,7 @@ type SimOptions struct {
 	// with a bound set, objects queue at busy edges in deterministic
 	// order. Use together with ElasticExec, since schedulers are
 	// capacity-oblivious and congestion turns fixed execution times into
-	// violations otherwise.
+	// violations otherwise. NewSim refuses a negative one.
 	LinkCapacity int
 	// ElasticExec makes execution wait for late objects instead of
 	// failing: a transaction executes at the first step >= its decided
@@ -115,30 +115,79 @@ func (e *ViolationError) Error() string {
 		e.At, e.Tx, e.Obj, e.Detail)
 }
 
+// Event priorities within one time step: objects are created and arrive
+// before transactions execute.
 const (
 	prioReady = iota // object creation
 	prioArrive
 	prioExec
 )
 
+// prioShift places an event's priority above its push sequence number in
+// event.key. The sequence number would need 2^56 pushes to reach the
+// priority bits.
+const prioShift = 56
+
 type event struct {
-	at   Time
-	prio int
-	seq  int
-	id   int // ObjID for ready/arrive, TxID for exec
+	at  Time
+	key int64 // prio<<prioShift | seq: orders one step's events
+	id  int   // ObjID for ready/arrive, TxID for exec
 }
 
-// lessEvent orders the simulation loop's event queue by (at, prio, seq);
-// the queue is an allocation-free pq.Heap (container/heap would box every
-// event on Push/Pop).
-func lessEvent(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+func (e *event) prio() int64 { return e.key >> prioShift }
+
+// before orders events by (at, key), that is by (time, priority, push
+// order).
+func (e *event) before(f *event) bool {
+	return e.at < f.at || (e.at == f.at && e.key < f.key)
+}
+
+// eventQueue is the Sim's binary min-heap of events. It compares inline
+// rather than through a function value, and moves a hole instead of
+// swapping: every object hop is one push and one pop.
+type eventQueue []event
+
+func (q *eventQueue) push(e event) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	if a.prio != b.prio {
-		return a.prio < b.prio
+	h[i] = e
+	*q = h
+}
+
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	i := 0
+	for {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h[r].before(&h[m]) {
+			m = r
+		}
+		if !h[m].before(&last) {
+			break
+		}
+		h[i] = h[m]
+		i = m
 	}
-	return a.seq < b.seq
+	if i < n {
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 type edgeKey struct{ u, v graph.NodeID }
@@ -156,7 +205,7 @@ type objState struct {
 	inTransit bool
 	next      graph.NodeID
 	arrive    Time
-	curEdge   edgeKey // edge being traversed, when inTransit
+	curEdge   edgeKey // edge being traversed, when inTransit (LinkCapacity mode)
 	queued    bool    // waiting for a busy edge (LinkCapacity mode)
 	queuedOn  edgeKey
 	pending   []TxID // decided, unserved users, sorted by (exec, txID)
@@ -193,17 +242,21 @@ type Sim struct {
 	commitMaxLat   Time
 	commitSumLat   Time
 
-	events *pq.Heap[event]
-	seq    int
-	dirty  map[ObjID]bool
+	events eventQueue
+	seq    int64
 	failed error
 
-	dispIDs []ObjID // dispatchDirty's reused sort buffer
+	// The objects to dispatch at the current step: dirtyMark[o] is set
+	// iff o is in dirtyList, so each object is listed once.
+	dirtyMark []bool
+	dirtyList []ObjID
+	dispIDs   []ObjID // spare list dispatchDirty swaps with dirtyList
 
 	obs *obs.Metrics
 	met simMetrics
 
-	// Bounded-capacity links (SimOptions.LinkCapacity).
+	// Bounded-capacity links (SimOptions.LinkCapacity); nil when links
+	// are unbounded.
 	edgeBusy  map[edgeKey]int
 	edgeQueue map[edgeKey][]ObjID
 	// Transactions past their decided time waiting for late objects
@@ -219,24 +272,28 @@ func NewSim(in *Instance, opts SimOptions) (*Sim, error) {
 	if opts.SlowFactor < 0 {
 		return nil, fmt.Errorf("core: negative slow factor %d", opts.SlowFactor)
 	}
+	if opts.LinkCapacity < 0 {
+		return nil, fmt.Errorf("core: negative link capacity %d", opts.LinkCapacity)
+	}
 	if err := checkSlow(in.G, opts.slow()); err != nil {
 		return nil, err
 	}
 	s := &Sim{
 		in:        in,
 		opts:      opts,
-		events:    pq.New(lessEvent),
 		objs:      make([]objState, len(in.Objects)),
 		exec:      make([]Time, len(in.Txns)),
 		decidedAt: make([]Time, len(in.Txns)),
 		done:      make([]bool, len(in.Txns)),
 		doneAt:    make([]Time, len(in.Txns)),
-		dirty:     make(map[ObjID]bool),
-		edgeBusy:  make(map[edgeKey]int),
-		edgeQueue: make(map[edgeKey][]ObjID),
+		dirtyMark: make([]bool, len(in.Objects)),
 		due:       make(map[TxID]bool),
 		obs:       opts.Obs,
 		met:       newSimMetrics(opts.Obs),
+	}
+	if opts.LinkCapacity > 0 {
+		s.edgeBusy = make(map[edgeKey]int)
+		s.edgeQueue = make(map[edgeKey][]ObjID)
 	}
 	for i := range s.exec {
 		s.exec[i] = -1
@@ -244,7 +301,7 @@ func NewSim(in *Instance, opts SimOptions) (*Sim, error) {
 	}
 	for _, o := range in.Objects {
 		s.objs[o.ID].at = o.Origin
-		s.push(event{at: o.Created, prio: prioReady, id: int(o.ID)})
+		s.push(o.Created, prioReady, int(o.ID))
 	}
 	// Tree warm-up: objects travel along shortest paths and schedulers
 	// weigh conflicts by distance, so a run reads the trees of most nodes.
@@ -281,10 +338,17 @@ func satMul(a, b graph.Weight) graph.Weight {
 	return a * b
 }
 
-func (s *Sim) push(e event) {
-	e.seq = s.seq
+func (s *Sim) push(at Time, prio int64, id int) {
+	s.events.push(event{at: at, key: prio<<prioShift | s.seq, id: id})
 	s.seq++
-	s.events.Push(e)
+}
+
+// markDirty lists o for dispatch at the current step, once.
+func (s *Sim) markDirty(o ObjID) {
+	if !s.dirtyMark[o] {
+		s.dirtyMark[o] = true
+		s.dirtyList = append(s.dirtyList, o)
+	}
 }
 
 // w maps a transaction ID into the live window. Callers must have checked
@@ -391,10 +455,10 @@ func (s *Sim) Decide(tx TxID, exec Time) error {
 	if s.obs != nil {
 		s.obs.Emit(obs.Event{At: int64(s.now), Kind: "decide", Tx: int(tx), Node: int(t.Node), Value: int64(exec)})
 	}
-	s.push(event{at: exec, prio: prioExec, id: int(tx)})
+	s.push(exec, prioExec, int(tx))
 	for _, o := range t.Objects {
 		s.insertPending(o, tx)
-		s.dirty[o] = true
+		s.markDirty(o)
 	}
 	// Forwarding is deferred to the next AdvanceTo: all decisions made at
 	// the current step see object positions as of this step, and objects
@@ -429,10 +493,10 @@ func (s *Sim) removePending(o ObjID, tx TxID) {
 // NextInternalEvent returns the time of the earliest unprocessed internal
 // event, if any.
 func (s *Sim) NextInternalEvent() (Time, bool) {
-	if s.events.Len() == 0 {
+	if len(s.events) == 0 {
 		return 0, false
 	}
-	return s.events.Peek().at, true
+	return s.events[0].at, true
 }
 
 // AdvanceTo processes every internal event with time <= t and moves the
@@ -448,23 +512,25 @@ func (s *Sim) AdvanceTo(t Time) error {
 	// Forward objects for decisions made since the last advance; their
 	// departure time is the current step.
 	s.dispatchDirty()
-	for s.events.Len() > 0 && s.events.Peek().at <= t {
-		at := s.events.Peek().at
+	for len(s.events) > 0 && s.events[0].at <= t {
+		at := s.events[0].at
 		s.now = at
 		// Drain every event at this timestamp in priority order
 		// (receive, execute), then dispatch (forward).
-		for s.events.Len() > 0 && s.events.Peek().at == at {
-			e := s.events.Pop()
-			switch e.prio {
+		for len(s.events) > 0 && s.events[0].at == at {
+			e := s.events.pop()
+			switch e.prio() {
 			case prioReady:
 				s.objs[e.id].exists = true
-				s.dirty[ObjID(e.id)] = true
+				s.markDirty(ObjID(e.id))
 			case prioArrive:
 				os := &s.objs[e.id]
 				os.at = os.next
 				os.inTransit = false
-				s.dirty[ObjID(e.id)] = true
-				s.releaseEdge(os.curEdge)
+				s.markDirty(ObjID(e.id))
+				if s.opts.LinkCapacity > 0 {
+					s.releaseEdge(os.curEdge)
+				}
 			case prioExec:
 				// Exec events sort after every receive at this timestamp,
 				// so each check sees the step's final object positions.
@@ -516,7 +582,7 @@ func (s *Sim) commitTx(tx TxID) {
 	t := s.txn(tx)
 	for _, o := range t.Objects {
 		s.removePending(o, tx)
-		s.dirty[o] = true
+		s.markDirty(o)
 	}
 	i := s.w(tx)
 	s.done[i] = true
@@ -583,16 +649,14 @@ func (s *Sim) allPresent(tx TxID) bool {
 // whose situation changed at the current step, in object-ID order (the
 // order matters once links have bounded capacity).
 func (s *Sim) dispatchDirty() {
-	if len(s.dirty) == 0 {
+	if len(s.dirtyList) == 0 {
 		return
 	}
-	ids := s.dispIDs[:0]
-	for o := range s.dirty {
-		ids = append(ids, o)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := s.dirtyList
+	s.dirtyList = s.dispIDs[:0]
+	slices.Sort(ids)
 	for _, o := range ids {
-		delete(s.dirty, o)
+		s.dirtyMark[o] = false
 		s.dispatch(o)
 	}
 	s.dispIDs = ids[:0]
@@ -608,21 +672,25 @@ func (s *Sim) dispatch(o ObjID) {
 		return // wait at the requester until it executes
 	}
 	hop := s.in.G.NextHop(os.at, target)
-	key := mkEdgeKey(os.at, hop)
-	if cap := s.opts.LinkCapacity; cap > 0 && s.edgeBusy[key] >= cap {
-		// The link is saturated: queue in deterministic (FIFO) order and
-		// re-dispatch when a traverser arrives.
-		os.queued = true
-		os.queuedOn = key
-		s.edgeQueue[key] = append(s.edgeQueue[key], o)
-		s.met.linkQueued.Inc()
-		return
+	if cap := s.opts.LinkCapacity; cap > 0 {
+		key := mkEdgeKey(os.at, hop)
+		if s.edgeBusy[key] >= cap {
+			// The link is saturated: queue in deterministic (FIFO) order
+			// and re-dispatch when a traverser arrives.
+			os.queued = true
+			os.queuedOn = key
+			s.edgeQueue[key] = append(s.edgeQueue[key], o)
+			s.met.linkQueued.Inc()
+			return
+		}
+		s.edgeBusy[key]++
+		os.curEdge = key
 	}
-	w, _ := s.in.G.EdgeWeight(os.at, hop)
-	s.edgeBusy[key]++
+	// hop's parent in os.at's shortest-path tree is os.at, so its tree
+	// distance is the weight of the edge between them.
+	w := s.in.G.Dist(os.at, hop)
 	os.inTransit = true
 	os.next = hop
-	os.curEdge = key
 	os.arrive = s.now + Time(w*s.opts.slow())
 	os.traveled += w
 	s.met.moves.Inc()
@@ -631,7 +699,7 @@ func (s *Sim) dispatch(o ObjID) {
 	if s.obs != nil {
 		s.obs.Emit(obs.Event{At: int64(s.now), Kind: "move", Obj: int(o), Node: int(hop), Value: int64(w)})
 	}
-	s.push(event{at: os.arrive, prio: prioArrive, id: int(o)})
+	s.push(os.arrive, prioArrive, int(o))
 }
 
 // releaseEdge frees one traversal slot and re-dispatches the next queued
@@ -649,7 +717,7 @@ func (s *Sim) releaseEdge(key edgeKey) {
 	s.objs[o].queued = false
 	// Re-evaluate from scratch: the head user may have changed while the
 	// object waited.
-	s.dirty[o] = true
+	s.markDirty(o)
 }
 
 // ObjectLocation reports where object o is at the current time.

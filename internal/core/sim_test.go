@@ -2,12 +2,14 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"dtm/internal/graph"
+	"dtm/internal/obs"
 )
 
 func lineInstance(t testing.TB, n int, objs []*Object, txns []*Transaction) *Instance {
@@ -387,6 +389,57 @@ func TestNewSimRefusesOverflowingSlowFactor(t *testing.T) {
 	}
 }
 
+func TestNewSimRefusesNegativeLinkCapacity(t *testing.T) {
+	in := lineInstance(t, 3, []*Object{{ID: 0, Origin: 0}},
+		[]*Transaction{{ID: 0, Node: 2, Objects: []ObjID{0}}})
+	_, err := NewSim(in, SimOptions{LinkCapacity: -1})
+	if err == nil || !strings.Contains(err.Error(), "link capacity -1") {
+		t.Errorf("capacity -1: error %v, want one naming link capacity -1", err)
+	}
+	for _, c := range []int{0, 2} {
+		if _, err := NewSim(in, SimOptions{LinkCapacity: c}); err != nil {
+			t.Errorf("capacity %d: %v", c, err)
+		}
+	}
+}
+
+// Within one step, transactions execute in the order they were decided:
+// exec events at one time and priority pop in push order, so the commit
+// events of two same-step transactions follow the decision list, not
+// their IDs.
+func TestSameStepCommitsInDecisionOrder(t *testing.T) {
+	in := lineInstance(t, 4,
+		[]*Object{{ID: 0, Origin: 0}, {ID: 1, Origin: 3}},
+		[]*Transaction{
+			{ID: 0, Node: 1, Objects: []ObjID{0}},
+			{ID: 1, Node: 2, Objects: []ObjID{1}},
+		})
+	for _, order := range [][]TxID{{1, 0}, {0, 1}} {
+		sink := &obs.SliceSink{}
+		m := obs.New()
+		m.SetSink(sink)
+		var decs []Decision
+		for _, tx := range order {
+			decs = append(decs, Decision{Tx: tx, Exec: 2, At: 0})
+		}
+		if _, err := Replay(in, decs, SimOptions{Obs: m}); err != nil {
+			t.Fatal(err)
+		}
+		var commits []TxID
+		for _, e := range sink.Events() {
+			if e.Kind == "commit" {
+				if e.At != 2 {
+					t.Errorf("tx %d committed at t=%d, want 2", e.Tx, e.At)
+				}
+				commits = append(commits, TxID(e.Tx))
+			}
+		}
+		if !slices.Equal(commits, order) {
+			t.Errorf("decided in order %v: commits in order %v", order, commits)
+		}
+	}
+}
+
 func TestResultMetrics(t *testing.T) {
 	in := lineInstance(t, 10,
 		[]*Object{{ID: 0, Origin: 0}, {ID: 1, Origin: 9}},
@@ -442,12 +495,19 @@ func TestArrivalHelpers(t *testing.T) {
 			{ID: 1, Node: 1, Arrival: 0, Objects: []ObjID{0}},
 			{ID: 2, Node: 2, Arrival: 3, Objects: []ObjID{0}},
 		})
-	at := in.ArrivalTimes()
-	if len(at) != 2 || at[0] != 0 || at[1] != 3 {
-		t.Errorf("ArrivalTimes = %v, want [0 3]", at)
+	times, groups := in.ArrivalGroups()
+	if !slices.Equal(times, []Time{0, 3}) || len(groups) != 2 {
+		t.Fatalf("ArrivalGroups times = %v (%d groups), want [0 3] (2 groups)", times, len(groups))
 	}
-	if got := in.TxnsArriving(3); len(got) != 2 || got[0].ID != 0 || got[1].ID != 2 {
-		t.Errorf("TxnsArriving(3) wrong: %v", got)
+	if g := groups[0]; len(g) != 1 || g[0].ID != 1 {
+		t.Errorf("group at t=0 = %v, want [tx 1]", g)
+	}
+	if g := groups[1]; len(g) != 2 || g[0].ID != 0 || g[1].ID != 2 {
+		t.Errorf("group at t=3 = %v, want [tx 0, tx 2]", g)
+	}
+	// Groups are capped: appending to one must not write into the next.
+	if g := groups[0]; cap(g) != len(g) {
+		t.Errorf("group at t=0 has cap %d for len %d", cap(g), len(g))
 	}
 	req := in.Requesters()
 	if len(req[0]) != 3 {

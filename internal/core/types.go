@@ -13,7 +13,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dtm/internal/graph"
@@ -141,30 +143,24 @@ func NormalizeObjects(objs []ObjID) []ObjID {
 	return out
 }
 
-// ArrivalTimes returns the sorted distinct arrival times of all transactions.
-func (in *Instance) ArrivalTimes() []Time {
-	seen := make(map[Time]bool)
-	var out []Time
-	for _, t := range in.Txns {
-		if !seen[t.Arrival] {
-			seen[t.Arrival] = true
-			out = append(out, t.Arrival)
+// ArrivalGroups splits the transactions by arrival time: times holds the
+// distinct arrival times in ascending order, and groups[i] the
+// transactions arriving at times[i], in ID order. One stable sort of a
+// copy of Txns builds every group. Each group is a capped view of that
+// copy, so appending to one copies it rather than writing into the next.
+func (in *Instance) ArrivalGroups() (times []Time, groups [][]*Transaction) {
+	sorted := slices.Clone(in.Txns)
+	slices.SortStableFunc(sorted, func(a, b *Transaction) int { return cmp.Compare(a.Arrival, b.Arrival) })
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j].Arrival == sorted[i].Arrival {
+			j++
 		}
+		times = append(times, sorted[i].Arrival)
+		groups = append(groups, sorted[i:j:j])
+		i = j
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// TxnsArriving returns the transactions with the given arrival time, in ID
-// order.
-func (in *Instance) TxnsArriving(t Time) []*Transaction {
-	var out []*Transaction
-	for _, tx := range in.Txns {
-		if tx.Arrival == t {
-			out = append(out, tx)
-		}
-	}
-	return out
+	return times, groups
 }
 
 // Requesters returns, for every object, the IDs of transactions requesting

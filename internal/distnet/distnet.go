@@ -220,6 +220,9 @@ func New(g *graph.Graph, handlers []Handler, opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("distnet: nil handler for node %d", i)
 		}
 	}
+	if err := opts.Faults.Validate(g.N()); err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		g: g, handlers: handlers, opts: opts,
 		faulty:  opts.Faults.Enabled(),

@@ -65,6 +65,42 @@ type FaultPlan struct {
 	LinkDowns []LinkWindow
 }
 
+// Validate checks the plan against an n-node graph. It refuses a Drop or
+// Duplicate rate outside [0, 1] (NaN included), a negative MaxJitter, a
+// crash or link window whose From exceeds its To, and a window naming a
+// node outside [0, n). New calls it.
+func (p *FaultPlan) Validate(n int) error {
+	for _, r := range []struct {
+		name string
+		v    float64
+	}{{"drop", p.Drop}, {"duplicate", p.Duplicate}} {
+		if !(r.v >= 0 && r.v <= 1) { // false for NaN
+			return fmt.Errorf("distnet: %s rate %v outside [0, 1]", r.name, r.v)
+		}
+	}
+	if p.MaxJitter < 0 {
+		return fmt.Errorf("distnet: negative max jitter %d", p.MaxJitter)
+	}
+	node := func(v graph.NodeID) bool { return v >= 0 && int(v) < n }
+	for _, w := range p.Crashes {
+		if !node(w.Node) {
+			return fmt.Errorf("distnet: crash window on node %d, outside [0, %d)", w.Node, n)
+		}
+		if w.From > w.To {
+			return fmt.Errorf("distnet: crash window on node %d runs from t=%d to t=%d", w.Node, w.From, w.To)
+		}
+	}
+	for _, w := range p.LinkDowns {
+		if !node(w.U) || !node(w.V) {
+			return fmt.Errorf("distnet: link window {%d,%d} outside [0, %d)", w.U, w.V, n)
+		}
+		if w.From > w.To {
+			return fmt.Errorf("distnet: link window {%d,%d} runs from t=%d to t=%d", w.U, w.V, w.From, w.To)
+		}
+	}
+	return nil
+}
+
 // Enabled reports whether the plan injects any fault at all; a disabled
 // plan leaves the engine on its exact fault-free code path.
 func (p *FaultPlan) Enabled() bool {

@@ -1,7 +1,9 @@
 package distnet
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dtm/internal/core"
@@ -343,5 +345,38 @@ func TestEnabled(t *testing.T) {
 		if got := c.plan.Enabled(); got != c.want {
 			t.Errorf("case %d: Enabled = %v, want %v", i, got, c.want)
 		}
+	}
+}
+
+func TestNewRefusesBadPlans(t *testing.T) {
+	g := floodGraph(t, 2, false) // 4 nodes
+	cases := map[string]struct {
+		plan FaultPlan
+		want string
+	}{
+		"negative drop":      {FaultPlan{Drop: -0.5}, "drop rate -0.5"},
+		"drop above one":     {FaultPlan{Drop: 1.5}, "drop rate 1.5"},
+		"NaN drop":           {FaultPlan{Drop: math.NaN()}, "drop rate NaN"},
+		"duplicate above 1":  {FaultPlan{Duplicate: 3}, "duplicate rate 3"},
+		"negative duplicate": {FaultPlan{Duplicate: -0.01}, "duplicate rate -0.01"},
+		"negative jitter":    {FaultPlan{MaxJitter: -1}, "negative max jitter"},
+		"crash from > to":    {FaultPlan{Crashes: []CrashWindow{{Node: 1, From: 5, To: 4}}}, "t=5 to t=4"},
+		"crash node high":    {FaultPlan{Crashes: []CrashWindow{{Node: 4, From: 0, To: 1}}}, "node 4"},
+		"crash node below 0": {FaultPlan{Crashes: []CrashWindow{{Node: -1}}}, "node -1"},
+		"link from > to":     {FaultPlan{LinkDowns: []LinkWindow{{U: 0, V: 1, From: 2, To: 1}}}, "t=2 to t=1"},
+		"link node high":     {FaultPlan{LinkDowns: []LinkWindow{{U: 0, V: 9}}}, "{0,9}"},
+	}
+	for name, c := range cases {
+		_, err := New(g, floodHandlers(g.N(), new([]string)), Options{Faults: c.plan})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, c.want)
+		}
+	}
+	// The bounds themselves are valid.
+	edge := FaultPlan{Drop: 1, Duplicate: 1, MaxJitter: 0,
+		Crashes:   []CrashWindow{{Node: 3, From: 2, To: 2}},
+		LinkDowns: []LinkWindow{{U: 0, V: 3, From: 0, To: 0}}}
+	if _, err := New(g, floodHandlers(g.N(), new([]string)), Options{Faults: edge}); err != nil {
+		t.Errorf("plan at the bounds: %v", err)
 	}
 }

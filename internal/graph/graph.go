@@ -14,6 +14,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -51,16 +52,24 @@ type Graph struct {
 	trees []atomic.Pointer[spTree] // lazily built shortest-path tree per source
 }
 
-type spTree struct {
-	dist   []Weight
-	parent []NodeID // parent[v] on shortest path tree; -1 for source/unreachable
-	hop    []NodeID // first node after the source on the path to v; -1 for source/unreachable
+// spTree is a shortest-path tree, one 16-byte row per node: node IDs fit
+// int32 because New refuses larger graphs.
+type spTree []treeEntry
+
+type treeEntry struct {
+	dist   Weight
+	parent int32 // parent on the shortest-path tree; -1 for source/unreachable
+	hop    int32 // first node after the source on the path; -1 for source/unreachable
 }
 
-// New returns an empty graph with n nodes and no edges.
+// New returns an empty graph with n nodes and no edges. It refuses n above
+// math.MaxInt32, the largest node ID a shortest-path tree row holds.
 func New(n int) (*Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("graph: node count must be positive, got %d", n)
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: node count %d exceeds %d", n, math.MaxInt32)
 	}
 	return &Graph{
 		adj:   make([][]Edge, n),
@@ -168,19 +177,19 @@ func (g *Graph) EdgeWeight(u, v NodeID) (Weight, bool) {
 // trees for distinct sources concurrently; the graph-wide RLock held
 // across the build and the store keeps an AddEdge from interleaving
 // between a build and its publication.
-func (g *Graph) tree(src NodeID) *spTree {
+func (g *Graph) tree(src NodeID) spTree {
 	if t := g.trees[src].Load(); t != nil {
-		return t
+		return *t
 	}
 	g.build[src].Lock()
 	defer g.build[src].Unlock()
 	if t := g.trees[src].Load(); t != nil {
-		return t
+		return *t
 	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	t := g.dijkstra(src)
-	g.trees[src].Store(t)
+	g.trees[src].Store(&t)
 	return t
 }
 
@@ -220,19 +229,13 @@ func (g *Graph) WarmTrees(workers int) {
 
 // dijkstra computes a deterministic shortest-path tree from src, breaking
 // distance ties by smaller node ID so that routing is reproducible.
-func (g *Graph) dijkstra(src NodeID) *spTree {
+func (g *Graph) dijkstra(src NodeID) spTree {
 	n := g.N()
-	t := &spTree{
-		dist:   make([]Weight, n),
-		parent: make([]NodeID, n),
-		hop:    make([]NodeID, n),
+	t := make(spTree, n)
+	for i := range t {
+		t[i] = treeEntry{dist: Infinite, parent: -1, hop: -1}
 	}
-	for i := range t.dist {
-		t.dist[i] = Infinite
-		t.parent[i] = -1
-		t.hop[i] = -1
-	}
-	t.dist[src] = 0
+	t[src].dist = 0
 	frontier := pq.New(lessHeapItem, heapItem{node: src, dist: 0})
 	done := make([]bool, n)
 	for frontier.Len() > 0 {
@@ -244,14 +247,15 @@ func (g *Graph) dijkstra(src NodeID) *spTree {
 		done[u] = true
 		for _, e := range g.adj[u] {
 			nd := it.dist + e.W
+			v := &t[e.To]
 			switch {
-			case nd < t.dist[e.To]:
-				t.dist[e.To] = nd
-				t.parent[e.To] = u
+			case nd < v.dist:
+				v.dist = nd
+				v.parent = int32(u)
 				frontier.Push(heapItem{node: e.To, dist: nd})
-			case nd == t.dist[e.To] && u < t.parent[e.To]:
+			case nd == v.dist && int32(u) < v.parent:
 				// Deterministic tie-break: prefer the smaller-ID parent.
-				t.parent[e.To] = u
+				v.parent = int32(u)
 			}
 		}
 	}
@@ -260,23 +264,23 @@ func (g *Graph) dijkstra(src NodeID) *spTree {
 	// until it reaches src or a node whose hop is already known, then the
 	// whole chain shares that answer — amortized O(n) overall, and NextHop
 	// becomes a single array lookup instead of an O(path length) walk.
-	var chain []NodeID
-	for v := NodeID(0); int(v) < n; v++ {
-		if v == src || t.dist[v] == Infinite || t.hop[v] != -1 {
+	var chain []int32
+	for v := range t {
+		if NodeID(v) == src || t[v].dist == Infinite || t[v].hop != -1 {
 			continue
 		}
 		chain = chain[:0]
-		cur := v
-		for cur != src && t.hop[cur] == -1 {
+		cur := int32(v)
+		for NodeID(cur) != src && t[cur].hop == -1 {
 			chain = append(chain, cur)
-			cur = t.parent[cur]
+			cur = t[cur].parent
 		}
-		h := t.hop[cur] // -1 when cur == src
+		h := t[cur].hop // -1 when cur == src
 		for i := len(chain) - 1; i >= 0; i-- {
 			if h == -1 {
 				h = chain[i] // first node after src on this branch
 			}
-			t.hop[chain[i]] = h
+			t[chain[i]].hop = h
 		}
 	}
 	return t
@@ -288,7 +292,7 @@ func (g *Graph) Dist(u, v NodeID) Weight {
 	if !g.valid(u) || !g.valid(v) {
 		return Infinite
 	}
-	return g.tree(u).dist[v]
+	return g.tree(u)[v].dist
 }
 
 // NextHop returns the first node after u on the (deterministic) shortest path
@@ -300,11 +304,11 @@ func (g *Graph) NextHop(u, v NodeID) NodeID {
 	if !g.valid(u) || !g.valid(v) {
 		return -1
 	}
-	t := g.tree(u)
-	if t.dist[v] == Infinite {
+	r := g.tree(u)[v]
+	if r.dist == Infinite {
 		return -1
 	}
-	return t.hop[v]
+	return NodeID(r.hop)
 }
 
 // Path returns the node sequence of the deterministic shortest path from u to
@@ -317,11 +321,11 @@ func (g *Graph) Path(u, v NodeID) []NodeID {
 		return []NodeID{u}
 	}
 	t := g.tree(u)
-	if t.dist[v] == Infinite {
+	if t[v].dist == Infinite {
 		return nil
 	}
 	var rev []NodeID
-	for cur := v; cur != -1; cur = t.parent[cur] {
+	for cur := v; cur != -1; cur = NodeID(t[cur].parent) {
 		rev = append(rev, cur)
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
@@ -333,15 +337,12 @@ func (g *Graph) Path(u, v NodeID) []NodeID {
 // Eccentricity returns the maximum finite distance from u to any node, or
 // Infinite if some node is unreachable.
 func (g *Graph) Eccentricity(u NodeID) Weight {
-	t := g.tree(u)
 	var ecc Weight
-	for _, d := range t.dist {
-		if d == Infinite {
+	for _, r := range g.tree(u) {
+		if r.dist == Infinite {
 			return Infinite
 		}
-		if d > ecc {
-			ecc = d
-		}
+		ecc = max(ecc, r.dist)
 	}
 	return ecc
 }
@@ -370,10 +371,9 @@ func (g *Graph) Connected() bool {
 // Ball returns the set of nodes within distance r of u (including u),
 // sorted by node ID.
 func (g *Graph) Ball(u NodeID, r Weight) []NodeID {
-	t := g.tree(u)
 	var out []NodeID
-	for v, d := range t.dist {
-		if d <= r {
+	for v, e := range g.tree(u) {
+		if e.dist <= r {
 			out = append(out, NodeID(v))
 		}
 	}
@@ -423,8 +423,8 @@ func (g *Graph) MetricMST(nodes []NodeID) Weight {
 		total += best[sel]
 		t := g.tree(distinct[sel])
 		for i, v := range distinct {
-			if !inTree[i] && t.dist[v] < best[i] {
-				best[i] = t.dist[v]
+			if !inTree[i] && t[v].dist < best[i] {
+				best[i] = t[v].dist
 			}
 		}
 	}

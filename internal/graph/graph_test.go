@@ -18,7 +18,9 @@ func mustLine(t *testing.T, n int) *Graph {
 }
 
 func TestNewRejectsNonPositive(t *testing.T) {
-	for _, n := range []int{0, -1, -100} {
+	// Above math.MaxInt32 a node ID no longer fits a tree row; New must
+	// refuse before allocating anything.
+	for _, n := range []int{0, -1, -100, math.MaxInt32 + 1} {
 		if _, err := New(n); err == nil {
 			t.Errorf("New(%d): want error, got nil", n)
 		}
@@ -193,6 +195,49 @@ func TestNextHopConsistentWithDist(t *testing.T) {
 			}
 			if g.Dist(NodeID(u), NodeID(v)) != w+g.Dist(hop, NodeID(v)) {
 				t.Fatalf("NextHop(%d,%d) = %d not on a shortest path", u, v, hop)
+			}
+		}
+	}
+}
+
+// The Sim takes a hop's weight from the source's tree: the first node
+// after u on a shortest path has u as its tree parent, so its distance is
+// the weight of the edge between them, also after parallel edges were
+// coalesced.
+func TestNextHopDistIsEdgeWeight(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		g, err := RandomConnected(30, 45, 6, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < g.N(); u++ {
+			for i, e := range g.Neighbors(NodeID(u)) {
+				if int(e.To) < u {
+					continue
+				}
+				// Re-add every edge heavier (kept at its weight) and every
+				// other one lighter (lowered to 1).
+				if err := g.AddEdge(NodeID(u), e.To, e.W+3); err != nil {
+					t.Fatal(err)
+				}
+				if i%2 == 0 {
+					if err := g.AddEdge(e.To, NodeID(u), 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		for u := NodeID(0); int(u) < g.N(); u++ {
+			for v := NodeID(0); int(v) < g.N(); v++ {
+				if u == v {
+					continue
+				}
+				hop := g.NextHop(u, v)
+				w, ok := g.EdgeWeight(u, hop)
+				if !ok || g.Dist(u, hop) != w {
+					t.Fatalf("seed %d: Dist(%d, NextHop(%d, %d) = %d) = %d, edge weight %d (exists %v)",
+						seed, u, u, v, hop, g.Dist(u, hop), w, ok)
+				}
 			}
 		}
 	}

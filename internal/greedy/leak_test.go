@@ -107,7 +107,8 @@ func TestPruneLeakGuardLongRun(t *testing.T) {
 	if len(in.Txns) < 10000 {
 		t.Fatalf("workload has %d transactions, want >= 10000", len(in.Txns))
 	}
-	arrivalTimes := len(in.ArrivalTimes())
+	times, _ := in.ArrivalGroups()
+	arrivalTimes := len(times)
 	for _, rebuild := range []bool{false, true} {
 		probe := &leakProbe{Greedy: New(Options{EngineOptions: sched.EngineOptions{RebuildOracle: rebuild}}), t: t}
 		rr, err := sched.Run(in, probe, sched.Options{SnapshotEvery: -1})

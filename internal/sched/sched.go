@@ -44,6 +44,8 @@ type Scheduler interface {
 	// Start binds the scheduler to a run; called once before any arrivals.
 	Start(env *Env) error
 	// OnArrive delivers the transactions generated at the current time.
+	// The slice is the driver's and valid only during the call; a
+	// scheduler that keeps transactions copies them out.
 	OnArrive(txns []*core.Transaction) error
 	// NextWake returns the next time OnWake should run, if the scheduler
 	// has deferred work pending.

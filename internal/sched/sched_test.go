@@ -255,6 +255,65 @@ func TestClosedLoopOneLiveTransactionPerNode(t *testing.T) {
 	}
 }
 
+// nextStep decides every transaction for the step after its delivery and
+// records the IDs of each delivered batch at the time of the call.
+type nextStep struct {
+	env     *Env
+	batches map[core.Time][]core.TxID
+}
+
+func (s *nextStep) Name() string         { return "next-step" }
+func (s *nextStep) Start(env *Env) error { s.env = env; return nil }
+func (s *nextStep) OnArrive(txns []*core.Transaction) error {
+	now := s.env.Sim.Now()
+	for _, tx := range txns {
+		s.batches[now] = append(s.batches[now], tx.ID)
+		if err := s.env.Sim.Decide(tx.ID, now+1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+func (s *nextStep) NextWake() (core.Time, bool) { return 0, false }
+func (s *nextStep) OnWake() error               { return nil }
+
+// A feedback arrival that shares a step with an instance group joins that
+// group's batch, and the next instance group still arrives intact: the
+// append copies the group instead of writing into its neighbour.
+// RunClosedLoop's own instance arrives at t=0 alone, so the test runs the
+// closed-loop stream over an instance with later groups.
+func TestClosedLoopFeedbackJoinsInstanceGroup(t *testing.T) {
+	g, err := graph.Line(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &core.Instance{G: g}
+	for v := 0; v < 4; v++ {
+		in.Objects = append(in.Objects, &core.Object{ID: core.ObjID(v), Origin: graph.NodeID(v)})
+	}
+	for i, at := range []core.Time{0, 2, 2, 3} {
+		in.Txns = append(in.Txns, &core.Transaction{ID: core.TxID(i), Node: graph.NodeID(i),
+			Arrival: at, Objects: []core.ObjID{core.ObjID(i)}})
+	}
+	// Node 0's transaction commits at t=1, so its next one arrives at t=2
+	// with ID 4.
+	stream := &closedLoopStream{
+		gen:       func(v graph.NodeID, _ int) []core.ObjID { return []core.ObjID{core.ObjID(v)} },
+		rounds:    2,
+		round:     []int{1, 0, 0, 0},
+		wait:      []clWaiter{{id: 0, node: 0}},
+		pendIssue: map[core.Time][]graph.NodeID{},
+	}
+	s := &nextStep{batches: map[core.Time][]core.TxID{}}
+	if _, err := run(in, s, stream, Options{}, "/closed-loop"); err != nil {
+		t.Fatal(err)
+	}
+	want := map[core.Time][]core.TxID{0: {0}, 2: {1, 2, 4}, 3: {3}}
+	if fmt.Sprint(s.batches) != fmt.Sprint(want) {
+		t.Errorf("batches %v, want %v", s.batches, want)
+	}
+}
+
 func TestClosedLoopValidation(t *testing.T) {
 	g, _ := graph.Line(4)
 	objs := []*core.Object{{ID: 0, Origin: 0}}

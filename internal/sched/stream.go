@@ -130,7 +130,7 @@ func drive(in *core.Instance, s Scheduler, stream arrivalStream, opts Options,
 		return nil
 	}
 
-	instArr := in.ArrivalTimes()
+	instArr, instGroups := in.ArrivalGroups()
 	ai := 0
 	nextID := core.TxID(len(in.Txns))
 	// Progress guard: consecutive iterations that neither deliver a batch
@@ -203,11 +203,13 @@ func drive(in *core.Instance, s Scheduler, stream arrivalStream, opts Options,
 		if err := stream.observe(sim); err != nil {
 			return sim, snaps, err
 		}
-		var batch []*core.Transaction
+		var group []*core.Transaction
 		if ai < len(instArr) && instArr[ai] == t {
-			batch = in.TxnsArriving(t)
+			group = instGroups[ai]
 			ai++
 		}
+		// group is capped: a stream arrival appended below copies it.
+		batch := group
 		for {
 			pt, ok := stream.peek()
 			if !ok || pt != t {
@@ -234,6 +236,8 @@ func drive(in *core.Instance, s Scheduler, stream arrivalStream, opts Options,
 				}
 			}
 		}
+		// Keep no delivered transaction alive through the grouping.
+		clear(group)
 	}
 	// Surface any source error that exhausted the stream early (the
 	// monotonicity check fails the run rather than truncating it).

@@ -131,8 +131,8 @@ func TestWindowBuffersRetainNoTransaction(t *testing.T) {
 	if _, err := sched.Run(in, p, sched.Options{}); err != nil {
 		t.Fatalf("run failed: %v", err)
 	}
-	if p.checks != len(in.ArrivalTimes()) {
-		t.Fatalf("%d checks for %d arrival times", p.checks, len(in.ArrivalTimes()))
+	if times, _ := in.ArrivalGroups(); p.checks != len(times) {
+		t.Fatalf("%d checks for %d arrival times", p.checks, len(times))
 	}
 	if cap(p.txns) == 0 || p.Audit().Retries == 0 {
 		t.Fatalf("batch buffer capacity %d, %d retries: the probe saw no batch or no retry round",
