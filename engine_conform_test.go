@@ -13,6 +13,8 @@ package dtm
 //     execution model, at the object speed the run used, with the same
 //     makespan — i.e. the schedule is valid, not just internally
 //     consistent;
+//   - the same three on a one-node graph (diameter 0) with two
+//     co-located transactions on one object;
 //   - stream leak guard (Caps.Stream only): under the open-system
 //     driver with retirement enabled, live state plateaus instead of
 //     growing with the arrival count.
@@ -46,36 +48,36 @@ func conformInstance(t *testing.T) *Instance {
 	return in
 }
 
+// oneNodeInstance is the degenerate instance: a one-node graph, whose
+// diameter is 0, with one object and two transactions that all sit on the
+// node and conflict on the object, both arriving at t=0.
+func oneNodeInstance(t *testing.T) *Instance {
+	t.Helper()
+	g, err := Line(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Instance{
+		G:       g,
+		Objects: []*Object{{ID: 0, Origin: 0}},
+		Txns: []*Transaction{
+			{ID: 0, Node: 0, Objects: []ObjID{0}},
+			{ID: 1, Node: 0, Objects: []ObjID{0}},
+		},
+	}
+}
+
 func TestEngineConformance(t *testing.T) {
 	in := conformInstance(t)
+	one := oneNodeInstance(t)
 	ran := 0
 	for _, d := range Engines() {
 		d := d
 		ran++
 		t.Run(d.ID, func(t *testing.T) {
-			t.Run("deterministic", func(t *testing.T) {
-				a := runPinned(t, in, d.New(EngineOptions{}), RunOptions{}, 0)
-				b := runPinned(t, in, d.New(EngineOptions{}), RunOptions{}, 0)
-				comparePinned(t, a, b, 0)
-			})
-			t.Run("parallel-identity", func(t *testing.T) {
-				seq := runPinned(t, in, d.New(EngineOptions{}), RunOptions{}, 0)
-				for _, p := range []int{2, 4} {
-					comparePinned(t, seq, runPinned(t, in, d.New(EngineOptions{}), RunOptions{}, p), p)
-				}
-			})
-			t.Run("replay-roundtrip", func(t *testing.T) {
-				rr, err := Run(in, d.New(EngineOptions{}), RunOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := Replay(in, rr.Decisions, SimOptions{SlowFactor: rr.SlowFactor})
-				if err != nil {
-					t.Fatalf("decision log does not replay: %v", err)
-				}
-				if res.Makespan != rr.Makespan {
-					t.Fatalf("replay makespan %d != run makespan %d", res.Makespan, rr.Makespan)
-				}
+			testEngineRuns(t, in, d)
+			t.Run("one-node", func(t *testing.T) {
+				testEngineRuns(t, one, d)
 			})
 			if d.Caps.Stream {
 				t.Run("stream-leak-guard", func(t *testing.T) {
@@ -87,6 +89,35 @@ func TestEngineConformance(t *testing.T) {
 	if ran < 8 {
 		t.Fatalf("conformance covered only %d engines, want the eight variants", ran)
 	}
+}
+
+// testEngineRuns checks determinism, parallel identity and the replay
+// round-trip of d's runs over in.
+func testEngineRuns(t *testing.T, in *Instance, d EngineDesc) {
+	t.Run("deterministic", func(t *testing.T) {
+		a := runPinned(t, in, d.New(EngineOptions{}), RunOptions{}, 0)
+		b := runPinned(t, in, d.New(EngineOptions{}), RunOptions{}, 0)
+		comparePinned(t, a, b, 0)
+	})
+	t.Run("parallel-identity", func(t *testing.T) {
+		seq := runPinned(t, in, d.New(EngineOptions{}), RunOptions{}, 0)
+		for _, p := range []int{2, 4} {
+			comparePinned(t, seq, runPinned(t, in, d.New(EngineOptions{}), RunOptions{}, p), p)
+		}
+	})
+	t.Run("replay-roundtrip", func(t *testing.T) {
+		rr, err := Run(in, d.New(EngineOptions{}), RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Replay(in, rr.Decisions, SimOptions{SlowFactor: rr.SlowFactor})
+		if err != nil {
+			t.Fatalf("decision log does not replay: %v", err)
+		}
+		if res.Makespan != rr.Makespan {
+			t.Fatalf("replay makespan %d != run makespan %d", res.Makespan, rr.Makespan)
+		}
+	})
 }
 
 // testEngineStreamLeakGuard sustains a sub-critical Poisson load through

@@ -5,7 +5,7 @@ package dtm
 // (EngineOptions.RebuildOracle) must produce byte-identical decision logs for
 // every scheduler, topology, and seed. The greedy color depends only on
 // the set of forbidden intervals — both engines feed the same interval
-// sets into the shared coloring.SmallestValid* sweeps — and the bucket
+// sets into the shared coloring.Sweep search — and the bucket
 // probe problems differ only by availability entries no batch scheduler
 // reads, so any divergence is a bug in the index maintenance.
 

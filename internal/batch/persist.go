@@ -648,7 +648,7 @@ func (s *tourSession) component(r int32, comp []*core.Transaction, out Assignmen
 // NewSession implements SessionScheduler: the conflict adjacency (object
 // posting lists plus weighted edges) persists across probes; Pop truncates
 // the trailing entries its Push appended. Colors are re-swept per
-// evaluation with the shared coloring.SmallestValid, over floors read from
+// evaluation with the shared coloring.Sweep search, over floors read from
 // the live problem.
 func (c Coloring) NewSession(p *Problem, opts SessionOptions) Session {
 	met := newSessionMetrics(opts.Obs)
@@ -678,6 +678,7 @@ type coloringSession struct {
 	order  []int32
 	colors []coloring.Color
 	forb   []coloring.Interval
+	sweep  coloring.Sweep
 }
 
 func (s *coloringSession) Push(tx *core.Transaction) {
@@ -765,7 +766,7 @@ func (s *coloringSession) Reset() {
 // adjacency. Byte-identical to Coloring.Schedule: the anchor vertex of
 // transaction i contributes exactly the Forbid(0, floor-Now) interval, a
 // conflict neighbor contributes iff it was colored earlier in the same
-// (floor, ID) order, and SmallestValid is order-insensitive over the
+// (floor, ID) order, and the Sweep search is order-insensitive over the
 // interval set.
 func (s *coloringSession) schedule(out Assignment) (core.Time, error) {
 	s.met.costs.Inc()
@@ -817,7 +818,7 @@ func (s *coloringSession) schedule(out Assignment) (core.Time, error) {
 			}
 		}
 		s.forb = forb[:0] // keep the (possibly grown) buffer
-		c := coloring.SmallestValid(forb)
+		c := s.sweep.SmallestValid(forb)
 		colors[i] = c
 		t := p.Now + core.Time(c)
 		if out != nil {

@@ -12,7 +12,9 @@
 package coloring
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"dtm/internal/graph"
@@ -39,6 +41,7 @@ type ConflictGraph struct {
 	adj    [][]WEdge
 	colors []Color
 	forb   []Interval // reusable forbidden-interval scratch for GreedyColor*
+	sweep  Sweep
 }
 
 // New returns a conflict graph with n uncolored vertices and no edges.
@@ -121,28 +124,142 @@ func Forbid(cu Color, w graph.Weight) Interval {
 	return Interval{Lo: cu - Color(w) + 1, Hi: cu + Color(w) - 1}
 }
 
-// cmpIntervalLo orders intervals by their lower end for the sweep; the
-// non-reflective slices sort keeps interface headers out of the per-color
-// hot path.
-func cmpIntervalLo(a, b Interval) int {
-	switch {
-	case a.Lo < b.Lo:
-		return -1
-	case a.Lo > b.Lo:
-		return 1
-	default:
-		return 0
-	}
+// maxMass is the largest forbidden mass the bitmap search takes. The
+// bitmap covers [0, mass], so it never grows past maxMass+1 = 2^16 bits
+// (8 KB). The benchmark workloads stay well below it (14906 at most, on
+// stream-greedy); a larger mass means weights near graph.Infinite, and
+// takes the sorted sweep.
+const maxMass = 1<<16 - 1
+
+// Sweep is the Lemma 1 and Lemma 2 color search together with its
+// reusable bitmap. The zero value is ready to use. Each caller owns one
+// next to its forbidden-interval buffer, so no search allocates once the
+// bitmap has grown, and no bitmap is shared between goroutines.
+type Sweep struct {
+	bits []uint64
 }
 
 // SmallestValid returns the smallest non-negative color outside the union
-// of the given forbidden intervals. It sorts forb in place (by Lo) and
-// sweeps upward from 0; the result depends only on the interval set, not
-// its order. This is the Lemma 1 color search, shared by the per-arrival
-// rebuild path (GreedyColor) and the incremental depgraph engine so the
-// two can never disagree.
-func SmallestValid(forb []Interval) Color {
-	slices.SortFunc(forb, cmpIntervalLo)
+// of the given forbidden intervals: the Lemma 1 color search, shared by
+// the per-arrival rebuild path (GreedyColor), the incremental greedy and
+// window engines and the batch coloring session. The result depends only
+// on the interval set, not its order, so these can never disagree. forb
+// is scratch: the search may reorder it.
+//
+// The intervals cover at most M = Σ|[max(Lo, 0), Hi]| non-negative
+// colors, so some color in [0, M] is free; for greedy's colored
+// neighbors M = Σ(2w−1), Lemma 1's own bound. The search marks the
+// intervals in a bitmap of [0, M] and returns its first clear bit, in
+// O(len(forb) + M/64) with no sort. Above maxMass it sorts and sweeps.
+func (s *Sweep) SmallestValid(forb []Interval) Color {
+	mass, ok := forbMass(forb)
+	if !ok {
+		return sortedSmallest(forb)
+	}
+	if mass == 0 {
+		return 0
+	}
+	bm := s.bitmap(int(mass>>6) + 1)
+	for _, f := range forb {
+		lo, hi := max(f.Lo, 0), min(f.Hi, mass)
+		if lo <= hi {
+			setRange(bm, int(lo), int(hi))
+		}
+	}
+	// A clear bit lies in [0, mass], so the scan stops inside bm.
+	for i := 0; ; i++ {
+		if w := bm[i]; w != ^uint64(0) {
+			return Color(i<<6 + bits.TrailingZeros64(^w))
+		}
+	}
+}
+
+// SmallestValidMultiple returns the smallest positive multiple of beta
+// (beta >= 1) outside the union of the given forbidden intervals: the
+// Lemma 2 color search. Each interval is rewritten in place to the range
+// of k−1 over the multiples kβ it forbids, and SmallestValid finds the
+// smallest free k−1 = j, so the answer is β·(j+1). Like SmallestValid it
+// is order-insensitive and treats forb as scratch.
+func (s *Sweep) SmallestValidMultiple(forb []Interval, beta graph.Weight) Color {
+	multiples(forb, beta)
+	return Color(beta) * (s.SmallestValid(forb) + 1)
+}
+
+// multiples rewrites each interval [Lo, Hi] to [k0−1, k1−1], where
+// k0 = ⌈max(Lo, β)/β⌉ and k1 = ⌊Hi/β⌋ bound the k ≥ 1 with Lo ≤ kβ ≤ Hi.
+// An interval that forbids no positive multiple comes out empty.
+func multiples(forb []Interval, beta graph.Weight) {
+	b := Color(beta)
+	for i, f := range forb {
+		if f.Hi < b {
+			forb[i] = Interval{Lo: 0, Hi: -1}
+			continue
+		}
+		k0 := (max(f.Lo, b)-1)/b + 1
+		forb[i] = Interval{Lo: k0 - 1, Hi: f.Hi/b - 1}
+	}
+}
+
+// forbMass returns M, the number of non-negative colors the intervals
+// cover counted with multiplicity; an empty interval (Lo > Hi) and one
+// below 0 count 0. ok is false once M would pass maxMass: each width is
+// compared with what is left under the cap before it is added, so the
+// sum never overflows, whatever the ends.
+func forbMass(forb []Interval) (mass Color, ok bool) {
+	for _, f := range forb {
+		lo := max(f.Lo, 0)
+		if f.Hi < lo {
+			continue
+		}
+		if f.Hi-lo >= maxMass-mass {
+			return 0, false
+		}
+		mass += f.Hi - lo + 1
+	}
+	return mass, true
+}
+
+// minWords is the bitmap's first size: 128 B, masses up to 1023. One
+// allocation then serves most short-lived owners (a one-shot
+// ConflictGraph, a batch session), which would otherwise double their way
+// up from one word.
+const minWords = 16
+
+// bitmap returns the Sweep's first n words, cleared, growing the backing
+// array geometrically (from minWords up to the maxMass cap) so a run
+// reallocates it only a few times.
+func (s *Sweep) bitmap(n int) []uint64 {
+	if cap(s.bits) < n {
+		s.bits = make([]uint64, min(max(n, 2*cap(s.bits), minWords), maxMass>>6+1))
+	}
+	bm := s.bits[:n]
+	clear(bm)
+	return bm
+}
+
+// setRange sets bits lo through hi (inclusive) of bm, whole words at a
+// time in the middle.
+func setRange(bm []uint64, lo, hi int) {
+	wl, wh := lo>>6, hi>>6
+	first := ^uint64(0) << (lo & 63)
+	last := ^uint64(0) >> (63 - hi&63)
+	if wl == wh {
+		bm[wl] |= first & last
+		return
+	}
+	bm[wl] |= first
+	for w := wl + 1; w < wh; w++ {
+		bm[w] = ^uint64(0)
+	}
+	bm[wh] |= last
+}
+
+// sortedSmallest is the search by sorting: it sorts forb by Lo and sweeps
+// upward from 0. It is the path for a mass above maxMass, where a bounded
+// bitmap cannot hold the range, and the fuzzers' reference for the
+// bitmap.
+func sortedSmallest(forb []Interval) Color {
+	slices.SortFunc(forb, func(a, b Interval) int { return cmp.Compare(a.Lo, b.Lo) })
 	c := Color(0)
 	for _, f := range forb {
 		if f.Hi < c {
@@ -152,31 +269,6 @@ func SmallestValid(forb []Interval) Color {
 			break // gap found
 		}
 		c = f.Hi + 1
-	}
-	return c
-}
-
-// SmallestValidMultiple returns the smallest positive multiple of beta
-// outside the union of the given forbidden intervals — the Lemma 2 color
-// search. Like SmallestValid it sorts forb in place and is
-// order-insensitive.
-func SmallestValidMultiple(forb []Interval, beta graph.Weight) Color {
-	slices.SortFunc(forb, cmpIntervalLo)
-	c := Color(beta) // smallest candidate: k=1
-	for _, f := range forb {
-		if f.Hi < c {
-			continue
-		}
-		if f.Lo > c {
-			break
-		}
-		// Round the end of the forbidden block up to the next multiple.
-		next := f.Hi + 1
-		rem := next % Color(beta)
-		if rem != 0 {
-			next += Color(beta) - rem
-		}
-		c = next
 	}
 	return c
 }
@@ -200,7 +292,7 @@ func (cg *ConflictGraph) gatherForb(v VertexID) []Interval {
 // already-colored neighbors, records it, and returns it. Lemma 1
 // guarantees the result is at most 2Γ(v) − Δ(v).
 func (cg *ConflictGraph) GreedyColor(v VertexID) Color {
-	c := SmallestValid(cg.gatherForb(v))
+	c := cg.sweep.SmallestValid(cg.gatherForb(v))
 	cg.colors[v] = c
 	return c
 }
@@ -217,7 +309,7 @@ func (cg *ConflictGraph) GreedyColor(v VertexID) Color {
 // paper's scheduling theorems are asymptotically unaffected. Tests assert
 // the ≤ Γ(v)+β bound for the all-weights-β case.
 func (cg *ConflictGraph) GreedyColorUniform(v VertexID, beta graph.Weight) Color {
-	c := SmallestValidMultiple(cg.gatherForb(v), beta)
+	c := cg.sweep.SmallestValidMultiple(cg.gatherForb(v), beta)
 	cg.colors[v] = c
 	return c
 }

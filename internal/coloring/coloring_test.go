@@ -207,17 +207,8 @@ func TestResetBehavesLikeNew(t *testing.T) {
 	}
 }
 
-// referenceSmallest is the pre-refactor color search (fresh allocations,
-// map-free sweep), kept as an oracle: the scratch-buffer implementation
-// must agree on every input.
-func referenceSmallest(forb []Interval, beta graph.Weight) Color {
-	fs := append([]Interval(nil), forb...)
-	if beta > 0 {
-		return SmallestValidMultiple(fs, beta)
-	}
-	return SmallestValid(fs)
-}
-
+// TestGreedyColorScratchMatchesReference checks the bitmap search through
+// the graph's owned Sweep against the sorted sweep, kept as an oracle.
 func TestGreedyColorScratchMatchesReference(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -239,7 +230,7 @@ func TestGreedyColorScratchMatchesReference(t *testing.T) {
 					forb = append(forb, Forbid(cu, e.W))
 				}
 			}
-			want := referenceSmallest(forb, 0)
+			want := sortedSmallest(forb)
 			if c := cg.GreedyColor(VertexID(v)); c != want {
 				return false
 			}
@@ -251,30 +242,72 @@ func TestGreedyColorScratchMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkGreedyColor shows the per-color allocation profile of the
-// reusable-scratch sweep (run with -benchmem: allocs/op must stay at zero
-// once the scratch has grown).
+// BenchmarkGreedyColor times the Lemma 1 (GreedyColor) and Lemma 2
+// (GreedyColorUniform) searches through a ConflictGraph's owned scratch.
+// Run with -benchmem: allocs/op must be zero, also at -benchtime 1x, since
+// one coloring pass before the timer grows the scratch.
 func BenchmarkGreedyColor(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		beta graph.Weight // 0: Lemma 1
+	}{{"lemma1", 0}, {"lemma2", 8}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cg := benchGraph(b, bc.beta)
+			colorAll(cg, bc.beta)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				colorAll(cg, bc.beta)
+			}
+		})
+	}
+}
+
+// benchGraph is a 256-vertex random conflict graph of edge density 1/8,
+// with weights in [1, 16], or all beta for a Lemma 2 graph (beta > 0).
+func benchGraph(tb testing.TB, beta graph.Weight) *ConflictGraph {
 	const n = 256
 	cg := New(n)
 	rng := rand.New(rand.NewSource(3))
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if rng.Intn(8) == 0 {
-				if err := cg.AddEdge(VertexID(u), VertexID(v), 1+graph.Weight(rng.Intn(16))); err != nil {
-					b.Fatal(err)
+				w := beta
+				if w == 0 {
+					w = 1 + graph.Weight(rng.Intn(16))
+				}
+				if err := cg.AddEdge(VertexID(u), VertexID(v), w); err != nil {
+					tb.Fatal(err)
 				}
 			}
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for v := 0; v < n; v++ {
-			cg.colors[v] = Uncolored
-		}
-		for v := 0; v < n; v++ {
+	return cg
+}
+
+// colorAll uncolors every vertex, then colors them in index order with
+// Lemma 1, or with Lemma 2 for beta > 0.
+func colorAll(cg *ConflictGraph, beta graph.Weight) {
+	for v := range cg.colors {
+		cg.colors[v] = Uncolored
+	}
+	for v := range cg.colors {
+		if beta > 0 {
+			cg.GreedyColorUniform(VertexID(v), beta)
+		} else {
 			cg.GreedyColor(VertexID(v))
+		}
+	}
+}
+
+// TestGreedyColorAllocatesNothing pins the zero-allocation contract of
+// both searches once a ConflictGraph's scratch has grown.
+func TestGreedyColorAllocatesNothing(t *testing.T) {
+	for _, beta := range []graph.Weight{0, 8} {
+		cg := benchGraph(t, beta)
+		colorAll(cg, beta)
+		if a := testing.AllocsPerRun(5, func() { colorAll(cg, beta) }); a != 0 {
+			t.Errorf("beta=%d: %v allocations per coloring pass, want 0", beta, a)
 		}
 	}
 }

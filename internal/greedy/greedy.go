@@ -17,8 +17,9 @@
 package greedy
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dtm/internal/coloring"
 	"dtm/internal/core"
@@ -34,7 +35,9 @@ type Options struct {
 	// weight Beta and decisions happen on multiples of Beta.
 	Uniform bool
 	// Beta is the uniform overlay weight; if zero in Uniform mode, the
-	// graph diameter is used (the hypercube analysis of Section III-D).
+	// graph diameter is used (the hypercube analysis of Section III-D),
+	// or 1 on a one-node graph, whose diameter is 0: Lemma 2 needs only
+	// Beta >= diameter, and epochs and colors are multiples of Beta.
 	Beta graph.Weight
 	// Hub, when set, models the Section III-E funnel: every execution time
 	// is floored by the distance from the hub to the transaction's node
@@ -84,6 +87,7 @@ type Greedy struct {
 	txns  []*core.Transaction // the batch in ID order; cleared after each call
 	slots []depgraph.Slot
 	forb  []coloring.Interval
+	sweep coloring.Sweep
 	nbrs  []depgraph.Neighbor
 
 	// Rebuild oracle: per-arrival live tracking.
@@ -132,7 +136,7 @@ func (g *Greedy) Start(env *sched.Env) error {
 	g.beta = g.opts.Beta
 	if g.opts.Uniform {
 		if g.beta == 0 {
-			g.beta = env.G.Diameter()
+			g.beta = max(env.G.Diameter(), 1)
 		}
 		if g.beta < env.G.Diameter() {
 			return fmt.Errorf("greedy: uniform overlay beta=%d below graph diameter %d", g.beta, env.G.Diameter())
@@ -176,7 +180,7 @@ func (g *Greedy) OnWake() error {
 // original reconstruct-per-arrival path as a reference. Both produce the
 // same schedule for every input: the greedy color depends only on the
 // set of forbidden intervals, which the two engines assemble from the
-// same edges via the shared coloring.SmallestValid* sweeps.
+// same edges via the shared coloring.Sweep search.
 func (g *Greedy) schedule(txns []*core.Transaction) error {
 	if len(txns) == 0 {
 		return nil
@@ -199,7 +203,7 @@ func (g *Greedy) scheduleIncremental(txns []*core.Transaction, now core.Time) er
 	// new-new edges explicitly before its coloring loop). Color in ID
 	// order, exactly like the oracle.
 	sorted := append(g.txns[:0], txns...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+	slices.SortFunc(sorted, byID)
 	slots := g.slots[:0]
 	for _, tx := range sorted {
 		slots = append(slots, g.idx.Insert(tx))
@@ -250,10 +254,10 @@ func (g *Greedy) scheduleIncremental(txns []*core.Transaction, now core.Time) er
 
 		var c, bound coloring.Color
 		if g.opts.Uniform {
-			c = coloring.SmallestValidMultiple(forb, g.beta)
+			c = g.sweep.SmallestValidMultiple(forb, g.beta)
 			bound = coloring.Color(wdeg) + coloring.Color(g.beta)
 		} else {
-			c = coloring.SmallestValid(forb)
+			c = g.sweep.SmallestValid(forb)
 			bound = 2*coloring.Color(wdeg) - coloring.Color(deg)
 			if bound < 0 {
 				bound = 0
@@ -271,6 +275,10 @@ func (g *Greedy) scheduleIncremental(txns []*core.Transaction, now core.Time) er
 	g.txns = sorted[:0]
 	return err
 }
+
+// byID orders a batch by transaction ID, the coloring order of both
+// engines.
+func byID(a, b *core.Transaction) int { return cmp.Compare(a.ID, b.ID) }
 
 // recordAudit accumulates the Theorem 1/2 bound check for one assignment.
 func (g *Greedy) recordAudit(c, bound coloring.Color) {
@@ -435,7 +443,7 @@ func (g *Greedy) scheduleRebuild(txns []*core.Transaction, now core.Time) error 
 
 	// Color the new transactions in ID order and commit decisions.
 	sorted := append([]*core.Transaction(nil), txns...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+	slices.SortFunc(sorted, byID)
 	for _, tx := range sorted {
 		v := newIdx[tx.ID]
 		var c, bound coloring.Color

@@ -132,6 +132,10 @@ func drive(in *core.Instance, s Scheduler, stream arrivalStream, opts Options,
 
 	instArr, instGroups := in.ArrivalGroups()
 	ai := 0
+	// buf joins a time's stream arrivals to its instance group. It is
+	// reused at every arrival time: OnArrive's slice is valid only during
+	// the call, so no engine keeps it.
+	var buf []*core.Transaction
 	nextID := core.TxID(len(in.Txns))
 	// Progress guard: consecutive iterations that neither deliver a batch
 	// nor commit anything indicate a scheduler livelock. (A fixed
@@ -208,7 +212,6 @@ func drive(in *core.Instance, s Scheduler, stream arrivalStream, opts Options,
 			group = instGroups[ai]
 			ai++
 		}
-		// group is capped: a stream arrival appended below copies it.
 		batch := group
 		for {
 			pt, ok := stream.peek()
@@ -223,7 +226,11 @@ func drive(in *core.Instance, s Scheduler, stream arrivalStream, opts Options,
 				return sim, snaps, err
 			}
 			nextID++
-			batch = append(batch, tx)
+			if len(buf) == 0 {
+				buf = append(buf, group...)
+			}
+			buf = append(buf, tx)
+			batch = buf
 		}
 		if len(batch) > 0 {
 			idle = 0
@@ -236,8 +243,10 @@ func drive(in *core.Instance, s Scheduler, stream arrivalStream, opts Options,
 				}
 			}
 		}
-		// Keep no delivered transaction alive through the grouping.
+		// Keep no delivered transaction alive through the grouping or buf.
 		clear(group)
+		clear(buf)
+		buf = buf[:0]
 	}
 	// Surface any source error that exhausted the stream early (the
 	// monotonicity check fails the run rather than truncating it).

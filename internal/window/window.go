@@ -91,6 +91,7 @@ type Window struct {
 	idx   *depgraph.Index
 	txns  []*core.Transaction // the batch in ID order; cleared after each call
 	forb  []coloring.Interval
+	sweep coloring.Sweep
 	nbrs  []depgraph.Neighbor
 	cands []cand
 	order []int
@@ -245,7 +246,7 @@ func (w *Window) round(cands []cand, order []int, now core.Time) error {
 			}
 		}
 		w.nbrs = nbrs[:0]
-		col := coloring.SmallestValid(forb)
+		col := w.sweep.SmallestValid(forb)
 		w.forb = forb[:0]
 		if err := w.resolve(c, col, now); err != nil {
 			return err
