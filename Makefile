@@ -78,9 +78,10 @@ soak: build
 # fuzz-quick gives each native fuzzer a short budget: the coloring
 # interval sweeps (every color decision funnels through them), the
 # persistent conflict-index invariants, the sessionized batch API's
-# differential against the one-shot schedulers, and the incremental
-# lower bound's differential against lowerbound.Estimate. The seed
-# corpora also run as plain tests under `make test`.
+# differential against the one-shot schedulers, the incremental
+# lower bound's differential against lowerbound.Estimate, and the
+# canonical metric-closure MST's insertion against Build and the cycle
+# property. The seed corpora also run as plain tests under `make test`.
 fuzz-quick: build
 	$(GO) test -run '^$$' -fuzz 'FuzzSmallestValid$$' -fuzztime 30s ./internal/coloring/
 	$(GO) test -run '^$$' -fuzz 'FuzzSmallestValidMultiple$$' -fuzztime 30s ./internal/coloring/
@@ -88,3 +89,4 @@ fuzz-quick: build
 	$(GO) test -run '^$$' -fuzz 'FuzzBatchIncremental$$' -fuzztime 30s ./internal/batch/
 	$(GO) test -run '^$$' -fuzz 'FuzzWindowDraws$$' -fuzztime 30s ./internal/window/
 	$(GO) test -run '^$$' -fuzz 'FuzzTracker$$' -fuzztime 30s ./internal/lowerbound/
+	$(GO) test -run '^$$' -fuzz 'FuzzMST$$' -fuzztime 30s ./internal/graph/

@@ -57,8 +57,8 @@ func (p *Problem) slow() graph.Weight {
 
 // Validate checks the problem is self-consistent.
 func (p *Problem) Validate() error {
-	if p.G == nil {
-		return fmt.Errorf("batch: problem has no graph")
+	if err := p.checkGraph(); err != nil {
+		return err
 	}
 	for _, tx := range p.Txns {
 		for _, o := range tx.Objects {
@@ -66,6 +66,21 @@ func (p *Problem) Validate() error {
 				return fmt.Errorf("batch: no availability for object %d (transaction %d)", o, tx.ID)
 			}
 		}
+	}
+	return nil
+}
+
+// checkGraph refuses a missing or disconnected graph: the schedulers add
+// distances between any two nodes, and an unreachable pair's Infinite
+// distance would wrap their times. It costs O(N) once the shortest-path
+// tree of node 0 is built, so the native sessions make it once, when
+// they begin, and report it at every evaluation.
+func (p *Problem) checkGraph() error {
+	if p.G == nil {
+		return fmt.Errorf("batch: problem has no graph")
+	}
+	if !p.G.Connected() {
+		return fmt.Errorf("batch: %v is disconnected", p.G)
 	}
 	return nil
 }

@@ -96,6 +96,42 @@ func TestProblemValidate(t *testing.T) {
 	}
 }
 
+// TestSchedulersRefuseDisconnectedGraph pins the refusal of a graph with
+// two components, {0, 1} and {2, 3}: transactions at nodes 0 and 2 share
+// object 0, available at node 1, so any tour or conflict weight between
+// them is Infinite. Every scheduler and every session reports the same
+// error instead of wrapped times.
+func TestSchedulersRefuseDisconnectedGraph(t *testing.T) {
+	g := graph.MustNew(4)
+	for _, e := range [][2]graph.NodeID{{0, 1}, {2, 3}} {
+		if err := g.AddEdge(e[0], e[1], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	txns := []*core.Transaction{
+		{ID: 0, Node: 0, Objects: []core.ObjID{0}},
+		{ID: 1, Node: 2, Objects: []core.ObjID{0}},
+	}
+	avail := map[core.ObjID]Avail{0: {Node: 1}}
+	const want = "batch: graph(n=4, m=2) is disconnected"
+	for _, s := range sessionSchedulers() {
+		p := &Problem{G: g, Txns: txns, Avail: avail}
+		if a, err := s.Schedule(p); err == nil || err.Error() != want {
+			t.Errorf("%s: Schedule = %v, %v; want error %q", s.Name(), a, err, want)
+		}
+		sess := NewSession(s, &Problem{G: g, Avail: avail}, SessionOptions{})
+		for _, tx := range txns {
+			sess.Push(tx)
+		}
+		if c, err := sess.Cost(); err == nil || err.Error() != want {
+			t.Errorf("%s: session Cost = %d, %v; want error %q", s.Name(), c, err, want)
+		}
+		if a, err := sess.Assign(); err == nil || err.Error() != want {
+			t.Errorf("%s: session Assign = %v, %v; want error %q", s.Name(), a, err, want)
+		}
+	}
+}
+
 func TestSchedulersFeasibleOnTopologies(t *testing.T) {
 	schedulers := []Scheduler{Coloring{}, Tour{}}
 	tops := []func() (*graph.Graph, error){

@@ -9,7 +9,11 @@ package batch
 // engines only ever probe monotone per-level prefixes, while the fuzzer
 // drives arbitrary interleavings of insertion, retraction, drain, and
 // clock movement against the rollback union-find, the posting-list
-// truncation, and the tour memo.
+// truncation, and the tour memo. The topology argument picks Line(8),
+// Clique(8) or Grid(3,3): on a line every metric-closure MST is the
+// sorted path, while the clique's and grid's tied distances make the
+// session's grown trees and the one-shot Build agree only through the
+// strict edge order's tie-breaks.
 
 import (
 	"testing"
@@ -19,15 +23,32 @@ import (
 )
 
 func FuzzBatchIncremental(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 17, 0, 33, 3, 0, 0, 129, 1, 0, 3, 0})
-	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 1, 0, 1, 0, 3, 5, 0, 9, 2, 0, 0, 66, 3, 1})
-	f.Add([]byte{0, 255, 0, 254, 3, 7, 1, 0, 0, 200, 0, 100, 3, 3, 2, 0, 0, 50, 3, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := graph.Line(8)
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(0), []byte{0, 17, 0, 33, 3, 0, 0, 129, 1, 0, 3, 0})
+	f.Add(uint8(0), []byte{0, 1, 0, 2, 0, 3, 0, 4, 1, 0, 1, 0, 3, 5, 0, 9, 2, 0, 0, 66, 3, 1})
+	f.Add(uint8(0), []byte{0, 255, 0, 254, 3, 7, 1, 0, 0, 200, 0, 100, 3, 3, 2, 0, 0, 50, 3, 0})
+	// Tie-heavy topologies. Two pushes on the clique grow a tree whose
+	// edges tie in weight, so only the strict order's tie-breaks make the
+	// grown and the built tree agree. Then pushes that bridge components,
+	// and pops.
+	f.Add(uint8(1), []byte{0, 55, 0, 121})
+	f.Add(uint8(1), []byte{0, 9, 0, 18, 0, 2, 0, 75, 3, 0, 0, 92, 3, 1, 1, 0, 3, 2, 4, 22, 0, 101, 3, 0})
+	f.Add(uint8(2), []byte{0, 12, 0, 27, 0, 70, 0, 4, 3, 0, 0, 81, 0, 14, 3, 1, 1, 0, 1, 0, 3, 0, 4, 9, 0, 66, 3, 2})
+	f.Fuzz(func(t *testing.T, topo uint8, data []byte) {
+		var g *graph.Graph
+		var err error
+		switch topo % 3 {
+		case 0:
+			g, err = graph.Line(8)
+		case 1:
+			g, err = graph.Clique(8)
+		default:
+			g, err = graph.Grid(3, 3)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		n := g.N()
 		// Availability for objects 0–3 only; op bytes can still request
 		// objects 4–5, exercising the missing-availability error paths.
 		avail := map[core.ObjID]Avail{
@@ -68,7 +89,7 @@ func FuzzBatchIncremental(f *testing.F) {
 				}
 				tx := &core.Transaction{
 					ID:      nextID,
-					Node:    graph.NodeID(arg % 8),
+					Node:    graph.NodeID(int(arg) % n),
 					Arrival: core.Time(arg % 4),
 					Objects: objs,
 				}
@@ -97,7 +118,7 @@ func FuzzBatchIncremental(f *testing.F) {
 				check()
 			case 4: // overwrite an availability entry, as a window refresh does
 				avail[core.ObjID(arg%4)] = Avail{
-					Node: graph.NodeID((arg / 4) % 8),
+					Node: graph.NodeID(int(arg/4) % n),
 					Free: now + core.Time(arg%7),
 				}
 				for _, sess := range sessions {

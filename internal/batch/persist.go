@@ -13,8 +13,8 @@ package batch
 // free on the probe path with nothing to invalidate.
 //
 // Tour's dominant cost, the O(V²) Prim pass over the metric closure, is a
-// pure function of the component's sorted node list (the graph is fixed
-// per run), so it is memoized in a TourCache keyed by the exact encoded
+// pure function of the component's node set (the graph is fixed per
+// run), so it is memoized in a TourCache keyed by the exact encoded sorted
 // list. Consecutive probes of one bucket level differ by one transaction
 // and object availability nodes repeat heavily, so the hit rate on
 // arrival bursts is high; a hit replaces Prim with one map lookup.
@@ -33,22 +33,27 @@ import (
 // wholesale (entries are pure values, so losing them only costs time).
 const tourCacheMaxEntries = 1 << 14
 
-// TourCache memoizes tourOrder results keyed by the exact sorted node
+// TourCache memoizes canonical tours keyed by the exact sorted node
 // list. Entries are pure functions of the immutable graph, so one cache
 // may be shared by any number of sessions over that graph (it is not safe
 // for concurrent use; share per single-threaded owner only).
 type TourCache struct {
 	g       *graph.Graph
-	entries map[string]tourEntry
+	mst     *graph.MSTBuilder
+	psc     preorderScratch
+	entries map[string]tour
 	key     []byte
 	hits    *obs.Counter // batch.tour_cache_hits
 	misses  *obs.Counter // batch.tour_cache_misses
 }
 
-type tourEntry struct {
+// tour is a component's canonical MST and, once computed, its preorder
+// tour with the cumulative distances along it (see preorder). It is
+// immutable once built, so states and cache entries share it by value.
+type tour struct {
+	tree   graph.MST
 	order  []graph.NodeID
 	prefix []core.Time
-	edges  []mstEdge
 }
 
 // NewTourCache returns an empty tour-order memo for g; m registers the
@@ -56,16 +61,16 @@ type tourEntry struct {
 func NewTourCache(g *graph.Graph, m *obs.Metrics) *TourCache {
 	return &TourCache{
 		g:       g,
-		entries: make(map[string]tourEntry),
+		mst:     graph.NewMSTBuilder(g),
+		entries: make(map[string]tour),
 		hits:    m.Counter(obs.NameBatchTourCacheHits),
 		misses:  m.Counter(obs.NameBatchTourCacheMisses),
 	}
 }
 
-// get returns the memoized (or freshly computed) tour order, prefix
-// distances, and canonical MST edges for the given sorted node list.
-// Callers must not mutate the returned slices.
-func (c *TourCache) get(nodes []graph.NodeID) ([]graph.NodeID, []core.Time, []mstEdge) {
+// get returns the memoized (or freshly built) tour over the given sorted
+// node list. Callers must not mutate the returned slices.
+func (c *TourCache) get(nodes []graph.NodeID) tour {
 	key := c.key[:0]
 	for _, v := range nodes {
 		u := uint32(v)
@@ -74,17 +79,17 @@ func (c *TourCache) get(nodes []graph.NodeID) ([]graph.NodeID, []core.Time, []ms
 	c.key = key
 	if e, ok := c.entries[string(key)]; ok {
 		c.hits.Inc()
-		return e.order, e.prefix, e.edges
+		return e
 	}
 	c.misses.Inc()
-	// Clone: tourOrder returns its argument verbatim for single-node lists,
-	// and the entry must not alias the caller's scratch.
-	order, prefix, edges := tourOrder(c.g, append([]graph.NodeID(nil), nodes...))
+	var e tour
+	c.mst.Build(&e.tree, nodes)
+	e.order, e.prefix = c.psc.preorder(c.g, &e.tree)
 	if len(c.entries) >= tourCacheMaxEntries {
 		clear(c.entries)
 	}
-	c.entries[string(key)] = tourEntry{order: order, prefix: prefix, edges: edges}
-	return order, prefix, edges
+	c.entries[string(key)] = e
+	return e
 }
 
 // rollbackUF is a union-find with union by size, no path compression, and
@@ -148,24 +153,14 @@ func (u *rollbackUF) reset() {
 	u.trail = u.trail[:0]
 }
 
-// mergeMaxNew bounds the number of fresh nodes an incremental MST merge
-// will absorb; larger merges (rare: a new transaction bridging several big
-// components) fall back to one fresh canonical Prim at evaluation time.
-const mergeMaxNew = 24
-
-// compTour is the persistent tour state of one conflict component: its
-// sorted node set and the canonical MST over the metric closure of those
-// nodes. It is immutable once built (Pop can therefore restore a previous
-// state by pointer), except for the lazily attached preorder and the
-// memoized makespan, both pure functions of the immutable part plus —
-// for cmax — the Now it was evaluated at.
+// compTour is the persistent tour state of one conflict component: the
+// canonical MST over the metric closure of its node set. The tree is
+// immutable once built (Pop can therefore restore a previous state by
+// pointer); the preorder is attached lazily, and the memoized makespan is
+// a pure function of the rest plus the Now it was evaluated at.
 type compTour struct {
-	gen   int64          // avail-window generation this state was built in
-	nodes []graph.NodeID // sorted component node set
-	edges []mstEdge      // canonical MST, sorted by edgeTupleCmp
-
-	order  []graph.NodeID // lazily computed preorder of (nodes, edges)
-	prefix []core.Time
+	gen int64 // avail-window generation this state was built in
+	tour
 
 	cmaxSet bool
 	cmaxNow core.Time // the p.Now cmax was computed at
@@ -182,11 +177,10 @@ type stateRestore struct {
 // NewSession implements SessionScheduler: conflict components are
 // maintained incrementally by the union-find under Push/Pop (replacing
 // the per-probe components() rebuild), and each component's canonical MST
-// is maintained incrementally across pushes — a push merges the
-// constituent components' trees plus the star edges of the few new nodes
-// with a small Kruskal pass instead of re-running Prim over the whole
-// component. Fresh tours (first touch of a component per avail window, or
-// oversized merges) come from the TourCache.
+// is maintained incrementally across pushes — a push copies the largest
+// constituent component's tree and inserts the few nodes new to it
+// instead of re-running Prim over the whole component. Fresh tours (the
+// first touch of a component per avail window) come from the TourCache.
 func (t Tour) NewSession(p *Problem, opts SessionOptions) Session {
 	met := newSessionMetrics(opts.Obs)
 	met.sessions.Inc()
@@ -196,17 +190,20 @@ func (t Tour) NewSession(p *Problem, opts SessionOptions) Session {
 	}
 	return &tourSession{
 		p:         p,
+		graphErr:  p.checkGraph(),
 		met:       met,
 		tours:     tours,
+		mst:       graph.NewMSTBuilder(p.G),
 		firstUser: make(map[core.ObjID]int32),
 		states:    make(map[int32]*compTour),
 	}
 }
 
 type tourSession struct {
-	p     *Problem
-	met   sessionMetrics
-	tours *TourCache
+	p        *Problem
+	graphErr error // Problem.Validate's graph check, made once
+	met      sessionMetrics
+	tours    *TourCache
 
 	// Membership state, patched by Push/Pop.
 	txns      []*core.Transaction
@@ -224,11 +221,9 @@ type tourSession struct {
 	winGen  int64
 
 	// Push/merge scratch.
-	peers   []int32
-	mnodes  []graph.NodeID
-	inNew   []bool
-	cand    []mstEdge
-	kparent []int32 // small union-find over merge node indices
+	peers []int32
+	fresh []graph.NodeID
+	mst   *graph.MSTBuilder
 
 	// Per-evaluation scratch, reused across Cost/Assign calls.
 	rootOf   []int32
@@ -238,7 +233,6 @@ type tourSession struct {
 	comp     []*core.Transaction
 	nodes    []graph.NodeID
 	nodeGen  []int64
-	nodeIdx  []int32
 	nodePos  []core.Time
 	gen      int64
 	psc      preorderScratch
@@ -285,19 +279,16 @@ func (s *tourSession) Push(tx *core.Transaction) {
 
 // mergeStates builds the merged component's tour state from the states of
 // the components tx bridges, or returns nil when it cannot (a constituent
-// state is missing or stale, an availability entry is absent at push time,
-// or the merge brings in too many new nodes) — the next evaluation then
-// computes a fresh canonical tour and re-seeds the state.
+// state is missing or stale, or an availability entry is absent at push
+// time) — the next evaluation then takes a fresh canonical tour from the
+// TourCache and re-seeds the state.
 //
-// Correctness: the canonical MST is the unique minimum spanning tree under
-// the strict total edge order (W, A, B). Let U be the union node set and L
-// the largest constituent's node set. By the cycle property, every
-// canonical-MST edge of U with both endpoints in L is also a canonical-MST
-// edge of L, and every other MST edge touches a node of N = U \ L. So
-// Kruskal over T(L) ∪ Star_U(N) — the largest constituent's tree plus all
-// metric edges incident to the new nodes — rebuilds exactly the canonical
-// MST of U. The other constituents contribute only their node sets (their
-// members are in N), so components can merge without their trees.
+// The merged tree is the largest constituent's tree, copied, with every
+// node new to it inserted (graph.MSTBuilder.Insert). The canonical MST is
+// unique, so the order of insertion does not matter, and the other
+// constituents contribute only their node sets. A merge costs O(|N|·|U|)
+// distance reads for the new nodes N of the union U, never more than a
+// fresh Build's O(|U|²).
 func (s *tourSession) mergeStates(tx *core.Transaction, peers []int32) *compTour {
 	var big *compTour
 	for _, r := range peers {
@@ -305,129 +296,65 @@ func (s *tourSession) mergeStates(tx *core.Transaction, peers []int32) *compTour
 		if st == nil || st.gen != s.winGen {
 			return nil
 		}
-		if big == nil || len(st.nodes) > len(big.nodes) {
+		if big == nil || st.tree.Len() > big.tree.Len() {
 			big = st
 		}
 	}
-	// Union node set, dedup via generation stamps.
+	// The nodes new to big's tree, dedup via generation stamps.
 	s.ensureNodeScratch()
 	s.gen++
 	gen := s.gen
-	mn := s.mnodes[:0]
+	if big != nil {
+		for i := range big.tree.Len() {
+			s.nodeGen[big.tree.Node(i)] = gen
+		}
+	}
+	fresh := s.fresh[:0]
 	addNode := func(v graph.NodeID) {
 		if s.nodeGen[v] != gen {
 			s.nodeGen[v] = gen
-			mn = append(mn, v)
+			fresh = append(fresh, v)
 		}
 	}
 	for _, r := range peers {
-		for _, v := range s.states[r].nodes {
-			addNode(v)
+		if st := s.states[r]; st != big {
+			for i := range st.tree.Len() {
+				addNode(st.tree.Node(i))
+			}
 		}
 	}
 	addNode(tx.Node)
 	for _, o := range tx.Objects {
 		a, ok := s.p.Avail[o]
 		if !ok {
-			s.mnodes = mn
+			s.fresh = fresh
 			return nil // node set unknowable; evaluation will report the error
 		}
 		addNode(a.Node)
 	}
-	s.mnodes = mn
-	slices.Sort(mn)
-	if big != nil && len(mn) == len(big.nodes) {
+	s.fresh = fresh
+	if big != nil && len(fresh) == 0 {
 		// No nodes beyond the largest constituent's (components may share
-		// physical nodes): the canonical MST is unchanged. compTour is
-		// immutable, so aliasing big's slices is safe.
-		return &compTour{gen: s.winGen, nodes: big.nodes, edges: big.edges,
-			order: big.order, prefix: big.prefix}
+		// physical nodes): the canonical MST is unchanged, and aliasing
+		// big's immutable tour is safe.
+		return &compTour{gen: s.winGen, tour: big.tour}
 	}
-	nBig := 0
-	var bigEdges []mstEdge
-	if big != nil {
-		nBig = len(big.nodes)
-		bigEdges = big.edges
-	}
-	if len(mn)-nBig > mergeMaxNew {
-		return nil
-	}
-	// Index map and membership of N (mn minus big.nodes, both sorted).
-	if cap(s.inNew) < len(mn) {
-		s.inNew = make([]bool, len(mn))
-	}
-	inNew := s.inNew[:len(mn)]
-	bi := 0
-	for idx, v := range mn {
-		s.nodeIdx[v] = int32(idx)
-		if big != nil && bi < len(big.nodes) && big.nodes[bi] == v {
-			inNew[idx] = false
-			bi++
-		} else {
-			inNew[idx] = true
+	var tree graph.MST
+	if big == nil {
+		s.mst.Build(&tree, fresh) // a new component
+	} else {
+		tree = big.tree.Clone(len(fresh))
+		for _, v := range fresh {
+			s.mst.Insert(&tree, v)
 		}
 	}
-	// Candidates: T(L) plus the star of every new node into the union.
-	// L-internal pairs never appear as star edges and N-N pairs are emitted
-	// once, so the candidate list is duplicate-free.
-	cand := s.cand[:0]
-	cand = append(cand, bigEdges...)
-	for idx, v := range mn {
-		if !inNew[idx] {
-			continue
-		}
-		for jdx, u := range mn {
-			if jdx == idx || (inNew[jdx] && jdx < idx) {
-				continue
-			}
-			a, b := u, v
-			if a > b {
-				a, b = b, a
-			}
-			cand = append(cand, mstEdge{A: a, B: b, W: s.p.G.Dist(a, b)})
-		}
-	}
-	s.cand = cand
-	slices.SortFunc(cand, edgeTupleCmp)
-	// Kruskal in canonical order over the merge indices.
-	if cap(s.kparent) < len(mn) {
-		s.kparent = make([]int32, len(mn))
-	}
-	parent := s.kparent[:len(mn)]
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	edges := make([]mstEdge, 0, len(mn)-1)
-	for _, e := range cand {
-		ra, rb := find(s.nodeIdx[e.A]), find(s.nodeIdx[e.B])
-		if ra == rb {
-			continue
-		}
-		parent[ra] = rb
-		edges = append(edges, e)
-		if len(edges) == len(mn)-1 {
-			break
-		}
-	}
-	return &compTour{
-		gen:   s.winGen,
-		nodes: append([]graph.NodeID(nil), mn...),
-		edges: edges,
-	}
+	return &compTour{gen: s.winGen, tour: tour{tree: tree}}
 }
 
 // ensureNodeScratch sizes the per-NodeID stamp arrays to the graph.
 func (s *tourSession) ensureNodeScratch() {
 	if need := s.p.G.N(); len(s.nodeGen) < need {
 		s.nodeGen = make([]int64, need)
-		s.nodeIdx = make([]int32, need)
 		s.nodePos = make([]core.Time, need)
 	}
 }
@@ -498,6 +425,9 @@ func (s *tourSession) Reset() {
 // component's node set, not on enumeration order.
 func (s *tourSession) schedule(out Assignment) (core.Time, error) {
 	s.met.costs.Inc()
+	if s.graphErr != nil {
+		return 0, s.graphErr
+	}
 	n := len(s.txns)
 	// Validate availability upfront in push order, mirroring Problem.Validate
 	// so a malformed probe reports the same first offender as the one-shot
@@ -560,9 +490,9 @@ func (s *tourSession) schedule(out Assignment) (core.Time, error) {
 
 // component mirrors scheduleComponent (tour.go) with the tour taken from
 // the component's persistent state when current — the preorder of the
-// incrementally maintained canonical MST — and from the TourCache
-// otherwise (re-seeding the state); then it applies the same start/shift
-// arithmetic and memoizes the resulting makespan on the state.
+// incrementally grown canonical MST — and from the TourCache otherwise
+// (re-seeding the state); then it applies the same start/shift arithmetic
+// and memoizes the resulting makespan on the state.
 func (s *tourSession) component(r int32, comp []*core.Transaction, out Assignment) core.Time {
 	p := s.p
 	s.ensureNodeScratch()
@@ -579,9 +509,8 @@ func (s *tourSession) component(r int32, comp []*core.Transaction, out Assignmen
 				}
 			}
 		}
-		if st.order == nil && len(st.nodes) > 0 {
-			st.order, st.prefix = s.psc.preorder(p.G, st.nodes, st.edges,
-				make([]graph.NodeID, 0, len(st.nodes)), make([]core.Time, 0, len(st.nodes)))
+		if st.order == nil {
+			st.order, st.prefix = s.psc.preorder(p.G, &st.tree)
 		}
 		order, prefix = st.order, st.prefix
 	} else {
@@ -606,15 +535,9 @@ func (s *tourSession) component(r int32, comp []*core.Transaction, out Assignmen
 		}
 		s.nodes = nodes
 		slices.Sort(nodes)
-		var edges []mstEdge
-		order, prefix, edges = s.tours.get(nodes)
-		st = &compTour{
-			gen:   s.winGen,
-			nodes: append([]graph.NodeID(nil), nodes...),
-			edges: edges,
-			order: order, prefix: prefix,
-		}
+		st = &compTour{gen: s.winGen, tour: s.tours.get(nodes)}
 		s.states[r] = st
+		order, prefix = st.order, st.prefix
 	}
 	slow := core.Time(p.slow())
 	// Every node of the component appears in order, so each relevant
@@ -653,7 +576,7 @@ func (s *tourSession) component(r int32, comp []*core.Transaction, out Assignmen
 func (c Coloring) NewSession(p *Problem, opts SessionOptions) Session {
 	met := newSessionMetrics(opts.Obs)
 	met.sessions.Inc()
-	return &coloringSession{p: p, met: met, objMembers: make(map[core.ObjID][]int32)}
+	return &coloringSession{p: p, graphErr: p.checkGraph(), met: met, objMembers: make(map[core.ObjID][]int32)}
 }
 
 type cEdge struct {
@@ -662,8 +585,9 @@ type cEdge struct {
 }
 
 type coloringSession struct {
-	p   *Problem
-	met sessionMetrics
+	p        *Problem
+	graphErr error // Problem.Validate's graph check, made once
+	met      sessionMetrics
 
 	// Membership state, patched by Push/Pop. Invariant: adj slots at
 	// indices >= len(txns) are empty.
@@ -770,6 +694,9 @@ func (s *coloringSession) Reset() {
 // interval set.
 func (s *coloringSession) schedule(out Assignment) (core.Time, error) {
 	s.met.costs.Inc()
+	if s.graphErr != nil {
+		return 0, s.graphErr
+	}
 	p := s.p
 	n := len(s.txns)
 	floors := s.floors[:0]

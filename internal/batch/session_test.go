@@ -238,12 +238,12 @@ func TestTourCacheMemoizes(t *testing.T) {
 	m := obs.New()
 	cache := NewTourCache(g, m)
 	nodes := []graph.NodeID{1, 4, 7}
-	o1, p1, _ := cache.get(nodes)
-	o2, p2, _ := cache.get(nodes)
+	e1 := cache.get(nodes)
+	e2 := cache.get(nodes)
 	if len(cache.entries) != 1 {
 		t.Fatalf("cache holds %d entries after two identical lookups, want 1", len(cache.entries))
 	}
-	if &o1[0] != &o2[0] || &p1[0] != &p2[0] {
+	if &e1.order[0] != &e2.order[0] || &e1.prefix[0] != &e2.prefix[0] {
 		t.Error("second lookup did not return the memoized slices")
 	}
 	if hits := m.Counter(obs.NameBatchTourCacheHits).Value(); hits != 1 {
@@ -255,8 +255,7 @@ func TestTourCacheMemoizes(t *testing.T) {
 	// The memo must not alias caller scratch: mutating the input node slice
 	// afterwards leaves the cached entry intact.
 	nodes[0] = 9
-	o3, _, _ := cache.get([]graph.NodeID{1, 4, 7})
-	if &o3[0] != &o1[0] {
+	if e3 := cache.get([]graph.NodeID{1, 4, 7}); &e3.order[0] != &e1.order[0] || e3.order[0] != 1 {
 		t.Error("cached entry lost after caller mutated its scratch slice")
 	}
 }

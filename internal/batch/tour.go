@@ -2,7 +2,6 @@ package batch
 
 import (
 	"slices"
-	"sort"
 
 	"dtm/internal/core"
 	"dtm/internal/graph"
@@ -35,33 +34,32 @@ func (Tour) Schedule(p *Problem) (Assignment, error) {
 		return nil, err
 	}
 	out := make(Assignment, len(p.Txns))
+	mst := graph.NewMSTBuilder(p.G)
+	var sc preorderScratch
 	for _, comp := range components(p) {
-		scheduleComponent(p, comp, out)
+		scheduleComponent(p, comp, mst, &sc, out)
 	}
 	return out, nil
 }
 
-func scheduleComponent(p *Problem, comp []*core.Transaction, out Assignment) {
-	// Node set: transaction nodes + availability nodes; longest wait.
-	nodeSet := make(map[graph.NodeID]bool)
+func scheduleComponent(p *Problem, comp []*core.Transaction, mst *graph.MSTBuilder, sc *preorderScratch, out Assignment) {
+	// Node set: transaction nodes + availability nodes (Build drops the
+	// repeats); longest wait.
+	var nodes []graph.NodeID
 	var wait core.Time
 	for _, tx := range comp {
-		nodeSet[tx.Node] = true
+		nodes = append(nodes, tx.Node)
 		for _, o := range tx.Objects {
 			a := p.Avail[o]
-			nodeSet[a.Node] = true
+			nodes = append(nodes, a.Node)
 			if w := a.Free - p.Now; w > wait {
 				wait = w
 			}
 		}
 	}
-	nodes := make([]graph.NodeID, 0, len(nodeSet))
-	for v := range nodeSet {
-		nodes = append(nodes, v)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-
-	order, prefix, _ := tourOrder(p.G, nodes)
+	var tree graph.MST
+	mst.Build(&tree, nodes)
+	order, prefix := sc.preorder(p.G, &tree)
 	pos := make(map[graph.NodeID]core.Time, len(order))
 	slow := core.Time(p.slow())
 	for i, v := range order {
@@ -84,205 +82,42 @@ func scheduleComponent(p *Problem, comp []*core.Transaction, out Assignment) {
 	}
 }
 
-// mstEdge is an edge of the canonical metric-closure MST, with endpoints
-// ordered A < B.
-type mstEdge struct {
-	A, B graph.NodeID
-	W    graph.Weight
-}
-
-// edgeTupleCmp orders edges by the canonical total order (W, A, B). All
-// tuples over a node set are distinct, so the order is strict and the
-// minimum spanning tree under it is unique — any correct algorithm
-// (Prim here, Kruskal in the session's incremental merge) produces the
-// same edge set.
-func edgeTupleCmp(x, y mstEdge) int {
-	switch {
-	case x.W != y.W:
-		if x.W < y.W {
-			return -1
-		}
-		return 1
-	case x.A != y.A:
-		if x.A < y.A {
-			return -1
-		}
-		return 1
-	case x.B != y.B:
-		if x.B < y.B {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-// tourOrder computes a deterministic MST-preorder of the given nodes in the
-// metric closure of g, the cumulative distances along that order, and the
-// canonical MST's edge set (sorted by edgeTupleCmp; callers that only need
-// the order ignore it). The shortcut tour's total length is at most twice
-// the MST weight. nodes must be sorted ascending.
-func tourOrder(g *graph.Graph, nodes []graph.NodeID) ([]graph.NodeID, []core.Time, []mstEdge) {
-	n := len(nodes)
-	if n == 0 {
-		return nil, nil, nil
-	}
-	if n == 1 {
-		return nodes, []core.Time{0}, nil
-	}
-	edges := canonicalMST(g, nodes)
-	var sc preorderScratch
-	order, prefix := sc.preorder(g, nodes, edges,
-		make([]graph.NodeID, 0, n), make([]core.Time, 0, n))
-	return order, prefix, edges
-}
-
-// canonicalMST runs Prim on the metric closure with full (W, A, B) tuple
-// tie-breaking, so the returned tree is the unique MST under the canonical
-// edge order regardless of the order nodes were added in. nodes must be
-// sorted ascending (so a smaller index is a smaller NodeID).
-func canonicalMST(g *graph.Graph, nodes []graph.NodeID) []mstEdge {
-	n := len(nodes)
-	const inf = graph.Infinite
-	best := make([]graph.Weight, n)
-	from := make([]int, n) // tree-side endpoint index of the candidate edge
-	inTree := make([]bool, n)
-	for i := range best {
-		best[i] = inf
-		from[i] = -1
-	}
-	best[0] = 0
-	// less compares the candidate edges of two non-tree indices under the
-	// canonical tuple order.
-	less := func(i, j int) bool {
-		if best[i] != best[j] {
-			return best[i] < best[j]
-		}
-		ai, bi := i, from[i]
-		if ai > bi {
-			ai, bi = bi, ai
-		}
-		aj, bj := j, from[j]
-		if aj > bj {
-			aj, bj = bj, aj
-		}
-		if ai != aj {
-			return ai < aj
-		}
-		return bi < bj
-	}
-	edges := make([]mstEdge, 0, n-1)
-	for range nodes {
-		sel := -1
-		for i := range nodes {
-			if inTree[i] || best[i] == inf {
-				continue
-			}
-			if sel == -1 || less(i, sel) {
-				sel = i
-			}
-		}
-		if sel == -1 {
-			// Disconnected metric closure: start a new tree at the smallest
-			// remaining index (deterministic; connected graphs never hit this).
-			for i := range nodes {
-				if !inTree[i] {
-					sel = i
-					from[sel] = -1
-					break
-				}
-			}
-		}
-		inTree[sel] = true
-		if f := from[sel]; f >= 0 {
-			a, b := nodes[f], nodes[sel]
-			if a > b {
-				a, b = b, a
-			}
-			edges = append(edges, mstEdge{A: a, B: b, W: best[sel]})
-		}
-		for i := range nodes {
-			if inTree[i] {
-				continue
-			}
-			d := g.Dist(nodes[sel], nodes[i])
-			// On a weight tie the candidate with the smaller other-endpoint
-			// index wins; with i fixed that is exactly the tuple order.
-			if d < best[i] || (d == best[i] && d != inf && sel < from[i]) {
-				best[i] = d
-				from[i] = sel
-			}
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool { return edgeTupleCmp(edges[i], edges[j]) < 0 })
-	return edges
-}
-
-// preorderScratch holds the reusable buffers of preorder, so per-probe
-// session evaluations stay allocation-free.
+// preorderScratch holds the reusable buffers of preorder.
 type preorderScratch struct {
-	adj     [][]int32
-	stack   []int32
-	visited []bool
+	head, next, stack []int32
 }
 
-// preorder computes the rooted preorder of the tree (nodes, edges) and the
-// cumulative metric distances along it, appending into order/prefix (whose
-// capacity is reused). The root is nodes[0] and children are visited in
-// ascending node order, so the result depends only on the edge set and the
-// sorted node list — the fresh Prim path and the session's incrementally
-// merged state path produce byte-identical tours.
-func (sc *preorderScratch) preorder(g *graph.Graph, nodes []graph.NodeID, edges []mstEdge,
-	order []graph.NodeID, prefix []core.Time) ([]graph.NodeID, []core.Time) {
-	n := len(nodes)
-	order, prefix = order[:0], prefix[:0]
-	if n == 0 {
-		return order, prefix
+// preorder returns the preorder tour of t, the tree's points visited
+// depth first from its root (the smallest node) with children in
+// ascending node order, and the cumulative metric distances along it.
+// The tour depends only on the tree's edge set and node IDs, so the
+// fresh Build path and the session's grown trees give byte-identical
+// tours. The shortcut tour's length is at most twice the tree's weight.
+func (sc *preorderScratch) preorder(g *graph.Graph, t *graph.MST) ([]graph.NodeID, []core.Time) {
+	n := t.Len()
+	// Child lists, each in descending node order (points are sorted by
+	// node), so the stack pops the smallest child first.
+	head := slices.Grow(sc.head[:0], n)[:n]
+	next := slices.Grow(sc.next[:0], n)[:n]
+	for i := range head {
+		head[i] = -1
 	}
-	for len(sc.adj) < n {
-		sc.adj = append(sc.adj, nil)
+	for i := 1; i < n; i++ {
+		up := t.Parent(i)
+		next[i], head[up] = head[up], int32(i)
 	}
-	adj := sc.adj[:n]
-	for i := range adj {
-		adj[i] = adj[i][:0]
-	}
-	for _, e := range edges {
-		ia, _ := sort.Find(n, func(i int) int { return int(e.A - nodes[i]) })
-		ib, _ := sort.Find(n, func(i int) int { return int(e.B - nodes[i]) })
-		adj[ia] = append(adj[ia], int32(ib))
-		adj[ib] = append(adj[ib], int32(ia))
-	}
-	for i := range adj {
-		slices.Sort(adj[i])
-	}
-	if cap(sc.visited) < n {
-		sc.visited = make([]bool, n)
-	}
-	visited := sc.visited[:n]
-	for i := range visited {
-		visited[i] = false
-	}
-	stack := sc.stack[:0]
-	for r := 0; r < n; r++ { // r > 0 only for a disconnected metric closure
-		if visited[r] {
-			continue
-		}
-		visited[r] = true
-		stack = append(stack, int32(r))
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			order = append(order, nodes[v])
-			for i := len(adj[v]) - 1; i >= 0; i-- {
-				if w := adj[v][i]; !visited[w] {
-					visited[w] = true
-					stack = append(stack, w)
-				}
-			}
+	order := make([]graph.NodeID, 0, n)
+	stack := append(sc.stack[:0], 0)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		order = append(order, t.Node(int(v)))
+		for c := head[v]; c >= 0; c = next[c] {
+			stack = append(stack, c)
 		}
 	}
-	sc.stack = stack[:0]
-	prefix = append(prefix, 0)
+	sc.head, sc.next, sc.stack = head, next, stack
+	prefix := make([]core.Time, 1, n)
 	for i := 1; i < n; i++ {
 		prefix = append(prefix, prefix[i-1]+core.Time(g.Dist(order[i-1], order[i])))
 	}

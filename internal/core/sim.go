@@ -313,15 +313,21 @@ func NewSim(in *Instance, opts SimOptions) (*Sim, error) {
 	return s, nil
 }
 
-// checkSlow refuses a slow factor under which travel times could wrap.
-// A shortest path has at most N−1 edges, so (N−1) × the largest edge
-// weight bounds every Dist; with that bound times the slow factor below
-// graph.Infinite, every Dist × slow the run computes stays below 2^62.
+// PathBound returns (N−1) × g's largest edge weight, saturating at
+// graph.Infinite. A shortest path has at most N−1 edges, so it bounds
+// every Dist.
+func PathBound(g *graph.Graph) graph.Weight {
+	return satMul(graph.Weight(g.N()-1), g.MaxEdgeWeight())
+}
+
+// checkSlow refuses a slow factor under which travel times could wrap:
+// with PathBound times the slow factor below graph.Infinite, every
+// Dist × slow the run computes stays below 2^62.
 func checkSlow(g *graph.Graph, slow graph.Weight) error {
 	if slow <= 1 {
 		return nil
 	}
-	span := satMul(graph.Weight(g.N()-1), g.MaxEdgeWeight())
+	span := PathBound(g)
 	if satMul(span, slow) >= graph.Infinite {
 		return fmt.Errorf("core: slow factor %d times the path bound %d ((N-1) × largest edge weight) reaches %d",
 			slow, span, graph.Infinite)

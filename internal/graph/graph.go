@@ -2,7 +2,8 @@
 // transactional memory model of Busch et al. (IPPS 2020): communication
 // graphs G = (V, E, w) with positive integer edge weights, shortest-path
 // machinery (distances, routing next hops, explicit paths), diameter, and
-// metric-closure minimum spanning trees used by the lower-bound estimators.
+// the canonical metric-closure minimum spanning tree (MST) that the tour
+// batch scheduler and the lower-bound estimators share.
 //
 // All query methods are safe for concurrent use; shortest-path trees are
 // computed lazily per source and cached, and trees for distinct sources
@@ -16,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -388,47 +388,14 @@ func (g *Graph) Ball(u NodeID, r Weight) []NodeID {
 // visit every node in the set. It returns 0 for fewer than two distinct
 // nodes and Infinite if the set is not mutually reachable.
 func (g *Graph) MetricMST(nodes []NodeID) Weight {
-	set := make(map[NodeID]bool, len(nodes))
-	for _, v := range nodes {
-		set[v] = true
-	}
-	distinct := make([]NodeID, 0, len(set))
-	for v := range set {
-		distinct = append(distinct, v)
-	}
-	sort.Slice(distinct, func(i, j int) bool { return distinct[i] < distinct[j] })
-	if len(distinct) < 2 {
-		return 0
-	}
-	// Prim's algorithm on the metric closure.
-	const unseen = Infinite
-	best := make([]Weight, len(distinct))
-	inTree := make([]bool, len(distinct))
-	for i := range best {
-		best[i] = unseen
-	}
-	best[0] = 0
-	var total Weight
-	for range distinct {
-		sel := -1
-		for i, b := range best {
-			if !inTree[i] && (sel == -1 || b < best[sel]) {
-				sel = i
-			}
-		}
-		if best[sel] == Infinite {
+	var t MST
+	NewMSTBuilder(g).Build(&t, nodes)
+	for _, pt := range t.pts {
+		if pt.w == Infinite {
 			return Infinite
 		}
-		inTree[sel] = true
-		total += best[sel]
-		t := g.tree(distinct[sel])
-		for i, v := range distinct {
-			if !inTree[i] && t[v].dist < best[i] {
-				best[i] = t[v].dist
-			}
-		}
 	}
-	return total
+	return t.weight
 }
 
 // MaxEdgeWeight returns the largest edge weight in the graph (0 for an

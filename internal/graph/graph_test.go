@@ -449,6 +449,17 @@ func TestMetricMST(t *testing.T) {
 	if w := g.MetricMST([]NodeID{2, 2, 2, 7}); w != 5 {
 		t.Errorf("MetricMST(dups) = %d, want 5", w)
 	}
+	// Not mutually reachable: two components {0, 1} and {2, 3}.
+	h := MustNew(4)
+	if err := h.AddEdge(0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.AddEdge(2, 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	if w := h.MetricMST([]NodeID{0, 1, 2, 3}); w != Infinite {
+		t.Errorf("MetricMST(unreachable) = %d, want Infinite", w)
+	}
 }
 
 func TestBall(t *testing.T) {

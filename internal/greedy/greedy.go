@@ -142,6 +142,27 @@ func (g *Greedy) Start(env *sched.Env) error {
 			return fmt.Errorf("greedy: uniform overlay beta=%d below graph diameter %d", g.beta, env.G.Diameter())
 		}
 	}
+	return g.checkPad()
+}
+
+// checkPad refuses a padding factor under which a padded H'_t weight
+// could wrap. A distance is at most the Sim's path bound, (N-1) × the
+// largest edge weight, and NewSim keeps the slow factor times it at most
+// graph.Infinite; Pad times that product, and in uniform mode Pad times
+// β, must stay below graph.Infinite too.
+func (g *Greedy) checkPad() error {
+	pad := g.opts.pad()
+	if pad == 1 {
+		return nil
+	}
+	slow, bound := graph.Weight(g.env.Sim.SlowFactor()), core.PathBound(g.env.G)
+	if span := slow * bound; span > 0 && pad > (graph.Infinite-1)/span {
+		return fmt.Errorf("greedy: padding factor %d times the slow factor %d and the path bound %d ((N-1) × largest edge weight) reaches %d",
+			pad, slow, bound, graph.Infinite)
+	}
+	if g.opts.Uniform && pad > (graph.Infinite-1)/g.beta {
+		return fmt.Errorf("greedy: padding factor %d times beta %d reaches %d", pad, g.beta, graph.Infinite)
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package greedy
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -132,6 +133,49 @@ func TestGreedyUniformRejectsSmallBeta(t *testing.T) {
 	_, err = sched.Run(in, New(Options{Uniform: true, Beta: 2}), sched.Options{})
 	if err == nil {
 		t.Fatal("beta below diameter should be rejected")
+	}
+}
+
+// TestGreedyRefusesWrappingPad pins Start's refusal of a padding factor
+// under which a padded weight could reach graph.Infinite: a one-edge graph
+// of weight 2^62−1 with a transaction at each end on one object, and a
+// uniform β of 2^61 on Line(4). Pad 1 still runs on the one-edge graph.
+func TestGreedyRefusesWrappingPad(t *testing.T) {
+	g := graph.MustNew(2)
+	if err := g.AddEdge(0, 1, graph.Infinite-1); err != nil {
+		t.Fatal(err)
+	}
+	in := &core.Instance{
+		G:       g,
+		Objects: []*core.Object{{ID: 0, Origin: 0}},
+		Txns: []*core.Transaction{
+			{ID: 0, Node: 0, Objects: []core.ObjID{0}},
+			{ID: 1, Node: 1, Objects: []core.ObjID{0}},
+		},
+	}
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{Pad: 2}, "greedy: padding factor 2 times the slow factor 1 and the path bound 4611686018427387903"},
+		{Options{Pad: 3}, "greedy: padding factor 3 times the slow factor 1 and the path bound 4611686018427387903"},
+	} {
+		_, err := sched.Run(in, New(tc.opts), sched.Options{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: err = %v, want it to contain %q", tc.opts, err, tc.want)
+		}
+	}
+	line, err := graph.Line(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform := &core.Instance{G: line, Objects: in.Objects, Txns: in.Txns}
+	_, err = sched.Run(uniform, New(Options{Pad: 2, Uniform: true, Beta: graph.Infinite / 2}), sched.Options{})
+	if want := "greedy: padding factor 2 times beta 2305843009213693952 reaches 4611686018427387904"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("uniform: err = %v, want it to contain %q", err, want)
+	}
+	if _, err := sched.Run(in, New(Options{Pad: 1}), sched.Options{}); err != nil {
+		t.Errorf("Pad 1: %v", err)
 	}
 }
 
