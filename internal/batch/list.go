@@ -24,14 +24,7 @@ func (List) Schedule(p *Problem) (Assignment, error) {
 		return nil, err
 	}
 	// Thread availability: objects move to each assigned transaction.
-	avail := make(map[core.ObjID]Avail, len(p.Avail))
-	for o, a := range p.Avail {
-		free := a.Free
-		if free < p.Now {
-			free = p.Now
-		}
-		avail[o] = Avail{Node: a.Node, Free: free}
-	}
+	avail := ownAvail(p, p.Txns)
 	remaining := append([]*core.Transaction(nil), p.Txns...)
 	out := make(Assignment, len(p.Txns))
 	slow := core.Time(p.slow())
@@ -66,4 +59,22 @@ func (List) Schedule(p *Problem) (Assignment, error) {
 		}
 	}
 	return out, nil
+}
+
+// ownAvail copies the availability entries of the objects txns use, each
+// free time raised to p.Now: the private map list scheduling threads its
+// assignment through. It reads no other entry, so its cost does not grow
+// with a caller's live map of every object seen so far.
+func ownAvail(p *Problem, txns []*core.Transaction) map[core.ObjID]Avail {
+	avail := make(map[core.ObjID]Avail, len(txns))
+	for _, tx := range txns {
+		for _, o := range tx.Objects {
+			a := p.Avail[o]
+			if a.Free < p.Now {
+				a.Free = p.Now
+			}
+			avail[o] = a
+		}
+	}
+	return avail
 }

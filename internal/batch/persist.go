@@ -2,22 +2,22 @@ package batch
 
 // Persistent per-session state for the native Tour and Coloring sessions.
 //
-// The guiding invariant: only membership-dependent structure is cached
-// across probes — conflict components (a rollbackable union-find keyed by
-// shared objects) for Tour, the conflict adjacency (object posting lists)
-// for Coloring. Both depend solely on which transactions are in the
-// session and on the immutable graph, so they survive arbitrary changes
-// to the live problem's Now and Avail between probes. Everything derived
-// from Now/Avail — waits, floors, shifts, colors — is recomputed per
+// The guiding invariant: membership-dependent structure is cached across
+// probes — conflict components (a rollbackable union-find keyed by shared
+// objects) for Tour, the conflict adjacency (object posting lists) for
+// Coloring. Both depend solely on which transactions are in the session
+// and on the immutable graph, so they survive arbitrary changes to the
+// live problem's Now and Avail between probes. Everything derived from
+// Now/Avail — waits, floors, shifts, colors — is recomputed per
 // Cost/Assign into reusable scratch, which keeps the sessions allocation-
-// free on the probe path with nothing to invalidate.
+// free on the probe path.
 //
 // Tour's dominant cost, the O(V²) Prim pass over the metric closure, is a
-// pure function of the component's node set (the graph is fixed per
-// run), so it is memoized in a TourCache keyed by the exact encoded sorted
-// list. Consecutive probes of one bucket level differ by one transaction
-// and object availability nodes repeat heavily, so the hit rate on
-// arrival bursts is high; a hit replaces Prim with one map lookup.
+// pure function of the component's node set, which includes availability
+// nodes. Each component therefore keeps its canonical MST, grown by vertex
+// insertion as pushes merge components, until InvalidateAvail says an
+// availability entry was overwritten; the bucket engines do that only when
+// an object's last user moves, so the trees outlive arrivals.
 
 import (
 	"fmt"
@@ -26,70 +26,15 @@ import (
 	"dtm/internal/coloring"
 	"dtm/internal/core"
 	"dtm/internal/graph"
-	"dtm/internal/obs"
 )
-
-// tourCacheMaxEntries bounds the memo; on overflow the cache is dropped
-// wholesale (entries are pure values, so losing them only costs time).
-const tourCacheMaxEntries = 1 << 14
-
-// TourCache memoizes canonical tours keyed by the exact sorted node
-// list. Entries are pure functions of the immutable graph, so one cache
-// may be shared by any number of sessions over that graph (it is not safe
-// for concurrent use; share per single-threaded owner only).
-type TourCache struct {
-	g       *graph.Graph
-	mst     *graph.MSTBuilder
-	psc     preorderScratch
-	entries map[string]tour
-	key     []byte
-	hits    *obs.Counter // batch.tour_cache_hits
-	misses  *obs.Counter // batch.tour_cache_misses
-}
 
 // tour is a component's canonical MST and, once computed, its preorder
 // tour with the cumulative distances along it (see preorder). It is
-// immutable once built, so states and cache entries share it by value.
+// immutable once built, so states share it by value.
 type tour struct {
 	tree   graph.MST
 	order  []graph.NodeID
 	prefix []core.Time
-}
-
-// NewTourCache returns an empty tour-order memo for g; m registers the
-// hit/miss counters (nil disables them).
-func NewTourCache(g *graph.Graph, m *obs.Metrics) *TourCache {
-	return &TourCache{
-		g:       g,
-		mst:     graph.NewMSTBuilder(g),
-		entries: make(map[string]tour),
-		hits:    m.Counter(obs.NameBatchTourCacheHits),
-		misses:  m.Counter(obs.NameBatchTourCacheMisses),
-	}
-}
-
-// get returns the memoized (or freshly built) tour over the given sorted
-// node list. Callers must not mutate the returned slices.
-func (c *TourCache) get(nodes []graph.NodeID) tour {
-	key := c.key[:0]
-	for _, v := range nodes {
-		u := uint32(v)
-		key = append(key, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
-	}
-	c.key = key
-	if e, ok := c.entries[string(key)]; ok {
-		c.hits.Inc()
-		return e
-	}
-	c.misses.Inc()
-	var e tour
-	c.mst.Build(&e.tree, nodes)
-	e.order, e.prefix = c.psc.preorder(c.g, &e.tree)
-	if len(c.entries) >= tourCacheMaxEntries {
-		clear(c.entries)
-	}
-	c.entries[string(key)] = e
-	return e
 }
 
 // rollbackUF is a union-find with union by size, no path compression, and
@@ -159,7 +104,7 @@ func (u *rollbackUF) reset() {
 // pointer); the preorder is attached lazily, and the memoized makespan is
 // a pure function of the rest plus the Now it was evaluated at.
 type compTour struct {
-	gen int64 // avail-window generation this state was built in
+	gen int64 // the InvalidateAvail generation this state was built in
 	tour
 
 	cmaxSet bool
@@ -179,20 +124,16 @@ type stateRestore struct {
 // the per-probe components() rebuild), and each component's canonical MST
 // is maintained incrementally across pushes — a push copies the largest
 // constituent component's tree and inserts the few nodes new to it
-// instead of re-running Prim over the whole component. Fresh tours (the
-// first touch of a component per avail window) come from the TourCache.
+// instead of re-running Prim over the whole component. A component with
+// no current state (its first evaluation, or the first after
+// InvalidateAvail) builds its tree afresh.
 func (t Tour) NewSession(p *Problem, opts SessionOptions) Session {
 	met := newSessionMetrics(opts.Obs)
 	met.sessions.Inc()
-	tours := opts.Tours
-	if tours == nil {
-		tours = NewTourCache(p.G, opts.Obs)
-	}
 	return &tourSession{
 		p:         p,
 		graphErr:  p.checkGraph(),
 		met:       met,
-		tours:     tours,
 		mst:       graph.NewMSTBuilder(p.G),
 		firstUser: make(map[core.ObjID]int32),
 		states:    make(map[int32]*compTour),
@@ -203,7 +144,6 @@ type tourSession struct {
 	p        *Problem
 	graphErr error // Problem.Validate's graph check, made once
 	met      sessionMetrics
-	tours    *TourCache
 
 	// Membership state, patched by Push/Pop.
 	txns      []*core.Transaction
@@ -212,13 +152,13 @@ type tourSession struct {
 	marks     []int32              // uf trail length before each push
 
 	// Incremental tour state: per-root canonical MSTs, valid while their
-	// generation matches winGen (bumped by InvalidateAvail — availability
+	// generation matches availGen (bumped by InvalidateAvail — availability
 	// nodes are part of the node set, so the states cannot outlive the
-	// avail entries they were derived from). restore holds one entry per
-	// push: the previous states value under the merged root.
-	states  map[int32]*compTour
-	restore []stateRestore
-	winGen  int64
+	// entries they were derived from). restore holds one entry per push:
+	// the previous states value under the merged root.
+	states   map[int32]*compTour
+	restore  []stateRestore
+	availGen int64
 
 	// Push/merge scratch.
 	peers []int32
@@ -241,8 +181,8 @@ type tourSession struct {
 // InvalidateAvail implements Session: availability entries may have been
 // replaced, so every cached per-component tour state is now stale. States
 // are dropped lazily (generation check) rather than eagerly, keeping this
-// O(1); the next evaluation re-derives each component from the TourCache.
-func (s *tourSession) InvalidateAvail() { s.winGen++ }
+// O(1); the next evaluation rebuilds each component's tree.
+func (s *tourSession) InvalidateAvail() { s.availGen++ }
 
 func (s *tourSession) Push(tx *core.Transaction) {
 	s.met.pushes.Inc()
@@ -280,8 +220,8 @@ func (s *tourSession) Push(tx *core.Transaction) {
 // mergeStates builds the merged component's tour state from the states of
 // the components tx bridges, or returns nil when it cannot (a constituent
 // state is missing or stale, or an availability entry is absent at push
-// time) — the next evaluation then takes a fresh canonical tour from the
-// TourCache and re-seeds the state.
+// time) — the next evaluation then builds the component's tree afresh
+// and re-seeds the state.
 //
 // The merged tree is the largest constituent's tree, copied, with every
 // node new to it inserted (graph.MSTBuilder.Insert). The canonical MST is
@@ -293,7 +233,7 @@ func (s *tourSession) mergeStates(tx *core.Transaction, peers []int32) *compTour
 	var big *compTour
 	for _, r := range peers {
 		st := s.states[r]
-		if st == nil || st.gen != s.winGen {
+		if st == nil || st.gen != s.availGen {
 			return nil
 		}
 		if big == nil || st.tree.Len() > big.tree.Len() {
@@ -337,7 +277,7 @@ func (s *tourSession) mergeStates(tx *core.Transaction, peers []int32) *compTour
 		// No nodes beyond the largest constituent's (components may share
 		// physical nodes): the canonical MST is unchanged, and aliasing
 		// big's immutable tour is safe.
-		return &compTour{gen: s.winGen, tour: big.tour}
+		return &compTour{gen: s.availGen, tour: big.tour}
 	}
 	var tree graph.MST
 	if big == nil {
@@ -348,7 +288,7 @@ func (s *tourSession) mergeStates(tx *core.Transaction, peers []int32) *compTour
 			s.mst.Insert(&tree, v)
 		}
 	}
-	return &compTour{gen: s.winGen, tour: tour{tree: tree}}
+	return &compTour{gen: s.availGen, tour: tour{tree: tree}}
 }
 
 // ensureNodeScratch sizes the per-NodeID stamp arrays to the graph.
@@ -461,11 +401,11 @@ func (s *tourSession) schedule(out Assignment) (core.Time, error) {
 	var max core.Time
 	for _, r := range roots {
 		// Cost of an untouched component: reuse its memoized makespan —
-		// membership, the avail window, and Now all match, so re-deriving
-		// it would retrace identical arithmetic. Assign still needs the
-		// per-transaction times and walks every component.
+		// membership, the availability generation, and Now all match, so
+		// re-deriving it would retrace identical arithmetic. Assign still
+		// needs the per-transaction times and walks every component.
 		if out == nil {
-			if st := s.states[r]; st != nil && st.gen == s.winGen &&
+			if st := s.states[r]; st != nil && st.gen == s.availGen &&
 				st.cmaxSet && st.cmaxNow == s.p.Now {
 				if d := st.cmax - s.p.Now; d > max {
 					max = d
@@ -488,57 +428,37 @@ func (s *tourSession) schedule(out Assignment) (core.Time, error) {
 	return max, nil
 }
 
-// component mirrors scheduleComponent (tour.go) with the tour taken from
-// the component's persistent state when current — the preorder of the
-// incrementally grown canonical MST — and from the TourCache otherwise
-// (re-seeding the state); then it applies the same start/shift arithmetic
-// and memoizes the resulting makespan on the state.
+// component mirrors scheduleComponent (tour.go) with the tree taken from
+// the component's persistent state when current — the incrementally grown
+// canonical MST — and built afresh otherwise (re-seeding the state); then
+// it applies the same start/shift arithmetic over the tree's preorder and
+// memoizes the resulting makespan on the state.
 func (s *tourSession) component(r int32, comp []*core.Transaction, out Assignment) core.Time {
 	p := s.p
 	s.ensureNodeScratch()
-	var order []graph.NodeID
-	var prefix []core.Time
+	nodes := s.nodes[:0]
 	var wait core.Time
-	st := s.states[r]
-	if st != nil && st.gen == s.winGen {
-		for _, tx := range comp {
-			for _, o := range tx.Objects {
-				// Present: schedule validated the set upfront.
-				if w := p.Avail[o].Free - p.Now; w > wait {
-					wait = w
-				}
+	for _, tx := range comp {
+		nodes = append(nodes, tx.Node)
+		for _, o := range tx.Objects {
+			a := p.Avail[o] // present: schedule validated the set upfront
+			nodes = append(nodes, a.Node)
+			if w := a.Free - p.Now; w > wait {
+				wait = w
 			}
 		}
-		if st.order == nil {
-			st.order, st.prefix = s.psc.preorder(p.G, &st.tree)
-		}
-		order, prefix = st.order, st.prefix
-	} else {
-		s.gen++
-		gen := s.gen
-		nodes := s.nodes[:0]
-		addNode := func(v graph.NodeID) {
-			if s.nodeGen[v] != gen {
-				s.nodeGen[v] = gen
-				nodes = append(nodes, v)
-			}
-		}
-		for _, tx := range comp {
-			addNode(tx.Node)
-			for _, o := range tx.Objects {
-				a := p.Avail[o] // present: schedule validated the set upfront
-				addNode(a.Node)
-				if w := a.Free - p.Now; w > wait {
-					wait = w
-				}
-			}
-		}
-		s.nodes = nodes
-		slices.Sort(nodes)
-		st = &compTour{gen: s.winGen, tour: s.tours.get(nodes)}
-		s.states[r] = st
-		order, prefix = st.order, st.prefix
 	}
+	s.nodes = nodes
+	st := s.states[r]
+	if st == nil || st.gen != s.availGen {
+		st = &compTour{gen: s.availGen}
+		s.mst.Build(&st.tree, nodes)
+		s.states[r] = st
+	}
+	if st.order == nil {
+		st.order, st.prefix = s.psc.preorder(p.G, &st.tree)
+	}
+	order, prefix := st.order, st.prefix
 	slow := core.Time(p.slow())
 	// Every node of the component appears in order, so each relevant
 	// nodePos slot is freshly overwritten — no staleness possible.

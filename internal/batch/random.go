@@ -49,14 +49,7 @@ func (r Randomized) Schedule(p *Problem) (Assignment, error) {
 // threading availability forward. Always feasible (per-object chains are
 // constructed in assignment order with exact travel floors).
 func listInOrder(p *Problem, order []*core.Transaction) Assignment {
-	avail := make(map[core.ObjID]Avail, len(p.Avail))
-	for o, a := range p.Avail {
-		free := a.Free
-		if free < p.Now {
-			free = p.Now
-		}
-		avail[o] = Avail{Node: a.Node, Free: free}
-	}
+	avail := ownAvail(p, order)
 	slow := core.Time(p.slow())
 	out := make(Assignment, len(order))
 	for _, tx := range order {

@@ -8,18 +8,18 @@ package batch
 // it under single-transaction insertion (Push) and retraction (Pop).
 //
 // Sessions read the live *Problem they were created with: the caller owns
-// p.Now and p.Avail and refreshes them between probes (the bucket engines
-// clear and lazily refill one availability map per arrival). Membership-
-// dependent state — conflict components, conflict adjacency, per-component
-// canonical MSTs — persists inside the session; anything derived from Now
-// alone is recomputed (or re-validated against the evaluation's Now) per
-// Cost/Assign call. State derived from Avail — the tour sessions' node
-// sets include availability nodes — is dropped when the caller announces
-// that entries may have been replaced, by calling InvalidateAvail at the
-// start of each refill window. Adding entries to the map never requires
-// invalidation; only clearing or overwriting existing ones does. Tour
-// additionally memoizes its MST preorder per node set (see TourCache),
-// which depends only on the immutable graph.
+// p.Now and p.Avail and keeps them current between probes (the bucket
+// engines keep one availability map for the whole run, add an entry the
+// first time a transaction uses its object, and overwrite an entry only
+// when the object's last user moves). Membership-dependent state — conflict
+// components, conflict adjacency, per-component canonical MSTs — persists
+// inside the session; anything derived from Now alone is recomputed (or
+// re-validated against the evaluation's Now) per Cost/Assign call. State
+// derived from Avail — the tour sessions' node sets include availability
+// nodes — is dropped when the caller announces that entries were
+// replaced, by calling InvalidateAvail after it overwrote one. Adding
+// entries to the map never requires invalidation; only clearing or
+// overwriting existing ones does.
 //
 // Every session is pinned byte-identical to the one-shot path: Cost()
 // equals Cost(s, p) and Assign() equals s.Schedule(p) with p.Txns set to
@@ -71,9 +71,6 @@ type SessionScheduler interface {
 type SessionOptions struct {
 	// Obs registers the batch.* reuse/rebuild instruments (nil disables).
 	Obs *obs.Metrics
-	// Tours, when set, is a shared tour-order memo for Tour sessions over
-	// the same graph; nil gives the session a private cache.
-	Tours *TourCache
 }
 
 // sessionMetrics holds the session instrument handles; all nil (and free)
@@ -178,8 +175,8 @@ type AvailFunc func(core.ObjID) Avail
 
 // ExtendAvail lazily adds availability entries for every object used by
 // txns that dst does not yet hold. Entries already present are kept: the
-// callers resolve against state frozen for the duration of the fill window
-// (one arrival, one report), so earlier entries stay valid.
+// callers either fill a fresh map against frozen state, or keep a live map
+// current by overwriting an entry where its object's last user moves.
 func ExtendAvail(dst map[core.ObjID]Avail, txns []*core.Transaction, resolve AvailFunc) {
 	for _, tx := range txns {
 		ExtendAvailTx(dst, tx, resolve)

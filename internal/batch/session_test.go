@@ -228,78 +228,6 @@ func TestSessionsReleaseTransactionPointers(t *testing.T) {
 	}
 }
 
-// TestTourCacheMemoizes checks the memo actually fires: two probes over the
-// same node set cost one Prim pass, and the hit/miss instruments count it.
-func TestTourCacheMemoizes(t *testing.T) {
-	g, err := graph.Line(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := obs.New()
-	cache := NewTourCache(g, m)
-	nodes := []graph.NodeID{1, 4, 7}
-	e1 := cache.get(nodes)
-	e2 := cache.get(nodes)
-	if len(cache.entries) != 1 {
-		t.Fatalf("cache holds %d entries after two identical lookups, want 1", len(cache.entries))
-	}
-	if &e1.order[0] != &e2.order[0] || &e1.prefix[0] != &e2.prefix[0] {
-		t.Error("second lookup did not return the memoized slices")
-	}
-	if hits := m.Counter(obs.NameBatchTourCacheHits).Value(); hits != 1 {
-		t.Errorf("tour_cache_hits = %d, want 1", hits)
-	}
-	if misses := m.Counter(obs.NameBatchTourCacheMisses).Value(); misses != 1 {
-		t.Errorf("tour_cache_misses = %d, want 1", misses)
-	}
-	// The memo must not alias caller scratch: mutating the input node slice
-	// afterwards leaves the cached entry intact.
-	nodes[0] = 9
-	if e3 := cache.get([]graph.NodeID{1, 4, 7}); &e3.order[0] != &e1.order[0] || e3.order[0] != 1 {
-		t.Error("cached entry lost after caller mutated its scratch slice")
-	}
-}
-
-// TestTourCacheEviction fills the memo past its bound and checks wholesale
-// eviction keeps it bounded and correct.
-func TestTourCacheEviction(t *testing.T) {
-	g, err := graph.Clique(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := NewTourCache(g, nil)
-	for i := 0; i < tourCacheMaxEntries+10; i++ {
-		a := graph.NodeID(i % 64)
-		b := graph.NodeID((i / 64) % 64)
-		c := graph.NodeID(i % 7)
-		nodes := []graph.NodeID{a, b, c, graph.NodeID(i % 11), graph.NodeID(i % 13), graph.NodeID(i % 17), graph.NodeID(i % 19), graph.NodeID(i % 23)}
-		nodes = dedupSorted(nodes)
-		cache.get(nodes)
-		if len(cache.entries) > tourCacheMaxEntries {
-			t.Fatalf("cache grew to %d entries, bound is %d", len(cache.entries), tourCacheMaxEntries)
-		}
-	}
-}
-
-func dedupSorted(nodes []graph.NodeID) []graph.NodeID {
-	out := nodes[:0]
-	seen := make(map[graph.NodeID]bool, len(nodes))
-	for _, v := range nodes {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	// get() expects the caller's sorted order; a simple insertion sort keeps
-	// this helper dependency-free.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // TestSessionMetrics checks the batch.* instruments: native sessions count
 // pushes and evaluations without rebuilds; the adapter counts one rebuild
 // per evaluation.

@@ -78,18 +78,24 @@ func (s *suffixScheduler) Schedule(p *Problem) (Assignment, error) {
 	return asgn, nil
 }
 
-// suffixProblem builds the batch problem for a suffix: object availability
-// is where each object ends up after its last prefix user (or its original
-// availability if the prefix never touches it).
+// suffixProblem builds the batch problem for a suffix: the availability of
+// each object the suffix uses is where it ends up after its last prefix
+// user (or its original availability if the prefix never touches it). It
+// holds entries for the suffix's objects only, the ones a schedule of the
+// suffix reads.
 func (s *suffixScheduler) suffixProblem(p *Problem, asgn Assignment, prefix, suffix []*core.Transaction) *Problem {
-	avail := make(map[core.ObjID]Avail, len(p.Avail))
-	for o, a := range p.Avail {
-		avail[o] = a
+	avail := make(map[core.ObjID]Avail, len(suffix))
+	for _, tx := range suffix {
+		for _, o := range tx.Objects {
+			if a, ok := p.Avail[o]; ok {
+				avail[o] = a
+			}
+		}
 	}
 	for _, tx := range prefix {
 		e := asgn[tx.ID]
 		for _, o := range tx.Objects {
-			if e >= avail[o].Free {
+			if a, ok := avail[o]; ok && e >= a.Free {
 				avail[o] = Avail{Node: tx.Node, Free: e}
 			}
 		}

@@ -15,12 +15,14 @@ package bucket
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"dtm/internal/batch"
 	"dtm/internal/core"
 	"dtm/internal/graph"
 	"dtm/internal/obs"
+	"dtm/internal/pq"
 	"dtm/internal/sched"
 )
 
@@ -62,6 +64,12 @@ type pending struct {
 	since core.Time // insertion time
 }
 
+// execution is a decided transaction and its execution time.
+type execution struct {
+	tx   *core.Transaction
+	exec core.Time
+}
+
 // Bucket is the online bucket scheduler; it implements sched.Scheduler.
 type Bucket struct {
 	opts   Options
@@ -72,14 +80,15 @@ type Bucket struct {
 
 	// Incremental engine (default): one persistent batch session per
 	// level, holding exactly the level's pending transactions, driven
-	// against a live problem whose Now/Avail the engine refreshes per
-	// arrival and per activation. Tour sessions share one tour-order memo.
-	sessions []batch.Session
-	tours    *batch.TourCache
-	avail    map[core.ObjID]batch.Avail
-	prob     batch.Problem
-	availAt  core.Time       // time the availability entries resolve against
-	resolve  batch.AvailFunc // bound method value, allocated once
+	// against one live problem. Its availability map lives for the whole
+	// run: an entry is added when a transaction using the object arrives
+	// and refreshed when activate decides one and when settle sees it
+	// committed; executing holds the decided transactions until then.
+	sessions  []batch.Session
+	avail     map[core.ObjID]batch.Avail
+	prob      batch.Problem
+	resolve   batch.AvailFunc // bound method value, allocated once
+	executing pq.Heap[execution]
 
 	// Instrument handles; nil (free) when observability is disabled.
 	metInserted    *obs.Counter   // bucket.insertions
@@ -117,37 +126,47 @@ func (b *Bucket) Start(env *sched.Env) error {
 	b.metActivations = env.Obs.Counter(obs.NameBucketActivations)
 	b.metScheduled = env.Obs.Counter(obs.NameBucketScheduled)
 	b.metLevel = env.Obs.Histogram(obs.NameBucketLevel, obs.PowersOfTwo(6))
-	nd := uint64(env.G.N()) * uint64(env.G.Diameter()) * uint64(b.slow)
-	if nd < 2 {
-		nd = 2
-	}
-	max := bits.Len64(nd-1) + 1 // ceil(log2(nD)) + 1, Lemma 3
+	max := MaxLevel(env.G, b.slow)
 	b.levels = make([][]pending, max+1)
 	b.audit.LevelCounts = make([]int, max+1)
 	b.resolve = b.resolveAvail
 	if !b.opts.RebuildOracle {
 		b.avail = make(map[core.ObjID]batch.Avail)
 		b.prob = batch.Problem{G: env.G, Avail: b.avail, Slow: b.slow}
-		b.tours = batch.NewTourCache(env.G, env.Obs)
+		b.executing.Init(func(x, y execution) bool { return x.exec < y.exec })
 		b.sessions = make([]batch.Session, max+1)
 		for i := range b.sessions {
-			b.sessions[i] = batch.NewSession(b.opts.Batch, &b.prob, batch.SessionOptions{Obs: env.Obs, Tours: b.tours})
+			b.sessions[i] = batch.NewSession(b.opts.Batch, &b.prob, batch.SessionOptions{Obs: env.Obs})
 		}
 	}
 	return nil
 }
 
-// refreshProblem points the shared live problem (and the availability
-// resolver) at the current time and invalidates the per-window
-// availability entries — telling every session, since their incremental
-// tour states embed availability nodes from the window being discarded.
-func (b *Bucket) refreshProblem(now core.Time) {
-	b.prob.Now = now
-	b.availAt = now
-	clear(b.avail)
-	for _, s := range b.sessions {
-		s.InvalidateAvail()
+// MaxLevel returns the top bucket level on g for objects slowed by slow:
+// ceil(log2(n·D·slow)) + 1 (Lemma 3), with the product saturated instead
+// of wrapped, and capped at 62 so that every level's period 2^i is a
+// positive core.Time. Both bucket engines, central and distributed, size
+// their levels with it; what does not fit the top level overflows into it.
+func MaxLevel(g *graph.Graph, slow graph.Weight) int {
+	hi, nd := bits.Mul64(uint64(g.N()), uint64(g.Diameter()))
+	if hi == 0 {
+		hi, nd = bits.Mul64(nd, uint64(slow))
 	}
+	if hi != 0 {
+		nd = math.MaxUint64
+	}
+	return min(bits.Len64(max(nd, 2)-1)+1, 62)
+}
+
+// lemma4Bound is Lemma 4's execution deadline for a transaction inserted
+// at level, relative to its insertion: (level+1)·2^(level+2), saturated at
+// the largest core.Time.
+func lemma4Bound(level int) core.Time {
+	shift := uint(level + 2)
+	if core.Time(level+1) > math.MaxInt64>>shift {
+		return math.MaxInt64
+	}
+	return core.Time(level+1) << shift
 }
 
 // LiveStats reports the pending-set bookkeeping sizes: transactions
@@ -169,18 +188,20 @@ func (b *Bucket) LiveStats() (pending, sessionHeld int) {
 //
 // The default engine probes through the persistent per-level sessions:
 // a probe is one Push and one Cost, and a failed probe is retracted with
-// Pop — the level's cached state (conflict components, adjacency, memoized
-// tours) carries over to the next probe instead of being rebuilt. The
-// simulation state is frozen for the whole call, so availability entries
-// are extended lazily and stay valid across every probe of the arrival.
+// Pop — the level's cached state (conflict components, adjacency, tour
+// trees) carries over to the next probe instead of being rebuilt. Only the
+// new transaction's objects can lack an entry in the live availability
+// map; every pending transaction's entries are already there and current.
 func (b *Bucket) OnArrive(txns []*core.Transaction) error {
 	now := b.env.Sim.Now()
 	if b.opts.RebuildOracle {
 		return b.arriveRebuild(txns, now)
 	}
-	b.refreshProblem(now)
+	b.prob.Now = now
+	b.settle(now)
 	top := len(b.levels) - 1
 	for _, tx := range txns {
+		batch.ExtendAvailTx(b.avail, tx, b.resolve)
 		if b.opts.ForceTopLevel {
 			b.sessions[top].Push(tx)
 			b.insert(top, tx, now)
@@ -188,10 +209,6 @@ func (b *Bucket) OnArrive(txns []*core.Transaction) error {
 		}
 		placed := false
 		for i := range b.levels {
-			for _, pd := range b.levels[i] {
-				batch.ExtendAvailTx(b.avail, pd.tx, b.resolve)
-			}
-			batch.ExtendAvailTx(b.avail, tx, b.resolve)
 			sess := b.sessions[i]
 			sess.Push(tx)
 			cost, err := sess.Cost()
@@ -288,6 +305,9 @@ func (b *Bucket) NextWake() (core.Time, bool) {
 // level first, so higher levels see the lower levels' fresh decisions.
 func (b *Bucket) OnWake() error {
 	now := b.env.Sim.Now()
+	if !b.opts.RebuildOracle {
+		b.settle(now)
+	}
 	for i := range b.levels {
 		period := core.Time(1) << uint(i)
 		if now%period != 0 || len(b.levels[i]) == 0 {
@@ -314,12 +334,10 @@ func (b *Bucket) activate(level int, now core.Time) error {
 		}
 		asgn, err = b.opts.Batch.Schedule(b.problem(txns, now))
 	} else {
-		// Fresh availability window: lower levels activated in the same
-		// wake have already decided, moving objects.
-		b.refreshProblem(now)
-		for _, pd := range pds {
-			batch.ExtendAvailTx(b.avail, pd.tx, b.resolve)
-		}
+		// The live entries are current: OnWake settled the commits, and
+		// lower levels activated in the same wake re-resolved the
+		// objects they decided.
+		b.prob.Now = now
 		sess := b.sessions[level]
 		asgn, err = sess.Assign()
 		sess.Reset()
@@ -340,12 +358,53 @@ func (b *Bucket) activate(level int, now core.Time) error {
 		}
 		b.audit.Scheduled++
 		b.metScheduled.Inc()
-		bound := core.Time(level+1) * (1 << uint(level+2))
-		if exec-pd.since <= bound {
+		if exec-pd.since <= lemma4Bound(level) {
 			b.audit.WithinLemma4++
 		}
 	}
+	if !b.opts.RebuildOracle {
+		for _, pd := range pds {
+			b.refresh(pd.tx, now)
+			b.executing.Push(execution{tx: pd.tx, exec: asgn[pd.tx.ID]})
+		}
+	}
 	return nil
+}
+
+// settle refreshes the objects of each decided transaction that has
+// committed by its execution time. Between two decisions on an object,
+// resolveAvail's answer changes only in Free, from a value ≤ Now to Now,
+// which every batch scheduler reads clamped to Now — except under
+// ElasticExec, where a transaction that runs on time can commit ahead of
+// late, earlier users of its objects and so move an object's last user.
+// Late transactions commit in queue order, so one look at the first
+// callback after the execution time suffices (sched's drive loop advances
+// the sim before each callback, and only OnWake, the last callback of its
+// time step, decides).
+func (b *Bucket) settle(now core.Time) {
+	for b.executing.Len() > 0 && b.executing.Peek().exec <= now {
+		e := b.executing.Pop()
+		if _, done := b.env.Sim.Executed(e.tx.ID); done {
+			b.refresh(e.tx, now)
+		}
+	}
+}
+
+// refresh re-resolves the live entries of tx's objects. It overwrites an
+// entry, and tells every session, only where the fresh value differs in
+// what the batch schedulers read: the node, or the free time clamped to
+// now.
+func (b *Bucket) refresh(tx *core.Transaction, now core.Time) {
+	for _, o := range tx.Objects {
+		a, cur := b.resolveAvail(o), b.avail[o]
+		if a.Node == cur.Node && max(a.Free, now) == max(cur.Free, now) {
+			continue
+		}
+		b.avail[o] = a
+		for _, s := range b.sessions {
+			s.InvalidateAvail()
+		}
+	}
 }
 
 // problem assembles a one-shot batch problem for the given transactions at
@@ -354,33 +413,29 @@ func (b *Bucket) activate(level int, now core.Time) error {
 // the oracle engine; the session engine shares the same resolver through
 // the live problem instead.
 func (b *Bucket) problem(txns []*core.Transaction, now core.Time) *batch.Problem {
-	b.availAt = now
 	avail := make(map[core.ObjID]batch.Avail)
 	batch.ExtendAvail(avail, txns, b.resolve)
 	return &batch.Problem{G: b.env.G, Now: now, Txns: txns, Avail: avail, Slow: b.slow}
 }
 
 // resolveAvail computes one object's availability (node, free-time) at
-// b.availAt: the last scheduled user's position once it frees the object,
-// or the object's current/committed position, or its origin if it is yet
-// to be created.
+// the sim's current time: the last decided user's position once it frees
+// the object, or its origin if it is yet to be created, or where it rests.
+// An object with no decided user is never in transit: the sim moves an
+// object only toward its head pending user, and a user commits only once
+// every object it uses is at its node.
 func (b *Bucket) resolveAvail(o core.ObjID) batch.Avail {
 	sim := b.env.Sim
-	now := b.availAt
 	if lastTx, lastExec, ok := sim.LastUser(o); ok {
 		// LastUser only reports pending (undone) transactions, which are
 		// always inside the live window — Txn cannot return nil here.
 		return batch.Avail{Node: sim.Txn(lastTx).Node, Free: lastExec}
 	}
-	obj := sim.Instance().Objects[o]
-	if obj.Created > now {
+	now := sim.Now()
+	if obj := sim.Instance().Objects[o]; obj.Created > now {
 		return batch.Avail{Node: obj.Origin, Free: obj.Created}
 	}
-	loc := sim.ObjectLocation(o)
-	if loc.InTransit {
-		return batch.Avail{Node: loc.Next, Free: loc.Arrive}
-	}
-	return batch.Avail{Node: loc.Node, Free: now}
+	return batch.Avail{Node: sim.ObjectLocation(o).Node, Free: now}
 }
 
 var _ sched.Scheduler = (*Bucket)(nil)

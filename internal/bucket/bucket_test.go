@@ -1,6 +1,7 @@
 package bucket
 
 import (
+	"math"
 	"math/bits"
 	"testing"
 	"testing/quick"
@@ -181,5 +182,71 @@ func TestBucketAlwaysFeasible(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLevelsPastTwoTo62 runs a 3-node path with edges of weight 2^60,
+// where Lemma 3's n·D product overflows 64 bits, under every batch
+// scheduler and both engines. The top level's period must stay a
+// positive core.Time, so a run completes or fails with an error, never
+// a panic (the wrapped level count once reached level 64, where
+// 1<<64 is 0, and OnWake divided by it).
+func TestLevelsPastTwoTo62(t *testing.T) {
+	g, err := graph.New(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range [][2]graph.NodeID{{0, 1}, {1, 2}} {
+		if err := g.AddEdge(e[0], e[1], 1<<60); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := MaxLevel(g, 1); got != 62 {
+		t.Errorf("MaxLevel = %d, want the cap 62", got)
+	}
+	in := &core.Instance{
+		G:       g,
+		Objects: []*core.Object{{ID: 0, Origin: 0}, {ID: 1, Origin: 2}},
+		Txns: []*core.Transaction{
+			{ID: 0, Node: 2, Objects: []core.ObjID{0}},
+			{ID: 1, Node: 0, Objects: []core.ObjID{0, 1}},
+			{ID: 2, Node: 1, Arrival: 1, Objects: []core.ObjID{1}},
+		},
+	}
+	batches := []batch.Scheduler{
+		batch.Tour{}, batch.Coloring{}, batch.List{},
+		batch.Randomized{Seed: 1},
+		batch.WithSuffixProperty(batch.Tour{}),
+		batch.WithRetry(batch.Randomized{Seed: 1}, nil, 2),
+	}
+	for _, bs := range batches {
+		for _, rebuild := range []bool{false, true} {
+			b := New(Options{Batch: bs, EngineOptions: sched.EngineOptions{RebuildOracle: rebuild}})
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s rebuild=%v: panic: %v", bs.Name(), rebuild, r)
+					}
+				}()
+				if _, err := sched.Run(in, b, sched.Options{}); err != nil {
+					t.Logf("%s rebuild=%v: %v", bs.Name(), rebuild, err)
+				}
+			}()
+		}
+	}
+}
+
+func TestLemma4BoundSaturates(t *testing.T) {
+	if got := lemma4Bound(3); got != 4*32 {
+		t.Errorf("lemma4Bound(3) = %d, want 128", got)
+	}
+	// 56·2^57 is the largest bound below 2^63; from level 56 on it saturates.
+	if got := lemma4Bound(55); got != 56<<57 {
+		t.Errorf("lemma4Bound(55) = %d, want %d", got, int64(56)<<57)
+	}
+	for _, level := range []int{56, 60, 62} {
+		if got := lemma4Bound(level); got != math.MaxInt64 {
+			t.Errorf("lemma4Bound(%d) = %d, want saturation at %d", level, got, int64(math.MaxInt64))
+		}
 	}
 }

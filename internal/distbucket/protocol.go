@@ -279,16 +279,16 @@ type node struct {
 
 	// leader state: partial buckets keyed per (cluster, level).
 	buckets map[bucketKey][]pendTx
-	known   map[core.ObjID]batch.Avail // latest availability heard of
+	known   map[core.ObjID]batch.Avail // latest availability heard of; written only by setKnown
 	// Sessionized probe state: one persistent batch session per partial
 	// bucket (kept in lockstep with buckets: Push on place, Reset when the
-	// bucket drains into a protocol session), one live problem shared by
-	// all of them, and a per-node tour-order memo. Node handlers are
-	// single-threaded, so no locking.
+	// bucket drains into a protocol session) and one live problem shared by
+	// all of them. Its availability map holds resolveKnown(o) for every
+	// object o a reported transaction used, for the whole run (setKnown
+	// keeps it equal). Node handlers are single-threaded, so no locking.
 	probeSess  map[bucketKey]batch.Session
 	probeAvail map[core.ObjID]batch.Avail
 	probeProb  batch.Problem
-	tours      *batch.TourCache
 	resolve    batch.AvailFunc
 	sess       *session
 	sessSeq    int64
@@ -338,7 +338,6 @@ func newNode(cfg *config, id graph.NodeID) *node {
 	n.probeSess = make(map[bucketKey]batch.Session)
 	n.probeAvail = make(map[core.ObjID]batch.Avail)
 	n.probeProb = batch.Problem{G: cfg.g, Avail: n.probeAvail, Slow: cfg.slow}
-	n.tours = batch.NewTourCache(cfg.g, cfg.obs)
 	n.resolve = n.resolveKnown
 	if cfg.faulty {
 		n.sentReports = make(map[core.TxID]reportMsg)
@@ -519,21 +518,14 @@ func (n *node) onReport(ctx *distnet.Ctx, m reportMsg) {
 		n.learn(os)
 	}
 	tx := n.cfg.sim.Txn(m.Tx)
-	// Probe through the persistent per-bucket sessions: the availability
-	// window (n.known merged via learn above) is frozen for the whole
-	// report, so entries are extended lazily and shared across levels.
+	// Probe through the persistent per-bucket sessions. The pending
+	// transactions' entries are already in the live probe map, so only the
+	// new transaction's objects can need one.
 	n.probeProb.Now = ctx.Now()
-	clear(n.probeAvail)
-	for _, s := range n.probeSess {
-		s.InvalidateAvail() // O(1); order-insensitive
-	}
+	batch.ExtendAvailTx(n.probeAvail, tx, n.resolve)
 	placed := -1
 	for i := 0; i <= n.cfg.maxLevel; i++ {
 		key := bucketKey{cluster: m.Cluster, level: i}
-		for _, pd := range n.buckets[key] {
-			batch.ExtendAvailTx(n.probeAvail, pd.tx, n.resolve)
-		}
-		batch.ExtendAvailTx(n.probeAvail, tx, n.resolve)
 		sess := n.probeSession(key)
 		sess.Push(tx)
 		cost, err := sess.Cost()
@@ -575,7 +567,20 @@ func nextBoundary(now core.Time, level int) core.Time {
 // learn merges an availability observation (latest Free wins).
 func (n *node) learn(os objSnapshot) {
 	if cur, ok := n.known[os.Obj]; !ok || os.Avail.Free > cur.Free {
-		n.known[os.Obj] = os.Avail
+		n.setKnown(os.Obj, os.Avail)
+	}
+}
+
+// setKnown records o's latest availability and keeps the live probe entry
+// for o, if there is one, equal to it: an entry that differs is
+// overwritten and every probe session told.
+func (n *node) setKnown(o core.ObjID, a batch.Avail) {
+	n.known[o] = a
+	if cur, ok := n.probeAvail[o]; ok && cur != a {
+		n.probeAvail[o] = a
+		for _, s := range n.probeSess {
+			s.InvalidateAvail() // O(1); order-insensitive
+		}
 	}
 }
 
@@ -584,7 +589,7 @@ func (n *node) learn(os objSnapshot) {
 func (n *node) probeSession(key bucketKey) batch.Session {
 	s, ok := n.probeSess[key]
 	if !ok {
-		s = batch.NewSession(n.cfg.batch, &n.probeProb, batch.SessionOptions{Obs: n.cfg.obs, Tours: n.tours})
+		s = batch.NewSession(n.cfg.batch, &n.probeProb, batch.SessionOptions{Obs: n.cfg.obs})
 		n.probeSess[key] = s
 	}
 	return s
@@ -813,7 +818,7 @@ func (n *node) finishSession(ctx *distnet.Ctx) {
 				}
 			}
 		}
-		n.known[o] = last
+		n.setKnown(o, last)
 		n.sendRelease(ctx, releaseMsg{Obj: o, Session: s.id, NewAvail: last})
 	}
 	n.sess = nil

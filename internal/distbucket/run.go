@@ -2,10 +2,10 @@ package distbucket
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"dtm/internal/batch"
+	"dtm/internal/bucket"
 	"dtm/internal/core"
 	"dtm/internal/cover"
 	"dtm/internal/distnet"
@@ -107,20 +107,15 @@ func (p *Protocol) Start(env *sched.Env) error {
 	if err != nil {
 		return err
 	}
-	slow := env.Sim.SlowFactor()
-	nd := uint64(in.G.N()) * uint64(in.G.Diameter()) * uint64(slow)
-	if nd < 2 {
-		nd = 2
-	}
-	maxLevel := bits.Len64(nd-1) + 1 // ceil(log2(nD)) + 1, Lemma 3
+	slow := graph.Weight(env.Sim.SlowFactor())
 	cfg := &config{
 		in:          in,
 		sim:         env.Sim,
 		g:           in.G,
 		hier:        hier,
 		batch:       p.opts.Batch,
-		slow:        graph.Weight(slow),
-		maxLevel:    maxLevel,
+		slow:        slow,
+		maxLevel:    bucket.MaxLevel(in.G, slow),
 		met:         newProtoMetrics(env.Obs),
 		obs:         env.Obs,
 		faulty:      plan.Enabled(),

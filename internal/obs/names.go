@@ -78,8 +78,6 @@ var (
 	NameBatchSessionPushes   = register("batch.session_pushes")
 	NameBatchSessionCosts    = register("batch.session_costs")
 	NameBatchSessionRebuilds = register("batch.session_rebuilds")
-	NameBatchTourCacheHits   = register("batch.tour_cache_hits")
-	NameBatchTourCacheMisses = register("batch.tour_cache_misses")
 
 	// depgraph conflict-index instruments.
 	NameDepgraphLiveVertices = register("depgraph.live_vertices")
