@@ -121,7 +121,7 @@ func testEngineRuns(t *testing.T, in *Instance, d EngineDesc) {
 }
 
 // testEngineStreamLeakGuard sustains a sub-critical Poisson load through
-// the open-system driver (KeepHistory off, so retirement runs) and
+// the open-system driver (CollectDecisions off, so retirement runs) and
 // asserts the engine's live state plateaus: a leaked posting list or
 // pending set grows linearly with arrivals, so a doubling bound on the
 // second-half peaks separates cleanly.

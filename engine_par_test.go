@@ -199,7 +199,7 @@ func TestParallelClosedLoopMatchesSequential(t *testing.T) {
 // peaks, sojourn percentiles), merged metric snapshots, emitted events,
 // and (where collected) decision logs. RunStream never takes wall-clock
 // snapshots, so the full metric snapshot is comparable bytewise. The
-// retirement path runs too (KeepHistory off): window shifts must be
+// retirement path runs too (CollectDecisions off): window shifts must be
 // invisible to the parallel phase split.
 func TestParallelStreamMatchesSequential(t *testing.T) {
 	g, err := Grid(4, 4)

@@ -1,9 +1,7 @@
 package batch
 
 import (
-	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"dtm/internal/core"
 )
@@ -12,11 +10,10 @@ import (
 // SPAA 2017 cluster/star algorithms the paper converts (Section IV-D notes
 // they are randomized): it runs list scheduling under several random
 // transaction priority orders and keeps the best. Deterministic for a
-// given Seed; distinct invocations should use distinct seeds via Reseed.
+// given Seed.
 type Randomized struct {
-	Seed   int64
-	Tries  int // candidate orders per Schedule call; 0 means 4
-	Target float64
+	Seed  int64
+	Tries int // candidate orders per Schedule call; 0 means 4
 }
 
 // Name implements Scheduler.
@@ -69,52 +66,4 @@ func listInOrder(p *Problem, order []*core.Transaction) Assignment {
 		}
 	}
 	return out
-}
-
-// WithRetry wraps a (typically randomized) batch scheduler with the paper's
-// bad-event handling (Section IV-D): "we repeat the offline algorithm for
-// that bucket until we successfully obtain a batch schedule" with the
-// specified bound. Accept receives the candidate's makespan and says
-// whether it is good enough; after MaxTries the best candidate seen is
-// returned anyway (the online schedule must stay feasible).
-func WithRetry(inner Scheduler, accept func(makespan core.Time, p *Problem) bool, maxTries int) Scheduler {
-	if maxTries <= 0 {
-		maxTries = 8
-	}
-	return &retryScheduler{inner: inner, accept: accept, maxTries: maxTries}
-}
-
-type retryScheduler struct {
-	inner    Scheduler
-	accept   func(core.Time, *Problem) bool
-	maxTries int
-	calls    int64
-}
-
-// Name implements Scheduler.
-func (r *retryScheduler) Name() string { return r.inner.Name() + "+retry" }
-
-// Schedule implements Scheduler.
-func (r *retryScheduler) Schedule(p *Problem) (Assignment, error) {
-	var best Assignment
-	for try := 0; try < r.maxTries; try++ {
-		inner := r.inner
-		// Reseed randomized inners so retries actually differ (atomic: the
-		// distributed protocol may call Schedule from concurrent handlers).
-		if rz, ok := inner.(Randomized); ok {
-			rz.Seed = rz.Seed ^ (atomic.AddInt64(&r.calls, 1) * 0x9e3779b9)
-			inner = rz
-		}
-		asgn, err := inner.Schedule(p)
-		if err != nil {
-			return nil, fmt.Errorf("batch: retry %d: %w", try, err)
-		}
-		if best == nil || asgn.Makespan(p.Now) < best.Makespan(p.Now) {
-			best = asgn
-		}
-		if r.accept == nil || r.accept(asgn.Makespan(p.Now), p) {
-			return asgn, nil
-		}
-	}
-	return best, nil
 }

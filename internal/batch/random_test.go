@@ -3,7 +3,6 @@ package batch
 import (
 	"testing"
 
-	"dtm/internal/core"
 	"dtm/internal/graph"
 )
 
@@ -47,47 +46,5 @@ func TestRandomizedBestOfTriesBeatsWorstOrder(t *testing.T) {
 	}
 	if eight.Makespan(0) > one.Makespan(0) {
 		t.Errorf("best-of-8 (%d) worse than best-of-1 (%d)", eight.Makespan(0), one.Makespan(0))
-	}
-}
-
-func TestWithRetryAcceptsGoodSchedules(t *testing.T) {
-	g, _ := graph.Line(16)
-	txns, avail := randomBatchQuiet(g, 1, 5, g.N(), 2)
-	p := &Problem{G: g, Now: 0, Txns: txns, Avail: avail}
-	// Accept anything: one inner call, result feasible.
-	s := WithRetry(Randomized{Seed: 1}, func(core.Time, *Problem) bool { return true }, 4)
-	asgn, err := s.Schedule(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !feasible(g, txns, avail, asgn) {
-		t.Fatal("retry-wrapped schedule infeasible")
-	}
-	if s.Name() != "random-batch+retry" {
-		t.Errorf("Name = %q", s.Name())
-	}
-}
-
-func TestWithRetryReturnsBestAfterBudget(t *testing.T) {
-	g, _ := graph.Line(16)
-	txns, avail := randomBatchQuiet(g, 2, 6, g.N(), 4)
-	p := &Problem{G: g, Now: 0, Txns: txns, Avail: avail}
-	// Impossible acceptance bound: the wrapper must still return the best
-	// candidate (never fail the online schedule).
-	s := WithRetry(Randomized{Seed: 1, Tries: 1}, func(m core.Time, _ *Problem) bool { return m < 1 }, 6)
-	asgn, err := s.Schedule(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !feasible(g, txns, avail, asgn) {
-		t.Fatal("fallback schedule infeasible")
-	}
-	// Retries reseed: the best-of-6 should match or beat a single try.
-	single, err := (Randomized{Seed: 1 ^ 0x9e3779b9, Tries: 1}).Schedule(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if asgn.Makespan(0) > single.Makespan(0) {
-		t.Errorf("retry best (%d) worse than first candidate (%d)", asgn.Makespan(0), single.Makespan(0))
 	}
 }

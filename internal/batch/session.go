@@ -97,10 +97,9 @@ func newSessionMetrics(m *obs.Metrics) sessionMetrics {
 // NewSession begins an incremental session of s over the live problem p
 // (p.Txns is ignored; the session's pushed set takes its place). Schedulers
 // implementing SessionScheduler get their native incremental engine; any
-// other scheduler — List, Randomized, the WithSuffixProperty/WithRetry
-// combinators — is wrapped by a generic adapter that re-runs the one-shot
-// Schedule per evaluation, preserving exact behavior (including the retry
-// wrapper's one-reseed-per-evaluation sequence).
+// other scheduler — List, Randomized, the WithSuffixProperty combinator —
+// is wrapped by a generic adapter that re-runs the one-shot Schedule per
+// evaluation, preserving exact behavior.
 func NewSession(s Scheduler, p *Problem, opts SessionOptions) Session {
 	if ss, ok := s.(SessionScheduler); ok {
 		return ss.NewSession(p, opts)
@@ -111,10 +110,8 @@ func NewSession(s Scheduler, p *Problem, opts SessionOptions) Session {
 }
 
 // oneShotSession adapts a legacy one-shot scheduler to the Session
-// interface: each evaluation runs inner.Schedule on a shallow copy of the
-// live problem with Txns set to the pushed set, exactly once — so stateful
-// wrappers (retry reseeding) see the same invocation sequence as the
-// rebuild path.
+// interface: each evaluation runs inner.Schedule once, on a shallow copy
+// of the live problem with Txns set to the pushed set.
 type oneShotSession struct {
 	inner Scheduler
 	p     *Problem

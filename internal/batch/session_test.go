@@ -11,10 +11,7 @@ import (
 )
 
 // sessionSchedulers are the schedulers the session API must reproduce
-// byte-for-byte. WithRetry is excluded from cross-comparison only because
-// its atomic reseed counter advances per Schedule call, so an independent
-// one-shot reference invocation would desynchronize the sequence; the root
-// differential test covers it end to end through the bucket engine.
+// byte-for-byte.
 func sessionSchedulers() []Scheduler {
 	return []Scheduler{
 		Tour{},

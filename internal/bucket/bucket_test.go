@@ -3,6 +3,7 @@ package bucket
 import (
 	"math"
 	"math/bits"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -186,11 +187,9 @@ func TestBucketAlwaysFeasible(t *testing.T) {
 }
 
 // TestLevelsPastTwoTo62 runs a 3-node path with edges of weight 2^60,
-// where Lemma 3's n·D product overflows 64 bits, under every batch
-// scheduler and both engines. The top level's period must stay a
-// positive core.Time, so a run completes or fails with an error, never
-// a panic (the wrapped level count once reached level 64, where
-// 1<<64 is 0, and OnWake divided by it).
+// where Lemma 3's n·D product needs level 64, under every batch scheduler
+// and both engines: Start must refuse the graph, naming Lemma 3, rather
+// than run with a wrapped level count or period.
 func TestLevelsPastTwoTo62(t *testing.T) {
 	g, err := graph.New(3)
 	if err != nil {
@@ -201,8 +200,8 @@ func TestLevelsPastTwoTo62(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := MaxLevel(g, 1); got != 62 {
-		t.Errorf("MaxLevel = %d, want the cap 62", got)
+	if _, err := MaxLevel(g, 1); err == nil || !strings.Contains(err.Error(), "Lemma 3") {
+		t.Errorf("MaxLevel: err = %v, want a refusal naming Lemma 3", err)
 	}
 	in := &core.Instance{
 		G:       g,
@@ -217,21 +216,14 @@ func TestLevelsPastTwoTo62(t *testing.T) {
 		batch.Tour{}, batch.Coloring{}, batch.List{},
 		batch.Randomized{Seed: 1},
 		batch.WithSuffixProperty(batch.Tour{}),
-		batch.WithRetry(batch.Randomized{Seed: 1}, nil, 2),
 	}
 	for _, bs := range batches {
 		for _, rebuild := range []bool{false, true} {
 			b := New(Options{Batch: bs, EngineOptions: sched.EngineOptions{RebuildOracle: rebuild}})
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Errorf("%s rebuild=%v: panic: %v", bs.Name(), rebuild, r)
-					}
-				}()
-				if _, err := sched.Run(in, b, sched.Options{}); err != nil {
-					t.Logf("%s rebuild=%v: %v", bs.Name(), rebuild, err)
-				}
-			}()
+			rr, err := sched.Run(in, b, sched.Options{})
+			if rr != nil || err == nil || !strings.Contains(err.Error(), "start: bucket: ") || !strings.Contains(err.Error(), "Lemma 3") {
+				t.Errorf("%s rebuild=%v: err = %v, want a refusal at start naming Lemma 3", bs.Name(), rebuild, err)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package distbucket
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"dtm/internal/batch"
@@ -106,8 +107,9 @@ func TestProbeAvailMatchesKnowledge(t *testing.T) {
 }
 
 // TestHugeWeightsNoPanic runs a 4-node path with edges of weight 2^59,
-// where Lemma 3's n·D·slow product overflows 64 bits, under every batch
-// scheduler: the run completes or fails with an error, never a panic.
+// where Lemma 3's n·D·slow product needs level 65, under every batch
+// scheduler: Start must refuse the graph, naming Lemma 3, rather than run
+// with a wrapped level count or announce wrapped execution times.
 func TestHugeWeightsNoPanic(t *testing.T) {
 	g, err := graph.New(4)
 	if err != nil {
@@ -131,18 +133,11 @@ func TestHugeWeightsNoPanic(t *testing.T) {
 		batch.Tour{}, batch.Coloring{}, batch.List{},
 		batch.Randomized{Seed: 1},
 		batch.WithSuffixProperty(batch.Tour{}),
-		batch.WithRetry(batch.Randomized{Seed: 1}, nil, 2),
 	}
 	for _, bs := range batches {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Errorf("%s: panic: %v", bs.Name(), r)
-				}
-			}()
-			if _, err := runOpts(in, Options{Batch: bs, Seed: 1}, sched.Options{}); err != nil {
-				t.Logf("%s: %v", bs.Name(), err)
-			}
-		}()
+		rr, err := sched.Run(in, New(Options{Batch: bs, Seed: 1}), sched.Options{})
+		if rr != nil || err == nil || !strings.Contains(err.Error(), "start: bucket: ") || !strings.Contains(err.Error(), "Lemma 3") {
+			t.Errorf("%s: err = %v, want a refusal at start naming Lemma 3", bs.Name(), err)
+		}
 	}
 }

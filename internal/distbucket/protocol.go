@@ -269,7 +269,8 @@ type node struct {
 	cfg *config
 	id  graph.NodeID
 
-	// home state
+	// home state; newNode gives avail an entry for every object homed
+	// here, and entries are only ever overwritten
 	avail    map[core.ObjID]batch.Avail
 	reqs     map[core.ObjID][]txRef
 	reserved map[core.ObjID]*reservation
@@ -418,24 +419,14 @@ func (n *node) onReq(ctx *distnet.Ctx, from graph.NodeID, m reqMsg) {
 		for i, r := range n.reqs[m.Obj] {
 			if r.Tx == m.Tx {
 				conflicts := append([]txRef(nil), n.reqs[m.Obj][:i]...)
-				a, ok := n.avail[m.Obj]
-				if !ok {
-					obj := n.cfg.in.Objects[m.Obj]
-					a = batch.Avail{Node: obj.Origin, Free: obj.Created}
-				}
-				ctx.Send(from, infoMsg{Obj: m.Obj, Tx: m.Tx, Avail: a, Conflicts: conflicts})
+				ctx.Send(from, infoMsg{Obj: m.Obj, Tx: m.Tx, Avail: n.avail[m.Obj], Conflicts: conflicts})
 				return
 			}
 		}
 	}
 	conflicts := append([]txRef(nil), n.reqs[m.Obj]...)
 	n.reqs[m.Obj] = append(n.reqs[m.Obj], txRef{Tx: m.Tx, Node: m.TxNode})
-	a, ok := n.avail[m.Obj]
-	if !ok {
-		obj := n.cfg.in.Objects[m.Obj]
-		a = batch.Avail{Node: obj.Origin, Free: obj.Created}
-	}
-	ctx.Send(from, infoMsg{Obj: m.Obj, Tx: m.Tx, Avail: a, Conflicts: conflicts})
+	ctx.Send(from, infoMsg{Obj: m.Obj, Tx: m.Tx, Avail: n.avail[m.Obj], Conflicts: conflicts})
 }
 
 // onInfo gathers home replies; when all arrive, derive y and report to the
@@ -724,13 +715,8 @@ func (n *node) onReserve(ctx *distnet.Ctx, from graph.NodeID, m reserveMsg) {
 	if r.holderSession == 0 {
 		r.holderSession = m.Session
 		r.holderNode = from
-		a, ok := n.avail[m.Obj]
-		if !ok {
-			obj := n.cfg.in.Objects[m.Obj]
-			a = batch.Avail{Node: obj.Origin, Free: obj.Created}
-		}
-		r.holderAvail = a
-		ctx.Send(from, grantMsg{Obj: m.Obj, Session: m.Session, Avail: a})
+		r.holderAvail = n.avail[m.Obj]
+		ctx.Send(from, grantMsg{Obj: m.Obj, Session: m.Session, Avail: r.holderAvail})
 		return
 	}
 	if n.cfg.faulty {
@@ -885,12 +871,7 @@ func (n *node) onRelease(ctx *distnet.Ctx, from graph.NodeID, m releaseMsg) {
 	}
 	avail := m.NewAvail
 	if m.Restore {
-		if a, ok := n.avail[m.Obj]; ok {
-			avail = a
-		} else {
-			obj := n.cfg.in.Objects[m.Obj]
-			avail = batch.Avail{Node: obj.Origin, Free: obj.Created}
-		}
+		avail = n.avail[m.Obj]
 	}
 	if len(r.queue) == 0 {
 		delete(n.reserved, m.Obj)

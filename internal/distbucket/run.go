@@ -108,6 +108,10 @@ func (p *Protocol) Start(env *sched.Env) error {
 		return err
 	}
 	slow := graph.Weight(env.Sim.SlowFactor())
+	maxLevel, err := bucket.MaxLevel(in.G, slow)
+	if err != nil {
+		return err
+	}
 	cfg := &config{
 		in:          in,
 		sim:         env.Sim,
@@ -115,7 +119,7 @@ func (p *Protocol) Start(env *sched.Env) error {
 		hier:        hier,
 		batch:       p.opts.Batch,
 		slow:        slow,
-		maxLevel:    bucket.MaxLevel(in.G, slow),
+		maxLevel:    maxLevel,
 		met:         newProtoMetrics(env.Obs),
 		obs:         env.Obs,
 		faulty:      plan.Enabled(),

@@ -142,9 +142,9 @@ func (q *eventQueue) Pop() interface{} {
 
 // Options configure an Engine.
 type Options struct {
-	// Faults injects deterministic message loss, duplication, delay jitter,
-	// node crashes, and link outages (see FaultPlan). The zero value keeps
-	// the engine on the exact failure-free code path.
+	// Faults injects deterministic message loss, duplication, delay jitter
+	// and node crashes (see FaultPlan). The zero value keeps the engine on
+	// the exact failure-free code path.
 	Faults FaultPlan
 	// Obs, when set, collects message and queue metrics. All accounting
 	// happens when the engine merges a node's outbox, so handlers pay
@@ -273,8 +273,8 @@ func (e *Engine) MessagesSent() int { return e.msgsSent }
 // protocol's communication cost.
 func (e *Engine) MessageDistance() graph.Weight { return e.msgDistance }
 
-// Dropped returns the number of messages lost to the fault plan (drops,
-// crash windows, link outages).
+// Dropped returns the number of messages lost to the fault plan (drops and
+// crash windows).
 func (e *Engine) Dropped() int { return e.dropped }
 
 // Duplicated returns the number of messages delivered twice.
@@ -387,13 +387,12 @@ func (e *Engine) stepOnce(at core.Time) error {
 }
 
 // deliverFaulty resolves the fault plan for one cross-node message sent by
-// src at time `at`: loss (sender/receiver crash, link outage, drop coin),
+// src at time `at`: loss (sender/receiver crash, drop coin),
 // duplication, and bounded delay jitter per delivered copy.
 func (e *Engine) deliverFaulty(src graph.NodeID, at core.Time, qe queuedEvent) {
 	p := &e.opts.Faults
 	dst := qe.node
-	drop := p.CrashedAt(src, at) || p.LinkDownAt(src, dst, at) ||
-		(p.Drop > 0 && p.roll(saltDrop, at, src, dst, qe.srcSeq) < p.Drop)
+	drop := p.CrashedAt(src, at) || (p.Drop > 0 && p.roll(saltDrop, at, src, dst, qe.srcSeq) < p.Drop)
 	if drop {
 		e.dropped++
 		e.met.dropped.Inc()

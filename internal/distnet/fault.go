@@ -4,8 +4,8 @@ package distnet
 // unreliable network deterministically: every per-message decision (drop,
 // duplicate, extra delay) is resolved from a stateless hash RNG keyed on
 // (send step, src, dst, per-source sequence number), so any two runs with
-// the same plan produce byte-identical traces. Node crashes and link outages are static windows
-// declared up front, also deterministic.
+// the same plan produce byte-identical traces. Node crashes are static
+// windows declared up front, also deterministic.
 //
 // Semantics (the recovery contract internal/distbucket is written against):
 //
@@ -14,8 +14,7 @@ package distnet
 //     process restart that recovers durable state and re-arms its timers,
 //     so handlers keep running on wakes while the node's network is down.
 //   - A message is lost if its sender or receiver is crashed (at send and
-//     arrival time respectively), if the (src, dst) link is down at send
-//     time, or by the Drop coin.
+//     arrival time respectively), or by the Drop coin.
 //   - A duplicated message yields two deliveries with independently rolled
 //     extra delays; receivers must deduplicate.
 //   - Extra delay is uniform in [0, MaxJitter] steps on top of the
@@ -39,13 +38,6 @@ type CrashWindow struct {
 	From, To core.Time
 }
 
-// LinkWindow severs communication between U and V (both directions) for
-// [From, To] inclusive, judged at send time.
-type LinkWindow struct {
-	U, V     graph.NodeID
-	From, To core.Time
-}
-
 // FaultPlan is a deterministic description of an unreliable network. The
 // zero value is the failure-free synchronous model of the paper.
 type FaultPlan struct {
@@ -61,14 +53,12 @@ type FaultPlan struct {
 	MaxJitter core.Time
 	// Crashes lists node outage windows.
 	Crashes []CrashWindow
-	// LinkDowns lists link outage windows.
-	LinkDowns []LinkWindow
 }
 
 // Validate checks the plan against an n-node graph. It refuses a Drop or
-// Duplicate rate outside [0, 1] (NaN included), a negative MaxJitter, a
-// crash or link window whose From exceeds its To, and a window naming a
-// node outside [0, n). New calls it.
+// Duplicate rate outside [0, 1] (NaN included), a negative MaxJitter, and
+// a crash window whose From exceeds its To or whose node lies outside
+// [0, n). New calls it.
 func (p *FaultPlan) Validate(n int) error {
 	for _, r := range []struct {
 		name string
@@ -81,21 +71,12 @@ func (p *FaultPlan) Validate(n int) error {
 	if p.MaxJitter < 0 {
 		return fmt.Errorf("distnet: negative max jitter %d", p.MaxJitter)
 	}
-	node := func(v graph.NodeID) bool { return v >= 0 && int(v) < n }
 	for _, w := range p.Crashes {
-		if !node(w.Node) {
+		if w.Node < 0 || int(w.Node) >= n {
 			return fmt.Errorf("distnet: crash window on node %d, outside [0, %d)", w.Node, n)
 		}
 		if w.From > w.To {
 			return fmt.Errorf("distnet: crash window on node %d runs from t=%d to t=%d", w.Node, w.From, w.To)
-		}
-	}
-	for _, w := range p.LinkDowns {
-		if !node(w.U) || !node(w.V) {
-			return fmt.Errorf("distnet: link window {%d,%d} outside [0, %d)", w.U, w.V, n)
-		}
-		if w.From > w.To {
-			return fmt.Errorf("distnet: link window {%d,%d} runs from t=%d to t=%d", w.U, w.V, w.From, w.To)
 		}
 	}
 	return nil
@@ -104,24 +85,13 @@ func (p *FaultPlan) Validate(n int) error {
 // Enabled reports whether the plan injects any fault at all; a disabled
 // plan leaves the engine on its exact fault-free code path.
 func (p *FaultPlan) Enabled() bool {
-	return p.Drop > 0 || p.Duplicate > 0 || p.MaxJitter > 0 ||
-		len(p.Crashes) > 0 || len(p.LinkDowns) > 0
+	return p.Drop > 0 || p.Duplicate > 0 || p.MaxJitter > 0 || len(p.Crashes) > 0
 }
 
 // CrashedAt reports whether node n is inside a crash window at time t.
 func (p *FaultPlan) CrashedAt(n graph.NodeID, t core.Time) bool {
 	for _, w := range p.Crashes {
 		if w.Node == n && w.From <= t && t <= w.To {
-			return true
-		}
-	}
-	return false
-}
-
-// LinkDownAt reports whether the (u, v) pair is severed at time t.
-func (p *FaultPlan) LinkDownAt(u, v graph.NodeID, t core.Time) bool {
-	for _, w := range p.LinkDowns {
-		if ((w.U == u && w.V == v) || (w.U == v && w.V == u)) && w.From <= t && t <= w.To {
 			return true
 		}
 	}

@@ -81,8 +81,7 @@ func TestFaultDeterminism(t *testing.T) {
 func TestParallelMatchesSequentialUnderFaults(t *testing.T) {
 	plan := FaultPlan{
 		Seed: 7, Drop: 0.08, Duplicate: 0.05, MaxJitter: 2,
-		Crashes:   []CrashWindow{{Node: 5, From: 3, To: 8}},
-		LinkDowns: []LinkWindow{{U: 0, V: 1, From: 0, To: 4}},
+		Crashes: []CrashWindow{{Node: 5, From: 3, To: 8}},
 	}
 	seq, es := runFloodPlan(t, false, plan)
 	par, ep := runFloodPlan(t, true, plan)
@@ -184,26 +183,6 @@ func TestReceiverCrashDropsAtArrival(t *testing.T) {
 	_ = e2.RunUntil(50)
 	if got := countMsgs(rx2); got != 1 {
 		t.Errorf("post-restart delivery failed: %d events", got)
-	}
-}
-
-func TestLinkDownDropsAtSendTime(t *testing.T) {
-	// The 0→2 path transits link (1,2); windows are judged on the (src, dst)
-	// pair, so sever (0, 2) directly.
-	e, rx := pingSetup(t, FaultPlan{LinkDowns: []LinkWindow{{U: 2, V: 0, From: 0, To: 5}}})
-	_ = e.InjectAt(2, 0, "go")
-	if err := e.RunUntil(50); err != nil {
-		t.Fatal(err)
-	}
-	if got := countMsgs(rx); got != 0 {
-		t.Errorf("message over severed link delivered: %d events", got)
-	}
-	// Send after the window: the link is back.
-	e2, rx2 := pingSetup(t, FaultPlan{LinkDowns: []LinkWindow{{U: 2, V: 0, From: 0, To: 5}}})
-	_ = e2.InjectAt(6, 0, "go")
-	_ = e2.RunUntil(50)
-	if got := countMsgs(rx2); got != 1 {
-		t.Errorf("post-outage delivery failed: %d events", got)
 	}
 }
 
@@ -339,7 +318,6 @@ func TestEnabled(t *testing.T) {
 		{FaultPlan{Duplicate: 0.01}, true},
 		{FaultPlan{MaxJitter: 1}, true},
 		{FaultPlan{Crashes: []CrashWindow{{}}}, true},
-		{FaultPlan{LinkDowns: []LinkWindow{{}}}, true},
 	}
 	for i, c := range cases {
 		if got := c.plan.Enabled(); got != c.want {
@@ -363,8 +341,6 @@ func TestNewRefusesBadPlans(t *testing.T) {
 		"crash from > to":    {FaultPlan{Crashes: []CrashWindow{{Node: 1, From: 5, To: 4}}}, "t=5 to t=4"},
 		"crash node high":    {FaultPlan{Crashes: []CrashWindow{{Node: 4, From: 0, To: 1}}}, "node 4"},
 		"crash node below 0": {FaultPlan{Crashes: []CrashWindow{{Node: -1}}}, "node -1"},
-		"link from > to":     {FaultPlan{LinkDowns: []LinkWindow{{U: 0, V: 1, From: 2, To: 1}}}, "t=2 to t=1"},
-		"link node high":     {FaultPlan{LinkDowns: []LinkWindow{{U: 0, V: 9}}}, "{0,9}"},
 	}
 	for name, c := range cases {
 		_, err := New(g, floodHandlers(g.N(), new([]string)), Options{Faults: c.plan})
@@ -374,8 +350,7 @@ func TestNewRefusesBadPlans(t *testing.T) {
 	}
 	// The bounds themselves are valid.
 	edge := FaultPlan{Drop: 1, Duplicate: 1, MaxJitter: 0,
-		Crashes:   []CrashWindow{{Node: 3, From: 2, To: 2}},
-		LinkDowns: []LinkWindow{{U: 0, V: 3, From: 0, To: 0}}}
+		Crashes: []CrashWindow{{Node: 3, From: 2, To: 2}}}
 	if _, err := New(g, floodHandlers(g.N(), new([]string)), Options{Faults: edge}); err != nil {
 		t.Errorf("plan at the bounds: %v", err)
 	}

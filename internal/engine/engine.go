@@ -124,15 +124,6 @@ func All() []Desc {
 	return append([]Desc(nil), registry...)
 }
 
-// IDs returns the canonical engine IDs in presentation order.
-func IDs() []string {
-	ids := make([]string, len(registry))
-	for i, d := range registry {
-		ids[i] = d.ID
-	}
-	return ids
-}
-
 // ByID resolves an engine by ID or alias, case-insensitively.
 func ByID(id string) (Desc, bool) {
 	for _, d := range registry {

@@ -90,7 +90,7 @@ func TestNamesSortedAndComplete(t *testing.T) {
 	if !sort.StringsAreSorted(ns) {
 		t.Errorf("Names() not sorted: %v", ns)
 	}
-	if len(ns) != len(IDs())+2 { // two aliases: bucket, distbucket
-		t.Errorf("Names() has %d entries for %d IDs; alias count drifted", len(ns), len(IDs()))
+	if len(ns) != len(All())+2 { // two aliases: bucket, distbucket
+		t.Errorf("Names() has %d entries for %d IDs; alias count drifted", len(ns), len(All()))
 	}
 }

@@ -38,9 +38,6 @@ type Config struct {
 	Quick bool
 	// Seed drives all randomized pieces (workloads, covers).
 	Seed int64
-	// Trials averages each sweep point over this many seeds (default 3,
-	// 1 when Quick).
-	Trials int
 	// Workers bounds the sweep runner's worker pool: 0 = GOMAXPROCS,
 	// 1 = sequential. Parallel and sequential sweeps render
 	// byte-identical tables (the runner's determinism contract).
@@ -50,10 +47,9 @@ type Config struct {
 	Obs *obs.Metrics
 }
 
+// trials is how many seeds each sweep point averages over: 3, or 1 when
+// Quick.
 func (c Config) trials() int {
-	if c.Trials > 0 {
-		return c.Trials
-	}
 	if c.Quick {
 		return 1
 	}

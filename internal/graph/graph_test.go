@@ -555,40 +555,6 @@ func BenchmarkDijkstraHypercube10(b *testing.B) {
 	}
 }
 
-func TestTorus(t *testing.T) {
-	g, err := Torus(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 16 {
-		t.Fatalf("N = %d, want 16", g.N())
-	}
-	// Grid(4,4) has 24 edges; the torus adds 4 wraps per dimension.
-	if g.M() != 24+8 {
-		t.Errorf("M = %d, want 32", g.M())
-	}
-	// Wraparound halves the worst-case distance: diameter 2+2.
-	if d := g.Diameter(); d != 4 {
-		t.Errorf("diameter = %d, want 4", d)
-	}
-	// Side-2 dimensions gain no duplicate wrap edges.
-	g2, err := Torus(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.M() != 4 {
-		t.Errorf("2x2 torus M = %d, want 4", g2.M())
-	}
-	// A 1-D torus of length n is the ring.
-	g3, err := Torus(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := g3.Diameter(); d != 3 {
-		t.Errorf("torus(6) diameter = %d, want 3 (ring)", d)
-	}
-}
-
 // TestConcurrentQueries hammers the lazily built shortest-path-tree cache
 // from many goroutines (exercising the RWMutex fast path) and checks the
 // answers match a sequential baseline. Run with -race.

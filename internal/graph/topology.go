@@ -117,42 +117,6 @@ func Grid(dims ...int) (*Graph, error) {
 	return g, nil
 }
 
-// Torus returns the multi-dimensional lattice with wraparound edges (the
-// grid plus, per dimension of side >= 3, an edge closing each row into a
-// ring). Unit edge weights.
-func Torus(dims ...int) (*Graph, error) {
-	g, err := Grid(dims...)
-	if err != nil {
-		return nil, err
-	}
-	strides := make([]int, len(dims))
-	s := 1
-	for i := range dims {
-		strides[i] = s
-		s *= dims[i]
-	}
-	n := g.N()
-	coord := make([]int, len(dims))
-	for id := 0; id < n; id++ {
-		rest := id
-		for i := range dims {
-			coord[i] = rest % dims[i]
-			rest /= dims[i]
-		}
-		for i := range dims {
-			// Close the ring from the last coordinate back to the first;
-			// skip sides < 3, where the wrap edge already exists.
-			if dims[i] >= 3 && coord[i] == dims[i]-1 {
-				if err := g.AddEdge(NodeID(id), NodeID(id-(dims[i]-1)*strides[i]), 1); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	g.SetName(fmt.Sprintf("torus%v", dims))
-	return g, nil
-}
-
 // Hypercube returns the dim-dimensional hypercube on n = 2^dim nodes with
 // unit edge weights. Two nodes are adjacent iff their IDs differ in exactly
 // one bit, so any pair is connected by a path of at most dim = log n edges.

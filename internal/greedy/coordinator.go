@@ -31,10 +31,11 @@ type Coordinator struct {
 // NewCoordinator returns a Section III-E coordinator scheduler centered at
 // hub, running the greedy schedule with the given options.
 func NewCoordinator(hub graph.NodeID, opts Options) *Coordinator {
-	opts.Hub = &hub
+	inner := New(opts)
+	inner.hub = &hub
 	return &Coordinator{
 		Hub:   hub,
-		inner: New(opts),
+		inner: inner,
 		queue: make(map[core.Time][]*core.Transaction),
 	}
 }

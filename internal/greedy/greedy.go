@@ -32,18 +32,10 @@ import (
 // Options configure the greedy scheduler.
 type Options struct {
 	// Uniform selects Theorem 2 mode: all conflict edges are overlaid with
-	// weight Beta and decisions happen on multiples of Beta.
+	// the weight β = max(diameter, 1) (the hypercube analysis of Section
+	// III-D; a one-node graph has diameter 0), and decisions happen on
+	// multiples of β. Lemma 2 needs only β >= diameter.
 	Uniform bool
-	// Beta is the uniform overlay weight; if zero in Uniform mode, the
-	// graph diameter is used (the hypercube analysis of Section III-D),
-	// or 1 on a one-node graph, whose diameter is 0: Lemma 2 needs only
-	// Beta >= diameter, and epochs and colors are multiples of Beta.
-	Beta graph.Weight
-	// Hub, when set, models the Section III-E funnel: every execution time
-	// is floored by the distance from the hub to the transaction's node
-	// (the scheduling decision must reach the transaction). Used by
-	// Coordinator.
-	Hub *graph.NodeID
 	// Pad (>= 1) multiplies every dependency-graph edge weight, spacing
 	// executions out by that factor. An extension for the paper's
 	// bounded-link-capacity open problem: padded schedules leave slack for
@@ -80,6 +72,10 @@ type Greedy struct {
 	opts Options
 	env  *sched.Env
 	beta graph.Weight
+	// hub, set only by NewCoordinator, models the Section III-E funnel:
+	// every execution time is floored by the distance from the hub to the
+	// transaction's node (the scheduling decision must reach it).
+	hub *graph.NodeID
 
 	// Incremental engine (default): the persistent conflict index and the
 	// buffers of its coloring walk, reused across calls.
@@ -133,14 +129,8 @@ func (g *Greedy) Start(env *sched.Env) error {
 		g.idx = depgraph.NewIndex(env.Sim)
 		g.idx.RegisterMetrics(env.Obs)
 	}
-	g.beta = g.opts.Beta
 	if g.opts.Uniform {
-		if g.beta == 0 {
-			g.beta = max(env.G.Diameter(), 1)
-		}
-		if g.beta < env.G.Diameter() {
-			return fmt.Errorf("greedy: uniform overlay beta=%d below graph diameter %d", g.beta, env.G.Diameter())
-		}
+		g.beta = max(env.G.Diameter(), 1)
 	}
 	return g.checkPad()
 }
@@ -238,8 +228,8 @@ func (g *Greedy) scheduleIncremental(txns []*core.Transaction, now core.Time) er
 		forb := g.forb[:0]
 		var deg int
 		var wdeg graph.Weight
-		if g.opts.Hub != nil {
-			w := g.env.G.Dist(*g.opts.Hub, tx.Node)
+		if g.hub != nil {
+			w := g.env.G.Dist(*g.hub, tx.Node)
 			if g.opts.Uniform && w%g.beta != 0 {
 				w = (w/g.beta + 1) * g.beta
 			}
@@ -377,7 +367,7 @@ func (g *Greedy) scheduleRebuild(txns []*core.Transaction, now core.Time) error 
 	base += len(zList)
 	total := base
 	hubVertex := coloring.VertexID(-1)
-	if g.opts.Hub != nil {
+	if g.hub != nil {
 		hubVertex = coloring.VertexID(total)
 		total++
 	}
@@ -415,7 +405,7 @@ func (g *Greedy) scheduleRebuild(txns []*core.Transaction, now core.Time) error 
 	for _, tx := range txns {
 		tv := newIdx[tx.ID]
 		if hubVertex >= 0 {
-			w := g.env.G.Dist(*g.opts.Hub, tx.Node)
+			w := g.env.G.Dist(*g.hub, tx.Node)
 			if g.opts.Uniform && w%g.beta != 0 {
 				w = (w/g.beta + 1) * g.beta
 			}

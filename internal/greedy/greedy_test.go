@@ -121,25 +121,12 @@ func TestGreedyUniformOnHypercube(t *testing.T) {
 	}
 }
 
-func TestGreedyUniformRejectsSmallBeta(t *testing.T) {
-	g, err := graph.Line(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := workload.SingleObjectChain(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sched.Run(in, New(Options{Uniform: true, Beta: 2}), sched.Options{})
-	if err == nil {
-		t.Fatal("beta below diameter should be rejected")
-	}
-}
-
 // TestGreedyRefusesWrappingPad pins Start's refusal of a padding factor
 // under which a padded weight could reach graph.Infinite: a one-edge graph
-// of weight 2^62−1 with a transaction at each end on one object, and a
-// uniform β of 2^61 on Line(4). Pad 1 still runs on the one-edge graph.
+// of weight 2^62−1 with a transaction at each end on one object, and in
+// uniform mode a one-node graph, whose path bound is 0, so that only the
+// product with β = 1 catches a Pad of 2^62. Pad 1 still runs on the
+// one-edge graph.
 func TestGreedyRefusesWrappingPad(t *testing.T) {
 	g := graph.MustNew(2)
 	if err := g.AddEdge(0, 1, graph.Infinite-1); err != nil {
@@ -165,13 +152,9 @@ func TestGreedyRefusesWrappingPad(t *testing.T) {
 			t.Errorf("%+v: err = %v, want it to contain %q", tc.opts, err, tc.want)
 		}
 	}
-	line, err := graph.Line(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uniform := &core.Instance{G: line, Objects: in.Objects, Txns: in.Txns}
-	_, err = sched.Run(uniform, New(Options{Pad: 2, Uniform: true, Beta: graph.Infinite / 2}), sched.Options{})
-	if want := "greedy: padding factor 2 times beta 2305843009213693952 reaches 4611686018427387904"; err == nil || !strings.Contains(err.Error(), want) {
+	uniform := &core.Instance{G: graph.MustNew(1), Objects: in.Objects, Txns: in.Txns[:1]}
+	_, err := sched.Run(uniform, New(Options{Pad: 1 << 62, Uniform: true}), sched.Options{})
+	if want := "greedy: padding factor 4611686018427387904 times beta 1 reaches 4611686018427387904"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("uniform: err = %v, want it to contain %q", err, want)
 	}
 	if _, err := sched.Run(in, New(Options{Pad: 1}), sched.Options{}); err != nil {

@@ -195,17 +195,18 @@ type Sweep struct {
 	// Trials runs every cell this many times with distinct seeds
 	// (minimum 1).
 	Trials int
-	// Seed is the base seed; trial i runs with Seed + i*Stride.
+	// Seed is the base seed; trial i runs with Seed + i*seedStride.
 	Seed int64
-	// Stride is the seed spacing between trials (default 101, the
-	// harness-wide convention).
-	Stride int64
 	// Workers bounds the pool: 0 means GOMAXPROCS, 1 is sequential.
 	Workers int
 	// Obs, when set, accumulates metrics across every trial: each trial
 	// runs against a private registry that is merged in on completion.
 	Obs *obs.Metrics
 }
+
+// seedStride is the seed spacing between trials, the harness-wide
+// convention.
+const seedStride = 101
 
 // slot is one trial's landing place, indexed (point, cell, trial) so
 // aggregation order is independent of completion order.
@@ -221,10 +222,6 @@ func (s Sweep) Run(t *stats.Table) error {
 	trials := s.Trials
 	if trials < 1 {
 		trials = 1
-	}
-	stride := s.Stride
-	if stride == 0 {
-		stride = 101
 	}
 	type task struct {
 		p, c, tr int
@@ -267,7 +264,7 @@ func (s Sweep) Run(t *stats.Table) error {
 					if s.Obs != nil {
 						cm = obs.New()
 					}
-					out, err := runCell(tk.run, tk.name, s.Seed+int64(tk.tr)*stride, cm)
+					out, err := runCell(tk.run, tk.name, s.Seed+int64(tk.tr)*seedStride, cm)
 					s.Obs.Merge(cm.Snapshot())
 					res[tk.p][tk.c][tk.tr] = slot{out: out, err: err}
 				}

@@ -88,8 +88,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSeedSequence checks trial i sees Seed + i*Stride (and the 101
-// default stride).
+// TestSeedSequence checks trial i sees Seed + i*101, the harness-wide
+// seed stride.
 func TestSeedSequence(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int64]bool{}

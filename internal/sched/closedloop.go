@@ -21,8 +21,6 @@ type ClosedLoopConfig struct {
 	// Gen produces the (sorted, deduplicated) object set for the given
 	// node's round-r transaction. It must be deterministic.
 	Gen func(node graph.NodeID, round int) []core.ObjID
-	// Nodes restricts issuing to the first Nodes node IDs (0 = all).
-	Nodes int
 }
 
 // clWaiter is one in-flight closed-loop transaction: the stream watches it
@@ -126,15 +124,9 @@ func RunClosedLoop(g *graph.Graph, cfg ClosedLoopConfig, s Scheduler, opts Optio
 	if cfg.Gen == nil {
 		return nil, nil, fmt.Errorf("sched: closed loop needs a Gen function")
 	}
-	nodes := cfg.Nodes
-	if nodes == 0 {
-		nodes = g.N()
-	}
-	if nodes < 1 || nodes > g.N() {
-		return nil, nil, fmt.Errorf("sched: closed loop Nodes=%d out of range", nodes)
-	}
+	nodes := g.N()
 	in := &core.Instance{G: g, Objects: cfg.Objects}
-	// Round 0: every issuing node holds one transaction at t=0.
+	// Round 0: every node holds one transaction at t=0.
 	for v := 0; v < nodes; v++ {
 		in.Txns = append(in.Txns, &core.Transaction{
 			ID:      core.TxID(v),

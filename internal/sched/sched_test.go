@@ -321,7 +321,6 @@ func TestClosedLoopValidation(t *testing.T) {
 	cases := []ClosedLoopConfig{
 		{Objects: objs, Rounds: 0, Gen: gen},
 		{Objects: objs, Rounds: 1, Gen: nil},
-		{Objects: objs, Rounds: 1, Gen: gen, Nodes: 99},
 	}
 	for i, cfg := range cases {
 		if _, _, err := RunClosedLoop(g, cfg, &serialScheduler{}, Options{}); err == nil {

@@ -449,12 +449,9 @@ type StreamOptions struct {
 	// Required (>0) for endless generative sources; 0 runs until the
 	// source exhausts (finite-instance adapters).
 	MaxArrivals int64
-	// KeepHistory disables transaction retirement, keeping every
-	// transaction in the window — O(arrivals) memory, but Sim.Result and
-	// per-transaction queries stay exact. Implied by CollectDecisions.
-	KeepHistory bool
-	// CollectDecisions harvests the full decision log into the result
-	// (implies KeepHistory).
+	// CollectDecisions keeps the whole history: it disables transaction
+	// retirement, so every transaction stays in the window (O(arrivals)
+	// memory), and harvests the full decision log into the result.
 	CollectDecisions bool
 }
 
@@ -499,7 +496,7 @@ type StreamResult struct {
 // RunStream drives a scheduler against a streaming source on graph g with
 // the given shared objects: arrivals are pulled lazily as simulated time
 // reaches them, committed transactions are retired from the engine window
-// (unless KeepHistory), and queue/sojourn/live-state series are recorded
+// (unless CollectDecisions), and queue/sojourn/live-state series are recorded
 // through obs. The scheduler sees exactly the same OnArrive/OnWake
 // protocol as the finite driver.
 func RunStream(g *graph.Graph, objects []*core.Object, src workload.Source, s Scheduler, opts StreamOptions) (*StreamResult, error) {
@@ -508,9 +505,6 @@ func RunStream(g *graph.Graph, objects []*core.Object, src workload.Source, s Sc
 	}
 	if opts.MaxArrivals < 0 {
 		return nil, fmt.Errorf("sched: RunStream MaxArrivals must be >= 0")
-	}
-	if opts.CollectDecisions {
-		opts.KeepHistory = true
 	}
 	m := opts.Obs
 	if m == nil {
@@ -527,7 +521,7 @@ func RunStream(g *graph.Graph, objects []*core.Object, src workload.Source, s Sc
 		q := int64(issued - done)
 		sm.queueLen.Set(q)
 		queueTrace.observe(q)
-		if !opts.KeepHistory {
+		if !opts.CollectDecisions {
 			// Retire in batches so the window shifts stay amortized O(1)
 			// per transaction: a shift costs O(live window) and frees at
 			// least 512, so the per-transaction cost is O(1 + queue/512).

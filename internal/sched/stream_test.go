@@ -122,9 +122,9 @@ func TestStreamInstanceSourceMatchesRun(t *testing.T) {
 }
 
 // TestStreamRetireMatchesKeepHistory runs the same seeded source twice —
-// with the bounded window and with full history — and requires every
-// aggregate to agree: retirement must be invisible to everything except
-// the memory gauges.
+// with the bounded window and with full history (CollectDecisions) — and
+// requires every aggregate to agree: retirement must be invisible to
+// everything except the memory gauges.
 func TestStreamRetireMatchesKeepHistory(t *testing.T) {
 	g, err := graph.Clique(16)
 	if err != nil {
@@ -138,7 +138,7 @@ func TestStreamRetireMatchesKeepHistory(t *testing.T) {
 		}
 		res, err := sched.RunStream(g, workload.UniformObjects(g, 12, 9), src,
 			greedy.New(greedy.Options{}),
-			sched.StreamOptions{MaxArrivals: 3000, KeepHistory: keep})
+			sched.StreamOptions{MaxArrivals: 3000, CollectDecisions: keep})
 		if err != nil {
 			t.Fatalf("keep=%v: %v", keep, err)
 		}
@@ -149,7 +149,7 @@ func TestStreamRetireMatchesKeepHistory(t *testing.T) {
 		t.Fatal("retirement never fired")
 	}
 	if kept.Retired != 0 {
-		t.Fatalf("KeepHistory retired %d transactions", kept.Retired)
+		t.Fatalf("CollectDecisions retired %d transactions", kept.Retired)
 	}
 	if retired.Arrivals != kept.Arrivals || retired.Completed != kept.Completed {
 		t.Fatalf("counts differ: retired %d/%d, kept %d/%d",

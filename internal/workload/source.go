@@ -45,7 +45,6 @@ type StreamConfig struct {
 	K          int     // objects requested per transaction (exactly K when possible)
 	NumObjects int     // number of shared objects (w in the paper)
 	Rate       float64 // mean arrivals per time step, system-wide (λ); default 1
-	Nodes      int     // issuing nodes; 0 means every node of the graph
 	Burst      int     // arrivals released together by the bursty source; default 8
 	Pop        Popularity
 	ZipfS      float64 // for PopZipf; default 1.1
@@ -54,7 +53,7 @@ type StreamConfig struct {
 	Seed       int64
 }
 
-func (c *StreamConfig) defaults(g *graph.Graph) error {
+func (c *StreamConfig) defaults() error {
 	if c.K < 1 {
 		return fmt.Errorf("workload: K must be >= 1, got %d", c.K)
 	}
@@ -69,12 +68,6 @@ func (c *StreamConfig) defaults(g *graph.Graph) error {
 	}
 	if c.Rate == 0 {
 		c.Rate = 1
-	}
-	if c.Nodes == 0 {
-		c.Nodes = g.N()
-	}
-	if c.Nodes < 1 || c.Nodes > g.N() {
-		return fmt.Errorf("workload: Nodes=%d out of range [1,%d]", c.Nodes, g.N())
 	}
 	if c.Burst <= 0 {
 		c.Burst = 8
@@ -136,7 +129,7 @@ type poissonSource struct {
 // (integerized), each at a uniformly random issuing node, with object sets
 // drawn from the configured popularity distribution.
 func NewPoissonSource(g *graph.Graph, cfg StreamConfig) (Source, error) {
-	if err := cfg.defaults(g); err != nil {
+	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -144,7 +137,7 @@ func NewPoissonSource(g *graph.Graph, cfg StreamConfig) (Source, error) {
 		rng:   rng,
 		pick:  newPicker(cfg.pickerConfig(), rng),
 		k:     cfg.K,
-		nodes: cfg.Nodes,
+		nodes: g.N(),
 		rate:  cfg.Rate,
 	}, nil
 }
@@ -178,7 +171,7 @@ type burstySource struct {
 // on a rotating contiguous node block, holding the long-run rate at
 // cfg.Rate while maximizing instantaneous contention.
 func NewBurstySource(g *graph.Graph, cfg StreamConfig) (Source, error) {
-	if err := cfg.defaults(g); err != nil {
+	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
 	period := core.Time(float64(cfg.Burst)/cfg.Rate + 0.5)
@@ -190,7 +183,7 @@ func NewBurstySource(g *graph.Graph, cfg StreamConfig) (Source, error) {
 		rng:    rng,
 		pick:   newPicker(cfg.pickerConfig(), rng),
 		k:      cfg.K,
-		nodes:  cfg.Nodes,
+		nodes:  g.N(),
 		burst:  cfg.Burst,
 		period: period,
 	}, nil

@@ -209,7 +209,6 @@ func TestStreamConfigValidation(t *testing.T) {
 		{K: 5, NumObjects: 4},
 		{K: 1, NumObjects: 0},
 		{K: 1, NumObjects: 4, Rate: -1},
-		{K: 1, NumObjects: 4, Nodes: g.N() + 1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewPoissonSource(g, cfg); err == nil {

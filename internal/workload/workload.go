@@ -30,10 +30,13 @@ const (
 	// Period per node (integerized, minimum 1).
 	ArrivalPoisson
 	// ArrivalBursty releases rounds in bursts: all of a node's transactions
-	// in BurstLen consecutive rounds Period steps apart, then a gap of
+	// in burstLen consecutive rounds Period steps apart, then a gap of
 	// 10*Period, repeating.
 	ArrivalBursty
 )
+
+// burstLen is the number of consecutive rounds in one ArrivalBursty burst.
+const burstLen = 4
 
 func (k ArrivalKind) String() string {
 	switch k {
@@ -80,10 +83,8 @@ type Config struct {
 	K          int // objects requested per transaction (exactly K when possible)
 	NumObjects int // number of shared objects (w in the paper)
 	Rounds     int // transactions issued per node
-	Nodes      int // issuing nodes; 0 means every node of the graph
 	Arrival    ArrivalKind
 	Period     core.Time // see ArrivalKind; default 1
-	BurstLen   int       // for ArrivalBursty; default 4
 	Pop        Popularity
 	ZipfS      float64 // for PopZipf; default 1.1
 	HotFrac    float64 // for PopHotspot; default 0.8
@@ -91,7 +92,7 @@ type Config struct {
 	Seed       int64
 }
 
-func (c *Config) defaults(g *graph.Graph) error {
+func (c *Config) defaults() error {
 	if c.K < 1 {
 		return fmt.Errorf("workload: K must be >= 1, got %d", c.K)
 	}
@@ -104,17 +105,8 @@ func (c *Config) defaults(g *graph.Graph) error {
 	if c.Rounds < 1 {
 		return fmt.Errorf("workload: Rounds must be >= 1, got %d", c.Rounds)
 	}
-	if c.Nodes == 0 {
-		c.Nodes = g.N()
-	}
-	if c.Nodes < 1 || c.Nodes > g.N() {
-		return fmt.Errorf("workload: Nodes=%d out of range [1,%d]", c.Nodes, g.N())
-	}
 	if c.Period <= 0 {
 		c.Period = 1
-	}
-	if c.BurstLen <= 0 {
-		c.BurstLen = 4
 	}
 	if c.ZipfS <= 1 {
 		c.ZipfS = 1.1
@@ -133,10 +125,10 @@ func (c *Config) defaults(g *graph.Graph) error {
 
 // Generate builds an instance on g according to cfg: NumObjects objects at
 // uniformly random origins (created at time 0), and Rounds transactions per
-// issuing node, each requesting K distinct objects drawn from the
-// popularity distribution, arriving per the arrival process.
+// node, each requesting K distinct objects drawn from the popularity
+// distribution, arriving per the arrival process.
 func Generate(g *graph.Graph, cfg Config) (*core.Instance, error) {
-	if err := cfg.defaults(g); err != nil {
+	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -148,7 +140,7 @@ func Generate(g *graph.Graph, cfg Config) (*core.Instance, error) {
 		})
 	}
 	pick := newPicker(cfg, rng)
-	nodes := rng.Perm(g.N())[:cfg.Nodes]
+	nodes := rng.Perm(g.N())
 	arrivals := make([][]core.Time, len(nodes))
 	for i := range nodes {
 		arrivals[i] = arrivalSeries(cfg, rng)
@@ -189,9 +181,9 @@ func arrivalSeries(cfg Config, rng *rand.Rand) []core.Time {
 		}
 	case ArrivalBursty:
 		for r := range out {
-			burst := r / cfg.BurstLen
-			within := r % cfg.BurstLen
-			out[r] = core.Time(burst)*cfg.Period*core.Time(cfg.BurstLen+10) + core.Time(within)*cfg.Period
+			burst := r / burstLen
+			within := r % burstLen
+			out[r] = core.Time(burst)*cfg.Period*core.Time(burstLen+10) + core.Time(within)*cfg.Period
 		}
 	default: // ArrivalBatch: all zeros
 	}

@@ -43,7 +43,6 @@ func TestGenerateValidationErrors(t *testing.T) {
 		{K: 6, NumObjects: 5, Rounds: 1},
 		{K: 1, NumObjects: 0, Rounds: 1},
 		{K: 1, NumObjects: 5, Rounds: 0},
-		{K: 1, NumObjects: 5, Rounds: 1, Nodes: 99},
 	}
 	for i, cfg := range cases {
 		if _, err := Generate(g, cfg); err == nil {
