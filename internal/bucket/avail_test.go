@@ -26,10 +26,8 @@ type availProbe struct {
 	checks int
 }
 
-// OnArrive settles the commits since the last call, as Bucket.OnArrive
-// does first, and checks the entries its probes then read.
+// OnArrive checks the entries Bucket.OnArrive's probes read.
 func (p *availProbe) OnArrive(txns []*core.Transaction) error {
-	p.settle(p.env.Sim.Now())
 	p.check()
 	return p.Bucket.OnArrive(txns)
 }
@@ -39,7 +37,6 @@ func (p *availProbe) OnArrive(txns []*core.Transaction) error {
 // checked after the lower level's decisions.
 func (p *availProbe) OnWake() error {
 	now := p.env.Sim.Now()
-	p.settle(now)
 	for i := range p.levels {
 		period := core.Time(1) << uint(i)
 		if now%period != 0 || len(p.levels[i]) == 0 {
@@ -74,12 +71,10 @@ func (p *availProbe) check() {
 // TestLiveAvailMatchesResolve drives the session engine over the sched
 // golden topologies and workloads with four batch schedulers, at full
 // speed, with elastic execution at half speed, and over elastic links of
-// capacity 1 (where a transaction can commit ahead of earlier users of
-// its objects, the case settle exists for), and runs the availProbe
-// checks throughout. The probe settles before it checks, so an unwrapped
-// run of the engine is also compared with the rebuild oracle, which
-// resolves every entry afresh: that pins that the engine itself settles
-// where it reads.
+// capacity 1 (where on-time transactions wait for late, earlier users of
+// their objects), and runs the availProbe checks throughout. The
+// decisions of the probed run and of an unwrapped run must both equal
+// the rebuild oracle's, which resolves every entry afresh.
 func TestLiveAvailMatchesResolve(t *testing.T) {
 	mk := func(g *graph.Graph, err error) *graph.Graph {
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"dtm/internal/graph"
+	"dtm/internal/obs"
 )
 
 // twoObjectFunnel: two objects at node 0 must cross the single edge 0-1 to
@@ -109,6 +110,46 @@ func TestElasticPreservesPerObjectOrder(t *testing.T) {
 	// tx1 commits at 9 as decided (4 + 4 travel <= 9).
 	if res.Latency[0] != 4 || res.Latency[1] != 9 {
 		t.Errorf("latencies = %v, want [4 9]", res.Latency)
+	}
+}
+
+// TestElasticOnTimeWaitsForEarlierUser pins the per-object order for a
+// transaction that is on time: object 1 is queued at node 0 behind object
+// 0 on the capacity-1 edge {0,1}, so tx1 (exec 3) is late, and tx2 at node
+// 0 (exec 4) must wait for it although object 1 sits at its node. tx1
+// commits once object 1 crosses both edges, at 5+5+1 = 11, and tx2 once
+// it is back, at 11+1+5 = 17. Both waits count in core.elastic_waits.
+func TestElasticOnTimeWaitsForEarlierUser(t *testing.T) {
+	g := graph.MustNew(3)
+	if err := g.AddEdge(0, 1, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddEdge(1, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	in := &Instance{
+		G:       g,
+		Objects: []*Object{{ID: 0, Origin: 0}, {ID: 1, Origin: 0}},
+		Txns: []*Transaction{
+			{ID: 0, Node: 1, Objects: []ObjID{0}},
+			{ID: 1, Node: 2, Objects: []ObjID{1}},
+			{ID: 2, Node: 0, Objects: []ObjID{1}},
+		},
+	}
+	m := obs.New()
+	res, err := Replay(in, []Decision{
+		{Tx: 0, Exec: 5, At: 0},
+		{Tx: 1, Exec: 3, At: 0},
+		{Tx: 2, Exec: 4, At: 0},
+	}, SimOptions{LinkCapacity: 1, ElasticExec: true, Obs: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Latency[0] != 5 || res.Latency[1] != 11 || res.Latency[2] != 17 {
+		t.Errorf("commit times = %v, want [5 11 17]", res.Latency)
+	}
+	if got := m.Snapshot().Counters[obs.NameCoreElasticWaits.String()]; got != 2 {
+		t.Errorf("elastic waits = %d, want 2", got)
 	}
 }
 

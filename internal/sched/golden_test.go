@@ -459,7 +459,7 @@ var driverGoldens = map[string]string{
 	"run/clique/distributed/seed3":                  "18ecd61b559af056",
 	"run/clique/greedy-elastic-slow/seed1":          "31d4d7c41b25758c",
 	"run/clique/greedy-elastic-slow/seed2":          "4bce44e36370b90a",
-	"run/clique/greedy-elastic-slow/seed3":          "d9712979c9435c3e",
+	"run/clique/greedy-elastic-slow/seed3":          "af16a679244bd9cd",
 	"run/clique/greedy-pad2/seed1":                  "e5380f3338bb69f7",
 	"run/clique/greedy-pad2/seed2":                  "8da1bab11fefd459",
 	"run/clique/greedy-pad2/seed3":                  "e9bb6934992c27ff",
@@ -529,7 +529,7 @@ var driverGoldens = map[string]string{
 	"run/grid/distributed/seed1":                    "21fb57ca75e83a90",
 	"run/grid/distributed/seed2":                    "da811a60234e7d5a",
 	"run/grid/distributed/seed3":                    "9f0453c58c708162",
-	"run/grid/greedy-elastic-slow/seed1":            "3180c4019abf47db",
+	"run/grid/greedy-elastic-slow/seed1":            "411bbc857018a1fb",
 	"run/grid/greedy-elastic-slow/seed2":            "25708ec258f803eb",
 	"run/grid/greedy-elastic-slow/seed3":            "b05216706bbb1b7f",
 	"run/grid/greedy-pad2/seed1":                    "4359b6197725e3b9",
