@@ -206,14 +206,16 @@ var (
 	Tree = graph.Tree
 	// RandomConnected returns a seeded random connected graph.
 	RandomConnected = graph.RandomConnected
-	// NewGraph returns an empty graph for custom topologies.
+	// NewGraph builds a custom topology from its node count and links.
 	NewGraph = graph.New
 )
 
-// ClusterSpec and StarSpec parameterize Cluster and Star.
+// ClusterSpec and StarSpec parameterize Cluster and Star; Link is one
+// edge of a NewGraph topology.
 type (
 	ClusterSpec = graph.ClusterSpec
 	StarSpec    = graph.StarSpec
+	Link        = graph.Link
 )
 
 // Generate builds a workload instance on g (seeded, deterministic).
@@ -380,7 +382,8 @@ func CaptureTrace(in *Instance, rr *RunResult) *TraceRun {
 	return trace.Capture(in, rr)
 }
 
-// BuildCover constructs and verifies the Section V sparse cover hierarchy.
+// BuildCover constructs the Section V sparse cover hierarchy. It does not
+// check the cover properties; the hierarchy's Verify method does.
 func BuildCover(g *Graph, seed int64) (*CoverHierarchy, error) {
 	return cover.Build(g, seed)
 }

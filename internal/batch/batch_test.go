@@ -102,12 +102,7 @@ func TestProblemValidate(t *testing.T) {
 // them is Infinite. Every scheduler and every session reports the same
 // error instead of wrapped times.
 func TestSchedulersRefuseDisconnectedGraph(t *testing.T) {
-	g := graph.MustNew(4)
-	for _, e := range [][2]graph.NodeID{{0, 1}, {2, 3}} {
-		if err := g.AddEdge(e[0], e[1], 1); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := graph.MustNew(4, []graph.Link{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
 	txns := []*core.Transaction{
 		{ID: 0, Node: 0, Objects: []core.ObjID{0}},
 		{ID: 1, Node: 2, Objects: []core.ObjID{0}},

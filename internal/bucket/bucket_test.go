@@ -191,15 +191,7 @@ func TestBucketAlwaysFeasible(t *testing.T) {
 // and both engines: Start must refuse the graph, naming Lemma 3, rather
 // than run with a wrapped level count or period.
 func TestLevelsPastTwoTo62(t *testing.T) {
-	g, err := graph.New(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range [][2]graph.NodeID{{0, 1}, {1, 2}} {
-		if err := g.AddEdge(e[0], e[1], 1<<60); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := graph.MustNew(3, []graph.Link{{U: 0, V: 1, W: 1 << 60}, {U: 1, V: 2, W: 1 << 60}})
 	if _, err := MaxLevel(g, 1); err == nil || !strings.Contains(err.Error(), "Lemma 3") {
 		t.Errorf("MaxLevel: err = %v, want a refusal naming Lemma 3", err)
 	}

@@ -12,12 +12,8 @@ import (
 // reach users at node 1. With capacity 1 the second waits a full traversal.
 func twoObjectFunnel(t *testing.T, w graph.Weight) *Instance {
 	t.Helper()
-	g := graph.MustNew(2)
-	if err := g.AddEdge(0, 1, w); err != nil {
-		t.Fatal(err)
-	}
 	return &Instance{
-		G: g,
+		G: graph.MustNew(2, []graph.Link{{U: 0, V: 1, W: w}}),
 		Objects: []*Object{
 			{ID: 0, Origin: 0},
 			{ID: 1, Origin: 0},
@@ -120,15 +116,8 @@ func TestElasticPreservesPerObjectOrder(t *testing.T) {
 // commits once object 1 crosses both edges, at 5+5+1 = 11, and tx2 once
 // it is back, at 11+1+5 = 17. Both waits count in core.elastic_waits.
 func TestElasticOnTimeWaitsForEarlierUser(t *testing.T) {
-	g := graph.MustNew(3)
-	if err := g.AddEdge(0, 1, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(1, 2, 1); err != nil {
-		t.Fatal(err)
-	}
 	in := &Instance{
-		G:       g,
+		G:       graph.MustNew(3, []graph.Link{{U: 0, V: 1, W: 5}, {U: 1, V: 2, W: 1}}),
 		Objects: []*Object{{ID: 0, Origin: 0}, {ID: 1, Origin: 0}},
 		Txns: []*Transaction{
 			{ID: 0, Node: 1, Objects: []ObjID{0}},

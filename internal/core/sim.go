@@ -851,10 +851,6 @@ func (s *Sim) TotalComm() graph.Weight {
 	return w
 }
 
-// Failed returns the error that stopped the run, or nil while the run is
-// healthy. It replaces the removed Result.Err field.
-func (s *Sim) Failed() error { return s.failed }
-
 // LastUser returns the final decided user of object o (the one with the
 // largest execution time) and that time, or ok=false if no user is decided.
 // Batch schedulers use it to derive object availability.

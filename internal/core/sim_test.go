@@ -31,7 +31,7 @@ func TestValidateCatchesBadInstances(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid instance rejected: %v", err)
 	}
-	disconnected := graph.MustNew(3)
+	disconnected := graph.MustNew(3, nil)
 	cases := []struct {
 		name string
 		in   *Instance
@@ -195,15 +195,8 @@ func TestObjectServesUsersInExecOrderNotDecisionOrder(t *testing.T) {
 func TestForwardOnlyRuleOnHeavyEdge(t *testing.T) {
 	// Weight-3 edges: an object mid-edge must finish crossing before
 	// reversing, so a user behind it pays (remaining + way back).
-	g := graph.MustNew(3)
-	if err := g.AddEdge(0, 1, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(1, 2, 3); err != nil {
-		t.Fatal(err)
-	}
 	in := &Instance{
-		G:       g,
+		G:       graph.MustNew(3, []graph.Link{{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 3}}),
 		Objects: []*Object{{ID: 0, Origin: 0}},
 		Txns: []*Transaction{
 			{ID: 0, Node: 2, Objects: []ObjID{0}},
@@ -244,15 +237,8 @@ func TestForwardOnlyRuleOnHeavyEdge(t *testing.T) {
 }
 
 func TestForwardOnlyViolationDetected(t *testing.T) {
-	g := graph.MustNew(3)
-	if err := g.AddEdge(0, 1, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(1, 2, 3); err != nil {
-		t.Fatal(err)
-	}
 	in := &Instance{
-		G:       g,
+		G:       graph.MustNew(3, []graph.Link{{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 3}}),
 		Objects: []*Object{{ID: 0, Origin: 0}},
 		Txns: []*Transaction{
 			{ID: 0, Node: 2, Objects: []ObjID{0}},
@@ -348,16 +334,11 @@ func TestNewSimRefusesOverflowingSlowFactor(t *testing.T) {
 	// star has the given number of leaves on edges of weight w, and one
 	// transaction at a leaf for an object at the center.
 	star := func(leaves int, w graph.Weight) *Instance {
-		g, err := graph.New(leaves + 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var links []graph.Link
 		for v := 1; v <= leaves; v++ {
-			if err := g.AddEdge(0, graph.NodeID(v), w); err != nil {
-				t.Fatal(err)
-			}
+			links = append(links, graph.Link{U: 0, V: graph.NodeID(v), W: w})
 		}
-		return &Instance{G: g, Objects: []*Object{{ID: 0, Origin: 0}},
+		return &Instance{G: graph.MustNew(leaves+1, links), Objects: []*Object{{ID: 0, Origin: 0}},
 			Txns: []*Transaction{{ID: 0, Node: 1, Objects: []ObjID{0}}}}
 	}
 	// Path bound 2 × 2^20 = 2^21; slow factor 2^41 puts the product at

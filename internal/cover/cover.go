@@ -11,9 +11,10 @@
 // The construction here is randomized ball carving with random radii
 // (Gupta-Hajiaghayi-Räcke / Sharma-Busch lineage, the papers the IPPS paper
 // cites): each sub-layer carves clusters around a random permutation of
-// centers with radius in [2^l, 2 * 2^l); nodes whose neighborhood is padded
-// inside their cluster become homed; sub-layers are added until every node
-// is homed. Verify checks every property the scheduling lemmas consume.
+// centers with radius in [2 * 2^l, 4 * 2^l); nodes whose neighborhood is
+// padded inside their cluster become homed; sub-layers are added until
+// every node is homed. Verify checks every property the scheduling lemmas
+// consume.
 package cover
 
 import (
@@ -198,8 +199,8 @@ func (h *Hierarchy) WeakDiameter(c *Cluster) graph.Weight {
 
 // Verify checks the structural properties the Section V lemmas rely on:
 // every sub-layer is a partition; every home cluster contains the needed
-// neighborhood; weak diameters are below 4 * 2^layer; and every node has a
-// home at every layer.
+// neighborhood; weak diameters are below 8 * 2^layer, twice the largest
+// carving radius; and every node has a home at every layer.
 func (h *Hierarchy) Verify() error {
 	n := h.G.N()
 	for l, subs := range h.Layers {

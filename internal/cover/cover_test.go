@@ -138,9 +138,7 @@ func TestBuildDeterministic(t *testing.T) {
 }
 
 func TestBuildRejectsDisconnected(t *testing.T) {
-	g := graph.MustNew(4)
-	_ = g.AddEdge(0, 1, 1)
-	_ = g.AddEdge(2, 3, 1)
+	g := graph.MustNew(4, []graph.Link{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
 	if _, err := Build(g, 0); err == nil {
 		t.Error("disconnected graph: want error")
 	}

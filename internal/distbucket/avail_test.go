@@ -111,15 +111,11 @@ func TestProbeAvailMatchesKnowledge(t *testing.T) {
 // scheduler: Start must refuse the graph, naming Lemma 3, rather than run
 // with a wrapped level count or announce wrapped execution times.
 func TestHugeWeightsNoPanic(t *testing.T) {
-	g, err := graph.New(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var links []graph.Link
 	for v := graph.NodeID(0); v < 3; v++ {
-		if err := g.AddEdge(v, v+1, 1<<59); err != nil {
-			t.Fatal(err)
-		}
+		links = append(links, graph.Link{U: v, V: v + 1, W: 1 << 59})
 	}
+	g := graph.MustNew(4, links)
 	in := &core.Instance{
 		G:       g,
 		Objects: []*core.Object{{ID: 0, Origin: 0}, {ID: 1, Origin: 3}},

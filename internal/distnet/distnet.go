@@ -12,13 +12,13 @@
 package distnet
 
 import (
-	"container/heap"
 	"fmt"
 	"reflect"
 
 	"dtm/internal/core"
 	"dtm/internal/graph"
 	"dtm/internal/obs"
+	"dtm/internal/pq"
 )
 
 // EventKind discriminates handler events.
@@ -118,26 +118,17 @@ type queuedEvent struct {
 	ev     Event
 }
 
-type eventQueue []queuedEvent
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// lessQueued orders the event queue by (at, node, seq). seq is unique per
+// push, so the order is total and the pop sequence does not depend on the
+// heap's layout.
+func lessQueued(a, b queuedEvent) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if q[i].node != q[j].node {
-		return q[i].node < q[j].node
+	if a.node != b.node {
+		return a.node < b.node
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(queuedEvent)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // Options configure an Engine.
@@ -191,7 +182,7 @@ type Engine struct {
 	faulty   bool
 
 	now   core.Time
-	queue eventQueue
+	queue *pq.Heap[queuedEvent]
 	seq   int
 
 	msgsSent    int
@@ -226,6 +217,7 @@ func New(g *graph.Graph, handlers []Handler, opts Options) (*Engine, error) {
 	e := &Engine{
 		g: g, handlers: handlers, opts: opts,
 		faulty:  opts.Faults.Enabled(),
+		queue:   pq.New(lessQueued),
 		sendSeq: make([]int64, g.N()),
 		met:     newEngineMetrics(opts.Obs),
 	}
@@ -299,15 +291,15 @@ func (e *Engine) InjectAt(t core.Time, node graph.NodeID, payload interface{}) e
 func (e *Engine) push(qe queuedEvent) {
 	qe.seq = e.seq
 	e.seq++
-	heap.Push(&e.queue, qe)
+	e.queue.Push(qe)
 }
 
 // NextEvent reports the earliest pending event time.
 func (e *Engine) NextEvent() (core.Time, bool) {
-	if len(e.queue) == 0 {
+	if e.queue.Len() == 0 {
 		return 0, false
 	}
-	return e.queue[0].at, true
+	return e.queue.Peek().at, true
 }
 
 // RunUntil processes every event with time <= t and advances the clock to t.
@@ -315,12 +307,12 @@ func (e *Engine) RunUntil(t core.Time) error {
 	if t < e.now {
 		return fmt.Errorf("distnet: cannot rewind from t=%d to t=%d", e.now, t)
 	}
-	for len(e.queue) > 0 && e.queue[0].at <= t {
-		at := e.queue[0].at
+	for e.queue.Len() > 0 && e.queue.Peek().at <= t {
+		at := e.queue.Peek().at
 		e.now = at
 		// Same-time self-sends and wakes spawn additional passes within
 		// the step; bound them to catch ping-pong bugs.
-		for pass := 0; len(e.queue) > 0 && e.queue[0].at == at; pass++ {
+		for pass := 0; e.queue.Len() > 0 && e.queue.Peek().at == at; pass++ {
 			if pass > 10000 {
 				return fmt.Errorf("distnet: livelock at t=%d: handlers keep generating same-step events", at)
 			}
@@ -344,8 +336,8 @@ func (e *Engine) stepOnce(at core.Time) error {
 	// The heap pops in (node, seq) order at equal times, so each node's
 	// events arrive contiguously and in seq order.
 	var batches []nodeBatch
-	for len(e.queue) > 0 && e.queue[0].at == at {
-		qe := heap.Pop(&e.queue).(queuedEvent)
+	for e.queue.Len() > 0 && e.queue.Peek().at == at {
+		qe := e.queue.Pop()
 		if n := len(batches); n == 0 || batches[n-1].node != qe.node {
 			batches = append(batches, nodeBatch{node: qe.node})
 		}

@@ -14,7 +14,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 
 	"dtm/internal/batch"
@@ -147,14 +146,8 @@ func genUniform(g *graph.Graph, k, numObjects, rounds int, period core.Time, see
 func newGreedy() sched.Scheduler        { return greedy.New(greedy.Options{}) }
 func newGreedyUniform() sched.Scheduler { return greedy.New(greedy.Options{Uniform: true}) }
 func newBucketTour() sched.Scheduler    { return bucket.New(bucket.Options{Batch: batch.Tour{}}) }
-func newBucketColoring() sched.Scheduler {
-	return bucket.New(bucket.Options{Batch: batch.Coloring{}})
-}
-func newBucketList() sched.Scheduler { return bucket.New(bucket.Options{Batch: batch.List{}}) }
-func newWindow() sched.Scheduler     { return window.New(window.Options{}) }
+func newBucketList() sched.Scheduler    { return bucket.New(bucket.Options{Batch: batch.List{}}) }
+func newWindow() sched.Scheduler        { return window.New(window.Options{}) }
 func newDistributed(seed int64) sched.Scheduler {
 	return distbucket.New(distbucket.Options{Seed: seed})
 }
-
-func f2(x float64) string { return fmt.Sprintf("%.2f", x) }
-func f1(x float64) string { return fmt.Sprintf("%.1f", x) }

@@ -5,12 +5,13 @@
 // the canonical metric-closure minimum spanning tree (MST) that the tour
 // batch scheduler and the lower-bound estimators share.
 //
-// All query methods are safe for concurrent use; shortest-path trees are
-// computed lazily per source and cached, and trees for distinct sources
-// build concurrently (per-source build locks). WarmTrees builds every
-// tree up front over a bounded set of goroutines; it is one of the two
-// places in the module allowed to start goroutines (the gosites lint
-// rule). AddEdge must not race with queries: construct first, then query.
+// New builds a graph from its whole edge list, and its edges never change
+// afterwards, as the model's graph is fixed for the whole run. All query
+// methods are safe for concurrent use; shortest-path trees are computed
+// lazily per source and cached, and trees for distinct sources build
+// concurrently (per-source build locks). WarmTrees builds every tree up
+// front over a bounded set of goroutines; it is one of the two places in
+// the module allowed to start goroutines (the gosites lint rule).
 package graph
 
 import (
@@ -39,15 +40,20 @@ type Edge struct {
 	W  Weight
 }
 
+// Link is an undirected edge {U, V} of weight W in the list New builds a
+// graph from.
+type Link struct {
+	U, V NodeID
+	W    Weight
+}
+
 // Graph is an undirected weighted graph with positive integer edge weights.
-// The zero value is not usable; construct with New.
+// Its edges are fixed by New. The zero value is not usable.
 type Graph struct {
 	name string
 	adj  [][]Edge
-	nbr  []map[NodeID]int // per-node: neighbor -> index into adj[u]
 	m    int
 
-	mu    sync.RWMutex             // write: edge insertion; read: in-flight tree builds
 	build []sync.Mutex             // per-source build locks: distinct sources build concurrently
 	trees []atomic.Pointer[spTree] // lazily built shortest-path tree per source
 }
@@ -62,26 +68,71 @@ type treeEntry struct {
 	hop    int32 // first node after the source on the path; -1 for source/unreachable
 }
 
-// New returns an empty graph with n nodes and no edges. It refuses n above
-// math.MaxInt32, the largest node ID a shortest-path tree row holds.
-func New(n int) (*Graph, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("graph: node count must be positive, got %d", n)
+// New returns the graph on n nodes with the given links. It refuses a node
+// count outside [1, math.MaxInt32] (the largest node ID a shortest-path
+// tree row holds), a self-loop, an endpoint out of range, and a weight
+// outside [1, Infinite). Parallel links merge into one edge of the
+// smallest weight, kept where the first of them falls in each adjacency
+// list.
+func New(n int, links []Link) (*Graph, error) {
+	if err := checkNodes(n); err != nil {
+		return nil, err
 	}
-	if n > math.MaxInt32 {
-		return nil, fmt.Errorf("graph: node count %d exceeds %d", n, math.MaxInt32)
-	}
-	return &Graph{
+	g := &Graph{
 		adj:   make([][]Edge, n),
-		nbr:   make([]map[NodeID]int, n),
 		build: make([]sync.Mutex, n),
 		trees: make([]atomic.Pointer[spTree], n),
-	}, nil
+	}
+	// at maps an edge {lo, hi} to its positions in adj[lo] and adj[hi].
+	at := make(map[[2]NodeID][2]int, len(links))
+	for _, l := range links {
+		u, v, w := l.U, l.V, l.W
+		if u == v {
+			return nil, fmt.Errorf("graph: self-loop at node %d", u)
+		}
+		if !g.valid(u) || !g.valid(v) {
+			return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, n)
+		}
+		if w <= 0 {
+			return nil, fmt.Errorf("graph: edge {%d,%d} has non-positive weight %d", u, v, w)
+		}
+		// Dijkstra stores only distances below Infinite (2^62), so a stored
+		// distance plus an edge weight stays below 2^63 and cannot wrap.
+		if w >= Infinite {
+			return nil, fmt.Errorf("graph: edge {%d,%d} has weight %d, not below %d", u, v, w, Infinite)
+		}
+		u, v = min(u, v), max(u, v)
+		if i, ok := at[[2]NodeID{u, v}]; ok {
+			if w < g.adj[u][i[0]].W {
+				g.adj[u][i[0]].W = w
+				g.adj[v][i[1]].W = w
+			}
+			continue
+		}
+		at[[2]NodeID{u, v}] = [2]int{len(g.adj[u]), len(g.adj[v])}
+		g.adj[u] = append(g.adj[u], Edge{To: v, W: w})
+		g.adj[v] = append(g.adj[v], Edge{To: u, W: w})
+	}
+	g.m = len(at)
+	return g, nil
 }
 
-// MustNew is New for statically valid sizes; it panics on error.
-func MustNew(n int) *Graph {
-	g, err := New(n)
+// checkNodes refuses a node count New cannot hold. The topology
+// constructors call it before they list any link, so an oversized request
+// fails before it allocates.
+func checkNodes(n int) error {
+	if n <= 0 {
+		return fmt.Errorf("graph: node count must be positive, got %d", n)
+	}
+	if n > math.MaxInt32 {
+		return fmt.Errorf("graph: node count %d exceeds %d", n, math.MaxInt32)
+	}
+	return nil
+}
+
+// MustNew is New for statically valid inputs; it panics on error.
+func MustNew(n int, links []Link) *Graph {
+	g, err := New(n, links)
 	if err != nil {
 		panic(err)
 	}
@@ -100,52 +151,6 @@ func (g *Graph) N() int { return len(g.adj) }
 // M returns the number of undirected edges.
 func (g *Graph) M() int { return g.m }
 
-// AddEdge inserts an undirected edge {u, v} of weight w. It is an error to
-// add a self-loop, an out-of-range endpoint, or a weight outside
-// [1, Infinite). Parallel edges are coalesced, keeping the smaller weight.
-func (g *Graph) AddEdge(u, v NodeID, w Weight) error {
-	if u == v {
-		return fmt.Errorf("graph: self-loop at node %d", u)
-	}
-	if !g.valid(u) || !g.valid(v) {
-		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, g.N())
-	}
-	if w <= 0 {
-		return fmt.Errorf("graph: edge {%d,%d} has non-positive weight %d", u, v, w)
-	}
-	// Dijkstra stores only distances below Infinite (2^62), so a stored
-	// distance plus an edge weight stays below 2^63 and cannot wrap.
-	if w >= Infinite {
-		return fmt.Errorf("graph: edge {%d,%d} has weight %d, not below %d", u, v, w, Infinite)
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for i := range g.trees {
-		g.trees[i].Store(nil) // invalidate caches
-	}
-	// Neighbor maps keep edge insertion O(1) instead of a linear adjacency
-	// scan, which made dense-topology construction quadratic.
-	if g.nbr[u] == nil {
-		g.nbr[u] = make(map[NodeID]int)
-	}
-	if g.nbr[v] == nil {
-		g.nbr[v] = make(map[NodeID]int)
-	}
-	if i, ok := g.nbr[u][v]; ok {
-		if w < g.adj[u][i].W {
-			g.adj[u][i].W = w
-			g.adj[v][g.nbr[v][u]].W = w
-		}
-		return nil
-	}
-	g.nbr[u][v] = len(g.adj[u])
-	g.nbr[v][u] = len(g.adj[v])
-	g.adj[u] = append(g.adj[u], Edge{To: v, W: w})
-	g.adj[v] = append(g.adj[v], Edge{To: u, W: w})
-	g.m++
-	return nil
-}
-
 func (g *Graph) valid(u NodeID) bool { return u >= 0 && int(u) < g.N() }
 
 // Neighbors returns the adjacency list of u. The returned slice must not be
@@ -157,13 +162,13 @@ func (g *Graph) Neighbors(u NodeID) []Edge {
 	return g.adj[u]
 }
 
-// EdgeWeight returns the weight of edge {u,v} and whether it exists.
+// EdgeWeight returns the weight of edge {u,v} and whether it exists. It
+// scans u's adjacency list.
 func (g *Graph) EdgeWeight(u, v NodeID) (Weight, bool) {
-	if !g.valid(u) || !g.valid(v) {
-		return 0, false
-	}
-	if i, ok := g.nbr[u][v]; ok {
-		return g.adj[u][i].W, true
+	for _, e := range g.Neighbors(u) {
+		if e.To == v {
+			return e.W, true
+		}
 	}
 	return 0, false
 }
@@ -174,9 +179,7 @@ func (g *Graph) EdgeWeight(u, v NodeID) (Weight, bool) {
 // showed up in profiles — so concurrent sweep cells sharing one topology
 // answer queries without synchronizing. A cache miss takes only the
 // per-source build lock (re-checking under it), so WarmTrees builds
-// trees for distinct sources concurrently; the graph-wide RLock held
-// across the build and the store keeps an AddEdge from interleaving
-// between a build and its publication.
+// trees for distinct sources concurrently.
 func (g *Graph) tree(src NodeID) spTree {
 	if t := g.trees[src].Load(); t != nil {
 		return *t
@@ -186,8 +189,6 @@ func (g *Graph) tree(src NodeID) spTree {
 	if t := g.trees[src].Load(); t != nil {
 		return *t
 	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	t := g.dijkstra(src)
 	g.trees[src].Store(&t)
 	return t

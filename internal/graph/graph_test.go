@@ -21,55 +21,51 @@ func TestNewRejectsNonPositive(t *testing.T) {
 	// Above math.MaxInt32 a node ID no longer fits a tree row; New must
 	// refuse before allocating anything.
 	for _, n := range []int{0, -1, -100, math.MaxInt32 + 1} {
-		if _, err := New(n); err == nil {
+		if _, err := New(n, nil); err == nil {
 			t.Errorf("New(%d): want error, got nil", n)
 		}
 	}
 }
 
-func TestAddEdgeValidation(t *testing.T) {
-	g := MustNew(3)
+// A bad link refuses the whole list, also after a good one, with an error
+// that names it.
+func TestNewRejectsBadLinks(t *testing.T) {
 	cases := []struct {
-		u, v NodeID
-		w    Weight
+		bad  Link
+		want string
 	}{
-		{0, 0, 1},             // self loop
-		{0, 3, 1},             // out of range
-		{-1, 1, 1},            // negative node
-		{0, 1, 0},             // zero weight
-		{0, 1, -5},            // negative weight
-		{0, 1, Infinite},      // weight a distance sum could wrap
-		{0, 1, math.MaxInt64}, // weight a distance sum could wrap
+		{Link{0, 0, 1}, "graph: self-loop at node 0"},
+		{Link{0, 3, 1}, "graph: edge {0,3} out of range [0,3)"},
+		{Link{-1, 1, 1}, "graph: edge {-1,1} out of range [0,3)"},
+		{Link{0, 1, 0}, "graph: edge {0,1} has non-positive weight 0"},
+		{Link{0, 1, -5}, "graph: edge {0,1} has non-positive weight -5"},
+		// Weights a distance sum could wrap.
+		{Link{0, 1, Infinite}, fmt.Sprintf("graph: edge {0,1} has weight %d, not below %d", Infinite, Infinite)},
+		{Link{0, 1, math.MaxInt64}, fmt.Sprintf("graph: edge {0,1} has weight %d, not below %d", math.MaxInt64, Infinite)},
 	}
 	for _, c := range cases {
-		if err := g.AddEdge(c.u, c.v, c.w); err == nil {
-			t.Errorf("AddEdge(%d,%d,%d): want error, got nil", c.u, c.v, c.w)
+		g, err := New(3, []Link{{1, 2, 1}, c.bad})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("New(3, [{1,2,1} %v]) = %v, %v; want error %q", c.bad, g, err, c.want)
 		}
-	}
-	if g.M() != 0 {
-		t.Errorf("invalid edges were added: m=%d", g.M())
 	}
 }
 
+// Parallel links merge into one edge of the smallest weight, at the first
+// link's place in both adjacency lists.
 func TestParallelEdgesKeepMinWeight(t *testing.T) {
-	g := MustNew(2)
-	if err := g.AddEdge(0, 1, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(1, 0, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(0, 1, 7); err != nil {
-		t.Fatal(err)
-	}
-	if g.M() != 1 {
-		t.Fatalf("M() = %d, want 1", g.M())
+	g := MustNew(3, []Link{{0, 1, 5}, {2, 0, 4}, {1, 0, 3}, {0, 1, 7}})
+	if g.M() != 2 {
+		t.Fatalf("M() = %d, want 2", g.M())
 	}
 	if w, ok := g.EdgeWeight(0, 1); !ok || w != 3 {
 		t.Fatalf("EdgeWeight(0,1) = %d,%v, want 3,true", w, ok)
 	}
 	if d := g.Dist(0, 1); d != 3 {
 		t.Fatalf("Dist(0,1) = %d, want 3", d)
+	}
+	if got := fmt.Sprint(g.Neighbors(0), g.Neighbors(1)); got != "[{1 3} {2 4}] [{0 3}]" {
+		t.Fatalf("adjacency of 0 and 1 = %s, want [{1 3} {2 4}] [{0 3}]", got)
 	}
 }
 
@@ -97,15 +93,7 @@ func abs(x int) int {
 
 func TestWeightedShortestPathPrefersLightRoute(t *testing.T) {
 	// 0 -10- 1, 0 -1- 2 -1- 1: the two-hop route is shorter.
-	g := MustNew(3)
-	for _, e := range []struct {
-		u, v NodeID
-		w    Weight
-	}{{0, 1, 10}, {0, 2, 1}, {2, 1, 1}} {
-		if err := g.AddEdge(e.u, e.v, e.w); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := MustNew(3, []Link{{0, 1, 10}, {0, 2, 1}, {2, 1, 1}})
 	if d := g.Dist(0, 1); d != 2 {
 		t.Fatalf("Dist(0,1) = %d, want 2", d)
 	}
@@ -125,13 +113,7 @@ func TestWeightedShortestPathPrefersLightRoute(t *testing.T) {
 }
 
 func TestDisconnected(t *testing.T) {
-	g := MustNew(4)
-	if err := g.AddEdge(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(2, 3, 1); err != nil {
-		t.Fatal(err)
-	}
+	g := MustNew(4, []Link{{0, 1, 1}, {2, 3, 1}})
 	if g.Connected() {
 		t.Error("Connected() = true, want false")
 	}
@@ -203,30 +185,28 @@ func TestNextHopConsistentWithDist(t *testing.T) {
 // The Sim takes a hop's weight from the source's tree: the first node
 // after u on a shortest path has u as its tree parent, so its distance is
 // the weight of the edge between them, also after parallel edges were
-// coalesced.
+// merged.
 func TestNextHopDistIsEdgeWeight(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		g, err := RandomConnected(30, 45, 6, seed)
+		r, err := RandomConnected(30, 45, 6, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for u := 0; u < g.N(); u++ {
-			for i, e := range g.Neighbors(NodeID(u)) {
-				if int(e.To) < u {
+		var links []Link
+		for u := NodeID(0); int(u) < r.N(); u++ {
+			for i, e := range r.Neighbors(u) {
+				if e.To < u {
 					continue
 				}
-				// Re-add every edge heavier (kept at its weight) and every
-				// other one lighter (lowered to 1).
-				if err := g.AddEdge(NodeID(u), e.To, e.W+3); err != nil {
-					t.Fatal(err)
-				}
+				// List every edge again heavier (kept at its weight) and
+				// every other one lighter (lowered to 1).
+				links = append(links, Link{u, e.To, e.W}, Link{u, e.To, e.W + 3})
 				if i%2 == 0 {
-					if err := g.AddEdge(e.To, NodeID(u), 1); err != nil {
-						t.Fatal(err)
-					}
+					links = append(links, Link{e.To, u, 1})
 				}
 			}
 		}
+		g := MustNew(r.N(), links)
 		for u := NodeID(0); int(u) < g.N(); u++ {
 			for v := NodeID(0); int(v) < g.N(); v++ {
 				if u == v {
@@ -363,8 +343,9 @@ func TestClusterTopology(t *testing.T) {
 	if d := g.Dist(1, 2); d != 1 {
 		t.Errorf("intra-clique Dist = %d, want 1", d)
 	}
-	// Across cliques: to bridge (<=1) + gamma + from bridge (<=1).
-	if d := g.Dist(ClusterBridge(spec, 0), ClusterBridge(spec, 1)); d != 5 {
+	// Across cliques: to bridge (<=1) + gamma + from bridge (<=1). Clique
+	// c's bridge is node c*beta.
+	if d := g.Dist(0, 4); d != 5 {
 		t.Errorf("bridge-to-bridge Dist = %d, want 5", d)
 	}
 	if d := g.Dist(1, 5); d != 1+5+1 {
@@ -372,6 +353,11 @@ func TestClusterTopology(t *testing.T) {
 	}
 	if _, err := Cluster(ClusterSpec{Alpha: 2, Beta: 4, Gamma: 2}); err == nil {
 		t.Error("gamma < beta: want error")
+	}
+	// A node count past math.MaxInt32 is refused before any link is
+	// listed, also when alpha*beta wraps to a small int.
+	if _, err := Cluster(ClusterSpec{Alpha: 1<<62 + 1, Beta: 4, Gamma: 4}); err == nil {
+		t.Error("alpha*beta past MaxInt32: want error")
 	}
 }
 
@@ -394,6 +380,9 @@ func TestStarTopology(t *testing.T) {
 	}
 	if d := g.Diameter(); d != 6 {
 		t.Errorf("star diameter = %d, want 6", d)
+	}
+	if _, err := Star(StarSpec{Rays: 1<<62 + 1, RayLen: 4}); err == nil {
+		t.Error("1+rays*rayLen past MaxInt32: want error")
 	}
 }
 
@@ -450,13 +439,7 @@ func TestMetricMST(t *testing.T) {
 		t.Errorf("MetricMST(dups) = %d, want 5", w)
 	}
 	// Not mutually reachable: two components {0, 1} and {2, 3}.
-	h := MustNew(4)
-	if err := h.AddEdge(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.AddEdge(2, 3, 1); err != nil {
-		t.Fatal(err)
-	}
+	h := MustNew(4, []Link{{0, 1, 1}, {2, 3, 1}})
 	if w := h.MetricMST([]NodeID{0, 1, 2, 3}); w != Infinite {
 		t.Errorf("MetricMST(unreachable) = %d, want Infinite", w)
 	}
@@ -480,16 +463,11 @@ func TestBall(t *testing.T) {
 }
 
 func TestMinMaxEdgeWeight(t *testing.T) {
-	g := MustNew(3)
+	g := MustNew(3, nil)
 	if g.MaxEdgeWeight() != 0 || g.MinEdgeWeight() != 0 {
 		t.Error("edgeless graph should report 0 min/max weight")
 	}
-	if err := g.AddEdge(0, 1, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(1, 2, 8); err != nil {
-		t.Fatal(err)
-	}
+	g = MustNew(3, []Link{{0, 1, 3}, {1, 2, 8}})
 	if g.MinEdgeWeight() != 3 || g.MaxEdgeWeight() != 8 {
 		t.Errorf("min/max = %d/%d, want 3/8", g.MinEdgeWeight(), g.MaxEdgeWeight())
 	}
@@ -555,8 +533,29 @@ func BenchmarkDijkstraHypercube10(b *testing.B) {
 	}
 }
 
+// BenchmarkConstruct builds a long path and a dense clique. Construction
+// is linear in the edge list, so each takes tens of milliseconds; a build
+// that touched every node per edge would take minutes on the path alone.
+func BenchmarkConstruct(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		build func() (*Graph, error)
+	}{
+		{"line131072", func() (*Graph, error) { return Line(1 << 17) }},
+		{"clique1024", func() (*Graph, error) { return Clique(1024) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := c.build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestConcurrentQueries hammers the lazily built shortest-path-tree cache
-// from many goroutines (exercising the RWMutex fast path) and checks the
+// from many goroutines (exercising the atomic-load fast path) and checks the
 // answers match a sequential baseline. Run with -race.
 func TestConcurrentQueries(t *testing.T) {
 	g, err := Grid(5, 5)

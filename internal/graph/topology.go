@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -9,6 +10,17 @@ import (
 // the paper (Section I, "Contributions"): Clique, Hypercube, Butterfly,
 // Grid, Line, Cluster, and Star, plus a few generic families (Ring, Tree,
 // random connected) used by the test suite and the workload generators.
+// Each lists its links and builds the graph with one call to New.
+
+// newNamed is New followed by SetName.
+func newNamed(name string, n int, links []Link) (*Graph, error) {
+	g, err := New(n, links)
+	if err != nil {
+		return nil, err
+	}
+	g.SetName(name)
+	return g, nil
+}
 
 // Clique returns the complete graph on n nodes with unit edge weights.
 func Clique(n int) (*Graph, error) {
@@ -19,38 +31,37 @@ func Clique(n int) (*Graph, error) {
 // weight beta. The paper analyzes the hypercube by overlaying it with a
 // weighted clique of beta = log n (Section III-D).
 func WeightedClique(n int, beta Weight) (*Graph, error) {
-	g, err := New(n)
-	if err != nil {
+	if err := checkNodes(n); err != nil {
 		return nil, err
 	}
+	var links []Link
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			if err := g.AddEdge(NodeID(u), NodeID(v), beta); err != nil {
-				return nil, err
-			}
+			links = append(links, Link{NodeID(u), NodeID(v), beta})
 		}
 	}
-	if beta == 1 {
-		g.SetName(fmt.Sprintf("clique%d", n))
-	} else {
-		g.SetName(fmt.Sprintf("clique%d/w%d", n, beta))
+	name := fmt.Sprintf("clique%d", n)
+	if beta != 1 {
+		name += fmt.Sprintf("/w%d", beta)
 	}
-	return g, nil
+	return newNamed(name, n, links)
 }
 
 // Line returns the path graph on n ordered nodes with unit edge weights.
 func Line(n int) (*Graph, error) {
-	g, err := New(n)
-	if err != nil {
+	if err := checkNodes(n); err != nil {
 		return nil, err
 	}
+	return newNamed(fmt.Sprintf("line%d", n), n, pathLinks(n))
+}
+
+// pathLinks lists the unit links {u, u+1} of the path on n >= 1 nodes.
+func pathLinks(n int) []Link {
+	links := make([]Link, 0, n)
 	for u := 0; u+1 < n; u++ {
-		if err := g.AddEdge(NodeID(u), NodeID(u+1), 1); err != nil {
-			return nil, err
-		}
+		links = append(links, Link{NodeID(u), NodeID(u + 1), 1})
 	}
-	g.SetName(fmt.Sprintf("line%d", n))
-	return g, nil
+	return links
 }
 
 // Ring returns the cycle graph on n >= 3 nodes with unit edge weights.
@@ -58,15 +69,10 @@ func Ring(n int) (*Graph, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("graph: ring needs at least 3 nodes, got %d", n)
 	}
-	g, err := Line(n)
-	if err != nil {
+	if err := checkNodes(n); err != nil {
 		return nil, err
 	}
-	if err := g.AddEdge(NodeID(n-1), 0, 1); err != nil {
-		return nil, err
-	}
-	g.SetName(fmt.Sprintf("ring%d", n))
-	return g, nil
+	return newNamed(fmt.Sprintf("ring%d", n), n, append(pathLinks(n), Link{NodeID(n - 1), 0, 1}))
 }
 
 // Grid returns the multi-dimensional lattice with the given side lengths and
@@ -87,10 +93,6 @@ func Grid(dims ...int) (*Graph, error) {
 		}
 		n *= d
 	}
-	g, err := New(n)
-	if err != nil {
-		return nil, err
-	}
 	// Mixed-radix coordinates: node id = sum coord[i] * stride[i].
 	strides := make([]int, len(dims))
 	s := 1
@@ -99,6 +101,7 @@ func Grid(dims ...int) (*Graph, error) {
 		s *= dims[i]
 	}
 	coord := make([]int, len(dims))
+	var links []Link
 	for id := 0; id < n; id++ {
 		rest := id
 		for i := range dims {
@@ -107,14 +110,11 @@ func Grid(dims ...int) (*Graph, error) {
 		}
 		for i := range dims {
 			if coord[i]+1 < dims[i] {
-				if err := g.AddEdge(NodeID(id), NodeID(id+strides[i]), 1); err != nil {
-					return nil, err
-				}
+				links = append(links, Link{NodeID(id), NodeID(id + strides[i]), 1})
 			}
 		}
 	}
-	g.SetName(fmt.Sprintf("grid%v", dims))
-	return g, nil
+	return newNamed(fmt.Sprintf("grid%v", dims), n, links)
 }
 
 // Hypercube returns the dim-dimensional hypercube on n = 2^dim nodes with
@@ -125,22 +125,15 @@ func Hypercube(dim int) (*Graph, error) {
 		return nil, fmt.Errorf("graph: hypercube dimension must be in [1,20], got %d", dim)
 	}
 	n := 1 << dim
-	g, err := New(n)
-	if err != nil {
-		return nil, err
-	}
+	var links []Link
 	for u := 0; u < n; u++ {
 		for b := 0; b < dim; b++ {
-			v := u ^ (1 << b)
-			if u < v {
-				if err := g.AddEdge(NodeID(u), NodeID(v), 1); err != nil {
-					return nil, err
-				}
+			if v := u ^ (1 << b); u < v {
+				links = append(links, Link{NodeID(u), NodeID(v), 1})
 			}
 		}
 	}
-	g.SetName(fmt.Sprintf("hypercube%d", dim))
-	return g, nil
+	return newNamed(fmt.Sprintf("hypercube%d", dim), n, links)
 }
 
 // Butterfly returns the dim-dimensional (non-wrapped) butterfly network:
@@ -151,24 +144,16 @@ func Butterfly(dim int) (*Graph, error) {
 		return nil, fmt.Errorf("graph: butterfly dimension must be in [1,16], got %d", dim)
 	}
 	rows := 1 << dim
-	n := (dim + 1) * rows
-	g, err := New(n)
-	if err != nil {
-		return nil, err
-	}
 	id := func(level, row int) NodeID { return NodeID(level*rows + row) }
+	var links []Link
 	for level := 0; level < dim; level++ {
 		for row := 0; row < rows; row++ {
-			if err := g.AddEdge(id(level, row), id(level+1, row), 1); err != nil {
-				return nil, err
-			}
-			if err := g.AddEdge(id(level, row), id(level+1, row^(1<<level)), 1); err != nil {
-				return nil, err
-			}
+			links = append(links,
+				Link{id(level, row), id(level+1, row), 1},
+				Link{id(level, row), id(level+1, row^(1<<level)), 1})
 		}
 	}
-	g.SetName(fmt.Sprintf("butterfly%d", dim))
-	return g, nil
+	return newNamed(fmt.Sprintf("butterfly%d", dim), (dim+1)*rows, links)
 }
 
 // ClusterSpec describes the cluster topology of Section IV-D: alpha cliques
@@ -190,35 +175,25 @@ func Cluster(spec ClusterSpec) (*Graph, error) {
 	if spec.Gamma < Weight(spec.Beta) {
 		return nil, fmt.Errorf("graph: cluster needs gamma >= beta, got gamma=%d beta=%d", spec.Gamma, spec.Beta)
 	}
-	n := spec.Alpha * spec.Beta
-	g, err := New(n)
-	if err != nil {
-		return nil, err
+	if spec.Alpha > math.MaxInt32/spec.Beta {
+		return nil, fmt.Errorf("graph: cluster of %d cliques of %d nodes exceeds %d nodes", spec.Alpha, spec.Beta, math.MaxInt32)
 	}
+	var links []Link
 	for c := 0; c < spec.Alpha; c++ {
 		base := c * spec.Beta
 		for i := 0; i < spec.Beta; i++ {
 			for j := i + 1; j < spec.Beta; j++ {
-				if err := g.AddEdge(NodeID(base+i), NodeID(base+j), 1); err != nil {
-					return nil, err
-				}
+				links = append(links, Link{NodeID(base + i), NodeID(base + j), 1})
 			}
 		}
 	}
 	for c1 := 0; c1 < spec.Alpha; c1++ {
 		for c2 := c1 + 1; c2 < spec.Alpha; c2++ {
-			if err := g.AddEdge(NodeID(c1*spec.Beta), NodeID(c2*spec.Beta), spec.Gamma); err != nil {
-				return nil, err
-			}
+			links = append(links, Link{NodeID(c1 * spec.Beta), NodeID(c2 * spec.Beta), spec.Gamma})
 		}
 	}
-	g.SetName(fmt.Sprintf("cluster(a%d,b%d,g%d)", spec.Alpha, spec.Beta, spec.Gamma))
-	return g, nil
+	return newNamed(fmt.Sprintf("cluster(a%d,b%d,g%d)", spec.Alpha, spec.Beta, spec.Gamma), spec.Alpha*spec.Beta, links)
 }
-
-// ClusterBridge returns the bridge node of clique c in a Cluster graph built
-// from spec.
-func ClusterBridge(spec ClusterSpec, c int) NodeID { return NodeID(c * spec.Beta) }
 
 // StarSpec describes the star topology of Section IV-D: a central node
 // connected to Rays rays, each a path of RayLen nodes; all edges weight 1.
@@ -233,24 +208,18 @@ func Star(spec StarSpec) (*Graph, error) {
 	if spec.Rays < 1 || spec.RayLen < 1 {
 		return nil, fmt.Errorf("graph: star needs rays,rayLen >= 1, got %d,%d", spec.Rays, spec.RayLen)
 	}
-	n := 1 + spec.Rays*spec.RayLen
-	g, err := New(n)
-	if err != nil {
-		return nil, err
+	if spec.Rays > (math.MaxInt32-1)/spec.RayLen {
+		return nil, fmt.Errorf("graph: star of %d rays of %d nodes exceeds %d nodes", spec.Rays, spec.RayLen, math.MaxInt32)
 	}
+	var links []Link
 	for r := 0; r < spec.Rays; r++ {
 		base := 1 + r*spec.RayLen
-		if err := g.AddEdge(0, NodeID(base), 1); err != nil {
-			return nil, err
-		}
+		links = append(links, Link{0, NodeID(base), 1})
 		for j := 0; j+1 < spec.RayLen; j++ {
-			if err := g.AddEdge(NodeID(base+j), NodeID(base+j+1), 1); err != nil {
-				return nil, err
-			}
+			links = append(links, Link{NodeID(base + j), NodeID(base + j + 1), 1})
 		}
 	}
-	g.SetName(fmt.Sprintf("star(r%d,l%d)", spec.Rays, spec.RayLen))
-	return g, nil
+	return newNamed(fmt.Sprintf("star(r%d,l%d)", spec.Rays, spec.RayLen), 1+spec.Rays*spec.RayLen, links)
 }
 
 // Tree returns the complete rooted tree with the given branching factor and
@@ -268,18 +237,11 @@ func Tree(branching, depth int) (*Graph, error) {
 			return nil, fmt.Errorf("graph: tree too large")
 		}
 	}
-	g, err := New(n)
-	if err != nil {
-		return nil, err
-	}
+	links := make([]Link, 0, n-1)
 	for child := 1; child < n; child++ {
-		parent := (child - 1) / branching
-		if err := g.AddEdge(NodeID(parent), NodeID(child), 1); err != nil {
-			return nil, err
-		}
+		links = append(links, Link{NodeID((child - 1) / branching), NodeID(child), 1})
 	}
-	g.SetName(fmt.Sprintf("tree(b%d,d%d)", branching, depth))
-	return g, nil
+	return newNamed(fmt.Sprintf("tree(b%d,d%d)", branching, depth), n, links)
 }
 
 // RandomConnected returns a connected random graph: a random spanning tree
@@ -289,18 +251,16 @@ func RandomConnected(n, extraEdges int, maxW Weight, seed int64) (*Graph, error)
 	if maxW < 1 {
 		return nil, fmt.Errorf("graph: maxW must be >= 1, got %d", maxW)
 	}
-	g, err := New(n)
-	if err != nil {
+	if err := checkNodes(n); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	perm := rng.Perm(n)
+	var links []Link
 	for i := 1; i < n; i++ {
 		u := NodeID(perm[i])
 		v := NodeID(perm[rng.Intn(i)])
-		if err := g.AddEdge(u, v, 1+Weight(rng.Int63n(int64(maxW)))); err != nil {
-			return nil, err
-		}
+		links = append(links, Link{u, v, 1 + Weight(rng.Int63n(int64(maxW)))})
 	}
 	for e := 0; e < extraEdges; e++ {
 		u := NodeID(rng.Intn(n))
@@ -308,11 +268,8 @@ func RandomConnected(n, extraEdges int, maxW Weight, seed int64) (*Graph, error)
 		if u == v {
 			continue
 		}
-		// AddEdge coalesces duplicates, keeping the smaller weight.
-		if err := g.AddEdge(u, v, 1+Weight(rng.Int63n(int64(maxW)))); err != nil {
-			return nil, err
-		}
+		// New merges duplicates, keeping the smaller weight.
+		links = append(links, Link{u, v, 1 + Weight(rng.Int63n(int64(maxW)))})
 	}
-	g.SetName(fmt.Sprintf("random(n%d,s%d)", n, seed))
-	return g, nil
+	return newNamed(fmt.Sprintf("random(n%d,s%d)", n, seed), n, links)
 }

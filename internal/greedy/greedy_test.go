@@ -128,12 +128,8 @@ func TestGreedyUniformOnHypercube(t *testing.T) {
 // product with β = 1 catches a Pad of 2^62. Pad 1 still runs on the
 // one-edge graph.
 func TestGreedyRefusesWrappingPad(t *testing.T) {
-	g := graph.MustNew(2)
-	if err := g.AddEdge(0, 1, graph.Infinite-1); err != nil {
-		t.Fatal(err)
-	}
 	in := &core.Instance{
-		G:       g,
+		G:       graph.MustNew(2, []graph.Link{{U: 0, V: 1, W: graph.Infinite - 1}}),
 		Objects: []*core.Object{{ID: 0, Origin: 0}},
 		Txns: []*core.Transaction{
 			{ID: 0, Node: 0, Objects: []core.ObjID{0}},
@@ -152,7 +148,7 @@ func TestGreedyRefusesWrappingPad(t *testing.T) {
 			t.Errorf("%+v: err = %v, want it to contain %q", tc.opts, err, tc.want)
 		}
 	}
-	uniform := &core.Instance{G: graph.MustNew(1), Objects: in.Objects, Txns: in.Txns[:1]}
+	uniform := &core.Instance{G: graph.MustNew(1, nil), Objects: in.Objects, Txns: in.Txns[:1]}
 	_, err := sched.Run(uniform, New(Options{Pad: 1 << 62, Uniform: true}), sched.Options{})
 	if want := "greedy: padding factor 4611686018427387904 times beta 1 reaches 4611686018427387904"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("uniform: err = %v, want it to contain %q", err, want)

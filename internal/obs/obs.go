@@ -13,8 +13,7 @@
 //     concurrent trials of a sweep may share one registry; the race suite
 //     (`make race`) covers this.
 //  3. Deterministic output. Snapshot renders maps through encoding/json
-//     (sorted keys) and the CSV exporter sorts names, so golden tests can
-//     assert byte-exact reports.
+//     (sorted keys), so golden tests can assert byte-exact reports.
 //
 // Instrumentation sites resolve their handles once at setup
 // (Metrics.Counter et al. lock a registry map) and then update them
@@ -23,7 +22,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -520,42 +518,4 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
-}
-
-// WriteCSV renders the snapshot as `kind,name,field,value` rows sorted
-// by (kind, name, field).
-func (s *Snapshot) WriteCSV(w io.Writer) error {
-	var rows []string
-	for name, v := range s.Counters {
-		rows = append(rows, fmt.Sprintf("counter,%s,value,%d", name, v))
-	}
-	for name, g := range s.Gauges {
-		rows = append(rows,
-			fmt.Sprintf("gauge,%s,max,%d", name, g.Max),
-			fmt.Sprintf("gauge,%s,value,%d", name, g.Value))
-	}
-	for name, h := range s.Histograms {
-		rows = append(rows,
-			fmt.Sprintf("histogram,%s,count,%d", name, h.Count),
-			fmt.Sprintf("histogram,%s,max,%d", name, h.Max),
-			fmt.Sprintf("histogram,%s,min,%d", name, h.Min),
-			fmt.Sprintf("histogram,%s,sum,%d", name, h.Sum))
-		for i, c := range h.Counts {
-			bound := "+inf"
-			if i < len(h.Bounds) {
-				bound = fmt.Sprint(h.Bounds[i])
-			}
-			rows = append(rows, fmt.Sprintf("histogram,%s,le_%s,%d", name, bound, c))
-		}
-	}
-	sort.Strings(rows)
-	if _, err := io.WriteString(w, "kind,name,field,value\n"); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := io.WriteString(w, r+"\n"); err != nil {
-			return err
-		}
-	}
-	return nil
 }

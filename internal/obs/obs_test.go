@@ -151,20 +151,6 @@ func TestExporters(t *testing.T) {
 			t.Fatalf("JSON output missing %q:\n%s", want, j.String())
 		}
 	}
-
-	var c strings.Builder
-	if err := s.WriteCSV(&c); err != nil {
-		t.Fatal(err)
-	}
-	csv := c.String()
-	if !strings.HasPrefix(csv, "kind,name,field,value\n") {
-		t.Fatalf("CSV missing header:\n%s", csv)
-	}
-	for _, want := range []string{"counter,a.runs,value,2", "gauge,a.depth,value,3", "histogram,a.lat,count,1", "histogram,a.lat,le_10,1", "histogram,a.lat,le_+inf,0"} {
-		if !strings.Contains(csv, want) {
-			t.Fatalf("CSV output missing %q:\n%s", want, csv)
-		}
-	}
 }
 
 func TestMerge(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package pq provides a minimal generic binary min-heap over a plain
-// slice. It replaces container/heap on Dijkstra's frontier and the
-// depgraph expiry queue, where the standard library's interface{}-based
-// Push/Pop box every element and allocate on each call.
+// slice. It serves Dijkstra's frontier, the depgraph expiry queue and the
+// distnet event queue, where container/heap's interface{}-based Push/Pop
+// would box every element and allocate on each call.
 package pq
 
 // Heap is a binary min-heap ordered by Less. The zero value with a Less

@@ -301,8 +301,3 @@ func (rr *RunResult) ratioSamples() []float64 {
 func (rr *RunResult) MeanRatio() float64 {
 	return stats.Mean(rr.ratioSamples())
 }
-
-// P95Ratio returns the 95th-percentile (nearest-rank) per-snapshot ratio.
-func (rr *RunResult) P95Ratio() float64 {
-	return stats.Percentile(rr.ratioSamples(), 0.95)
-}

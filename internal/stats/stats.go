@@ -10,45 +10,6 @@ import (
 	"strings"
 )
 
-// Summary holds descriptive statistics of a float sample.
-type Summary struct {
-	N             int
-	Min, Max      float64
-	Mean, Std     float64
-	P50, P90, P99 float64
-}
-
-// Summarize computes a Summary; it returns the zero value for an empty
-// sample.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum, sumsq float64
-	for _, x := range xs {
-		sum += x
-		sumsq += x * x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	variance := sumsq/float64(s.N) - s.Mean*s.Mean
-	if variance > 0 {
-		s.Std = math.Sqrt(variance)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.P50 = percentile(sorted, 0.50)
-	s.P90 = percentile(sorted, 0.90)
-	s.P99 = percentile(sorted, 0.99)
-	return s
-}
-
 // Sample is the light-weight spread aggregate used by the sweep runner:
 // the mean of a (typically small) trial sample together with its
 // population standard deviation and range. The zero value describes an
@@ -108,22 +69,8 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	return percentile(sorted, p)
-}
-
-// percentile reads the p-quantile from a sorted sample (nearest-rank).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
 	i := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	return sorted[max(0, min(i, len(sorted)-1))]
 }
 
 // Table accumulates rows and renders them as an aligned text table (the

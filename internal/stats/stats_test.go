@@ -6,39 +6,6 @@ import (
 	"testing"
 )
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2, 5})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 {
-		t.Errorf("basic fields wrong: %+v", s)
-	}
-	if s.Mean != 3 {
-		t.Errorf("Mean = %v, want 3", s.Mean)
-	}
-	if math.Abs(s.Std-math.Sqrt(2)) > 1e-9 {
-		t.Errorf("Std = %v, want sqrt(2)", s.Std)
-	}
-	if s.P50 != 3 {
-		t.Errorf("P50 = %v, want 3", s.P50)
-	}
-	if s.P99 != 5 {
-		t.Errorf("P99 = %v, want 5", s.P99)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 {
-		t.Errorf("empty summary = %+v", s)
-	}
-}
-
-func TestSummarizeSingle(t *testing.T) {
-	s := Summarize([]float64{7})
-	if s.Min != 7 || s.Max != 7 || s.Mean != 7 || s.P50 != 7 || s.Std != 0 {
-		t.Errorf("single summary = %+v", s)
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tb := NewTable("demo", "name", "value")
 	tb.AddRow("alpha", "1")
@@ -94,10 +61,13 @@ func TestMeanAndPercentile(t *testing.T) {
 	if xs[0] != 5 {
 		t.Errorf("Percentile mutated its input: %v", xs)
 	}
-	// Nearest-rank agreement with Summarize on the same sample.
-	s := Summarize(xs)
-	if p50 := Percentile(xs, 0.5); p50 != s.P50 {
-		t.Errorf("Percentile P50 %v != Summarize P50 %v", p50, s.P50)
+	// Nearest rank: the 0.4-quantile of five values is the second smallest,
+	// and p = 0 reads the smallest.
+	if got := Percentile(xs, 0.4); got != 2 {
+		t.Errorf("P40 = %v, want 2", got)
+	}
+	if got := Percentile(xs, 0); got != 1 {
+		t.Errorf("P0 = %v, want 1", got)
 	}
 }
 

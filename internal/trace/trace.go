@@ -93,16 +93,15 @@ func (r *Run) Instance() (*core.Instance, error) {
 	if r.Nodes > len(r.Edges)+1 {
 		return nil, fmt.Errorf("trace: %d nodes cannot be connected by %d edges", r.Nodes, len(r.Edges))
 	}
-	g, err := graph.New(r.Nodes)
+	links := make([]graph.Link, len(r.Edges))
+	for i, e := range r.Edges {
+		links[i] = graph.Link(e)
+	}
+	g, err := graph.New(r.Nodes, links)
 	if err != nil {
 		return nil, err
 	}
 	g.SetName(r.Topology)
-	for _, e := range r.Edges {
-		if err := g.AddEdge(e.U, e.V, e.W); err != nil {
-			return nil, err
-		}
-	}
 	in := &core.Instance{G: g}
 	for i, o := range r.Objects {
 		in.Objects = append(in.Objects, &core.Object{ID: core.ObjID(i), Origin: o.Origin, Created: o.Created})

@@ -7,6 +7,7 @@ package dtm
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"dtm/internal/obs"
@@ -199,7 +200,8 @@ func (*failOnArrive) OnWake() error                 { return nil }
 
 // TestDisabledInstrumentationOverheadUnder5Percent is the no-op guard: the
 // cost of every nil-handle instrument operation a run would perform, at the
-// measured per-op price, must stay below 5% of the run itself.
+// measured per-op price, must stay below 5% of the run itself. Each price
+// is the fastest of several samples, as host noise only slows a sample.
 func TestDisabledInstrumentationOverheadUnder5Percent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard")
@@ -224,13 +226,20 @@ func TestDisabledInstrumentationOverheadUnder5Percent(t *testing.T) {
 			}
 		}
 	}
+	fastest := func(f func(b *testing.B)) float64 {
+		best := math.Inf(1)
+		for i := 0; i < 5; i++ {
+			r := testing.Benchmark(f)
+			best = min(best, float64(r.T.Nanoseconds())/float64(r.N))
+		}
+		return best
+	}
 	// Per-op cost of a disabled instrument site: a nil-receiver method call.
-	nilBench := testing.Benchmark(func(b *testing.B) {
+	nsPerOp := fastest(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			nilCounterSink.Inc()
 		}
 	})
-	nsPerOp := float64(nilBench.T.Nanoseconds()) / float64(nilBench.N)
 
 	// How many instrument operations does this run perform? Count them from
 	// an enabled run, with a generous factor for the gauge/emit companions
@@ -249,8 +258,7 @@ func TestDisabledInstrumentationOverheadUnder5Percent(t *testing.T) {
 	}
 	ops *= 4
 
-	runBench := testing.Benchmark(mk(nil))
-	runNs := float64(runBench.T.Nanoseconds()) / float64(runBench.N)
+	runNs := fastest(mk(nil))
 	overhead := nsPerOp * float64(ops)
 	if overhead >= 0.05*runNs {
 		t.Errorf("disabled instrumentation costs %.0fns (%d ops at %.2fns) against a %.0fns run: %.1f%% >= 5%%",
