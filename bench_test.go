@@ -252,7 +252,7 @@ func BenchmarkSimReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := obs.New()
-	if _, err := core.Replay(in, rr.Decisions, core.SimOptions{Obs: m}); err != nil {
+	if _, err := core.Replay(in, rr.Decisions, core.SimOptions{}, m); err != nil {
 		b.Fatal(err)
 	}
 	hops := m.Snapshot().Counters[obs.NameCoreObjectMoves.String()]
@@ -262,7 +262,7 @@ func BenchmarkSimReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Replay(in, rr.Decisions, core.SimOptions{}); err != nil {
+		if _, err := core.Replay(in, rr.Decisions, core.SimOptions{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

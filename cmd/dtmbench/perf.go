@@ -260,7 +260,7 @@ func perfCases() ([]perfCase, error) {
 		return nil, err
 	}
 	replay := func(in *core.Instance, v perfVariant) ([]core.Decision, *core.Result, error) {
-		res, err := core.Replay(in, greedyLog, core.SimOptions{Parallel: v.P})
+		res, err := core.Replay(in, greedyLog, core.SimOptions{Parallel: v.P}, nil)
 		return greedyLog, res, err
 	}
 	return append(cases,

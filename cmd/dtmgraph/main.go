@@ -46,30 +46,43 @@ func main() {
 		os.Exit(1)
 	}
 	if *showCover {
-		h, err := dtm.BuildCover(g, *seed)
+		ct, err := coverTable(g, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dtmgraph: cover:", err)
 			os.Exit(1)
-		}
-		ct := stats.NewTable("sparse cover (verified)", "layer", "sub-layers", "clusters", "max weak diameter")
-		for l, subs := range h.Layers {
-			clusters := 0
-			var maxWD dtm.Weight
-			for _, sub := range subs {
-				clusters += len(sub.Clusters)
-				for _, cl := range sub.Clusters {
-					if wd := h.WeakDiameter(cl); wd > maxWD {
-						maxWD = wd
-					}
-				}
-			}
-			ct.AddRow(fmt.Sprint(l), fmt.Sprint(len(subs)), fmt.Sprint(clusters), fmt.Sprint(maxWD))
 		}
 		if err := ct.Render(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "dtmgraph:", err)
 			os.Exit(1)
 		}
 	}
+}
+
+// coverTable builds g's sparse cover hierarchy, checks its properties
+// with Verify, and summarizes it one row per layer.
+func coverTable(g *dtm.Graph, seed int64) (*stats.Table, error) {
+	h, err := dtm.BuildCover(g, seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := h.Verify(); err != nil {
+		return nil, err
+	}
+	ct := stats.NewTable("sparse cover (verified)", "layer", "sub-layers", "clusters", "max weak diameter")
+	for l, subs := range h.Layers {
+		clusters := 0
+		var maxWD dtm.Weight
+		for _, sub := range subs {
+			clusters += len(sub.Clusters)
+			for _, cl := range sub.Clusters {
+				if wd := h.WeakDiameter(cl); wd > maxWD {
+					maxWD = wd
+				}
+			}
+		}
+		ct.AddRow(fmt.Sprint(l), fmt.Sprint(len(subs)), fmt.Sprint(clusters), fmt.Sprint(maxWD))
+	}
+	return ct, nil
 }
 
 func build(topology string, n, dim, rows, cols, alpha, beta, gamma, depth int, seed int64) (*dtm.Graph, error) {

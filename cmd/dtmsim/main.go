@@ -313,11 +313,7 @@ func run(p params) error {
 		return snap.WriteJSON(os.Stdout)
 	}
 
-	runOpts := dtm.RunOptions{Obs: m}
-	if p.capacity > 0 {
-		runOpts.Sim = dtm.SimOptions{LinkCapacity: p.capacity, ElasticExec: true}
-	}
-	rr, err := dtm.Run(in, s, runOpts)
+	rr, err := dtm.Run(in, s, dtm.RunOptions{Sim: dtm.SimOptions{LinkCapacity: p.capacity}, Obs: m})
 	if err != nil {
 		return err
 	}

@@ -305,7 +305,7 @@ func Run(in *Instance, s Scheduler, opts RunOptions) (*RunResult, error) {
 
 // Replay validates a decision log against the execution model.
 func Replay(in *Instance, decisions []Decision, opts SimOptions) (*core.Result, error) {
-	return core.Replay(in, decisions, opts)
+	return core.Replay(in, decisions, opts, nil)
 }
 
 // ClosedLoopConfig configures RunClosedLoop.

@@ -61,24 +61,28 @@ func TestIncrementalMatchesRebuildOracle(t *testing.T) {
 		t.Fatalf("registry lists only %d oracle-capable engines, want the six central variants", len(cases))
 	}
 	// Feature-knob extras the registry defaults cannot spell: padding,
-	// elastic half-speed execution, slow buckets, the randomized batch
-	// scheduler, and the selector spelling of the removed per-package
-	// RebuildOracle fields.
+	// half-speed objects, elastic commits, slow buckets, the randomized
+	// batch scheduler, and the selector spelling of the removed
+	// per-package RebuildOracle fields.
 	cases = append(cases,
 		diffCase{"greedy-pad2", func(r bool) Scheduler {
 			return NewGreedy(GreedyOptions{Pad: 2, EngineOptions: EngineOptions{RebuildOracle: r}})
 		}, RunOptions{}},
-		// Elastic execution at half object speed makes commits run past
-		// their decided times, exercising the index's straggler re-arm.
+		diffCase{"greedy-slow", func(r bool) Scheduler {
+			return NewGreedy(GreedyOptions{EngineOptions: EngineOptions{RebuildOracle: r}})
+		}, RunOptions{Sim: SimOptions{SlowFactor: 2}}},
+		// Bounded links make commits elastic: objects queued at a busy
+		// link arrive late, so commits run past their decided times,
+		// exercising the index's straggler re-arm (here at half speed).
 		diffCase{"greedy-elastic-slow", func(r bool) Scheduler {
 			return NewGreedy(GreedyOptions{EngineOptions: EngineOptions{RebuildOracle: r}})
-		}, RunOptions{Sim: SimOptions{ElasticExec: true, SlowFactor: 2}}},
+		}, RunOptions{Sim: SimOptions{LinkCapacity: 1, SlowFactor: 2}}},
 		diffCase{"bucket-random-suffix", func(r bool) Scheduler {
 			return NewBucket(BucketOptions{Batch: WithSuffixProperty(RandomizedBatch(42, 3)), EngineOptions: EngineOptions{RebuildOracle: r}})
 		}, RunOptions{}},
 		diffCase{"bucket-tour-slow", func(r bool) Scheduler {
 			return NewBucket(BucketOptions{Batch: TourBatch(), EngineOptions: EngineOptions{RebuildOracle: r}})
-		}, RunOptions{Sim: SimOptions{ElasticExec: true, SlowFactor: 2}}},
+		}, RunOptions{Sim: SimOptions{SlowFactor: 2}}},
 		// Code that set the removed per-package field by selector, as in
 		// o.RebuildOracle = r, now reaches the promoted EngineOptions
 		// field and must keep selecting the oracle.

@@ -107,18 +107,19 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if len(cases) < 8 {
 		t.Fatalf("registry lists only %d engines, want the eight variants", len(cases))
 	}
-	// Feature-knob extras the registry defaults cannot spell. Elastic
-	// execution at half speed exercises the due-set retries; bounded links
-	// exercise the apply-phase capacity check and the deterministic edge
-	// queues.
+	// Feature-knob extras the registry defaults cannot spell. Half-speed
+	// objects stretch every travel time; bounded links exercise the
+	// deterministic edge queues and the elastic commits' due-set retries.
 	cases = append(cases,
 		parCase{"greedy-pad2", func() Scheduler { return NewGreedy(GreedyOptions{Pad: 2}) }, RunOptions{}},
+		parCase{"greedy-slow", func() Scheduler { return NewGreedy(GreedyOptions{}) },
+			RunOptions{Sim: SimOptions{SlowFactor: 2}}},
 		parCase{"greedy-elastic-slow", func() Scheduler { return NewGreedy(GreedyOptions{}) },
-			RunOptions{Sim: SimOptions{ElasticExec: true, SlowFactor: 2}}},
+			RunOptions{Sim: SimOptions{LinkCapacity: 1, SlowFactor: 2}}},
 		parCase{"greedy-linkcap", func() Scheduler { return NewGreedy(GreedyOptions{Pad: 2}) },
-			RunOptions{Sim: SimOptions{ElasticExec: true, LinkCapacity: 1}}},
+			RunOptions{Sim: SimOptions{LinkCapacity: 1}}},
 		parCase{"bucket-tour-slow", func() Scheduler { return NewBucket(BucketOptions{Batch: TourBatch()}) },
-			RunOptions{Sim: SimOptions{ElasticExec: true, SlowFactor: 2}}},
+			RunOptions{Sim: SimOptions{SlowFactor: 2}}},
 	)
 	for topoName, g := range diffTopologies(t) {
 		for _, c := range cases {
@@ -372,7 +373,7 @@ func TestAdvanceToIncrementsMatchRunToCompletion(t *testing.T) {
 	for _, parallel := range []int{0, 4} {
 		for trial := 0; trial < 8; trial++ {
 			rng := rand.New(rand.NewSource(int64(trial)*97 + int64(parallel) + 1))
-			s, err := core.NewSim(in, core.SimOptions{Parallel: parallel})
+			s, err := core.NewSim(in, core.SimOptions{Parallel: parallel}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

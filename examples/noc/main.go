@@ -52,7 +52,7 @@ func main() {
 	fmt.Printf("\n%-22s %10s %10s\n", "link capacity", "makespan", "inflation")
 	base := general.Makespan
 	for _, c := range []int{0, 2, 1} {
-		res, err := dtm.Replay(in, general.Decisions, dtm.SimOptions{LinkCapacity: c, ElasticExec: true})
+		res, err := dtm.Replay(in, general.Decisions, dtm.SimOptions{LinkCapacity: c})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -53,7 +53,7 @@ func replayBatch(t *testing.T, g *graph.Graph, txns []*core.Transaction, avail m
 	for _, tx := range txns {
 		decisions = append(decisions, core.Decision{Tx: ids[tx.ID], Exec: asgn[tx.ID], At: 0})
 	}
-	if _, err := core.Replay(in, decisions, core.SimOptions{}); err != nil {
+	if _, err := core.Replay(in, decisions, core.SimOptions{}, nil); err != nil {
 		t.Fatalf("%s: infeasible batch schedule: %v", s.Name(), err)
 	}
 	return asgn.Makespan(0)
@@ -334,6 +334,6 @@ func feasible(g *graph.Graph, txns []*core.Transaction, avail map[core.ObjID]Ava
 		})
 		decisions = append(decisions, core.Decision{Tx: core.TxID(i), Exec: asgn[tx.ID], At: 0})
 	}
-	_, err := core.Replay(in, decisions, core.SimOptions{})
+	_, err := core.Replay(in, decisions, core.SimOptions{}, nil)
 	return err == nil
 }

@@ -69,10 +69,11 @@ func (p *availProbe) check() {
 }
 
 // TestLiveAvailMatchesResolve drives the session engine over the sched
-// golden topologies and workloads with four batch schedulers, at full
-// speed, with elastic execution at half speed, and over elastic links of
-// capacity 1 (where on-time transactions wait for late, earlier users of
-// their objects), and runs the availProbe checks throughout. The
+// golden topologies and workloads with four batch schedulers, on
+// unbounded links and over links of capacity 1 at full and at half speed
+// (bounded links make commits elastic: on-time transactions wait for
+// late, earlier users of their objects), and runs the availProbe checks
+// throughout. The
 // decisions of the probed run and of an unwrapped run must both equal
 // the rebuild oracle's, which resolves every entry afresh.
 func TestLiveAvailMatchesResolve(t *testing.T) {
@@ -95,9 +96,9 @@ func TestLiveAvailMatchesResolve(t *testing.T) {
 		"random-suffix": batch.WithSuffixProperty(batch.Randomized{Seed: 42, Tries: 3}),
 	}
 	sims := map[string]core.SimOptions{
-		"plain":      {},
-		"elastic":    {ElasticExec: true, SlowFactor: 2},
-		"capacity-1": {ElasticExec: true, LinkCapacity: 1},
+		"plain":           {},
+		"capacity-1":      {LinkCapacity: 1},
+		"capacity-1-slow": {LinkCapacity: 1, SlowFactor: 2},
 	}
 	for topo, g := range topos {
 		for bn, bs := range batches {

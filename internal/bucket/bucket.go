@@ -364,7 +364,7 @@ func (b *Bucket) activate(level int, now core.Time) error {
 // entry, and tells every session, only where the fresh value differs in
 // what the batch schedulers read: the node, or the free time clamped to
 // now. Nothing else needs refreshing: core.Sim commits each object's
-// users in decided order, under ElasticExec too, so only a decision moves
+// users in decided order, elastic commits too, so only a decision moves
 // an object's last user, and between two decisions resolveAvail's answer
 // changes only in Free, from a value ≤ Now to Now, which every batch
 // scheduler reads clamped to Now.

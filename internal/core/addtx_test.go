@@ -10,7 +10,7 @@ func TestAddTransactionValidation(t *testing.T) {
 	in := lineInstance(t, 6,
 		[]*Object{{ID: 0, Origin: 0}},
 		[]*Transaction{{ID: 0, Node: 0, Objects: []ObjID{0}}})
-	s, err := NewSim(in, SimOptions{})
+	s, err := NewSim(in, SimOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

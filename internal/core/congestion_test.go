@@ -30,7 +30,7 @@ func TestUnboundedCapacityBothArriveTogether(t *testing.T) {
 	res, err := Replay(in, []Decision{
 		{Tx: 0, Exec: 3, At: 0},
 		{Tx: 1, Exec: 3, At: 0},
-	}, SimOptions{})
+	}, SimOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,20 +41,12 @@ func TestUnboundedCapacityBothArriveTogether(t *testing.T) {
 
 func TestCapacityOneSerializesTheLink(t *testing.T) {
 	in := twoObjectFunnel(t, 3)
-	// Capacity-oblivious schedule: both at t=3. Without elastic execution
-	// this is now a violation.
-	_, err := Replay(in, []Decision{
-		{Tx: 0, Exec: 3, At: 0},
-		{Tx: 1, Exec: 3, At: 0},
-	}, SimOptions{LinkCapacity: 1})
-	if err == nil {
-		t.Fatal("capacity 1 should make the simultaneous schedule infeasible")
-	}
-	// With elastic execution the second commit slides to t=6.
+	// Capacity-oblivious schedule: both at t=3. Bounded links make commits
+	// elastic, so the second commit slides to t=6.
 	res, err := Replay(in, []Decision{
 		{Tx: 0, Exec: 3, At: 0},
 		{Tx: 1, Exec: 3, At: 0},
-	}, SimOptions{LinkCapacity: 1, ElasticExec: true})
+	}, SimOptions{LinkCapacity: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +63,7 @@ func TestCapacityTwoRestoresParallelTraversal(t *testing.T) {
 	res, err := Replay(in, []Decision{
 		{Tx: 0, Exec: 3, At: 0},
 		{Tx: 1, Exec: 3, At: 0},
-	}, SimOptions{LinkCapacity: 2, ElasticExec: true})
+	}, SimOptions{LinkCapacity: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +74,8 @@ func TestCapacityTwoRestoresParallelTraversal(t *testing.T) {
 
 func TestElasticPreservesPerObjectOrder(t *testing.T) {
 	// One object, two users in decided order; even if the later-decided
-	// user is co-located with the object, it must wait its turn.
+	// user is co-located with the object, it must wait its turn. One
+	// object never queues, so capacity 1 only turns commits elastic.
 	g, err := graph.Line(5)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +91,7 @@ func TestElasticPreservesPerObjectOrder(t *testing.T) {
 	res, err := Replay(in, []Decision{
 		{Tx: 0, Exec: 4, At: 0},
 		{Tx: 1, Exec: 9, At: 0},
-	}, SimOptions{ElasticExec: true})
+	}, SimOptions{LinkCapacity: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +123,7 @@ func TestElasticOnTimeWaitsForEarlierUser(t *testing.T) {
 		{Tx: 0, Exec: 5, At: 0},
 		{Tx: 1, Exec: 3, At: 0},
 		{Tx: 2, Exec: 4, At: 0},
-	}, SimOptions{LinkCapacity: 1, ElasticExec: true, Obs: m})
+	}, SimOptions{LinkCapacity: 1}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +136,8 @@ func TestElasticOnTimeWaitsForEarlierUser(t *testing.T) {
 }
 
 func TestElasticDelaysLateObjects(t *testing.T) {
-	// Decided time too early for the travel distance: elastic mode commits
-	// at first feasibility instead of failing.
+	// Decided time too early for the travel distance: elastic commits
+	// (bounded links) run at first feasibility instead of failing.
 	g, err := graph.Line(8)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +147,7 @@ func TestElasticDelaysLateObjects(t *testing.T) {
 		Objects: []*Object{{ID: 0, Origin: 0}},
 		Txns:    []*Transaction{{ID: 0, Node: 7, Objects: []ObjID{0}}},
 	}
-	res, err := Replay(in, []Decision{{Tx: 0, Exec: 2, At: 0}}, SimOptions{ElasticExec: true})
+	res, err := Replay(in, []Decision{{Tx: 0, Exec: 2, At: 0}}, SimOptions{LinkCapacity: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +156,10 @@ func TestElasticDelaysLateObjects(t *testing.T) {
 	}
 }
 
-// Property: under elastic execution with any capacity, runs always complete
+// Property: under elastic commits with any capacity, runs always complete
 // (no deadlock from edge queues + head-of-queue commits) and the makespan
-// is monotone: capacity 1 >= capacity 2 >= unbounded.
+// is monotone: capacity 1 >= capacity 2 >= unbounded. The decisions sit
+// 2N steps apart, so the unbounded replay is feasible as decided.
 func TestCongestionMonotoneAndDeadlockFree(t *testing.T) {
 	check := func(seed int64) bool {
 		s := seed
@@ -203,7 +197,7 @@ func TestCongestionMonotoneAndDeadlockFree(t *testing.T) {
 		}
 		var prev Time = -1
 		for _, cap := range []int{1, 2, 0} {
-			res, err := Replay(in, decisions, SimOptions{LinkCapacity: cap, ElasticExec: true})
+			res, err := Replay(in, decisions, SimOptions{LinkCapacity: cap}, nil)
 			if err != nil {
 				return false
 			}

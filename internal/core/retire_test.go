@@ -71,7 +71,7 @@ func driveSerial(t *testing.T, s *Sim, txns int, min int) int {
 func TestRetireMatchesKeepHistory(t *testing.T) {
 	const txns = 40
 	runStats := func(min int) (int, Time, Time, Time, graph.Weight, int) {
-		s, err := NewSim(retireInstance(t, 6, txns), SimOptions{})
+		s, err := NewSim(retireInstance(t, 6, txns), SimOptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestRetireMatchesKeepHistory(t *testing.T) {
 
 func TestRetireShrinksWindow(t *testing.T) {
 	const txns = 30
-	s, err := NewSim(retireInstance(t, 6, txns), SimOptions{})
+	s, err := NewSim(retireInstance(t, 6, txns), SimOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestRetireShrinksWindow(t *testing.T) {
 
 func TestRetireDoneThreshold(t *testing.T) {
 	const txns = 20
-	s, err := NewSim(retireInstance(t, 6, txns), SimOptions{})
+	s, err := NewSim(retireInstance(t, 6, txns), SimOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestRetireDoneThreshold(t *testing.T) {
 
 func TestRetiredTransactionAPI(t *testing.T) {
 	const txns = 12
-	s, err := NewSim(retireInstance(t, 6, txns), SimOptions{})
+	s, err := NewSim(retireInstance(t, 6, txns), SimOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

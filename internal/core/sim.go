@@ -9,7 +9,8 @@ import (
 	"dtm/internal/obs"
 )
 
-// SimOptions configure a Sim.
+// SimOptions are the physical model a Sim runs: object speed, link
+// capacity, and the worker count of the tree warm-up.
 type SimOptions struct {
 	// SlowFactor multiplies object travel time per edge. The distributed
 	// bucket protocol (Section V) halves object speed (SlowFactor 2) so
@@ -22,24 +23,13 @@ type SimOptions struct {
 	// simultaneously (0 = unbounded, the paper's model). The paper's
 	// concluding remarks pose bounded-capacity links as an open problem;
 	// with a bound set, objects queue at busy edges in deterministic
-	// order. Use together with ElasticExec, since schedulers are
-	// capacity-oblivious and congestion turns fixed execution times into
-	// violations otherwise. NewSim refuses a negative one.
-	LinkCapacity int
-	// ElasticExec makes execution wait for late objects instead of
-	// failing: a transaction executes at the first step >= its decided
+	// order, and since schedulers are capacity-oblivious, commits turn
+	// elastic: a transaction executes at the first step >= its decided
 	// time at which all its objects are present and it heads each
 	// object's queue of decided users, ordered by (decided time, ID), so
 	// an on-time transaction waits for late, earlier users. Latencies
-	// then include congestion delay.
-	ElasticExec bool
-	// Obs, when set, collects engine metrics (decisions, object moves and
-	// hop distances, commits, live-set size) and streams fine-grained
-	// events to its sink. Nil disables instrumentation at the cost of one
-	// nil-check per event site. It is for direct NewSim and Replay use:
-	// the sched drivers set it from their own Obs option and refuse a
-	// different one.
-	Obs *obs.Metrics
+	// then include congestion delay. NewSim refuses a negative capacity.
+	LinkCapacity int
 	// Parallel bounds the worker count of the tree warm-up: NewSim builds
 	// the shortest-path tree of every node of the graph concurrently
 	// before the run starts, and every step after that runs sequentially
@@ -234,7 +224,7 @@ type Sim struct {
 	exec      []Time // per live-window tx; -1 = undecided
 	decidedAt []Time // per live-window tx; -1 = undecided
 	done      []bool
-	doneAt    []Time // actual execution time (== exec unless ElasticExec)
+	doneAt    []Time // actual execution time (== exec unless commits are elastic)
 	doneCount int    // transactions ever committed, including retired ones
 
 	// Running commit aggregates, maintained across retirement (Result
@@ -261,12 +251,16 @@ type Sim struct {
 	edgeBusy  map[edgeKey]int
 	edgeQueue map[edgeKey][]ObjID
 	// Transactions past their decided time waiting for late objects or
-	// earlier users (SimOptions.ElasticExec).
+	// earlier users (elastic commits, under SimOptions.LinkCapacity).
 	due map[TxID]bool
 }
 
-// NewSim validates the instance and prepares a simulation at time 0.
-func NewSim(in *Instance, opts SimOptions) (*Sim, error) {
+// NewSim validates the instance and prepares a simulation at time 0. m,
+// when non-nil, collects engine metrics (decisions, object moves and hop
+// distances, commits, live-set size) and streams fine-grained events to
+// its sink; nil disables instrumentation at the cost of one nil-check per
+// event site.
+func NewSim(in *Instance, opts SimOptions, m *obs.Metrics) (*Sim, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -289,8 +283,8 @@ func NewSim(in *Instance, opts SimOptions) (*Sim, error) {
 		doneAt:    make([]Time, len(in.Txns)),
 		dirtyMark: make([]bool, len(in.Objects)),
 		due:       make(map[TxID]bool),
-		obs:       opts.Obs,
-		met:       newSimMetrics(opts.Obs),
+		obs:       m,
+		met:       newSimMetrics(m),
 	}
 	if opts.LinkCapacity > 0 {
 		s.edgeBusy = make(map[edgeKey]int)
@@ -554,12 +548,12 @@ func (s *Sim) AdvanceTo(t Time) error {
 	return nil
 }
 
-// executeTx runs tx at its execution step. Under ElasticExec it commits
-// only as allPresent allows, in each object's decided order, and waits
-// otherwise; without it, it commits if every object is present and
-// fails with the first missing object.
+// executeTx runs tx at its execution step. With bounded links commits
+// are elastic: it commits only as allPresent allows, in each object's
+// decided order, and waits otherwise. On unbounded links it commits if
+// every object is present and fails with the first missing object.
 func (s *Sim) executeTx(tx TxID) error {
-	if s.opts.ElasticExec {
+	if s.opts.LinkCapacity > 0 {
 		if s.allPresent(tx) {
 			s.commitTx(tx)
 			return nil
@@ -619,7 +613,7 @@ func (s *Sim) commitTx(tx TxID) {
 	}
 }
 
-// attemptDue retries elastic-mode transactions whose decided time has
+// attemptDue retries elastic transactions whose decided time has
 // passed, in transaction-ID order, until no more can commit this step.
 func (s *Sim) attemptDue() {
 	if len(s.due) == 0 {
@@ -754,7 +748,7 @@ func (s *Sim) ObjDistTo(o ObjID, x graph.NodeID) graph.Weight {
 }
 
 // Executed returns the actual execution time of tx, if it has executed
-// (equal to the decided time except under ElasticExec). A retired
+// (equal to the decided time except under elastic commits). A retired
 // transaction reports executed with a zero time — retirement drops the
 // per-transaction record; callers that need exact times must query before
 // RetireDone (no driver retires transactions it still interrogates).
@@ -865,8 +859,8 @@ func (s *Sim) LastUser(o ObjID) (TxID, Time, bool) {
 
 // Result summarizes a completed (or failed) run. It carries numbers
 // only; whether the run failed is reported by the error returns of
-// AdvanceTo/RunToCompletion/Replay and by Sim.Failed (the deprecated
-// Result.Err field was removed — sched.RunResult.Err supersedes it).
+// AdvanceTo, RunToCompletion and Replay (and by sched.RunResult.Err for a
+// driven run).
 type Result struct {
 	Makespan  Time         // max execution time over all transactions
 	MaxLat    Time         // max (exec - arrival)
@@ -893,8 +887,8 @@ func (s *Sim) Result() *Result {
 		if !s.done[i] {
 			continue
 		}
-		// doneAt equals the decided time except under ElasticExec, where
-		// congestion may delay commits past it.
+		// doneAt equals the decided time except under elastic commits,
+		// where congestion may delay commits past it.
 		lat := s.doneAt[i] - t.Arrival
 		r.Latency[i] = lat
 		if s.doneAt[i] > r.Makespan {
@@ -982,9 +976,10 @@ func applyDecisions(s *Sim, decisions []Decision) error {
 }
 
 // Replay validates a full decision list against the model and returns the
-// run's Result. Decisions must be sorted by At (ties allowed).
-func Replay(in *Instance, decisions []Decision, opts SimOptions) (*Result, error) {
-	return ReplayAbandoned(in, decisions, nil, opts)
+// run's Result. Decisions must be sorted by At (ties allowed). m, when
+// non-nil, collects the replay's metrics and events as in NewSim.
+func Replay(in *Instance, decisions []Decision, opts SimOptions, m *obs.Metrics) (*Result, error) {
+	return ReplayAbandoned(in, decisions, nil, opts, m)
 }
 
 // ReplayAbandoned validates the decision list of a degraded run: one that
@@ -995,8 +990,8 @@ func Replay(in *Instance, decisions []Decision, opts SimOptions) (*Result, error
 // (see RunToCompletion). With an empty abandoned list it is exactly
 // Replay. The result is nil only when NewSim refuses the instance or the
 // options; a schedule that fails replay returns the partial result.
-func ReplayAbandoned(in *Instance, decisions []Decision, abandoned []TxID, opts SimOptions) (*Result, error) {
-	s, err := NewSim(in, opts)
+func ReplayAbandoned(in *Instance, decisions []Decision, abandoned []TxID, opts SimOptions, m *obs.Metrics) (*Result, error) {
+	s, err := NewSim(in, opts, m)
 	if err != nil {
 		return nil, err
 	}

@@ -99,7 +99,7 @@ func TestSingleTransactionCoLocated(t *testing.T) {
 	in := lineInstance(t, 3,
 		[]*Object{{ID: 0, Origin: 1}},
 		[]*Transaction{{ID: 0, Node: 1, Objects: []ObjID{0}}})
-	res, err := Replay(in, []Decision{{Tx: 0, Exec: 0, At: 0}}, SimOptions{})
+	res, err := Replay(in, []Decision{{Tx: 0, Exec: 0, At: 0}}, SimOptions{}, nil)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -113,10 +113,10 @@ func TestObjectMustTravel(t *testing.T) {
 		[]*Object{{ID: 0, Origin: 0}},
 		[]*Transaction{{ID: 0, Node: 5, Objects: []ObjID{0}}})
 	// Distance 5: exec at t=5 is feasible, t=4 is not.
-	if _, err := Replay(in, []Decision{{Tx: 0, Exec: 5, At: 0}}, SimOptions{}); err != nil {
+	if _, err := Replay(in, []Decision{{Tx: 0, Exec: 5, At: 0}}, SimOptions{}, nil); err != nil {
 		t.Fatalf("exec=5 should be feasible: %v", err)
 	}
-	_, err := Replay(in, []Decision{{Tx: 0, Exec: 4, At: 0}}, SimOptions{})
+	_, err := Replay(in, []Decision{{Tx: 0, Exec: 4, At: 0}}, SimOptions{}, nil)
 	var verr *ViolationError
 	if !errors.As(err, &verr) {
 		t.Fatalf("exec=4 should violate, got %v", err)
@@ -137,14 +137,14 @@ func TestTwoConflictingTransactionsOnLine(t *testing.T) {
 	if _, err := Replay(in, []Decision{
 		{Tx: 0, Exec: 2, At: 0},
 		{Tx: 1, Exec: 7, At: 0},
-	}, SimOptions{}); err != nil {
+	}, SimOptions{}, nil); err != nil {
 		t.Fatalf("tight schedule should be feasible: %v", err)
 	}
 	// One step too tight for the second hop.
 	if _, err := Replay(in, []Decision{
 		{Tx: 0, Exec: 2, At: 0},
 		{Tx: 1, Exec: 6, At: 0},
-	}, SimOptions{}); err == nil {
+	}, SimOptions{}, nil); err == nil {
 		t.Fatal("gap 4 < dist 5 should violate")
 	}
 }
@@ -160,7 +160,7 @@ func TestObjectServesUsersInExecOrderNotDecisionOrder(t *testing.T) {
 		})
 	// t=0: schedule tx0 at t=20 (object starts toward node 11).
 	// t=1: object is at node 3; schedule tx1 at node 0 exec t=1+ObjDist.
-	s, err := NewSim(in, SimOptions{})
+	s, err := NewSim(in, SimOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestForwardOnlyRuleOnHeavyEdge(t *testing.T) {
 			{ID: 1, Node: 0, Objects: []ObjID{0}},
 		},
 	}
-	s, err := NewSim(in, SimOptions{})
+	s, err := NewSim(in, SimOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestForwardOnlyViolationDetected(t *testing.T) {
 	_, err := Replay(in, []Decision{
 		{Tx: 0, Exec: 50, At: 0},
 		{Tx: 1, Exec: 4, At: 1},
-	}, SimOptions{})
+	}, SimOptions{}, nil)
 	var verr *ViolationError
 	if !errors.As(err, &verr) {
 		t.Fatalf("want violation, got %v", err)
@@ -261,7 +261,7 @@ func TestDecideValidation(t *testing.T) {
 	in := lineInstance(t, 4,
 		[]*Object{{ID: 0, Origin: 0}},
 		[]*Transaction{{ID: 0, Node: 0, Arrival: 5, Objects: []ObjID{0}}})
-	s, err := NewSim(in, SimOptions{})
+	s, err := NewSim(in, SimOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestRunToCompletionStuckOnUndecided(t *testing.T) {
 	in := lineInstance(t, 4,
 		[]*Object{{ID: 0, Origin: 0}},
 		[]*Transaction{{ID: 0, Node: 0, Objects: []ObjID{0}}})
-	s, err := NewSim(in, SimOptions{})
+	s, err := NewSim(in, SimOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +306,10 @@ func TestObjectCreatedLate(t *testing.T) {
 		[]*Object{{ID: 0, Origin: 0, Created: 10}},
 		[]*Transaction{{ID: 0, Node: 3, Objects: []ObjID{0}}})
 	// Object exists at t=10 and needs 3 steps: exec 13 ok, 12 not.
-	if _, err := Replay(in, []Decision{{Tx: 0, Exec: 13, At: 0}}, SimOptions{}); err != nil {
+	if _, err := Replay(in, []Decision{{Tx: 0, Exec: 13, At: 0}}, SimOptions{}, nil); err != nil {
 		t.Fatalf("exec=13: %v", err)
 	}
-	if _, err := Replay(in, []Decision{{Tx: 0, Exec: 12, At: 0}}, SimOptions{}); err == nil {
+	if _, err := Replay(in, []Decision{{Tx: 0, Exec: 12, At: 0}}, SimOptions{}, nil); err == nil {
 		t.Fatal("exec=12 should violate (object created at t=10)")
 	}
 }
@@ -318,10 +318,10 @@ func TestSlowFactorDoublesTravel(t *testing.T) {
 	in := lineInstance(t, 6,
 		[]*Object{{ID: 0, Origin: 0}},
 		[]*Transaction{{ID: 0, Node: 5, Objects: []ObjID{0}}})
-	if _, err := Replay(in, []Decision{{Tx: 0, Exec: 10, At: 0}}, SimOptions{SlowFactor: 2}); err != nil {
+	if _, err := Replay(in, []Decision{{Tx: 0, Exec: 10, At: 0}}, SimOptions{SlowFactor: 2}, nil); err != nil {
 		t.Fatalf("exec=10 at half speed: %v", err)
 	}
-	if _, err := Replay(in, []Decision{{Tx: 0, Exec: 9, At: 0}}, SimOptions{SlowFactor: 2}); err == nil {
+	if _, err := Replay(in, []Decision{{Tx: 0, Exec: 9, At: 0}}, SimOptions{SlowFactor: 2}, nil); err == nil {
 		t.Fatal("exec=9 at half speed should violate")
 	}
 }
@@ -343,10 +343,10 @@ func TestNewSimRefusesOverflowingSlowFactor(t *testing.T) {
 	}
 	// Path bound 2 × 2^20 = 2^21; slow factor 2^41 puts the product at
 	// graph.Infinite = 2^62.
-	if _, err := NewSim(star(2, 1<<20), SimOptions{SlowFactor: 1<<41 - 1}); err != nil {
+	if _, err := NewSim(star(2, 1<<20), SimOptions{SlowFactor: 1<<41 - 1}, nil); err != nil {
 		t.Errorf("product below Infinite: %v", err)
 	}
-	_, err := NewSim(star(2, 1<<20), SimOptions{SlowFactor: 1 << 41})
+	_, err := NewSim(star(2, 1<<20), SimOptions{SlowFactor: 1 << 41}, nil)
 	if err == nil {
 		t.Fatal("product at Infinite: NewSim accepted it")
 	}
@@ -356,16 +356,16 @@ func TestNewSimRefusesOverflowingSlowFactor(t *testing.T) {
 		}
 	}
 	// 8 × 2^60 wraps int64 to a negative bound; the bound saturates instead.
-	if _, err := NewSim(star(8, 1<<60), SimOptions{SlowFactor: 2}); err == nil {
+	if _, err := NewSim(star(8, 1<<60), SimOptions{SlowFactor: 2}, nil); err == nil {
 		t.Error("path bound past Infinite at slow factor 2: NewSim accepted it")
 	}
 	// At full speed there is nothing to bound: Dijkstra keeps every Dist
 	// below Infinite.
-	if _, err := NewSim(star(8, 1<<60), SimOptions{}); err != nil {
+	if _, err := NewSim(star(8, 1<<60), SimOptions{}, nil); err != nil {
 		t.Errorf("slow factor 1: %v", err)
 	}
 	// A negative factor is not a speed, full or otherwise.
-	if _, err := NewSim(star(2, 1), SimOptions{SlowFactor: -1}); err == nil {
+	if _, err := NewSim(star(2, 1), SimOptions{SlowFactor: -1}, nil); err == nil {
 		t.Error("slow factor -1: NewSim accepted it")
 	}
 }
@@ -373,12 +373,12 @@ func TestNewSimRefusesOverflowingSlowFactor(t *testing.T) {
 func TestNewSimRefusesNegativeLinkCapacity(t *testing.T) {
 	in := lineInstance(t, 3, []*Object{{ID: 0, Origin: 0}},
 		[]*Transaction{{ID: 0, Node: 2, Objects: []ObjID{0}}})
-	_, err := NewSim(in, SimOptions{LinkCapacity: -1})
+	_, err := NewSim(in, SimOptions{LinkCapacity: -1}, nil)
 	if err == nil || !strings.Contains(err.Error(), "link capacity -1") {
 		t.Errorf("capacity -1: error %v, want one naming link capacity -1", err)
 	}
 	for _, c := range []int{0, 2} {
-		if _, err := NewSim(in, SimOptions{LinkCapacity: c}); err != nil {
+		if _, err := NewSim(in, SimOptions{LinkCapacity: c}, nil); err != nil {
 			t.Errorf("capacity %d: %v", c, err)
 		}
 	}
@@ -403,7 +403,7 @@ func TestSameStepCommitsInDecisionOrder(t *testing.T) {
 		for _, tx := range order {
 			decs = append(decs, Decision{Tx: tx, Exec: 2, At: 0})
 		}
-		if _, err := Replay(in, decs, SimOptions{Obs: m}); err != nil {
+		if _, err := Replay(in, decs, SimOptions{}, m); err != nil {
 			t.Fatal(err)
 		}
 		var commits []TxID
@@ -431,7 +431,7 @@ func TestResultMetrics(t *testing.T) {
 	res, err := Replay(in, []Decision{
 		{Tx: 0, Exec: 4, At: 0},
 		{Tx: 1, Exec: 7, At: 2},
-	}, SimOptions{})
+	}, SimOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestReplayRequiresSortedDecisions(t *testing.T) {
 	_, err := Replay(in, []Decision{
 		{Tx: 0, Exec: 5, At: 3},
 		{Tx: 1, Exec: 9, At: 1},
-	}, SimOptions{})
+	}, SimOptions{}, nil)
 	if err == nil {
 		t.Fatal("unsorted decisions: want error")
 	}
@@ -532,7 +532,7 @@ func TestSerializedScheduleAlwaysFeasible(t *testing.T) {
 		}
 		// Replay requires At-sorted order.
 		sortDecisionsByAt(decisions)
-		_, err := Replay(in, decisions, SimOptions{})
+		_, err := Replay(in, decisions, SimOptions{}, nil)
 		return err == nil
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
@@ -561,7 +561,7 @@ func TestTreeWarmupMatchesLazyTrees(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			in := &Instance{G: warm, Objects: []*Object{{ID: 0, Origin: 0}}}
-			_, errs[i] = NewSim(in, SimOptions{Parallel: 2})
+			_, errs[i] = NewSim(in, SimOptions{Parallel: 2}, nil)
 		}(i)
 	}
 	wg.Wait()

@@ -18,7 +18,7 @@
 //     scanning, and postings never retain committed transactions;
 //   - an expiry queue ordered by decided execution time, so a Refresh at
 //     time t only touches transactions whose schedule has actually come
-//     due (elastic-execution stragglers are re-armed, not rescanned);
+//     due (stragglers of elastic commits are re-armed, not rescanned);
 //   - a generation-stamped seen set replacing the per-call map[pair]bool
 //     edge dedup: marking a neighbor visited is one array store.
 //
@@ -47,8 +47,8 @@ type Slot int32
 // ExecOracle reports actual execution times; core.Sim implements it. The
 // index uses it to decide when a tracked transaction is no longer live
 // (executed strictly before the current time), mirroring the rebuild
-// path's prune rule exactly — including elastic execution, where a
-// transaction can commit later than its decided time.
+// path's prune rule exactly — including elastic commits on bounded
+// links, where a transaction can commit later than its decided time.
 type ExecOracle interface {
 	Executed(core.TxID) (core.Time, bool)
 }
@@ -141,8 +141,8 @@ func (ix *Index) RegisterMetrics(m *obs.Metrics) {
 
 // Refresh drops every tracked transaction that executed strictly before
 // now — the live-set rule of the rebuild path's prune — touching only
-// transactions whose decided time has come due. Elastic-execution
-// stragglers (due but not yet committed) are re-armed at now and
+// transactions whose decided time has come due. Stragglers of elastic
+// commits (due but not yet committed) are re-armed at now and
 // rechecked on the next strictly later Refresh.
 func (ix *Index) Refresh(now core.Time) {
 	for ix.expire.Len() > 0 && ix.expire.Peek().key < now {

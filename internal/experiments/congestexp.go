@@ -64,10 +64,7 @@ func figure12Congestion(cfg Config) (*stats.Table, error) {
 				out := runner.FromRunResult(rr)
 				out.Extra = make(map[string]float64, 2*len(f12Capacities))
 				for _, capacity := range f12Capacities {
-					res, err := core.Replay(in, rr.Decisions, core.SimOptions{
-						LinkCapacity: capacity,
-						ElasticExec:  true,
-					})
+					res, err := core.Replay(in, rr.Decisions, core.SimOptions{LinkCapacity: capacity}, nil)
 					if err != nil {
 						return runner.Outcome{}, fmt.Errorf("F12: capacity %d: %w", capacity, err)
 					}

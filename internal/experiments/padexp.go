@@ -51,7 +51,7 @@ func figure13Padding(cfg Config) (*stats.Table, error) {
 				if err != nil {
 					return runner.Outcome{}, err
 				}
-				res, err := core.Replay(in, rr.Decisions, core.SimOptions{LinkCapacity: 1, ElasticExec: true})
+				res, err := core.Replay(in, rr.Decisions, core.SimOptions{LinkCapacity: 1}, nil)
 				if err != nil {
 					return runner.Outcome{}, err
 				}

@@ -29,104 +29,104 @@ func streamStable(res *sched.StreamResult) bool {
 	return 2*res.QueuePeakSecondHalf <= 3*res.QueuePeakFirstHalf+32
 }
 
-func table14StreamStability(cfg Config) (*stats.Table, error) {
-	t := stats.NewTable("Table 14 — open-system stability frontier (bisected λ*, Poisson arrivals, K=2)",
-		"graph", "scheduler", "λ*", "±", "p95 sojourn @λ*", "queue peak @λ*", "retired @λ*")
-	arrivals := int64(5000)
-	iters := 8
+// frontierGraphs are the graphs T14 bisects λ* on, which T15's window
+// rows reuse: a line and a cluster, smaller under Quick.
+func frontierGraphs(cfg Config) []func() (*graph.Graph, error) {
 	if cfg.Quick {
-		arrivals = 600
-		iters = 6
-	}
-	type setting struct {
-		mkGraph func() (*graph.Graph, error)
-		mkSched func() sched.Scheduler
-		sname   string
-	}
-	var settings []setting
-	mkLine := func() (*graph.Graph, error) {
-		if cfg.Quick {
-			return graph.Line(16)
+		return []func() (*graph.Graph, error){
+			func() (*graph.Graph, error) { return graph.Line(16) },
+			func() (*graph.Graph, error) { return graph.Cluster(graph.ClusterSpec{Alpha: 2, Beta: 4, Gamma: 4}) },
 		}
-		return graph.Line(64)
 	}
-	mkCluster := func() (*graph.Graph, error) {
-		if cfg.Quick {
-			return graph.Cluster(graph.ClusterSpec{Alpha: 2, Beta: 4, Gamma: 4})
-		}
-		return graph.Cluster(graph.ClusterSpec{Alpha: 3, Beta: 8, Gamma: 8})
+	return []func() (*graph.Graph, error){
+		func() (*graph.Graph, error) { return graph.Line(64) },
+		func() (*graph.Graph, error) { return graph.Cluster(graph.ClusterSpec{Alpha: 3, Beta: 8, Gamma: 8}) },
 	}
-	for _, mg := range []func() (*graph.Graph, error){mkLine, mkCluster} {
-		settings = append(settings,
-			setting{mg, newGreedy, newGreedy().Name()},
-			setting{mg, newBucketTour, newBucketTour().Name()})
+}
+
+// bisectFrontier bisects the largest stable Poisson rate λ* in [1/64, 16]
+// for a fresh engine from mk per probe, on g with K=2 and one object per
+// node: lo tracks the last stable probe, hi the last unstable one. The
+// floor is far below any engine's service rate; a λ* reported at the
+// ceiling means the frontier lies beyond it. It returns λ* and the
+// stream result of the probe at it.
+func bisectFrontier(cfg Config, g *graph.Graph, mk func() sched.Scheduler, seed int64, m *obs.Metrics) (float64, *sched.StreamResult, error) {
+	arrivals, iters := int64(5000), 8
+	if cfg.Quick {
+		arrivals, iters = 600, 6
 	}
-	var points []runner.Point
-	for _, st := range settings {
-		g, err := st.mkGraph()
+	probe := func(rate float64) (*sched.StreamResult, error) {
+		src, err := workload.NewPoissonSource(g, workload.StreamConfig{
+			K: 2, NumObjects: g.N(), Rate: rate, Seed: seed,
+		})
 		if err != nil {
 			return nil, err
 		}
-		mkSched := st.mkSched
-		sname := st.sname
-		points = append(points, runner.Point{
-			Cells: []runner.Cell{{
-				Name: fmt.Sprintf("%s/%s", g.Name(), sname),
-				Run: func(seed int64, m *obs.Metrics) (runner.Outcome, error) {
-					probe := func(rate float64) (*sched.StreamResult, error) {
-						src, err := workload.NewPoissonSource(g, workload.StreamConfig{
-							K: 2, NumObjects: g.N(), Rate: rate, Seed: seed,
-						})
-						if err != nil {
-							return nil, err
-						}
-						return sched.RunStream(g, workload.UniformObjects(g, g.N(), seed),
-							src, mkSched(), sched.StreamOptions{Obs: m, MaxArrivals: arrivals})
-					}
-					// Bisect the largest stable λ in [1/64, 16]: lo tracks the
-					// last stable probe, hi the last unstable one. The floor
-					// is far below any engine's service rate; a λ* reported
-					// at the ceiling means the frontier lies beyond it.
-					lo, hi := 1.0/64, 16.0
-					best, err := probe(lo)
-					if err != nil {
-						return runner.Outcome{}, err
-					}
-					if !streamStable(best) {
-						return runner.Outcome{}, fmt.Errorf("t14: %s unstable even at λ=%g", sname, lo)
-					}
-					rate := lo
-					for i := 0; i < iters; i++ {
-						mid := (lo + hi) / 2
-						res, err := probe(mid)
+		return sched.RunStream(g, workload.UniformObjects(g, g.N(), seed),
+			src, mk(), sched.StreamOptions{Obs: m, MaxArrivals: arrivals})
+	}
+	lo, hi := 1.0/64, 16.0
+	best, err := probe(lo)
+	if err != nil {
+		return 0, nil, err
+	}
+	if !streamStable(best) {
+		return 0, nil, fmt.Errorf("%s on %s: unstable even at λ=%g", mk().Name(), g.Name(), lo)
+	}
+	for i := 0; i < iters; i++ {
+		mid := (lo + hi) / 2
+		res, err := probe(mid)
+		if err != nil {
+			return 0, nil, err
+		}
+		if streamStable(res) {
+			lo, best = mid, res
+		} else {
+			hi = mid
+		}
+	}
+	return lo, best, nil
+}
+
+func table14StreamStability(cfg Config) (*stats.Table, error) {
+	t := stats.NewTable("Table 14 — open-system stability frontier (bisected λ*, Poisson arrivals, K=2)",
+		"graph", "scheduler", "λ*", "±", "p95 sojourn @λ*", "queue peak @λ*", "retired @λ*")
+	var points []runner.Point
+	for _, mg := range frontierGraphs(cfg) {
+		for _, mkSched := range []func() sched.Scheduler{newGreedy, newBucketTour} {
+			g, err := mg()
+			if err != nil {
+				return nil, err
+			}
+			sname := mkSched().Name()
+			points = append(points, runner.Point{
+				Cells: []runner.Cell{{
+					Name: fmt.Sprintf("%s/%s", g.Name(), sname),
+					Run: func(seed int64, m *obs.Metrics) (runner.Outcome, error) {
+						rate, best, err := bisectFrontier(cfg, g, mkSched, seed, m)
 						if err != nil {
 							return runner.Outcome{}, err
 						}
-						if streamStable(res) {
-							lo, rate, best = mid, mid, res
-						} else {
-							hi = mid
-						}
-					}
-					return runner.Outcome{
-						MaxLat:  float64(best.MaxSojourn),
-						MeanLat: best.MeanSojourn,
-						Extra: map[string]float64{
-							"lambda":  rate,
-							"p95":     float64(best.SojournP95),
-							"queue":   float64(best.QueuePeak),
-							"retired": float64(best.Retired),
-						},
-					}, nil
+						return runner.Outcome{
+							MaxLat:  float64(best.MaxSojourn),
+							MeanLat: best.MeanSojourn,
+							Extra: map[string]float64{
+								"lambda":  rate,
+								"p95":     float64(best.SojournP95),
+								"queue":   float64(best.QueuePeak),
+								"retired": float64(best.Retired),
+							},
+						}, nil
+					},
+				}},
+				Row: func(cs []runner.Agg) ([]string, error) {
+					c := cs[0]
+					return []string{g.Name(), sname,
+						c.F("%.3f", c.X("lambda").Mean), c.Spread(c.X("lambda")),
+						c.Int(c.X("p95")), c.Int(c.X("queue")), c.Int(c.X("retired"))}, nil
 				},
-			}},
-			Row: func(cs []runner.Agg) ([]string, error) {
-				c := cs[0]
-				return []string{g.Name(), sname,
-					c.F("%.3f", c.X("lambda").Mean), c.Spread(c.X("lambda")),
-					c.Int(c.X("p95")), c.Int(c.X("queue")), c.Int(c.X("retired"))}, nil
-			},
-		})
+			})
+		}
 	}
 	return runSweep(cfg, cfg.trials(), t, points)
 }

@@ -26,7 +26,6 @@ import (
 	"dtm/internal/runner"
 	"dtm/internal/sched"
 	"dtm/internal/stats"
-	"dtm/internal/workload"
 )
 
 func table15Window(cfg Config) (*stats.Table, error) {
@@ -88,23 +87,7 @@ func table15Window(cfg Config) (*stats.Table, error) {
 
 	// Stability-frontier rows: T14's bisection, graphs, and criterion,
 	// applied to the window engine.
-	arrivals := int64(5000)
-	iters := 8
-	if cfg.Quick {
-		arrivals = 600
-		iters = 6
-	}
-	frontierGraphs := []func() (*graph.Graph, error){
-		func() (*graph.Graph, error) { return graph.Line(64) },
-		func() (*graph.Graph, error) { return graph.Cluster(graph.ClusterSpec{Alpha: 3, Beta: 8, Gamma: 8}) },
-	}
-	if cfg.Quick {
-		frontierGraphs = []func() (*graph.Graph, error){
-			func() (*graph.Graph, error) { return graph.Line(16) },
-			func() (*graph.Graph, error) { return graph.Cluster(graph.ClusterSpec{Alpha: 2, Beta: 4, Gamma: 4}) },
-		}
-	}
-	for _, mg := range frontierGraphs {
+	for _, mg := range frontierGraphs(cfg) {
 		g, err := mg()
 		if err != nil {
 			return nil, err
@@ -113,36 +96,9 @@ func table15Window(cfg Config) (*stats.Table, error) {
 			Cells: []runner.Cell{{
 				Name: fmt.Sprintf("%s/window-frontier", g.Name()),
 				Run: func(seed int64, m *obs.Metrics) (runner.Outcome, error) {
-					probe := func(rate float64) (*sched.StreamResult, error) {
-						src, err := workload.NewPoissonSource(g, workload.StreamConfig{
-							K: 2, NumObjects: g.N(), Rate: rate, Seed: seed,
-						})
-						if err != nil {
-							return nil, err
-						}
-						return sched.RunStream(g, workload.UniformObjects(g, g.N(), seed),
-							src, newWindow(), sched.StreamOptions{Obs: m, MaxArrivals: arrivals})
-					}
-					lo, hi := 1.0/64, 16.0
-					best, err := probe(lo)
+					rate, best, err := bisectFrontier(cfg, g, newWindow, seed, m)
 					if err != nil {
 						return runner.Outcome{}, err
-					}
-					if !streamStable(best) {
-						return runner.Outcome{}, fmt.Errorf("t15: window unstable even at λ=%g", lo)
-					}
-					rate := lo
-					for i := 0; i < iters; i++ {
-						mid := (lo + hi) / 2
-						res, err := probe(mid)
-						if err != nil {
-							return runner.Outcome{}, err
-						}
-						if streamStable(res) {
-							lo, rate, best = mid, mid, res
-						} else {
-							hi = mid
-						}
 					}
 					return runner.Outcome{
 						MaxLat:  float64(best.MaxSojourn),

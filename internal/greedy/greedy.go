@@ -14,6 +14,10 @@
 //     weight β (for the hypercube, β = log n — Section III-D), decisions
 //     are quantized to epochs that are multiples of β, and colors are
 //     found with Lemma 2, so each transaction executes by its epoch + Γ'.
+//
+// An H'_t edge weighs the time an object needs to cross it, so both modes
+// plan at the run's object speed: distances, and β, are multiplied by the
+// Sim's slow factor.
 package greedy
 
 import (
@@ -32,9 +36,10 @@ import (
 // Options configure the greedy scheduler.
 type Options struct {
 	// Uniform selects Theorem 2 mode: all conflict edges are overlaid with
-	// the weight β = max(diameter, 1) (the hypercube analysis of Section
+	// the weight β = max(diameter, 1) × the slow factor, the time an
+	// object needs to cross the graph (the hypercube analysis of Section
 	// III-D; a one-node graph has diameter 0), and decisions happen on
-	// multiples of β. Lemma 2 needs only β >= diameter.
+	// multiples of β. Lemma 2 needs only β >= that crossing time.
 	Uniform bool
 	// Pad (>= 1) multiplies every dependency-graph edge weight, spacing
 	// executions out by that factor. An extension for the paper's
@@ -72,6 +77,9 @@ type Greedy struct {
 	opts Options
 	env  *sched.Env
 	beta graph.Weight
+	// scale is the slow factor times the padding factor: a general-mode
+	// conflict weighs Dist × scale.
+	scale graph.Weight
 	// hub, set only by NewCoordinator, models the Section III-E funnel:
 	// every execution time is floored by the distance from the hub to the
 	// transaction's node (the scheduling decision must reach it).
@@ -129,23 +137,22 @@ func (g *Greedy) Start(env *sched.Env) error {
 		g.idx = depgraph.NewIndex(env.Sim)
 		g.idx.RegisterMetrics(env.Obs)
 	}
+	slow := graph.Weight(env.Sim.SlowFactor())
+	g.scale = slow * g.opts.pad()
 	if g.opts.Uniform {
-		g.beta = max(env.G.Diameter(), 1)
+		g.beta = max(env.G.Diameter(), 1) * slow
 	}
-	return g.checkPad()
+	return g.checkPad(slow)
 }
 
 // checkPad refuses a padding factor under which a padded H'_t weight
 // could wrap. A distance is at most the Sim's path bound, (N-1) × the
 // largest edge weight, and NewSim keeps the slow factor times it at most
 // graph.Infinite; Pad times that product, and in uniform mode Pad times
-// β, must stay below graph.Infinite too.
-func (g *Greedy) checkPad() error {
-	pad := g.opts.pad()
-	if pad == 1 {
-		return nil
-	}
-	slow, bound := graph.Weight(g.env.Sim.SlowFactor()), core.PathBound(g.env.G)
+// β, must stay below graph.Infinite too. On a one-node graph β is the
+// slow factor itself, which NewSim does not bound.
+func (g *Greedy) checkPad(slow graph.Weight) error {
+	pad, bound := g.opts.pad(), core.PathBound(g.env.G)
 	if span := slow * bound; span > 0 && pad > (graph.Infinite-1)/span {
 		return fmt.Errorf("greedy: padding factor %d times the slow factor %d and the path bound %d ((N-1) × largest edge weight) reaches %d",
 			pad, slow, bound, graph.Infinite)
@@ -484,13 +491,14 @@ func (g *Greedy) scheduleRebuild(txns []*core.Transaction, now core.Time) error 
 }
 
 // conflictWeight is the H'_t edge weight between two conflicting
-// transactions: their distance in G, or the uniform overlay weight β,
-// scaled by the congestion padding factor.
+// transactions: an object's travel time between their nodes at the run's
+// speed, or the uniform overlay weight β, scaled by the congestion
+// padding factor.
 func (g *Greedy) conflictWeight(a, b graph.NodeID) graph.Weight {
 	if g.opts.Uniform {
 		return g.beta * g.opts.pad()
 	}
-	return g.env.G.Dist(a, b) * g.opts.pad()
+	return g.env.G.Dist(a, b) * g.scale
 }
 
 // zWeight is the H'_t edge weight between a transaction at node and the

@@ -122,7 +122,7 @@ func TestSnapshotAvailPhysicalPositions(t *testing.T) {
 			{ID: 1, Node: 7, Objects: []core.ObjID{1}},
 		},
 	}
-	s, err := core.NewSim(in, core.SimOptions{})
+	s, err := core.NewSim(in, core.SimOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,8 +77,7 @@ func Sched(mk func(seed int64) (*core.Instance, sched.Scheduler, error)) CellFun
 }
 
 // SchedOpts is Sched with explicit driver options; the runner overrides
-// opts.Obs with the trial's private registry, so opts.Sim.Obs must stay
-// nil (the driver refuses a second registry).
+// opts.Obs with the trial's private registry.
 func SchedOpts(opts sched.Options, mk func(seed int64) (*core.Instance, sched.Scheduler, error)) CellFunc {
 	return func(seed int64, m *obs.Metrics) (Outcome, error) {
 		in, s, err := mk(seed)

@@ -11,13 +11,13 @@ import (
 )
 
 // TestElasticCommitsKeepObjectOrder runs every registry engine over the
-// golden topologies and workloads with elastic commits, at half speed
-// and over links of capacity 1, and checks each run's event stream: the
-// users of every object commit in (decided exec, ID) order.
+// golden topologies and workloads with elastic commits, over links of
+// capacity 1 at full and at half speed, and checks each run's event
+// stream: the users of every object commit in (decided exec, ID) order.
 func TestElasticCommitsKeepObjectOrder(t *testing.T) {
 	sims := map[string]core.SimOptions{
-		"elastic-slow": {ElasticExec: true, SlowFactor: 2},
-		"capacity-1":   {ElasticExec: true, LinkCapacity: 1},
+		"capacity-1":      {LinkCapacity: 1},
+		"capacity-1-slow": {LinkCapacity: 1, SlowFactor: 2},
 	}
 	for topo, g := range diffTopologies(t) {
 		for _, d := range engine.All() {

@@ -2,8 +2,8 @@ package sched_test
 
 // Driver goldens: a digest of every driver's output on fixed grids,
 // pinned in driverGoldens. The identity suites compare two paths through
-// the same driver (incremental vs oracle, P=1 vs P=2, sequential vs
-// parallel network); none of them notices the driver itself drifting.
+// the same driver (incremental vs oracle, P=1 vs P=2); none of them
+// notices the driver itself drifting.
 // These do: any change to decisions, results, ratios, abandoned
 // transactions, stream aggregates, the deterministic metric snapshot or
 // the emitted event stream changes a digest. A mismatch prints the whole
@@ -90,8 +90,8 @@ func digest(t *testing.T, parts ...any) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// goldenTable collects digests; variants of one case (P=1/P=2, sequential
-// and parallel network) must agree with each other and share one entry.
+// goldenTable collects digests; the variants of one case (P=1 and P=2)
+// must agree with each other and share one entry.
 type goldenTable map[string]string
 
 func (g goldenTable) put(t *testing.T, name, d string) {
@@ -117,16 +117,17 @@ func runEngines() []goldenEngine {
 		d := d
 		es = append(es, goldenEngine{d.ID, func() sched.Scheduler { return d.New(sched.EngineOptions{}) }, core.SimOptions{}})
 	}
-	elastic := core.SimOptions{ElasticExec: true, SlowFactor: 2}
+	slow := core.SimOptions{SlowFactor: 2}
 	return append(es,
 		goldenEngine{"greedy-pad2", func() sched.Scheduler { return greedy.New(greedy.Options{Pad: 2}) }, core.SimOptions{}},
-		goldenEngine{"greedy-elastic-slow", func() sched.Scheduler { return greedy.New(greedy.Options{}) }, elastic},
+		goldenEngine{"greedy-slow", func() sched.Scheduler { return greedy.New(greedy.Options{}) }, slow},
+		goldenEngine{"greedy-linkcap", func() sched.Scheduler { return greedy.New(greedy.Options{}) }, core.SimOptions{LinkCapacity: 1}},
 		goldenEngine{"bucket-random-suffix", func() sched.Scheduler {
 			return bucket.New(bucket.Options{Batch: batch.WithSuffixProperty(batch.Randomized{Seed: 42, Tries: 3})})
 		}, core.SimOptions{}},
 		goldenEngine{"bucket-tour-slow", func() sched.Scheduler {
 			return bucket.New(bucket.Options{Batch: batch.Tour{}})
-		}, elastic},
+		}, slow},
 	)
 }
 
@@ -157,6 +158,11 @@ func goldenRun(t *testing.T, got goldenTable) {
 					rr, err := sched.Run(in, e.mk(), sched.Options{Sim: simOpts, SnapshotEvery: int(seed), Obs: rec.m})
 					if err != nil {
 						t.Fatalf("%s P=%d: %v", name, p, err)
+					}
+					if queued, waits := rr.Metrics.Counters[obs.NameCoreLinkQueued.String()],
+						rr.Metrics.Counters[obs.NameCoreElasticWaits.String()]; e.sim.LinkCapacity > 0 && (queued == 0 || waits == 0) {
+						t.Fatalf("%s P=%d: %d link waits and %d elastic waits; a bounded-link case must exercise both",
+							name, p, queued, waits)
 					}
 					got.put(t, name, digest(t, rr.Scheduler, rr.Decisions, rr.Result, rr.Ratios, rr.MaxRatio,
 						rr.Abandoned, rr.Failed, rec.metrics(rr.Metrics), rec.eventDigest()))
@@ -457,12 +463,15 @@ var driverGoldens = map[string]string{
 	"run/clique/distributed/seed1":                  "92255971c52f196f",
 	"run/clique/distributed/seed2":                  "086a46d804ea434d",
 	"run/clique/distributed/seed3":                  "18ecd61b559af056",
-	"run/clique/greedy-elastic-slow/seed1":          "31d4d7c41b25758c",
-	"run/clique/greedy-elastic-slow/seed2":          "4bce44e36370b90a",
-	"run/clique/greedy-elastic-slow/seed3":          "af16a679244bd9cd",
+	"run/clique/greedy-linkcap/seed1":               "b9aacde552cd1e28",
+	"run/clique/greedy-linkcap/seed2":               "1be929e9baf2e19f",
+	"run/clique/greedy-linkcap/seed3":               "c68c47f03cd0bf27",
 	"run/clique/greedy-pad2/seed1":                  "e5380f3338bb69f7",
 	"run/clique/greedy-pad2/seed2":                  "8da1bab11fefd459",
 	"run/clique/greedy-pad2/seed3":                  "e9bb6934992c27ff",
+	"run/clique/greedy-slow/seed1":                  "c5157eb8a15d6a82",
+	"run/clique/greedy-slow/seed2":                  "8971f3172a7bcb22",
+	"run/clique/greedy-slow/seed3":                  "cabc586ed28f0cc1",
 	"run/clique/greedy-uniform/seed1":               "0f215b83c32bdbb9",
 	"run/clique/greedy-uniform/seed2":               "a7c81472b7068768",
 	"run/clique/greedy-uniform/seed3":               "33e402c538bdf5c2",
@@ -493,12 +502,15 @@ var driverGoldens = map[string]string{
 	"run/cluster/distributed/seed1":                 "9782ee3d152fed4c",
 	"run/cluster/distributed/seed2":                 "9f73de7cdd3d50f7",
 	"run/cluster/distributed/seed3":                 "1d72f27dd243ba3e",
-	"run/cluster/greedy-elastic-slow/seed1":         "d31b25bb942b1c1d",
-	"run/cluster/greedy-elastic-slow/seed2":         "81c22b4be2fbd86a",
-	"run/cluster/greedy-elastic-slow/seed3":         "4d4d313f24bb1ab4",
+	"run/cluster/greedy-linkcap/seed1":              "f7bc01b8f0e70dc0",
+	"run/cluster/greedy-linkcap/seed2":              "4d2fb6c2343d16b2",
+	"run/cluster/greedy-linkcap/seed3":              "a96f7fb442e7fa07",
 	"run/cluster/greedy-pad2/seed1":                 "0bad10bec16f78dd",
 	"run/cluster/greedy-pad2/seed2":                 "d81305e5bf72f7e2",
 	"run/cluster/greedy-pad2/seed3":                 "06bf1d61307c0aa9",
+	"run/cluster/greedy-slow/seed1":                 "e22e6388ae349f7b",
+	"run/cluster/greedy-slow/seed2":                 "50f3c4f52de1e255",
+	"run/cluster/greedy-slow/seed3":                 "ca6ebd4e418663b5",
 	"run/cluster/greedy-uniform/seed1":              "963e9f802b5c7859",
 	"run/cluster/greedy-uniform/seed2":              "eb5b753d9078dbf9",
 	"run/cluster/greedy-uniform/seed3":              "bf5c943216fed66c",
@@ -529,12 +541,15 @@ var driverGoldens = map[string]string{
 	"run/grid/distributed/seed1":                    "21fb57ca75e83a90",
 	"run/grid/distributed/seed2":                    "da811a60234e7d5a",
 	"run/grid/distributed/seed3":                    "9f0453c58c708162",
-	"run/grid/greedy-elastic-slow/seed1":            "411bbc857018a1fb",
-	"run/grid/greedy-elastic-slow/seed2":            "25708ec258f803eb",
-	"run/grid/greedy-elastic-slow/seed3":            "b05216706bbb1b7f",
+	"run/grid/greedy-linkcap/seed1":                 "d7afe0c7e3a6c6d7",
+	"run/grid/greedy-linkcap/seed2":                 "36f87335e9f5a066",
+	"run/grid/greedy-linkcap/seed3":                 "162d1b149c6306f0",
 	"run/grid/greedy-pad2/seed1":                    "4359b6197725e3b9",
 	"run/grid/greedy-pad2/seed2":                    "95c853888b33facb",
 	"run/grid/greedy-pad2/seed3":                    "51266d85b79b2b54",
+	"run/grid/greedy-slow/seed1":                    "e06f04bfc12f599d",
+	"run/grid/greedy-slow/seed2":                    "8226d74d4614ee03",
+	"run/grid/greedy-slow/seed3":                    "8090af0a383458ad",
 	"run/grid/greedy-uniform/seed1":                 "45bdb470d9e10fb8",
 	"run/grid/greedy-uniform/seed2":                 "573b7193606cef86",
 	"run/grid/greedy-uniform/seed3":                 "cf05dfb3ae7fbef6",
@@ -565,12 +580,15 @@ var driverGoldens = map[string]string{
 	"run/line/distributed/seed1":                    "1cf86322492f57a3",
 	"run/line/distributed/seed2":                    "c04c4aa607462407",
 	"run/line/distributed/seed3":                    "67b51f5902cead79",
-	"run/line/greedy-elastic-slow/seed1":            "9962900cd2a65aca",
-	"run/line/greedy-elastic-slow/seed2":            "c93a346974db437a",
-	"run/line/greedy-elastic-slow/seed3":            "ca3447905556de83",
+	"run/line/greedy-linkcap/seed1":                 "2ed40575e29d84f4",
+	"run/line/greedy-linkcap/seed2":                 "d717f9727ad9acff",
+	"run/line/greedy-linkcap/seed3":                 "0f0df26ea091ffcc",
 	"run/line/greedy-pad2/seed1":                    "6cf2152adc558072",
 	"run/line/greedy-pad2/seed2":                    "4af230a0541fe4f9",
 	"run/line/greedy-pad2/seed3":                    "79303723b4b113fb",
+	"run/line/greedy-slow/seed1":                    "e26b6402ba42fe19",
+	"run/line/greedy-slow/seed2":                    "b6b44347d0d03c47",
+	"run/line/greedy-slow/seed3":                    "2c4f682adf55262e",
 	"run/line/greedy-uniform/seed1":                 "84ca886970aa8a16",
 	"run/line/greedy-uniform/seed2":                 "d821d5934cb5310f",
 	"run/line/greedy-uniform/seed3":                 "8e013ff09f35ef7d",

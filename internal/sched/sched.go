@@ -125,9 +125,9 @@ type Options struct {
 	// distinct arrival time (0 or 1 = every one; <0 disables snapshots).
 	SnapshotEvery int
 	// Obs, when set, collects metrics across the driver, the engine, and
-	// the scheduler, and is snapshotted into RunResult.Metrics. It is
-	// threaded into the Sim and exposed to schedulers via Env.Obs. It is
-	// the run's one registry: a Sim.Obs other than it is refused.
+	// the scheduler, and is snapshotted into RunResult.Metrics. It is the
+	// run's one registry: the driver hands it to the Sim and exposes it to
+	// schedulers via Env.Obs.
 	Obs *obs.Metrics
 }
 

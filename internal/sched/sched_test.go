@@ -87,7 +87,7 @@ func TestDriverRunsSerialScheduler(t *testing.T) {
 		}
 	}
 	// The decision log must replay cleanly.
-	if _, err := core.Replay(in, rr.Decisions, core.SimOptions{}); err != nil {
+	if _, err := core.Replay(in, rr.Decisions, core.SimOptions{}, nil); err != nil {
 		t.Fatalf("decision log does not replay: %v", err)
 	}
 }
@@ -120,7 +120,7 @@ func TestDriveSlowFactor(t *testing.T) {
 		if rr.SlowFactor != c.want {
 			t.Errorf("%s: RunResult.SlowFactor = %d, want %d", c.name, rr.SlowFactor, c.want)
 		}
-		if _, err := core.Replay(in, rr.Decisions, core.SimOptions{SlowFactor: rr.SlowFactor}); err != nil {
+		if _, err := core.Replay(in, rr.Decisions, core.SimOptions{SlowFactor: rr.SlowFactor}, nil); err != nil {
 			t.Errorf("%s: decision log does not replay at speed %d: %v", c.name, rr.SlowFactor, err)
 		}
 		s := c.s()

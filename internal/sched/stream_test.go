@@ -7,7 +7,6 @@ package sched_test
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"dtm/internal/core"
@@ -217,79 +216,5 @@ func TestStreamValidation(t *testing.T) {
 	if _, err := sched.RunStream(g, workload.UniformObjects(g, 2, 1), src,
 		greedy.New(greedy.Options{}), sched.StreamOptions{MaxArrivals: -1}); err == nil {
 		t.Error("negative MaxArrivals accepted")
-	}
-}
-
-// TestDriversRefuseSecondRegistry checks that every driver takes its
-// registry from Obs alone. A Sim.Obs other than Obs would split the run's
-// metrics (the sim's instruments in one registry, the driver's and the
-// engine's in the other), so it is refused before the sim is built; a
-// Sim.Obs equal to Obs is accepted, and the run's counters all land in it.
-func TestDriversRefuseSecondRegistry(t *testing.T) {
-	g, err := graph.Line(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := workload.Generate(g, workload.Config{
-		K: 2, NumObjects: 8, Rounds: 2,
-		Arrival: workload.ArrivalPeriodic, Period: 4, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	simOpts := func(m *obs.Metrics) core.SimOptions { return core.SimOptions{Obs: m} }
-	drivers := []struct {
-		name string
-		run  func(m, simObs *obs.Metrics) (*obs.Snapshot, error)
-	}{
-		{"Run", func(m, simObs *obs.Metrics) (*obs.Snapshot, error) {
-			rr, err := sched.Run(in, greedy.New(greedy.Options{}), sched.Options{Sim: simOpts(simObs), Obs: m})
-			if rr == nil {
-				return nil, err
-			}
-			return rr.Metrics, err
-		}},
-		{"RunClosedLoop", func(m, simObs *obs.Metrics) (*obs.Snapshot, error) {
-			cfg := sched.ClosedLoopConfig{
-				Objects: workload.UniformObjects(g, 8, 5), Rounds: 2,
-				Gen: func(node graph.NodeID, round int) []core.ObjID {
-					return []core.ObjID{core.ObjID((int(node) + round) % 8)}
-				},
-			}
-			rr, _, err := sched.RunClosedLoop(g, cfg, greedy.New(greedy.Options{}), sched.Options{Sim: simOpts(simObs), Obs: m})
-			if rr == nil {
-				return nil, err
-			}
-			return rr.Metrics, err
-		}},
-		{"RunStream", func(m, simObs *obs.Metrics) (*obs.Snapshot, error) {
-			src, err := workload.NewPoissonSource(g, workload.StreamConfig{K: 2, NumObjects: 8, Rate: 0.5, Seed: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := sched.RunStream(g, workload.UniformObjects(g, 8, 5), src, greedy.New(greedy.Options{}),
-				sched.StreamOptions{Sim: simOpts(simObs), Obs: m, MaxArrivals: 200})
-			if res == nil {
-				return nil, err
-			}
-			return res.Metrics, err
-		}},
-	}
-	for _, d := range drivers {
-		snap, err := d.run(obs.New(), obs.New())
-		if err == nil || !strings.Contains(err.Error(), "Sim.Obs") {
-			t.Errorf("%s with a second registry in Sim.Obs: err = %v, want a refusal naming Sim.Obs", d.name, err)
-		}
-		if snap != nil {
-			t.Errorf("%s with a second registry in Sim.Obs: the refused run has a result", d.name)
-		}
-		m := obs.New()
-		if snap, err = d.run(m, m); err != nil {
-			t.Fatalf("%s with Sim.Obs equal to Obs: %v", d.name, err)
-		}
-		commits, arrivals := snap.Counters[obs.NameCoreCommits.String()], snap.Counters[obs.NameSchedArrivals.String()]
-		if commits == 0 || commits != arrivals {
-			t.Errorf("%s with Sim.Obs equal to Obs: core.commits %d, sched.arrivals %d, want equal and non-zero", d.name, commits, arrivals)
-		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -57,20 +56,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Percentile returns the nearest-rank p-quantile (p in [0,1]) of the
-// sample without modifying it: the smallest value with at least a p
-// fraction of the sample at or below it. It returns 0 for an empty
-// sample.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	i := int(math.Ceil(p*float64(len(sorted)))) - 1
-	return sorted[max(0, min(i, len(sorted)-1))]
 }
 
 // Table accumulates rows and renders them as an aligned text table (the

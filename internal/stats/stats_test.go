@@ -41,33 +41,12 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
-func TestMeanAndPercentile(t *testing.T) {
+func TestMean(t *testing.T) {
 	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %v, want 0", got)
 	}
 	if got := Mean([]float64{1, 2, 3, 6}); got != 3 {
 		t.Errorf("Mean = %v, want 3", got)
-	}
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Errorf("Percentile(nil) = %v, want 0", got)
-	}
-	xs := []float64{5, 1, 3, 2, 4} // unsorted: Percentile must not mutate it
-	if got := Percentile(xs, 0.5); got != 3 {
-		t.Errorf("P50 = %v, want 3", got)
-	}
-	if got := Percentile(xs, 0.95); got != 5 {
-		t.Errorf("P95 = %v, want 5", got)
-	}
-	if xs[0] != 5 {
-		t.Errorf("Percentile mutated its input: %v", xs)
-	}
-	// Nearest rank: the 0.4-quantile of five values is the second smallest,
-	// and p = 0 reads the smallest.
-	if got := Percentile(xs, 0.4); got != 2 {
-		t.Errorf("P40 = %v, want 2", got)
-	}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("P0 = %v, want 1", got)
 	}
 }
 

@@ -122,7 +122,7 @@ func (r *Run) Validate() error {
 	if err != nil {
 		return err
 	}
-	res, err := core.ReplayAbandoned(in, r.Decisions, r.Abandoned, core.SimOptions{SlowFactor: r.SlowObj})
+	res, err := core.ReplayAbandoned(in, r.Decisions, r.Abandoned, core.SimOptions{SlowFactor: r.SlowObj}, nil)
 	if res == nil {
 		return fmt.Errorf("trace: malformed run: %w", err)
 	}

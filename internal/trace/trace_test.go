@@ -119,7 +119,7 @@ func degradeRun(t *testing.T, r *Run) core.TxID {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.ReplayAbandoned(in, r.Decisions, r.Abandoned, core.SimOptions{SlowFactor: r.SlowObj})
+	res, err := core.ReplayAbandoned(in, r.Decisions, r.Abandoned, core.SimOptions{SlowFactor: r.SlowObj}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func FuzzWindowDraws(f *testing.F) {
 		if got := fmt.Sprintf("%+v", run(2).Decisions); got != fmt.Sprintf("%+v", base.Decisions) {
 			t.Fatal("parallel (P=2) decision log differs from sequential")
 		}
-		if _, err := core.Replay(in, base.Decisions, core.SimOptions{}); err != nil {
+		if _, err := core.Replay(in, base.Decisions, core.SimOptions{}, nil); err != nil {
 			t.Fatalf("replay rejected window schedule: %v", err)
 		}
 	})

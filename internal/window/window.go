@@ -23,7 +23,9 @@
 // degree).
 //
 // Contention is resolved against the same persistent conflict index
-// (internal/depgraph) as the greedy engine.
+// (internal/depgraph) as the greedy engine, and like greedy the window
+// plans at the run's object speed: conflict weights and the first window
+// are multiplied by the Sim's slow factor.
 package window
 
 import (
@@ -85,6 +87,7 @@ type Window struct {
 	env  *sched.Env
 	rng  *rand.Rand
 	w0   graph.Weight
+	slow graph.Weight // the Sim's slow factor: a conflict weighs Dist × slow
 
 	// The conflict index and the buffers of the coloring rounds, reused
 	// across calls.
@@ -136,9 +139,11 @@ func (w *Window) Start(env *sched.Env) error {
 	}
 	// Re-seeded per run so a reused scheduler value replays identically.
 	w.rng = rand.New(rand.NewSource(seed))
-	// The first acceptance window W is the graph diameter (at least 1),
-	// the natural frame length under which a decision can cross the graph.
-	w.w0 = max(env.G.Diameter(), 1)
+	// The first acceptance window W is the time an object needs to cross
+	// the graph (the diameter, at least 1, at the run's speed), the natural
+	// frame length under which a decision can cross the graph.
+	w.slow = graph.Weight(env.Sim.SlowFactor())
+	w.w0 = max(env.G.Diameter(), 1) * w.slow
 	return nil
 }
 
@@ -237,7 +242,7 @@ func (w *Window) round(cands []cand, order []int, now core.Time) error {
 		}
 		nbrs := w.idx.AppendNeighbors(c.slot, w.nbrs[:0])
 		for _, nb := range nbrs {
-			cw := w.env.G.Dist(c.tx.Node, nb.Node)
+			cw := w.env.G.Dist(c.tx.Node, nb.Node) * w.slow
 			if cw == 0 {
 				continue
 			}

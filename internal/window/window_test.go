@@ -58,7 +58,7 @@ func TestWindowValidAcrossTopologies(t *testing.T) {
 			}
 			// The decision log must replay cleanly: every window placement
 			// is a feasible execution time under the model.
-			if _, err := core.Replay(in, rr.Decisions, core.SimOptions{}); err != nil {
+			if _, err := core.Replay(in, rr.Decisions, core.SimOptions{}, nil); err != nil {
 				t.Errorf("replay rejected window schedule: %v", err)
 			}
 		})
@@ -158,7 +158,7 @@ func TestWindowDeterministicPerSeed(t *testing.T) {
 	// A different seed draws different priorities; the schedule stays
 	// valid either way (difference itself is probabilistic, not asserted).
 	other := runWindow(t, in, Options{Seed: 43}, core.SimOptions{})
-	if _, err := core.Replay(in, other.Decisions, core.SimOptions{}); err != nil {
+	if _, err := core.Replay(in, other.Decisions, core.SimOptions{}, nil); err != nil {
 		t.Errorf("replay rejected seed-43 schedule: %v", err)
 	}
 }
