@@ -7,7 +7,8 @@ package sched_test
 // (the arrival process feeds back through commit times, so any drift
 // compounds into a different workload). The digests were computed on the
 // closed-loop driver while it was still pinned byte-identical to the
-// pre-unification reference driver.
+// pre-unification reference driver; each is a schedule half and an obs
+// half, as in TestDriverGoldens.
 
 import (
 	"strings"
@@ -66,8 +67,8 @@ func TestClosedLoopMatchesRef(t *testing.T) {
 			continue
 		}
 		t.Run(sub, func(t *testing.T) {
-			if got[name] != want {
-				t.Errorf("digest %q, reference %q", got[name], want)
+			if have := got[name]; have != want {
+				t.Errorf("digests {%q, %q}, reference {%q, %q}", have.sched, have.obs, want.sched, want.obs)
 			}
 		})
 	}
