@@ -79,9 +79,11 @@ soak: build
 # interval sweeps (every color decision funnels through them), the
 # persistent conflict-index invariants, the sessionized batch API's
 # differential against the one-shot schedulers, the incremental
-# lower bound's differential against lowerbound.Estimate, and the
+# lower bound's differential against lowerbound.Estimate, the
 # canonical metric-closure MST's insertion against Build and the cycle
-# property. The seed corpora also run as plain tests under `make test`.
+# property, and the simulator's per-leg motion against the frozen
+# per-hop reference. The seed corpora also run as plain tests under
+# `make test`.
 fuzz-quick: build
 	$(GO) test -run '^$$' -fuzz 'FuzzSmallestValid$$' -fuzztime 30s ./internal/coloring/
 	$(GO) test -run '^$$' -fuzz 'FuzzSmallestValidMultiple$$' -fuzztime 30s ./internal/coloring/
@@ -90,3 +92,4 @@ fuzz-quick: build
 	$(GO) test -run '^$$' -fuzz 'FuzzWindowDraws$$' -fuzztime 30s ./internal/window/
 	$(GO) test -run '^$$' -fuzz 'FuzzTracker$$' -fuzztime 30s ./internal/lowerbound/
 	$(GO) test -run '^$$' -fuzz 'FuzzMST$$' -fuzztime 30s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz 'FuzzLegsMatchHops$$' -fuzztime 30s ./internal/core/

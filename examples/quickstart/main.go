@@ -32,9 +32,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Run Algorithm 1. The engine moves objects hop-by-hop along shortest
-	// paths and fails loudly if the schedule were ever infeasible, so a
-	// returned result is a verified execution.
+	// Run Algorithm 1. The engine moves objects along shortest paths and
+	// fails loudly if the schedule were ever infeasible, so a returned
+	// result is a verified execution.
 	rr, err := dtm.Run(in, dtm.NewGreedy(dtm.GreedyOptions{}), dtm.RunOptions{})
 	if err != nil {
 		log.Fatal(err)

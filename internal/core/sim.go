@@ -46,9 +46,9 @@ type simMetrics struct {
 	decisions  *obs.Counter   // core.decisions: Decide calls accepted
 	commits    *obs.Counter   // core.commits: transactions executed
 	violations *obs.Counter   // core.violations: infeasible schedules caught
-	moves      *obs.Counter   // core.object_moves: edge traversals started
-	travel     *obs.Counter   // core.travel_weight: total distance traveled
-	hops       *obs.Histogram // core.hop_weight: per-traversal edge weight
+	moves      *obs.Counter   // core.object_moves: legs started
+	travel     *obs.Counter   // core.travel_weight: total weight of finished legs
+	legs       *obs.Histogram // core.leg_weight: weight of each finished leg
 	latency    *obs.Histogram // core.commit_latency: commit - arrival
 	live       *obs.Gauge     // core.live_txns: decided but not committed
 	linkQueued *obs.Counter   // core.link_queued: waits at saturated links
@@ -66,7 +66,7 @@ func newSimMetrics(m *obs.Metrics) simMetrics {
 		violations: m.Counter(obs.NameCoreViolations),
 		moves:      m.Counter(obs.NameCoreObjectMoves),
 		travel:     m.Counter(obs.NameCoreTravelWeight),
-		hops:       m.Histogram(obs.NameCoreHopWeight, obs.PowersOfTwo(12)),
+		legs:       m.Histogram(obs.NameCoreLegWeight, obs.PowersOfTwo(12)),
 		latency:    m.Histogram(obs.NameCoreCommitLatency, obs.PowersOfTwo(16)),
 		live:       m.Gauge(obs.NameCoreLiveTxns),
 		linkQueued: m.Counter(obs.NameCoreLinkQueued),
@@ -136,7 +136,7 @@ func (e *event) before(f *event) bool {
 
 // eventQueue is the Sim's binary min-heap of events. It compares inline
 // rather than through a function value, and moves a hole instead of
-// swapping: every object hop is one push and one pop.
+// swapping: every leg is one push and one pop.
 type eventQueue []event
 
 func (q *eventQueue) push(e event) {
@@ -191,16 +191,28 @@ func mkEdgeKey(a, b graph.NodeID) edgeKey {
 	return edgeKey{u: a, v: b}
 }
 
+// objState is one object. An object rests at a node, or travels on a
+// leg: one stretch of shortest-path travel from at to end. On a leg it
+// crosses, at each node u, the edge to NextHop(u, end), as if it were
+// forwarded hop by hop. The cursor (next, nextAt, nextW) is the end of
+// the hop in progress at the last walk (see walk): the node, the step
+// the object reaches it, and the leg weight up to it. The cursor only
+// moves forward, so all the walks along one leg read each hop once.
 type objState struct {
-	exists    bool
-	at        graph.NodeID
-	inTransit bool
-	next      graph.NodeID
-	arrive    Time
-	curEdge   edgeKey // edge being traversed, when inTransit (LinkCapacity mode)
-	queued    bool    // waiting for a busy edge (LinkCapacity mode)
-	pending   []TxID  // decided, unserved users, sorted by (exec, txID)
-	traveled  graph.Weight
+	exists bool
+	moving bool // on a leg
+	queued bool // waiting for a busy edge (LinkCapacity mode)
+	at     graph.NodeID
+	end    graph.NodeID // the leg's end, when moving
+	arrive Time         // the step the leg reaches end
+	legW   graph.Weight // the leg's weight, Dist(at, end)
+	next   graph.NodeID
+	nextAt Time
+	nextW  graph.Weight
+	// pending lists the decided, unserved users, sorted by (exec, txID).
+	pending []TxID
+	// traveled is the weight of the object's finished legs.
+	traveled graph.Weight
 }
 
 // Sim is the event-driven execution engine for the synchronous data-flow
@@ -209,7 +221,11 @@ type objState struct {
 //
 // Within one time step the Sim performs the paper's three node actions in
 // order: receive objects, execute transactions whose step has come, then
-// forward objects (dispatch).
+// forward objects (dispatch). An object travels toward its head pending
+// user on one leg, with a single arrival event at the leg's end; a
+// decision that changes the user's node cuts the leg at the end of the
+// hop in progress, where the object may turn (the paper's artificial
+// node, Section III-B).
 type Sim struct {
 	in   *Instance
 	opts SimOptions
@@ -236,6 +252,9 @@ type Sim struct {
 	events eventQueue
 	seq    int64
 	failed error
+	// dispatched is the last step whose dispatch has run. Until it runs,
+	// an object whose leg passes a node at the current step rests there.
+	dispatched Time
 
 	// The objects to dispatch at the current step: dirtyMark[o] is set
 	// iff o is in dirtyList, so each object is listed once.
@@ -256,8 +275,8 @@ type Sim struct {
 }
 
 // NewSim validates the instance and prepares a simulation at time 0. m,
-// when non-nil, collects engine metrics (decisions, object moves and hop
-// distances, commits, live-set size) and streams fine-grained events to
+// when non-nil, collects engine metrics (decisions, legs and their
+// weights, commits, live-set size) and streams fine-grained events to
 // its sink; nil disables instrumentation at the cost of one nil-check per
 // event site.
 func NewSim(in *Instance, opts SimOptions, m *obs.Metrics) (*Sim, error) {
@@ -525,13 +544,7 @@ func (s *Sim) AdvanceTo(t Time) error {
 				s.objs[e.id].exists = true
 				s.markDirty(ObjID(e.id))
 			case prioArrive:
-				os := &s.objs[e.id]
-				os.at = os.next
-				os.inTransit = false
-				s.markDirty(ObjID(e.id))
-				if s.opts.LinkCapacity > 0 {
-					s.releaseEdge(os.curEdge)
-				}
+				s.arrive(ObjID(e.id), e.at)
 			case prioExec:
 				// Exec events sort after every receive at this timestamp,
 				// so each check sees the step's final object positions.
@@ -545,7 +558,26 @@ func (s *Sim) AdvanceTo(t Time) error {
 		s.dispatchDirty()
 	}
 	s.now = t
+	s.dispatched = t
 	return nil
+}
+
+// arrive ends o's leg, unless the leg was cut and this is its old
+// arrival (a cut pushes the leg's new one).
+func (s *Sim) arrive(o ObjID, at Time) {
+	os := &s.objs[o]
+	if !os.moving || os.arrive != at {
+		return
+	}
+	if s.opts.LinkCapacity > 0 {
+		s.releaseEdge(mkEdgeKey(os.at, os.end)) // a bounded leg is one hop
+	}
+	os.at = os.end
+	os.moving = false
+	os.traveled += os.legW
+	s.met.travel.Add(int64(os.legW))
+	s.met.legs.Observe(int64(os.legW))
+	s.markDirty(o)
 }
 
 // executeTx runs tx at its execution step. With bounded links commits
@@ -568,14 +600,13 @@ func (s *Sim) executeTx(tx TxID) error {
 	for _, o := range t.Objects {
 		os := &s.objs[o]
 		var detail string
-		switch {
-		case !os.exists:
+		if !os.exists {
 			detail = "object not created yet"
-		case os.inTransit:
-			detail = fmt.Sprintf("object in transit to node %d (arrives t=%d)", os.next, os.arrive)
-		case os.at != t.Node:
-			detail = fmt.Sprintf("object at node %d, transaction at node %d", os.at, t.Node)
-		default:
+		} else if loc := s.locate(os); loc.InTransit {
+			detail = fmt.Sprintf("object in transit to node %d (arrives t=%d)", loc.Next, loc.Arrive)
+		} else if loc.Node != t.Node {
+			detail = fmt.Sprintf("object at node %d, transaction at node %d", loc.Node, t.Node)
+		} else {
 			continue
 		}
 		s.met.violations.Inc()
@@ -635,11 +666,13 @@ func (s *Sim) attemptDue() {
 	}
 }
 
+// allPresent serves elastic commits, which run only on bounded links,
+// where every leg is one hop: an object on a leg is between nodes.
 func (s *Sim) allPresent(tx TxID) bool {
 	t := s.txn(tx)
 	for _, o := range t.Objects {
 		os := &s.objs[o]
-		if !os.exists || os.inTransit || os.at != t.Node {
+		if !os.exists || os.moving || os.at != t.Node {
 			return false
 		}
 		// Preserve each object's decided serialization order: commit only
@@ -656,6 +689,7 @@ func (s *Sim) allPresent(tx TxID) bool {
 // whose situation changed at the current step, in object-ID order (the
 // order matters once links have bounded capacity).
 func (s *Sim) dispatchDirty() {
+	s.dispatched = s.now
 	if len(s.dirtyList) == 0 {
 		return
 	}
@@ -669,17 +703,29 @@ func (s *Sim) dispatchDirty() {
 	s.dispIDs = ids[:0]
 }
 
+// dispatch starts o on a leg toward its head pending user, or cuts the
+// leg it is on if that user's node is no longer the leg's end. On
+// unbounded links a leg runs to the user's node; with LinkCapacity set it
+// is one hop, so each edge is claimed as the object reaches it.
 func (s *Sim) dispatch(o ObjID) {
 	os := &s.objs[o]
-	if !os.exists || os.inTransit || os.queued || len(os.pending) == 0 {
+	if !os.exists || os.queued || len(os.pending) == 0 {
 		return
 	}
 	target := s.txn(os.pending[0]).Node
+	if os.moving {
+		if target != os.end {
+			s.cut(o, os)
+		}
+		return
+	}
 	if os.at == target {
 		return // wait at the requester until it executes
 	}
 	hop := s.in.G.NextHop(os.at, target)
+	end := target
 	if cap := s.opts.LinkCapacity; cap > 0 {
+		end = hop
 		key := mkEdgeKey(os.at, hop)
 		if s.edgeBusy[key] >= cap {
 			// The link is saturated: queue in deterministic (FIFO) order
@@ -690,22 +736,73 @@ func (s *Sim) dispatch(o ObjID) {
 			return
 		}
 		s.edgeBusy[key]++
-		os.curEdge = key
 	}
 	// hop's parent in os.at's shortest-path tree is os.at, so its tree
 	// distance is the weight of the edge between them.
 	w := s.in.G.Dist(os.at, hop)
-	os.inTransit = true
+	legW := w
+	if end != hop {
+		legW = s.in.G.Dist(os.at, end)
+	}
+	slow := s.opts.slow()
+	os.moving = true
+	os.end = end
+	os.arrive = s.now + Time(legW*slow)
+	os.legW = legW
 	os.next = hop
-	os.arrive = s.now + Time(w*s.opts.slow())
-	os.traveled += w
+	os.nextAt = s.now + Time(w*slow)
+	os.nextW = w
 	s.met.moves.Inc()
-	s.met.travel.Add(int64(w))
-	s.met.hops.Observe(int64(w))
 	if s.obs != nil {
-		s.obs.Emit(obs.Event{At: int64(s.now), Kind: "move", Obj: int(o), Node: int(hop), Value: int64(w)})
+		s.obs.Emit(obs.Event{At: int64(s.now), Kind: "move", Obj: int(o), Node: int(end), Value: int64(legW)})
 	}
 	s.push(os.arrive, prioArrive, int(o))
+}
+
+// cut ends o's leg at the end of the hop in progress, the first node
+// where per-hop forwarding would have turned toward the new user. A hop
+// that departs at the current step is in progress. A leg whose hop in
+// progress already ends at the leg's end is left as it is.
+func (s *Sim) cut(o ObjID, os *objState) {
+	s.walk(os)
+	if os.next == os.end {
+		return
+	}
+	os.end, os.arrive, os.legW = os.next, os.nextAt, os.nextW
+	if s.obs != nil {
+		s.obs.Emit(obs.Event{At: int64(s.now), Kind: "cut", Obj: int(o), Node: int(os.end), Value: int64(os.arrive)})
+	}
+	s.push(os.arrive, prioArrive, int(o))
+}
+
+// walk moves the cursor of an object on a leg to the hop in progress at
+// the current step: the hop it crosses after this step's dispatch, or,
+// before that dispatch, the hop that ends at this step if one does. It
+// follows each node's own NextHop toward the leg's end, the path per-hop
+// forwarding took. It reports whether the object rests at the cursor
+// node: before the step's dispatch, an object whose leg passes a node at
+// this step is there, as it was when every hop ended in an arrival.
+func (s *Sim) walk(os *objState) (rests bool) {
+	pre := s.now > s.dispatched
+	for os.next != os.end && (os.nextAt < s.now || (os.nextAt == s.now && !pre)) {
+		hop := s.in.G.NextHop(os.next, os.end)
+		w := s.in.G.Dist(os.next, hop)
+		os.next = hop
+		os.nextAt += Time(w * s.opts.slow())
+		os.nextW += w
+	}
+	return pre && os.nextAt == s.now
+}
+
+// locate reports where o is at the current step.
+func (s *Sim) locate(os *objState) ObjLoc {
+	if !os.moving {
+		return ObjLoc{Node: os.at}
+	}
+	if s.walk(os) {
+		return ObjLoc{Node: os.next}
+	}
+	return ObjLoc{InTransit: true, Next: os.next, Arrive: os.nextAt}
 }
 
 // releaseEdge frees one traversal slot and re-dispatches the next queued
@@ -726,25 +823,20 @@ func (s *Sim) releaseEdge(key edgeKey) {
 	s.markDirty(o)
 }
 
-// ObjectLocation reports where object o is at the current time.
-func (s *Sim) ObjectLocation(o ObjID) ObjLoc {
-	os := &s.objs[o]
-	if os.inTransit {
-		return ObjLoc{InTransit: true, Next: os.next, Arrive: os.arrive}
-	}
-	return ObjLoc{Node: os.at}
-}
+// ObjectLocation reports where object o is at the current time. An
+// object on a leg is on the hop in progress (see walk).
+func (s *Sim) ObjectLocation(o ObjID) ObjLoc { return s.locate(&s.objs[o]) }
 
 // ObjDistTo returns a feasible travel time from object o's current position
 // to node x: if the object is mid-edge it must first finish crossing
 // (forward-only rule), matching the extended dependency graph's artificial
 // node of Section III-B.
 func (s *Sim) ObjDistTo(o ObjID, x graph.NodeID) graph.Weight {
-	os := &s.objs[o]
-	if os.inTransit {
-		return graph.Weight(os.arrive-s.now) + s.in.G.Dist(os.next, x)*s.opts.slow()
+	loc := s.locate(&s.objs[o])
+	if loc.InTransit {
+		return graph.Weight(loc.Arrive-s.now) + s.in.G.Dist(loc.Next, x)*s.opts.slow()
 	}
-	return s.in.G.Dist(os.at, x) * s.opts.slow()
+	return s.in.G.Dist(loc.Node, x) * s.opts.slow()
 }
 
 // Executed returns the actual execution time of tx, if it has executed
@@ -836,11 +928,18 @@ func (s *Sim) CommitStats() (count int, makespan, maxLat, sumLat Time) {
 	return s.doneCount, s.commitMakespan, s.commitMaxLat, s.commitSumLat
 }
 
-// TotalComm returns the total distance traveled by all objects so far.
+// TotalComm returns the total distance traveled by all objects so far:
+// their finished legs and, on a leg, the weight up to the cursor, so
+// that a hop in progress counts in full from its departure.
 func (s *Sim) TotalComm() graph.Weight {
 	var w graph.Weight
 	for i := range s.objs {
-		w += s.objs[i].traveled
+		os := &s.objs[i]
+		w += os.traveled
+		if os.moving {
+			s.walk(os)
+			w += os.nextW
+		}
 	}
 	return w
 }
@@ -899,9 +998,7 @@ func (s *Sim) Result() *Result {
 		}
 		r.SumLat += lat
 	}
-	for i := range s.objs {
-		r.TotalComm += s.objs[i].traveled
-	}
+	r.TotalComm = s.TotalComm()
 	return r
 }
 

@@ -5,11 +5,14 @@
 // objects it requests.
 //
 // The package's Sim type is the authoritative semantics of the model: it
-// replays scheduling decisions, moves objects hop-by-hop along shortest
-// paths (re-targeting only at node boundaries, which realizes the paper's
-// "artificial node on the current edge" device), and fails if any
-// transaction lacks an object at its scheduled execution step. Every
-// scheduler in this repository is validated against it.
+// replays scheduling decisions, moves objects along shortest paths in
+// legs, one arrival event per stretch of travel toward one target node
+// (re-targeting only at node boundaries, which realizes the paper's
+// "artificial node on the current edge" device: a new target cuts a leg
+// at the end of the hop in progress), and fails if any transaction lacks
+// an object at its scheduled execution step. Positions stay hop-level: a
+// query finds the hop in progress on the object's leg. Every scheduler in
+// this repository is validated against it.
 package core
 
 import (

@@ -78,30 +78,30 @@ func New(n int, links []Link) (*Graph, error) {
 	if err := checkNodes(n); err != nil {
 		return nil, err
 	}
+	// Each link adds at most one entry to each endpoint's list (parallel
+	// links merge), so counting links per endpoint bounds every list, and
+	// all lists are carved from one array.
+	deg := make([]int, n)
+	for _, l := range links {
+		if err := checkLink(l, n); err != nil {
+			return nil, err
+		}
+		deg[l.U]++
+		deg[l.V]++
+	}
 	g := &Graph{
 		adj:   make([][]Edge, n),
 		build: make([]sync.Mutex, n),
 		trees: make([]atomic.Pointer[spTree], n),
 	}
+	edges := make([]Edge, 2*len(links))
+	for u, d := range deg {
+		g.adj[u], edges = edges[:0:d], edges[d:]
+	}
 	// at maps an edge {lo, hi} to its positions in adj[lo] and adj[hi].
 	at := make(map[[2]NodeID][2]int, len(links))
 	for _, l := range links {
-		u, v, w := l.U, l.V, l.W
-		if u == v {
-			return nil, fmt.Errorf("graph: self-loop at node %d", u)
-		}
-		if !g.valid(u) || !g.valid(v) {
-			return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, n)
-		}
-		if w <= 0 {
-			return nil, fmt.Errorf("graph: edge {%d,%d} has non-positive weight %d", u, v, w)
-		}
-		// Dijkstra stores only distances below Infinite (2^62), so a stored
-		// distance plus an edge weight stays below 2^63 and cannot wrap.
-		if w >= Infinite {
-			return nil, fmt.Errorf("graph: edge {%d,%d} has weight %d, not below %d", u, v, w, Infinite)
-		}
-		u, v = min(u, v), max(u, v)
+		u, v, w := min(l.U, l.V), max(l.U, l.V), l.W
 		if i, ok := at[[2]NodeID{u, v}]; ok {
 			if w < g.adj[u][i[0]].W {
 				g.adj[u][i[0]].W = w
@@ -115,6 +115,27 @@ func New(n int, links []Link) (*Graph, error) {
 	}
 	g.m = len(at)
 	return g, nil
+}
+
+// checkLink refuses a self-loop, an endpoint outside [0, n) and a weight
+// outside [1, Infinite).
+func checkLink(l Link, n int) error {
+	u, v, w := l.U, l.V, l.W
+	if u == v {
+		return fmt.Errorf("graph: self-loop at node %d", u)
+	}
+	if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
+		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, n)
+	}
+	if w <= 0 {
+		return fmt.Errorf("graph: edge {%d,%d} has non-positive weight %d", u, v, w)
+	}
+	// Dijkstra stores only distances below Infinite (2^62), so a stored
+	// distance plus an edge weight stays below 2^63 and cannot wrap.
+	if w >= Infinite {
+		return fmt.Errorf("graph: edge {%d,%d} has weight %d, not below %d", u, v, w, Infinite)
+	}
+	return nil
 }
 
 // checkNodes refuses a node count New cannot hold. The topology

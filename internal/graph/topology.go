@@ -34,7 +34,7 @@ func WeightedClique(n int, beta Weight) (*Graph, error) {
 	if err := checkNodes(n); err != nil {
 		return nil, err
 	}
-	var links []Link
+	links := make([]Link, 0, n*(n-1)/2)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			links = append(links, Link{NodeID(u), NodeID(v), beta})

@@ -33,7 +33,7 @@ var (
 	NameCoreViolations    = register("core.violations")
 	NameCoreObjectMoves   = register("core.object_moves")
 	NameCoreTravelWeight  = register("core.travel_weight")
-	NameCoreHopWeight     = register("core.hop_weight")
+	NameCoreLegWeight     = register("core.leg_weight")
 	NameCoreCommitLatency = register("core.commit_latency")
 	NameCoreLiveTxns      = register("core.live_txns")
 	NameCoreLinkQueued    = register("core.link_queued")

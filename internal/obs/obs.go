@@ -186,10 +186,14 @@ func (h *Histogram) Sum() int64 {
 }
 
 // Event is one fine-grained engine occurrence, delivered to the Sink.
-// Fields that do not apply to a Kind are -1.
+// Fields that do not apply to a Kind are -1. core.Sim emits "decide"
+// (Tx, Node, Value = the decided step), "move" (one per leg, at its
+// departure: Obj, Node = the leg's end, Value = its weight), "cut" (At =
+// the deciding step, Obj, Node = the leg's new end, Value = the step the
+// object reaches it) and "commit" (Tx, Node, Value = the latency).
 type Event struct {
 	At    int64  `json:"at"`              // simulation time step
-	Kind  string `json:"kind"`            // e.g. "decide", "move", "commit"
+	Kind  string `json:"kind"`            // e.g. "decide", "move", "cut", "commit"
 	Tx    int    `json:"tx,omitempty"`    // transaction, if any
 	Obj   int    `json:"obj,omitempty"`   // object, if any
 	Node  int    `json:"node,omitempty"`  // node, if any

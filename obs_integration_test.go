@@ -56,7 +56,7 @@ var goldenPinnedInstruments = []string{
 	"depgraph.live_vertices",
 	"depgraph.arena_bytes",
 	"core.commit_latency",
-	"core.hop_weight",
+	"core.leg_weight",
 	"distnet.messages",
 	"distnet.msg_distance",
 	"distbucket.insertions",
@@ -108,9 +108,59 @@ func TestMetricsGoldenCliqueGreedy(t *testing.T) {
 		t.Errorf("core.commit_latency = count %d sum %d min %d max %d, want 16/58/1/7",
 			h.Count, h.Sum, h.Min, h.Max)
 	}
-	hop, ok := snap.Histograms["core.hop_weight"]
-	if !ok || hop.Count != 31 {
-		t.Errorf("core.hop_weight count = %d (present %v), want 31", hop.Count, ok)
+	// On a unit clique every leg is one hop.
+	leg, ok := snap.Histograms["core.leg_weight"]
+	if !ok || leg.Count != 31 {
+		t.Errorf("core.leg_weight count = %d (present %v), want 31", leg.Count, ok)
+	}
+}
+
+// TestMetricsGoldenLineGreedyLegs pins the motion metrics where legs
+// cross several hops: greedy on Line(16). Objects travel 168 edges, as
+// they did hop by hop, in 54 legs; one leg is cut, at t=11, when a new
+// user turns object 2 at node 9, the end of the hop it is on.
+func TestMetricsGoldenLineGreedyLegs(t *testing.T) {
+	g, err := Line(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := Generate(g, WorkloadConfig{
+		K: 2, NumObjects: 4, Rounds: 2,
+		Arrival: ArrivalPoisson, Period: 3, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMetrics()
+	sink := &obs.SliceSink{}
+	m.SetSink(sink)
+	rr, err := Run(in, NewGreedy(GreedyOptions{}), RunOptions{Obs: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := rr.Metrics.Counters
+	if c["core.object_moves"] != 54 || c["core.travel_weight"] != 168 || rr.TotalComm != 168 {
+		t.Errorf("core.object_moves %d, core.travel_weight %d, TotalComm %d; want 54 legs of weight 168",
+			c["core.object_moves"], c["core.travel_weight"], rr.TotalComm)
+	}
+	if h := rr.Metrics.Histograms["core.leg_weight"]; h.Count != 54 || h.Sum != 168 {
+		t.Errorf("core.leg_weight count %d sum %d, want 54 and 168", h.Count, h.Sum)
+	}
+	var moves, cuts []obs.Event
+	for _, e := range sink.Events() {
+		switch e.Kind {
+		case "move":
+			moves = append(moves, e)
+		case "cut":
+			cuts = append(cuts, e)
+		}
+	}
+	if len(moves) != 54 {
+		t.Errorf("%d move events, want one per leg, 54", len(moves))
+	}
+	want := obs.Event{At: 11, Kind: "cut", Obj: 2, Node: 9, Value: 12}
+	if len(cuts) != 1 || cuts[0] != want {
+		t.Errorf("cut events %+v, want [%+v]", cuts, want)
 	}
 }
 
