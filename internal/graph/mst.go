@@ -10,13 +10,14 @@ import (
 // distinct nodes: the complete graph on the nodes, each pair weighted by
 // its shortest-path distance. Every comparison of two edges uses the one
 // strict total order of mstEdge.less, so the tree is unique: Build and
-// any sequence of Inserts over the same nodes give the same edge set.
+// any sequence of Inserts and Deletes that leaves the same nodes give the
+// same edge set, and so the same rows.
 //
 // The tree is stored rooted, one 16-byte row per point: its node, its
 // parent and the weight of the edge to it. Points are sorted by node, so
 // point 0, the smallest node, is the root. An MST holds only these rows
-// and its weight; the scratch that builds and grows it, a children-first
-// order included, belongs to an MSTBuilder, one per owner.
+// and its weight; the scratch that builds, grows and shrinks it, a
+// children-first order included, belongs to an MSTBuilder, one per owner.
 //
 // Distances are the graph's shortest paths, so the nodes must be
 // mutually reachable; MetricMST alone also answers the other case.
@@ -41,6 +42,9 @@ func (t *MST) Node(i int) NodeID { return NodeID(t.pts[i].node) }
 
 // Parent returns point i's parent point, or -1 for the root, point 0.
 func (t *MST) Parent(i int) int { return int(t.pts[i].up) }
+
+// Weight returns the tree's weight, the sum of its edges.
+func (t *MST) Weight() Weight { return t.weight }
 
 // Clone returns a copy of t with room for extra more points, so that
 // inserting them grows the copy in place and leaves t as it is.
@@ -79,17 +83,24 @@ func (x mstEdge) less(y mstEdge) bool {
 	return x.hi < y.hi
 }
 
-// MSTBuilder builds and grows MSTs over one graph's metric closure. It
-// holds only scratch, reused across calls, so an owner keeps one builder
-// for any number of trees. It is not safe for concurrent use.
+// MSTBuilder builds, grows and shrinks MSTs over one graph's metric
+// closure. It holds only scratch, reused across calls, so an owner keeps
+// one builder for any number of trees. It is not safe for concurrent use.
 type MSTBuilder struct {
 	g *Graph
-	// cand holds, per point, Prim's best edge into the tree or the
-	// insertion walk's candidate edge towards the new point.
-	cand  []mstEdge
-	rest  []int32   // Build: the points not yet in the tree
-	kept  []mstEdge // Insert: the new tree's edges
-	head  []int32   // adjacency lists, for orders and re-rooting
+	// cand holds Prim's best edge into the tree per point (Build) or per
+	// component (Delete), or the insertion walk's candidate edge per
+	// point towards the new point.
+	cand []mstEdge
+	rest []int32   // Prim: the points or components not yet in the tree
+	kept []mstEdge // Insert, Delete: the new tree's edges
+	// part holds, one after another, Delete's component of each point,
+	// the points grouped by component and where each group starts. One
+	// field serves all three because every field grows every builder,
+	// and the batch tour scheduler allocates one per call: with three,
+	// dtmbench's quick T8 ran 18% slower on a 2-core x86 host.
+	part  []int32
+	head  []int32 // adjacency lists, for orders and re-rooting
 	next  []int32
 	order []int32 // breadth first from the root
 }
@@ -99,7 +110,7 @@ func NewMSTBuilder(g *Graph) *MSTBuilder { return &MSTBuilder{g: g} }
 
 // Build replaces t with the MST over nodes, reusing t's storage.
 // Duplicates are ignored and input order does not matter. It runs Prim
-// from the smallest node.
+// from the smallest node, reading every distance between two points.
 func (b *MSTBuilder) Build(t *MST, nodes []NodeID) {
 	pts := slices.Grow(t.pts[:0], len(nodes))
 	for _, v := range nodes {
@@ -149,8 +160,9 @@ func (t *MST) edge(row spTree, a, b int32) mstEdge {
 	return newMSTEdge(row[v].dist, a, b, u, v)
 }
 
-// Insert adds node p to t, keeping t the MST over its points and p. It
-// does nothing when p is already a point of t.
+// Insert adds node p to t, keeping t the MST over its points and p, with
+// the rows Build would give. It does nothing when p is already a point of
+// t. It reads the distance from p to each point once (see walk).
 func (b *MSTBuilder) Insert(t *MST, p NodeID) {
 	w, added := b.walk(t, p, true)
 	if !added {
@@ -169,16 +181,132 @@ func (b *MSTBuilder) Insert(t *MST, p NodeID) {
 		}
 		return i
 	}
-	head := b.resetHead(int(k) + 1)
-	next := b.next[:0]
 	for j := range b.kept {
 		e := &b.kept[j]
 		e.a, e.b = shift(e.a), shift(e.b)
+	}
+	b.root(t)
+	t.weight = w
+}
+
+// Delete removes node p from t, keeping t the MST over its other points,
+// with the rows Build would give. It does nothing when p is not a point
+// of t. Every edge of t away from p stays: its fundamental cut in t, less
+// p, still has it as the lightest crossing edge under the strict order.
+// So Delete keeps those edges and joins the components of t without p by
+// Prim over whole components, reading the distance between each pair of
+// points in different components once: none when p is a leaf.
+func (b *MSTBuilder) Delete(t *MST, p NodeID) {
+	n := int32(len(t.pts))
+	pos := int32(sort.Search(int(n), func(i int) bool { return NodeID(t.pts[i].node) >= p }))
+	if pos == n || NodeID(t.pts[pos].node) != p {
+		return
+	}
+	// Label the components, parents before children: the root's is 0
+	// unless p is the root, and each child of p starts one. The edges
+	// away from p are kept.
+	part := slices.Grow(b.part[:0], 3*int(n)+1)[:3*n+1]
+	comp := part[:n]
+	k := int32(1)
+	if pos == 0 {
+		k = 0
+	}
+	kept := b.kept[:0]
+	var w Weight
+	for _, u := range b.topDown(t) {
+		switch up := t.pts[u].up; {
+		case u == pos:
+		case up < 0:
+			comp[u] = 0
+		case up == pos:
+			comp[u], k = k, k+1
+		default:
+			comp[u] = comp[up]
+			kept = append(kept, mstEdge{w: t.pts[u].w, a: u, b: up})
+			w += t.pts[u].w
+		}
+	}
+	b.part = part
+	// Group the points by component, counting first: component c is
+	// members[first[c]:first[c+1]].
+	members, first := part[n:2*n-1], part[2*n:2*n+k+1]
+	clear(first)
+	for u, c := range comp {
+		if int32(u) != pos {
+			first[c+1]++
+		}
+	}
+	for c := int32(1); c < k; c++ {
+		first[c] += first[c-1]
+	}
+	for u, c := range comp {
+		if int32(u) != pos {
+			members[first[c]] = int32(u)
+			first[c]++
+		}
+	}
+	copy(first[1:], first[:k]) // each first[c] had moved on to first[c+1]
+	first[0] = 0
+	// Prim over whole components, from component 0: cand[c] is the
+	// lightest edge from the joined components to component c.
+	cand := slices.Grow(b.cand[:0], int(k))[:k]
+	rest := b.rest[:0]
+	for c := int32(1); c < k; c++ {
+		cand[c] = mstEdge{w: Infinite}
+		rest = append(rest, c)
+	}
+	for s := int32(0); len(rest) > 0; {
+		for _, u := range members[first[s]:first[s+1]] {
+			row := b.g.tree(NodeID(t.pts[u].node))
+			for _, c := range rest {
+				for _, v := range members[first[c]:first[c+1]] {
+					if e := t.edge(row, u, v); e.less(cand[c]) {
+						cand[c] = e
+					}
+				}
+			}
+		}
+		j := 0
+		for i := 1; i < len(rest); i++ {
+			if cand[rest[i]].less(cand[rest[j]]) {
+				j = i
+			}
+		}
+		s = rest[j]
+		rest[j] = rest[len(rest)-1]
+		rest = rest[:len(rest)-1]
+		kept = append(kept, cand[s])
+		w += cand[s].w
+	}
+	b.cand, b.rest = cand, rest
+	// Drop p's row; the points after it move down one.
+	for j := range kept {
+		e := &kept[j]
+		if e.a > pos {
+			e.a--
+		}
+		if e.b > pos {
+			e.b--
+		}
+	}
+	b.kept = kept
+	t.pts = slices.Delete(t.pts, int(pos), int(pos)+1)
+	t.weight = w
+	if len(t.pts) > 0 {
+		b.root(t)
+	}
+}
+
+// root sets t's parents and edge weights from the tree edges in b.kept,
+// numbered by t's points, breadth first from point 0.
+func (b *MSTBuilder) root(t *MST) {
+	head := b.resetHead(len(t.pts))
+	next := b.next[:0]
+	for j, e := range b.kept {
 		next = append(next, head[e.a], head[e.b])
 		head[e.a], head[e.b] = int32(2*j), int32(2*j+1)
 	}
 	b.next = next
-	// Re-root at point 0, breadth first.
 	t.pts[0].up, t.pts[0].w = -1, 0
 	order := append(b.order[:0], 0)
 	for i := 0; i < len(order); i++ {
@@ -197,12 +325,12 @@ func (b *MSTBuilder) Insert(t *MST, p NodeID) {
 		}
 	}
 	b.order = order
-	t.weight = w
 }
 
 // WeightWith returns the weight of the MST over t's points and p, which
-// is t's own weight when p is already a point of t. It leaves t as it is
-// and allocates nothing once the builder's scratch has grown to t's size.
+// is t's own weight when p is already a point of t. It is Insert's walk
+// without keeping a tree: it leaves t as it is and allocates nothing once
+// the builder's scratch has grown to t's size.
 func (b *MSTBuilder) WeightWith(t *MST, p NodeID) Weight {
 	w, _ := b.walk(t, p, false)
 	return w
@@ -242,22 +370,7 @@ func (b *MSTBuilder) walk(t *MST, p NodeID, keep bool) (Weight, bool) {
 	if k == 0 {
 		return 0, true
 	}
-	// Breadth first from the root over child lists; reversed, that order
-	// is children first.
-	head := b.resetHead(int(k))
-	next := slices.Grow(b.next[:0], int(k))[:k]
-	for i := k - 1; i > 0; i-- {
-		up := t.pts[i].up
-		next[i], head[up] = head[up], i
-	}
-	b.next = next
-	order := append(b.order[:0], 0)
-	for i := 0; i < len(order); i++ {
-		for c := head[order[i]]; c >= 0; c = next[c] {
-			order = append(order, c)
-		}
-	}
-	b.order = order
+	order := b.topDown(t) // reversed, children first
 	var total Weight
 	for j := k - 1; j > 0; j-- {
 		u := order[j]
@@ -278,4 +391,25 @@ func (b *MSTBuilder) walk(t *MST, p NodeID, keep bool) (Weight, bool) {
 		b.kept = append(b.kept, cand[0])
 	}
 	return total + cand[0].w, true
+}
+
+// topDown returns t's points breadth first from the root over child
+// lists, so parents come before their children. t must not be empty.
+func (b *MSTBuilder) topDown(t *MST) []int32 {
+	k := int32(len(t.pts))
+	head := b.resetHead(int(k))
+	next := slices.Grow(b.next[:0], int(k))[:k]
+	for i := k - 1; i > 0; i-- {
+		up := t.pts[i].up
+		next[i], head[up] = head[up], i
+	}
+	b.next = next
+	order := append(b.order[:0], 0)
+	for i := 0; i < len(order); i++ {
+		for c := head[order[i]]; c >= 0; c = next[c] {
+			order = append(order, c)
+		}
+	}
+	b.order = order
+	return order
 }

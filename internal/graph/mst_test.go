@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // mstFuzzGraph returns one of three tie-heavy graphs: a random connected
 // graph with weights in [1, 3], a clique and a grid.
@@ -22,46 +25,60 @@ func mstFuzzGraph(t *testing.T, topo, seed uint8) *Graph {
 	return g
 }
 
-// FuzzMST grows a tree by Insert in the input's order and, after every
-// insertion, checks it against Build over the same nodes, checks the
-// weight-only query made just before it, and checks Build's tree against
-// the cycle property, a certificate that uses neither algorithm.
+// FuzzMST grows and shrinks a tree in the input's order: a pick with the
+// high bit set deletes its node, any other inserts it. After every
+// operation it checks the tree row for row against Build over the same
+// nodes, checks the weight-only query made before each insertion, and
+// checks Build's tree against the cycle property, a certificate that uses
+// none of the three algorithms.
 func FuzzMST(f *testing.F) {
 	f.Add(uint8(0), uint8(1), []byte{3, 9, 1, 14, 7, 3, 19, 0, 11, 2, 16})
 	f.Add(uint8(0), uint8(5), []byte{12, 4, 4, 18, 7, 1, 9, 13, 6})
 	f.Add(uint8(1), uint8(0), []byte{5, 2, 11, 8, 0, 1, 6, 10})
 	f.Add(uint8(2), uint8(0), []byte{15, 0, 5, 10, 12, 3, 6, 9, 1})
 	f.Add(uint8(2), uint8(0), []byte{7})
+	// Grid(4,4): the star at 5 loses its centre, then its root, then a
+	// leaf; an absent node; the last point, then a fresh start.
+	f.Add(uint8(2), uint8(0), []byte{5, 1, 4, 6, 9, 128 | 5, 128 | 1, 128 | 9, 128 | 3, 128 | 4, 128 | 6, 2})
+	// Random graph: deletions of inner points, re-insertions.
+	f.Add(uint8(0), uint8(3), []byte{3, 9, 1, 14, 7, 19, 0, 11, 128 | 7, 128 | 1, 7, 128 | 0, 128 | 14, 1, 128 | 11})
+	// Clique(12): every rejoin ties on weight.
+	f.Add(uint8(1), uint8(0), []byte{5, 2, 11, 8, 0, 128 | 2, 128 | 0, 3, 128 | 11, 128 | 5})
 	f.Fuzz(func(t *testing.T, topo, seed uint8, picks []byte) {
 		g := mstFuzzGraph(t, topo, seed)
 		if len(picks) > 24 {
 			picks = picks[:24]
 		}
 		b := NewMSTBuilder(g)
-		var grown MST
+		var grown, ref MST
 		var nodes []NodeID
 		for _, c := range picks {
-			p := NodeID(int(c) % g.N())
-			nodes = append(nodes, p)
-			var ref MST
-			b.Build(&ref, nodes)
-			if w := b.WeightWith(&grown, p); w != ref.weight {
-				t.Fatalf("WeightWith(%v, %d) = %d, Build weight %d", nodes[:len(nodes)-1], p, w, ref.weight)
+			p := NodeID(int(c&0x7f) % g.N())
+			if c&0x80 != 0 {
+				nodes = slices.DeleteFunc(nodes, func(v NodeID) bool { return v == p })
+				b.Delete(&grown, p)
+				b.Build(&ref, nodes)
+			} else {
+				nodes = append(nodes, p)
+				b.Build(&ref, nodes)
+				if w := b.WeightWith(&grown, p); w != ref.weight {
+					t.Fatalf("WeightWith(%v, %d) = %d, Build weight %d", nodes[:len(nodes)-1], p, w, ref.weight)
+				}
+				b.Insert(&grown, p)
 			}
-			b.Insert(&grown, p)
 			checkMSTCertificate(t, g, &ref)
 			checkMSTShape(t, &grown)
-			if grown.weight != ref.weight || len(grown.pts) != len(ref.pts) {
-				t.Fatalf("nodes %v: grown tree %v (weight %d), built %v (weight %d)",
-					nodes, grown.pts, grown.weight, ref.pts, ref.weight)
-			}
-			for i := range ref.pts {
-				if grown.pts[i] != ref.pts[i] {
-					t.Fatalf("nodes %v: grown tree %v, built %v", nodes, grown.pts, ref.pts)
-				}
-			}
+			checkSameRows(t, &grown, &ref)
 		}
 	})
+}
+
+// checkSameRows fails unless grown has ref's rows and weight.
+func checkSameRows(t *testing.T, grown, ref *MST) {
+	t.Helper()
+	if grown.weight != ref.weight || !slices.Equal(grown.pts, ref.pts) {
+		t.Fatalf("grown tree %v (weight %d), built %v (weight %d)", grown.pts, grown.weight, ref.pts, ref.weight)
+	}
 }
 
 // checkMSTShape checks t's rows: points strictly ascending by node, the
@@ -159,4 +176,80 @@ func TestMSTCloneLeavesOriginal(t *testing.T) {
 	if c.Len() != 5 || c.weight != 15 || c.Node(0) != 0 || c.Parent(0) != -1 {
 		t.Errorf("clone after two inserts: %v weight %d", c.pts, c.weight)
 	}
+}
+
+// TestMSTDelete deletes one point from a Build tree on Grid(4,4), where
+// distances tie, and checks the result row for row against Build over the
+// remaining points. The star {1, 4, 5, 6, 9} has centre 5 at distance 1
+// from the others, which are pairwise at distance 2.
+func TestMSTDelete(t *testing.T) {
+	g, err := Grid(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	star := []NodeID{1, 4, 5, 6, 9}
+	cases := []struct {
+		name  string
+		nodes []NodeID
+		p     NodeID
+		check func(t *testing.T, before, after *MST)
+	}{
+		{"leaf", star, 9, nil},
+		{"root", star, 1, func(t *testing.T, before, after *MST) {
+			if before.Node(0) != 1 || after.Node(0) != 4 || after.Parent(0) != -1 {
+				t.Errorf("root %d before, %d after (parent %d), want 1 then 4", before.Node(0), after.Node(0), after.Parent(0))
+			}
+		}},
+		{"centre", star, 5, func(t *testing.T, before, after *MST) {
+			if d := degree(before, 2); d != 4 {
+				t.Fatalf("node 5 has degree %d, want 4", d)
+			}
+			// The rejoined tree is the star at 1: all three of its edges
+			// tie at weight 2 and none was in the old tree.
+			for i := 1; i < after.Len(); i++ {
+				if after.Node(after.Parent(i)) != 1 || after.pts[i].w != 2 {
+					t.Errorf("after: %v, want the star at 1", after.pts)
+				}
+			}
+		}},
+		{"only point", []NodeID{7}, 7, func(t *testing.T, before, after *MST) {
+			if after.Len() != 0 {
+				t.Errorf("after: %v, want empty", after.pts)
+			}
+		}},
+		{"absent", star, 3, func(t *testing.T, before, after *MST) {
+			if !slices.Equal(before.pts, after.pts) {
+				t.Errorf("after: %v, want %v", after.pts, before.pts)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b := NewMSTBuilder(g)
+			var before, after, ref MST
+			b.Build(&before, c.nodes)
+			after = before.Clone(0)
+			b.Delete(&after, c.p)
+			b.Build(&ref, slices.DeleteFunc(slices.Clone(c.nodes), func(v NodeID) bool { return v == c.p }))
+			checkMSTCertificate(t, g, &ref)
+			checkSameRows(t, &after, &ref)
+			if c.check != nil {
+				c.check(t, &before, &after)
+			}
+		})
+	}
+}
+
+// degree returns the number of tree edges at point i.
+func degree(tr *MST, i int) int {
+	d := 0
+	if tr.Parent(i) >= 0 {
+		d++
+	}
+	for j := range tr.pts {
+		if tr.Parent(j) == i {
+			d++
+		}
+	}
+	return d
 }

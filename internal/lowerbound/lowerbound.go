@@ -26,8 +26,9 @@
 // points MST(o) spans, and the tree's path from pos(o) to node(T) is at
 // least dist(pos(o), node(T)), so every assembly term is at most its
 // object's traversal term. Estimate computes all three from scratch and
-// is the reference; Tracker keeps the traversal bound incrementally
-// across snapshots of a run and returns the same value.
+// is the reference. Tracker keeps each object's requester tree exact
+// across the snapshots of a run and returns the same value, weighing
+// exactly only the objects whose upper bound could set the maximum.
 package lowerbound
 
 import (

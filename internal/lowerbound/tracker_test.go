@@ -53,6 +53,17 @@ func FuzzTracker(f *testing.F) {
 	// A node re-added after removal, with two-object transactions.
 	f.Add(trackerInput(4, addAt(4, 1), addAt(5, 1), addAt(1, 200), removeLive(0), addAt(4, 1),
 		removeLive(1), addAt(5, 131), freeAt(1, 7), advance(1), removeLive(2)))
+	// Object 1 is weighed exactly at its availability node 1. Moved onto
+	// its requester's node 4, its bound (0) is skipped, and back at node 1
+	// its kept answer applies again, while object 0 holds the maximum.
+	f.Add(trackerInput(5, addAt(4, 1), addAt(3, 0), addAt(9, 0), addAt(6, 0), freeAt(0, 7),
+		moveAvail(1, 4), moveAvail(1, 1), advance(3), moveAvail(1, 4), addAt(8, 1), moveAvail(1, 1)))
+	// The point nearest object 1's availability node leaves the tree, and
+	// the availability moves onto the departed node.
+	f.Add(trackerInput(6, addAt(2, 1), addAt(9, 1), addAt(5, 1), removeLive(0), moveAvail(1, 2),
+		moveAvail(1, 1), removeLive(1), moveAvail(1, 9), addAt(2, 1), moveAvail(1, 5)))
+	// A wait alone lifts a stale object's bound above the maximum.
+	f.Add(trackerInput(7, addAt(4, 1), moveAvail(1, 4), freeAt(1, 7), advance(2), moveAvail(1, 1)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
