@@ -186,11 +186,13 @@ func (h *Histogram) Sum() int64 {
 }
 
 // Event is one fine-grained engine occurrence, delivered to the Sink.
-// Fields that do not apply to a Kind are -1. core.Sim emits "decide"
-// (Tx, Node, Value = the decided step), "move" (one per leg, at its
-// departure: Obj, Node = the leg's end, Value = its weight), "cut" (At =
-// the deciding step, Obj, Node = the leg's new end, Value = the step the
-// object reaches it) and "commit" (Tx, Node, Value = the latency).
+// core.Sim emits "decide" (Tx, Node, Value = the decided step), "move"
+// (one per leg, at its departure: Obj, Node = the leg's end, Value = its
+// weight), "cut" (At = the deciding step, Obj, Node = the leg's new end,
+// Value = the step the object reaches it) and "commit" (Tx, Node, Value
+// = the latency). A field that does not apply to a Kind is left 0 and
+// is not encoded: the JSON form (MarshalJSON) carries exactly the Kind's
+// own fields, zeros included.
 type Event struct {
 	At    int64  `json:"at"`              // simulation time step
 	Kind  string `json:"kind"`            // e.g. "decide", "move", "cut", "commit"
@@ -198,6 +200,42 @@ type Event struct {
 	Obj   int    `json:"obj,omitempty"`   // object, if any
 	Node  int    `json:"node,omitempty"`  // node, if any
 	Value int64  `json:"value,omitempty"` // kind-specific payload (weight, time, ...)
+}
+
+// MarshalJSON encodes e with at, kind and the fields of its Kind, 0
+// included: tx, node and value for "decide" and "commit"; obj, node and
+// value for "move" and "cut". An event of any other kind carries every
+// field.
+func (e Event) MarshalJSON() ([]byte, error) {
+	type txEvent struct {
+		At    int64  `json:"at"`
+		Kind  string `json:"kind"`
+		Tx    int    `json:"tx"`
+		Node  int    `json:"node"`
+		Value int64  `json:"value"`
+	}
+	type objEvent struct {
+		At    int64  `json:"at"`
+		Kind  string `json:"kind"`
+		Obj   int    `json:"obj"`
+		Node  int    `json:"node"`
+		Value int64  `json:"value"`
+	}
+	type anyEvent struct {
+		At    int64  `json:"at"`
+		Kind  string `json:"kind"`
+		Tx    int    `json:"tx"`
+		Obj   int    `json:"obj"`
+		Node  int    `json:"node"`
+		Value int64  `json:"value"`
+	}
+	switch e.Kind {
+	case "decide", "commit":
+		return json.Marshal(txEvent{e.At, e.Kind, e.Tx, e.Node, e.Value})
+	case "move", "cut":
+		return json.Marshal(objEvent{e.At, e.Kind, e.Obj, e.Node, e.Value})
+	}
+	return json.Marshal(anyEvent(e))
 }
 
 // Sink receives the event stream. A run calls it from the goroutine that

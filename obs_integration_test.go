@@ -6,8 +6,12 @@ package dtm
 // guard proving that disabled instrumentation costs under 5% of a run.
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"dtm/internal/obs"
@@ -161,6 +165,56 @@ func TestMetricsGoldenLineGreedyLegs(t *testing.T) {
 	want := obs.Event{At: 11, Kind: "cut", Obj: 2, Node: 9, Value: 12}
 	if len(cuts) != 1 || cuts[0] != want {
 		t.Errorf("cut events %+v, want [%+v]", cuts, want)
+	}
+}
+
+// TestJSONLEventsKeepZeros writes the golden clique run's events through
+// NewJSONLSink: every line carries its Kind's fields and no others, with
+// transaction 0 and object 0 spelled out, and decodes to the event a
+// SliceSink receives from the same run.
+func TestJSONLEventsKeepZeros(t *testing.T) {
+	var b bytes.Buffer
+	sink := &obs.SliceSink{}
+	for _, s := range []Sink{NewJSONLSink(&b), sink} {
+		m := NewMetrics()
+		m.SetSink(s)
+		if _, err := Run(goldenInstance(t), NewGreedy(GreedyOptions{}), RunOptions{Obs: m}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	txFields, objFields := []string{"at", "kind", "node", "tx", "value"}, []string{"at", "kind", "node", "obj", "value"}
+	want := map[string][]string{"decide": txFields, "commit": txFields, "move": objFields, "cut": objFields}
+	events := sink.Events()
+	zeros := map[string]int{}
+	sc := bufio.NewScanner(&b)
+	for i := 0; sc.Scan(); i++ {
+		var fields map[string]json.RawMessage
+		var e obs.Event
+		if err := json.Unmarshal(sc.Bytes(), &fields); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, 0, len(fields))
+		for k, v := range fields {
+			keys = append(keys, k)
+			if string(v) == "0" && (k == "tx" || k == "obj") {
+				zeros[e.Kind+" "+k]++
+			}
+		}
+		slices.Sort(keys)
+		if !slices.Equal(keys, want[e.Kind]) {
+			t.Errorf("line %d %s: fields %v, want %v", i, sc.Bytes(), keys, want[e.Kind])
+		}
+		if i >= len(events) || e != events[i] {
+			t.Fatalf("line %d %s does not decode to the sliced event", i, sc.Bytes())
+		}
+	}
+	for _, k := range []string{"decide tx", "commit tx", "move obj"} {
+		if zeros[k] == 0 {
+			t.Errorf("no %s event for ID 0 (%v)", k, zeros)
+		}
 	}
 }
 
