@@ -80,9 +80,9 @@ soak: build
 # persistent conflict-index invariants, the sessionized batch API's
 # differential against the one-shot schedulers, the incremental
 # lower bound's differential against lowerbound.Estimate, the
-# canonical metric-closure MST's insertion against Build and the cycle
-# property, and the simulator's per-leg motion against the frozen
-# per-hop reference. The seed corpora also run as plain tests under
+# canonical metric-closure MST's insertion and deletion against Build and
+# the cycle property, and the simulator's per-leg motion against the
+# frozen per-hop reference. The seed corpora also run as plain tests under
 # `make test`.
 fuzz-quick: build
 	$(GO) test -run '^$$' -fuzz 'FuzzSmallestValid$$' -fuzztime 30s ./internal/coloring/
