@@ -7,20 +7,27 @@ package batch
 // objects) for Tour, the conflict adjacency (object posting lists) for
 // Coloring. Both depend solely on which transactions are in the session
 // and on the immutable graph, so they survive arbitrary changes to the
-// live problem's Now and Avail between probes. Everything derived from
-// Now/Avail — waits, floors, shifts, colors — is recomputed per
-// Cost/Assign into reusable scratch, which keeps the sessions allocation-
-// free on the probe path.
+// live problem's Now and Avail between probes. Coloring recomputes its
+// floors and colors per Cost/Assign into reusable scratch.
 //
 // Tour's dominant cost, the O(V²) Prim pass over the metric closure, is a
 // pure function of the component's node set, which includes availability
 // nodes. Each component therefore keeps its canonical MST, grown by vertex
 // insertion as pushes merge components, until InvalidateAvail says an
 // availability entry was overwritten; the bucket engines do that only when
-// an object's last user moves, so the trees outlive arrivals.
+// an object's last user moves, so the trees outlive arrivals. Beside its
+// tree each component keeps a summary of its schedule that does not depend
+// on Now (compTour.start), so a probe walks only the component its push
+// touched and reads every other one in O(1), whatever Now has become.
+//
+// The probe path is not allocation-free: a push that grows a component
+// allocates the new state and its tree rows, and the component's first
+// evaluation after it allocates the preorder's order and prefix, about
+// four allocations per Push. Everything else reuses session scratch.
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"dtm/internal/coloring"
@@ -98,25 +105,61 @@ func (u *rollbackUF) reset() {
 	u.trail = u.trail[:0]
 }
 
+// noFree is compTour.maxFree for a component whose transactions use no
+// object.
+const noFree = core.Time(math.MinInt64)
+
 // compTour is the persistent tour state of one conflict component: the
-// canonical MST over the metric closure of its node set. The tree is
-// immutable once built (Pop can therefore restore a previous state by
-// pointer); the preorder is attached lazily, and the memoized makespan is
-// a pure function of the rest plus the Now it was evaluated at.
+// canonical MST over the metric closure of its node set, the preorder
+// (attached lazily), and a summary of the component's schedule that does
+// not depend on Now. The tree is immutable once built, so Pop can restore
+// a previous state by pointer; the summary is rewritten only by a walk
+// over the members the state was built for.
+//
+// The summary. scheduleComponent (tour.go) runs member tx at
+// start + shift + pos(tx), where pos is tx's distance along the preorder
+// (times the slow factor), L = pos of the tour's last node, start =
+// max(Now, maxFree) + L, and shift lifts the latest floor onto its slot
+// start + pos(tx). An object term of that floor, max(Free, Now) +
+// d(a, tx)·slow, never exceeds max(Now, maxFree) + L ≤ the slot: the
+// object's availability node a and tx's node both lie on the tour, so by
+// the triangle inequality d(a, tx) is at most the tour's length between
+// them. Only a late arrival can shift the component, so
+//
+//	start + shift = max(Now + L, base),
+//	base = max(maxFree + L, max over members of Arrival − pos(tx)),
+//
+// and the component's makespan ends at that plus maxPos, the largest
+// member position. base and maxPos depend on membership and on the
+// availability entries alone, so they stay exact while the state's
+// generation matches, at any Now.
+//
+// Three summary words keep a state at 112 bytes, inside its allocation
+// size class; a fourth moves it to 128 bytes, and every push pays for it.
 type compTour struct {
 	gen int64 // the InvalidateAvail generation this state was built in
 	tour
 
-	cmaxSet bool
-	cmaxNow core.Time // the p.Now cmax was computed at
-	cmax    core.Time
+	maxFree core.Time // the latest Free of the component's objects, or noFree
+	base    core.Time
+	maxPos  core.Time // -1 until a walk over the members sets the summary
+}
+
+// tourLen returns L, the tour's length at the object speed.
+func (st *compTour) tourLen(slow core.Time) core.Time {
+	return st.prefix[len(st.prefix)-1] * slow
+}
+
+// start returns start + shift of the component's schedule at now: every
+// member runs at start(now) + pos(tx).
+func (st *compTour) start(now, slow core.Time) core.Time {
+	return max(now+st.tourLen(slow), st.base)
 }
 
 // stateRestore undoes one Push's write to tourSession.states.
 type stateRestore struct {
 	root int32
 	prev *compTour
-	had  bool
 }
 
 // NewSession implements SessionScheduler: conflict components are
@@ -126,17 +169,16 @@ type stateRestore struct {
 // constituent component's tree and inserts the few nodes new to it
 // instead of re-running Prim over the whole component. A component with
 // no current state (its first evaluation, or the first after
-// InvalidateAvail) builds its tree afresh.
+// InvalidateAvail) builds its tree afresh. Object IDs index a dense
+// table, so they must be non-negative, as core.Instance.Validate ensures.
 func (t Tour) NewSession(p *Problem, opts SessionOptions) Session {
 	met := newSessionMetrics(opts.Obs)
 	met.sessions.Inc()
 	return &tourSession{
-		p:         p,
-		graphErr:  p.checkGraph(),
-		met:       met,
-		mst:       graph.NewMSTBuilder(p.G),
-		firstUser: make(map[core.ObjID]int32),
-		states:    make(map[int32]*compTour),
+		p:        p,
+		graphErr: p.checkGraph(),
+		met:      met,
+		mst:      graph.NewMSTBuilder(p.G),
 	}
 }
 
@@ -148,15 +190,18 @@ type tourSession struct {
 	// Membership state, patched by Push/Pop.
 	txns      []*core.Transaction
 	uf        rollbackUF
-	firstUser map[core.ObjID]int32 // object -> first pushed user's index
-	marks     []int32              // uf trail length before each push
+	firstUser []int32 // by ObjID: the first pushed user's index, -1 for none
+	marks     []int32 // uf trail length before each push
+	validated int     // txns[:validated] had every availability entry at the last check
 
-	// Incremental tour state: per-root canonical MSTs, valid while their
-	// generation matches availGen (bumped by InvalidateAvail — availability
-	// nodes are part of the node set, so the states cannot outlive the
-	// entries they were derived from). restore holds one entry per push:
+	// Incremental tour state: the state of each union-find root's
+	// component, indexed by element and valid while its generation matches
+	// availGen (bumped by InvalidateAvail — availability nodes and free
+	// times are part of the state, so it cannot outlive the entries it was
+	// derived from). Slots of non-roots hold the state a Pop revives, and
+	// slots at or past len(txns) are nil. restore holds one entry per push:
 	// the previous states value under the merged root.
-	states   map[int32]*compTour
+	states   []*compTour
 	restore  []stateRestore
 	availGen int64
 
@@ -179,10 +224,14 @@ type tourSession struct {
 }
 
 // InvalidateAvail implements Session: availability entries may have been
-// replaced, so every cached per-component tour state is now stale. States
-// are dropped lazily (generation check) rather than eagerly, keeping this
+// replaced or cleared, so every cached per-component tour state is now
+// stale and every transaction must be validated again. States are
+// dropped lazily (generation check) rather than eagerly, keeping this
 // O(1); the next evaluation rebuilds each component's tree.
-func (s *tourSession) InvalidateAvail() { s.availGen++ }
+func (s *tourSession) InvalidateAvail() {
+	s.availGen++
+	s.validated = 0
+}
 
 func (s *tourSession) Push(tx *core.Transaction) {
 	s.met.pushes.Inc()
@@ -190,9 +239,13 @@ func (s *tourSession) Push(tx *core.Transaction) {
 	s.txns = append(s.txns, tx)
 	s.marks = append(s.marks, int32(len(s.uf.trail)))
 	s.uf.add()
+	s.states = append(s.states, nil)
 	peers := s.peers[:0]
 	for _, o := range tx.Objects {
-		if j, ok := s.firstUser[o]; ok {
+		for int(o) >= len(s.firstUser) {
+			s.firstUser = append(s.firstUser, -1)
+		}
+		if j := s.firstUser[o]; j >= 0 {
 			r := s.uf.find(j)
 			if !slices.Contains(peers, r) {
 				peers = append(peers, r)
@@ -208,20 +261,16 @@ func (s *tourSession) Push(tx *core.Transaction) {
 	// entries left under the old roots are dead while merged but become
 	// current again when a Pop rolls the union-find back.
 	newRoot := s.uf.find(i)
-	prev, had := s.states[newRoot]
-	s.restore = append(s.restore, stateRestore{root: newRoot, prev: prev, had: had})
-	if st := s.mergeStates(tx, peers); st != nil {
-		s.states[newRoot] = st
-	} else {
-		delete(s.states, newRoot)
-	}
+	s.restore = append(s.restore, stateRestore{root: newRoot, prev: s.states[newRoot]})
+	s.states[newRoot] = s.mergeStates(tx, peers)
 }
 
 // mergeStates builds the merged component's tour state from the states of
 // the components tx bridges, or returns nil when it cannot (a constituent
 // state is missing or stale, or an availability entry is absent at push
 // time) — the next evaluation then builds the component's tree afresh
-// and re-seeds the state.
+// and re-seeds the state. The merged state carries maxFree, so its first
+// evaluation reads no availability entry.
 //
 // The merged tree is the largest constituent's tree, copied, with every
 // node new to it inserted (graph.MSTBuilder.Insert). The canonical MST is
@@ -231,6 +280,7 @@ func (s *tourSession) Push(tx *core.Transaction) {
 // fresh Build's O(|U|²).
 func (s *tourSession) mergeStates(tx *core.Transaction, peers []int32) *compTour {
 	var big *compTour
+	maxFree := noFree
 	for _, r := range peers {
 		st := s.states[r]
 		if st == nil || st.gen != s.availGen {
@@ -239,6 +289,7 @@ func (s *tourSession) mergeStates(tx *core.Transaction, peers []int32) *compTour
 		if big == nil || st.tree.Len() > big.tree.Len() {
 			big = st
 		}
+		maxFree = max(maxFree, st.maxFree)
 	}
 	// The nodes new to big's tree, dedup via generation stamps.
 	s.ensureNodeScratch()
@@ -271,24 +322,24 @@ func (s *tourSession) mergeStates(tx *core.Transaction, peers []int32) *compTour
 			return nil // node set unknowable; evaluation will report the error
 		}
 		addNode(a.Node)
+		maxFree = max(maxFree, a.Free)
 	}
 	s.fresh = fresh
+	st := &compTour{gen: s.availGen, maxFree: maxFree, maxPos: -1}
 	if big != nil && len(fresh) == 0 {
 		// No nodes beyond the largest constituent's (components may share
 		// physical nodes): the canonical MST is unchanged, and aliasing
 		// big's immutable tour is safe.
-		return &compTour{gen: s.availGen, tour: big.tour}
-	}
-	var tree graph.MST
-	if big == nil {
-		s.mst.Build(&tree, fresh) // a new component
+		st.tour = big.tour
+	} else if big == nil {
+		s.mst.Build(&st.tree, fresh) // a new component
 	} else {
-		tree = big.tree.Clone(len(fresh))
+		st.tree = big.tree.Clone(len(fresh))
 		for _, v := range fresh {
-			s.mst.Insert(&tree, v)
+			s.mst.Insert(&st.tree, v)
 		}
 	}
-	return &compTour{gen: s.availGen, tour: tour{tree: tree}}
+	return st
 }
 
 // ensureNodeScratch sizes the per-NodeID stamp arrays to the graph.
@@ -309,22 +360,23 @@ func (s *tourSession) Pop() {
 	for _, o := range tx.Objects {
 		// The entry points at last exactly when this push created it.
 		if s.firstUser[o] == last {
-			delete(s.firstUser, o)
+			s.firstUser[o] = -1
 		}
 	}
 	s.uf.rollback(int(s.marks[last]))
 	s.uf.drop()
 	s.marks = s.marks[:last]
+	s.validated = min(s.validated, int(last))
 	// Restore the states entry the push overwrote. An evaluation between
 	// the push and this pop may have re-seeded other roots' states — those
 	// components' membership is untouched by this pop, so they stay valid.
+	// The popped element's own slot is nil again: it was nil before the
+	// push, and only a root's slot is ever written.
 	r := s.restore[last]
+	s.restore[last] = stateRestore{}
 	s.restore = s.restore[:last]
-	if r.had {
-		s.states[r.root] = r.prev
-	} else {
-		delete(s.states, r.root)
-	}
+	s.states[r.root] = r.prev
+	s.states = s.states[:last]
 	s.txns[last] = nil
 	s.txns = s.txns[:last]
 }
@@ -342,18 +394,21 @@ func (s *tourSession) Assign() (Assignment, error) {
 }
 
 func (s *tourSession) Reset() {
-	for i := range s.txns {
+	for i, tx := range s.txns {
+		for _, o := range tx.Objects {
+			s.firstUser[o] = -1
+		}
 		s.txns[i] = nil
 	}
 	s.txns = s.txns[:0]
 	s.marks = s.marks[:0]
+	s.validated = 0
 	s.uf.reset()
-	clear(s.firstUser)
 	clear(s.states)
+	s.states = s.states[:0]
+	clear(s.restore)
 	s.restore = s.restore[:0]
-	for i := range s.comp {
-		s.comp[i] = nil
-	}
+	clear(s.comp)
 	s.comp = s.comp[:0]
 }
 
@@ -368,17 +423,21 @@ func (s *tourSession) schedule(out Assignment) (core.Time, error) {
 	if s.graphErr != nil {
 		return 0, s.graphErr
 	}
-	n := len(s.txns)
-	// Validate availability upfront in push order, mirroring Problem.Validate
-	// so a malformed probe reports the same first offender as the one-shot
-	// path would (components are visited in root order, not push order).
-	for _, tx := range s.txns {
+	// Validate availability in push order, mirroring Problem.Validate so a
+	// malformed probe reports the same first offender as the one-shot path
+	// would (components are visited in root order, not push order). Only
+	// the transactions pushed since the last successful check need it: an
+	// entry disappears only when it is cleared, and that needs
+	// InvalidateAvail, which restarts the check.
+	for ; s.validated < len(s.txns); s.validated++ {
+		tx := s.txns[s.validated]
 		for _, o := range tx.Objects {
 			if _, ok := s.p.Avail[o]; !ok {
 				return 0, fmt.Errorf("batch: no availability for object %d (transaction %d)", o, tx.ID)
 			}
 		}
 	}
+	n := len(s.txns)
 	rootOf := s.rootOf
 	if cap(rootOf) < n {
 		rootOf = make([]int32, n)
@@ -398,94 +457,83 @@ func (s *tourSession) schedule(out Assignment) (core.Time, error) {
 		}
 	}
 	s.rootOf, s.roots = rootOf, roots
+	now, slow := s.p.Now, core.Time(s.p.slow())
 	var max core.Time
 	for _, r := range roots {
-		// Cost of an untouched component: reuse its memoized makespan —
-		// membership, the availability generation, and Now all match, so
-		// re-deriving it would retrace identical arithmetic. Assign still
-		// needs the per-transaction times and walks every component.
-		if out == nil {
-			if st := s.states[r]; st != nil && st.gen == s.availGen &&
-				st.cmaxSet && st.cmaxNow == s.p.Now {
-				if d := st.cmax - s.p.Now; d > max {
-					max = d
+		// A component whose state carries a current summary costs O(1) at
+		// any Now. Assign still needs the per-transaction times and walks
+		// every component.
+		st := s.states[r]
+		if out != nil || st == nil || st.gen != s.availGen || st.maxPos < 0 {
+			comp := s.comp[:0]
+			for i := 0; i < n; i++ {
+				if rootOf[i] == r {
+					comp = append(comp, s.txns[i])
 				}
-				continue
 			}
+			s.comp = comp
+			st = s.component(r, comp, out)
 		}
-		comp := s.comp[:0]
-		for i := 0; i < n; i++ {
-			if rootOf[i] == r {
-				comp = append(comp, s.txns[i])
-			}
-		}
-		s.comp = comp
-		cmax := s.component(r, comp, out)
-		if d := cmax - s.p.Now; d > max {
+		if d := st.start(now, slow) + st.maxPos - now; d > max {
 			max = d
 		}
 	}
 	return max, nil
 }
 
-// component mirrors scheduleComponent (tour.go) with the tree taken from
-// the component's persistent state when current — the incrementally grown
-// canonical MST — and built afresh otherwise (re-seeding the state); then
-// it applies the same start/shift arithmetic over the tree's preorder and
-// memoizes the resulting makespan on the state.
-func (s *tourSession) component(r int32, comp []*core.Transaction, out Assignment) core.Time {
+// component brings root r's state up to date for its members comp. The
+// tree is the state's own when current — the incrementally grown
+// canonical MST — and built afresh otherwise, re-seeding the state. Then
+// one walk over the members along the tree's preorder sets the summary
+// (see compTour), and writes each member's execution time into out when
+// it is non-nil.
+func (s *tourSession) component(r int32, comp []*core.Transaction, out Assignment) *compTour {
 	p := s.p
 	s.ensureNodeScratch()
-	nodes := s.nodes[:0]
-	var wait core.Time
-	for _, tx := range comp {
-		nodes = append(nodes, tx.Node)
-		for _, o := range tx.Objects {
-			a := p.Avail[o] // present: schedule validated the set upfront
-			nodes = append(nodes, a.Node)
-			if w := a.Free - p.Now; w > wait {
-				wait = w
-			}
-		}
-	}
-	s.nodes = nodes
 	st := s.states[r]
 	if st == nil || st.gen != s.availGen {
-		st = &compTour{gen: s.availGen}
+		nodes := s.nodes[:0]
+		maxFree := noFree
+		for _, tx := range comp {
+			nodes = append(nodes, tx.Node)
+			for _, o := range tx.Objects {
+				a := p.Avail[o] // present: schedule validated the set upfront
+				nodes = append(nodes, a.Node)
+				maxFree = max(maxFree, a.Free)
+			}
+		}
+		s.nodes = nodes
+		st = &compTour{gen: s.availGen, maxFree: maxFree}
 		s.mst.Build(&st.tree, nodes)
 		s.states[r] = st
 	}
 	if st.order == nil {
 		st.order, st.prefix = s.psc.preorder(p.G, &st.tree)
 	}
-	order, prefix := st.order, st.prefix
 	slow := core.Time(p.slow())
 	// Every node of the component appears in order, so each relevant
 	// nodePos slot is freshly overwritten — no staleness possible.
-	for i, v := range order {
-		s.nodePos[v] = prefix[i] * slow
+	for i, v := range st.order {
+		s.nodePos[v] = st.prefix[i] * slow
 	}
-	tourLen := prefix[len(prefix)-1] * slow
-	start := p.Now + wait + tourLen
-	var shift core.Time
+	base := st.maxFree
+	if base != noFree {
+		base += st.tourLen(slow)
+	}
+	var maxPos core.Time
 	for _, tx := range comp {
-		slot := start + s.nodePos[tx.Node]
-		if f := floor(p, tx); f > slot && f-slot > shift {
-			shift = f - slot
+		pos := s.nodePos[tx.Node]
+		base = max(base, tx.Arrival-pos)
+		maxPos = max(maxPos, pos)
+	}
+	st.base, st.maxPos = base, maxPos
+	if out != nil {
+		start := st.start(p.Now, slow)
+		for _, tx := range comp {
+			out[tx.ID] = start + s.nodePos[tx.Node]
 		}
 	}
-	var cmax core.Time
-	for _, tx := range comp {
-		t := start + shift + s.nodePos[tx.Node]
-		if out != nil {
-			out[tx.ID] = t
-		}
-		if t > cmax {
-			cmax = t
-		}
-	}
-	st.cmaxSet, st.cmaxNow, st.cmax = true, p.Now, cmax
-	return cmax
+	return st
 }
 
 // NewSession implements SessionScheduler: the conflict adjacency (object

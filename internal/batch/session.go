@@ -13,11 +13,12 @@ package batch
 // first time a transaction uses its object, and overwrite an entry only
 // when the object's last user moves). Membership-dependent state — conflict
 // components, conflict adjacency, per-component canonical MSTs — persists
-// inside the session; anything derived from Now alone is recomputed (or
-// re-validated against the evaluation's Now) per Cost/Assign call. State
-// derived from Avail — the tour sessions' node sets include availability
-// nodes — is dropped when the caller announces that entries were
-// replaced, by calling InvalidateAvail after it overwrote one. Adding
+// inside the session; anything that depends on Now is recomputed per
+// Cost/Assign call or kept in a form that holds at every Now (the tour
+// sessions' per-component summaries). State derived from Avail — the tour
+// sessions' node sets include availability nodes, and their summaries the
+// latest free time — is dropped when the caller announces that entries
+// were replaced, by calling InvalidateAvail after it overwrote one. Adding
 // entries to the map never requires invalidation; only clearing or
 // overwriting existing ones does.
 //

@@ -176,7 +176,8 @@ func TestSessionAvailMissingError(t *testing.T) {
 
 // TestSessionsReleaseTransactionPointers is the white-box leak guard for
 // the session scratch: after Pop and Reset no *core.Transaction pointer
-// may survive in the popped tail of any retained buffer.
+// may survive in the popped tail of any retained buffer, and the tour
+// session's dense tables hold no first-user index and no state.
 func TestSessionsReleaseTransactionPointers(t *testing.T) {
 	g, err := graph.Line(8)
 	if err != nil {
@@ -209,8 +210,20 @@ func TestSessionsReleaseTransactionPointers(t *testing.T) {
 		case *tourSession:
 			checkTail(t, "tourSession.txns", ts.txns)
 			checkTail(t, "tourSession.comp", ts.comp)
-			if len(ts.firstUser) != 0 {
-				t.Fatalf("tourSession.firstUser has %d entries after Reset", len(ts.firstUser))
+			for o, i := range ts.firstUser {
+				if i != -1 {
+					t.Fatalf("tourSession.firstUser[%d] = %d after Reset, want -1", o, i)
+				}
+			}
+			for i, st := range ts.states[:cap(ts.states)] {
+				if st != nil {
+					t.Fatalf("tourSession.states retains a state at index %d after Reset", i)
+				}
+			}
+			for i, r := range ts.restore[:cap(ts.restore)] {
+				if r.prev != nil {
+					t.Fatalf("tourSession.restore retains a state at index %d after Reset", i)
+				}
 			}
 		case *coloringSession:
 			checkTail(t, "coloringSession.txns", ts.txns)
