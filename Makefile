@@ -81,9 +81,10 @@ soak: build
 # differential against the one-shot schedulers, the incremental
 # lower bound's differential against lowerbound.Estimate, the
 # canonical metric-closure MST's insertion and deletion against Build and
-# the cycle property, and the simulator's per-leg motion against the
-# frozen per-hop reference. The seed corpora also run as plain tests under
-# `make test`.
+# the cycle property, the simulator's per-leg motion against the frozen
+# per-hop reference, and trace.Read, whose parses must validate and render
+# a timeline without a panic. The seed corpora also run as plain tests
+# under `make test`.
 fuzz-quick: build
 	$(GO) test -run '^$$' -fuzz 'FuzzSmallestValid$$' -fuzztime 30s ./internal/coloring/
 	$(GO) test -run '^$$' -fuzz 'FuzzSmallestValidMultiple$$' -fuzztime 30s ./internal/coloring/
@@ -93,3 +94,4 @@ fuzz-quick: build
 	$(GO) test -run '^$$' -fuzz 'FuzzTracker$$' -fuzztime 30s ./internal/lowerbound/
 	$(GO) test -run '^$$' -fuzz 'FuzzMST$$' -fuzztime 30s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz 'FuzzLegsMatchHops$$' -fuzztime 30s ./internal/core/
+	$(GO) test -run '^$$' -fuzz 'FuzzTraceRead$$' -fuzztime 20s ./internal/trace/

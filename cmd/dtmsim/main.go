@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"dtm"
+	"dtm/internal/obs"
 	"dtm/internal/stats"
 )
 
@@ -49,7 +50,7 @@ func main() {
 		capacity = flag.Int("capacity", 0, "bounded link capacity (0 = unbounded; implies elastic commits)")
 		traceOut = flag.String("trace", "", "write a re-validatable JSON trace to this file")
 		csv      = flag.Bool("csv", false, "emit CSV instead of an aligned table")
-		metrics  = flag.Bool("metrics", false, "collect run metrics and print a JSON report")
+		metrics  = flag.Bool("metrics", false, "print the run's metrics as a JSON report")
 		events   = flag.String("events", "", "stream observability events as JSON lines to this file")
 
 		// Open-system streaming mode.
@@ -226,13 +227,12 @@ func printEngines(csv bool) error {
 	return t.Render(os.Stdout)
 }
 
-// openMetrics builds the shared observability registry when -metrics or
-// -events asks for one; the returned closer flushes the event sink file.
+// openMetrics builds the run's observability registry, which every run
+// keeps: the engines count what they did only there, and -metrics and
+// -events choose what of it is printed or streamed. It installs the
+// -events sink; the returned closer flushes the sink's file.
 func openMetrics(p params) (*dtm.Metrics, func() error, error) {
 	noop := func() error { return nil }
-	if !p.metrics && p.eventsOut == "" {
-		return nil, noop, nil
-	}
 	m := dtm.NewMetrics()
 	if p.eventsOut == "" {
 		return m, noop, nil
@@ -300,7 +300,6 @@ func run(p params) error {
 		return err
 	}
 
-	// -events implies collection so the sink has something to stream.
 	m, closeSink, err := openMetrics(p)
 	if err != nil {
 		return err
@@ -324,9 +323,13 @@ func run(p params) error {
 		return err
 	}
 	if proto, ok := s.(interface{ Report() dtm.DistributedReport }); ok {
-		rep := proto.Report()
-		fmt.Printf("protocol: %d messages, %d message-distance, %d cover layers, %d sub-layers, audit %+v\n",
-			rep.Messages, rep.MsgDistance, rep.CoverLayers, rep.SubLayers, rep.Audit)
+		rep, c := proto.Report(), rr.Metrics.Counters
+		fmt.Printf("protocol: %d messages, %d message-distance, %d cover layers, %d sub-layers, "+
+			"%d reports, %d insertions, %d overflows, %d activations, max level %d, layer choices %v\n",
+			c[obs.NameDistnetMessages.String()], c[obs.NameDistnetMsgDistance.String()], rep.CoverLayers, rep.SubLayers,
+			c[obs.NameDistbucketReports.String()], c[obs.NameDistbucketInsertions.String()],
+			c[obs.NameDistbucketOverflows.String()], c[obs.NameDistbucketActivations.String()],
+			rr.Metrics.Histograms[obs.NameDistbucketBucketLevel.String()].Max, layerChoices(rr.Metrics))
 		if plan.Enabled() {
 			fmt.Printf("faults: completion %.3f, %d abandoned\n", rr.CompletionRate(), len(rep.Abandoned))
 			for _, a := range rep.Abandoned {
@@ -350,6 +353,19 @@ func run(p params) error {
 		fmt.Printf("trace written to %s (re-validated)\n", p.traceOut)
 	}
 	return report(rr.Metrics)
+}
+
+// layerChoices maps each cover layer that reports chose to how many chose
+// it, read from distbucket.cover_layer's one bucket per layer.
+func layerChoices(s *dtm.MetricsSnapshot) map[int64]int64 {
+	h := s.Histograms[obs.NameDistbucketCoverLayer.String()]
+	layers := make(map[int64]int64)
+	for i, b := range h.Bounds {
+		if h.Counts[i] > 0 {
+			layers[b] = h.Counts[i]
+		}
+	}
+	return layers
 }
 
 // progressSource wraps a stream source and reports pull progress on

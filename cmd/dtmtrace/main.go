@@ -53,7 +53,11 @@ func main() {
 		fmt.Println("validate:   schedule replays cleanly; recorded makespan confirmed ✓")
 	}
 	if *timeline {
-		fmt.Print(r.Timeline())
+		tl, err := r.Timeline()
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Print(tl)
 	}
 }
 

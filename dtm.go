@@ -112,8 +112,10 @@ type (
 	// algorithm, the cover seed, and the injected fault plan (Faults).
 	DistributedOptions = distbucket.Options
 	// DistributedReport is what an Algorithm 3 run adds to its RunResult
-	// (audit, message counts, cover shape, abandoned reasons, the Lemma 6
-	// audit), read from the protocol's Report method after Run.
+	// (cover shape, abandoned reasons, the Lemma 6 audit), read from the
+	// protocol's Report method after Run. What the protocol did (messages,
+	// reports, insertions, activations, levels, cover layers, faults) is
+	// counted in the run's Metrics, under distnet.* and distbucket.*.
 	DistributedReport = distbucket.Report
 	// WorkloadConfig parameterizes Generate.
 	WorkloadConfig = workload.Config

@@ -74,10 +74,11 @@ func TestFacadeDistributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	proto := NewDistributed(DistributedOptions{Batch: TourBatch(), Seed: 2})
-	if _, err := Run(in, proto, RunOptions{}); err != nil {
+	res, err := Run(in, proto, RunOptions{Obs: NewMetrics()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if proto.Report().Messages == 0 {
+	if res.Metrics.Counters["distnet.messages"] == 0 {
 		t.Error("distributed run sent no messages")
 	}
 	// The registry default is the same protocol, and it runs at half

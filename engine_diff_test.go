@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -137,33 +138,62 @@ func TestIncrementalMatchesRebuildOracle(t *testing.T) {
 	}
 }
 
-// TestEngineAuditParity pins the greedy Theorem 1/2 audit — including the
-// Δ/Γ bound terms, which the incremental engine accumulates without ever
-// materializing the conflict graph — to the oracle's accounting.
+// TestEngineAuditParity pins each engine's audit instruments to its
+// rebuild oracle's: greedy's whole greedy.* set in both modes (the
+// Theorem 1/2 counts and the greedy.bound histogram, whose Δ/Γ terms the
+// incremental engine accumulates without ever materializing the conflict
+// graph), and Algorithm 2's bucket.* set (the Lemma 3/4 counts,
+// bucket.within_lemma4 included) between the session engine and the
+// per-probe rebuild.
 func TestEngineAuditParity(t *testing.T) {
 	g, err := Clique(10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, uniform := range []bool{false, true} {
-		in, err := Generate(g, WorkloadConfig{
-			K: 3, NumObjects: 5, Rounds: 4,
-			Arrival: ArrivalPeriodic, Period: 2, Seed: 7,
-		})
-		if err != nil {
-			t.Fatal(err)
+	in, err := Generate(g, WorkloadConfig{
+		K: 3, NumObjects: 5, Rounds: 4,
+		Arrival: ArrivalPeriodic, Period: 2, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ id, prefix, must string }{
+		{"greedy", "greedy.", "greedy.bound"},
+		{"greedy-uniform", "greedy.", "greedy.bound"},
+		{"bucket-tour", "bucket.", "bucket.within_lemma4"},
+		{"bucket-coloring", "bucket.", "bucket.within_lemma4"},
+	} {
+		d, ok := EngineByID(c.id)
+		if !ok {
+			t.Fatalf("no engine %q", c.id)
 		}
-		inc := NewGreedy(GreedyOptions{Uniform: uniform})
-		orc := NewGreedy(GreedyOptions{Uniform: uniform, EngineOptions: EngineOptions{RebuildOracle: true}})
-		if _, err := Run(in, inc, RunOptions{}); err != nil {
-			t.Fatal(err)
+		audit := func(rebuild bool) string {
+			rr, err := Run(in, d.New(EngineOptions{RebuildOracle: rebuild}), RunOptions{Obs: NewMetrics()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			set := map[string]any{}
+			for name, v := range rr.Metrics.Counters {
+				if strings.HasPrefix(name, c.prefix) {
+					set[name] = v
+				}
+			}
+			for name, v := range rr.Metrics.Histograms {
+				if strings.HasPrefix(name, c.prefix) {
+					set[name] = v
+				}
+			}
+			if rr.Metrics.Counters[c.must]+rr.Metrics.Histograms[c.must].Count == 0 {
+				t.Errorf("%s rebuild=%v: %s counted nothing", c.id, rebuild, c.must)
+			}
+			b, err := json.Marshal(set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(b)
 		}
-		if _, err := Run(in, orc, RunOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		if inc.Audit() != orc.Audit() {
-			t.Errorf("uniform=%v: audit differs\nincremental: %+v\noracle:      %+v",
-				uniform, inc.Audit(), orc.Audit())
+		if inc, orc := audit(false), audit(true); inc != orc {
+			t.Errorf("%s: audit instruments differ\nincremental: %s\noracle:      %s", c.id, inc, orc)
 		}
 	}
 }

@@ -32,22 +32,31 @@ func main() {
 	}
 
 	proto := dtm.NewDistributed(dtm.DistributedOptions{Batch: dtm.TourBatch(), Seed: 3})
-	res, err := dtm.Run(in, proto, dtm.RunOptions{})
+	// The protocol counts what it did (messages, reports, insertions,
+	// activations, levels, cover layers) in the run's metrics registry.
+	res, err := dtm.Run(in, proto, dtm.RunOptions{Obs: dtm.NewMetrics()})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep := proto.Report()
+	rep, c, h := proto.Report(), res.Metrics.Counters, res.Metrics.Histograms
+	layers := make(map[int64]int64) // cover layer -> reports that chose it
+	cover := h["distbucket.cover_layer"]
+	for i, layer := range cover.Bounds {
+		if cover.Counts[i] > 0 {
+			layers[layer] = cover.Counts[i]
+		}
+	}
 
 	fmt.Printf("grid 6x6 (diameter %d), %d transactions, %d objects\n\n", g.Diameter(), len(in.Txns), len(in.Objects))
 	fmt.Printf("scheduler:         %s\n", res.Scheduler)
 	fmt.Printf("makespan:          %d steps (objects at half speed)\n", res.Makespan)
 	fmt.Printf("max latency:       %d steps\n", res.MaxLat)
 	fmt.Printf("competitive:       max %.2f / mean %.2f\n", res.MaxRatio, res.MeanRatio())
-	fmt.Printf("protocol messages: %d (total distance %d)\n", rep.Messages, rep.MsgDistance)
+	fmt.Printf("protocol messages: %d (total distance %d)\n", c["distnet.messages"], c["distnet.msg_distance"])
 	fmt.Printf("sparse cover:      %d layers, <= %d sub-layers per layer\n", rep.CoverLayers, rep.SubLayers)
 	fmt.Printf("bucket audit:      %d reports, %d insertions, %d activations, max level %d\n",
-		rep.Audit.Reports, rep.Audit.Inserted, rep.Audit.Activations, rep.Audit.MaxLevelUsed)
-	fmt.Printf("layer choices:     %v\n", rep.Audit.LayerCounts)
+		c["distbucket.reports"], c["distbucket.insertions"], c["distbucket.activations"], h["distbucket.bucket_level"].Max)
+	fmt.Printf("layer choices:     %v\n", layers)
 
 	if res.Err != nil {
 		log.Fatalf("schedule violated the model: %v", res.Err)

@@ -45,19 +45,6 @@ type Options struct {
 	sched.EngineOptions
 }
 
-// Audit accumulates the Lemma 3/4 bookkeeping of a run.
-type Audit struct {
-	Inserted     int
-	Overflowed   int   // did not fit any level; forced into the top bucket
-	LevelCounts  []int // insertions per level
-	MaxLevelUsed int
-	Activations  int
-	// Lemma 4: a transaction inserted into B_i at time t executes by
-	// t + (i+1)*2^(i+2) (for the paper's idealized A; we report adherence).
-	WithinLemma4 int
-	Scheduled    int
-}
-
 type pending struct {
 	tx    *core.Transaction
 	since core.Time // insertion time
@@ -69,7 +56,6 @@ type Bucket struct {
 	env    *sched.Env
 	slow   graph.Weight // the sim's object speed divisor; batch problems plan with it
 	levels [][]pending
-	audit  Audit
 
 	// Incremental engine (default): one persistent batch session per
 	// level, holding exactly the level's pending transactions, driven
@@ -81,11 +67,13 @@ type Bucket struct {
 	prob     batch.Problem
 	resolve  batch.AvailFunc // bound method value, allocated once
 
-	// Instrument handles; nil (free) when observability is disabled.
+	// Instrument handles, the run's only count of the Lemma 3/4
+	// bookkeeping; nil (free) when observability is disabled.
 	metInserted    *obs.Counter   // bucket.insertions
-	metOverflow    *obs.Counter   // bucket.overflows
+	metOverflow    *obs.Counter   // bucket.overflows: fit no level, forced into the top one
 	metActivations *obs.Counter   // bucket.activations
 	metScheduled   *obs.Counter   // bucket.scheduled
+	metWithin4     *obs.Counter   // bucket.within_lemma4
 	metLevel       *obs.Histogram // bucket.level: insertion level
 }
 
@@ -102,9 +90,6 @@ func (b *Bucket) Name() string {
 	return fmt.Sprintf("bucket(%s)", b.opts.Batch.Name())
 }
 
-// Audit returns the run's bucket bookkeeping.
-func (b *Bucket) Audit() Audit { return b.audit }
-
 // Start implements sched.Scheduler.
 func (b *Bucket) Start(env *sched.Env) error {
 	if b.opts.Batch == nil {
@@ -116,13 +101,13 @@ func (b *Bucket) Start(env *sched.Env) error {
 	b.metOverflow = env.Obs.Counter(obs.NameBucketOverflows)
 	b.metActivations = env.Obs.Counter(obs.NameBucketActivations)
 	b.metScheduled = env.Obs.Counter(obs.NameBucketScheduled)
+	b.metWithin4 = env.Obs.Counter(obs.NameBucketWithinLemma4)
 	b.metLevel = env.Obs.Histogram(obs.NameBucketLevel, obs.PowersOfTwo(6))
 	max, err := MaxLevel(env.G, b.slow)
 	if err != nil {
 		return err
 	}
 	b.levels = make([][]pending, max+1)
-	b.audit.LevelCounts = make([]int, max+1)
 	b.resolve = b.resolveAvail
 	if !b.opts.RebuildOracle {
 		b.avail = make(map[core.ObjID]batch.Avail)
@@ -155,7 +140,8 @@ func MaxLevel(g *graph.Graph, slow graph.Weight) (int, error) {
 
 // lemma4Bound is Lemma 4's execution deadline for a transaction inserted
 // at level, relative to its insertion: (level+1)·2^(level+2), saturated at
-// the largest core.Time.
+// the largest core.Time. It holds for the paper's idealized A; the
+// engine counts adherence in bucket.within_lemma4.
 func lemma4Bound(level int) core.Time {
 	shift := uint(level + 2)
 	if core.Time(level+1) > math.MaxInt64>>shift {
@@ -181,12 +167,10 @@ func (b *Bucket) LiveStats() (pending, sessionHeld int) {
 // OnArrive implements sched.Scheduler: each new transaction goes into the
 // smallest-level bucket that keeps the batch cost within 2^i.
 //
-// The default engine probes through the persistent per-level sessions:
-// a probe is one Push and one Cost, and a failed probe is retracted with
-// Pop — the level's cached state (conflict components, adjacency, tour
-// trees) carries over to the next probe instead of being rebuilt. Only the
-// new transaction's objects can lack an entry in the live availability
-// map; every pending transaction's entries are already there and current.
+// The default engine probes through the persistent per-level sessions
+// (Place). Only the new transaction's objects can lack an entry in the
+// live availability map; every pending transaction's entries are already
+// there and current.
 func (b *Bucket) OnArrive(txns []*core.Transaction) error {
 	now := b.env.Sim.Now()
 	if b.opts.RebuildOracle {
@@ -201,31 +185,45 @@ func (b *Bucket) OnArrive(txns []*core.Transaction) error {
 			b.insert(top, tx, now)
 			continue
 		}
-		placed := false
-		for i := range b.levels {
-			sess := b.sessions[i]
-			sess.Push(tx)
-			cost, err := sess.Cost()
-			if err != nil {
-				return fmt.Errorf("bucket: cost probe at level %d: %w", i, err)
-			}
-			if cost <= 1<<uint(i) {
-				b.insert(i, tx, now)
-				placed = true
-				break
-			}
-			sess.Pop()
+		level, overflowed, err := Place(tx, len(b.levels), func(i int) batch.Session { return b.sessions[i] })
+		if err != nil {
+			return fmt.Errorf("bucket: %w", err)
 		}
-		if !placed {
-			// Outside the theory's preconditions (e.g. overload beyond one
-			// live transaction per node); stay safe in the top bucket.
-			b.sessions[top].Push(tx)
-			b.insert(top, tx, now)
-			b.audit.Overflowed++
+		b.insert(level, tx, now)
+		if overflowed {
 			b.metOverflow.Inc()
 		}
 	}
 	return nil
+}
+
+// Place is Algorithm 2's placement probe over the persistent batch
+// sessions of levels 0..levels-1, session(i) being level i's: it pushes tx
+// into each level's session in turn and keeps it at the first level i
+// whose batch cost is within 2^i, popping it from every level it misses.
+// A Pop retracts only the probe, so the level's cached state (conflict
+// components, adjacency, tour trees) carries over to the next probe
+// instead of being rebuilt. A transaction that fits no level (outside the
+// theory's preconditions, e.g. overload beyond one live transaction per
+// node) is pushed into the top level's session to stay safe there, and
+// overflowed is true. Both bucket engines, central and distributed, place
+// through it.
+func Place(tx *core.Transaction, levels int, session func(level int) batch.Session) (level int, overflowed bool, err error) {
+	for i := 0; i < levels; i++ {
+		sess := session(i)
+		sess.Push(tx)
+		cost, err := sess.Cost()
+		if err != nil {
+			return 0, false, fmt.Errorf("cost probe at level %d: %w", i, err)
+		}
+		if cost <= 1<<uint(i) {
+			return i, false, nil
+		}
+		sess.Pop()
+	}
+	top := levels - 1
+	session(top).Push(tx)
+	return top, true, nil
 }
 
 // arriveRebuild is the oracle engine: the batch problem (availability map
@@ -256,7 +254,6 @@ func (b *Bucket) arriveRebuild(txns []*core.Transaction, now core.Time) error {
 		}
 		if !placed {
 			b.insert(len(b.levels)-1, tx, now)
-			b.audit.Overflowed++
 			b.metOverflow.Inc()
 		}
 	}
@@ -265,13 +262,8 @@ func (b *Bucket) arriveRebuild(txns []*core.Transaction, now core.Time) error {
 
 func (b *Bucket) insert(level int, tx *core.Transaction, now core.Time) {
 	b.levels[level] = append(b.levels[level], pending{tx: tx, since: now})
-	b.audit.Inserted++
-	b.audit.LevelCounts[level]++
 	b.metInserted.Inc()
 	b.metLevel.Observe(int64(level))
-	if level > b.audit.MaxLevelUsed {
-		b.audit.MaxLevelUsed = level
-	}
 }
 
 // NextWake implements sched.Scheduler: the earliest activation time of any
@@ -314,7 +306,6 @@ func (b *Bucket) OnWake() error {
 func (b *Bucket) activate(level int, now core.Time) error {
 	pds := b.levels[level]
 	b.levels[level] = nil
-	b.audit.Activations++
 	b.metActivations.Inc()
 	var asgn batch.Assignment
 	var err error
@@ -346,10 +337,9 @@ func (b *Bucket) activate(level int, now core.Time) error {
 		if err := b.env.Sim.Decide(pd.tx.ID, exec); err != nil {
 			return err
 		}
-		b.audit.Scheduled++
 		b.metScheduled.Inc()
 		if exec-pd.since <= lemma4Bound(level) {
-			b.audit.WithinLemma4++
+			b.metWithin4.Inc()
 		}
 	}
 	if !b.opts.RebuildOracle {

@@ -10,19 +10,29 @@ import (
 	"dtm/internal/batch"
 	"dtm/internal/core"
 	"dtm/internal/graph"
+	"dtm/internal/obs"
 	"dtm/internal/sched"
 	"dtm/internal/workload"
 )
 
-func runBucket(t *testing.T, in *core.Instance, a batch.Scheduler) (*sched.RunResult, Audit) {
+// runBucket runs the bucket engine over a on in and returns the result
+// with its metrics snapshot, where the engine counts its Lemma 3/4
+// bookkeeping.
+func runBucket(t *testing.T, in *core.Instance, a batch.Scheduler) (*sched.RunResult, *obs.Snapshot) {
 	t.Helper()
 	b := New(Options{Batch: a})
-	rr, err := sched.Run(in, b, sched.Options{})
+	rr, err := sched.Run(in, b, sched.Options{Obs: obs.New()})
 	if err != nil {
 		t.Fatalf("%s run failed: %v", b.Name(), err)
 	}
-	return rr, b.Audit()
+	return rr, rr.Metrics
 }
+
+// count reads one counter of a snapshot.
+func count(s *obs.Snapshot, name obs.Name) int64 { return s.Counters[name.String()] }
+
+// maxLevel is the highest insertion level of a run.
+func maxLevel(s *obs.Snapshot) int64 { return s.Histograms[obs.NameBucketLevel.String()].Max }
 
 func TestBucketRequiresBatchScheduler(t *testing.T) {
 	g, _ := graph.Clique(4)
@@ -43,9 +53,9 @@ func TestBucketOnLineBatchArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, audit := runBucket(t, in, batch.Tour{})
-	if audit.Inserted != len(in.Txns) || audit.Scheduled != len(in.Txns) {
-		t.Errorf("audit inserted/scheduled = %d/%d, want %d", audit.Inserted, audit.Scheduled, len(in.Txns))
+	rr, snap := runBucket(t, in, batch.Tour{})
+	if ins, sch := count(snap, obs.NameBucketInsertions), count(snap, obs.NameBucketScheduled); ins != int64(len(in.Txns)) || sch != ins {
+		t.Errorf("inserted/scheduled = %d/%d, want %d", ins, sch, len(in.Txns))
 	}
 	if rr.Makespan <= 0 {
 		t.Error("zero makespan")
@@ -61,14 +71,14 @@ func TestBucketLemma3LevelCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, audit := runBucket(t, in, batch.Tour{})
+	_, snap := runBucket(t, in, batch.Tour{})
 	nd := uint64(g.N()) * uint64(g.Diameter())
 	lemma3 := bits.Len64(nd-1) + 1
-	if audit.MaxLevelUsed > lemma3 {
-		t.Errorf("max level used %d exceeds Lemma 3 cap %d", audit.MaxLevelUsed, lemma3)
+	if maxLevel(snap) > int64(lemma3) {
+		t.Errorf("max level used %d exceeds Lemma 3 cap %d", maxLevel(snap), lemma3)
 	}
-	if audit.Overflowed != 0 {
-		t.Errorf("%d overflows on a model-respecting workload", audit.Overflowed)
+	if n := count(snap, obs.NameBucketOverflows); n != 0 {
+		t.Errorf("%d overflows on a model-respecting workload", n)
 	}
 }
 
@@ -81,9 +91,9 @@ func TestBucketSmallTransactionsUseLowLevels(t *testing.T) {
 		Objects: []*core.Object{{ID: 0, Origin: 5}},
 		Txns:    []*core.Transaction{{ID: 0, Node: 5, Objects: []core.ObjID{0}}},
 	}
-	rr, audit := runBucket(t, in, batch.Tour{})
-	if audit.MaxLevelUsed > 1 {
-		t.Errorf("co-located transaction landed in level %d, want <= 1", audit.MaxLevelUsed)
+	rr, snap := runBucket(t, in, batch.Tour{})
+	if maxLevel(snap) > 1 {
+		t.Errorf("co-located transaction landed in level %d, want <= 1", maxLevel(snap))
 	}
 	if rr.Makespan > 2 {
 		t.Errorf("makespan = %d, want <= 2 (prompt execution)", rr.Makespan)
@@ -99,9 +109,9 @@ func TestBucketActivationPeriods(t *testing.T) {
 		Objects: []*core.Object{{ID: 0, Origin: 0}},
 		Txns:    []*core.Transaction{{ID: 0, Node: 32, Arrival: 1, Objects: []core.ObjID{0}}},
 	}
-	rr, audit := runBucket(t, in, batch.Tour{})
-	if audit.LevelCounts[6] != 1 {
-		t.Errorf("level counts = %v, want the transaction at level 6", audit.LevelCounts)
+	rr, snap := runBucket(t, in, batch.Tour{})
+	if lv := snap.Histograms[obs.NameBucketLevel.String()]; lv.Count != 1 || lv.Min != 6 || lv.Max != 6 {
+		t.Errorf("levels = %+v, want the one transaction at level 6", lv)
 	}
 	// Activation at t=64; the tour batcher budgets 2x the 32-step span
 	// (first-leg slack + tour prefix): execution by 128.
@@ -119,10 +129,10 @@ func TestBucketLemma4Adherence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, audit := runBucket(t, in, batch.Tour{})
-	if audit.WithinLemma4 != audit.Scheduled {
-		t.Errorf("Lemma 4 bound missed for %d/%d transactions",
-			audit.Scheduled-audit.WithinLemma4, audit.Scheduled)
+	_, snap := runBucket(t, in, batch.Tour{})
+	sch, within := count(snap, obs.NameBucketScheduled), count(snap, obs.NameBucketWithinLemma4)
+	if sch != int64(len(in.Txns)) || within != sch {
+		t.Errorf("Lemma 4 bound missed for %d/%d transactions", sch-within, sch)
 	}
 }
 

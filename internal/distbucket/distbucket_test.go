@@ -3,11 +3,13 @@ package distbucket
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"dtm/internal/batch"
 	"dtm/internal/core"
 	"dtm/internal/graph"
+	"dtm/internal/obs"
 	"dtm/internal/sched"
 	"dtm/internal/workload"
 )
@@ -19,12 +21,20 @@ type outcome struct {
 	Report
 }
 
-// runOpts runs New(opts) through sched.Run with the driver options sopts.
+// runOpts runs New(opts) through sched.Run with the driver options sopts,
+// giving the run a registry of its own unless sopts brings one: the
+// protocol counts what it did only there.
 func runOpts(in *core.Instance, opts Options, sopts sched.Options) (outcome, error) {
 	p := New(opts)
+	if sopts.Obs == nil {
+		sopts.Obs = obs.New()
+	}
 	rr, err := sched.Run(in, p, sopts)
 	return outcome{rr, p.Report()}, err
 }
+
+// count reads one counter of the run's metrics snapshot.
+func (o outcome) count(name obs.Name) int64 { return o.Metrics.Counters[name.String()] }
 
 func run(t *testing.T, in *core.Instance, opts Options) outcome {
 	t.Helper()
@@ -36,20 +46,29 @@ func run(t *testing.T, in *core.Instance, opts Options) outcome {
 }
 
 // resultBytes renders everything a run reports — decisions, the result,
-// the ratio trace, protocol counters, audits and abandoned set — for
-// byte-for-byte comparison.
+// the ratio trace, the protocol's counters and histograms, audits and
+// abandoned set — for byte-for-byte comparison.
 func resultBytes(t *testing.T, res outcome) []byte {
 	t.Helper()
+	protocol := map[string]any{}
+	for name, v := range res.Metrics.Counters {
+		if strings.HasPrefix(name, "distnet.") || strings.HasPrefix(name, "distbucket.") {
+			protocol[name] = v
+		}
+	}
+	for name, v := range res.Metrics.Histograms {
+		if strings.HasPrefix(name, "distnet.") || strings.HasPrefix(name, "distbucket.") {
+			protocol[name] = v
+		}
+	}
 	data, err := json.Marshal(struct {
 		Decisions                     []core.Decision
 		Result                        *core.Result
 		Ratios                        []sched.RatioPoint
-		Messages                      int
-		MsgDistance                   graph.Weight
+		Protocol                      map[string]any
 		Abandoned                     []AbandonedTx
-		Audit                         Audit
 		Lemma6Pairs, Lemma6Violations int
-	}{res.Decisions, res.Result, res.Ratios, res.Messages, res.MsgDistance, res.Report.Abandoned, res.Audit,
+	}{res.Decisions, res.Result, res.Ratios, protocol, res.Report.Abandoned,
 		res.Lemma6Pairs, res.Lemma6Violations})
 	if err != nil {
 		t.Fatal(err)
@@ -86,8 +105,8 @@ func TestSingleTransactionCoLocated(t *testing.T) {
 	if res.Makespan > 40 {
 		t.Errorf("makespan = %d, want bounded by protocol round trips", res.Makespan)
 	}
-	if res.Audit.Inserted != 1 {
-		t.Errorf("audit = %+v, want one insertion", res.Audit)
+	if n := res.count(obs.NameDistbucketInsertions); n != 1 {
+		t.Errorf("%d insertions, want one", n)
 	}
 }
 
@@ -98,10 +117,10 @@ func TestChainOnLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := run(t, in, Options{Seed: 2})
-	if res.Audit.Inserted != len(in.Txns) {
-		t.Errorf("inserted %d of %d", res.Audit.Inserted, len(in.Txns))
+	if n := res.count(obs.NameDistbucketInsertions); n != int64(len(in.Txns)) {
+		t.Errorf("inserted %d of %d", n, len(in.Txns))
 	}
-	if res.Messages == 0 || res.MsgDistance == 0 {
+	if res.count(obs.NameDistnetMessages) == 0 || res.count(obs.NameDistnetMsgDistance) == 0 {
 		t.Error("no protocol messages recorded")
 	}
 	// Objects at half speed, poly-log protocol overhead: makespan must
@@ -208,7 +227,7 @@ func TestContendedObjectsSerializedAcrossLeaders(t *testing.T) {
 	if res.Err != nil {
 		t.Fatalf("violation: %v", res.Err)
 	}
-	if res.Audit.Activations == 0 {
+	if res.count(obs.NameDistbucketActivations) == 0 {
 		t.Error("no activations recorded")
 	}
 }

@@ -30,9 +30,11 @@ package distbucket
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"dtm/internal/batch"
+	"dtm/internal/bucket"
 	"dtm/internal/core"
 	"dtm/internal/cover"
 	"dtm/internal/distnet"
@@ -140,7 +142,8 @@ type decision struct {
 }
 
 // protoMetrics holds the protocol's instrument handles, shared by all node
-// handlers. All nil (and free) when disabled.
+// handlers; they are the run's only count of what the protocol did. All nil
+// (and free) when disabled.
 type protoMetrics struct {
 	discoveries *obs.Counter   // distbucket.discoveries: discovery rounds started
 	reports     *obs.Counter   // distbucket.reports: reports received by leaders
@@ -152,8 +155,8 @@ type protoMetrics struct {
 	releases    *obs.Counter   // distbucket.releases: home releases received
 	retries     *obs.Counter   // distbucket.retries: requests retransmitted
 	timeouts    *obs.Counter   // distbucket.timeouts: request deadlines expired
-	abandoned   *obs.Counter   // distbucket.abandoned: transactions given up on
 	level       *obs.Histogram // distbucket.bucket_level: insertion level
+	layer       *obs.Histogram // distbucket.cover_layer: cover layer of each report sent
 }
 
 func newProtoMetrics(m *obs.Metrics) protoMetrics {
@@ -171,9 +174,21 @@ func newProtoMetrics(m *obs.Metrics) protoMetrics {
 		releases:    m.Counter(obs.NameDistbucketReleases),
 		retries:     m.Counter(obs.NameDistbucketRetries),
 		timeouts:    m.Counter(obs.NameDistbucketTimeouts),
-		abandoned:   m.Counter(obs.NameDistbucketAbandoned),
 		level:       m.Histogram(obs.NameDistbucketBucketLevel, obs.PowersOfTwo(6)),
+		layer:       m.Histogram(obs.NameDistbucketCoverLayer, layerBounds()),
 	}
+}
+
+// layerBounds gives distbucket.cover_layer one bucket per cover layer
+// cover.Build can make: ceil(log2 D)+1 layers for a diameter D below
+// graph.Infinite. The bounds do not depend on the run, so the snapshots
+// of runs on different graphs merge exactly.
+func layerBounds() []int64 {
+	bs := make([]int64, bits.Len64(uint64(graph.Infinite-1))+1)
+	for i := range bs {
+		bs[i] = int64(i)
+	}
+	return bs
 }
 
 // config is shared, read-only state for all node handlers.
@@ -238,32 +253,6 @@ type session struct {
 	next    int
 }
 
-// Audit captures protocol statistics for the experiments. Each node
-// accumulates its own; Report merges them.
-type Audit struct {
-	Reports      int
-	Inserted     int
-	Overflowed   int
-	Activations  int
-	Abandoned    int // transactions given up on under faults
-	MaxLevelUsed int
-	LayerCounts  map[int]int // cover layer chosen per report
-}
-
-func (a *Audit) merge(b *Audit) {
-	a.Reports += b.Reports
-	a.Inserted += b.Inserted
-	a.Overflowed += b.Overflowed
-	a.Activations += b.Activations
-	a.Abandoned += b.Abandoned
-	if b.MaxLevelUsed > a.MaxLevelUsed {
-		a.MaxLevelUsed = b.MaxLevelUsed
-	}
-	for l, c := range b.LayerCounts {
-		a.LayerCounts[l] += c
-	}
-}
-
 // node is the per-node protocol handler.
 type node struct {
 	cfg *config
@@ -307,8 +296,6 @@ type node struct {
 	seenReports  map[core.TxID]bool        // leader: processed reports (dedup)
 	relBuf       map[objSession]releaseMsg // leader: releases awaiting home ack
 	finishedSess map[objSession]bool       // home: sessions already released
-
-	audit *Audit
 }
 
 // objSession keys per-(object, session) reliability state.
@@ -334,7 +321,6 @@ func newNode(cfg *config, id graph.NodeID) *node {
 		buckets:  make(map[bucketKey][]pendTx),
 		reported: make(map[core.TxID]clusterRef),
 		known:    make(map[core.ObjID]batch.Avail),
-		audit:    &Audit{LayerCounts: make(map[int]int)},
 	}
 	n.probeSess = make(map[bucketKey]batch.Session)
 	n.probeAvail = make(map[core.ObjID]batch.Avail)
@@ -461,7 +447,7 @@ func (n *node) onInfo(ctx *distnet.Ctx, m infoMsg) {
 		}
 	}
 	layer, cl := n.cfg.hier.HomeForRadius(n.id, y)
-	n.audit.LayerCounts[layer]++
+	n.cfg.met.layer.Observe(int64(layer))
 	ref := clusterRef{Layer: cl.Layer, SubLayer: cl.SubLayer, Index: cl.Index}
 	n.reported[m.Tx] = ref
 	sort.Slice(d.objs, func(i, j int) bool { return d.objs[i].Obj < d.objs[j].Obj })
@@ -503,7 +489,6 @@ func (n *node) onReport(ctx *distnet.Ctx, m reportMsg) {
 		n.seenReports[m.Tx] = true
 		ctx.Send(m.Node, reportAckMsg{Tx: m.Tx})
 	}
-	n.audit.Reports++
 	n.cfg.met.reports.Inc()
 	for _, os := range m.Objs {
 		n.learn(os)
@@ -514,39 +499,21 @@ func (n *node) onReport(ctx *distnet.Ctx, m reportMsg) {
 	// new transaction's objects can need one.
 	n.probeProb.Now = ctx.Now()
 	batch.ExtendAvailTx(n.probeAvail, tx, n.resolve)
-	placed := -1
-	for i := 0; i <= n.cfg.maxLevel; i++ {
-		key := bucketKey{cluster: m.Cluster, level: i}
-		sess := n.probeSession(key)
-		sess.Push(tx)
-		cost, err := sess.Cost()
-		if err != nil {
-			panic(fmt.Sprintf("distbucket: cost probe: %v", err))
-		}
-		if cost <= 1<<uint(i) {
-			placed = i
-			break
-		}
-		sess.Pop()
+	placed, overflowed, err := bucket.Place(tx, n.cfg.maxLevel+1, func(i int) batch.Session {
+		return n.probeSession(bucketKey{cluster: m.Cluster, level: i})
+	})
+	if err != nil {
+		panic(fmt.Sprintf("distbucket: %v", err))
 	}
-	if placed < 0 {
-		placed = n.cfg.maxLevel
-		n.audit.Overflowed++
+	if overflowed {
 		n.cfg.met.overflow.Inc()
-		// The top-level probe retracted the push; the forced placement
-		// must re-enter its session.
-		n.probeSession(bucketKey{cluster: m.Cluster, level: placed}).Push(tx)
 	}
 	key := bucketKey{cluster: m.Cluster, level: placed}
 	n.buckets[key] = append(n.buckets[key], pendTx{
 		tx: tx, objs: m.Objs, since: ctx.Now(), level: placed,
 	})
-	n.audit.Inserted++
 	n.cfg.met.inserted.Inc()
 	n.cfg.met.level.Observe(int64(placed))
-	if placed > n.audit.MaxLevelUsed {
-		n.audit.MaxLevelUsed = placed
-	}
 	ctx.WakeAt(nextBoundary(ctx.Now(), placed))
 }
 
@@ -660,7 +627,6 @@ func (n *node) maybeStartSession(ctx *distnet.Ctx) {
 	if ps, ok := n.probeSess[key]; ok {
 		ps.Reset()
 	}
-	n.audit.Activations++
 	n.cfg.met.activations.Inc()
 	n.sessSeq++
 	s := &session{

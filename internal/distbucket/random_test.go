@@ -5,6 +5,7 @@ import (
 
 	"dtm/internal/batch"
 	"dtm/internal/graph"
+	"dtm/internal/obs"
 	"dtm/internal/sched"
 	"dtm/internal/workload"
 )
@@ -34,8 +35,8 @@ func TestRandomTopologies(t *testing.T) {
 			if res.Err != nil {
 				t.Fatalf("seed %d, %s: violation: %v", seed, a.Name(), res.Err)
 			}
-			if res.Audit.Inserted != len(in.Txns) {
-				t.Errorf("seed %d, %s: inserted %d of %d", seed, a.Name(), res.Audit.Inserted, len(in.Txns))
+			if n := res.count(obs.NameDistbucketInsertions); n != int64(len(in.Txns)) {
+				t.Errorf("seed %d, %s: inserted %d of %d", seed, a.Name(), n, len(in.Txns))
 			}
 		}
 	}

@@ -185,8 +185,6 @@ func (n *node) giveUp(ctx *distnet.Ctx, p *pending) {
 
 func (n *node) abandon(tx core.TxID, reason string) {
 	n.abandoned = append(n.abandoned, AbandonedTx{Tx: tx, Reason: reason})
-	n.cfg.met.abandoned.Inc()
-	n.audit.Abandoned++
 }
 
 // abandonSession gives up the whole in-flight activation: every transaction

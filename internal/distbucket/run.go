@@ -39,12 +39,13 @@ type FaultOptions struct {
 	MaxAttempts int
 }
 
-// Report holds the protocol statistics of a run, beyond the shared
-// sched.RunResult.
+// Report holds what a run's protocol knows beyond sched.RunResult: the
+// sparse cover's shape, the abandoned transactions with their reasons and
+// the post-run Lemma 6 audit. What the protocol did as it ran (messages,
+// reports, insertions, activations, levels, cover layers, faults) is
+// counted only in the run's obs registry, the distnet.* and distbucket.*
+// instruments of RunResult.Metrics.
 type Report struct {
-	Audit       Audit
-	Messages    int
-	MsgDistance graph.Weight
 	CoverLayers int
 	SubLayers   int
 	// Abandoned details the transactions the run gave up on under faults
@@ -148,7 +149,6 @@ func (p *Protocol) OnArrive(txns []*core.Transaction) error {
 				Tx:     tx.ID,
 				Reason: fmt.Sprintf("origin node %d crashed at arrival t=%d", tx.Node, now),
 			})
-			p.cfg.met.abandoned.Inc()
 			continue
 		}
 		if err := p.net.InjectAt(now, tx.Node, arrivalMsg{Tx: tx.ID}); err != nil {
@@ -200,15 +200,9 @@ func (p *Protocol) Report() Report {
 		return Report{}
 	}
 	r := Report{
-		Audit:       Audit{LayerCounts: make(map[int]int)},
-		Messages:    p.net.MessagesSent(),
-		MsgDistance: p.net.MessageDistance(),
 		CoverLayers: p.cfg.hier.NumLayers(),
 		SubLayers:   p.cfg.hier.MaxSubLayers(),
 		Abandoned:   p.abandoned(),
-	}
-	for _, nd := range p.nodes {
-		r.Audit.merge(nd.audit)
 	}
 	r.Lemma6Pairs, r.Lemma6Violations = lemma6Audit(p.sim, p.nodes)
 	return r

@@ -137,9 +137,9 @@ type Options struct {
 	// and node crashes (see FaultPlan). The zero value keeps the engine on
 	// the exact failure-free code path.
 	Faults FaultPlan
-	// Obs, when set, collects message and queue metrics. All accounting
-	// happens when the engine merges a node's outbox, so handlers pay
-	// nothing.
+	// Obs, when set, collects message, fault and queue metrics; it is the
+	// engine's only count of them. All accounting happens when the engine
+	// merges a node's outbox, so handlers pay nothing.
 	Obs *obs.Metrics
 }
 
@@ -147,11 +147,11 @@ type Options struct {
 // when observability is disabled.
 type engineMetrics struct {
 	messages   *obs.Counter   // distnet.messages: total messages sent
-	msgDist    *obs.Counter   // distnet.msg_distance: total distance covered
+	msgDist    *obs.Counter   // distnet.msg_distance: total distance covered, the protocol's communication cost
 	msgBytes   *obs.Counter   // distnet.msg_bytes: shallow payload size sum
 	injects    *obs.Counter   // distnet.injects: external events placed
 	wakes      *obs.Counter   // distnet.wakes: timers scheduled
-	dropped    *obs.Counter   // distnet.dropped: messages lost to faults
+	dropped    *obs.Counter   // distnet.dropped: messages lost to drops and crash windows
 	duplicated *obs.Counter   // distnet.duplicated: messages delivered twice
 	delayed    *obs.Counter   // distnet.delayed: deliveries given extra jitter
 	nodeQueue  *obs.Histogram // distnet.node_queue: events per node per step
@@ -181,17 +181,10 @@ type Engine struct {
 	opts     Options
 	faulty   bool
 
-	now   core.Time
-	queue *pq.Heap[queuedEvent]
-	seq   int
-
-	msgsSent    int
-	msgDistance graph.Weight
-	sendSeq     []int64 // per-node running send count (fault keying)
-
-	dropped    int
-	duplicated int
-	delayed    int
+	now     core.Time
+	queue   *pq.Heap[queuedEvent]
+	seq     int
+	sendSeq []int64 // per-node running send count (fault keying)
 
 	met    engineMetrics
 	byType map[reflect.Type]*obs.Counter // distnet.msg.<type> cache
@@ -257,23 +250,6 @@ func (e *Engine) accountMessage(payload interface{}) {
 
 // Now returns the engine clock.
 func (e *Engine) Now() core.Time { return e.now }
-
-// MessagesSent returns the total number of messages sent so far.
-func (e *Engine) MessagesSent() int { return e.msgsSent }
-
-// MessageDistance returns the total distance covered by all messages — the
-// protocol's communication cost.
-func (e *Engine) MessageDistance() graph.Weight { return e.msgDistance }
-
-// Dropped returns the number of messages lost to the fault plan (drops and
-// crash windows).
-func (e *Engine) Dropped() int { return e.dropped }
-
-// Duplicated returns the number of messages delivered twice.
-func (e *Engine) Duplicated() int { return e.duplicated }
-
-// Delayed returns the number of deliveries that received extra jitter.
-func (e *Engine) Delayed() int { return e.delayed }
 
 // InjectAt places an external event for node at time t (>= now).
 func (e *Engine) InjectAt(t core.Time, node graph.NodeID, payload interface{}) error {
@@ -351,8 +327,6 @@ func (e *Engine) stepOnce(at core.Time) error {
 		}
 		// Merge the outbox in send order. Fault decisions resolve here,
 		// keyed only on (step, src, dst, srcSeq).
-		e.msgsSent += ctx.msgs
-		e.msgDistance += ctx.dist
 		e.sendSeq[ctx.node] += int64(ctx.msgs)
 		if e.opts.Obs != nil {
 			e.met.nodeQueue.Observe(int64(len(b.evs)))
@@ -386,25 +360,21 @@ func (e *Engine) deliverFaulty(src graph.NodeID, at core.Time, qe queuedEvent) {
 	dst := qe.node
 	drop := p.CrashedAt(src, at) || (p.Drop > 0 && p.roll(saltDrop, at, src, dst, qe.srcSeq) < p.Drop)
 	if drop {
-		e.dropped++
 		e.met.dropped.Inc()
 		return
 	}
 	copies := 1
 	if p.Duplicate > 0 && p.roll(saltDup, at, src, dst, qe.srcSeq) < p.Duplicate {
 		copies = 2
-		e.duplicated++
 		e.met.duplicated.Inc()
 	}
 	for c := 0; c < copies; c++ {
 		cp := qe
 		if d := p.jitter(saltJit+uint64(c), at, src, dst, qe.srcSeq); d > 0 {
 			cp.at += d
-			e.delayed++
 			e.met.delayed.Inc()
 		}
 		if p.CrashedAt(dst, cp.at) {
-			e.dropped++
 			e.met.dropped.Inc()
 			continue
 		}

@@ -7,7 +7,16 @@ import (
 
 	"dtm/internal/core"
 	"dtm/internal/graph"
+	"dtm/internal/obs"
 )
+
+// count reads one counter from the registry the engine was built with.
+func count(e *Engine, name obs.Name) int64 { return e.opts.Obs.Counter(name).Value() }
+
+// faults reads the engine's dropped, duplicated and delayed counters.
+func faults(e *Engine) [3]int64 {
+	return [3]int64{count(e, obs.NameDistnetDropped), count(e, obs.NameDistnetDuplicated), count(e, obs.NameDistnetDelayed)}
+}
 
 // traceHandler logs every event it receives and optionally reacts.
 type traceHandler struct {
@@ -53,7 +62,7 @@ func TestMessageDelayEqualsDistance(t *testing.T) {
 			ctx.Send(9, "ping")
 		}
 	})
-	e, err := New(g, hs, Options{})
+	e, err := New(g, hs, Options{Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +76,8 @@ func TestMessageDelayEqualsDistance(t *testing.T) {
 	if len(ts[9].events) != 1 || ts[9].events[0] != want {
 		t.Errorf("node 9 events = %v, want [%q]", ts[9].events, want)
 	}
-	if e.MessagesSent() != 1 || e.MessageDistance() != 9 {
-		t.Errorf("counters = %d msgs / %d dist, want 1/9", e.MessagesSent(), e.MessageDistance())
+	if msgs, dist := count(e, obs.NameDistnetMessages), count(e, obs.NameDistnetMsgDistance); msgs != 1 || dist != 9 {
+		t.Errorf("counters = %d msgs / %d dist, want 1/9", msgs, dist)
 	}
 }
 
@@ -262,17 +271,15 @@ func TestDeterministicAndCountersAgree(t *testing.T) {
 
 // The message counters agree exactly between a lazy and a warmed run.
 func TestCountersAgreeAcrossEngines(t *testing.T) {
-	mk := func(warm bool) *Engine {
+	mk := func(warm bool) [2]int64 {
 		g := floodGraph(t, 3, warm)
-		e, _ := New(g, floodHandlers(g.N(), new([]string)), Options{})
+		e, _ := New(g, floodHandlers(g.N(), new([]string)), Options{Obs: obs.New()})
 		_ = e.InjectAt(0, 0, "x")
 		_ = e.RunUntil(50)
-		return e
+		return [2]int64{count(e, obs.NameDistnetMessages), count(e, obs.NameDistnetMsgDistance)}
 	}
-	s, p := mk(false), mk(true)
-	if s.MessagesSent() != p.MessagesSent() || s.MessageDistance() != p.MessageDistance() {
-		t.Errorf("counters differ: lazy %d/%d warmed %d/%d",
-			s.MessagesSent(), s.MessageDistance(), p.MessagesSent(), p.MessageDistance())
+	if s, p := mk(false), mk(true); s != p || s[0] == 0 {
+		t.Errorf("counters differ: lazy %d/%d warmed %d/%d", s[0], s[1], p[0], p[1])
 	}
 }
 

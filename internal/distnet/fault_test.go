@@ -18,7 +18,7 @@ func runFloodPlan(t *testing.T, warm bool, plan FaultPlan) ([]string, *Engine) {
 	t.Helper()
 	g := floodGraph(t, 4, warm)
 	var trace []string
-	e, err := New(g, floodHandlers(g.N(), &trace), Options{Faults: plan})
+	e, err := New(g, floodHandlers(g.N(), &trace), Options{Faults: plan, Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +42,8 @@ func TestZeroPlanIdentical(t *testing.T) {
 	if !reflect.DeepEqual(base, zero) {
 		t.Error("zero FaultPlan changed the trace")
 	}
-	if e.Dropped() != 0 || e.Duplicated() != 0 || e.Delayed() != 0 {
-		t.Errorf("zero plan recorded faults: %d/%d/%d", e.Dropped(), e.Duplicated(), e.Delayed())
+	if f := faults(e); f != [3]int64{} {
+		t.Errorf("zero plan recorded faults: %v", f)
 	}
 	if e.faulty {
 		t.Error("zero plan should not enable the faulty path")
@@ -59,12 +59,10 @@ func TestFaultDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(ta, tb) {
 		t.Error("same plan, same seed: traces differ")
 	}
-	if ea.Dropped() != eb.Dropped() || ea.Duplicated() != eb.Duplicated() || ea.Delayed() != eb.Delayed() {
-		t.Errorf("fault counters differ: %d/%d/%d vs %d/%d/%d",
-			ea.Dropped(), ea.Duplicated(), ea.Delayed(),
-			eb.Dropped(), eb.Duplicated(), eb.Delayed())
+	if fa, fb := faults(ea), faults(eb); fa != fb {
+		t.Errorf("fault counters differ: %v vs %v", fa, fb)
 	}
-	if ea.Dropped() == 0 && ea.Duplicated() == 0 && ea.Delayed() == 0 {
+	if faults(ea) == [3]int64{} {
 		t.Error("plan with 10% drop on a flood injected no faults: RNG suspect")
 	}
 	// A different seed must change the decisions (overwhelmingly likely on
@@ -88,11 +86,8 @@ func TestParallelMatchesSequentialUnderFaults(t *testing.T) {
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("faulted trace on warmed trees differs from the lazy run (%d vs %d entries)", len(par), len(seq))
 	}
-	if es.Dropped() != ep.Dropped() || es.Duplicated() != ep.Duplicated() || es.Delayed() != ep.Delayed() ||
-		es.MessagesSent() != ep.MessagesSent() {
-		t.Errorf("counters differ: lazy %d/%d/%d/%d warmed %d/%d/%d/%d",
-			es.MessagesSent(), es.Dropped(), es.Duplicated(), es.Delayed(),
-			ep.MessagesSent(), ep.Dropped(), ep.Duplicated(), ep.Delayed())
+	if fs, fp, ms, mp := faults(es), faults(ep), count(es, obs.NameDistnetMessages), count(ep, obs.NameDistnetMessages); fs != fp || ms != mp {
+		t.Errorf("counters differ: lazy %d %v warmed %d %v", ms, fs, mp, fp)
 	}
 }
 
@@ -106,7 +101,7 @@ func pingSetup(t *testing.T, plan FaultPlan) (*Engine, *traceHandler) {
 			ctx.Send(2, "ping")
 		}
 	})
-	e, err := New(g, hs, Options{Faults: plan})
+	e, err := New(g, hs, Options{Faults: plan, Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +117,12 @@ func TestDropLosesMessage(t *testing.T) {
 	if got := countMsgs(rx); got != 0 {
 		t.Errorf("ping delivered despite Drop=1: %d events", got)
 	}
-	if e.Dropped() != 1 {
-		t.Errorf("Dropped = %d, want 1", e.Dropped())
+	if n := count(e, obs.NameDistnetDropped); n != 1 {
+		t.Errorf("dropped = %d, want 1", n)
 	}
 	// The send is still counted: loss happens in flight, not at the sender.
-	if e.MessagesSent() != 1 {
-		t.Errorf("MessagesSent = %d, want 1", e.MessagesSent())
+	if n := count(e, obs.NameDistnetMessages); n != 1 {
+		t.Errorf("messages = %d, want 1", n)
 	}
 }
 
@@ -159,8 +154,8 @@ func TestSenderCrashDropsMessage(t *testing.T) {
 	if got := countMsgs(rx); got != 0 {
 		t.Errorf("message from crashed sender delivered: %d events", got)
 	}
-	if e.Dropped() != 1 {
-		t.Errorf("Dropped = %d, want 1", e.Dropped())
+	if n := count(e, obs.NameDistnetDropped); n != 1 {
+		t.Errorf("dropped = %d, want 1", n)
 	}
 }
 
@@ -174,8 +169,8 @@ func TestReceiverCrashDropsAtArrival(t *testing.T) {
 	if got := countMsgs(rx); got != 0 {
 		t.Errorf("message to crashed receiver delivered: %d events", got)
 	}
-	if e.Dropped() != 1 {
-		t.Errorf("Dropped = %d, want 1", e.Dropped())
+	if n := count(e, obs.NameDistnetDropped); n != 1 {
+		t.Errorf("dropped = %d, want 1", n)
 	}
 	// After the window, delivery works again.
 	e2, rx2 := pingSetup(t, FaultPlan{Crashes: []CrashWindow{{Node: 2, From: 1, To: 3}}})
@@ -195,8 +190,8 @@ func TestDuplicateDeliversTwice(t *testing.T) {
 	if got := countMsgs(rx); got != 2 {
 		t.Errorf("Duplicate=1 delivered %d copies, want 2", got)
 	}
-	if e.Duplicated() != 1 {
-		t.Errorf("Duplicated = %d, want 1", e.Duplicated())
+	if n := count(e, obs.NameDistnetDuplicated); n != 1 {
+		t.Errorf("duplicated = %d, want 1", n)
 	}
 }
 
@@ -250,7 +245,7 @@ func TestSelfEventsExemptFromFaults(t *testing.T) {
 		handlerFunc(func(ctx *Ctx, ev Event) {}),
 	}
 	plan := FaultPlan{Drop: 1.0, Crashes: []CrashWindow{{Node: 0, From: 0, To: 100}}}
-	e, err := New(g, hs, Options{Faults: plan})
+	e, err := New(g, hs, Options{Faults: plan, Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,8 +256,8 @@ func TestSelfEventsExemptFromFaults(t *testing.T) {
 	if !reflect.DeepEqual(got, []string{"self", "wake"}) {
 		t.Errorf("node-local events = %v, want [self wake]", got)
 	}
-	if e.Dropped() != 0 {
-		t.Errorf("Dropped = %d, want 0 (nothing crossed the network)", e.Dropped())
+	if n := count(e, obs.NameDistnetDropped); n != 0 {
+		t.Errorf("dropped = %d, want 0 (nothing crossed the network)", n)
 	}
 }
 

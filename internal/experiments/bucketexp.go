@@ -187,19 +187,20 @@ func table3BucketLemmas(cfg Config) (*stats.Table, error) {
 					if err != nil {
 						return runner.Outcome{}, err
 					}
-					audit := b.Audit()
+					c := rr.Metrics.Counters
+					maxLevel := rr.Metrics.Histograms[obs.NameBucketLevel.String()].Max
 					nd := uint64(g.N()) * uint64(g.Diameter())
 					cap3 := bits.Len64(nd-1) + 1
-					if audit.MaxLevelUsed > cap3 {
-						return runner.Outcome{}, fmt.Errorf("T3: %s: level %d beyond Lemma 3 cap %d", g, audit.MaxLevelUsed, cap3)
+					if maxLevel > int64(cap3) {
+						return runner.Outcome{}, fmt.Errorf("T3: %s: level %d beyond Lemma 3 cap %d", g, maxLevel, cap3)
 					}
 					out := runner.FromRunResult(rr)
 					out.Extra = map[string]float64{
-						"maxLevel":  float64(audit.MaxLevelUsed),
+						"maxLevel":  float64(maxLevel),
 						"cap3":      float64(cap3),
-						"within4":   float64(audit.WithinLemma4),
-						"scheduled": float64(audit.Scheduled),
-						"overflows": float64(audit.Overflowed),
+						"within4":   float64(c[obs.NameBucketWithinLemma4.String()]),
+						"scheduled": float64(c[obs.NameBucketScheduled.String()]),
+						"overflows": float64(c[obs.NameBucketOverflows.String()]),
 					}
 					return out, nil
 				}}},

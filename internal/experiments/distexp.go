@@ -31,7 +31,7 @@ func distCell(g *graph.Graph, slow int) runner.CellFunc {
 		rep := p.Report()
 		out := runner.FromRunResult(rr)
 		out.Extra = map[string]float64{
-			"messages":    float64(rep.Messages),
+			"messages":    float64(rr.Metrics.Counters[obs.NameDistnetMessages.String()]),
 			"coverLayers": float64(rep.CoverLayers),
 			"subLayers":   float64(rep.SubLayers),
 		}

@@ -22,28 +22,22 @@ func faultCell(g *graph.Graph, drop float64) runner.CellFunc {
 		if err != nil {
 			return runner.Outcome{}, err
 		}
-		reg := m
-		if reg == nil {
-			// The recovery counters are read back from the registry, so a
-			// trial needs one even when the sweep collects no metrics.
-			reg = obs.New()
-		}
 		p := distbucket.New(distbucket.Options{
 			Seed:   seed,
 			Faults: distbucket.FaultOptions{Plan: distnet.FaultPlan{Seed: seed, Drop: drop}},
 		})
-		rr, err := sched.Run(in, p, sched.Options{Obs: reg})
+		rr, err := sched.Run(in, p, sched.Options{Obs: m})
 		if err != nil {
 			return runner.Outcome{}, fmt.Errorf("drop %.0f%%: %w", drop*100, err)
 		}
-		snap := reg.Snapshot()
+		c := rr.Metrics.Counters
 		out := runner.FromRunResult(rr)
 		out.Extra = map[string]float64{
-			"messages":   float64(p.Report().Messages),
+			"messages":   float64(c[obs.NameDistnetMessages.String()]),
 			"completion": rr.CompletionRate(),
 			"abandoned":  float64(len(rr.Abandoned)),
-			"dropped":    float64(snap.Counters["distnet.dropped"]),
-			"retries":    float64(snap.Counters["distbucket.retries"]),
+			"dropped":    float64(c[obs.NameDistnetDropped.String()]),
+			"retries":    float64(c[obs.NameDistbucketRetries.String()]),
 		}
 		return out, nil
 	}

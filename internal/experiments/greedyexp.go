@@ -257,17 +257,18 @@ func table2GreedyBounds(cfg Config) (*stats.Table, error) {
 				if err != nil {
 					return runner.Outcome{}, err
 				}
-				a := gs.Audit()
-				if a.WithinBound != a.Scheduled {
+				c, h := rr.Metrics.Counters, rr.Metrics.Histograms
+				scheduled, within := c[obs.NameGreedyColorsAssigned.String()], c[obs.NameGreedyWithinBound.String()]
+				if within != scheduled {
 					return runner.Outcome{}, fmt.Errorf("T2: %s %s: %d/%d transactions exceeded the theorem bound",
-						g, gs.Name(), a.Scheduled-a.WithinBound, a.Scheduled)
+						g, gs.Name(), scheduled-within, scheduled)
 				}
 				out := runner.FromRunResult(rr)
 				out.Extra = map[string]float64{
-					"scheduled": float64(a.Scheduled),
-					"within":    float64(a.WithinBound),
-					"maxColor":  float64(a.MaxColor),
-					"maxBound":  float64(a.MaxBound),
+					"scheduled": float64(scheduled),
+					"within":    float64(within),
+					"maxColor":  float64(h[obs.NameGreedyColor.String()].Max),
+					"maxBound":  float64(h[obs.NameGreedyBound.String()].Max),
 				}
 				return out, nil
 			}}},

@@ -41,15 +41,11 @@ func table12Scale(cfg Config) (*stats.Table, error) {
 				if err != nil {
 					return runner.Outcome{}, err
 				}
-				reg := m
-				if reg == nil {
-					reg = obs.New()
-				}
 				// Snapshots are disabled: the lower-bound estimates they
 				// take per arrival dominate the cost at n=1024 and play no
 				// role in the engine-equivalence claim.
 				inc, err := sched.Run(in, greedy.New(greedy.Options{}),
-					sched.Options{Obs: reg, SnapshotEvery: -1})
+					sched.Options{Obs: m, SnapshotEvery: -1})
 				if err != nil {
 					return runner.Outcome{}, err
 				}
@@ -70,7 +66,7 @@ func table12Scale(cfg Config) (*stats.Table, error) {
 					}
 				}
 				out := runner.FromRunResult(inc)
-				snap := reg.Snapshot()
+				snap := inc.Metrics
 				out.Extra = map[string]float64{
 					"identical":    identical,
 					"txns":         float64(len(in.Txns)),

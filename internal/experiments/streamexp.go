@@ -49,7 +49,9 @@ func frontierGraphs(cfg Config) []func() (*graph.Graph, error) {
 // node: lo tracks the last stable probe, hi the last unstable one. The
 // floor is far below any engine's service rate; a λ* reported at the
 // ceiling means the frontier lies beyond it. It returns λ* and the
-// stream result of the probe at it.
+// stream result of the probe at it. Each probe counts into a registry of
+// its own, so the sojourn percentiles of a result are its probe's alone;
+// m collects every probe's snapshot.
 func bisectFrontier(cfg Config, g *graph.Graph, mk func() sched.Scheduler, seed int64, m *obs.Metrics) (float64, *sched.StreamResult, error) {
 	arrivals, iters := int64(5000), 8
 	if cfg.Quick {
@@ -62,8 +64,12 @@ func bisectFrontier(cfg Config, g *graph.Graph, mk func() sched.Scheduler, seed 
 		if err != nil {
 			return nil, err
 		}
-		return sched.RunStream(g, workload.UniformObjects(g, g.N(), seed),
-			src, mk(), sched.StreamOptions{Obs: m, MaxArrivals: arrivals})
+		res, err := sched.RunStream(g, workload.UniformObjects(g, g.N(), seed),
+			src, mk(), sched.StreamOptions{MaxArrivals: arrivals})
+		if res != nil {
+			m.Merge(res.Metrics)
+		}
+		return res, err
 	}
 	lo, hi := 1.0/64, 16.0
 	best, err := probe(lo)

@@ -45,9 +45,6 @@ func (c *Coordinator) Name() string {
 	return fmt.Sprintf("coordinator(hub=%d,%s)", c.Hub, c.inner.Name())
 }
 
-// Audit exposes the inner greedy scheduler's theorem-bound audit.
-func (c *Coordinator) Audit() Audit { return c.inner.Audit() }
-
 // Start implements sched.Scheduler.
 func (c *Coordinator) Start(env *sched.Env) error {
 	if c.Hub < 0 || int(c.Hub) >= env.G.N() {

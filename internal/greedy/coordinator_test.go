@@ -5,6 +5,7 @@ import (
 
 	"dtm/internal/core"
 	"dtm/internal/graph"
+	"dtm/internal/obs"
 	"dtm/internal/sched"
 	"dtm/internal/workload"
 )
@@ -84,10 +85,9 @@ func TestCoordinatorUniformMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCoordinator(0, Options{Uniform: true})
-	if _, err := sched.Run(in, c, sched.Options{}); err != nil {
+	rr, err := sched.Run(in, c, sched.Options{Obs: obs.New()})
+	if err != nil {
 		t.Fatalf("uniform coordinator failed: %v", err)
 	}
-	if a := c.Audit(); a.WithinBound != a.Scheduled {
-		t.Errorf("theorem bound violated for %d transactions", a.Scheduled-a.WithinBound)
-	}
+	checkBound(t, c.Name(), in, rr)
 }

@@ -63,14 +63,6 @@ func (o Options) pad() graph.Weight {
 	return graph.Weight(o.Pad)
 }
 
-// Audit accumulates the per-transaction Theorem 1/2 bound checks.
-type Audit struct {
-	Scheduled   int
-	WithinBound int // transactions whose color met the theorem bound
-	MaxColor    coloring.Color
-	MaxBound    coloring.Color
-}
-
 // Greedy is the online greedy scheduler. Create with New; it implements
 // sched.Scheduler.
 type Greedy struct {
@@ -99,12 +91,13 @@ type Greedy struct {
 	objUsers map[core.ObjID][]core.TxID // live scheduled users per object
 
 	buffer []*core.Transaction // Uniform mode: awaiting epoch
-	audit  Audit
 
-	// Instrument handles; nil (free) when observability is disabled.
+	// Instrument handles, the run's only count of the Theorem 1/2 bound
+	// checks; nil (free) when observability is disabled.
 	metScheduled *obs.Counter   // greedy.colors_assigned
 	metWithin    *obs.Counter   // greedy.within_bound
 	metColor     *obs.Histogram // greedy.color: assigned color = delay
+	metBound     *obs.Histogram // greedy.bound: the assignment's theorem bound
 }
 
 // New returns a greedy scheduler with the given options.
@@ -124,15 +117,13 @@ func (g *Greedy) Name() string {
 	return name
 }
 
-// Audit returns the theorem-bound audit collected so far.
-func (g *Greedy) Audit() Audit { return g.audit }
-
 // Start implements sched.Scheduler.
 func (g *Greedy) Start(env *sched.Env) error {
 	g.env = env
 	g.metScheduled = env.Obs.Counter(obs.NameGreedyColorsAssigned)
 	g.metWithin = env.Obs.Counter(obs.NameGreedyWithinBound)
 	g.metColor = env.Obs.Histogram(obs.NameGreedyColor, obs.PowersOfTwo(16))
+	g.metBound = env.Obs.Histogram(obs.NameGreedyBound, obs.PowersOfTwo(16))
 	if !g.opts.RebuildOracle {
 		g.idx = depgraph.NewIndex(env.Sim)
 		g.idx.RegisterMetrics(env.Obs)
@@ -298,20 +289,13 @@ func (g *Greedy) scheduleIncremental(txns []*core.Transaction, now core.Time) er
 // engines.
 func byID(a, b *core.Transaction) int { return cmp.Compare(a.ID, b.ID) }
 
-// recordAudit accumulates the Theorem 1/2 bound check for one assignment.
+// recordAudit counts the Theorem 1/2 bound check for one assignment.
 func (g *Greedy) recordAudit(c, bound coloring.Color) {
-	g.audit.Scheduled++
 	g.metScheduled.Inc()
 	g.metColor.Observe(int64(c))
+	g.metBound.Observe(int64(bound))
 	if c <= bound {
-		g.audit.WithinBound++
 		g.metWithin.Inc()
-	}
-	if c > g.audit.MaxColor {
-		g.audit.MaxColor = c
-	}
-	if bound > g.audit.MaxBound {
-		g.audit.MaxBound = bound
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"dtm/internal/core"
 	"dtm/internal/graph"
+	"dtm/internal/obs"
 	"dtm/internal/sched"
 	"dtm/internal/workload"
 )
@@ -14,15 +15,24 @@ import (
 func runGreedy(t *testing.T, in *core.Instance, opts Options) *sched.RunResult {
 	t.Helper()
 	g := New(opts)
-	rr, err := sched.Run(in, g, sched.Options{})
+	rr, err := sched.Run(in, g, sched.Options{Obs: obs.New()})
 	if err != nil {
 		t.Fatalf("%s run failed: %v", g.Name(), err)
 	}
-	if a := g.Audit(); a.WithinBound != a.Scheduled {
-		t.Errorf("%s: %d/%d transactions exceeded the theorem color bound",
-			g.Name(), a.Scheduled-a.WithinBound, a.Scheduled)
-	}
+	checkBound(t, g.Name(), in, rr)
 	return rr
+}
+
+// checkBound fails t unless the run's registry counts every transaction
+// of in as colored once and within its Theorem 1/2 bound.
+func checkBound(t *testing.T, name string, in *core.Instance, rr *sched.RunResult) {
+	t.Helper()
+	c := rr.Metrics.Counters
+	scheduled, within := c[obs.NameGreedyColorsAssigned.String()], c[obs.NameGreedyWithinBound.String()]
+	if scheduled != int64(len(in.Txns)) || within != scheduled {
+		t.Errorf("%s: %d/%d of %d transactions exceeded the theorem color bound",
+			name, scheduled-within, scheduled, len(in.Txns))
+	}
 }
 
 func TestSingleObjectChainOnClique(t *testing.T) {
@@ -109,13 +119,11 @@ func TestGreedyUniformOnHypercube(t *testing.T) {
 		t.Fatal(err)
 	}
 	gs := New(Options{Uniform: true})
-	rr, err := sched.Run(in, gs, sched.Options{})
+	rr, err := sched.Run(in, gs, sched.Options{Obs: obs.New()})
 	if err != nil {
 		t.Fatalf("uniform run failed: %v", err)
 	}
-	if a := gs.Audit(); a.WithinBound != a.Scheduled {
-		t.Errorf("theorem 2 bound violated for %d transactions", a.Scheduled-a.WithinBound)
-	}
+	checkBound(t, gs.Name(), in, rr)
 	if rr.Makespan%4 != 0 {
 		t.Errorf("makespan = %d, want multiple of beta=4 (epoch-aligned execs)", rr.Makespan)
 	}

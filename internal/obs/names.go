@@ -59,6 +59,7 @@ var (
 	NameGreedyColorsAssigned = register("greedy.colors_assigned")
 	NameGreedyWithinBound    = register("greedy.within_bound")
 	NameGreedyColor          = register("greedy.color")
+	NameGreedyBound          = register("greedy.bound") // histogram: each assignment's Theorem 1/2 bound
 
 	// window scheduler instruments (randomized window-based greedy).
 	NameWindowPlaced  = register("window.placed")  // counter: acceptances inside the window
@@ -67,11 +68,12 @@ var (
 	NameWindowWin     = register("window.win")     // histogram: window size at acceptance
 
 	// bucket scheduler instruments.
-	NameBucketInsertions  = register("bucket.insertions")
-	NameBucketOverflows   = register("bucket.overflows")
-	NameBucketActivations = register("bucket.activations")
-	NameBucketScheduled   = register("bucket.scheduled")
-	NameBucketLevel       = register("bucket.level")
+	NameBucketInsertions   = register("bucket.insertions")
+	NameBucketOverflows    = register("bucket.overflows")
+	NameBucketActivations  = register("bucket.activations")
+	NameBucketScheduled    = register("bucket.scheduled")
+	NameBucketLevel        = register("bucket.level")
+	NameBucketWithinLemma4 = register("bucket.within_lemma4") // counter: decisions within Lemma 4's deadline
 
 	// batch session instruments (sessionized batch substrate).
 	NameBatchSessions        = register("batch.sessions")
@@ -106,8 +108,8 @@ var (
 	NameDistbucketReleases    = register("distbucket.releases")
 	NameDistbucketRetries     = register("distbucket.retries")
 	NameDistbucketTimeouts    = register("distbucket.timeouts")
-	NameDistbucketAbandoned   = register("distbucket.abandoned")
 	NameDistbucketBucketLevel = register("distbucket.bucket_level")
+	NameDistbucketCoverLayer  = register("distbucket.cover_layer") // histogram: cover layer of each report, one bucket per layer
 )
 
 // distnetMsgPrefix is the one dynamic name family: one distnet.msg.<type>

@@ -59,8 +59,10 @@ func FromRunResult(rr *sched.RunResult) Outcome {
 }
 
 // CellFunc runs one seeded trial. m is the trial's private observability
-// registry (nil when the sweep collects no metrics); implementations
-// must be safe to call from concurrent workers and deterministic in seed.
+// registry, never nil: the engines count what they did only there, so a
+// cell reads its audit counts from m or its run's Metrics snapshot.
+// Implementations must be safe to call from concurrent workers and
+// deterministic in seed.
 type CellFunc func(seed int64, m *obs.Metrics) (Outcome, error)
 
 // Cell is one named series of seeded trials at a sweep point.
@@ -259,10 +261,7 @@ func (s Sweep) Run(t *stats.Table) error {
 			go func() {
 				defer wg.Done()
 				for tk := range ch {
-					var cm *obs.Metrics
-					if s.Obs != nil {
-						cm = obs.New()
-					}
+					cm := obs.New()
 					out, err := runCell(tk.run, tk.name, s.Seed+int64(tk.tr)*seedStride, cm)
 					s.Obs.Merge(cm.Snapshot())
 					res[tk.p][tk.c][tk.tr] = slot{out: out, err: err}

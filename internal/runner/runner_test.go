@@ -32,13 +32,11 @@ func testSweep(points, cells, trials, workers int, seed int64) (Sweep, *stats.Ta
 				Name: fmt.Sprintf("c%d", c),
 				Run: func(seed int64, m *obs.Metrics) (Outcome, error) {
 					rng := rand.New(rand.NewSource(seed + int64(p*100+c)))
-					if m != nil {
-						// Any registered names do: one counts trials,
-						// one sums seeds, one records the cell.
-						m.Counter(obs.NameSchedArrivals).Inc()
-						m.Gauge(obs.NameSchedLiveTxns).Set(seed)
-						m.Histogram(obs.NameGreedyColor, nil).Observe(int64(p + c))
-					}
+					// Any registered names do: one counts trials, one sums
+					// seeds, one records the cell.
+					m.Counter(obs.NameSchedArrivals).Inc()
+					m.Gauge(obs.NameSchedLiveTxns).Set(seed)
+					m.Histogram(obs.NameGreedyColor, nil).Observe(int64(p + c))
 					return Outcome{
 						Makespan: float64(rng.Intn(1000)),
 						MaxLat:   rng.Float64() * 10,
@@ -239,6 +237,32 @@ func TestObsMergeDeterministic(t *testing.T) {
 	sh, ph := seq.Histograms[val], par.Histograms[val]
 	if sh.Count != ph.Count || sh.Sum != ph.Sum || sh.Max != ph.Max {
 		t.Errorf("histogram differs: seq=%+v par=%+v", sh, ph)
+	}
+}
+
+// TestTrialsGetARegistry checks that every trial gets a private registry
+// of its own even when the sweep collects no metrics: engines count their
+// audits only there.
+func TestTrialsGetARegistry(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[*obs.Metrics]bool{}
+	s, tb := testSweep(2, 2, 3, 2, 5)
+	for pi := range s.Points {
+		for ci := range s.Points[pi].Cells {
+			run := s.Points[pi].Cells[ci].Run
+			s.Points[pi].Cells[ci].Run = func(seed int64, m *obs.Metrics) (Outcome, error) {
+				mu.Lock()
+				seen[m] = true
+				mu.Unlock()
+				return run(seed, m)
+			}
+		}
+	}
+	if err := s.Run(tb); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 12 || seen[nil] {
+		t.Errorf("%d distinct registries for 12 trials (nil among them: %v)", len(seen), seen[nil])
 	}
 }
 

@@ -4,32 +4,41 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"dtm/internal/core"
+	"dtm/internal/graph"
 )
 
 // Timeline renders a human-readable per-object itinerary of the recorded
 // run: for each object, the sequence of users in execution order with
 // their nodes and times. Useful for debugging schedules and in examples.
-func (r *Run) Timeline() string {
+// It reads the run through Instance, so a trace whose transactions name
+// an object or node it does not have is refused with Instance's error.
+func (r *Run) Timeline() (string, error) {
+	in, err := r.Instance()
+	if err != nil {
+		return "", err
+	}
 	type visit struct {
-		tx   int
-		node int
-		exec int64
+		tx   core.TxID
+		node graph.NodeID
+		exec core.Time
 	}
-	perObj := make(map[int][]visit)
-	exec := make(map[int]int64, len(r.Decisions))
+	perObj := make(map[core.ObjID][]visit)
+	exec := make(map[core.TxID]core.Time, len(r.Decisions))
 	for _, d := range r.Decisions {
-		exec[int(d.Tx)] = int64(d.Exec)
+		exec[d.Tx] = d.Exec
 	}
-	for i, tx := range r.Txns {
+	for _, tx := range in.Txns {
 		for _, o := range tx.Objects {
-			perObj[int(o)] = append(perObj[int(o)], visit{tx: i, node: int(tx.Node), exec: exec[i]})
+			perObj[o] = append(perObj[o], visit{tx: tx.ID, node: tx.Node, exec: exec[tx.ID]})
 		}
 	}
-	objs := make([]int, 0, len(perObj))
+	objs := make([]core.ObjID, 0, len(perObj))
 	for o := range perObj {
 		objs = append(objs, o)
 	}
-	sort.Ints(objs)
+	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
 	var b strings.Builder
 	fmt.Fprintf(&b, "run %s on %s (makespan %d)\n", r.Scheduler, r.Topology, r.Makespan)
 	for _, o := range objs {
@@ -40,11 +49,11 @@ func (r *Run) Timeline() string {
 			}
 			return vs[i].tx < vs[j].tx
 		})
-		fmt.Fprintf(&b, "obj %-3d @n%-3d", o, r.Objects[o].Origin)
+		fmt.Fprintf(&b, "obj %-3d @n%-3d", o, in.Objects[o].Origin)
 		for _, v := range vs {
 			fmt.Fprintf(&b, " -> tx%d@n%d t=%d", v.tx, v.node, v.exec)
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
+	return b.String(), nil
 }

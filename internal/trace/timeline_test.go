@@ -8,7 +8,10 @@ import (
 
 func TestTimeline(t *testing.T) {
 	_, r := captureRun(t)
-	tl := r.Timeline()
+	tl, err := r.Timeline()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(tl, "makespan") {
 		t.Errorf("timeline missing header:\n%s", tl)
 	}

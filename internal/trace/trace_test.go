@@ -14,7 +14,7 @@ import (
 	"dtm/internal/workload"
 )
 
-func captureRun(t *testing.T) (*core.Instance, *Run) {
+func captureRun(t testing.TB) (*core.Instance, *Run) {
 	t.Helper()
 	g, err := graph.Line(10)
 	if err != nil {
@@ -110,7 +110,7 @@ func TestValidateCatchesWrongMakespan(t *testing.T) {
 // degradeRun turns a captured complete run into a degraded one: the last
 // decided transaction loses its decision and is recorded as abandoned, with
 // the makespan recomputed over the surviving schedule.
-func degradeRun(t *testing.T, r *Run) core.TxID {
+func degradeRun(t testing.TB, r *Run) core.TxID {
 	t.Helper()
 	last := r.Decisions[len(r.Decisions)-1]
 	r.Decisions = r.Decisions[:len(r.Decisions)-1]

@@ -63,14 +63,6 @@ type Options struct {
 	Seed int64
 }
 
-// Audit accumulates the window-algorithm bookkeeping of a run.
-type Audit struct {
-	Placed    int          // transactions accepted inside their window
-	Retries   int          // window doublings (one per lost round per transaction)
-	MaxRounds int          // most rounds any one arrival batch needed
-	MaxWindow graph.Weight // largest window any placement needed
-}
-
 // cand is one undecided transaction's state across the rounds of a batch.
 type cand struct {
 	tx     *core.Transaction
@@ -99,9 +91,8 @@ type Window struct {
 	cands []cand
 	order []int
 
-	audit Audit
-
-	// Instrument handles; nil (free) when observability is disabled.
+	// Instrument handles, the run's only count of the window bookkeeping;
+	// nil (free) when observability is disabled.
 	metPlaced  *obs.Counter   // window.placed
 	metRetries *obs.Counter   // window.retries
 	metColor   *obs.Histogram // window.color: accepted color = delay
@@ -120,9 +111,6 @@ func (w *Window) Name() string {
 	}
 	return "window"
 }
-
-// Audit returns the window bookkeeping collected so far.
-func (w *Window) Audit() Audit { return w.audit }
 
 // Start implements sched.Scheduler.
 func (w *Window) Start(env *sched.Env) error {
@@ -220,9 +208,6 @@ func (w *Window) schedule(txns []*core.Transaction) error {
 		}
 		cands = keep
 	}
-	if rounds > w.audit.MaxRounds {
-		w.audit.MaxRounds = rounds
-	}
 	clear(all) // candidates left behind by compaction still hold their transactions
 	w.cands = all[:0]
 	return err
@@ -271,10 +256,6 @@ func (w *Window) resolve(c *cand, col coloring.Color, now core.Time) error {
 		}
 		w.idx.SetDecided(c.slot, exec)
 		c.placed = true
-		w.audit.Placed++
-		if c.win > w.audit.MaxWindow {
-			w.audit.MaxWindow = c.win
-		}
 		w.metPlaced.Inc()
 		w.metColor.Observe(int64(col))
 		w.metWin.Observe(int64(c.win))
@@ -283,7 +264,6 @@ func (w *Window) resolve(c *cand, col coloring.Color, now core.Time) error {
 	if c.win < maxWindow {
 		c.win *= 2
 	}
-	w.audit.Retries++
 	w.metRetries.Inc()
 	return nil
 }

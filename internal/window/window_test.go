@@ -6,6 +6,7 @@ import (
 
 	"dtm/internal/core"
 	"dtm/internal/graph"
+	"dtm/internal/obs"
 	"dtm/internal/sched"
 	"dtm/internal/workload"
 )
@@ -13,12 +14,12 @@ import (
 func runWindow(t *testing.T, in *core.Instance, opts Options, simOpts core.SimOptions) *sched.RunResult {
 	t.Helper()
 	w := New(opts)
-	rr, err := sched.Run(in, w, sched.Options{Sim: simOpts})
+	rr, err := sched.Run(in, w, sched.Options{Sim: simOpts, Obs: obs.New()})
 	if err != nil {
 		t.Fatalf("%s run failed: %v", w.Name(), err)
 	}
-	if a := w.Audit(); a.Placed != len(in.Txns) {
-		t.Errorf("%s: placed %d of %d transactions", w.Name(), a.Placed, len(in.Txns))
+	if placed := rr.Metrics.Counters[obs.NameWindowPlaced.String()]; placed != int64(len(in.Txns)) {
+		t.Errorf("%s: placed %d of %d transactions", w.Name(), placed, len(in.Txns))
 	}
 	return rr
 }
@@ -78,19 +79,18 @@ func TestWindowRetriesUnderContention(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := New(Options{})
-	rr, err := sched.Run(in, w, sched.Options{})
+	rr, err := sched.Run(in, w, sched.Options{Obs: obs.New()})
 	if err != nil {
 		t.Fatalf("run failed: %v", err)
 	}
 	if rr.Makespan < 7 {
 		t.Errorf("makespan = %d, impossible below 7", rr.Makespan)
 	}
-	a := w.Audit()
-	if a.Retries == 0 {
+	if rr.Metrics.Counters[obs.NameWindowRetries.String()] == 0 {
 		t.Error("single-object chain on the unit clique never doubled a window; the acceptance threshold is not engaging")
 	}
-	if a.MaxWindow <= 1 {
-		t.Errorf("MaxWindow = %d, want > initial window", a.MaxWindow)
+	if win := rr.Metrics.Histograms[obs.NameWindowWin.String()].Max; win <= 1 {
+		t.Errorf("largest window at acceptance = %d, want > initial window", win)
 	}
 }
 
@@ -128,15 +128,16 @@ func TestWindowBuffersRetainNoTransaction(t *testing.T) {
 	}
 	in := genWorkload(t, g, 3, 6, 11)
 	p := &batchProbe{Window: New(Options{}), t: t}
-	if _, err := sched.Run(in, p, sched.Options{}); err != nil {
+	rr, err := sched.Run(in, p, sched.Options{Obs: obs.New()})
+	if err != nil {
 		t.Fatalf("run failed: %v", err)
 	}
 	if times, _ := in.ArrivalGroups(); p.checks != len(times) {
 		t.Fatalf("%d checks for %d arrival times", p.checks, len(times))
 	}
-	if cap(p.txns) == 0 || p.Audit().Retries == 0 {
+	if retries := rr.Metrics.Counters[obs.NameWindowRetries.String()]; cap(p.txns) == 0 || retries == 0 {
 		t.Fatalf("batch buffer capacity %d, %d retries: the probe saw no batch or no retry round",
-			cap(p.txns), p.Audit().Retries)
+			cap(p.txns), retries)
 	}
 }
 

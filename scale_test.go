@@ -75,10 +75,10 @@ func TestScaleDistributedGrid64(t *testing.T) {
 		t.Fatal(err)
 	}
 	proto := NewDistributed(DistributedOptions{Batch: TourBatch(), Seed: 5})
-	res, err := Run(in, proto, RunOptions{SnapshotEvery: 4})
+	res, err := Run(in, proto, RunOptions{SnapshotEvery: 4, Obs: NewMetrics()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("grid8x8 distributed: %d txns, makespan %d, %d messages, ratio %.2f",
-		len(in.Txns), res.Makespan, proto.Report().Messages, res.MaxRatio)
+		len(in.Txns), res.Makespan, res.Metrics.Counters["distnet.messages"], res.MaxRatio)
 }
