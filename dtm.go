@@ -152,13 +152,13 @@ type (
 // Crashes field.
 func ParseCrashWindows(s string) ([]CrashWindow, error) { return distnet.ParseCrashes(s) }
 
-// Observability types. A Metrics registry passed via RunOptions.Obs
-// collects counters, gauges, and histograms across the driver, the engine,
-// and the scheduler; the result carries the final MetricsSnapshot. A Sink
+// Observability types. A Metrics registry collects counters, gauges, and
+// histograms across the driver, the engine, and the scheduler; the result
+// carries the final MetricsSnapshot. Every run keeps one: the registry
+// passed via RunOptions.Obs, or a private one when that is nil. A Sink
 // additionally streams per-event records.
 type (
-	// Metrics is the run-wide observability registry; nil disables
-	// collection at the cost of one nil-check per instrument site.
+	// Metrics is the run-wide observability registry.
 	Metrics = obs.Metrics
 	// MetricsSnapshot is the exported, serializable state of a registry.
 	MetricsSnapshot = obs.Snapshot

@@ -35,6 +35,29 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	}
 }
 
+// A run given no registry keeps a private one: the registry is the only
+// count of what the engine did, so its snapshot is never missing.
+func TestFacadeRunKeepsARegistry(t *testing.T) {
+	g, err := Clique(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := Generate(g, WorkloadConfig{K: 2, NumObjects: 8, Rounds: 3, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := Run(in, NewGreedy(GreedyOptions{}), RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.Metrics == nil {
+		t.Fatal("Run without RunOptions.Obs returned no metrics")
+	}
+	if got := rr.Metrics.Counters["greedy.colors_assigned"]; got != int64(len(in.Txns)) {
+		t.Errorf("greedy.colors_assigned = %d, want %d transactions", got, len(in.Txns))
+	}
+}
+
 func TestFacadeSchedulers(t *testing.T) {
 	g, err := Line(16)
 	if err != nil {

@@ -103,8 +103,11 @@ func (a Assignment) Makespan(now core.Time) core.Time {
 // Scheduler is an offline batch scheduling algorithm A.
 type Scheduler interface {
 	Name() string
-	// Schedule assigns an execution time >= max(p.Now, arrival) to every
-	// transaction in p.Txns.
+	// Schedule assigns every transaction tx in p.Txns an execution time
+	// at or after p.Floor(tx): not before p.Now or tx's arrival, and not
+	// before each of tx's objects can reach it. So F_A of a batch that
+	// holds tx is at least p.Floor(tx) − p.Now, the bound bucket.Place
+	// reads to skip the levels tx cannot fit.
 	Schedule(p *Problem) (Assignment, error)
 }
 
@@ -118,9 +121,23 @@ func Cost(s Scheduler, p *Problem) (core.Time, error) {
 	return a.Makespan(p.Now), nil
 }
 
-// floor returns the earliest feasible execution time for tx: every object
-// must reach it from its availability point, and the transaction must have
-// arrived.
+// Floor returns the earliest time tx can execute: not before Now or its
+// arrival, and not before each of its objects can travel, at the
+// problem's object speed, from its availability point to tx's node. No
+// valid schedule runs tx earlier (see Scheduler). It verifies each of
+// tx's objects has an entry where it reads it, failing with the error
+// Validate would give, so the sessions, which never materialize p.Txns,
+// can skip the up-front Validate.
+func (p *Problem) Floor(tx *core.Transaction) (core.Time, error) {
+	for _, o := range tx.Objects {
+		if _, ok := p.Avail[o]; !ok {
+			return 0, fmt.Errorf("batch: no availability for object %d (transaction %d)", o, tx.ID)
+		}
+	}
+	return floor(p, tx), nil
+}
+
+// floor is Floor for a problem already validated.
 func floor(p *Problem, tx *core.Transaction) core.Time {
 	f := p.Now
 	if tx.Arrival > f {
@@ -137,19 +154,6 @@ func floor(p *Problem, tx *core.Transaction) core.Time {
 		}
 	}
 	return f
-}
-
-// floorChecked is floor with the Validate availability check folded in:
-// the sessions skip the up-front p.Validate() (they never materialize
-// p.Txns) and instead verify each object's entry where it is first read,
-// failing with the same error a one-shot Schedule would produce.
-func floorChecked(p *Problem, tx *core.Transaction) (core.Time, error) {
-	for _, o := range tx.Objects {
-		if _, ok := p.Avail[o]; !ok {
-			return 0, fmt.Errorf("batch: no availability for object %d (transaction %d)", o, tx.ID)
-		}
-	}
-	return floor(p, tx), nil
 }
 
 // components groups the problem's transactions into conflict components

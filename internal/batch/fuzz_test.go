@@ -4,7 +4,9 @@ package batch
 // Pop / Reset / set-Now / availability operations is applied to one live
 // session per scheduler, and after every step each session's Cost and
 // Assign must match the one-shot Schedule on the same transaction set in
-// push order — including error/no-error agreement and error text. This is
+// push order — including error/no-error agreement and error text — and
+// run every transaction at or after its Problem.Floor, the bound
+// bucket.Place skips levels by. This is
 // the adversarial complement of the root engine differential test: the
 // bucket engines only ever probe monotone per-level prefixes, while the
 // fuzzer drives arbitrary interleavings of insertion, retraction, drain,

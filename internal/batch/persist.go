@@ -669,7 +669,7 @@ func (s *coloringSession) schedule(out Assignment) (core.Time, error) {
 	n := len(s.txns)
 	floors := s.floors[:0]
 	for _, tx := range s.txns {
-		f, err := floorChecked(p, tx)
+		f, err := p.Floor(tx)
 		if err != nil {
 			return 0, err
 		}

@@ -25,7 +25,7 @@ func sessionSchedulers() []Scheduler {
 
 // assertSessionMatches checks that the session's Cost and Assign on its
 // current set equal the one-shot scheduler evaluated on the same set in
-// push order.
+// push order, and that both keep the floor contract (assertFloors).
 func assertSessionMatches(t *testing.T, s Scheduler, sess Session, p *Problem, pushed []*core.Transaction) {
 	t.Helper()
 	ref := *p
@@ -56,6 +56,27 @@ func assertSessionMatches(t *testing.T, s Scheduler, sess Session, p *Problem, p
 	}
 	if got, want := sess.Len(), len(pushed); got != want {
 		t.Fatalf("%s: Len() = %d, want %d", s.Name(), got, want)
+	}
+	assertFloors(t, s, gotCost, gotAsgn, p, pushed)
+}
+
+// assertFloors checks the batch.Scheduler floor contract that bucket.Place
+// skips levels by: every transaction runs at or after p.Floor(tx), so the
+// cost is at least Floor(tx) − Now. The caller has checked that the
+// session and the one-shot path agree, so this covers both.
+func assertFloors(t *testing.T, s Scheduler, cost core.Time, asgn Assignment, p *Problem, pushed []*core.Transaction) {
+	t.Helper()
+	for _, tx := range pushed {
+		f, err := p.Floor(tx)
+		if err != nil {
+			t.Fatalf("%s: tx %d scheduled without an availability entry: %v", s.Name(), tx.ID, err)
+		}
+		if asgn[tx.ID] < f {
+			t.Fatalf("%s: tx %d runs at %d, before its floor %d", s.Name(), tx.ID, asgn[tx.ID], f)
+		}
+		if cost < f-p.Now {
+			t.Fatalf("%s: cost %d is below tx %d's floor %d less Now %d", s.Name(), cost, tx.ID, f, p.Now)
+		}
 	}
 }
 

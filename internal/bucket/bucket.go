@@ -6,9 +6,12 @@
 // inserted into the smallest-level bucket whose batch problem — together
 // with the already-scheduled transactions T^s, folded in as object
 // availability — A can execute within 2^i steps (F_A(T^s ∪ B_i ∪ {T}) <=
-// 2^i). Bucket B_i activates every 2^i steps (at multiples of 2^i here; the
-// paper does not require alignment); on activation its transactions are
-// scheduled by A without altering earlier decisions, and they join T^s.
+// 2^i). No valid batch schedule runs T before its floor, the time its
+// objects can first reach it, so the probes start at the first level with
+// 2^i at least the floor's distance from now (Place). Bucket B_i activates
+// every 2^i steps (at multiples of 2^i here; the paper does not require
+// alignment); on activation its transactions are scheduled by A without
+// altering earlier decisions, and they join T^s.
 // Theorem 4: the result is O(b_A · log³(nD))-competitive where b_A is A's
 // approximation ratio.
 package bucket
@@ -185,7 +188,7 @@ func (b *Bucket) OnArrive(txns []*core.Transaction) error {
 			b.insert(top, tx, now)
 			continue
 		}
-		level, overflowed, err := Place(tx, len(b.levels), func(i int) batch.Session { return b.sessions[i] })
+		level, overflowed, err := Place(&b.prob, tx, len(b.levels), func(i int) batch.Session { return b.sessions[i] })
 		if err != nil {
 			return fmt.Errorf("bucket: %w", err)
 		}
@@ -198,18 +201,27 @@ func (b *Bucket) OnArrive(txns []*core.Transaction) error {
 }
 
 // Place is Algorithm 2's placement probe over the persistent batch
-// sessions of levels 0..levels-1, session(i) being level i's: it pushes tx
-// into each level's session in turn and keeps it at the first level i
-// whose batch cost is within 2^i, popping it from every level it misses.
-// A Pop retracts only the probe, so the level's cached state (conflict
-// components, adjacency, tour trees) carries over to the next probe
-// instead of being rebuilt. A transaction that fits no level (outside the
-// theory's preconditions, e.g. overload beyond one live transaction per
-// node) is pushed into the top level's session to stay safe there, and
-// overflowed is true. Both bucket engines, central and distributed, place
-// through it.
-func Place(tx *core.Transaction, levels int, session func(level int) batch.Session) (level int, overflowed bool, err error) {
-	for i := 0; i < levels; i++ {
+// sessions of levels 0..levels-1 on the live problem p, session(i) being
+// level i's. Every batch scheduler runs tx at or after p.Floor(tx) (the
+// batch.Scheduler contract), so a level with 2^i < Floor(tx) − Now is a
+// certain miss: Place reads the floor once and starts at the first level
+// past it. From there it pushes tx into each level's session in turn and
+// keeps it at the first level i whose batch cost is within 2^i, popping
+// it from every level it misses. A Pop retracts only the probe, so the
+// level's cached state (conflict components, adjacency, tour trees)
+// carries over to the next probe instead of being rebuilt. A transaction
+// that fits no level (outside the theory's preconditions, e.g. overload
+// beyond one live transaction per node), its floor past the top level's
+// 2^i included, is pushed into the top level's session to stay safe
+// there, and overflowed is true. A transaction with an object missing
+// from p.Avail fails before any Push. Both bucket engines, central and
+// distributed, place through it.
+func Place(p *batch.Problem, tx *core.Transaction, levels int, session func(level int) batch.Session) (level int, overflowed bool, err error) {
+	floor, err := p.Floor(tx)
+	if err != nil {
+		return 0, false, err
+	}
+	for i := floorLevel(floor - p.Now); i < levels; i++ {
 		sess := session(i)
 		sess.Push(tx)
 		cost, err := sess.Cost()
@@ -226,9 +238,17 @@ func Place(tx *core.Transaction, levels int, session func(level int) batch.Sessi
 	return top, true, nil
 }
 
+// floorLevel returns the smallest level i with 2^i >= d, for a floor d
+// steps past Now (d >= 0).
+func floorLevel(d core.Time) int {
+	return bits.Len64(uint64(max(d, 1) - 1))
+}
+
 // arriveRebuild is the oracle engine: the batch problem (availability map
 // and candidate slice) is rebuilt from scratch for every level probe, as
-// the original implementation did.
+// the original implementation did, and every level is probed from 0, so
+// the differential tests check Place's floor skip against a probe of
+// every level.
 func (b *Bucket) arriveRebuild(txns []*core.Transaction, now core.Time) error {
 	for _, tx := range txns {
 		if b.opts.ForceTopLevel {

@@ -499,7 +499,7 @@ func (n *node) onReport(ctx *distnet.Ctx, m reportMsg) {
 	// new transaction's objects can need one.
 	n.probeProb.Now = ctx.Now()
 	batch.ExtendAvailTx(n.probeAvail, tx, n.resolve)
-	placed, overflowed, err := bucket.Place(tx, n.cfg.maxLevel+1, func(i int) batch.Session {
+	placed, overflowed, err := bucket.Place(&n.probeProb, tx, n.cfg.maxLevel+1, func(i int) batch.Session {
 		return n.probeSession(bucketKey{cluster: m.Cluster, level: i})
 	})
 	if err != nil {

@@ -21,6 +21,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
@@ -550,14 +551,44 @@ func (m *Metrics) Snapshot() *Snapshot {
 	return s
 }
 
-// WriteJSON renders the snapshot as indented JSON (encoding/json sorts
-// map keys, so the output is deterministic).
+// WriteJSON renders the snapshot as indented JSON, keys sorted
+// (encoding/json sorts map keys, so the output is deterministic), with
+// each histogram's bounds and counts arrays on one line: a snapshot's
+// line count does not grow with its bucket counts.
 func (s *Snapshot) WriteJSON(w io.Writer) error {
 	b, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
+	_, err = w.Write(joinArrays(b))
 	return err
+}
+
+// joinArrays joins every array MarshalIndent spread over lines back onto
+// the line that opens it, one space after each comma. A snapshot's only
+// arrays are the histograms' bounds and counts, which hold numbers, so a
+// line ending in '[' always opens one and its elements are its next lines
+// up to the one starting with ']'.
+func joinArrays(b []byte) []byte {
+	out := make([]byte, 0, len(b))
+	open := false
+	for _, line := range bytes.SplitAfter(b, []byte("\n")) {
+		t := bytes.TrimSpace(line)
+		switch {
+		case open && bytes.HasPrefix(t, []byte("]")):
+			out = append(append(out, t...), '\n')
+			open = false
+		case open:
+			out = append(out, t...)
+			if bytes.HasSuffix(t, []byte(",")) {
+				out = append(out, ' ')
+			}
+		case bytes.HasSuffix(t, []byte("[")):
+			out = append(out, bytes.TrimRight(line, "\n")...)
+			open = true
+		default:
+			out = append(out, line...)
+		}
+	}
+	return append(out, '\n')
 }

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -150,6 +152,43 @@ func TestExporters(t *testing.T) {
 		if !strings.Contains(j.String(), want) {
 			t.Fatalf("JSON output missing %q:\n%s", want, j.String())
 		}
+	}
+}
+
+// WriteJSON keeps each histogram's arrays on one line: the output decodes
+// to the snapshot it came from, and its line count is the same at 2 and at
+// 63 buckets.
+func TestWriteJSONOneLinePerArray(t *testing.T) {
+	render := func(buckets int) (string, *Snapshot) {
+		m := New()
+		m.Counter(Name{"a.runs"}).Add(2)
+		m.Gauge(Name{"a.depth"}).Set(3)
+		h := m.Histogram(Name{"a.lat"}, PowersOfTwo(buckets))
+		for v := int64(0); v < 70; v += 3 {
+			h.Observe(v)
+		}
+		m.Histogram(Name{"a.empty"}, PowersOfTwo(buckets))
+		s := m.Snapshot()
+		var b strings.Builder
+		if err := s.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String(), s
+	}
+	small, _ := render(2)
+	large, snap := render(63)
+	var back Snapshot
+	if err := json.Unmarshal([]byte(large), &back); err != nil {
+		t.Fatalf("output does not decode: %v\n%s", err, large)
+	}
+	if !reflect.DeepEqual(&back, snap) {
+		t.Fatalf("decoded %+v, want %+v", back, *snap)
+	}
+	if ns, nl := strings.Count(small, "\n"), strings.Count(large, "\n"); ns != nl {
+		t.Errorf("%d lines at 2 buckets, %d at 63:\n%s", ns, nl, large)
+	}
+	if !strings.Contains(large, `"bounds": [1, 2, 4, 8,`) || !strings.HasSuffix(large, "}\n") {
+		t.Errorf("unexpected layout:\n%s", large)
 	}
 }
 

@@ -100,7 +100,9 @@ type RunResult struct {
 	Failed bool
 	Err    error
 	// Metrics is the observability snapshot taken when the result was
-	// built; nil unless the run was given an obs registry.
+	// built, of Options.Obs or of the private registry the run made
+	// without one. The registry is the only count of what the engine did
+	// (the theorem and protocol audits among it), so every run has one.
 	Metrics *obs.Snapshot
 }
 
@@ -124,10 +126,12 @@ type Options struct {
 	// SnapshotEvery takes a competitive-ratio snapshot at every k-th
 	// distinct arrival time (0 or 1 = every one; <0 disables snapshots).
 	SnapshotEvery int
-	// Obs, when set, collects metrics across the driver, the engine, and
-	// the scheduler, and is snapshotted into RunResult.Metrics. It is the
+	// Obs collects metrics across the driver, the engine, and the
+	// scheduler, and is snapshotted into RunResult.Metrics. It is the
 	// run's one registry: the driver hands it to the Sim and exposes it to
-	// schedulers via Env.Obs.
+	// schedulers via Env.Obs. Every run is instrumented, so a private
+	// registry is created when nil; set it to stream events through a
+	// sink or to share one registry across runs.
 	Obs *obs.Metrics
 }
 
@@ -168,6 +172,9 @@ func Run(in *core.Instance, s Scheduler, opts Options) (*RunResult, error) {
 // partial result is marked with the driver error so callers can tell it
 // from a finished one.
 func run(in *core.Instance, s Scheduler, stream arrivalStream, opts Options, suffix string) (*RunResult, error) {
+	if opts.Obs == nil {
+		opts.Obs = obs.New()
+	}
 	sim, snaps, err := drive(in, s, stream, opts, nil)
 	if sim == nil {
 		return nil, err

@@ -433,9 +433,8 @@ func (p *peakTrace) stats() (peak, firstHalf, secondHalf int64) {
 // StreamOptions configure an open-system streaming run.
 type StreamOptions struct {
 	Sim core.SimOptions
-	// Obs collects metrics as in Options.Obs. Streaming runs are always
-	// instrumented — the queue/window gauges and sojourn percentiles come
-	// out of the registry — so a private registry is created when nil.
+	// Obs collects metrics as in Options.Obs, a private registry when nil;
+	// the queue/window gauges and sojourn percentiles come out of it.
 	Obs *obs.Metrics
 	// MaxArrivals caps how many arrivals are pulled from the source.
 	// Required (>0) for endless generative sources; 0 runs until the
