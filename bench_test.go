@@ -140,7 +140,7 @@ func BenchmarkGreedyScheduleCPU(b *testing.B) {
 		for _, eng := range engineVariants {
 			b.Run(fmt.Sprintf("clique-n%d/%s", n, eng.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					s := greedy.New(greedy.Options{EngineOptions: sched.EngineOptions{RebuildOracle: eng.rebuild}})
+					s := greedy.New(greedy.Options{RebuildOracle: eng.rebuild})
 					if _, err := sched.Run(in, s, sched.Options{SnapshotEvery: -1}); err != nil {
 						b.Fatal(err)
 					}
@@ -169,7 +169,7 @@ func BenchmarkBucketScheduleCPU(b *testing.B) {
 		for _, eng := range engineVariants {
 			b.Run(fmt.Sprintf("line-n%d/%s", n, eng.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					s := bucket.New(bucket.Options{Batch: batch.Tour{}, EngineOptions: sched.EngineOptions{RebuildOracle: eng.rebuild}})
+					s := bucket.New(bucket.Options{Batch: batch.Tour{}, RebuildOracle: eng.rebuild})
 					if _, err := sched.Run(in, s, sched.Options{SnapshotEvery: -1}); err != nil {
 						b.Fatal(err)
 					}

@@ -2,7 +2,7 @@
 // every table and figure backing the paper's claims, and times the engines
 // on a fixed case table.
 //
-//	dtmbench -list                 # show all experiments
+//	dtmbench -list                 # show all experiments (engines: dtmsim -sched list)
 //	dtmbench -exp F1               # regenerate one
 //	dtmbench -exp all              # regenerate everything
 //	dtmbench -exp F5 -csv          # machine-readable output
@@ -27,11 +27,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"dtm"
-	"dtm/internal/engine"
 	"dtm/internal/experiments"
 )
 
@@ -45,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dtmbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		list     = fs.Bool("list", false, "list experiments and engines")
+		list     = fs.Bool("list", false, "list experiments")
 		exp      = fs.String("exp", "", "experiment ID to run (e.g. F1, T3, or 'all')")
 		quick    = fs.Bool("quick", false, "smaller experiment sweeps")
 		seed     = fs.Int64("seed", 42, "random seed")
@@ -118,21 +116,7 @@ func printList(w io.Writer) {
 	for _, e := range experiments.All {
 		fmt.Fprintf(w, "%-4s %s\n     claim: %s\n", e.ID, e.Title, e.Claim)
 	}
-	fmt.Fprintln(w, "\nengines (dtmsim -sched <id>):")
-	for _, d := range engine.All() {
-		alias := ""
-		if len(d.Aliases) > 0 {
-			alias = " (alias " + strings.Join(d.Aliases, ", ") + ")"
-		}
-		var caps []string
-		if d.Caps.Oracle {
-			caps = append(caps, "oracle")
-		}
-		if d.Caps.Stream {
-			caps = append(caps, "stream")
-		}
-		fmt.Fprintf(w, "%-16s%s [%s]\n     %s\n", d.ID, alias, strings.Join(caps, ","), d.Doc)
-	}
+	fmt.Fprintln(w, "\nengines: see dtmsim -sched list")
 }
 
 // tableReport is the -json form of one experiment table, the schema of

@@ -154,6 +154,27 @@ func TestExpJSONMatchesTable(t *testing.T) {
 	}
 }
 
+// TestListIsTheExperimentCatalogue checks that -list prints every
+// experiment and leaves the engine table to dtmsim -sched list.
+func TestListIsTheExperimentCatalogue(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	out := stdout.String()
+	for _, e := range experiments.All {
+		if !strings.Contains(out, e.ID+" ") {
+			t.Errorf("-list does not name experiment %s", e.ID)
+		}
+	}
+	if want := "\nengines: see dtmsim -sched list\n"; !strings.HasSuffix(out, want) {
+		t.Errorf("-list output ends %q, want the pointer %q", out[max(0, len(out)-80):], want)
+	}
+	if strings.Contains(out, "bucket-tour") {
+		t.Error("-list prints an engine table; dtmsim -sched list owns it")
+	}
+}
+
 // TestConflictingModesRejected stops at the first accepted conflict: a
 // mode that slips through runs for real, and -perfjson takes minutes.
 // Cases whose slip would be cheap come first, and -quick keeps an

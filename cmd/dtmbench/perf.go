@@ -23,7 +23,7 @@ import (
 // perfVariant is one configuration a case is timed under.
 type perfVariant struct {
 	P      int  // core.SimOptions.Parallel: tree warm-up width, 1 = sequential
-	Oracle bool // sched.EngineOptions.RebuildOracle
+	Oracle bool // run the engine's rebuild oracle (engine.Desc.Oracle)
 }
 
 // perfCase is one workload of the timing table, timed under each of its
@@ -182,7 +182,11 @@ func schedule(id string) func(*core.Instance, perfVariant) ([]core.Decision, *co
 func scheduleSnapshots(id string, every int) func(*core.Instance, perfVariant) ([]core.Decision, *core.Result, error) {
 	d, _ := engine.ByID(id)
 	return func(in *core.Instance, v perfVariant) ([]core.Decision, *core.Result, error) {
-		rr, err := sched.Run(in, d.New(sched.EngineOptions{RebuildOracle: v.Oracle}), sched.Options{
+		mk := d.New
+		if v.Oracle {
+			mk = d.Oracle
+		}
+		rr, err := sched.Run(in, mk(), sched.Options{
 			SnapshotEvery: every,
 			Sim:           core.SimOptions{Parallel: v.P},
 		})

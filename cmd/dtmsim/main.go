@@ -195,13 +195,14 @@ func buildScheduler(p params, plan dtm.FaultPlan) (dtm.Scheduler, error) {
 	return dtm.NewEngine(d.ID)
 }
 
-// capsString renders an engine's capability flags for -sched list.
-func capsString(c dtm.EngineCaps) string {
+// capsString renders an engine's capabilities for -sched list: oracle if
+// it keeps a rebuild oracle, stream if it runs under RunStream.
+func capsString(d dtm.EngineDesc) string {
 	var flags []string
-	if c.Oracle {
+	if d.Oracle != nil {
 		flags = append(flags, "oracle")
 	}
-	if c.Stream {
+	if d.Stream {
 		flags = append(flags, "stream")
 	}
 	if len(flags) == 0 {
@@ -219,7 +220,7 @@ func printEngines(csv bool) error {
 		if aliases == "" {
 			aliases = "-"
 		}
-		t.AddRow(d.ID, aliases, capsString(d.Caps), d.Doc)
+		t.AddRow(d.ID, aliases, capsString(d), d.Doc)
 	}
 	if csv {
 		return t.RenderCSV(os.Stdout)
@@ -409,7 +410,7 @@ func assertFlat(res *dtm.StreamResult) error {
 // runStream drives the open-system mode: a generative arrival source
 // pulled lazily by the bounded-memory streaming driver.
 func runStream(p params, g *dtm.Graph) error {
-	if d, ok := dtm.EngineByID(p.sched); ok && !d.Caps.Stream {
+	if d, ok := dtm.EngineByID(p.sched); ok && !d.Stream {
 		return fmt.Errorf("-stream needs an engine with the stream cap, which %s lacks (see -sched list)", d.ID)
 	}
 	if p.capacity > 0 || p.traceOut != "" {

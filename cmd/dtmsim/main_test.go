@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -160,6 +161,11 @@ func TestRefusedFlagCombinations(t *testing.T) {
 			p.stream, p.arrivals, p.rate, p.drop, p.crash = "poisson", 2000, 1, 0.5, "1:0:100"
 			return p
 		}, "not supported with -stream"},
+		"NaN rate": {func() params {
+			p := clusterParams("greedy")
+			p.stream, p.arrivals, p.rate = "poisson", 2000, math.NaN()
+			return p
+		}, "Rate"},
 		"-stream without the stream cap": {func() params {
 			p := clusterParams("distributed")
 			p.stream, p.arrivals, p.rate = "poisson", 2000, 1

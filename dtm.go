@@ -48,7 +48,6 @@ import (
 	"dtm/internal/obs"
 	"dtm/internal/sched"
 	"dtm/internal/trace"
-	"dtm/internal/window"
 	"dtm/internal/workload"
 )
 
@@ -97,12 +96,6 @@ type (
 	GreedyOptions = greedy.Options
 	// BucketOptions configure the Algorithm 2 scheduler.
 	BucketOptions = bucket.Options
-	// WindowOptions configure the Algorithm W window scheduler.
-	WindowOptions = window.Options
-	// EngineOptions is the shared engine-selection knob embedded in both
-	// GreedyOptions and BucketOptions: RebuildOracle selects the
-	// from-scratch reference engine over the incremental default.
-	EngineOptions = sched.EngineOptions
 	// BatchScheduler is an offline batch algorithm A for the bucket
 	// conversion.
 	BatchScheduler = batch.Scheduler
@@ -208,16 +201,12 @@ var (
 	Tree = graph.Tree
 	// RandomConnected returns a seeded random connected graph.
 	RandomConnected = graph.RandomConnected
-	// NewGraph builds a custom topology from its node count and links.
-	NewGraph = graph.New
 )
 
-// ClusterSpec and StarSpec parameterize Cluster and Star; Link is one
-// edge of a NewGraph topology.
+// ClusterSpec and StarSpec parameterize Cluster and Star.
 type (
 	ClusterSpec = graph.ClusterSpec
 	StarSpec    = graph.StarSpec
-	Link        = graph.Link
 )
 
 // Generate builds a workload instance on g (seeded, deterministic).
@@ -225,17 +214,12 @@ func Generate(g *Graph, cfg WorkloadConfig) (*Instance, error) {
 	return workload.Generate(g, cfg)
 }
 
-// Engine registry: the engines by ID, with aliases and capability flags.
-// Harnesses enumerate Engines() (filtering on EngineCaps) instead of
+// EngineDesc describes one registered engine: its ID and aliases, its
+// default constructor, its rebuild oracle where it keeps one, and whether
+// it runs under RunStream. Harnesses enumerate Engines() instead of
 // hand-maintaining scheduler lists; NewEngine resolves an ID to a
 // default-configured scheduler.
-type (
-	// EngineDesc describes one registered engine.
-	EngineDesc = engine.Desc
-	// EngineCaps are an engine's capability flags (supports-oracle,
-	// supports-stream).
-	EngineCaps = engine.Caps
-)
+type EngineDesc = engine.Desc
 
 // Engines returns every registered engine in presentation order.
 func Engines() []EngineDesc { return engine.All() }
@@ -259,11 +243,6 @@ func NewCoordinator(hub NodeID, opts GreedyOptions) *greedy.Coordinator {
 // offline batch algorithm in opts.Batch.
 func NewBucket(opts BucketOptions) *bucket.Bucket { return bucket.New(opts) }
 
-// NewWindow returns the Algorithm W randomized window-based greedy
-// scheduler (Sharma, Estrade & Busch): seeded per-round priorities,
-// exponential window growth on abort.
-func NewWindow(opts WindowOptions) *window.Window { return window.New(opts) }
-
 // NewDistributed returns the Algorithm 3 distributed bucket protocol:
 // decisions are computed by per-node handlers exchanging messages with
 // real latencies, while objects move at half speed unless
@@ -278,26 +257,6 @@ func NewDistributed(opts DistributedOptions) *distbucket.Protocol { return distb
 // also the TSP-tour baseline of Zhang et al. that the paper cites.
 func TourBatch() BatchScheduler { return batch.Tour{} }
 
-// ColoringBatch returns the generic weighted-coloring offline batch
-// scheduler (the offline analogue of Algorithm 1).
-func ColoringBatch() BatchScheduler { return batch.Coloring{} }
-
-// ListBatch returns the list-scheduling offline batch scheduler (earliest-
-// feasible-first; the strongest of the batch heuristics in constants).
-func ListBatch() BatchScheduler { return batch.List{} }
-
-// WithSuffixProperty applies the paper's second basic modification of
-// Section IV-A to a batch scheduler: every suffix of its schedules executes
-// within the time the algorithm needs for the suffix alone.
-func WithSuffixProperty(s BatchScheduler) BatchScheduler { return batch.WithSuffixProperty(s) }
-
-// RandomizedBatch returns a randomized batch scheduler (best of several
-// random priority orders), in the spirit of the randomized SPAA'17
-// cluster/star algorithms the paper converts.
-func RandomizedBatch(seed int64, tries int) BatchScheduler {
-	return batch.Randomized{Seed: seed, Tries: tries}
-}
-
 // Run executes an online scheduler on the instance with a zero-latency
 // oracle (the centralized setting of Sections III-IV) and measures the
 // empirical competitive ratio of Definition 1.
@@ -308,17 +267,6 @@ func Run(in *Instance, s Scheduler, opts RunOptions) (*RunResult, error) {
 // Replay validates a decision log against the execution model.
 func Replay(in *Instance, decisions []Decision, opts SimOptions) (*core.Result, error) {
 	return core.Replay(in, decisions, opts, nil)
-}
-
-// ClosedLoopConfig configures RunClosedLoop.
-type ClosedLoopConfig = sched.ClosedLoopConfig
-
-// RunClosedLoop drives a scheduler under the paper's exact Section III-C
-// issuing process: each node issues its next transaction one step after
-// the previous one commits. It runs on the same drive core as RunStream —
-// the closed loop is a Source whose next arrival is gated on commits.
-func RunClosedLoop(g *Graph, cfg ClosedLoopConfig, s Scheduler, opts RunOptions) (*RunResult, *Instance, error) {
-	return sched.RunClosedLoop(g, cfg, s, opts)
 }
 
 // Open-system streaming types: arrivals pulled lazily from a Source

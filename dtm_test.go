@@ -1,7 +1,16 @@
 package dtm
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
+
+	"dtm/internal/batch"
 )
 
 // The facade is exercised end to end exactly the way the README shows.
@@ -74,9 +83,9 @@ func TestFacadeSchedulers(t *testing.T) {
 		NewGreedy(GreedyOptions{}),
 		NewCoordinator(0, GreedyOptions{}),
 		NewBucket(BucketOptions{Batch: TourBatch()}),
-		NewBucket(BucketOptions{Batch: ColoringBatch()}),
-		NewBucket(BucketOptions{Batch: ListBatch()}),
-		NewBucket(BucketOptions{Batch: WithSuffixProperty(TourBatch())}),
+		NewBucket(BucketOptions{Batch: batch.Coloring{}}),
+		NewBucket(BucketOptions{Batch: batch.List{}}),
+		NewBucket(BucketOptions{Batch: batch.WithSuffixProperty(batch.Tour{})}),
 	}
 	for _, s := range schedulers {
 		if _, err := Run(in, s, RunOptions{}); err != nil {
@@ -119,33 +128,6 @@ func TestFacadeDistributed(t *testing.T) {
 	}
 }
 
-func TestFacadeClosedLoop(t *testing.T) {
-	g, err := Clique(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	objects := make([]*Object, 6)
-	for i := range objects {
-		objects[i] = &Object{ID: ObjID(i), Origin: NodeID(i)}
-	}
-	rr, in, err := RunClosedLoop(g, ClosedLoopConfig{
-		Objects: objects,
-		Rounds:  2,
-		Gen: func(node NodeID, round int) []ObjID {
-			return []ObjID{ObjID((int(node) + round) % 6)}
-		},
-	}, NewGreedy(GreedyOptions{}), RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(in.Txns) != 12 {
-		t.Errorf("closed loop issued %d transactions, want 12", len(in.Txns))
-	}
-	if rr.Makespan <= 0 {
-		t.Error("no makespan")
-	}
-}
-
 func TestFacadeCover(t *testing.T) {
 	g, err := Star(StarSpec{Rays: 3, RayLen: 4})
 	if err != nil {
@@ -158,4 +140,125 @@ func TestFacadeCover(t *testing.T) {
 	if err := h.Verify(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// neededBy maps each facade name that no example, benchmark or command
+// uses to the kept declaration it serves, as the type of a parameter,
+// result, field or interface method.
+var neededBy = map[string]string{
+	"Sim":            "SchedulerEnv",      // Env.Sim
+	"RatioPoint":     "RunResult",         // RunResult.Ratios
+	"AbandonedTx":    "DistributedReport", // Report.Abandoned
+	"BatchProblem":   "BatchScheduler",    // Schedule's parameter
+	"BatchScheduler": "TourBatch",         // its result
+	"MetricsEvent":   "Sink",              // Sink.Event's parameter
+	"Sink":           "NewJSONLSink",      // its result
+	"CoverHierarchy": "BuildCover",        // its result
+	"TraceRun":       "CaptureTrace",      // its result
+	"CrashWindow":    "ParseCrashWindows", // its result
+}
+
+// TestFacadeNamesHaveCallers keeps forwards out of the facade: every
+// exported name dtm.go declares is used as dtm.<Name> in a Go file under
+// examples/, _perfbench/ or cmd/, or serves such a name through neededBy.
+// A neededBy entry for a name that has a caller, or that is not declared,
+// or that serves nothing kept, is stale.
+func TestFacadeNamesHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "dtm.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			declared[d.Name.Name] = d.Name.IsExported()
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					declared[s.Name.Name] = s.Name.IsExported()
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						declared[n.Name] = n.IsExported()
+					}
+				}
+			}
+		}
+	}
+	used := map[string]bool{}
+	for _, dir := range []string{"examples", "_perfbench", "cmd"} {
+		err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+			if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") {
+				return err
+			}
+			file, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			for _, imp := range file.Imports {
+				if imp.Path.Value != `"dtm"` {
+					continue
+				}
+				local := "dtm"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+				ast.Inspect(file, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok {
+						if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+							used[sel.Sel.Name] = true
+						}
+					}
+					return true
+				})
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var names []string
+	for name, exported := range declared {
+		if exported {
+			names = append(names, name)
+		}
+	}
+	for name := range neededBy {
+		if !declared[name] {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		kept, listed := neededBy[name]
+		switch {
+		case !declared[name]:
+			t.Errorf("neededBy lists %s, which dtm.go does not declare", name)
+		case used[name] && listed:
+			t.Errorf("dtm.%s has callers; its neededBy entry is stale", name)
+		case !used[name] && !listed:
+			t.Errorf("dtm.%s has no caller in examples/, _perfbench/ or cmd/ and serves no kept name: remove the forward", name)
+		case listed && !keptName(kept, used, len(neededBy)):
+			t.Errorf("neededBy says %s serves %s, which is not a kept name", name, kept)
+		}
+	}
+}
+
+// keptName reports whether name has a caller, directly or through at
+// most hops neededBy links.
+func keptName(name string, used map[string]bool, hops int) bool {
+	for ; hops >= 0; hops-- {
+		if used[name] {
+			return true
+		}
+		next, ok := neededBy[name]
+		if !ok {
+			return false
+		}
+		name = next
+	}
+	return false
 }

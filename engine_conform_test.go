@@ -15,7 +15,7 @@ package dtm
 //     consistent;
 //   - the same three on a one-node graph (diameter 0) with two
 //     co-located transactions on one object;
-//   - stream leak guard (Caps.Stream only): under the open-system
+//   - stream leak guard (Stream engines only): under the open-system
 //     driver with retirement enabled, live state plateaus instead of
 //     growing with the arrival count.
 //
@@ -24,7 +24,6 @@ package dtm
 // per-engine gate a new registry entry must clear first.
 
 import (
-	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -72,14 +71,13 @@ func TestEngineConformance(t *testing.T) {
 	one := oneNodeInstance(t)
 	ran := 0
 	for _, d := range Engines() {
-		d := d
 		ran++
 		t.Run(d.ID, func(t *testing.T) {
 			testEngineRuns(t, in, d)
 			t.Run("one-node", func(t *testing.T) {
 				testEngineRuns(t, one, d)
 			})
-			if d.Caps.Stream {
+			if d.Stream {
 				t.Run("stream-leak-guard", func(t *testing.T) {
 					testEngineStreamLeakGuard(t, d)
 				})
@@ -95,18 +93,18 @@ func TestEngineConformance(t *testing.T) {
 // round-trip of d's runs over in.
 func testEngineRuns(t *testing.T, in *Instance, d EngineDesc) {
 	t.Run("deterministic", func(t *testing.T) {
-		a := runPinned(t, in, d.New(EngineOptions{}), RunOptions{}, 0)
-		b := runPinned(t, in, d.New(EngineOptions{}), RunOptions{}, 0)
+		a := runPinned(t, in, d.New(), RunOptions{}, 0)
+		b := runPinned(t, in, d.New(), RunOptions{}, 0)
 		comparePinned(t, a, b, 0)
 	})
 	t.Run("parallel-identity", func(t *testing.T) {
-		seq := runPinned(t, in, d.New(EngineOptions{}), RunOptions{}, 0)
+		seq := runPinned(t, in, d.New(), RunOptions{}, 0)
 		for _, p := range []int{2, 4} {
-			comparePinned(t, seq, runPinned(t, in, d.New(EngineOptions{}), RunOptions{}, p), p)
+			comparePinned(t, seq, runPinned(t, in, d.New(), RunOptions{}, p), p)
 		}
 	})
 	t.Run("replay-roundtrip", func(t *testing.T) {
-		rr, err := Run(in, d.New(EngineOptions{}), RunOptions{})
+		rr, err := Run(in, d.New(), RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +134,7 @@ func testEngineStreamLeakGuard(t *testing.T, d EngineDesc) {
 		t.Fatal(err)
 	}
 	const arrivals = 2000
-	res, err := RunStream(g, UniformObjects(g, 16, 17), src, d.New(EngineOptions{}),
+	res, err := RunStream(g, UniformObjects(g, 16, 17), src, d.New(),
 		StreamOptions{Obs: NewMetrics(), MaxArrivals: arrivals})
 	if err != nil {
 		t.Fatalf("stream run: %v", err)
@@ -162,17 +160,40 @@ func testEngineStreamLeakGuard(t *testing.T, d EngineDesc) {
 }
 
 // TestReadmeListsAllEngines keeps the README's engine table honest: every
-// registry ID (including the distributed protocol) must appear in it, so
-// the table cannot silently lag a new Desc.
+// registry ID (including the distributed protocol) must have a row in it,
+// and the row's Capabilities cell must say oracle exactly when the engine
+// keeps a rebuild oracle and stream exactly when it runs under RunStream,
+// so the table cannot silently lag the registry.
 func TestReadmeListsAllEngines(t *testing.T) {
 	b, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	readme := string(b)
+	rows := map[string][]string{}
+	for _, line := range strings.Split(string(b), "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 4 && strings.HasPrefix(line, "| `") {
+			rows[strings.Trim(strings.TrimSpace(cells[1]), "`")] = cells
+		}
+	}
 	for _, d := range Engines() {
-		if !strings.Contains(readme, fmt.Sprintf("`%s`", d.ID)) {
-			t.Errorf("README.md does not mention engine `%s`; regenerate the engine table from the registry", d.ID)
+		cells, ok := rows[d.ID]
+		if !ok {
+			t.Errorf("README.md has no engine table row for `%s`; regenerate the table from the registry", d.ID)
+			continue
+		}
+		var caps []string
+		if d.Oracle != nil {
+			caps = append(caps, "oracle")
+		}
+		if d.Stream {
+			caps = append(caps, "stream")
+		}
+		want := strings.Join(caps, ", ")
+		if want == "" {
+			want = "—"
+		}
+		if got := strings.TrimSpace(cells[3]); got != want {
+			t.Errorf("README.md lists `%s` with capabilities %q, want %q", d.ID, got, want)
 		}
 	}
 }

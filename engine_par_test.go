@@ -21,6 +21,7 @@ import (
 
 	"dtm/internal/core"
 	"dtm/internal/obs"
+	"dtm/internal/sched"
 )
 
 // pinnedRun captures everything a run externalizes.
@@ -99,10 +100,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	// new engine joins the parallel identity check with no edit here.
 	var cases []parCase
 	for _, d := range Engines() {
-		d := d
-		cases = append(cases, parCase{d.ID, func() Scheduler {
-			return d.New(EngineOptions{})
-		}, RunOptions{}})
+		cases = append(cases, parCase{d.ID, d.New, RunOptions{}})
 	}
 	if len(cases) < 8 {
 		t.Fatalf("registry lists only %d engines, want the eight variants", len(cases))
@@ -156,7 +154,7 @@ func TestParallelClosedLoopMatchesSequential(t *testing.T) {
 	for i := range objects {
 		objects[i] = &Object{ID: ObjID(i), Origin: NodeID((i * 3) % g.N())}
 	}
-	cfg := ClosedLoopConfig{
+	cfg := sched.ClosedLoopConfig{
 		Objects: objects,
 		Rounds:  3,
 		Gen: func(node NodeID, round int) []ObjID {
@@ -176,7 +174,7 @@ func TestParallelClosedLoopMatchesSequential(t *testing.T) {
 		sink := &obs.SliceSink{}
 		opts.Obs.SetSink(sink)
 		opts.Sim.Parallel = parallel
-		rr, in, err := RunClosedLoop(g, cfg, NewGreedy(GreedyOptions{}), opts)
+		rr, in, err := sched.RunClosedLoop(g, cfg, NewGreedy(GreedyOptions{}), opts)
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
@@ -212,16 +210,14 @@ func TestParallelStreamMatchesSequential(t *testing.T) {
 		"poisson": func() (Source, error) { return NewPoissonSource(g, cfg) },
 		"bursty":  func() (Source, error) { return NewBurstySource(g, cfg) },
 	}
-	// Every engine that declares Caps.Stream runs under the streaming
+	// Every engine that declares Stream runs under the streaming
 	// driver here, so a new stream-capable engine joins the parallel
 	// identity check with no edit.
 	scheds := map[string]func() Scheduler{}
 	for _, d := range Engines() {
-		if !d.Caps.Stream {
-			continue
+		if d.Stream {
+			scheds[d.ID] = d.New
 		}
-		d := d
-		scheds[d.ID] = func() Scheduler { return d.New(EngineOptions{}) }
 	}
 	if len(scheds) < 7 {
 		t.Fatalf("registry lists only %d stream-capable engines, want the seven central variants", len(scheds))

@@ -106,7 +106,7 @@ func ExampleNewBucket() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s := dtm.NewBucket(dtm.BucketOptions{Batch: dtm.ListBatch()})
+	s := dtm.NewBucket(dtm.BucketOptions{Batch: dtm.TourBatch()})
 	rr, err := dtm.Run(in, s, dtm.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
@@ -114,6 +114,6 @@ func ExampleNewBucket() {
 	fmt.Printf("scheduler: %s\n", rr.Scheduler)
 	fmt.Printf("scheduled everything: %v\n", len(rr.Decisions) == len(in.Txns))
 	// Output:
-	// scheduler: bucket(list-batch)
+	// scheduler: bucket(tour-batch)
 	// scheduled everything: true
 }

@@ -124,7 +124,7 @@ func TestLiveAvailMatchesResolve(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					oracle := New(Options{Batch: bs, EngineOptions: sched.EngineOptions{RebuildOracle: true}})
+					oracle := New(Options{Batch: bs, RebuildOracle: true})
 					ref, err := sched.Run(in, oracle, sched.Options{Sim: so, SnapshotEvery: -1})
 					if err != nil {
 						t.Fatalf("%s: oracle: %v", name, err)

@@ -37,15 +37,14 @@ type Options struct {
 	// the benefit the paper attributes to buckets — transactions with few
 	// dependencies progressing through frequently activated low levels.
 	ForceTopLevel bool
-	// EngineOptions is the shared engine-selection knob (see
-	// sched.EngineOptions): RebuildOracle rebuilds the batch problem
-	// (object availability map and candidate slice) from scratch for
-	// every level probe, as the original implementation did, instead of
-	// driving the persistent per-level batch sessions. Both paths produce
-	// identical placements — a session's Cost/Assign is pinned
-	// byte-identical to the one-shot Schedule on the same candidate set —
-	// and the root differential test pins that.
-	sched.EngineOptions
+	// RebuildOracle rebuilds the batch problem (object availability map
+	// and candidate slice) from scratch for every level probe, as the
+	// original implementation did, instead of driving the persistent
+	// per-level batch sessions. Both paths produce identical placements —
+	// a session's Cost/Assign is pinned byte-identical to the one-shot
+	// Schedule on the same candidate set — and the root differential test
+	// pins that.
+	RebuildOracle bool
 }
 
 type pending struct {

@@ -221,7 +221,7 @@ func TestLevelsPastTwoTo62(t *testing.T) {
 	}
 	for _, bs := range batches {
 		for _, rebuild := range []bool{false, true} {
-			b := New(Options{Batch: bs, EngineOptions: sched.EngineOptions{RebuildOracle: rebuild}})
+			b := New(Options{Batch: bs, RebuildOracle: rebuild})
 			rr, err := sched.Run(in, b, sched.Options{})
 			if rr != nil || err == nil || !strings.Contains(err.Error(), "start: bucket: ") || !strings.Contains(err.Error(), "Lemma 3") {
 				t.Errorf("%s rebuild=%v: err = %v, want a refusal at start naming Lemma 3", bs.Name(), rebuild, err)

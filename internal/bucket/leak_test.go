@@ -108,7 +108,7 @@ func TestBucketLeakGuard(t *testing.T) {
 		for _, rebuild := range []bool{false, true} {
 			name := fmt.Sprintf("%s/rebuild=%v", bs.Name(), rebuild)
 			probe := &leakProbe{
-				Bucket:      New(Options{Batch: bs, EngineOptions: sched.EngineOptions{RebuildOracle: rebuild}}),
+				Bucket:      New(Options{Batch: bs, RebuildOracle: rebuild}),
 				t:           t,
 				sessionized: !rebuild,
 			}

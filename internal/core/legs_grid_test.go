@@ -40,8 +40,7 @@ func TestLegsMatchHops(t *testing.T) {
 	}
 	var runs []run
 	for _, d := range engine.All() {
-		d := d
-		runs = append(runs, run{d.ID, func() sched.Scheduler { return d.New(sched.EngineOptions{}) }, core.SimOptions{}})
+		runs = append(runs, run{d.ID, d.New, core.SimOptions{}})
 	}
 	runs = append(runs,
 		run{"greedy-pad2", func() sched.Scheduler { return greedy.New(greedy.Options{Pad: 2}) }, core.SimOptions{}},

@@ -2,8 +2,8 @@
 // scheduling algorithms with their default options. Every front end — the
 // dtm facade, cmd/dtmsim, cmd/dtmbench, the experiments, and the root
 // conformance/differential/parallel test suites — resolves engines here by
-// ID (engine.ByID) or enumerates them (engine.All, filtered by capability
-// flags), so adding an engine means adding one Desc to the table below and
+// ID (engine.ByID) or enumerates them (engine.All, filtered on Oracle and
+// Stream), so adding an engine means adding one Desc to the table below and
 // every harness picks it up.
 //
 // Option-variant construction (a padded greedy, a custom window seed, a
@@ -25,19 +25,6 @@ import (
 	"dtm/internal/window"
 )
 
-// Caps are an engine's capability flags; harnesses filter engine.All on
-// them instead of hand-maintaining per-suite engine lists.
-type Caps struct {
-	// Oracle marks engines that keep a from-scratch RebuildOracle
-	// reference implementation pinned byte-identical to the incremental
-	// default (sched.EngineOptions.RebuildOracle selects it).
-	Oracle bool
-	// Stream marks engines safe under the bounded-memory streaming driver
-	// (sched.RunStream): decisions never depend on retired history, and
-	// live state stays proportional to the in-flight window.
-	Stream bool
-}
-
 // Desc describes one registered engine.
 type Desc struct {
 	// ID is the canonical engine name, as accepted by dtmsim -sched.
@@ -46,75 +33,78 @@ type Desc struct {
 	Aliases []string
 	// Doc is a one-line description for -sched list.
 	Doc string
-	// New constructs the engine with default options plus the shared
-	// engine-selection knob. Engines without an oracle (Caps.Oracle
-	// false) ignore opts.RebuildOracle.
-	New func(opts sched.EngineOptions) sched.Scheduler
-	// Caps are the engine's capability flags.
-	Caps Caps
+	// New constructs the engine with default options.
+	New func() sched.Scheduler
+	// Oracle, when non-nil, constructs the engine's from-scratch rebuild
+	// oracle: the reference implementation of the paper's algorithm that
+	// the differential suites pin byte-identical to New's incremental
+	// engine.
+	Oracle func() sched.Scheduler
+	// Stream marks engines safe under the bounded-memory streaming driver
+	// (sched.RunStream): decisions never depend on retired history, and
+	// live state stays proportional to the in-flight window.
+	Stream bool
 }
 
 // registry is the engine table, in presentation order (Algorithm 1
 // variants, Algorithm 2 variants, Algorithm W, the Section V protocol).
 var registry = []Desc{
 	{
-		ID:   "greedy",
-		Doc:  "Algorithm 1: online greedy coloring of the dependency graph (Theorem 1)",
-		New:  func(o sched.EngineOptions) sched.Scheduler { return greedy.New(greedy.Options{EngineOptions: o}) },
-		Caps: Caps{Oracle: true, Stream: true},
+		ID:     "greedy",
+		Doc:    "Algorithm 1: online greedy coloring of the dependency graph (Theorem 1)",
+		New:    func() sched.Scheduler { return greedy.New(greedy.Options{}) },
+		Oracle: func() sched.Scheduler { return greedy.New(greedy.Options{RebuildOracle: true}) },
+		Stream: true,
 	},
 	{
-		ID:  "greedy-uniform",
-		Doc: "Algorithm 1, Theorem 2 mode: uniform overlay weights, epoch-quantized decisions",
-		New: func(o sched.EngineOptions) sched.Scheduler {
-			return greedy.New(greedy.Options{Uniform: true, EngineOptions: o})
-		},
-		Caps: Caps{Oracle: true, Stream: true},
+		ID:     "greedy-uniform",
+		Doc:    "Algorithm 1, Theorem 2 mode: uniform overlay weights, epoch-quantized decisions",
+		New:    func() sched.Scheduler { return greedy.New(greedy.Options{Uniform: true}) },
+		Oracle: func() sched.Scheduler { return greedy.New(greedy.Options{Uniform: true, RebuildOracle: true}) },
+		Stream: true,
 	},
 	{
-		ID:  "coordinator",
-		Doc: "Section III-E hub coordinator: decisions funnel through node 0, floored by the round trip",
-		New: func(o sched.EngineOptions) sched.Scheduler {
-			return greedy.NewCoordinator(0, greedy.Options{EngineOptions: o})
-		},
-		Caps: Caps{Oracle: true, Stream: true},
+		ID:     "coordinator",
+		Doc:    "Section III-E hub coordinator: decisions funnel through node 0, floored by the round trip",
+		New:    func() sched.Scheduler { return greedy.NewCoordinator(0, greedy.Options{}) },
+		Oracle: func() sched.Scheduler { return greedy.NewCoordinator(0, greedy.Options{RebuildOracle: true}) },
+		Stream: true,
 	},
 	{
 		ID:      "bucket-tour",
 		Aliases: []string{"bucket"},
 		Doc:     "Algorithm 2 over the MST Euler-tour batch scheduler (Theorem 4)",
-		New: func(o sched.EngineOptions) sched.Scheduler {
-			return bucket.New(bucket.Options{Batch: batch.Tour{}, EngineOptions: o})
-		},
-		Caps: Caps{Oracle: true, Stream: true},
+		New:     func() sched.Scheduler { return bucket.New(bucket.Options{Batch: batch.Tour{}}) },
+		Oracle:  func() sched.Scheduler { return bucket.New(bucket.Options{Batch: batch.Tour{}, RebuildOracle: true}) },
+		Stream:  true,
 	},
 	{
 		ID:  "bucket-coloring",
 		Doc: "Algorithm 2 over the weighted-coloring batch scheduler",
-		New: func(o sched.EngineOptions) sched.Scheduler {
-			return bucket.New(bucket.Options{Batch: batch.Coloring{}, EngineOptions: o})
+		New: func() sched.Scheduler { return bucket.New(bucket.Options{Batch: batch.Coloring{}}) },
+		Oracle: func() sched.Scheduler {
+			return bucket.New(bucket.Options{Batch: batch.Coloring{}, RebuildOracle: true})
 		},
-		Caps: Caps{Oracle: true, Stream: true},
+		Stream: true,
 	},
 	{
-		ID:  "bucket-list",
-		Doc: "Algorithm 2 over the list-scheduling batch scheduler",
-		New: func(o sched.EngineOptions) sched.Scheduler {
-			return bucket.New(bucket.Options{Batch: batch.List{}, EngineOptions: o})
-		},
-		Caps: Caps{Oracle: true, Stream: true},
+		ID:     "bucket-list",
+		Doc:    "Algorithm 2 over the list-scheduling batch scheduler",
+		New:    func() sched.Scheduler { return bucket.New(bucket.Options{Batch: batch.List{}}) },
+		Oracle: func() sched.Scheduler { return bucket.New(bucket.Options{Batch: batch.List{}, RebuildOracle: true}) },
+		Stream: true,
 	},
 	{
-		ID:   "window",
-		Doc:  "Algorithm W: randomized window-based greedy contention management (Sharma/Estrade/Busch)",
-		New:  func(o sched.EngineOptions) sched.Scheduler { return window.New(window.Options{}) },
-		Caps: Caps{Stream: true},
+		ID:     "window",
+		Doc:    "Algorithm W: randomized window-based greedy contention management (Sharma/Estrade/Busch)",
+		New:    func() sched.Scheduler { return window.New(window.Options{}) },
+		Stream: true,
 	},
 	{
 		ID:      "distributed",
 		Aliases: []string{"distbucket"},
 		Doc:     "Algorithm 3: decentralized bucket protocol over the sparse cover, objects at half speed (Theorem 5)",
-		New:     func(sched.EngineOptions) sched.Scheduler { return distbucket.New(distbucket.Options{}) },
+		New:     func() sched.Scheduler { return distbucket.New(distbucket.Options{}) },
 	},
 }
 
@@ -158,5 +148,5 @@ func Default(id string) (sched.Scheduler, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown engine %q (have %s)", id, strings.Join(Names(), ", "))
 	}
-	return d.New(sched.EngineOptions{}), nil
+	return d.New(), nil
 }

@@ -4,8 +4,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"dtm/internal/sched"
 )
 
 // TestRegistryShape pins the registry's structural invariants: unique
@@ -65,23 +63,6 @@ func TestDefault(t *testing.T) {
 	}
 	if _, err := Default("bogus"); err == nil || !strings.Contains(err.Error(), "unknown engine") {
 		t.Errorf("Default(bogus) error = %v, want unknown-engine hint", err)
-	}
-}
-
-// TestOracleCapMatchesKnob checks that every Oracle-capable Desc actually
-// threads the shared RebuildOracle knob: the constructed scheduler must
-// differ in name or behave identically — here we just require construction
-// to succeed under both settings.
-func TestOracleCapMatchesKnob(t *testing.T) {
-	for _, d := range All() {
-		if !d.Caps.Oracle {
-			continue
-		}
-		for _, r := range []bool{false, true} {
-			if s := d.New(sched.EngineOptions{RebuildOracle: r}); s == nil {
-				t.Errorf("engine %q: nil scheduler with RebuildOracle=%v", d.ID, r)
-			}
-		}
 	}
 }
 

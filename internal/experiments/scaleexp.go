@@ -49,7 +49,7 @@ func table12Scale(cfg Config) (*stats.Table, error) {
 				if err != nil {
 					return runner.Outcome{}, err
 				}
-				orc, err := sched.Run(in, greedy.New(greedy.Options{EngineOptions: sched.EngineOptions{RebuildOracle: true}}),
+				orc, err := sched.Run(in, greedy.New(greedy.Options{RebuildOracle: true}),
 					sched.Options{SnapshotEvery: -1})
 				if err != nil {
 					return runner.Outcome{}, err

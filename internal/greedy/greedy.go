@@ -47,13 +47,11 @@ type Options struct {
 	// objects that queue at saturated links, trading nominal latency for
 	// fewer congestion stalls (experiment F13). Zero means 1 (no padding).
 	Pad int
-	// EngineOptions is the shared engine-selection knob (see
-	// sched.EngineOptions): RebuildOracle selects the original
-	// per-arrival rebuild of H'_t instead of the incremental depgraph
-	// index. Both engines produce byte-identical schedules (the root
-	// differential test pins this); the oracle is kept as the reference
-	// implementation.
-	sched.EngineOptions
+	// RebuildOracle selects the original per-arrival rebuild of H'_t
+	// instead of the incremental depgraph index. Both engines produce
+	// byte-identical schedules (the root differential test pins this);
+	// the oracle is kept as the reference implementation.
+	RebuildOracle bool
 }
 
 func (o Options) pad() graph.Weight {

@@ -110,7 +110,7 @@ func TestPruneLeakGuardLongRun(t *testing.T) {
 	times, _ := in.ArrivalGroups()
 	arrivalTimes := len(times)
 	for _, rebuild := range []bool{false, true} {
-		probe := &leakProbe{Greedy: New(Options{EngineOptions: sched.EngineOptions{RebuildOracle: rebuild}}), t: t}
+		probe := &leakProbe{Greedy: New(Options{RebuildOracle: rebuild}), t: t}
 		rr, err := sched.Run(in, probe, sched.Options{SnapshotEvery: -1})
 		if err != nil {
 			t.Fatalf("rebuild=%v: run failed: %v", rebuild, err)

@@ -6,9 +6,12 @@
 //
 //  1. Disabled must be free. Every handle type (*Counter, *Gauge,
 //     *Histogram) no-ops on a nil receiver, and a nil *Metrics hands out
-//     nil handles, so an uninstrumented run pays exactly one predictable
-//     nil-check per event site. The overhead guard in the root package
-//     asserts this stays below 5% of a scheduler run.
+//     nil handles, so a sim without a registry pays exactly one
+//     predictable nil-check per event site. Every driver run keeps a
+//     registry; a replay (core.Replay with a nil registry, as dtm.Replay,
+//     trace.Validate and the F12 and F13 tables run it) is the one path
+//     that still runs without one. The overhead guard in the root package
+//     asserts its nil-checks stay below 5% of that replay.
 //  2. Safe for concurrent use. All handle updates are atomic, so the
 //     concurrent trials of a sweep may share one registry; the race suite
 //     (`make race`) covers this.

@@ -28,7 +28,7 @@ func TestElasticCommitsKeepObjectOrder(t *testing.T) {
 					sink := &obs.SliceSink{}
 					m := obs.New()
 					m.SetSink(sink)
-					if _, err := sched.Run(in, d.New(sched.EngineOptions{}), sched.Options{Sim: so, SnapshotEvery: -1, Obs: m}); err != nil {
+					if _, err := sched.Run(in, d.New(), sched.Options{Sim: so, SnapshotEvery: -1, Obs: m}); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 					checkCommitOrder(t, name, in, sink.Events())

@@ -172,8 +172,7 @@ type goldenEngine struct {
 func runEngines() []goldenEngine {
 	var es []goldenEngine
 	for _, d := range engine.All() {
-		d := d
-		es = append(es, goldenEngine{d.ID, func() sched.Scheduler { return d.New(sched.EngineOptions{}) }, core.SimOptions{}})
+		es = append(es, goldenEngine{d.ID, d.New, core.SimOptions{}})
 	}
 	slow := core.SimOptions{SlowFactor: 2}
 	return append(es,
@@ -235,14 +234,11 @@ func goldenRun(t *testing.T, got goldenTable) {
 // instance; with snapshots on the ratio trace too.
 func goldenClosedLoop(t *testing.T, got goldenTable) {
 	scheds := map[string]func() sched.Scheduler{
-		"greedy": func() sched.Scheduler { return greedy.New(greedy.Options{}) },
-		"greedy-rebuild": func() sched.Scheduler {
-			return greedy.New(greedy.Options{EngineOptions: sched.EngineOptions{RebuildOracle: true}})
-		},
-		"bucket-tour": func() sched.Scheduler { return bucket.New(bucket.Options{Batch: batch.Tour{}}) },
+		"greedy":         func() sched.Scheduler { return greedy.New(greedy.Options{}) },
+		"greedy-rebuild": func() sched.Scheduler { return greedy.New(greedy.Options{RebuildOracle: true}) },
+		"bucket-tour":    func() sched.Scheduler { return bucket.New(bucket.Options{Batch: batch.Tour{}}) },
 		"bucket-tour-rebuild": func() sched.Scheduler {
-			return bucket.New(bucket.Options{Batch: batch.Tour{},
-				EngineOptions: sched.EngineOptions{RebuildOracle: true}})
+			return bucket.New(bucket.Options{Batch: batch.Tour{}, RebuildOracle: true})
 		},
 		"bucket-coloring": func() sched.Scheduler { return bucket.New(bucket.Options{Batch: batch.Coloring{}}) },
 		"coordinator":     func() sched.Scheduler { return greedy.NewCoordinator(0, greedy.Options{}) },
@@ -280,7 +276,7 @@ func goldenStream(t *testing.T, got goldenTable) {
 			"bursty":  func() (workload.Source, error) { return workload.NewBurstySource(g, cfg) },
 		}
 		for _, d := range engine.All() {
-			if !d.Caps.Stream {
+			if !d.Stream {
 				continue
 			}
 			for sn, mkSrc := range sources {
@@ -291,7 +287,7 @@ func goldenStream(t *testing.T, got goldenTable) {
 				}
 				rec := newRecorder()
 				res, err := sched.RunStream(g, workload.UniformObjects(g, cfg.NumObjects, cfg.Seed), src,
-					d.New(sched.EngineOptions{}), sched.StreamOptions{Obs: rec.m, MaxArrivals: 1500})
+					d.New(), sched.StreamOptions{Obs: rec.m, MaxArrivals: 1500})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

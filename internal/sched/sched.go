@@ -106,20 +106,6 @@ type RunResult struct {
 	Metrics *obs.Snapshot
 }
 
-// EngineOptions are the engine-selection knobs shared by the central
-// schedulers. Both greedy and bucket maintain two engines: an incremental
-// default (persistent conflict index, sessionized batch substrate) and the
-// original from-scratch implementation kept as a byte-identical reference.
-// greedy.Options and bucket.Options embed this struct, so the knob reads
-// and sets as opts.RebuildOracle there.
-type EngineOptions struct {
-	// RebuildOracle selects the from-scratch reference engine instead of
-	// the incremental default. Both produce byte-identical schedules (the
-	// root differential tests pin this); the oracle trades speed for
-	// being the directly-auditable implementation of the paper.
-	RebuildOracle bool
-}
-
 // Options configure a driver run.
 type Options struct {
 	Sim core.SimOptions
@@ -135,8 +121,7 @@ type Options struct {
 	Obs *obs.Metrics
 }
 
-// driverMetrics holds the drive core's instrument handles; all nil (and
-// free) when observability is disabled.
+// driverMetrics holds the drive core's instrument handles.
 type driverMetrics struct {
 	arrivals *obs.Counter   // sched.arrivals: transactions delivered
 	wakeups  *obs.Counter   // sched.wakeups: OnWake invocations
@@ -147,9 +132,6 @@ type driverMetrics struct {
 }
 
 func newDriverMetrics(m *obs.Metrics) driverMetrics {
-	if m == nil {
-		return driverMetrics{}
-	}
 	return driverMetrics{
 		arrivals: m.Counter(obs.NameSchedArrivals),
 		wakeups:  m.Counter(obs.NameSchedWakeups),
@@ -255,14 +237,11 @@ func (l *liveSet) add(txns []*core.Transaction) {
 // exactly at t is included; its remaining duration is 0). Every
 // transaction arrived by t was delivered by t, so the set is the one a
 // scan of the instance would find.
-func takeSnapshot(sim *core.Sim, t core.Time, batch []*core.Transaction, live *liveSet, m *obs.Metrics, dm driverMetrics) snapshot {
+func takeSnapshot(sim *core.Sim, t core.Time, batch []*core.Transaction, live *liveSet, dm driverMetrics) snapshot {
 	// The wall-clock reads below time the snapshot into sched.snapshot_ns,
 	// which no scheduling decision or decision log reads; detclock's
 	// allowlist names this function for them.
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	live.add(batch)
 	kept := live.txns[:0]
 	for _, tx := range live.txns {
@@ -276,12 +255,10 @@ func takeSnapshot(sim *core.Sim, t core.Time, batch []*core.Transaction, live *l
 	live.txns = kept
 	lb := live.lb.Estimate(t, func(o core.ObjID) lowerbound.Avail { return lowerbound.AvailOf(sim, o) })
 	n := len(kept)
-	if m != nil {
-		dm.snapNs.Observe(time.Since(start).Nanoseconds())
-		dm.snaps.Inc()
-		dm.snapLive.Observe(int64(n))
-		dm.live.Set(int64(n))
-	}
+	dm.snapNs.Observe(time.Since(start).Nanoseconds())
+	dm.snaps.Inc()
+	dm.snapLive.Observe(int64(n))
+	dm.live.Set(int64(n))
 	return snapshot{At: t, Live: n, LB: lb}
 }
 

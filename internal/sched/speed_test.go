@@ -24,12 +24,9 @@ func TestEnginesPlanAtRunSpeed(t *testing.T) {
 	}
 	var variants []variant
 	for _, d := range engine.All() {
-		d := d
-		variants = append(variants, variant{d.ID, func() sched.Scheduler { return d.New(sched.EngineOptions{}) }})
-		if d.Caps.Oracle {
-			variants = append(variants, variant{d.ID + "-rebuild", func() sched.Scheduler {
-				return d.New(sched.EngineOptions{RebuildOracle: true})
-			}})
+		variants = append(variants, variant{d.ID, d.New})
+		if d.Oracle != nil {
+			variants = append(variants, variant{d.ID + "-rebuild", d.Oracle})
 		}
 	}
 	variants = append(variants,

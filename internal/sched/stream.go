@@ -110,7 +110,7 @@ func drive(in *core.Instance, s Scheduler, stream arrivalStream, opts Options,
 	deliver := func(t core.Time, txns []*core.Transaction) error {
 		if live != nil {
 			if snapCount%snapEvery == 0 {
-				snaps = append(snaps, takeSnapshot(sim, t, txns, live, opts.Obs, dm))
+				snaps = append(snaps, takeSnapshot(sim, t, txns, live, dm))
 			} else {
 				live.add(txns)
 			}
@@ -353,9 +353,6 @@ type streamMetrics struct {
 }
 
 func newStreamMetrics(m *obs.Metrics) streamMetrics {
-	if m == nil {
-		return streamMetrics{}
-	}
 	return streamMetrics{
 		queueLen:   m.Gauge(obs.NameStreamQueueLen),
 		windowTxns: m.Gauge(obs.NameStreamWindowTxns),

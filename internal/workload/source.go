@@ -63,6 +63,15 @@ func (c *StreamConfig) defaults() error {
 	if c.K > c.NumObjects {
 		return fmt.Errorf("workload: K=%d exceeds NumObjects=%d", c.K, c.NumObjects)
 	}
+	if err := finite("Rate", c.Rate); err != nil {
+		return err
+	}
+	if err := finite("ZipfS", c.ZipfS); err != nil {
+		return err
+	}
+	if err := finite("HotFrac", c.HotFrac); err != nil {
+		return err
+	}
 	if c.Rate < 0 {
 		return fmt.Errorf("workload: Rate must be > 0, got %g", c.Rate)
 	}

@@ -8,6 +8,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"dtm/internal/core"
@@ -108,6 +109,12 @@ func (c *Config) defaults() error {
 	if c.Period <= 0 {
 		c.Period = 1
 	}
+	if err := finite("ZipfS", c.ZipfS); err != nil {
+		return err
+	}
+	if err := finite("HotFrac", c.HotFrac); err != nil {
+		return err
+	}
 	if c.ZipfS <= 1 {
 		c.ZipfS = 1.1
 	}
@@ -119,6 +126,16 @@ func (c *Config) defaults() error {
 		if c.HotSetSize < 1 {
 			c.HotSetSize = 1
 		}
+	}
+	return nil
+}
+
+// finite refuses a NaN or infinite float setting, naming its field. No
+// range check or default catches NaN, since every comparison with it is
+// false, and math/rand's Zipf never returns at a NaN or infinite exponent.
+func finite(field string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("workload: %s must be finite, got %g", field, v)
 	}
 	return nil
 }

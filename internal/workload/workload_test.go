@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dtm/internal/core"
 	"dtm/internal/graph"
@@ -47,6 +50,68 @@ func TestGenerateValidationErrors(t *testing.T) {
 	for i, cfg := range cases {
 		if _, err := Generate(g, cfg); err == nil {
 			t.Errorf("case %d: want error", i)
+		}
+	}
+}
+
+// TestNonFiniteSettingsRefused sets each float field of Config and
+// StreamConfig to NaN, +Inf and -Inf, under the popularity that reads it,
+// and wants an error naming the field. Each call runs under a deadline:
+// math/rand's Zipf never returns at a NaN or infinite exponent, so an
+// accepted ZipfS hangs Generate or a source's first Next.
+func TestNonFiniteSettingsRefused(t *testing.T) {
+	g := cliqueGraph(t, 4)
+	type call struct {
+		name, field string
+		run         func(v float64) error
+	}
+	calls := []call{
+		{"Generate", "ZipfS", func(v float64) error {
+			_, err := Generate(g, Config{K: 2, NumObjects: 8, Rounds: 2, Pop: PopZipf, ZipfS: v})
+			return err
+		}},
+		{"Generate", "HotFrac", func(v float64) error {
+			_, err := Generate(g, Config{K: 2, NumObjects: 8, Rounds: 2, Pop: PopHotspot, HotFrac: v})
+			return err
+		}},
+	}
+	sources := []struct {
+		name string
+		mk   func(*graph.Graph, StreamConfig) (Source, error)
+	}{{"NewPoissonSource", NewPoissonSource}, {"NewBurstySource", NewBurstySource}}
+	fields := []struct {
+		field string
+		cfg   func(v float64) StreamConfig
+	}{
+		{"Rate", func(v float64) StreamConfig { return StreamConfig{K: 2, NumObjects: 8, Rate: v} }},
+		{"ZipfS", func(v float64) StreamConfig { return StreamConfig{K: 2, NumObjects: 8, Pop: PopZipf, ZipfS: v} }},
+		{"HotFrac", func(v float64) StreamConfig {
+			return StreamConfig{K: 2, NumObjects: 8, Pop: PopHotspot, HotFrac: v}
+		}},
+	}
+	for _, src := range sources {
+		for _, f := range fields {
+			calls = append(calls, call{src.name, f.field, func(v float64) error {
+				s, err := src.mk(g, f.cfg(v))
+				if err == nil {
+					s.Next()
+				}
+				return err
+			}})
+		}
+	}
+	for _, c := range calls {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			done := make(chan error, 1)
+			go func() { done <- c.run(v) }()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), c.field) {
+					t.Errorf("%s with %s=%g: error %v, want one naming %s", c.name, c.field, v, err, c.field)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s with %s=%g did not return within 5 s", c.name, c.field, v)
+			}
 		}
 	}
 }

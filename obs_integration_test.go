@@ -14,6 +14,7 @@ import (
 	"slices"
 	"testing"
 
+	"dtm/internal/core"
 	"dtm/internal/obs"
 )
 
@@ -296,9 +297,12 @@ func (*failOnArrive) NextWake() (Time, bool)        { return 0, false }
 func (*failOnArrive) OnWake() error                 { return nil }
 
 // TestDisabledInstrumentationOverheadUnder5Percent is the no-op guard: the
-// cost of every nil-handle instrument operation a run would perform, at the
-// measured per-op price, must stay below 5% of the run itself. Each price
-// is the fastest of several samples, as host noise only slows a sample.
+// cost of every nil-handle instrument operation a replay would perform, at
+// the measured per-op price, must stay below 5% of the replay itself. A
+// replay (Replay, hence core.Replay with a nil registry) is the one path
+// that still runs with instrumentation disabled; every driver run keeps a
+// registry. Each price is the fastest of several samples, as host noise
+// only slows a sample.
 func TestDisabledInstrumentationOverheadUnder5Percent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard")
@@ -314,14 +318,9 @@ func TestDisabledInstrumentationOverheadUnder5Percent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(obsReg *Metrics) func(b *testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(in, NewGreedy(GreedyOptions{}), RunOptions{SnapshotEvery: -1, Obs: obsReg}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
+	rr, err := Run(in, NewGreedy(GreedyOptions{}), RunOptions{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
 	fastest := func(f func(b *testing.B)) float64 {
 		best := math.Inf(1)
@@ -338,31 +337,41 @@ func TestDisabledInstrumentationOverheadUnder5Percent(t *testing.T) {
 		}
 	})
 
-	// How many instrument operations does this run perform? Count them from
-	// an enabled run, with a generous factor for the gauge/emit companions
-	// at the same sites.
+	// How many instrument operations does this replay perform? Count them
+	// from a replay with a registry: on this unit-weight clique every
+	// counter call adds 1, so a counter's value is its call count; a
+	// histogram counts its observations; and each event stands for two
+	// more operations at its site, the nil check before the emit and at
+	// most one live-gauge update.
 	m := NewMetrics()
-	if _, err := Run(in, NewGreedy(GreedyOptions{}), RunOptions{SnapshotEvery: -1, Obs: m}); err != nil {
+	events := &obs.SliceSink{}
+	m.SetSink(events)
+	if _, err := core.Replay(in, rr.Decisions, SimOptions{}, m); err != nil {
 		t.Fatal(err)
 	}
 	snap := m.Snapshot()
-	var ops int64
+	ops := 2 * int64(len(events.Events()))
 	for _, v := range snap.Counters {
 		ops += v
 	}
 	for _, h := range snap.Histograms {
 		ops += h.Count
 	}
-	ops *= 4
 
-	runNs := fastest(mk(nil))
+	replayNs := fastest(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Replay(in, rr.Decisions, SimOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	overhead := nsPerOp * float64(ops)
-	if overhead >= 0.05*runNs {
-		t.Errorf("disabled instrumentation costs %.0fns (%d ops at %.2fns) against a %.0fns run: %.1f%% >= 5%%",
-			overhead, ops, nsPerOp, runNs, 100*overhead/runNs)
+	if overhead >= 0.05*replayNs {
+		t.Errorf("disabled instrumentation costs %.0fns (%d ops at %.2fns) against a %.0fns replay: %.1f%% >= 5%%",
+			overhead, ops, nsPerOp, replayNs, 100*overhead/replayNs)
 	}
-	t.Logf("run %.0fns, %d nil-ops at %.2fns each = %.0fns (%.2f%%)",
-		runNs, ops, nsPerOp, overhead, 100*overhead/runNs)
+	t.Logf("replay %.0fns, %d nil-ops at %.2fns each = %.0fns (%.2f%%)",
+		replayNs, ops, nsPerOp, overhead, 100*overhead/replayNs)
 }
 
 // nilCounterSink is deliberately a mutable package variable so the compiler

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"dtm/internal/obs"
+	"dtm/internal/window"
 )
 
 // isRegistered reports whether name is registered, either exactly or
@@ -75,7 +76,7 @@ func exerciseAllEngines(t *testing.T) map[string]bool {
 	for _, s := range []Scheduler{
 		NewGreedy(GreedyOptions{}),
 		NewBucket(BucketOptions{Batch: TourBatch()}),
-		NewWindow(WindowOptions{}),
+		window.New(window.Options{}),
 	} {
 		m := NewMetrics()
 		rr, err := Run(in, s, RunOptions{Obs: m})
