@@ -46,6 +46,19 @@ type Problem struct {
 	// Slow multiplies object travel time per unit distance (the Section V
 	// protocol halves object speed, Slow = 2). Zero means 1.
 	Slow graph.Weight
+	// availGen counts SetAvail's overwrites. A session keeps the state it
+	// derives from entries only while the generation it was built in is
+	// current.
+	availGen int64
+}
+
+// SetAvail overwrites object o's availability entry with a, and moves the
+// generation the sessions over p compare their entry-derived state with.
+// Adding an entry for an object that has none needs no call: a caller
+// may write it into Avail directly, as ExtendAvail does.
+func (p *Problem) SetAvail(o core.ObjID, a Avail) {
+	p.Avail[o] = a
+	p.availGen++
 }
 
 func (p *Problem) slow() graph.Weight {

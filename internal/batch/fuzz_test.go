@@ -50,7 +50,7 @@ func FuzzBatchIncremental(f *testing.F) {
 	// evaluated component: its summary is stale and must not be read.
 	f.Add(uint8(0), []byte{0, 24, 3, 0, 4, 28, 3, 1})
 	// Objects 4 and 5 start without an entry: the probe fails until op 5
-	// adds one without InvalidateAvail, the exempt lazy addition, and the
+	// adds one without SetAvail, the exempt lazy addition, and the
 	// validated prefix must let the once-failing transaction through. A
 	// pop below the mark and a second missing object follow.
 	f.Add(uint8(0), []byte{0, 24, 0, 4, 3, 0, 5, 0, 3, 1, 1, 0, 0, 5, 3, 0, 5, 1, 3, 2})
@@ -138,16 +138,16 @@ func FuzzBatchIncremental(f *testing.F) {
 					p.Now = now
 				}
 				check()
-			case 4: // overwrite an availability entry, as a window refresh does
-				avail[core.ObjID(arg%4)] = Avail{
+			case 4: // overwrite an availability entry, as the bucket engines do
+				a := Avail{
 					Node: graph.NodeID(int(arg/4) % n),
 					Free: now + core.Time(arg%7),
 				}
-				for _, sess := range sessions {
-					sess.InvalidateAvail()
+				for _, p := range probs {
+					p.SetAvail(core.ObjID(arg%4), a)
 				}
 				check()
-			case 5: // add a missing entry for object 4 or 5, which needs no InvalidateAvail
+			case 5: // add a missing entry for object 4 or 5, which needs no SetAvail
 				o := core.ObjID(4 + arg%2)
 				if _, ok := avail[o]; !ok {
 					avail[o] = Avail{

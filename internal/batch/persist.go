@@ -13,12 +13,12 @@ package batch
 // Tour's dominant cost, the O(V²) Prim pass over the metric closure, is a
 // pure function of the component's node set, which includes availability
 // nodes. Each component therefore keeps its canonical MST, grown by vertex
-// insertion as pushes merge components, until InvalidateAvail says an
-// availability entry was overwritten; the bucket engines do that only when
-// an object's last user moves, so the trees outlive arrivals. Beside its
-// tree each component keeps a summary of its schedule that does not depend
-// on Now (compTour.start), so a probe walks only the component its push
-// touched and reads every other one in O(1), whatever Now has become.
+// insertion as pushes merge components, until Problem.SetAvail overwrites
+// an availability entry; the bucket engines do that only when an object's
+// last user moves, so the trees outlive arrivals. Beside its tree each
+// component keeps a summary of its schedule that does not depend on Now
+// (compTour.start), so a probe walks only the component its push touched
+// and reads every other one in O(1), whatever Now has become.
 //
 // The probe path is not allocation-free: a push that grows a component
 // allocates the new state and its tree rows, and the component's first
@@ -137,7 +137,7 @@ const noFree = core.Time(math.MinInt64)
 // Three summary words keep a state at 112 bytes, inside its allocation
 // size class; a fourth moves it to 128 bytes, and every push pays for it.
 type compTour struct {
-	gen int64 // the InvalidateAvail generation this state was built in
+	gen int64 // the problem's availability generation this state was built in
 	tour
 
 	maxFree core.Time // the latest Free of the component's objects, or noFree
@@ -168,8 +168,8 @@ type stateRestore struct {
 // is maintained incrementally across pushes — a push copies the largest
 // constituent component's tree and inserts the few nodes new to it
 // instead of re-running Prim over the whole component. A component with
-// no current state (its first evaluation, or the first after
-// InvalidateAvail) builds its tree afresh. Object IDs index a dense
+// no current state (its first evaluation, or the first after an entry is
+// overwritten) builds its tree afresh. Object IDs index a dense
 // table, so they must be non-negative, as core.Instance.Validate ensures.
 func (t Tour) NewSession(p *Problem, opts SessionOptions) Session {
 	met := newSessionMetrics(opts.Obs)
@@ -193,17 +193,17 @@ type tourSession struct {
 	firstUser []int32 // by ObjID: the first pushed user's index, -1 for none
 	marks     []int32 // uf trail length before each push
 	validated int     // txns[:validated] had every availability entry at the last check
+	validGen  int64   // the problem's availability generation at that check
 
 	// Incremental tour state: the state of each union-find root's
 	// component, indexed by element and valid while its generation matches
-	// availGen (bumped by InvalidateAvail — availability nodes and free
-	// times are part of the state, so it cannot outlive the entries it was
-	// derived from). Slots of non-roots hold the state a Pop revives, and
-	// slots at or past len(txns) are nil. restore holds one entry per push:
-	// the previous states value under the merged root.
-	states   []*compTour
-	restore  []stateRestore
-	availGen int64
+	// the problem's (moved by Problem.SetAvail — availability nodes and
+	// free times are part of the state, so it cannot outlive the entries
+	// it was derived from). Slots of non-roots hold the state a Pop
+	// revives, and slots at or past len(txns) are nil. restore holds one
+	// entry per push: the previous states value under the merged root.
+	states  []*compTour
+	restore []stateRestore
 
 	// Push/merge scratch.
 	peers []int32
@@ -221,16 +221,6 @@ type tourSession struct {
 	nodePos  []core.Time
 	gen      int64
 	psc      preorderScratch
-}
-
-// InvalidateAvail implements Session: availability entries may have been
-// replaced or cleared, so every cached per-component tour state is now
-// stale and every transaction must be validated again. States are
-// dropped lazily (generation check) rather than eagerly, keeping this
-// O(1); the next evaluation rebuilds each component's tree.
-func (s *tourSession) InvalidateAvail() {
-	s.availGen++
-	s.validated = 0
 }
 
 func (s *tourSession) Push(tx *core.Transaction) {
@@ -283,7 +273,7 @@ func (s *tourSession) mergeStates(tx *core.Transaction, peers []int32) *compTour
 	maxFree := noFree
 	for _, r := range peers {
 		st := s.states[r]
-		if st == nil || st.gen != s.availGen {
+		if st == nil || st.gen != s.p.availGen {
 			return nil
 		}
 		if big == nil || st.tree.Len() > big.tree.Len() {
@@ -325,7 +315,7 @@ func (s *tourSession) mergeStates(tx *core.Transaction, peers []int32) *compTour
 		maxFree = max(maxFree, a.Free)
 	}
 	s.fresh = fresh
-	st := &compTour{gen: s.availGen, maxFree: maxFree, maxPos: -1}
+	st := &compTour{gen: s.p.availGen, maxFree: maxFree, maxPos: -1}
 	if big != nil && len(fresh) == 0 {
 		// No nodes beyond the largest constituent's (components may share
 		// physical nodes): the canonical MST is unchanged, and aliasing
@@ -426,9 +416,11 @@ func (s *tourSession) schedule(out Assignment) (core.Time, error) {
 	// Validate availability in push order, mirroring Problem.Validate so a
 	// malformed probe reports the same first offender as the one-shot path
 	// would (components are visited in root order, not push order). Only
-	// the transactions pushed since the last successful check need it: an
-	// entry disappears only when it is cleared, and that needs
-	// InvalidateAvail, which restarts the check.
+	// the transactions pushed since the last successful check need it,
+	// and the check restarts when the availability generation moves.
+	if s.validGen != s.p.availGen {
+		s.validGen, s.validated = s.p.availGen, 0
+	}
 	for ; s.validated < len(s.txns); s.validated++ {
 		tx := s.txns[s.validated]
 		for _, o := range tx.Objects {
@@ -464,7 +456,7 @@ func (s *tourSession) schedule(out Assignment) (core.Time, error) {
 		// any Now. Assign still needs the per-transaction times and walks
 		// every component.
 		st := s.states[r]
-		if out != nil || st == nil || st.gen != s.availGen || st.maxPos < 0 {
+		if out != nil || st == nil || st.gen != s.p.availGen || st.maxPos < 0 {
 			comp := s.comp[:0]
 			for i := 0; i < n; i++ {
 				if rootOf[i] == r {
@@ -491,7 +483,7 @@ func (s *tourSession) component(r int32, comp []*core.Transaction, out Assignmen
 	p := s.p
 	s.ensureNodeScratch()
 	st := s.states[r]
-	if st == nil || st.gen != s.availGen {
+	if st == nil || st.gen != s.p.availGen {
 		nodes := s.nodes[:0]
 		maxFree := noFree
 		for _, tx := range comp {
@@ -503,7 +495,7 @@ func (s *tourSession) component(r int32, comp []*core.Transaction, out Assignmen
 			}
 		}
 		s.nodes = nodes
-		st = &compTour{gen: s.availGen, maxFree: maxFree}
+		st = &compTour{gen: s.p.availGen, maxFree: maxFree}
 		s.mst.Build(&st.tree, nodes)
 		s.states[r] = st
 	}
@@ -624,11 +616,6 @@ func (s *coloringSession) Pop() {
 }
 
 func (s *coloringSession) Len() int { return len(s.txns) }
-
-// InvalidateAvail implements Session: the persistent adjacency depends
-// only on transaction nodes and the immutable graph, never on Avail, and
-// floors are recomputed per evaluation — nothing to drop.
-func (s *coloringSession) InvalidateAvail() {}
 
 func (s *coloringSession) Cost() (core.Time, error) { return s.schedule(nil) }
 

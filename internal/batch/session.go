@@ -17,10 +17,10 @@ package batch
 // Cost/Assign call or kept in a form that holds at every Now (the tour
 // sessions' per-component summaries). State derived from Avail — the tour
 // sessions' node sets include availability nodes, and their summaries the
-// latest free time — is dropped when the caller announces that entries
-// were replaced, by calling InvalidateAvail after it overwrote one. Adding
-// entries to the map never requires invalidation; only clearing or
-// overwriting existing ones does.
+// latest free time — is dropped once an entry it read is replaced: the
+// caller overwrites entries only through Problem.SetAvail, which moves a
+// generation the sessions compare with. Adding entries to the map needs
+// no call.
 //
 // Every session is pinned byte-identical to the one-shot path: Cost()
 // equals Cost(s, p) and Assign() equals s.Schedule(p) with p.Txns set to
@@ -52,12 +52,6 @@ type Session interface {
 	// Reset empties the candidate set, releasing all retained
 	// transaction pointers while keeping allocated buffers for reuse.
 	Reset()
-	// InvalidateAvail tells the session that existing entries of the live
-	// problem's Avail map may have been cleared or overwritten, dropping
-	// any cached state derived from them. Callers must invoke it whenever
-	// they refresh availability in place (lazily adding entries for
-	// never-seen objects is exempt). It is O(1) for every built-in session.
-	InvalidateAvail()
 }
 
 // SessionScheduler is a batch scheduler with a native incremental session
@@ -135,10 +129,6 @@ func (s *oneShotSession) Pop() {
 
 func (s *oneShotSession) Len() int { return len(s.txns) }
 
-// InvalidateAvail implements Session: every evaluation re-reads the live
-// problem wholesale, so there is nothing to drop.
-func (s *oneShotSession) InvalidateAvail() {}
-
 func (s *oneShotSession) schedule() (Assignment, error) {
 	s.met.costs.Inc()
 	s.met.rebuilds.Inc()
@@ -174,7 +164,8 @@ type AvailFunc func(core.ObjID) Avail
 // ExtendAvail lazily adds availability entries for every object used by
 // txns that dst does not yet hold. Entries already present are kept: the
 // callers either fill a fresh map against frozen state, or keep a live map
-// current by overwriting an entry where its object's last user moves.
+// current by overwriting an entry (Problem.SetAvail) where its object's
+// last user moves.
 func ExtendAvail(dst map[core.ObjID]Avail, txns []*core.Transaction, resolve AvailFunc) {
 	for _, tx := range txns {
 		ExtendAvailTx(dst, tx, resolve)

@@ -104,7 +104,7 @@ func (b *Bucket) Start(env *sched.Env) error {
 	b.metActivations = env.Obs.Counter(obs.NameBucketActivations)
 	b.metScheduled = env.Obs.Counter(obs.NameBucketScheduled)
 	b.metWithin4 = env.Obs.Counter(obs.NameBucketWithinLemma4)
-	b.metLevel = env.Obs.Histogram(obs.NameBucketLevel, obs.PowersOfTwo(6))
+	b.metLevel = env.Obs.Histogram(obs.NameBucketLevel)
 	max, err := MaxLevel(env.G, b.slow)
 	if err != nil {
 		return err
@@ -370,23 +370,20 @@ func (b *Bucket) activate(level int, now core.Time) error {
 }
 
 // refresh re-resolves the live entries of tx's objects. It overwrites an
-// entry, and tells every session, only where the fresh value differs in
-// what the batch schedulers read: the node, or the free time clamped to
-// now. Nothing else needs refreshing: core.Sim commits each object's
-// users in decided order, elastic commits too, so only a decision moves
-// an object's last user, and between two decisions resolveAvail's answer
-// changes only in Free, from a value ≤ Now to Now, which every batch
-// scheduler reads clamped to Now.
+// entry (Problem.SetAvail, which the sessions read) only where the fresh
+// value differs in what the batch schedulers read: the node, or the free
+// time clamped to now. Nothing else needs refreshing: core.Sim commits
+// each object's users in decided order, elastic commits too, so only a
+// decision moves an object's last user, and between two decisions
+// resolveAvail's answer changes only in Free, from a value ≤ Now to Now,
+// which every batch scheduler reads clamped to Now.
 func (b *Bucket) refresh(tx *core.Transaction, now core.Time) {
 	for _, o := range tx.Objects {
 		a, cur := b.resolveAvail(o), b.avail[o]
 		if a.Node == cur.Node && max(a.Free, now) == max(cur.Free, now) {
 			continue
 		}
-		b.avail[o] = a
-		for _, s := range b.sessions {
-			s.InvalidateAvail()
-		}
+		b.prob.SetAvail(o, a)
 	}
 }
 

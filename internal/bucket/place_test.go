@@ -23,7 +23,6 @@ func (s *fakeSession) Push(*core.Transaction) { s.n++; s.record("push") }
 func (s *fakeSession) Pop()                   { s.n--; s.record("pop") }
 func (s *fakeSession) Len() int               { return s.n }
 func (s *fakeSession) Reset()                 { s.n = 0 }
-func (s *fakeSession) InvalidateAvail()       {}
 func (s *fakeSession) Assign() (batch.Assignment, error) {
 	return nil, fmt.Errorf("fakeSession: Assign is not a probe")
 }

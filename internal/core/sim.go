@@ -66,8 +66,8 @@ func newSimMetrics(m *obs.Metrics) simMetrics {
 		violations: m.Counter(obs.NameCoreViolations),
 		moves:      m.Counter(obs.NameCoreObjectMoves),
 		travel:     m.Counter(obs.NameCoreTravelWeight),
-		legs:       m.Histogram(obs.NameCoreLegWeight, obs.PowersOfTwo(12)),
-		latency:    m.Histogram(obs.NameCoreCommitLatency, obs.PowersOfTwo(16)),
+		legs:       m.Histogram(obs.NameCoreLegWeight),
+		latency:    m.Histogram(obs.NameCoreCommitLatency),
 		live:       m.Gauge(obs.NameCoreLiveTxns),
 		linkQueued: m.Counter(obs.NameCoreLinkQueued),
 		elastic:    m.Counter(obs.NameCoreElasticWaits),

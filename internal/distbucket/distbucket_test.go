@@ -3,6 +3,7 @@ package distbucket
 import (
 	"bytes"
 	"encoding/json"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -299,5 +300,23 @@ func TestStreamSurvivesRetirement(t *testing.T) {
 	}
 	if res.Retired == 0 {
 		t.Error("retirement never fired")
+	}
+}
+
+// TestCoverLayerBounds checks the distbucket.cover_layer bounds package
+// obs declares as a literal against the layer count they stand for: one
+// bucket per layer cover.Build can make, ceil(log2 D)+1 layers for a
+// diameter D below graph.Infinite, numbered from 0.
+func TestCoverLayerBounds(t *testing.T) {
+	m := obs.New()
+	m.Histogram(obs.NameDistbucketCoverLayer)
+	bounds := m.Snapshot().Histograms[obs.NameDistbucketCoverLayer.String()].Bounds
+	if want := bits.Len64(uint64(graph.Infinite-1)) + 1; len(bounds) != want {
+		t.Fatalf("%d cover_layer bounds, want %d", len(bounds), want)
+	}
+	for i, b := range bounds {
+		if b != int64(i) {
+			t.Fatalf("cover_layer bound %d is %d, want %d", i, b, i)
+		}
 	}
 }

@@ -30,7 +30,6 @@ package distbucket
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"dtm/internal/batch"
@@ -174,21 +173,9 @@ func newProtoMetrics(m *obs.Metrics) protoMetrics {
 		releases:    m.Counter(obs.NameDistbucketReleases),
 		retries:     m.Counter(obs.NameDistbucketRetries),
 		timeouts:    m.Counter(obs.NameDistbucketTimeouts),
-		level:       m.Histogram(obs.NameDistbucketBucketLevel, obs.PowersOfTwo(6)),
-		layer:       m.Histogram(obs.NameDistbucketCoverLayer, layerBounds()),
+		level:       m.Histogram(obs.NameDistbucketBucketLevel),
+		layer:       m.Histogram(obs.NameDistbucketCoverLayer),
 	}
-}
-
-// layerBounds gives distbucket.cover_layer one bucket per cover layer
-// cover.Build can make: ceil(log2 D)+1 layers for a diameter D below
-// graph.Infinite. The bounds do not depend on the run, so the snapshots
-// of runs on different graphs merge exactly.
-func layerBounds() []int64 {
-	bs := make([]int64, bits.Len64(uint64(graph.Infinite-1))+1)
-	for i := range bs {
-		bs[i] = int64(i)
-	}
-	return bs
 }
 
 // config is shared, read-only state for all node handlers.
@@ -531,14 +518,11 @@ func (n *node) learn(os objSnapshot) {
 
 // setKnown records o's latest availability and keeps the live probe entry
 // for o, if there is one, equal to it: an entry that differs is
-// overwritten and every probe session told.
+// overwritten through Problem.SetAvail, which the probe sessions read.
 func (n *node) setKnown(o core.ObjID, a batch.Avail) {
 	n.known[o] = a
 	if cur, ok := n.probeAvail[o]; ok && cur != a {
-		n.probeAvail[o] = a
-		for _, s := range n.probeSess {
-			s.InvalidateAvail() // O(1); order-insensitive
-		}
+		n.probeProb.SetAvail(o, a)
 	}
 }
 

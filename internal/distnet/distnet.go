@@ -170,7 +170,7 @@ func newEngineMetrics(m *obs.Metrics) engineMetrics {
 		dropped:    m.Counter(obs.NameDistnetDropped),
 		duplicated: m.Counter(obs.NameDistnetDuplicated),
 		delayed:    m.Counter(obs.NameDistnetDelayed),
-		nodeQueue:  m.Histogram(obs.NameDistnetNodeQueue, obs.PowersOfTwo(10)),
+		nodeQueue:  m.Histogram(obs.NameDistnetNodeQueue),
 	}
 }
 

@@ -54,35 +54,16 @@ type Options struct {
 	RebuildOracle bool
 }
 
-func (o Options) pad() graph.Weight {
-	if o.Pad <= 1 {
-		return 1
-	}
-	return graph.Weight(o.Pad)
-}
-
 // Greedy is the online greedy scheduler. Create with New; it implements
 // sched.Scheduler.
 type Greedy struct {
 	opts Options
-	env  *sched.Env
-	beta graph.Weight
-	// scale is the slow factor times the padding factor: a general-mode
-	// conflict weighs Dist × scale.
-	scale graph.Weight
-	// hub, set only by NewCoordinator, models the Section III-E funnel:
-	// every execution time is floored by the distance from the hub to the
-	// transaction's node (the scheduling decision must reach it).
-	hub *graph.NodeID
+	// Colorer holds the run's environment, H'_t's weights and, for the
+	// incremental engine (default), the persistent conflict index.
+	Colorer
 
-	// Incremental engine (default): the persistent conflict index and the
-	// buffers of its coloring walk, reused across calls.
-	idx   *depgraph.Index
 	txns  []*core.Transaction // the batch in ID order; cleared after each call
 	slots []depgraph.Slot
-	forb  []coloring.Interval
-	sweep coloring.Sweep
-	nbrs  []depgraph.Neighbor
 
 	// Rebuild oracle: per-arrival live tracking.
 	live     []core.TxID                // scheduled and possibly still live
@@ -96,6 +77,36 @@ type Greedy struct {
 	metWithin    *obs.Counter   // greedy.within_bound
 	metColor     *obs.Histogram // greedy.color: assigned color = delay
 	metBound     *obs.Histogram // greedy.bound: the assignment's theorem bound
+}
+
+// Colorer is one greedy coloring step on the extended dependency graph
+// H'_t: it colors a transaction already inserted into a depgraph index
+// against the H'_t edges incident to it, with Lemma 1, or with Lemma 2 in
+// uniform mode. Greedy colors every transaction through it; so does the
+// window engine, which differs only in what it does with the color.
+type Colorer struct {
+	env *sched.Env
+	idx *depgraph.Index
+	// pad is the padding factor and scale the slow factor times pad: a
+	// general-mode conflict weighs Dist × scale.
+	pad, scale graph.Weight
+	// beta is the uniform overlay weight β in uniform mode, 0 otherwise.
+	beta graph.Weight
+	// hub, set only by NewCoordinator, models the Section III-E funnel:
+	// every execution time is floored by the distance from the hub to the
+	// transaction's node (the scheduling decision must reach it).
+	hub *graph.NodeID
+
+	// The buffers of the coloring walk, reused across calls.
+	forb  []coloring.Interval
+	sweep coloring.Sweep
+	nbrs  []depgraph.Neighbor
+}
+
+// NewColorer returns the general-mode coloring step over idx for a run in
+// env: no padding and no hub, with travel at the Sim's slow factor.
+func NewColorer(env *sched.Env, idx *depgraph.Index) *Colorer {
+	return &Colorer{env: env, idx: idx, pad: 1, scale: graph.Weight(env.Sim.SlowFactor())}
 }
 
 // New returns a greedy scheduler with the given options.
@@ -120,14 +131,15 @@ func (g *Greedy) Start(env *sched.Env) error {
 	g.env = env
 	g.metScheduled = env.Obs.Counter(obs.NameGreedyColorsAssigned)
 	g.metWithin = env.Obs.Counter(obs.NameGreedyWithinBound)
-	g.metColor = env.Obs.Histogram(obs.NameGreedyColor, obs.PowersOfTwo(16))
-	g.metBound = env.Obs.Histogram(obs.NameGreedyBound, obs.PowersOfTwo(16))
+	g.metColor = env.Obs.Histogram(obs.NameGreedyColor)
+	g.metBound = env.Obs.Histogram(obs.NameGreedyBound)
 	if !g.opts.RebuildOracle {
 		g.idx = depgraph.NewIndex(env.Sim)
 		g.idx.RegisterMetrics(env.Obs)
 	}
 	slow := graph.Weight(env.Sim.SlowFactor())
-	g.scale = slow * g.opts.pad()
+	g.pad = max(graph.Weight(g.opts.Pad), 1)
+	g.scale = slow * g.pad
 	if g.opts.Uniform {
 		g.beta = max(env.G.Diameter(), 1) * slow
 	}
@@ -141,7 +153,7 @@ func (g *Greedy) Start(env *sched.Env) error {
 // β, must stay below graph.Infinite too. On a one-node graph β is the
 // slow factor itself, which NewSim does not bound.
 func (g *Greedy) checkPad(slow graph.Weight) error {
-	pad, bound := g.opts.pad(), core.PathBound(g.env.G)
+	pad, bound := g.pad, core.PathBound(g.env.G)
 	if span := slow * bound; span > 0 && pad > (graph.Infinite-1)/span {
 		return fmt.Errorf("greedy: padding factor %d times the slow factor %d and the path bound %d ((N-1) × largest edge weight) reaches %d",
 			pad, slow, bound, graph.Infinite)
@@ -218,59 +230,7 @@ func (g *Greedy) scheduleIncremental(txns []*core.Transaction, now core.Time) er
 
 	var err error
 	for i, tx := range sorted {
-		// Gather the forbidden intervals and the Δ/Γ bound terms from the
-		// edges incident to tx in H'_t. Weight-0 edges impose no
-		// constraint and are dropped (as coloring.AddEdge drops them).
-		forb := g.forb[:0]
-		var deg int
-		var wdeg graph.Weight
-		if g.hub != nil {
-			w := g.env.G.Dist(*g.hub, tx.Node)
-			if g.opts.Uniform && w%g.beta != 0 {
-				w = (w/g.beta + 1) * g.beta
-			}
-			if w > 0 {
-				deg++
-				wdeg += w
-				forb = append(forb, coloring.Forbid(0, w))
-			}
-		}
-		for _, o := range tx.Objects {
-			// Current-transaction (Z) edge: a pure floor at pre-color 0.
-			if w := g.zWeight(o, tx.Node, now); w > 0 {
-				deg++
-				wdeg += w
-				forb = append(forb, coloring.Forbid(0, w))
-			}
-		}
-		nbrs := g.idx.AppendNeighbors(slots[i], g.nbrs[:0])
-		for _, nb := range nbrs {
-			w := g.conflictWeight(tx.Node, nb.Node)
-			if w == 0 {
-				continue
-			}
-			// Same-batch neighbors not yet colored still count toward the
-			// bound, like uncolored vertices in the rebuild graph.
-			deg++
-			wdeg += w
-			if nb.Exec != depgraph.Undecided {
-				forb = append(forb, coloring.Forbid(coloring.Color(nb.Exec-now), w))
-			}
-		}
-		g.nbrs = nbrs[:0]
-
-		var c, bound coloring.Color
-		if g.opts.Uniform {
-			c = g.sweep.SmallestValidMultiple(forb, g.beta)
-			bound = coloring.Color(wdeg) + coloring.Color(g.beta)
-		} else {
-			c = g.sweep.SmallestValid(forb)
-			bound = 2*coloring.Color(wdeg) - coloring.Color(deg)
-			if bound < 0 {
-				bound = 0
-			}
-		}
-		g.forb = forb[:0]
+		c, bound := g.Color(tx, slots[i], now)
 		g.recordAudit(c, bound)
 		if err = g.env.Sim.Decide(tx.ID, now+core.Time(c)); err != nil {
 			break
@@ -394,11 +354,7 @@ func (g *Greedy) scheduleRebuild(txns []*core.Transaction, now core.Time) error 
 	for _, tx := range txns {
 		tv := newIdx[tx.ID]
 		if hubVertex >= 0 {
-			w := g.env.G.Dist(*g.hub, tx.Node)
-			if g.opts.Uniform && w%g.beta != 0 {
-				w = (w/g.beta + 1) * g.beta
-			}
-			if err := addEdge(tv, hubVertex, w); err != nil {
+			if err := addEdge(tv, hubVertex, g.roundUp(g.env.G.Dist(*g.hub, tx.Node))); err != nil {
 				return err
 			}
 		}
@@ -472,30 +428,86 @@ func (g *Greedy) scheduleRebuild(txns []*core.Transaction, now core.Time) error 
 	return nil
 }
 
+// Color returns the smallest valid color of tx, inserted into the index at
+// slot, at time now, and the color's Theorem 1 bound (Theorem 2's in
+// uniform mode). It gathers tx's H'_t edges: the hub edge, a Z edge per
+// object and a conflict edge per neighbor in the index. Weight-0 edges
+// impose no constraint and are dropped (as coloring.AddEdge drops them).
+// Every other edge counts toward the bound, but only a decided neighbor
+// forbids an interval: same-batch neighbors not yet colored count like
+// uncolored vertices in the rebuild graph.
+func (c *Colorer) Color(tx *core.Transaction, slot depgraph.Slot, now core.Time) (color, bound coloring.Color) {
+	forb := c.forb[:0]
+	var deg int
+	var wdeg graph.Weight
+	if c.hub != nil {
+		if w := c.roundUp(c.env.G.Dist(*c.hub, tx.Node)); w > 0 {
+			deg++
+			wdeg += w
+			forb = append(forb, coloring.Forbid(0, w))
+		}
+	}
+	for _, o := range tx.Objects {
+		// Current-transaction (Z) edge: a pure floor at pre-color 0.
+		if w := c.zWeight(o, tx.Node, now); w > 0 {
+			deg++
+			wdeg += w
+			forb = append(forb, coloring.Forbid(0, w))
+		}
+	}
+	nbrs := c.idx.AppendNeighbors(slot, c.nbrs[:0])
+	for _, nb := range nbrs {
+		w := c.conflictWeight(tx.Node, nb.Node)
+		if w == 0 {
+			continue
+		}
+		deg++
+		wdeg += w
+		if nb.Exec != depgraph.Undecided {
+			forb = append(forb, coloring.Forbid(coloring.Color(nb.Exec-now), w))
+		}
+	}
+	c.nbrs = nbrs[:0]
+	if c.beta != 0 {
+		color = c.sweep.SmallestValidMultiple(forb, c.beta)
+		bound = coloring.Color(wdeg) + coloring.Color(c.beta)
+	} else {
+		color = c.sweep.SmallestValid(forb)
+		bound = max(2*coloring.Color(wdeg)-coloring.Color(deg), 0)
+	}
+	c.forb = forb[:0]
+	return color, bound
+}
+
 // conflictWeight is the H'_t edge weight between two conflicting
 // transactions: an object's travel time between their nodes at the run's
 // speed, or the uniform overlay weight β, scaled by the congestion
 // padding factor.
-func (g *Greedy) conflictWeight(a, b graph.NodeID) graph.Weight {
-	if g.opts.Uniform {
-		return g.beta * g.opts.pad()
+func (c *Colorer) conflictWeight(a, b graph.NodeID) graph.Weight {
+	if c.beta != 0 {
+		return c.beta * c.pad
 	}
-	return g.env.G.Dist(a, b) * g.scale
+	return c.env.G.Dist(a, b) * c.scale
 }
 
 // zWeight is the H'_t edge weight between a transaction at node and the
 // object's current transaction Z_t(o): the object's feasible travel time,
-// plus its remaining creation delay if it does not exist yet. Uniform mode
-// rounds up to a multiple of β so Lemma 2's multiples-of-β colors apply.
-func (g *Greedy) zWeight(o core.ObjID, node graph.NodeID, now core.Time) graph.Weight {
-	w := g.env.Sim.ObjDistTo(o, node) * g.opts.pad()
-	if created := g.env.Sim.Instance().Objects[o].Created; created > now {
+// plus its remaining creation delay if it does not exist yet.
+func (c *Colorer) zWeight(o core.ObjID, node graph.NodeID, now core.Time) graph.Weight {
+	w := c.env.Sim.ObjDistTo(o, node) * c.pad
+	if created := c.env.Sim.Instance().Objects[o].Created; created > now {
 		w += graph.Weight(created - now)
 	}
-	if g.opts.Uniform && w%g.beta != 0 {
-		w = (w/g.beta + 1) * g.beta
+	return c.roundUp(w)
+}
+
+// roundUp rounds an edge weight up to a multiple of β in uniform mode, so
+// Lemma 2's multiples-of-β colors apply; general mode keeps it.
+func (c *Colorer) roundUp(w graph.Weight) graph.Weight {
+	if c.beta == 0 || w%c.beta == 0 {
+		return w
 	}
-	return w
+	return (w/c.beta + 1) * c.beta
 }
 
 // prune drops executed transactions from the live tracking structures.

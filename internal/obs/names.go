@@ -10,8 +10,13 @@ package obs
 
 // Name is a registered metric name. Only package obs builds one: the
 // static names below through register, and the one dynamic family
-// through NameDistnetMsg. Snapshots stay keyed by the name's string.
-type Name struct{ s string }
+// through NameDistnetMsg. Snapshots stay keyed by the name's string. A
+// histogram's name carries its bucket bounds, so every registry holds
+// the same buckets under it and their snapshots merge exactly.
+type Name struct {
+	s      string
+	bounds []int64 // a histogram's bucket bounds; nil for the other names
+}
 
 // String returns the name as snapshots key it.
 func (n Name) String() string { return n.s }
@@ -19,10 +24,21 @@ func (n Name) String() string { return n.s }
 // registered lists every static name, in declaration order.
 var registered []string
 
-// register records a static name.
-func register(s string) Name {
+// register records a static name, with its bucket bounds if it names a
+// histogram.
+func register(s string, bounds ...int64) Name {
 	registered = append(registered, s)
-	return Name{s}
+	return Name{s: s, bounds: bounds}
+}
+
+// upTo returns histogram bounds {0, 1, ..., n-1}: one bucket per small
+// integer.
+func upTo(n int) []int64 {
+	bs := make([]int64, n)
+	for i := range bs {
+		bs[i] = int64(i)
+	}
+	return bs
 }
 
 // Counter, gauge, and histogram names, grouped by owning package.
@@ -33,8 +49,8 @@ var (
 	NameCoreViolations    = register("core.violations")
 	NameCoreObjectMoves   = register("core.object_moves")
 	NameCoreTravelWeight  = register("core.travel_weight")
-	NameCoreLegWeight     = register("core.leg_weight")
-	NameCoreCommitLatency = register("core.commit_latency")
+	NameCoreLegWeight     = register("core.leg_weight", PowersOfTwo(12)...)
+	NameCoreCommitLatency = register("core.commit_latency", PowersOfTwo(16)...)
 	NameCoreLiveTxns      = register("core.live_txns")
 	NameCoreLinkQueued    = register("core.link_queued")
 	NameCoreElasticWaits  = register("core.elastic_waits")
@@ -45,8 +61,8 @@ var (
 	NameSchedArrivals     = register("sched.arrivals")
 	NameSchedWakeups      = register("sched.wakeups")
 	NameSchedSnapshots    = register("sched.snapshots")
-	NameSchedSnapshotLive = register("sched.snapshot_live")
-	NameSchedSnapshotNs   = register("sched.snapshot_ns")
+	NameSchedSnapshotLive = register("sched.snapshot_live", PowersOfTwo(14)...)
+	NameSchedSnapshotNs   = register("sched.snapshot_ns", PowersOfTwo(36)...)
 	NameSchedLiveTxns     = register("sched.live_txns")
 
 	// streaming (open-system) driver instruments.
@@ -58,21 +74,21 @@ var (
 	// greedy scheduler instruments.
 	NameGreedyColorsAssigned = register("greedy.colors_assigned")
 	NameGreedyWithinBound    = register("greedy.within_bound")
-	NameGreedyColor          = register("greedy.color")
-	NameGreedyBound          = register("greedy.bound") // histogram: each assignment's Theorem 1/2 bound
+	NameGreedyColor          = register("greedy.color", PowersOfTwo(16)...)
+	NameGreedyBound          = register("greedy.bound", PowersOfTwo(16)...) // histogram: each assignment's Theorem 1/2 bound
 
 	// window scheduler instruments (randomized window-based greedy).
-	NameWindowPlaced  = register("window.placed")  // counter: acceptances inside the window
-	NameWindowRetries = register("window.retries") // counter: window doublings (lost rounds)
-	NameWindowColor   = register("window.color")   // histogram: accepted color = delay
-	NameWindowWin     = register("window.win")     // histogram: window size at acceptance
+	NameWindowPlaced  = register("window.placed")                    // counter: acceptances inside the window
+	NameWindowRetries = register("window.retries")                   // counter: window doublings (lost rounds)
+	NameWindowColor   = register("window.color", PowersOfTwo(16)...) // histogram: accepted color = delay
+	NameWindowWin     = register("window.win", PowersOfTwo(16)...)   // histogram: window size at acceptance
 
 	// bucket scheduler instruments.
 	NameBucketInsertions   = register("bucket.insertions")
 	NameBucketOverflows    = register("bucket.overflows")
 	NameBucketActivations  = register("bucket.activations")
 	NameBucketScheduled    = register("bucket.scheduled")
-	NameBucketLevel        = register("bucket.level")
+	NameBucketLevel        = register("bucket.level", PowersOfTwo(6)...)
 	NameBucketWithinLemma4 = register("bucket.within_lemma4") // counter: decisions within Lemma 4's deadline
 
 	// batch session instruments (sessionized batch substrate).
@@ -95,7 +111,7 @@ var (
 	NameDistnetDropped     = register("distnet.dropped")
 	NameDistnetDuplicated  = register("distnet.duplicated")
 	NameDistnetDelayed     = register("distnet.delayed")
-	NameDistnetNodeQueue   = register("distnet.node_queue")
+	NameDistnetNodeQueue   = register("distnet.node_queue", PowersOfTwo(10)...)
 
 	// distbucket protocol instruments.
 	NameDistbucketDiscoveries = register("distbucket.discoveries")
@@ -108,8 +124,12 @@ var (
 	NameDistbucketReleases    = register("distbucket.releases")
 	NameDistbucketRetries     = register("distbucket.retries")
 	NameDistbucketTimeouts    = register("distbucket.timeouts")
-	NameDistbucketBucketLevel = register("distbucket.bucket_level")
-	NameDistbucketCoverLayer  = register("distbucket.cover_layer") // histogram: cover layer of each report, one bucket per layer
+	NameDistbucketBucketLevel = register("distbucket.bucket_level", PowersOfTwo(6)...)
+	// The cover layer of each report: one bucket per layer cover.Build
+	// can make, ceil(log2 D)+1 for a diameter D below graph.Infinite, so
+	// 63 numbered from 0. obs imports nothing, so the count is a literal;
+	// distbucket's TestCoverLayerBounds checks it against graph.Infinite.
+	NameDistbucketCoverLayer = register("distbucket.cover_layer", upTo(63)...)
 )
 
 // distnetMsgPrefix is the one dynamic name family: one distnet.msg.<type>
@@ -117,7 +137,7 @@ var (
 const distnetMsgPrefix = "distnet.msg."
 
 // NameDistnetMsg names the counter of the protocol messages of one kind.
-func NameDistnetMsg(kind string) Name { return Name{distnetMsgPrefix + kind} }
+func NameDistnetMsg(kind string) Name { return Name{s: distnetMsgPrefix + kind} }
 
 // RegisteredNames returns a copy of every static registered metric name.
 func RegisteredNames() []string {

@@ -328,11 +328,10 @@ func (m *Metrics) Counter(name Name) *Counter { return m.counter(name.s) }
 // disabled.
 func (m *Metrics) Gauge(name Name) *Gauge { return m.gauge(name.s) }
 
-// Histogram returns (registering if needed) the named histogram, or nil
-// when disabled. Bounds are fixed at first registration; later calls
-// with different bounds return the existing instrument.
-func (m *Metrics) Histogram(name Name, bounds []int64) *Histogram {
-	return m.histogram(name.s, bounds)
+// Histogram returns (registering if needed) the named histogram, with
+// the bucket bounds its name declares, or nil when disabled.
+func (m *Metrics) Histogram(name Name) *Histogram {
+	return m.histogram(name.s, name.bounds)
 }
 
 // counter, gauge and histogram are the string-keyed lookups behind the
@@ -414,48 +413,20 @@ func (m *Metrics) Merge(s *Snapshot) {
 	}
 }
 
-// merge folds an exported histogram state into h. When the bucket bounds
-// match (the normal case: every cell registers the same instruments),
-// buckets add exactly; mismatched bounds re-bin each source bucket at its
-// upper bound, keeping count/sum/min/max exact and bucket placement
-// approximate.
+// merge folds an exported histogram state into h. A histogram's bounds
+// are declared with its name, so h and the snapshot it came from share
+// their buckets, and the buckets add exactly.
 func (h *Histogram) merge(hv HistogramValue) {
 	if h == nil || hv.Count == 0 {
 		return
 	}
-	if sameBounds(h.bounds, hv.Bounds) {
-		for i, c := range hv.Counts {
-			atomic.AddInt64(&h.counts[i], c)
-		}
-	} else {
-		for i, c := range hv.Counts {
-			if c == 0 {
-				continue
-			}
-			v := hv.Max
-			if i < len(hv.Bounds) {
-				v = hv.Bounds[i]
-			}
-			j := sort.Search(len(h.bounds), func(j int) bool { return v <= h.bounds[j] })
-			atomic.AddInt64(&h.counts[j], c)
-		}
+	for i, c := range hv.Counts {
+		atomic.AddInt64(&h.counts[i], c)
 	}
 	atomic.AddInt64(&h.count, hv.Count)
 	atomic.AddInt64(&h.sum, hv.Sum)
 	h.foldMin(hv.Min)
 	h.foldMax(hv.Max)
-}
-
-func sameBounds(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // GaugeValue is a gauge's exported state.

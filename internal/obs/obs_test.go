@@ -13,9 +13,9 @@ func TestNilSafety(t *testing.T) {
 	if m.Enabled() {
 		t.Fatal("nil Metrics reports enabled")
 	}
-	c := m.Counter(Name{"x"})
-	g := m.Gauge(Name{"y"})
-	h := m.Histogram(Name{"z"}, PowersOfTwo(4))
+	c := m.Counter(Name{s: "x"})
+	g := m.Gauge(Name{s: "y"})
+	h := m.Histogram(Name{s: "z", bounds: PowersOfTwo(4)})
 	if c != nil || g != nil || h != nil {
 		t.Fatal("nil Metrics handed out non-nil handles")
 	}
@@ -37,18 +37,18 @@ func TestNilSafety(t *testing.T) {
 
 func TestCounterGaugeHistogram(t *testing.T) {
 	m := New()
-	c := m.Counter(Name{"runs"})
+	c := m.Counter(Name{s: "runs"})
 	c.Inc()
 	c.Add(4)
 	c.Add(-10) // ignored: counters only go up
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	if m.Counter(Name{"runs"}) != c {
+	if m.Counter(Name{s: "runs"}) != c {
 		t.Fatal("re-registering a counter returned a different handle")
 	}
 
-	g := m.Gauge(Name{"depth"})
+	g := m.Gauge(Name{s: "depth"})
 	g.Add(3)
 	g.Add(4)
 	g.Add(-5)
@@ -60,7 +60,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Fatalf("gauge after Set = (%d, max %d), want (1, max 7)", g.Value(), g.Max())
 	}
 
-	h := m.Histogram(Name{"hops"}, []int64{1, 2, 4})
+	h := m.Histogram(Name{s: "hops", bounds: []int64{1, 2, 4}})
 	for _, v := range []int64{1, 1, 2, 3, 4, 9} {
 		h.Observe(v)
 	}
@@ -88,9 +88,9 @@ func TestCounterGaugeHistogram(t *testing.T) {
 
 func TestConcurrentUpdates(t *testing.T) {
 	m := New()
-	c := m.Counter(Name{"c"})
-	g := m.Gauge(Name{"g"})
-	h := m.Histogram(Name{"h"}, PowersOfTwo(8))
+	c := m.Counter(Name{s: "c"})
+	g := m.Gauge(Name{s: "g"})
+	h := m.Histogram(Name{s: "h", bounds: PowersOfTwo(8)})
 	var wg sync.WaitGroup
 	const workers, per = 8, 1000
 	for w := 0; w < workers; w++ {
@@ -139,9 +139,9 @@ func TestSinks(t *testing.T) {
 
 func TestExporters(t *testing.T) {
 	m := New()
-	m.Counter(Name{"a.runs"}).Add(2)
-	m.Gauge(Name{"a.depth"}).Set(3)
-	m.Histogram(Name{"a.lat"}, []int64{10}).Observe(4)
+	m.Counter(Name{s: "a.runs"}).Add(2)
+	m.Gauge(Name{s: "a.depth"}).Set(3)
+	m.Histogram(Name{s: "a.lat", bounds: []int64{10}}).Observe(4)
 	s := m.Snapshot()
 
 	var j strings.Builder
@@ -161,13 +161,13 @@ func TestExporters(t *testing.T) {
 func TestWriteJSONOneLinePerArray(t *testing.T) {
 	render := func(buckets int) (string, *Snapshot) {
 		m := New()
-		m.Counter(Name{"a.runs"}).Add(2)
-		m.Gauge(Name{"a.depth"}).Set(3)
-		h := m.Histogram(Name{"a.lat"}, PowersOfTwo(buckets))
+		m.Counter(Name{s: "a.runs"}).Add(2)
+		m.Gauge(Name{s: "a.depth"}).Set(3)
+		h := m.Histogram(Name{s: "a.lat", bounds: PowersOfTwo(buckets)})
 		for v := int64(0); v < 70; v += 3 {
 			h.Observe(v)
 		}
-		m.Histogram(Name{"a.empty"}, PowersOfTwo(buckets))
+		m.Histogram(Name{s: "a.empty", bounds: PowersOfTwo(buckets)})
 		s := m.Snapshot()
 		var b strings.Builder
 		if err := s.WriteJSON(&b); err != nil {
@@ -193,17 +193,18 @@ func TestWriteJSONOneLinePerArray(t *testing.T) {
 }
 
 func TestMerge(t *testing.T) {
+	lat := Name{s: "lat", bounds: []int64{10, 100}}
 	a := New()
-	a.Counter(Name{"runs"}).Add(3)
-	a.Gauge(Name{"depth"}).Set(5)
-	a.Histogram(Name{"lat"}, []int64{10, 100}).Observe(7)
-	a.Histogram(Name{"lat"}, []int64{10, 100}).Observe(50)
+	a.Counter(Name{s: "runs"}).Add(3)
+	a.Gauge(Name{s: "depth"}).Set(5)
+	a.Histogram(lat).Observe(7)
+	a.Histogram(lat).Observe(50)
 
 	b := New()
-	b.Counter(Name{"runs"}).Add(4)
-	b.Counter(Name{"only_b"}).Inc()
-	b.Gauge(Name{"depth"}).Set(2)
-	b.Histogram(Name{"lat"}, []int64{10, 100}).Observe(300)
+	b.Counter(Name{s: "runs"}).Add(4)
+	b.Counter(Name{s: "only_b"}).Inc()
+	b.Gauge(Name{s: "depth"}).Set(2)
+	b.Histogram(lat).Observe(300)
 
 	m := New()
 	m.Merge(a.Snapshot())
@@ -221,9 +222,20 @@ func TestMerge(t *testing.T) {
 	if h.Count != 3 || h.Sum != 357 || h.Min != 7 || h.Max != 300 {
 		t.Fatalf("histogram totals wrong: %+v", h)
 	}
-	// Buckets (le_10, le_100, +inf) must add exactly on matching bounds.
+	// Buckets (le_10, le_100, +inf) add exactly.
 	if h.Counts[0] != 1 || h.Counts[1] != 1 || h.Counts[2] != 1 {
 		t.Fatalf("histogram buckets wrong: %v", h.Counts)
+	}
+	// Merging a nil snapshot, into a nil registry, or an empty histogram
+	// is a no-op.
+	m.Merge(nil)
+	var nilM *Metrics
+	nilM.Merge(a.Snapshot())
+	empty := New()
+	empty.Histogram(lat)
+	m.Merge(empty.Snapshot())
+	if again := m.Snapshot(); !reflect.DeepEqual(again, s) {
+		t.Fatalf("no-op merges changed state: %+v, want %+v", again, s)
 	}
 }
 
@@ -232,9 +244,9 @@ func TestMerge(t *testing.T) {
 func TestMergeCommutative(t *testing.T) {
 	mk := func(n int64) *Snapshot {
 		m := New()
-		m.Counter(Name{"c"}).Add(n)
-		m.Gauge(Name{"g"}).Set(n)
-		m.Histogram(Name{"h"}, PowersOfTwo(8)).Observe(n)
+		m.Counter(Name{s: "c"}).Add(n)
+		m.Gauge(Name{s: "g"}).Set(n)
+		m.Histogram(Name{s: "h", bounds: PowersOfTwo(8)}).Observe(n)
 		return m.Snapshot()
 	}
 	snaps := []*Snapshot{mk(1), mk(16), mk(200)}
@@ -255,35 +267,40 @@ func TestMergeCommutative(t *testing.T) {
 	}
 }
 
-// TestMergeMismatchedBounds checks the re-binning path keeps the totals
-// exact even when bucket layouts differ.
+// TestMergeMismatchedBounds checks that bucket layouts cannot differ
+// across registries: a histogram's bounds come with its name, so a
+// registry that registered the histogram before merging, and one whose
+// Merge registers it, both hold the source's buckets and add them exactly.
 func TestMergeMismatchedBounds(t *testing.T) {
+	lat := Name{s: "lat", bounds: []int64{5, 50}}
 	src := New()
-	h := src.Histogram(Name{"lat"}, []int64{5, 50})
+	h := src.Histogram(lat)
 	h.Observe(3)   // le_5
 	h.Observe(40)  // le_50
 	h.Observe(999) // +inf
+	want := src.Snapshot().Histograms["lat"]
 
-	dst := New()
-	dst.Histogram(Name{"lat"}, []int64{10}) // registered first with other bounds
-	dst.Merge(src.Snapshot())
-	got := dst.Snapshot().Histograms["lat"]
-	if got.Count != 3 || got.Sum != 1042 || got.Min != 3 || got.Max != 999 {
-		t.Fatalf("re-binned totals wrong: %+v", got)
+	first := New()
+	pre := first.Histogram(lat) // registered before the merge
+	first.Merge(src.Snapshot())
+	fresh := New()
+	fresh.Merge(src.Snapshot()) // registered by the merge
+	for _, dst := range []*Metrics{first, fresh} {
+		got := dst.Snapshot().Histograms["lat"]
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("merged histogram = %+v, want %+v", got, want)
+		}
+		if got.Counts[0] != 1 || got.Counts[1] != 1 || got.Counts[2] != 1 {
+			t.Fatalf("merged buckets wrong: %v", got.Counts)
+		}
 	}
-	// Buckets are approximate: each source bucket lands at its upper bound
-	// (5 → le_10; 50, +inf(max 999) → overflow).
-	if got.Counts[0] != 1 || got.Counts[1] != 2 {
-		t.Fatalf("re-binned buckets wrong: %v", got.Counts)
+	if first.Histogram(lat) != pre {
+		t.Fatal("merge replaced the histogram registered before it")
 	}
-	// Merging nil snapshots and empty histograms is a no-op.
-	dst.Merge(nil)
-	var nilM *Metrics
-	nilM.Merge(src.Snapshot())
-	empty := New()
-	empty.Histogram(Name{"lat"}, []int64{10})
-	dst.Merge(empty.Snapshot())
-	if again := dst.Snapshot().Histograms["lat"]; again.Count != 3 {
-		t.Fatalf("no-op merges changed state: %+v", again)
+	// Later registrations by name find the merged histogram and its bounds.
+	fresh.Histogram(lat).Observe(7)
+	got := fresh.Snapshot().Histograms["lat"]
+	if got.Count != 4 || got.Counts[1] != 2 || !reflect.DeepEqual(got.Bounds, lat.bounds) {
+		t.Fatalf("histogram after merge and observe = %+v", got)
 	}
 }

@@ -36,7 +36,7 @@ func testSweep(points, cells, trials, workers int, seed int64) (Sweep, *stats.Ta
 					// seeds, one records the cell.
 					m.Counter(obs.NameSchedArrivals).Inc()
 					m.Gauge(obs.NameSchedLiveTxns).Set(seed)
-					m.Histogram(obs.NameGreedyColor, nil).Observe(int64(p + c))
+					m.Histogram(obs.NameGreedyColor).Observe(int64(p + c))
 					return Outcome{
 						Makespan: float64(rng.Intn(1000)),
 						MaxLat:   rng.Float64() * 10,

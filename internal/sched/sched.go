@@ -136,8 +136,8 @@ func newDriverMetrics(m *obs.Metrics) driverMetrics {
 		arrivals: m.Counter(obs.NameSchedArrivals),
 		wakeups:  m.Counter(obs.NameSchedWakeups),
 		snaps:    m.Counter(obs.NameSchedSnapshots),
-		snapLive: m.Histogram(obs.NameSchedSnapshotLive, obs.PowersOfTwo(14)),
-		snapNs:   m.Histogram(obs.NameSchedSnapshotNs, obs.PowersOfTwo(36)),
+		snapLive: m.Histogram(obs.NameSchedSnapshotLive),
+		snapNs:   m.Histogram(obs.NameSchedSnapshotNs),
 		live:     m.Gauge(obs.NameSchedLiveTxns),
 	}
 }

@@ -22,10 +22,11 @@
 // the expected number of doublings being logarithmic in the contention
 // degree).
 //
-// Contention is resolved against the same persistent conflict index
-// (internal/depgraph) as the greedy engine, and like greedy the window
-// plans at the run's object speed: conflict weights and the first window
-// are multiplied by the Sim's slow factor.
+// Each candidate is colored by the greedy engine's own coloring step
+// (greedy.Colorer, in general mode) over the window's persistent conflict
+// index (internal/depgraph), so like greedy the window plans at the run's
+// object speed; the first window is multiplied by the Sim's slow factor
+// too.
 package window
 
 import (
@@ -37,6 +38,7 @@ import (
 	"dtm/internal/core"
 	"dtm/internal/depgraph"
 	"dtm/internal/graph"
+	"dtm/internal/greedy"
 	"dtm/internal/obs"
 	"dtm/internal/sched"
 )
@@ -79,15 +81,12 @@ type Window struct {
 	env  *sched.Env
 	rng  *rand.Rand
 	w0   graph.Weight
-	slow graph.Weight // the Sim's slow factor: a conflict weighs Dist × slow
 
-	// The conflict index and the buffers of the coloring rounds, reused
-	// across calls.
+	// The conflict index, the coloring step over it and the buffers of
+	// the rounds, reused across calls.
 	idx   *depgraph.Index
+	col   *greedy.Colorer
 	txns  []*core.Transaction // the batch in ID order; cleared after each call
-	forb  []coloring.Interval
-	sweep coloring.Sweep
-	nbrs  []depgraph.Neighbor
 	cands []cand
 	order []int
 
@@ -117,10 +116,11 @@ func (w *Window) Start(env *sched.Env) error {
 	w.env = env
 	w.metPlaced = env.Obs.Counter(obs.NameWindowPlaced)
 	w.metRetries = env.Obs.Counter(obs.NameWindowRetries)
-	w.metColor = env.Obs.Histogram(obs.NameWindowColor, obs.PowersOfTwo(16))
-	w.metWin = env.Obs.Histogram(obs.NameWindowWin, obs.PowersOfTwo(16))
+	w.metColor = env.Obs.Histogram(obs.NameWindowColor)
+	w.metWin = env.Obs.Histogram(obs.NameWindowWin)
 	w.idx = depgraph.NewIndex(env.Sim)
 	w.idx.RegisterMetrics(env.Obs)
+	w.col = greedy.NewColorer(env, w.idx)
 	seed := w.opts.Seed
 	if seed == 0 {
 		seed = DefaultSeed
@@ -130,8 +130,7 @@ func (w *Window) Start(env *sched.Env) error {
 	// The first acceptance window W is the time an object needs to cross
 	// the graph (the diameter, at least 1, at the run's speed), the natural
 	// frame length under which a decision can cross the graph.
-	w.slow = graph.Weight(env.Sim.SlowFactor())
-	w.w0 = max(env.G.Diameter(), 1) * w.slow
+	w.w0 = max(env.G.Diameter(), 1) * graph.Weight(env.Sim.SlowFactor())
 	return nil
 }
 
@@ -213,31 +212,12 @@ func (w *Window) schedule(txns []*core.Transaction) error {
 	return err
 }
 
-// round colors one round in priority order, gathering each candidate's
-// forbidden intervals right before its accept-or-double decision.
+// round colors one round in priority order, each candidate against the
+// decisions made before it, right before its accept-or-double decision.
 func (w *Window) round(cands []cand, order []int, now core.Time) error {
 	for _, ci := range order {
 		c := &cands[ci]
-		forb := w.forb[:0]
-		for _, o := range c.tx.Objects {
-			// Current-transaction (Z) edge: a pure floor at pre-color 0.
-			if zw := w.zWeight(o, c.tx.Node, now); zw > 0 {
-				forb = append(forb, coloring.Forbid(0, zw))
-			}
-		}
-		nbrs := w.idx.AppendNeighbors(c.slot, w.nbrs[:0])
-		for _, nb := range nbrs {
-			cw := w.env.G.Dist(c.tx.Node, nb.Node) * w.slow
-			if cw == 0 {
-				continue
-			}
-			if nb.Exec != depgraph.Undecided {
-				forb = append(forb, coloring.Forbid(coloring.Color(nb.Exec-now), cw))
-			}
-		}
-		w.nbrs = nbrs[:0]
-		col := w.sweep.SmallestValid(forb)
-		w.forb = forb[:0]
+		col, _ := w.col.Color(c.tx, c.slot, now)
 		if err := w.resolve(c, col, now); err != nil {
 			return err
 		}
@@ -266,17 +246,6 @@ func (w *Window) resolve(c *cand, col coloring.Color, now core.Time) error {
 	}
 	w.metRetries.Inc()
 	return nil
-}
-
-// zWeight is the H'_t edge weight between a transaction at node and the
-// object's current transaction Z_t(o): the object's feasible travel time,
-// plus its remaining creation delay if it does not exist yet.
-func (w *Window) zWeight(o core.ObjID, node graph.NodeID, now core.Time) graph.Weight {
-	wt := w.env.Sim.ObjDistTo(o, node)
-	if created := w.env.Sim.Instance().Objects[o].Created; created > now {
-		wt += graph.Weight(created - now)
-	}
-	return wt
 }
 
 // LiveStats reports the conflict-index bookkeeping sizes — live vertices

@@ -40,7 +40,8 @@ type Source interface {
 }
 
 // StreamConfig parameterizes the generative sources. The object-pick knobs
-// (Pop, ZipfS, HotFrac, HotSetSize) mirror Config and share its defaults.
+// (K, NumObjects, Pop, ZipfS, HotFrac, HotSetSize) mirror Config and share
+// its checks and defaults (pickDefaults).
 type StreamConfig struct {
 	K          int     // objects requested per transaction (exactly K when possible)
 	NumObjects int     // number of shared objects (w in the paper)
@@ -54,22 +55,10 @@ type StreamConfig struct {
 }
 
 func (c *StreamConfig) defaults() error {
-	if c.K < 1 {
-		return fmt.Errorf("workload: K must be >= 1, got %d", c.K)
-	}
-	if c.NumObjects < 1 {
-		return fmt.Errorf("workload: NumObjects must be >= 1, got %d", c.NumObjects)
-	}
-	if c.K > c.NumObjects {
-		return fmt.Errorf("workload: K=%d exceeds NumObjects=%d", c.K, c.NumObjects)
+	if err := pickDefaults(c.K, c.NumObjects, &c.ZipfS, &c.HotFrac, &c.HotSetSize); err != nil {
+		return err
 	}
 	if err := finite("Rate", c.Rate); err != nil {
-		return err
-	}
-	if err := finite("ZipfS", c.ZipfS); err != nil {
-		return err
-	}
-	if err := finite("HotFrac", c.HotFrac); err != nil {
 		return err
 	}
 	if c.Rate < 0 {
@@ -81,37 +70,19 @@ func (c *StreamConfig) defaults() error {
 	if c.Burst <= 0 {
 		c.Burst = 8
 	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.1
-	}
-	if c.HotFrac <= 0 || c.HotFrac > 1 {
-		c.HotFrac = 0.8
-	}
-	if c.HotSetSize <= 0 {
-		c.HotSetSize = c.NumObjects / 16
-		if c.HotSetSize < 1 {
-			c.HotSetSize = 1
-		}
-	}
 	return nil
-}
-
-// pickerConfig adapts the stream knobs onto the finite generator's picker.
-func (c *StreamConfig) pickerConfig() Config {
-	return Config{
-		NumObjects: c.NumObjects,
-		Pop:        c.Pop,
-		ZipfS:      c.ZipfS,
-		HotFrac:    c.HotFrac,
-		HotSetSize: c.HotSetSize,
-	}
 }
 
 // UniformObjects places num objects at seeded uniform-random origins of g,
 // all created at time 0 — the object set to hand RunStream alongside a
 // generative source (Generate does the same placement internally).
 func UniformObjects(g *graph.Graph, num int, seed int64) []*core.Object {
-	rng := rand.New(rand.NewSource(seed))
+	return placeObjects(g, num, rand.New(rand.NewSource(seed)))
+}
+
+// placeObjects places num objects at uniform-random origins of g drawn
+// from rng, all created at time 0.
+func placeObjects(g *graph.Graph, num int, rng *rand.Rand) []*core.Object {
 	objs := make([]*core.Object, num)
 	for i := range objs {
 		objs[i] = &core.Object{
@@ -144,7 +115,7 @@ func NewPoissonSource(g *graph.Graph, cfg StreamConfig) (Source, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	return &poissonSource{
 		rng:   rng,
-		pick:  newPicker(cfg.pickerConfig(), rng),
+		pick:  newPicker(rng, cfg.Pop, cfg.NumObjects, cfg.ZipfS, cfg.HotFrac, cfg.HotSetSize),
 		k:     cfg.K,
 		nodes: g.N(),
 		rate:  cfg.Rate,
@@ -190,7 +161,7 @@ func NewBurstySource(g *graph.Graph, cfg StreamConfig) (Source, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	return &burstySource{
 		rng:    rng,
-		pick:   newPicker(cfg.pickerConfig(), rng),
+		pick:   newPicker(rng, cfg.Pop, cfg.NumObjects, cfg.ZipfS, cfg.HotFrac, cfg.HotSetSize),
 		k:      cfg.K,
 		nodes:  g.N(),
 		burst:  cfg.Burst,

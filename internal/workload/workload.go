@@ -94,14 +94,8 @@ type Config struct {
 }
 
 func (c *Config) defaults() error {
-	if c.K < 1 {
-		return fmt.Errorf("workload: K must be >= 1, got %d", c.K)
-	}
-	if c.NumObjects < 1 {
-		return fmt.Errorf("workload: NumObjects must be >= 1, got %d", c.NumObjects)
-	}
-	if c.K > c.NumObjects {
-		return fmt.Errorf("workload: K=%d exceeds NumObjects=%d", c.K, c.NumObjects)
+	if err := pickDefaults(c.K, c.NumObjects, &c.ZipfS, &c.HotFrac, &c.HotSetSize); err != nil {
+		return err
 	}
 	if c.Rounds < 1 {
 		return fmt.Errorf("workload: Rounds must be >= 1, got %d", c.Rounds)
@@ -109,23 +103,41 @@ func (c *Config) defaults() error {
 	if c.Period <= 0 {
 		c.Period = 1
 	}
-	if err := finite("ZipfS", c.ZipfS); err != nil {
+	return nil
+}
+
+// pickDefaults checks, and defaults in place, the object-pick settings
+// both configs share: k objects per transaction out of numObjects, drawn
+// with the popularity knobs zipfS, hotFrac and hotSetSize. It refuses a
+// setting the picker cannot draw from, whatever the popularity, and
+// leaves a finite out-of-range knob at its default.
+func pickDefaults(k, numObjects int, zipfS, hotFrac *float64, hotSetSize *int) error {
+	if k < 1 {
+		return fmt.Errorf("workload: K must be >= 1, got %d", k)
+	}
+	if numObjects < 1 {
+		return fmt.Errorf("workload: NumObjects must be >= 1, got %d", numObjects)
+	}
+	if k > numObjects {
+		return fmt.Errorf("workload: K=%d exceeds NumObjects=%d", k, numObjects)
+	}
+	if err := finite("ZipfS", *zipfS); err != nil {
 		return err
 	}
-	if err := finite("HotFrac", c.HotFrac); err != nil {
+	if err := finite("HotFrac", *hotFrac); err != nil {
 		return err
 	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.1
+	if *hotSetSize > numObjects {
+		return fmt.Errorf("workload: HotSetSize=%d exceeds NumObjects=%d", *hotSetSize, numObjects)
 	}
-	if c.HotFrac <= 0 || c.HotFrac > 1 {
-		c.HotFrac = 0.8
+	if *zipfS <= 1 {
+		*zipfS = 1.1
 	}
-	if c.HotSetSize <= 0 {
-		c.HotSetSize = c.NumObjects / 16
-		if c.HotSetSize < 1 {
-			c.HotSetSize = 1
-		}
+	if *hotFrac <= 0 || *hotFrac > 1 {
+		*hotFrac = 0.8
+	}
+	if *hotSetSize <= 0 {
+		*hotSetSize = max(1, numObjects/16)
 	}
 	return nil
 }
@@ -149,14 +161,8 @@ func Generate(g *graph.Graph, cfg Config) (*core.Instance, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	in := &core.Instance{G: g}
-	for i := 0; i < cfg.NumObjects; i++ {
-		in.Objects = append(in.Objects, &core.Object{
-			ID:     core.ObjID(i),
-			Origin: graph.NodeID(rng.Intn(g.N())),
-		})
-	}
-	pick := newPicker(cfg, rng)
+	in := &core.Instance{G: g, Objects: placeObjects(g, cfg.NumObjects, rng)}
+	pick := newPicker(rng, cfg.Pop, cfg.NumObjects, cfg.ZipfS, cfg.HotFrac, cfg.HotSetSize)
 	nodes := rng.Perm(g.N())
 	arrivals := make([][]core.Time, len(nodes))
 	for i := range nodes {
@@ -207,23 +213,24 @@ func arrivalSeries(cfg Config, rng *rand.Rand) []core.Time {
 	return out
 }
 
-// newPicker returns a closure drawing k distinct objects from the
-// configured popularity distribution.
-func newPicker(cfg Config, rng *rand.Rand) func(k int) []core.ObjID {
+// newPicker returns a closure drawing k distinct objects out of
+// numObjects from the popularity distribution pop, with settings that
+// pickDefaults has checked.
+func newPicker(rng *rand.Rand, pop Popularity, numObjects int, zipfS, hotFrac float64, hotSetSize int) func(k int) []core.ObjID {
 	var draw func() core.ObjID
-	switch cfg.Pop {
+	switch pop {
 	case PopZipf:
-		z := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.NumObjects-1))
+		z := rand.NewZipf(rng, zipfS, 1, uint64(numObjects-1))
 		draw = func() core.ObjID { return core.ObjID(z.Uint64()) }
 	case PopHotspot:
 		draw = func() core.ObjID {
-			if rng.Float64() < cfg.HotFrac {
-				return core.ObjID(rng.Intn(cfg.HotSetSize))
+			if rng.Float64() < hotFrac {
+				return core.ObjID(rng.Intn(hotSetSize))
 			}
-			return core.ObjID(rng.Intn(cfg.NumObjects))
+			return core.ObjID(rng.Intn(numObjects))
 		}
 	default:
-		draw = func() core.ObjID { return core.ObjID(rng.Intn(cfg.NumObjects)) }
+		draw = func() core.ObjID { return core.ObjID(rng.Intn(numObjects)) }
 	}
 	return func(k int) []core.ObjID {
 		seen := make(map[core.ObjID]bool, k)

@@ -116,6 +116,34 @@ func TestNonFiniteSettingsRefused(t *testing.T) {
 	}
 }
 
+// TestHotSetSizeAboveNumObjectsRefused wants Generate and both stream
+// sources to refuse a HotSetSize above NumObjects with an error naming
+// it, under the hotspot popularity, whose picker would draw objects that
+// do not exist, and under any other, as the non-finite checks do.
+func TestHotSetSizeAboveNumObjectsRefused(t *testing.T) {
+	g := cliqueGraph(t, 4)
+	for _, pop := range []Popularity{PopHotspot, PopUniform} {
+		stream := StreamConfig{K: 2, NumObjects: 4, HotSetSize: 100, Pop: pop}
+		cases := []struct {
+			name string
+			run  func() error
+		}{
+			{"Generate", func() error {
+				_, err := Generate(g, Config{K: 2, NumObjects: 4, Rounds: 2, HotSetSize: 100, Pop: pop})
+				return err
+			}},
+			{"NewPoissonSource", func() error { _, err := NewPoissonSource(g, stream); return err }},
+			{"NewBurstySource", func() error { _, err := NewBurstySource(g, stream); return err }},
+		}
+		for _, c := range cases {
+			if err := c.run(); err == nil || !strings.Contains(err.Error(), "HotSetSize") {
+				t.Errorf("%s with %v popularity, NumObjects=4, HotSetSize=100: error %v, want one naming HotSetSize",
+					c.name, pop, err)
+			}
+		}
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	g := cliqueGraph(t, 6)
 	cfg := Config{K: 2, NumObjects: 8, Rounds: 3, Arrival: ArrivalPoisson, Period: 5, Seed: 42}
