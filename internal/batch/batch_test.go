@@ -6,6 +6,7 @@ import (
 
 	"dtm/internal/core"
 	"dtm/internal/graph"
+	"dtm/internal/obs"
 	"dtm/internal/workload"
 )
 
@@ -114,7 +115,7 @@ func TestSchedulersRefuseDisconnectedGraph(t *testing.T) {
 		if a, err := s.Schedule(p); err == nil || err.Error() != want {
 			t.Errorf("%s: Schedule = %v, %v; want error %q", s.Name(), a, err, want)
 		}
-		sess := NewSession(s, &Problem{G: g, Avail: avail}, SessionOptions{})
+		sess := NewSession(s, &Problem{G: g, Avail: avail}, obs.New())
 		for _, tx := range txns {
 			sess.Push(tx)
 		}

@@ -23,6 +23,7 @@ import (
 
 	"dtm/internal/core"
 	"dtm/internal/graph"
+	"dtm/internal/obs"
 )
 
 func FuzzBatchIncremental(f *testing.F) {
@@ -84,7 +85,7 @@ func FuzzBatchIncremental(f *testing.F) {
 		sessions := make([]Session, len(scheds))
 		for i, s := range scheds {
 			probs[i] = &Problem{G: g, Avail: avail}
-			sessions[i] = NewSession(s, probs[i], SessionOptions{})
+			sessions[i] = NewSession(s, probs[i], obs.New())
 		}
 		var pushed []*core.Transaction
 		var nextID core.TxID

@@ -33,6 +33,7 @@ import (
 	"dtm/internal/coloring"
 	"dtm/internal/core"
 	"dtm/internal/graph"
+	"dtm/internal/obs"
 )
 
 // tour is a component's canonical MST and, once computed, its preorder
@@ -171,8 +172,8 @@ type stateRestore struct {
 // no current state (its first evaluation, or the first after an entry is
 // overwritten) builds its tree afresh. Object IDs index a dense
 // table, so they must be non-negative, as core.Instance.Validate ensures.
-func (t Tour) NewSession(p *Problem, opts SessionOptions) Session {
-	met := newSessionMetrics(opts.Obs)
+func (t Tour) NewSession(p *Problem, m *obs.Metrics) Session {
+	met := newSessionMetrics(m)
 	met.sessions.Inc()
 	return &tourSession{
 		p:        p,
@@ -533,8 +534,8 @@ func (s *tourSession) component(r int32, comp []*core.Transaction, out Assignmen
 // the trailing entries its Push appended. Colors are re-swept per
 // evaluation with the shared coloring.Sweep search, over floors read from
 // the live problem.
-func (c Coloring) NewSession(p *Problem, opts SessionOptions) Session {
-	met := newSessionMetrics(opts.Obs)
+func (c Coloring) NewSession(p *Problem, m *obs.Metrics) Session {
+	met := newSessionMetrics(m)
 	met.sessions.Inc()
 	return &coloringSession{p: p, graphErr: p.checkGraph(), met: met, objMembers: make(map[core.ObjID][]int32)}
 }

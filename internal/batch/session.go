@@ -59,17 +59,11 @@ type Session interface {
 // generically (each Cost/Assign re-runs the one-shot Schedule).
 type SessionScheduler interface {
 	Scheduler
-	NewSession(p *Problem, opts SessionOptions) Session
+	NewSession(p *Problem, m *obs.Metrics) Session
 }
 
-// SessionOptions configure a session.
-type SessionOptions struct {
-	// Obs registers the batch.* reuse/rebuild instruments (nil disables).
-	Obs *obs.Metrics
-}
-
-// sessionMetrics holds the session instrument handles; all nil (and free)
-// when observability is disabled.
+// sessionMetrics holds the session instrument handles, resolved from the
+// run's registry.
 type sessionMetrics struct {
 	sessions *obs.Counter // batch.sessions: sessions begun
 	pushes   *obs.Counter // batch.session_pushes: Push calls
@@ -78,9 +72,6 @@ type sessionMetrics struct {
 }
 
 func newSessionMetrics(m *obs.Metrics) sessionMetrics {
-	if m == nil {
-		return sessionMetrics{}
-	}
 	return sessionMetrics{
 		sessions: m.Counter(obs.NameBatchSessions),
 		pushes:   m.Counter(obs.NameBatchSessionPushes),
@@ -90,16 +81,17 @@ func newSessionMetrics(m *obs.Metrics) sessionMetrics {
 }
 
 // NewSession begins an incremental session of s over the live problem p
-// (p.Txns is ignored; the session's pushed set takes its place). Schedulers
-// implementing SessionScheduler get their native incremental engine; any
-// other scheduler — List, Randomized, the WithSuffixProperty combinator —
-// is wrapped by a generic adapter that re-runs the one-shot Schedule per
+// (p.Txns is ignored; the session's pushed set takes its place), counting
+// into the batch.* instruments of m. Schedulers implementing
+// SessionScheduler get their native incremental engine; any other
+// scheduler — List, Randomized, the WithSuffixProperty combinator — is
+// wrapped by a generic adapter that re-runs the one-shot Schedule per
 // evaluation, preserving exact behavior.
-func NewSession(s Scheduler, p *Problem, opts SessionOptions) Session {
+func NewSession(s Scheduler, p *Problem, m *obs.Metrics) Session {
 	if ss, ok := s.(SessionScheduler); ok {
-		return ss.NewSession(p, opts)
+		return ss.NewSession(p, m)
 	}
-	met := newSessionMetrics(opts.Obs)
+	met := newSessionMetrics(m)
 	met.sessions.Inc()
 	return &oneShotSession{inner: s, p: p, met: met}
 }

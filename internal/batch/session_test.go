@@ -98,7 +98,7 @@ func TestSessionMatchesOneShot(t *testing.T) {
 		for _, s := range sessionSchedulers() {
 			t.Run(fmt.Sprintf("%s/%s", topName, s.Name()), func(t *testing.T) {
 				p := &Problem{G: g, Now: 0, Avail: avail}
-				sess := NewSession(s, p, SessionOptions{})
+				sess := NewSession(s, p, obs.New())
 				rng := rand.New(rand.NewSource(99))
 				var pushed []*core.Transaction
 				next := 0
@@ -143,7 +143,7 @@ func TestSessionPopRestoresCost(t *testing.T) {
 	txns, avail := randomBatch(t, g, 2, 4, 12, 5)
 	for _, s := range sessionSchedulers() {
 		p := &Problem{G: g, Now: 0, Avail: avail}
-		sess := NewSession(s, p, SessionOptions{})
+		sess := NewSession(s, p, obs.New())
 		for _, tx := range txns[:6] {
 			sess.Push(tx)
 		}
@@ -180,7 +180,7 @@ func TestSessionAvailMissingError(t *testing.T) {
 	tx := &core.Transaction{ID: 3, Node: 1, Objects: []core.ObjID{7}}
 	for _, s := range sessionSchedulers() {
 		p := &Problem{G: g, Avail: map[core.ObjID]Avail{}}
-		sess := NewSession(s, p, SessionOptions{})
+		sess := NewSession(s, p, obs.New())
 		sess.Push(tx)
 		_, gotErr := sess.Cost()
 		ref := *p
@@ -217,7 +217,7 @@ func TestSessionsReleaseTransactionPointers(t *testing.T) {
 	}
 
 	for _, s := range sessionSchedulers() {
-		sess := NewSession(s, p, SessionOptions{})
+		sess := NewSession(s, p, obs.New())
 		for _, tx := range txns {
 			sess.Push(tx)
 		}
@@ -271,7 +271,7 @@ func TestSessionMetrics(t *testing.T) {
 	p := &Problem{G: g, Avail: avail}
 
 	m := obs.New()
-	sess := NewSession(Tour{}, p, SessionOptions{Obs: m})
+	sess := NewSession(Tour{}, p, m)
 	for _, tx := range txns {
 		sess.Push(tx)
 	}
@@ -295,7 +295,7 @@ func TestSessionMetrics(t *testing.T) {
 	}
 
 	m2 := obs.New()
-	adapter := NewSession(List{}, p, SessionOptions{Obs: m2})
+	adapter := NewSession(List{}, p, m2)
 	adapter.Push(txns[0])
 	if _, err := adapter.Cost(); err != nil {
 		t.Fatal(err)

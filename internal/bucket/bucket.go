@@ -70,7 +70,7 @@ type Bucket struct {
 	resolve  batch.AvailFunc // bound method value, allocated once
 
 	// Instrument handles, the run's only count of the Lemma 3/4
-	// bookkeeping; nil (free) when observability is disabled.
+	// bookkeeping.
 	metInserted    *obs.Counter   // bucket.insertions
 	metOverflow    *obs.Counter   // bucket.overflows: fit no level, forced into the top one
 	metActivations *obs.Counter   // bucket.activations
@@ -116,7 +116,7 @@ func (b *Bucket) Start(env *sched.Env) error {
 		b.prob = batch.Problem{G: env.G, Avail: b.avail, Slow: b.slow}
 		b.sessions = make([]batch.Session, max+1)
 		for i := range b.sessions {
-			b.sessions[i] = batch.NewSession(b.opts.Batch, &b.prob, batch.SessionOptions{Obs: env.Obs})
+			b.sessions[i] = batch.NewSession(b.opts.Batch, &b.prob, env.Obs)
 		}
 	}
 	return nil
@@ -285,8 +285,20 @@ func (b *Bucket) insert(level int, tx *core.Transaction, now core.Time) {
 	b.metLevel.Observe(int64(level))
 }
 
+// NextActivation returns the first activation of a level-i bucket at or
+// after now: B_i activates at the multiples of 2^i (Algorithm 2). It is
+// the one activation rule of both the central and the distributed bucket
+// engines.
+func NextActivation(now core.Time, i int) core.Time {
+	period := core.Time(1) << uint(i)
+	return (now + period - 1) / period * period
+}
+
+// Due reports whether a level-i bucket activates at now.
+func Due(now core.Time, i int) bool { return NextActivation(now, i) == now }
+
 // NextWake implements sched.Scheduler: the earliest activation time of any
-// non-empty bucket (B_i activates at multiples of 2^i).
+// non-empty bucket.
 func (b *Bucket) NextWake() (core.Time, bool) {
 	now := b.env.Sim.Now()
 	best := core.Time(-1)
@@ -294,8 +306,7 @@ func (b *Bucket) NextWake() (core.Time, bool) {
 		if len(b.levels[i]) == 0 {
 			continue
 		}
-		period := core.Time(1) << uint(i)
-		next := (now + period - 1) / period * period
+		next := NextActivation(now, i)
 		if best < 0 || next < best {
 			best = next
 		}
@@ -311,8 +322,7 @@ func (b *Bucket) NextWake() (core.Time, bool) {
 func (b *Bucket) OnWake() error {
 	now := b.env.Sim.Now()
 	for i := range b.levels {
-		period := core.Time(1) << uint(i)
-		if now%period != 0 || len(b.levels[i]) == 0 {
+		if len(b.levels[i]) == 0 || !Due(now, i) {
 			continue
 		}
 		if err := b.activate(i, now); err != nil {

@@ -120,6 +120,25 @@ func TestBucketActivationPeriods(t *testing.T) {
 	}
 }
 
+// TestActivationRule checks the one activation rule both bucket engines
+// share: level i is due exactly at the multiples of 2^i, and its next
+// activation from now is the first of them at or after now.
+func TestActivationRule(t *testing.T) {
+	for i := 0; i < 6; i++ {
+		for now := core.Time(0); now < 100; now++ {
+			if got, want := Due(now, i), now%(1<<i) == 0; got != want {
+				t.Errorf("Due(%d, %d) = %v, want %v", now, i, got, want)
+			}
+			next := NextActivation(now, i)
+			for at := now; at <= next; at++ {
+				if Due(at, i) != (at == next) {
+					t.Fatalf("NextActivation(%d, %d) = %d, but level %d is due at %d", now, i, next, i, at)
+				}
+			}
+		}
+	}
+}
+
 func TestBucketLemma4Adherence(t *testing.T) {
 	g, _ := graph.Line(24)
 	in, err := workload.Generate(g, workload.Config{

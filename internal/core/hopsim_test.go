@@ -90,11 +90,7 @@ func (s *hopSim) markDirty(o ObjID) {
 	}
 }
 
-func (s *hopSim) emit(e obs.Event) {
-	if s.obs != nil {
-		s.obs.Emit(e)
-	}
-}
+func (s *hopSim) emit(e obs.Event) { s.obs.Emit(e) }
 
 func (s *hopSim) Decide(tx TxID, exec Time) error {
 	if s.failed != nil {

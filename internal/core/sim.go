@@ -39,9 +39,7 @@ type SimOptions struct {
 	Parallel int
 }
 
-// simMetrics holds the engine's pre-resolved instrument handles. All are
-// nil when observability is disabled; every method on a nil handle is a
-// no-op.
+// simMetrics holds the engine's pre-resolved instrument handles.
 type simMetrics struct {
 	decisions  *obs.Counter   // core.decisions: Decide calls accepted
 	commits    *obs.Counter   // core.commits: transactions executed
@@ -57,9 +55,6 @@ type simMetrics struct {
 }
 
 func newSimMetrics(m *obs.Metrics) simMetrics {
-	if m == nil {
-		return simMetrics{}
-	}
 	return simMetrics{
 		decisions:  m.Counter(obs.NameCoreDecisions),
 		commits:    m.Counter(obs.NameCoreCommits),
@@ -274,11 +269,10 @@ type Sim struct {
 	due map[TxID]bool
 }
 
-// NewSim validates the instance and prepares a simulation at time 0. m,
-// when non-nil, collects engine metrics (decisions, legs and their
-// weights, commits, live-set size) and streams fine-grained events to
-// its sink; nil disables instrumentation at the cost of one nil-check per
-// event site.
+// NewSim validates the instance and prepares a simulation at time 0. m
+// collects engine metrics (decisions, legs and their weights, commits,
+// live-set size) and streams fine-grained events to its sink; a nil m
+// makes the Sim a private registry.
 func NewSim(in *Instance, opts SimOptions, m *obs.Metrics) (*Sim, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -291,6 +285,9 @@ func NewSim(in *Instance, opts SimOptions, m *obs.Metrics) (*Sim, error) {
 	}
 	if err := checkSlow(in.G, opts.slow()); err != nil {
 		return nil, err
+	}
+	if m == nil {
+		m = obs.New()
 	}
 	s := &Sim{
 		in:        in,
@@ -472,9 +469,7 @@ func (s *Sim) Decide(tx TxID, exec Time) error {
 	s.decidedAt[i] = s.now
 	s.met.decisions.Inc()
 	s.met.live.Add(1)
-	if s.obs != nil {
-		s.obs.Emit(obs.Event{At: int64(s.now), Kind: "decide", Tx: int(tx), Node: int(t.Node), Value: int64(exec)})
-	}
+	s.obs.Emit(obs.Event{At: int64(s.now), Kind: "decide", Tx: int(tx), Node: int(t.Node), Value: int64(exec)})
 	s.push(exec, prioExec, int(tx))
 	for _, o := range t.Objects {
 		s.insertPending(o, tx)
@@ -638,10 +633,8 @@ func (s *Sim) commitTx(tx TxID) {
 	s.met.commits.Inc()
 	s.met.live.Add(-1)
 	s.met.latency.Observe(int64(lat))
-	if s.obs != nil {
-		s.obs.Emit(obs.Event{At: int64(s.now), Kind: "commit", Tx: int(tx),
-			Node: int(t.Node), Value: int64(lat)})
-	}
+	s.obs.Emit(obs.Event{At: int64(s.now), Kind: "commit", Tx: int(tx),
+		Node: int(t.Node), Value: int64(lat)})
 }
 
 // attemptDue retries elastic transactions whose decided time has
@@ -753,9 +746,7 @@ func (s *Sim) dispatch(o ObjID) {
 	os.nextAt = s.now + Time(w*slow)
 	os.nextW = w
 	s.met.moves.Inc()
-	if s.obs != nil {
-		s.obs.Emit(obs.Event{At: int64(s.now), Kind: "move", Obj: int(o), Node: int(end), Value: int64(legW)})
-	}
+	s.obs.Emit(obs.Event{At: int64(s.now), Kind: "move", Obj: int(o), Node: int(end), Value: int64(legW)})
 	s.push(os.arrive, prioArrive, int(o))
 }
 
@@ -769,9 +760,7 @@ func (s *Sim) cut(o ObjID, os *objState) {
 		return
 	}
 	os.end, os.arrive, os.legW = os.next, os.nextAt, os.nextW
-	if s.obs != nil {
-		s.obs.Emit(obs.Event{At: int64(s.now), Kind: "cut", Obj: int(o), Node: int(os.end), Value: int64(os.arrive)})
-	}
+	s.obs.Emit(obs.Event{At: int64(s.now), Kind: "cut", Obj: int(o), Node: int(os.end), Value: int64(os.arrive)})
 	s.push(os.arrive, prioArrive, int(o))
 }
 
@@ -1073,8 +1062,9 @@ func applyDecisions(s *Sim, decisions []Decision) error {
 }
 
 // Replay validates a full decision list against the model and returns the
-// run's Result. Decisions must be sorted by At (ties allowed). m, when
-// non-nil, collects the replay's metrics and events as in NewSim.
+// run's Result. Decisions must be sorted by At (ties allowed). m collects
+// the replay's metrics and events as in NewSim, a private registry when
+// nil.
 func Replay(in *Instance, decisions []Decision, opts SimOptions, m *obs.Metrics) (*Result, error) {
 	return ReplayAbandoned(in, decisions, nil, opts, m)
 }

@@ -110,17 +110,21 @@ type Index struct {
 	postings int
 	postCap  int64
 
-	// Instrument handles; nil (free) when observability is disabled.
+	// Instrument handles, resolved from the run's registry.
 	metLive   *obs.Gauge   // depgraph.live_vertices
 	metArena  *obs.Gauge   // depgraph.arena_bytes
 	metReused *obs.Counter // depgraph.edges_reused
 }
 
-// NewIndex returns an empty index pruning against the given oracle.
-func NewIndex(oracle ExecOracle) *Index {
+// NewIndex returns an empty index pruning against the given oracle and
+// counting into the depgraph.* instruments of m.
+func NewIndex(oracle ExecOracle, m *obs.Metrics) *Index {
 	ix := &Index{
-		oracle: oracle,
-		posts:  make(map[core.ObjID][]pref),
+		oracle:    oracle,
+		posts:     make(map[core.ObjID][]pref),
+		metLive:   m.Gauge(obs.NameDepgraphLiveVertices),
+		metArena:  m.Gauge(obs.NameDepgraphArenaBytes),
+		metReused: m.Counter(obs.NameDepgraphEdgesReused),
 	}
 	ix.expire.Init(func(a, b expiry) bool {
 		if a.key != b.key {
@@ -129,14 +133,6 @@ func NewIndex(oracle ExecOracle) *Index {
 		return a.slot < b.slot
 	})
 	return ix
-}
-
-// RegisterMetrics binds the depgraph.* instruments to m (a nil registry
-// leaves the handles free no-ops).
-func (ix *Index) RegisterMetrics(m *obs.Metrics) {
-	ix.metLive = m.Gauge(obs.NameDepgraphLiveVertices)
-	ix.metArena = m.Gauge(obs.NameDepgraphArenaBytes)
-	ix.metReused = m.Counter(obs.NameDepgraphEdgesReused)
 }
 
 // Refresh drops every tracked transaction that executed strictly before

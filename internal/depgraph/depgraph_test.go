@@ -6,6 +6,7 @@ import (
 
 	"dtm/internal/core"
 	"dtm/internal/graph"
+	"dtm/internal/obs"
 )
 
 // fakeOracle reports execution times from a plain map.
@@ -33,7 +34,7 @@ func neighborIDs(ix *Index, s Slot) map[core.TxID]core.Time {
 
 func TestNeighborsDedupAndExcludeSelf(t *testing.T) {
 	oracle := fakeOracle{}
-	ix := NewIndex(oracle)
+	ix := NewIndex(oracle, obs.New())
 	// tx0 and tx1 share two objects; the neighbor must appear once.
 	s0 := ix.Insert(tx(0, 0, 1, 2))
 	s1 := ix.Insert(tx(1, 3, 1, 2))
@@ -55,7 +56,7 @@ func TestNeighborsDedupAndExcludeSelf(t *testing.T) {
 
 func TestRefreshPrunesExecutedAndRearmsStragglers(t *testing.T) {
 	oracle := fakeOracle{}
-	ix := NewIndex(oracle)
+	ix := NewIndex(oracle, obs.New())
 	s0 := ix.Insert(tx(0, 0, 1))
 	ix.SetDecided(s0, 5)
 	s1 := ix.Insert(tx(1, 0, 1))
@@ -91,7 +92,7 @@ func TestSlotReuseKeepsPostingsConsistent(t *testing.T) {
 	// universe and verify after every step that posting-derived neighbor
 	// sets equal a brute-force recomputation.
 	oracle := fakeOracle{}
-	ix := NewIndex(oracle)
+	ix := NewIndex(oracle, obs.New())
 	rng := rand.New(rand.NewSource(11))
 	liveTxns := map[core.TxID]*core.Transaction{}
 	slots := map[core.TxID]Slot{}

@@ -16,6 +16,7 @@ import (
 
 	"dtm/internal/core"
 	"dtm/internal/graph"
+	"dtm/internal/obs"
 )
 
 // mapOracle is the shadow ExecOracle: explicit executed times.
@@ -40,7 +41,7 @@ func FuzzIndexInvariants(f *testing.F) {
 	f.Add([]byte{0, 255, 0, 254, 0, 253, 1, 0, 2, 0, 3, 200, 0, 252, 3, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		oracle := mapOracle{}
-		ix := NewIndex(oracle)
+		ix := NewIndex(oracle, obs.New())
 		model := map[core.TxID]*shadowTx{}
 		var nextID core.TxID
 		var now core.Time

@@ -22,14 +22,11 @@ type outcome struct {
 	Report
 }
 
-// runOpts runs New(opts) through sched.Run with the driver options sopts,
-// giving the run a registry of its own unless sopts brings one: the
-// protocol counts what it did only there.
+// runOpts runs New(opts) through sched.Run with the driver options sopts.
+// The protocol counts what it did only in the run's registry, which
+// sched.Run makes when sopts brings none.
 func runOpts(in *core.Instance, opts Options, sopts sched.Options) (outcome, error) {
 	p := New(opts)
-	if sopts.Obs == nil {
-		sopts.Obs = obs.New()
-	}
 	rr, err := sched.Run(in, p, sopts)
 	return outcome{rr, p.Report()}, err
 }

@@ -141,8 +141,7 @@ type decision struct {
 }
 
 // protoMetrics holds the protocol's instrument handles, shared by all node
-// handlers; they are the run's only count of what the protocol did. All nil
-// (and free) when disabled.
+// handlers; they are the run's only count of what the protocol did.
 type protoMetrics struct {
 	discoveries *obs.Counter   // distbucket.discoveries: discovery rounds started
 	reports     *obs.Counter   // distbucket.reports: reports received by leaders
@@ -159,9 +158,6 @@ type protoMetrics struct {
 }
 
 func newProtoMetrics(m *obs.Metrics) protoMetrics {
-	if m == nil {
-		return protoMetrics{}
-	}
 	return protoMetrics{
 		discoveries: m.Counter(obs.NameDistbucketDiscoveries),
 		reports:     m.Counter(obs.NameDistbucketReports),
@@ -188,7 +184,7 @@ type config struct {
 	slow     graph.Weight
 	maxLevel int
 	met      protoMetrics
-	obs      *obs.Metrics // registry for the batch-session instruments (nil when disabled)
+	obs      *obs.Metrics // the run's registry, for the batch-session instruments
 
 	// Reliability layer (recovery.go): active only when the network has a
 	// fault plan. With faulty false, every ack/retry/dedup path is skipped
@@ -501,12 +497,7 @@ func (n *node) onReport(ctx *distnet.Ctx, m reportMsg) {
 	})
 	n.cfg.met.inserted.Inc()
 	n.cfg.met.level.Observe(int64(placed))
-	ctx.WakeAt(nextBoundary(ctx.Now(), placed))
-}
-
-func nextBoundary(now core.Time, level int) core.Time {
-	period := core.Time(1) << uint(level)
-	return (now + period - 1) / period * period
+	ctx.WakeAt(bucket.NextActivation(ctx.Now(), placed))
 }
 
 // learn merges an availability observation (latest Free wins).
@@ -531,7 +522,7 @@ func (n *node) setKnown(o core.ObjID, a batch.Avail) {
 func (n *node) probeSession(key bucketKey) batch.Session {
 	s, ok := n.probeSess[key]
 	if !ok {
-		s = batch.NewSession(n.cfg.batch, &n.probeProb, batch.SessionOptions{Obs: n.cfg.obs})
+		s = batch.NewSession(n.cfg.batch, &n.probeProb, n.cfg.obs)
 		n.probeSess[key] = s
 	}
 	return s
@@ -569,11 +560,7 @@ func (n *node) onWake(ctx *distnet.Ctx) {
 	}
 	now := ctx.Now()
 	for key, pds := range n.buckets {
-		if len(pds) == 0 {
-			continue
-		}
-		period := core.Time(1) << uint(key.level)
-		if now%period != 0 {
+		if len(pds) == 0 || !bucket.Due(now, key.level) {
 			continue
 		}
 		if !containsKey(n.due, key) {
@@ -762,7 +749,7 @@ func (n *node) finishSession(ctx *distnet.Ctx) {
 	// session, if any.
 	for key, pds := range n.buckets {
 		if len(pds) > 0 {
-			ctx.WakeAt(nextBoundary(now+1, key.level))
+			ctx.WakeAt(bucket.NextActivation(now+1, key.level))
 		}
 	}
 	n.maybeStartSession(ctx)

@@ -137,14 +137,14 @@ type Options struct {
 	// and node crashes (see FaultPlan). The zero value keeps the engine on
 	// the exact failure-free code path.
 	Faults FaultPlan
-	// Obs, when set, collects message, fault and queue metrics; it is the
-	// engine's only count of them. All accounting happens when the engine
-	// merges a node's outbox, so handlers pay nothing.
+	// Obs collects message, fault and queue metrics; it is the engine's
+	// only count of them, and New refuses a nil one. All accounting
+	// happens when the engine merges a node's outbox, so handlers pay
+	// nothing.
 	Obs *obs.Metrics
 }
 
-// engineMetrics holds the engine's instrument handles; all nil (and free)
-// when observability is disabled.
+// engineMetrics holds the engine's instrument handles.
 type engineMetrics struct {
 	messages   *obs.Counter   // distnet.messages: total messages sent
 	msgDist    *obs.Counter   // distnet.msg_distance: total distance covered, the protocol's communication cost
@@ -158,9 +158,6 @@ type engineMetrics struct {
 }
 
 func newEngineMetrics(m *obs.Metrics) engineMetrics {
-	if m == nil {
-		return engineMetrics{}
-	}
 	return engineMetrics{
 		messages:   m.Counter(obs.NameDistnetMessages),
 		msgDist:    m.Counter(obs.NameDistnetMsgDistance),
@@ -204,26 +201,26 @@ func New(g *graph.Graph, handlers []Handler, opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("distnet: nil handler for node %d", i)
 		}
 	}
+	if opts.Obs == nil {
+		return nil, fmt.Errorf("distnet: nil Options.Obs")
+	}
 	if err := opts.Faults.Validate(g.N()); err != nil {
 		return nil, err
 	}
-	e := &Engine{
+	return &Engine{
 		g: g, handlers: handlers, opts: opts,
 		faulty:  opts.Faults.Enabled(),
 		queue:   pq.New(lessQueued),
 		sendSeq: make([]int64, g.N()),
 		met:     newEngineMetrics(opts.Obs),
-	}
-	if opts.Obs != nil {
-		e.byType = make(map[reflect.Type]*obs.Counter)
-		e.bySize = make(map[reflect.Type]int64)
-	}
-	return e, nil
+		byType:  make(map[reflect.Type]*obs.Counter),
+		bySize:  make(map[reflect.Type]int64),
+	}, nil
 }
 
 // accountMessage attributes one sent message to its payload type: a
-// distnet.msg.<type> counter and a shallow byte estimate. Only called when
-// observability is enabled, from the outbox merge.
+// distnet.msg.<type> counter and a shallow byte estimate. Called from the
+// outbox merge.
 func (e *Engine) accountMessage(payload interface{}) {
 	t := reflect.TypeOf(payload)
 	c, ok := e.byType[t]
@@ -328,17 +325,15 @@ func (e *Engine) stepOnce(at core.Time) error {
 		// Merge the outbox in send order. Fault decisions resolve here,
 		// keyed only on (step, src, dst, srcSeq).
 		e.sendSeq[ctx.node] += int64(ctx.msgs)
-		if e.opts.Obs != nil {
-			e.met.nodeQueue.Observe(int64(len(b.evs)))
-			e.met.messages.Add(int64(ctx.msgs))
-			e.met.msgDist.Add(int64(ctx.dist))
-			for _, qe := range ctx.out {
-				switch qe.ev.Kind {
-				case KindMessage:
-					e.accountMessage(qe.ev.Payload)
-				case KindWake:
-					e.met.wakes.Inc()
-				}
+		e.met.nodeQueue.Observe(int64(len(b.evs)))
+		e.met.messages.Add(int64(ctx.msgs))
+		e.met.msgDist.Add(int64(ctx.dist))
+		for _, qe := range ctx.out {
+			switch qe.ev.Kind {
+			case KindMessage:
+				e.accountMessage(qe.ev.Payload)
+			case KindWake:
+				e.met.wakes.Inc()
 			}
 		}
 		for _, qe := range ctx.out {

@@ -44,14 +44,18 @@ func traceHandlers(n int, react func(ctx *Ctx, ev Event)) ([]Handler, []*traceHa
 
 func TestNewValidation(t *testing.T) {
 	g, _ := graph.Line(3)
-	if _, err := New(nil, nil, Options{}); err == nil {
+	if _, err := New(nil, nil, Options{Obs: obs.New()}); err == nil {
 		t.Error("nil graph: want error")
 	}
-	if _, err := New(g, make([]Handler, 2), Options{}); err == nil {
+	if _, err := New(g, make([]Handler, 2), Options{Obs: obs.New()}); err == nil {
 		t.Error("handler count mismatch: want error")
 	}
-	if _, err := New(g, make([]Handler, 3), Options{}); err == nil {
+	if _, err := New(g, make([]Handler, 3), Options{Obs: obs.New()}); err == nil {
 		t.Error("nil handlers: want error")
+	}
+	hs, _ := traceHandlers(3, func(*Ctx, Event) {})
+	if _, err := New(g, hs, Options{}); err == nil {
+		t.Error("nil registry: want error")
 	}
 }
 
@@ -95,7 +99,7 @@ func TestWakeAt(t *testing.T) {
 			woke = true
 		}
 	})
-	e, err := New(g, hs, Options{})
+	e, err := New(g, hs, Options{Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +129,7 @@ func TestSelfSendProcessedSameStepLaterPass(t *testing.T) {
 			}
 		}
 	})
-	e, err := New(g, hs, Options{})
+	e, err := New(g, hs, Options{Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +157,7 @@ func TestLivelockDetected(t *testing.T) {
 		handlerFunc(func(ctx *Ctx, ev Event) { ctx.Send(0, "again") }),
 		handlerFunc(func(ctx *Ctx, ev Event) {}),
 	}
-	e, err := New(g, hs, Options{})
+	e, err := New(g, hs, Options{Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +172,7 @@ func TestLivelockDetected(t *testing.T) {
 func TestInjectValidation(t *testing.T) {
 	g, _ := graph.Line(2)
 	hs, _ := traceHandlers(2, nil)
-	e, err := New(g, hs, Options{})
+	e, err := New(g, hs, Options{Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +237,7 @@ func runFlood(t *testing.T, warm bool) []string {
 	t.Helper()
 	g := floodGraph(t, 4, warm)
 	var trace []string
-	e, err := New(g, floodHandlers(g.N(), &trace), Options{})
+	e, err := New(g, floodHandlers(g.N(), &trace), Options{Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +290,7 @@ func TestCountersAgreeAcrossEngines(t *testing.T) {
 func TestNextEvent(t *testing.T) {
 	g, _ := graph.Line(2)
 	hs, _ := traceHandlers(2, nil)
-	e, _ := New(g, hs, Options{})
+	e, _ := New(g, hs, Options{Obs: obs.New()})
 	if _, ok := e.NextEvent(); ok {
 		t.Error("empty engine should have no next event")
 	}

@@ -211,7 +211,7 @@ func TestJitterBoundedAndNeverEarly(t *testing.T) {
 				ctx.Send(9, "ping")
 			}
 		})
-		e, err := New(g, hs, Options{Faults: FaultPlan{Seed: seed, MaxJitter: maxJ}})
+		e, err := New(g, hs, Options{Faults: FaultPlan{Seed: seed, MaxJitter: maxJ}, Obs: obs.New()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func TestNewRefusesBadPlans(t *testing.T) {
 		"crash node below 0": {FaultPlan{Crashes: []CrashWindow{{Node: -1}}}, "node -1"},
 	}
 	for name, c := range cases {
-		_, err := New(g, floodHandlers(g.N(), new([]string)), Options{Faults: c.plan})
+		_, err := New(g, floodHandlers(g.N(), new([]string)), Options{Faults: c.plan, Obs: obs.New()})
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one containing %q", name, err, c.want)
 		}
@@ -346,7 +346,7 @@ func TestNewRefusesBadPlans(t *testing.T) {
 	// The bounds themselves are valid.
 	edge := FaultPlan{Drop: 1, Duplicate: 1, MaxJitter: 0,
 		Crashes: []CrashWindow{{Node: 3, From: 2, To: 2}}}
-	if _, err := New(g, floodHandlers(g.N(), new([]string)), Options{Faults: edge}); err != nil {
+	if _, err := New(g, floodHandlers(g.N(), new([]string)), Options{Faults: edge, Obs: obs.New()}); err != nil {
 		t.Errorf("plan at the bounds: %v", err)
 	}
 }

@@ -67,7 +67,9 @@ func bisectFrontier(cfg Config, g *graph.Graph, mk func() sched.Scheduler, seed 
 		res, err := sched.RunStream(g, workload.UniformObjects(g, g.N(), seed),
 			src, mk(), sched.StreamOptions{MaxArrivals: arrivals})
 		if res != nil {
-			m.Merge(res.Metrics)
+			if merr := m.Merge(res.Metrics); err == nil {
+				err = merr
+			}
 		}
 		return res, err
 	}

@@ -72,7 +72,7 @@ type Greedy struct {
 	buffer []*core.Transaction // Uniform mode: awaiting epoch
 
 	// Instrument handles, the run's only count of the Theorem 1/2 bound
-	// checks; nil (free) when observability is disabled.
+	// checks.
 	metScheduled *obs.Counter   // greedy.colors_assigned
 	metWithin    *obs.Counter   // greedy.within_bound
 	metColor     *obs.Histogram // greedy.color: assigned color = delay
@@ -134,8 +134,7 @@ func (g *Greedy) Start(env *sched.Env) error {
 	g.metColor = env.Obs.Histogram(obs.NameGreedyColor)
 	g.metBound = env.Obs.Histogram(obs.NameGreedyBound)
 	if !g.opts.RebuildOracle {
-		g.idx = depgraph.NewIndex(env.Sim)
-		g.idx.RegisterMetrics(env.Obs)
+		g.idx = depgraph.NewIndex(env.Sim, env.Obs)
 	}
 	slow := graph.Weight(env.Sim.SlowFactor())
 	g.pad = max(graph.Weight(g.opts.Pad), 1)

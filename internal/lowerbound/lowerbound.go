@@ -6,29 +6,29 @@
 // measured ratio latency/LB over-estimates the true ratio, which keeps
 // scaling conclusions conservative.
 //
-// Three bounds are combined (the max of lower bounds is a lower bound):
+// For each object o requested by a live transaction, the bound is
 //
-//  1. Assembly: a transaction cannot execute before its farthest object
-//     reaches it, so t* >= max over live T and o in O(T) of
-//     wait(o) + dist(pos(o), node(T)).
-//  2. Traversal: a single object requested by several live transactions
-//     must visit all their nodes; any such walk is at least the weight of
-//     a minimum spanning tree of the metric closure over
-//     {pos(o)} ∪ {requesters}, so t* >= wait(o) + MST(o).
-//     (This generalizes the paper's l_max serialization argument for the
-//     clique, where MST = l_max - 1 with unit distances.)
-//  3. One: t* >= 1 whenever any live transaction exists whose objects are
-//     not all already co-located and free; in the degenerate all-ready
-//     case we still clamp to 1 to keep ratios finite (a schedule that
-//     executes everything instantly yields latency 0 and ratio 0 anyway).
+//	wait(o) + MST(o),
 //
-// The assembly bound never decides the result: node(T) is one of the
-// points MST(o) spans, and the tree's path from pos(o) to node(T) is at
-// least dist(pos(o), node(T)), so every assembly term is at most its
-// object's traversal term. Estimate computes all three from scratch and
-// is the reference. Tracker keeps each object's requester tree exact
-// across the snapshots of a run and returns the same value, weighing
-// exactly only the objects whose upper bound could set the maximum.
+// where wait(o) is how long o stays busy past Now and MST(o) is the
+// weight of a minimum spanning tree of the metric closure over o's
+// availability node and its live requesters' nodes. o must visit every
+// one of those nodes, and any such walk weighs at least the tree. On the
+// clique, with unit distances, MST(o) is l - 1 for l distinct points:
+// the paper's l_max serialization argument. The result is the largest
+// term over the objects, clamped to 1 to keep ratios finite (a schedule
+// that executes everything instantly yields latency 0 and ratio 0
+// anyway).
+//
+// No separate per-transaction term is needed. A transaction T cannot
+// execute before each of its objects reaches it, so t* >= wait(o) +
+// dist(pos(o), node(T)); but node(T) is one of the points MST(o) spans,
+// and the tree's path from pos(o) to node(T) is at least
+// dist(pos(o), node(T)), so that term never exceeds o's. Estimate
+// computes the bound from scratch and is the reference. Tracker keeps
+// each object's requester tree exact across the snapshots of a run and
+// returns the same value, weighing exactly only the objects whose upper
+// bound could set the maximum.
 package lowerbound
 
 import (
@@ -64,36 +64,14 @@ func Estimate(in Input) core.Time {
 			reqNodes[o] = append(reqNodes[o], tx.Node)
 		}
 	}
-	wait := func(a Avail) core.Time {
-		if a.Free > in.Now {
-			return a.Free - in.Now
-		}
-		return 0
-	}
-	// Assembly bound.
-	for _, tx := range in.Txns {
-		for _, o := range tx.Objects {
-			a, ok := in.Avail[o]
-			if !ok {
-				continue
-			}
-			lb := wait(a) + core.Time(in.G.Dist(a.Node, tx.Node))
-			if lb > best {
-				best = lb
-			}
-		}
-	}
-	// Traversal bound.
 	for o, nodes := range reqNodes {
 		a, ok := in.Avail[o]
 		if !ok {
 			continue
 		}
+		wait := max(a.Free-in.Now, 0)
 		pts := append([]graph.NodeID{a.Node}, nodes...)
-		lb := wait(a) + core.Time(in.G.MetricMST(pts))
-		if lb > best {
-			best = lb
-		}
+		best = max(best, wait+core.Time(in.G.MetricMST(pts)))
 	}
 	return best
 }

@@ -7,6 +7,9 @@ import (
 	"dtm/internal/graph"
 )
 
+// TestEstimateAssemblyBound checks a single requester's term, which is
+// what the deleted assembly bound computed: the object's wait past Now
+// plus its distance to the requester.
 func TestEstimateAssemblyBound(t *testing.T) {
 	g, err := graph.Line(10)
 	if err != nil {
@@ -37,31 +40,34 @@ func TestEstimateAssemblyBound(t *testing.T) {
 	}
 }
 
+// TestEstimateTraversalBound checks an object's term with several
+// requesters: its wait past Now plus the MST over its availability node
+// and its requesters' nodes.
 func TestEstimateTraversalBound(t *testing.T) {
 	g, err := graph.Line(10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One object at node 0 requested at nodes 3 and 9: a single mobile
-	// object must cover MST{0,3,9} = 9 even though each individual
-	// assembly distance is at most 9.
-	in := Input{
-		G:   g,
-		Now: 0,
-		Txns: []*core.Transaction{
-			{ID: 0, Node: 3, Objects: []core.ObjID{0}},
-			{ID: 1, Node: 9, Objects: []core.ObjID{0}},
-		},
-		Avail: map[core.ObjID]Avail{0: {Node: 0, Free: 0}},
+	cases := []struct {
+		name  string
+		nodes []graph.NodeID // requester nodes, one transaction each
+		avail Avail
+		want  core.Time
+	}{
+		// A single mobile object must cover MST{0,3,9} = 9 even though
+		// each requester is at most 9 away.
+		{"requesters on one side", []graph.NodeID{3, 9}, Avail{Node: 0, Free: 100}, 9},
+		// Requesters on both sides of the object: MST{5, 0, 9} = 9.
+		{"requesters on both sides", []graph.NodeID{0, 9}, Avail{Node: 5, Free: 100}, 9},
 	}
-	if lb := Estimate(in); lb != 9 {
-		t.Errorf("lb = %d, want 9", lb)
-	}
-	// Requesters on both sides of the object: MST{5, 0, 9} = 9.
-	in.Avail[0] = Avail{Node: 5, Free: 0}
-	in.Txns[0].Node = 0
-	if lb := Estimate(in); lb != 9 {
-		t.Errorf("lb = %d, want 9 (MST both directions)", lb)
+	for _, c := range cases {
+		in := Input{G: g, Now: 100, Avail: map[core.ObjID]Avail{0: c.avail}}
+		for i, v := range c.nodes {
+			in.Txns = append(in.Txns, &core.Transaction{ID: core.TxID(i), Node: v, Objects: []core.ObjID{0}})
+		}
+		if lb := Estimate(in); lb != c.want {
+			t.Errorf("%s: lb = %d, want %d", c.name, lb, c.want)
+		}
 	}
 }
 

@@ -11,9 +11,8 @@ import (
 
 // Tracker maintains Estimate's value over a live set that changes by
 // single transactions, as a driver's ratio snapshots see it: transactions
-// join when they arrive and leave once they have executed. It computes the
-// traversal bound only (the assembly bound never decides, see the package
-// doc) and keeps, per object:
+// join when they arrive and leave once they have executed. It keeps, per
+// object:
 //
 //   - the graph.MST over the distinct live requester nodes, exact after
 //     every Add and Remove (graph.MSTBuilder.Insert and Delete), with how

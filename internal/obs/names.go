@@ -21,13 +21,20 @@ type Name struct {
 // String returns the name as snapshots key it.
 func (n Name) String() string { return n.s }
 
-// registered lists every static name, in declaration order.
-var registered []string
+// registered lists every static name, in declaration order; declared
+// maps each static histogram name to its bucket bounds.
+var (
+	registered []string
+	declared   = map[string][]int64{}
+)
 
 // register records a static name, with its bucket bounds if it names a
 // histogram.
 func register(s string, bounds ...int64) Name {
 	registered = append(registered, s)
+	if bounds != nil {
+		declared[s] = bounds
+	}
 	return Name{s: s, bounds: bounds}
 }
 

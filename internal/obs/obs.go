@@ -4,14 +4,13 @@
 //
 // Design constraints, in order:
 //
-//  1. Disabled must be free. Every handle type (*Counter, *Gauge,
-//     *Histogram) no-ops on a nil receiver, and a nil *Metrics hands out
-//     nil handles, so a sim without a registry pays exactly one
-//     predictable nil-check per event site. Every driver run keeps a
-//     registry; a replay (core.Replay with a nil registry, as dtm.Replay,
-//     trace.Validate and the F12 and F13 tables run it) is the one path
-//     that still runs without one. The overhead guard in the root package
-//     asserts its nil-checks stay below 5% of that replay.
+//  1. Every run counts. Every component of a run resolves its handles
+//     from the run's one live registry; the paper's per-transaction
+//     guarantees are checked at run time only as instruments
+//     (greedy.within_bound, bucket.within_lemma4, ...), so there is no
+//     disabled mode and no handle is ever nil. Nil survives only at the
+//     run entry points (sched.Run, RunClosedLoop, RunStream, core.NewSim
+//     and the replays built on it), as "make a private registry".
 //  2. Safe for concurrent use. All handle updates are atomic, so the
 //     concurrent trials of a sweep may share one registry; the race suite
 //     (`make race`) covers this.
@@ -26,15 +25,17 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing metric. All methods are safe on a
-// nil receiver and safe for concurrent use.
+// Counter is a monotonically increasing metric. All methods are safe for
+// concurrent use.
 type Counter struct {
 	v int64
 }
@@ -44,23 +45,18 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n (negative n is ignored; counters only go up).
 func (c *Counter) Add(n int64) {
-	if c == nil || n <= 0 {
+	if n <= 0 {
 		return
 	}
 	atomic.AddInt64(&c.v, n)
 }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return atomic.LoadInt64(&c.v)
-}
+func (c *Counter) Value() int64 { return atomic.LoadInt64(&c.v) }
 
 // Gauge is a metric that can move both ways; it also tracks the maximum
 // value it ever held (the natural summary for live-set sizes and queue
-// depths). Nil-safe and concurrency-safe.
+// depths). Concurrency-safe.
 type Gauge struct {
 	v   int64
 	max int64
@@ -68,18 +64,12 @@ type Gauge struct {
 
 // Set replaces the value.
 func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
 	atomic.StoreInt64(&g.v, v)
 	g.bumpMax(v)
 }
 
 // Add shifts the value by d (d may be negative).
 func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
 	g.bumpMax(atomic.AddInt64(&g.v, d))
 }
 
@@ -93,24 +83,14 @@ func (g *Gauge) bumpMax(v int64) {
 }
 
 // Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return atomic.LoadInt64(&g.v)
-}
+func (g *Gauge) Value() int64 { return atomic.LoadInt64(&g.v) }
 
 // Max returns the largest value the gauge ever held.
-func (g *Gauge) Max() int64 {
-	if g == nil {
-		return 0
-	}
-	return atomic.LoadInt64(&g.max)
-}
+func (g *Gauge) Max() int64 { return atomic.LoadInt64(&g.max) }
 
 // Histogram counts observations into fixed buckets. Bucket i counts
 // observations <= Bounds[i]; one implicit overflow bucket catches the
-// rest. Nil-safe and concurrency-safe.
+// rest. Concurrency-safe.
 type Histogram struct {
 	bounds []int64
 	counts []int64 // len(bounds)+1
@@ -144,9 +124,6 @@ func newHistogram(bounds []int64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
 	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
 	atomic.AddInt64(&h.counts[i], 1)
 	atomic.AddInt64(&h.count, 1)
@@ -174,20 +151,10 @@ func (h *Histogram) foldMax(v int64) {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return atomic.LoadInt64(&h.count)
-}
+func (h *Histogram) Count() int64 { return atomic.LoadInt64(&h.count) }
 
 // Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return atomic.LoadInt64(&h.sum)
-}
+func (h *Histogram) Sum() int64 { return atomic.LoadInt64(&h.sum) }
 
 // Event is one fine-grained engine occurrence, delivered to the Sink.
 // core.Sim emits "decide" (Tx, Node, Value = the decided step), "move"
@@ -288,9 +255,8 @@ func (s *JSONLSink) Event(e Event) {
 }
 
 // Metrics is a registry of named instruments plus the optional event
-// sink. A nil *Metrics is the disabled state: it hands out nil handles
-// and drops events, so instrumented code needs no conditionals beyond
-// the handles' own nil-checks.
+// sink. Every run counts into one; the run entry points make a private
+// one when handed nil.
 type Metrics struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -299,7 +265,7 @@ type Metrics struct {
 	sink     Sink
 }
 
-// New returns an enabled, empty registry with no sink.
+// New returns an empty registry with no sink.
 func New() *Metrics {
 	return &Metrics{
 		counters: make(map[string]*Counter),
@@ -310,38 +276,34 @@ func New() *Metrics {
 
 // SetSink installs the event sink. Install before the run starts; the
 // field is read without synchronization on the hot path.
-func (m *Metrics) SetSink(s Sink) {
-	if m == nil {
-		return
-	}
-	m.sink = s
+func (m *Metrics) SetSink(s Sink) { m.sink = s }
+
+// Counter returns (registering if needed) the named counter.
+func (m *Metrics) Counter(name Name) *Counter {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.counter(name.s)
 }
 
-// Enabled reports whether the registry collects anything.
-func (m *Metrics) Enabled() bool { return m != nil }
-
-// Counter returns (registering if needed) the named counter, or nil when
-// the registry is disabled.
-func (m *Metrics) Counter(name Name) *Counter { return m.counter(name.s) }
-
-// Gauge returns (registering if needed) the named gauge, or nil when
-// disabled.
-func (m *Metrics) Gauge(name Name) *Gauge { return m.gauge(name.s) }
+// Gauge returns (registering if needed) the named gauge.
+func (m *Metrics) Gauge(name Name) *Gauge {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.gauge(name.s)
+}
 
 // Histogram returns (registering if needed) the named histogram, with
-// the bucket bounds its name declares, or nil when disabled.
+// the bucket bounds its name declares.
 func (m *Metrics) Histogram(name Name) *Histogram {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.histogram(name.s, name.bounds)
 }
 
 // counter, gauge and histogram are the string-keyed lookups behind the
-// exported ones; Merge reads its names out of a snapshot.
+// exported ones; Merge reads its names out of a snapshot. The caller
+// holds m.mu.
 func (m *Metrics) counter(name string) *Counter {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	c, ok := m.counters[name]
 	if !ok {
 		c = &Counter{}
@@ -351,11 +313,6 @@ func (m *Metrics) counter(name string) *Counter {
 }
 
 func (m *Metrics) gauge(name string) *Gauge {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	g, ok := m.gauges[name]
 	if !ok {
 		g = &Gauge{}
@@ -365,11 +322,6 @@ func (m *Metrics) gauge(name string) *Gauge {
 }
 
 func (m *Metrics) histogram(name string, bounds []int64) *Histogram {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	h, ok := m.hists[name]
 	if !ok {
 		h = newHistogram(bounds)
@@ -378,10 +330,9 @@ func (m *Metrics) histogram(name string, bounds []int64) *Histogram {
 	return h
 }
 
-// Emit forwards an event to the sink, if one is installed. Callers on
-// hot paths should guard with `if m != nil` to avoid building the Event.
+// Emit forwards an event to the sink, if one is installed.
 func (m *Metrics) Emit(e Event) {
-	if m == nil || m.sink == nil {
+	if m.sink == nil {
 		return
 	}
 	m.sink.Event(e)
@@ -391,11 +342,26 @@ func (m *Metrics) Emit(e Event) {
 // commutative and associative — counters and histogram buckets add,
 // gauge values add with maxes maxed, histogram min/max combine — so
 // per-cell registries collected by concurrent sweep workers reach the
-// same final state regardless of completion order. A nil receiver or a
-// nil snapshot is a no-op.
-func (m *Metrics) Merge(s *Snapshot) {
-	if m == nil || s == nil {
-		return
+// same final state regardless of completion order. A nil snapshot is a
+// no-op. Merge refuses a snapshot holding a histogram whose buckets do
+// not match the ones m holds under its name, or the ones its registered
+// name declares (an older build's snapshot, say): it returns an error
+// naming the first such histogram and leaves m unchanged.
+func (m *Metrics) Merge(s *Snapshot) error {
+	if s == nil {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	names := make([]string, 0, len(s.Histograms))
+	for name := range s.Histograms {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if err := m.checkBuckets(name, s.Histograms[name]); err != nil {
+			return err
+		}
 	}
 	for name, v := range s.Counters {
 		m.counter(name).Add(v)
@@ -408,16 +374,35 @@ func (m *Metrics) Merge(s *Snapshot) {
 		g.bumpMax(gv.Max)
 	}
 	for name, hv := range s.Histograms {
-		h := m.histogram(name, hv.Bounds)
-		h.merge(hv)
+		m.histogram(name, hv.Bounds).merge(hv)
 	}
+	return nil
 }
 
-// merge folds an exported histogram state into h. A histogram's bounds
-// are declared with its name, so h and the snapshot it came from share
-// their buckets, and the buckets add exactly.
+// checkBuckets reports whether hv can fold into the histogram m holds, or
+// would make, under name: its bounds must be the held histogram's, or
+// else the ones a registered name declares, or else at least sorted, and
+// it must carry one count per bucket. The caller holds m.mu.
+func (m *Metrics) checkBuckets(name string, hv HistogramValue) error {
+	want, known := declared[name]
+	if h, ok := m.hists[name]; ok {
+		want, known = h.bounds, true
+	}
+	switch {
+	case known && !slices.Equal(hv.Bounds, want):
+		return fmt.Errorf("obs: histogram %q has bounds %v, want %v", name, hv.Bounds, want)
+	case !slices.IsSorted(hv.Bounds):
+		return fmt.Errorf("obs: histogram %q has unsorted bounds %v", name, hv.Bounds)
+	case len(hv.Counts) != len(hv.Bounds)+1:
+		return fmt.Errorf("obs: histogram %q has %d counts for %d buckets", name, len(hv.Counts), len(hv.Bounds)+1)
+	}
+	return nil
+}
+
+// merge folds an exported histogram state into h, whose buckets
+// checkBuckets has matched to the snapshot's, so the buckets add exactly.
 func (h *Histogram) merge(hv HistogramValue) {
-	if h == nil || hv.Count == 0 {
+	if hv.Count == 0 {
 		return
 	}
 	for i, c := range hv.Counts {
@@ -488,11 +473,8 @@ type Snapshot struct {
 	Histograms map[string]HistogramValue `json:"histograms"`
 }
 
-// Snapshot exports the registry. Returns nil when disabled.
+// Snapshot exports the registry.
 func (m *Metrics) Snapshot() *Snapshot {
-	if m == nil {
-		return nil
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := &Snapshot{

@@ -3,37 +3,11 @@ package obs
 import (
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 )
-
-func TestNilSafety(t *testing.T) {
-	var m *Metrics
-	if m.Enabled() {
-		t.Fatal("nil Metrics reports enabled")
-	}
-	c := m.Counter(Name{s: "x"})
-	g := m.Gauge(Name{s: "y"})
-	h := m.Histogram(Name{s: "z", bounds: PowersOfTwo(4)})
-	if c != nil || g != nil || h != nil {
-		t.Fatal("nil Metrics handed out non-nil handles")
-	}
-	// All of these must be no-ops, not panics.
-	c.Inc()
-	c.Add(5)
-	g.Set(3)
-	g.Add(-1)
-	h.Observe(7)
-	m.Emit(Event{Kind: "noop"})
-	m.SetSink(&SliceSink{})
-	if c.Value() != 0 || g.Value() != 0 || g.Max() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("nil handles reported non-zero values")
-	}
-	if m.Snapshot() != nil {
-		t.Fatal("nil Metrics produced a snapshot")
-	}
-}
 
 func TestCounterGaugeHistogram(t *testing.T) {
 	m := New()
@@ -207,8 +181,11 @@ func TestMerge(t *testing.T) {
 	b.Histogram(lat).Observe(300)
 
 	m := New()
-	m.Merge(a.Snapshot())
-	m.Merge(b.Snapshot())
+	for _, src := range []*Metrics{a, b} {
+		if err := m.Merge(src.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	s := m.Snapshot()
 
 	if s.Counters["runs"] != 7 || s.Counters["only_b"] != 1 {
@@ -226,14 +203,14 @@ func TestMerge(t *testing.T) {
 	if h.Counts[0] != 1 || h.Counts[1] != 1 || h.Counts[2] != 1 {
 		t.Fatalf("histogram buckets wrong: %v", h.Counts)
 	}
-	// Merging a nil snapshot, into a nil registry, or an empty histogram
-	// is a no-op.
-	m.Merge(nil)
-	var nilM *Metrics
-	nilM.Merge(a.Snapshot())
+	// Merging a nil snapshot or an empty histogram is a no-op.
 	empty := New()
 	empty.Histogram(lat)
-	m.Merge(empty.Snapshot())
+	for _, snap := range []*Snapshot{nil, empty.Snapshot()} {
+		if err := m.Merge(snap); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if again := m.Snapshot(); !reflect.DeepEqual(again, s) {
 		t.Fatalf("no-op merges changed state: %+v, want %+v", again, s)
 	}
@@ -251,11 +228,13 @@ func TestMergeCommutative(t *testing.T) {
 	}
 	snaps := []*Snapshot{mk(1), mk(16), mk(200)}
 	ab, ba := New(), New()
-	for _, s := range snaps {
-		ab.Merge(s)
-	}
-	for i := len(snaps) - 1; i >= 0; i-- {
-		ba.Merge(snaps[i])
+	for i := range snaps {
+		if err := ab.Merge(snaps[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := ba.Merge(snaps[len(snaps)-1-i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	x, y := ab.Snapshot(), ba.Snapshot()
 	if x.Counters["c"] != y.Counters["c"] || x.Gauges["g"] != y.Gauges["g"] {
@@ -282,10 +261,11 @@ func TestMergeMismatchedBounds(t *testing.T) {
 
 	first := New()
 	pre := first.Histogram(lat) // registered before the merge
-	first.Merge(src.Snapshot())
-	fresh := New()
-	fresh.Merge(src.Snapshot()) // registered by the merge
+	fresh := New()              // registered by the merge
 	for _, dst := range []*Metrics{first, fresh} {
+		if err := dst.Merge(src.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
 		got := dst.Snapshot().Histograms["lat"]
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("merged histogram = %+v, want %+v", got, want)
@@ -302,5 +282,43 @@ func TestMergeMismatchedBounds(t *testing.T) {
 	got := fresh.Snapshot().Histograms["lat"]
 	if got.Count != 4 || got.Counts[1] != 2 || !reflect.DeepEqual(got.Bounds, lat.bounds) {
 		t.Fatalf("histogram after merge and observe = %+v", got)
+	}
+}
+
+// TestMergeRefusesOtherBuckets feeds Merge histograms whose buckets do not
+// match: more or fewer buckets than the registered name declares (as an
+// older build's snapshot of bucket.level could carry), a count list that
+// does not fit its own bounds, and unsorted bounds. Each is refused with an
+// error naming the histogram, and the registry is left as it was, counters
+// included.
+func TestMergeRefusesOtherBuckets(t *testing.T) {
+	m := New()
+	m.Counter(Name{s: "runs"}).Add(2)
+	m.Histogram(NameBucketLevel).Observe(3)
+	before := m.Snapshot()
+	cases := []struct {
+		name string
+		hv   HistogramValue
+	}{
+		{NameBucketLevel.s, HistogramValue{Bounds: PowersOfTwo(8), Counts: make([]int64, 9), Count: 1, Sum: 1, Min: 1, Max: 1}},
+		{NameBucketLevel.s, HistogramValue{Bounds: PowersOfTwo(4), Counts: make([]int64, 5), Count: 1, Sum: 1, Min: 1, Max: 1}},
+		{NameGreedyBound.s, HistogramValue{Bounds: PowersOfTwo(3), Counts: make([]int64, 4)}}, // declared, not held
+		{"lat", HistogramValue{Bounds: []int64{1, 2}, Counts: make([]int64, 5), Count: 1, Sum: 1, Min: 1, Max: 1}},
+		{"lat", HistogramValue{Bounds: []int64{2, 1}, Counts: make([]int64, 3), Count: 1, Sum: 1, Min: 1, Max: 1}},
+	}
+	for _, c := range cases {
+		c.hv.Counts[0] = c.hv.Count
+		snap := &Snapshot{
+			Counters:   map[string]int64{"runs": 5},
+			Histograms: map[string]HistogramValue{c.name: c.hv},
+		}
+		err := m.Merge(snap)
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(c.name)) {
+			t.Errorf("merging %s with bounds %v and %d counts: err = %v, want one naming it",
+				c.name, c.hv.Bounds, len(c.hv.Counts), err)
+		}
+		if after := m.Snapshot(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("refused merge of %s changed the registry: %+v, want %+v", c.name, after, before)
+		}
 	}
 }

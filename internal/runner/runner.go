@@ -263,7 +263,11 @@ func (s Sweep) Run(t *stats.Table) error {
 				for tk := range ch {
 					cm := obs.New()
 					out, err := runCell(tk.run, tk.name, s.Seed+int64(tk.tr)*seedStride, cm)
-					s.Obs.Merge(cm.Snapshot())
+					if s.Obs != nil {
+						if merr := s.Obs.Merge(cm.Snapshot()); err == nil {
+							err = merr
+						}
+					}
 					res[tk.p][tk.c][tk.tr] = slot{out: out, err: err}
 				}
 			}()

@@ -25,8 +25,8 @@ import (
 type Env struct {
 	Sim *core.Sim
 	G   *graph.Graph
-	// Obs is the run's observability registry (nil when disabled);
-	// schedulers register their own instruments from Start.
+	// Obs is the run's observability registry, never nil; schedulers
+	// register their own instruments from Start.
 	Obs *obs.Metrics
 }
 

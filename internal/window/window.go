@@ -90,8 +90,7 @@ type Window struct {
 	cands []cand
 	order []int
 
-	// Instrument handles, the run's only count of the window bookkeeping;
-	// nil (free) when observability is disabled.
+	// Instrument handles, the run's only count of the window bookkeeping.
 	metPlaced  *obs.Counter   // window.placed
 	metRetries *obs.Counter   // window.retries
 	metColor   *obs.Histogram // window.color: accepted color = delay
@@ -118,8 +117,7 @@ func (w *Window) Start(env *sched.Env) error {
 	w.metRetries = env.Obs.Counter(obs.NameWindowRetries)
 	w.metColor = env.Obs.Histogram(obs.NameWindowColor)
 	w.metWin = env.Obs.Histogram(obs.NameWindowWin)
-	w.idx = depgraph.NewIndex(env.Sim)
-	w.idx.RegisterMetrics(env.Obs)
+	w.idx = depgraph.NewIndex(env.Sim, env.Obs)
 	w.col = greedy.NewColorer(env, w.idx)
 	seed := w.opts.Seed
 	if seed == 0 {

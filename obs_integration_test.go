@@ -2,19 +2,16 @@ package dtm
 
 // End-to-end observability tests: a golden run pinning exact counter values
 // on a deterministic workload, cross-checks between the metrics and the
-// result fields of a distributed run, the Failed/Err contract, and the
-// guard proving that disabled instrumentation costs under 5% of a run.
+// result fields of a distributed run, and the Failed/Err contract.
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"slices"
 	"testing"
 
-	"dtm/internal/core"
 	"dtm/internal/obs"
 )
 
@@ -295,85 +292,3 @@ func (*failOnArrive) Start(env *SchedulerEnv) error {
 func (*failOnArrive) OnArrive([]*Transaction) error { return fmt.Errorf("refusing work") }
 func (*failOnArrive) NextWake() (Time, bool)        { return 0, false }
 func (*failOnArrive) OnWake() error                 { return nil }
-
-// TestDisabledInstrumentationOverheadUnder5Percent is the no-op guard: the
-// cost of every nil-handle instrument operation a replay would perform, at
-// the measured per-op price, must stay below 5% of the replay itself. A
-// replay (Replay, hence core.Replay with a nil registry) is the one path
-// that still runs with instrumentation disabled; every driver run keeps a
-// registry. Each price is the fastest of several samples, as host noise
-// only slows a sample.
-func TestDisabledInstrumentationOverheadUnder5Percent(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark guard")
-	}
-	g, err := Clique(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := Generate(g, WorkloadConfig{
-		K: 2, NumObjects: 16, Rounds: 4,
-		Arrival: ArrivalPeriodic, Period: 4, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := Run(in, NewGreedy(GreedyOptions{}), RunOptions{SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fastest := func(f func(b *testing.B)) float64 {
-		best := math.Inf(1)
-		for i := 0; i < 5; i++ {
-			r := testing.Benchmark(f)
-			best = min(best, float64(r.T.Nanoseconds())/float64(r.N))
-		}
-		return best
-	}
-	// Per-op cost of a disabled instrument site: a nil-receiver method call.
-	nsPerOp := fastest(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			nilCounterSink.Inc()
-		}
-	})
-
-	// How many instrument operations does this replay perform? Count them
-	// from a replay with a registry: on this unit-weight clique every
-	// counter call adds 1, so a counter's value is its call count; a
-	// histogram counts its observations; and each event stands for two
-	// more operations at its site, the nil check before the emit and at
-	// most one live-gauge update.
-	m := NewMetrics()
-	events := &obs.SliceSink{}
-	m.SetSink(events)
-	if _, err := core.Replay(in, rr.Decisions, SimOptions{}, m); err != nil {
-		t.Fatal(err)
-	}
-	snap := m.Snapshot()
-	ops := 2 * int64(len(events.Events()))
-	for _, v := range snap.Counters {
-		ops += v
-	}
-	for _, h := range snap.Histograms {
-		ops += h.Count
-	}
-
-	replayNs := fastest(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Replay(in, rr.Decisions, SimOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	overhead := nsPerOp * float64(ops)
-	if overhead >= 0.05*replayNs {
-		t.Errorf("disabled instrumentation costs %.0fns (%d ops at %.2fns) against a %.0fns replay: %.1f%% >= 5%%",
-			overhead, ops, nsPerOp, replayNs, 100*overhead/replayNs)
-	}
-	t.Logf("replay %.0fns, %d nil-ops at %.2fns each = %.0fns (%.2f%%)",
-		replayNs, ops, nsPerOp, overhead, 100*overhead/replayNs)
-}
-
-// nilCounterSink is deliberately a mutable package variable so the compiler
-// cannot fold the nil-receiver call away in the benchmark above.
-var nilCounterSink *obs.Counter
