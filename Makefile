@@ -37,16 +37,18 @@ fmt:
 
 # race covers the concurrent code and everything it touches: the tree
 # warm-up (graph.WarmTrees, called by core.NewSim) and the sched drivers
-# that run it, the sweep runner's worker pool, and the engines and
-# network packages whose identity tests run with the warm-up on. The root
-# run drives the parallel-vs-sequential identity tests with the detector
-# on.
+# that run it, the sweep runner's worker pool, the obs registry, whose
+# handles are safe for concurrent use (TestConcurrentUpdates), and the
+# engines and network packages whose identity tests run with the warm-up
+# on. The root run drives the parallel-vs-sequential identity tests with
+# the detector on.
 race:
 	$(GO) test -race ./internal/core/... ./internal/sched/... \
 		./internal/distnet/... ./internal/distbucket/... \
 		./internal/runner/... ./internal/graph/... \
 		./internal/depgraph/... ./internal/pq/... \
-		./internal/window/... ./internal/engine/...
+		./internal/window/... ./internal/engine/... \
+		./internal/obs/...
 	$(GO) test -race -run 'TestParallel|TestAdvanceToIncrements|TestEngineConformance' .
 
 bench:

@@ -22,7 +22,7 @@ import (
 
 // perfVariant is one configuration a case is timed under.
 type perfVariant struct {
-	P      int  // core.SimOptions.Parallel: tree warm-up width, 1 = sequential
+	P      int  // core.SimOptions.Parallel: tree warm-up workers, 1 = every tree up front on one
 	Oracle bool // run the engine's rebuild oracle (engine.Desc.Oracle)
 }
 
@@ -236,10 +236,11 @@ func perfCases() ([]perfCase, error) {
 		)
 	}
 
-	// Tree warm-up (T13): with P>1, core.NewSim builds every shortest-path
-	// tree over P workers, then runs sequentially. Each timed run starts on
-	// a fresh graph. At n=4096 every tree together takes 0.4 GB (24 B per
-	// node pair); n=16384 would take 6.4 GB.
+	// Tree warm-up (T13): core.NewSim builds every shortest-path tree over
+	// P workers, then runs sequentially, so every row of a case builds the
+	// same trees up front and differs only in the worker count. Each timed
+	// run starts on a fresh graph. At n=4096 every tree together takes
+	// 0.27 GB (16 B per node pair); n=16384 would take 4.3 GB.
 	warm := []perfVariant{{P: 1}, {P: 2}, {P: 4}, {P: 8}}
 	grid := instance(func() (*graph.Graph, error) { return graph.Grid(64, 64) }, workload.Config{
 		K: 2, NumObjects: 4096 / 8, Rounds: 1, Arrival: workload.ArrivalBatch, Seed: 1,

@@ -147,10 +147,9 @@ func (s *oneShotSession) Reset() {
 	s.prob.Txns = nil
 }
 
-// AvailFunc resolves the availability of one object on demand. The bucket
-// engine backs it with the simulation (last scheduled user, in-transit
-// position, origin); the distributed coordinator backs it with its
-// granted/heard-of/origin knowledge.
+// AvailFunc resolves the availability of one object on demand. The
+// central bucket engine backs it with the simulation (the last decided
+// user, else the object's origin or resting place).
 type AvailFunc func(core.ObjID) Avail
 
 // ExtendAvail lazily adds availability entries for every object used by

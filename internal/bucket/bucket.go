@@ -47,17 +47,12 @@ type Options struct {
 	RebuildOracle bool
 }
 
-type pending struct {
-	tx    *core.Transaction
-	since core.Time // insertion time
-}
-
 // Bucket is the online bucket scheduler; it implements sched.Scheduler.
 type Bucket struct {
 	opts   Options
 	env    *sched.Env
-	slow   graph.Weight // the sim's object speed divisor; batch problems plan with it
-	levels [][]pending
+	slow   graph.Weight          // the sim's object speed divisor; batch problems plan with it
+	levels [][]*core.Transaction // each level's pending transactions, in insertion order
 
 	// Incremental engine (default): one persistent batch session per
 	// level, holding exactly the level's pending transactions, driven
@@ -109,7 +104,7 @@ func (b *Bucket) Start(env *sched.Env) error {
 	if err != nil {
 		return err
 	}
-	b.levels = make([][]pending, max+1)
+	b.levels = make([][]*core.Transaction, max+1)
 	b.resolve = b.resolveAvail
 	if !b.opts.RebuildOracle {
 		b.avail = make(map[core.ObjID]batch.Avail)
@@ -142,8 +137,10 @@ func MaxLevel(g *graph.Graph, slow graph.Weight) (int, error) {
 
 // lemma4Bound is Lemma 4's execution deadline for a transaction inserted
 // at level, relative to its insertion: (level+1)·2^(level+2), saturated at
-// the largest core.Time. It holds for the paper's idealized A; the
-// engine counts adherence in bucket.within_lemma4.
+// the largest core.Time. A transaction is inserted at its arrival step,
+// where the driver delivers it, so the deadline counts from tx.Arrival.
+// It holds for the paper's idealized A; the engine counts adherence in
+// bucket.within_lemma4.
 func lemma4Bound(level int) core.Time {
 	shift := uint(level + 2)
 	if core.Time(level+1) > math.MaxInt64>>shift {
@@ -184,14 +181,14 @@ func (b *Bucket) OnArrive(txns []*core.Transaction) error {
 		batch.ExtendAvailTx(b.avail, tx, b.resolve)
 		if b.opts.ForceTopLevel {
 			b.sessions[top].Push(tx)
-			b.insert(top, tx, now)
+			b.insert(top, tx)
 			continue
 		}
 		level, overflowed, err := Place(&b.prob, tx, len(b.levels), func(i int) batch.Session { return b.sessions[i] })
 		if err != nil {
 			return fmt.Errorf("bucket: %w", err)
 		}
-		b.insert(level, tx, now)
+		b.insert(level, tx)
 		if overflowed {
 			b.metOverflow.Inc()
 		}
@@ -251,36 +248,33 @@ func floorLevel(d core.Time) int {
 func (b *Bucket) arriveRebuild(txns []*core.Transaction, now core.Time) error {
 	for _, tx := range txns {
 		if b.opts.ForceTopLevel {
-			b.insert(len(b.levels)-1, tx, now)
+			b.insert(len(b.levels)-1, tx)
 			continue
 		}
 		placed := false
 		for i := range b.levels {
 			cand := make([]*core.Transaction, 0, len(b.levels[i])+1)
-			for _, pd := range b.levels[i] {
-				cand = append(cand, pd.tx)
-			}
-			cand = append(cand, tx)
+			cand = append(append(cand, b.levels[i]...), tx)
 			cost, err := batch.Cost(b.opts.Batch, b.problem(cand, now))
 			if err != nil {
 				return fmt.Errorf("bucket: cost probe at level %d: %w", i, err)
 			}
 			if cost <= 1<<uint(i) {
-				b.insert(i, tx, now)
+				b.insert(i, tx)
 				placed = true
 				break
 			}
 		}
 		if !placed {
-			b.insert(len(b.levels)-1, tx, now)
+			b.insert(len(b.levels)-1, tx)
 			b.metOverflow.Inc()
 		}
 	}
 	return nil
 }
 
-func (b *Bucket) insert(level int, tx *core.Transaction, now core.Time) {
-	b.levels[level] = append(b.levels[level], pending{tx: tx, since: now})
+func (b *Bucket) insert(level int, tx *core.Transaction) {
+	b.levels[level] = append(b.levels[level], tx)
 	b.metInserted.Inc()
 	b.metLevel.Observe(int64(level))
 }
@@ -333,16 +327,12 @@ func (b *Bucket) OnWake() error {
 }
 
 func (b *Bucket) activate(level int, now core.Time) error {
-	pds := b.levels[level]
+	txns := b.levels[level]
 	b.levels[level] = nil
 	b.metActivations.Inc()
 	var asgn batch.Assignment
 	var err error
 	if b.opts.RebuildOracle {
-		txns := make([]*core.Transaction, len(pds))
-		for i, pd := range pds {
-			txns[i] = pd.tx
-		}
 		asgn, err = b.opts.Batch.Schedule(b.problem(txns, now))
 	} else {
 		// The live entries are current: lower levels activated in the
@@ -355,25 +345,25 @@ func (b *Bucket) activate(level int, now core.Time) error {
 	if err != nil {
 		return fmt.Errorf("bucket: activating level %d: %w", level, err)
 	}
-	for _, pd := range pds {
-		exec, ok := asgn[pd.tx.ID]
+	for _, tx := range txns {
+		exec, ok := asgn[tx.ID]
 		if !ok {
-			return fmt.Errorf("bucket: batch scheduler %s dropped transaction %d", b.opts.Batch.Name(), pd.tx.ID)
+			return fmt.Errorf("bucket: batch scheduler %s dropped transaction %d", b.opts.Batch.Name(), tx.ID)
 		}
 		if exec < now {
-			return fmt.Errorf("bucket: batch scheduler %s assigned past time %d to transaction %d", b.opts.Batch.Name(), exec, pd.tx.ID)
+			return fmt.Errorf("bucket: batch scheduler %s assigned past time %d to transaction %d", b.opts.Batch.Name(), exec, tx.ID)
 		}
-		if err := b.env.Sim.Decide(pd.tx.ID, exec); err != nil {
+		if err := b.env.Sim.Decide(tx.ID, exec); err != nil {
 			return err
 		}
 		b.metScheduled.Inc()
-		if exec-pd.since <= lemma4Bound(level) {
+		if exec-tx.Arrival <= lemma4Bound(level) {
 			b.metWithin4.Inc()
 		}
 	}
 	if !b.opts.RebuildOracle {
-		for _, pd := range pds {
-			b.refresh(pd.tx, now)
+		for _, tx := range txns {
+			b.refresh(tx, now)
 		}
 	}
 	return nil

@@ -30,12 +30,13 @@ type SimOptions struct {
 	// an on-time transaction waits for late, earlier users. Latencies
 	// then include congestion delay. NewSim refuses a negative capacity.
 	LinkCapacity int
-	// Parallel bounds the worker count of the tree warm-up: NewSim builds
-	// the shortest-path tree of every node of the graph concurrently
+	// Parallel is the worker count of the tree warm-up: NewSim builds the
+	// shortest-path tree of every node of the graph on that many workers
 	// before the run starts, and every step after that runs sequentially
-	// on the calling goroutine, so a parallel run is byte-identical to a
-	// sequential one. 0 and 1 mean no warm-up (trees build lazily on first
-	// use, the default), negative means GOMAXPROCS. See DESIGN.md §12.
+	// on the calling goroutine, so a run is byte-identical at every
+	// value. 0 means no warm-up (trees build lazily on first use, the
+	// default), 1 builds every tree up front on one worker, and negative
+	// means GOMAXPROCS. See DESIGN.md §12.
 	Parallel int
 }
 
@@ -316,9 +317,9 @@ func NewSim(in *Instance, opts SimOptions, m *obs.Metrics) (*Sim, error) {
 	}
 	// Tree warm-up: objects travel along shortest paths and schedulers
 	// weigh conflicts by distance, so a run reads the trees of most nodes.
-	// Build them all now, concurrently; the warm-up changes when trees are
-	// built, never what a query returns.
-	if opts.Parallel != 0 && opts.Parallel != 1 {
+	// Build them all now, on Parallel workers; the warm-up changes when
+	// trees are built, never what a query returns.
+	if opts.Parallel != 0 {
 		in.G.WarmTrees(opts.Parallel)
 	}
 	return s, nil
@@ -412,22 +413,11 @@ func (s *Sim) AddTransaction(tx *Transaction) error {
 	if tx.ID != TxID(s.totalTxns()) {
 		return fmt.Errorf("core: AddTransaction: ID %d, want next dense ID %d", tx.ID, s.totalTxns())
 	}
-	if tx.Node < 0 || int(tx.Node) >= s.in.G.N() {
-		return fmt.Errorf("core: AddTransaction: node %d out of range", tx.Node)
-	}
 	if tx.Arrival < s.now {
 		return fmt.Errorf("core: AddTransaction: arrival t=%d before now t=%d", tx.Arrival, s.now)
 	}
-	if len(tx.Objects) == 0 {
-		return fmt.Errorf("core: AddTransaction: no objects")
-	}
-	for i, o := range tx.Objects {
-		if o < 0 || int(o) >= len(s.in.Objects) {
-			return fmt.Errorf("core: AddTransaction: unknown object %d", o)
-		}
-		if i > 0 && tx.Objects[i-1] >= o {
-			return fmt.Errorf("core: AddTransaction: object list not sorted/deduplicated")
-		}
+	if err := s.in.checkTx(tx); err != nil {
+		return fmt.Errorf("core: AddTransaction: %w", err)
 	}
 	s.in.Txns = append(s.in.Txns, tx)
 	s.exec = append(s.exec, -1)

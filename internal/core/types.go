@@ -108,25 +108,33 @@ func (in *Instance) Validate() error {
 		if t.ID != TxID(i) {
 			return fmt.Errorf("core: transaction at index %d has ID %d", i, t.ID)
 		}
-		if t.Node < 0 || t.Node >= n {
-			return fmt.Errorf("core: transaction %d node %d out of range", i, t.Node)
-		}
 		if t.Arrival < 0 {
 			return fmt.Errorf("core: transaction %d arrives at negative time %d", i, t.Arrival)
 		}
-		if len(t.Objects) == 0 {
-			return fmt.Errorf("core: transaction %d requests no objects", i)
+		if err := in.checkTx(t); err != nil {
+			return fmt.Errorf("core: transaction %d: %w", i, err)
 		}
-		if !sort.SliceIsSorted(t.Objects, func(a, b int) bool { return t.Objects[a] < t.Objects[b] }) {
-			return fmt.Errorf("core: transaction %d object list not sorted", i)
+	}
+	return nil
+}
+
+// checkTx is the one rule for a well-formed transaction of in, shared by
+// Validate and Sim.AddTransaction: its node in range, at least one
+// object, its objects sorted and deduplicated, and every object known.
+// Its ID and arrival time are the callers' to check.
+func (in *Instance) checkTx(t *Transaction) error {
+	if t.Node < 0 || int(t.Node) >= in.G.N() {
+		return fmt.Errorf("node %d out of range", t.Node)
+	}
+	if len(t.Objects) == 0 {
+		return fmt.Errorf("no objects")
+	}
+	for j, o := range t.Objects {
+		if o < 0 || int(o) >= len(in.Objects) {
+			return fmt.Errorf("unknown object %d", o)
 		}
-		for j, o := range t.Objects {
-			if o < 0 || int(o) >= len(in.Objects) {
-				return fmt.Errorf("core: transaction %d requests unknown object %d", i, o)
-			}
-			if j > 0 && t.Objects[j-1] == o {
-				return fmt.Errorf("core: transaction %d requests object %d twice", i, o)
-			}
+		if j > 0 && t.Objects[j-1] >= o {
+			return fmt.Errorf("object list not sorted and deduplicated at object %d", o)
 		}
 	}
 	return nil

@@ -13,12 +13,14 @@ import (
 	"dtm/internal/workload"
 )
 
-// availCheck runs the protocol with every node handler wrapped so that,
-// after each event a node handles, the node's live probe map holds
-// exactly its knowledge: every entry equals resolveKnown. setKnown is the
-// one writer of known that keeps the two equal; a write that bypassed it
-// would leave a probe session reading an outdated entry.
-type availCheck struct {
+// sessionCheck runs the protocol with every node handler wrapped so that,
+// after each event a node handles, every non-empty partial bucket's
+// session costs what the one-shot batch scheduler costs on a copy of the
+// probe problem holding the bucket's transactions. The sessions keep state
+// derived from the entries of known and drop it only when Problem.SetAvail
+// moves the problem's generation; an overwrite that bypassed SetAvail
+// would leave a session costing an outdated entry.
+type sessionCheck struct {
 	*Protocol
 	t      *testing.T
 	name   string
@@ -27,7 +29,7 @@ type availCheck struct {
 
 // Start builds the protocol, then rebuilds its network over the wrapped
 // handlers (the same graph, plan and registry Start used).
-func (c *availCheck) Start(env *sched.Env) error {
+func (c *sessionCheck) Start(env *sched.Env) error {
 	if err := c.Protocol.Start(env); err != nil {
 		return err
 	}
@@ -42,24 +44,31 @@ func (c *availCheck) Start(env *sched.Env) error {
 
 type checkedNode struct {
 	*node
-	c *availCheck
+	c *sessionCheck
 }
 
 func (n checkedNode) HandleEvent(ctx *distnet.Ctx, ev distnet.Event) {
 	n.node.HandleEvent(ctx, ev)
-	for o, a := range n.probeAvail {
-		if want := n.resolveKnown(o); a != want {
-			n.c.t.Fatalf("%s: node %d at t=%d after %T: probe entry for object %d is %+v, knowledge %+v",
-				n.c.name, n.id, ctx.Now(), ev.Payload, o, a, want)
+	for key, pb := range n.buckets {
+		if len(pb.txs) == 0 {
+			continue
 		}
+		got, gerr := pb.sess.Cost()
+		p := n.probeProb
+		p.Txns = pb.txs
+		want, werr := batch.Cost(n.cfg.batch, &p)
+		if got != want || (gerr == nil) != (werr == nil) {
+			n.c.t.Fatalf("%s: node %d at t=%d after %T: bucket %+v: session cost %d (%v), one-shot %d (%v)",
+				n.c.name, n.id, ctx.Now(), ev.Payload, key, got, gerr, want, werr)
+		}
+		n.c.checks++
 	}
-	n.c.checks++
 }
 
-// TestProbeAvailMatchesKnowledge runs the availCheck over the sched
+// TestProbeSessionsMatchOneShot runs the sessionCheck over the sched
 // golden topologies, with faults off and under the golden fault plans,
 // for the Tour and Coloring batch schedulers.
-func TestProbeAvailMatchesKnowledge(t *testing.T) {
+func TestProbeSessionsMatchOneShot(t *testing.T) {
 	mk := func(g *graph.Graph, err error) *graph.Graph {
 		if err != nil {
 			t.Fatal(err)
@@ -93,12 +102,12 @@ func TestProbeAvailMatchesKnowledge(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					c := &availCheck{Protocol: New(Options{Batch: bs, Seed: seed, Faults: plan}), t: t, name: name}
+					c := &sessionCheck{Protocol: New(Options{Batch: bs, Seed: seed, Faults: plan}), t: t, name: name}
 					if _, err := sched.Run(in, c, sched.Options{SnapshotEvery: -1}); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 					if c.checks == 0 {
-						t.Fatalf("%s: no node event was checked", name)
+						t.Fatalf("%s: no partial bucket was checked", name)
 					}
 				}
 			}

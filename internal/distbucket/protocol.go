@@ -218,19 +218,19 @@ type reserveReq struct {
 	node    graph.NodeID
 }
 
-// pendTx is a transaction waiting in a partial bucket.
-type pendTx struct {
-	tx    *core.Transaction
-	objs  []objSnapshot
-	since core.Time
-	level int
+// partial is one partial bucket at a leader: its waiting transactions in
+// insertion order and the persistent batch session its probes run
+// through, which holds the same transactions (Push on place, Reset when
+// the bucket drains into a protocol session).
+type partial struct {
+	txs  []*core.Transaction
+	sess batch.Session
 }
 
 // session is one in-flight bucket activation at a leader.
 type session struct {
 	id      int64
-	level   int
-	txs     []pendTx
+	txs     []*core.Transaction
 	objs    []core.ObjID
 	granted map[core.ObjID]batch.Avail
 	next    int
@@ -250,23 +250,20 @@ type node struct {
 	// origin state
 	discov map[core.TxID]*discovery
 
-	// leader state: partial buckets keyed per (cluster, level).
-	buckets map[bucketKey][]pendTx
-	known   map[core.ObjID]batch.Avail // latest availability heard of; written only by setKnown
-	// Sessionized probe state: one persistent batch session per partial
-	// bucket (kept in lockstep with buckets: Push on place, Reset when the
-	// bucket drains into a protocol session) and one live problem shared by
-	// all of them. Its availability map holds resolveKnown(o) for every
-	// object o a reported transaction used, for the whole run (setKnown
-	// keeps it equal). Node handlers are single-threaded, so no locking.
-	probeSess  map[bucketKey]batch.Session
-	probeAvail map[core.ObjID]batch.Avail
-	probeProb  batch.Problem
-	resolve    batch.AvailFunc
-	sess       *session
-	sessSeq    int64
-	due        []bucketKey // activation queue of partial buckets
-	decisions  []decision
+	// leader state: one record per partial bucket, keyed per (cluster,
+	// level) and made at the key's first probe, and the latest
+	// availability heard of per object. known is also the availability
+	// map of the one live problem every partial's session probes: each
+	// object of a reported transaction has an entry from its report on,
+	// and setKnown is its only writer. Node handlers are single-threaded,
+	// so no locking.
+	buckets   map[bucketKey]*partial
+	known     map[core.ObjID]batch.Avail
+	probeProb batch.Problem
+	sess      *session
+	sessSeq   int64
+	due       []bucketKey // activation queue of partial buckets
+	decisions []decision
 	// reported records, per transaction handled by this node's discovery,
 	// which cluster it reported to (for the Lemma 6 audit).
 	reported map[core.TxID]clusterRef
@@ -301,14 +298,11 @@ func newNode(cfg *config, id graph.NodeID) *node {
 		reqs:     make(map[core.ObjID][]txRef),
 		reserved: make(map[core.ObjID]*reservation),
 		discov:   make(map[core.TxID]*discovery),
-		buckets:  make(map[bucketKey][]pendTx),
+		buckets:  make(map[bucketKey]*partial),
 		reported: make(map[core.TxID]clusterRef),
 		known:    make(map[core.ObjID]batch.Avail),
 	}
-	n.probeSess = make(map[bucketKey]batch.Session)
-	n.probeAvail = make(map[core.ObjID]batch.Avail)
-	n.probeProb = batch.Problem{G: cfg.g, Avail: n.probeAvail, Slow: cfg.slow}
-	n.resolve = n.resolveKnown
+	n.probeProb = batch.Problem{G: cfg.g, Avail: n.known, Slow: cfg.slow}
 	if cfg.faulty {
 		n.sentReports = make(map[core.TxID]reportMsg)
 		n.seenReports = make(map[core.TxID]bool)
@@ -473,17 +467,15 @@ func (n *node) onReport(ctx *distnet.Ctx, m reportMsg) {
 		ctx.Send(m.Node, reportAckMsg{Tx: m.Tx})
 	}
 	n.cfg.met.reports.Inc()
+	// A report holds one snapshot per object of the transaction, so once
+	// they are learned every entry Place reads is in known.
 	for _, os := range m.Objs {
 		n.learn(os)
 	}
 	tx := n.cfg.sim.Txn(m.Tx)
-	// Probe through the persistent per-bucket sessions. The pending
-	// transactions' entries are already in the live probe map, so only the
-	// new transaction's objects can need one.
 	n.probeProb.Now = ctx.Now()
-	batch.ExtendAvailTx(n.probeAvail, tx, n.resolve)
 	placed, overflowed, err := bucket.Place(&n.probeProb, tx, n.cfg.maxLevel+1, func(i int) batch.Session {
-		return n.probeSession(bucketKey{cluster: m.Cluster, level: i})
+		return n.partialAt(bucketKey{cluster: m.Cluster, level: i}).sess
 	})
 	if err != nil {
 		panic(fmt.Sprintf("distbucket: %v", err))
@@ -491,10 +483,8 @@ func (n *node) onReport(ctx *distnet.Ctx, m reportMsg) {
 	if overflowed {
 		n.cfg.met.overflow.Inc()
 	}
-	key := bucketKey{cluster: m.Cluster, level: placed}
-	n.buckets[key] = append(n.buckets[key], pendTx{
-		tx: tx, objs: m.Objs, since: ctx.Now(), level: placed,
-	})
+	pb := n.buckets[bucketKey{cluster: m.Cluster, level: placed}]
+	pb.txs = append(pb.txs, tx)
 	n.cfg.met.inserted.Inc()
 	n.cfg.met.level.Observe(int64(placed))
 	ctx.WakeAt(bucket.NextActivation(ctx.Now(), placed))
@@ -507,48 +497,26 @@ func (n *node) learn(os objSnapshot) {
 	}
 }
 
-// setKnown records o's latest availability and keeps the live probe entry
-// for o, if there is one, equal to it: an entry that differs is
-// overwritten through Problem.SetAvail, which the probe sessions read.
+// setKnown records o's latest availability. known is the probe sessions'
+// availability map: a missing entry is added directly, and one that
+// differs is overwritten through Problem.SetAvail, which the sessions read.
 func (n *node) setKnown(o core.ObjID, a batch.Avail) {
-	n.known[o] = a
-	if cur, ok := n.probeAvail[o]; ok && cur != a {
+	if cur, ok := n.known[o]; !ok {
+		n.known[o] = a
+	} else if cur != a {
 		n.probeProb.SetAvail(o, a)
 	}
 }
 
-// probeSession returns (creating on first use) the persistent batch
-// session mirroring the partial bucket at key.
-func (n *node) probeSession(key bucketKey) batch.Session {
-	s, ok := n.probeSess[key]
+// partialAt returns the partial bucket at key, making it with its batch
+// session at the key's first probe.
+func (n *node) partialAt(key bucketKey) *partial {
+	pb, ok := n.buckets[key]
 	if !ok {
-		s = batch.NewSession(n.cfg.batch, &n.probeProb, n.cfg.obs)
-		n.probeSess[key] = s
+		pb = &partial{sess: batch.NewSession(n.cfg.batch, &n.probeProb, n.cfg.obs)}
+		n.buckets[key] = pb
 	}
-	return s
-}
-
-// resolveKnown resolves one object's availability from the leader's
-// knowledge: the latest availability heard of, else the object's origin.
-func (n *node) resolveKnown(o core.ObjID) batch.Avail {
-	if a, ok := n.known[o]; ok {
-		return a
-	}
-	obj := n.cfg.in.Objects[o]
-	return batch.Avail{Node: obj.Origin, Free: obj.Created}
-}
-
-// problem assembles a one-shot batch problem from the leader's
-// availability knowledge; the granted map (if non-nil) takes precedence.
-func (n *node) problem(txns []*core.Transaction, now core.Time, granted map[core.ObjID]batch.Avail) *batch.Problem {
-	avail := make(map[core.ObjID]batch.Avail)
-	batch.ExtendAvail(avail, txns, func(o core.ObjID) batch.Avail {
-		if a, ok := granted[o]; ok {
-			return a
-		}
-		return n.resolveKnown(o)
-	})
-	return &batch.Problem{G: n.cfg.g, Now: now, Txns: txns, Avail: avail, Slow: n.cfg.slow}
+	return pb
 }
 
 // onWake queues every due, non-empty level and starts a session if idle.
@@ -559,8 +527,8 @@ func (n *node) onWake(ctx *distnet.Ctx) {
 		n.retryDue(ctx)
 	}
 	now := ctx.Now()
-	for key, pds := range n.buckets {
-		if len(pds) == 0 || !bucket.Due(now, key.level) {
+	for key, pb := range n.buckets {
+		if len(pb.txs) == 0 || !bucket.Due(now, key.level) {
 			continue
 		}
 		if !containsKey(n.due, key) {
@@ -586,29 +554,27 @@ func (n *node) maybeStartSession(ctx *distnet.Ctx) {
 	sort.Slice(n.due, func(i, j int) bool { return bucketKeyLess(n.due[i], n.due[j]) })
 	key := n.due[0]
 	n.due = n.due[1:]
-	txs := n.buckets[key]
-	if len(txs) == 0 {
+	pb := n.buckets[key]
+	if len(pb.txs) == 0 {
 		n.maybeStartSession(ctx)
 		return
 	}
-	delete(n.buckets, key)
-	// The bucket drains into this protocol session; its probe session must
-	// drop the same transactions so later reports against the (now empty)
-	// bucket probe the empty set.
-	if ps, ok := n.probeSess[key]; ok {
-		ps.Reset()
-	}
+	// The bucket drains into this protocol session; its probe session
+	// drops the same transactions so later reports against the (now
+	// empty) bucket probe the empty set.
+	txs := pb.txs
+	pb.txs = nil
+	pb.sess.Reset()
 	n.cfg.met.activations.Inc()
 	n.sessSeq++
 	s := &session{
 		id:      int64(n.id)<<32 | n.sessSeq,
-		level:   key.level,
 		txs:     txs,
 		granted: make(map[core.ObjID]batch.Avail),
 	}
 	objSet := make(map[core.ObjID]bool)
-	for _, pd := range txs {
-		for _, o := range pd.tx.Objects {
+	for _, tx := range txs {
+		for _, o := range tx.Objects {
 			objSet[o] = true
 		}
 	}
@@ -705,19 +671,19 @@ func (n *node) finishSession(ctx *distnet.Ctx) {
 	// Execution times must not precede the moment the transaction's node
 	// learns them.
 	var notify graph.Weight
-	txns := make([]*core.Transaction, len(s.txs))
-	for i, pd := range s.txs {
-		txns[i] = pd.tx
-		if d := ctx.Dist(n.id, pd.tx.Node); d > notify {
+	for _, tx := range s.txs {
+		if d := ctx.Dist(n.id, tx.Node); d > notify {
 			notify = d
 		}
 	}
-	p := n.problem(txns, now+core.Time(notify), s.granted)
+	// The grants are the problem's availability: onGrant finishes the
+	// session only once every object of the bucket is granted.
+	p := &batch.Problem{G: n.cfg.g, Now: now + core.Time(notify), Txns: s.txs, Avail: s.granted, Slow: n.cfg.slow}
 	asgn, err := n.cfg.batch.Schedule(p)
 	if err != nil {
 		panic(fmt.Sprintf("distbucket: batch schedule: %v", err))
 	}
-	for _, pd := range s.txs {
+	for _, tx := range s.txs {
 		// Algorithm 3 line 7: when the bucket activates, the *objects* are
 		// informed of the schedule — object itineraries take effect at the
 		// leader's announce time. Recording the decision here (rather than
@@ -728,27 +694,29 @@ func (n *node) finishSession(ctx *distnet.Ctx) {
 		// floors do not cover. The decideMsg below still notifies the
 		// transaction's node (its execution time already budgets that
 		// trip via the notify slack).
-		n.decisions = append(n.decisions, decision{tx: pd.tx.ID, exec: asgn[pd.tx.ID]})
-		ctx.Send(pd.tx.Node, decideMsg{Tx: pd.tx.ID, Exec: asgn[pd.tx.ID]})
+		n.decisions = append(n.decisions, decision{tx: tx.ID, exec: asgn[tx.ID]})
+		ctx.Send(tx.Node, decideMsg{Tx: tx.ID, Exec: asgn[tx.ID]})
 	}
-	// New availability per object: its last user in this schedule.
-	for _, o := range s.objs {
-		last := s.granted[o]
-		for _, pd := range s.txs {
-			for _, oo := range pd.tx.Objects {
-				if oo == o && asgn[pd.tx.ID] >= last.Free {
-					last = batch.Avail{Node: pd.tx.Node, Free: asgn[pd.tx.ID]}
-				}
+	// New availability per object: its last user in this schedule, the
+	// later one in bucket order at equal times. The grants are not read
+	// again, so they take the new values.
+	last := s.granted
+	for _, tx := range s.txs {
+		for _, o := range tx.Objects {
+			if e := asgn[tx.ID]; e >= last[o].Free {
+				last[o] = batch.Avail{Node: tx.Node, Free: e}
 			}
 		}
-		n.setKnown(o, last)
-		n.sendRelease(ctx, releaseMsg{Obj: o, Session: s.id, NewAvail: last})
+	}
+	for _, o := range s.objs {
+		n.setKnown(o, last[o])
+		n.sendRelease(ctx, releaseMsg{Obj: o, Session: s.id, NewAvail: last[o]})
 	}
 	n.sess = nil
 	// Re-arm timers for anything still waiting, then start the next due
 	// session, if any.
-	for key, pds := range n.buckets {
-		if len(pds) > 0 {
+	for key, pb := range n.buckets {
+		if len(pb.txs) > 0 {
 			ctx.WakeAt(bucket.NextActivation(now+1, key.level))
 		}
 	}

@@ -194,8 +194,8 @@ func (n *node) abandon(tx core.TxID, reason string) {
 // granted and drops queue entries for the rest.
 func (n *node) abandonSession(ctx *distnet.Ctx, reason string) {
 	s := n.sess
-	for _, pd := range s.txs {
-		n.abandon(pd.tx.ID, "session abandoned: "+reason)
+	for _, tx := range s.txs {
+		n.abandon(tx.ID, "session abandoned: "+reason)
 	}
 	for _, o := range s.objs {
 		n.sendRelease(ctx, releaseMsg{Obj: o, Session: s.id, Restore: true})

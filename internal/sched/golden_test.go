@@ -2,7 +2,7 @@ package sched_test
 
 // Driver goldens: a digest of every driver's output on fixed grids,
 // pinned in driverGoldens. The identity suites compare two paths through
-// the same driver (incremental vs oracle, P=1 vs P=2); none of them
+// the same driver (incremental vs oracle, P=0 vs P=2); none of them
 // notices the driver itself drifting.
 // These do: any change to decisions, results, ratios, abandoned
 // transactions, stream aggregates, the deterministic metric snapshot or
@@ -143,7 +143,7 @@ func dumpCase(t *testing.T, name string, schedParts, obsParts []any) {
 // half (see the file comment).
 type golden struct{ sched, obs string }
 
-// goldenTable collects digests; the variants of one case (P=1 and P=2)
+// goldenTable collects digests; the variants of one case (P=0 and P=2)
 // must agree with each other and share one entry.
 type goldenTable map[string]golden
 
@@ -200,14 +200,15 @@ func goldenInstance(t *testing.T, g *graph.Graph, rounds int, seed int64) *core.
 	return in
 }
 
-// goldenRun covers sched.Run at P=1 and P=2. The seed doubles as the
-// snapshot stride, so every-k-th sampling is pinned too.
+// goldenRun covers sched.Run at P=0 and P=2 (lazy trees and the sim's
+// tree warm-up). The seed doubles as the snapshot stride, so every-k-th
+// sampling is pinned too.
 func goldenRun(t *testing.T, got goldenTable) {
 	for topo, g := range diffTopologies(t) {
 		for _, e := range runEngines() {
 			for seed := int64(1); seed <= 3; seed++ {
 				in := goldenInstance(t, g, 3, seed)
-				for _, p := range []int{1, 2} {
+				for _, p := range []int{0, 2} {
 					name := fmt.Sprintf("run/%s/%s/seed%d", topo, e.name, seed)
 					rec := newRecorder()
 					simOpts := e.sim
@@ -304,7 +305,7 @@ func goldenStream(t *testing.T, got goldenTable) {
 
 // goldenDistributed covers the Algorithm 3 protocol and its Report
 // without faults, under a lossy network, under heavy loss and with crashed
-// origins, at P=1 and P=2 (lazy trees and the sim's tree warm-up). The
+// origins, at P=0 and P=2 (lazy trees and the sim's tree warm-up). The
 // driver instruments the central engines emit are left out of its metrics.
 func goldenDistributed(t *testing.T, got goldenTable) {
 	plans := map[string]distbucket.FaultOptions{
@@ -321,7 +322,7 @@ func goldenDistributed(t *testing.T, got goldenTable) {
 		for pn, plan := range plans {
 			for seed := int64(1); seed <= 3; seed++ {
 				in := goldenInstance(t, g, 2, seed)
-				for _, p := range []int{1, 2} {
+				for _, p := range []int{0, 2} {
 					name := fmt.Sprintf("distributed/%s/%s/seed%d", topo, pn, seed)
 					rec := newRecorder()
 					proto := distbucket.New(distbucket.Options{Seed: seed, Faults: plan})
